@@ -57,12 +57,13 @@ from .exact import (
     one_point_exit_det,
     one_point_exit_dual,
     partition_det,
+    partition_poly,
     partition_product,
     perturbed_partition,
 )
 from .geometry import hausdorff_distance, polyline_self_intersects
 from .profile import StartDensity, WindowSpec, freezing_tent, limit_curve
-from .qpoly import QPolynomial, q_binomial, q_binomial_at, poly_det, poly_eval
+from .qpoly import QPolynomial, q_binomial, q_binomial_at, poly_det
 from .sampler import ChainResult, DensityField, run_chain
 
 __version__ = "0.1.0"
@@ -112,10 +113,10 @@ __all__ = [
     "one_point_exit_dual",
     "parse_config",
     "partition_det",
+    "partition_poly",
     "partition_product",
     "perturbed_partition",
     "poly_det",
-    "poly_eval",
     "polyline_self_intersects",
     "q_binomial",
     "q_binomial_at",

@@ -33,9 +33,11 @@ from .exact import (
     one_point_exit_det,
     one_point_exit_dual,
     partition_det,
+    partition_poly,
     partition_product,
 )
 from .profile import StartDensity, freezing_tent, limit_curve
+from .qpoly import QPolynomial
 from .sampler import run_chain
 
 
@@ -55,25 +57,41 @@ def _reversal_exponent(seq: StartSequence) -> int:
     return n * (n + 1) * (3 * seq.top + n + 2) // 6
 
 
-def _reversal_check(seq: StartSequence, q) -> tuple[bool, float]:
-    """Evaluate the partition-function duality at q; exact when q is rational."""
-    za = partition_det(seq)
-    zd = partition_det(dual_sequence(seq))
+def _reversal_check(seq: StartSequence, z: QPolynomial) -> tuple[bool, int]:
+    """Partition-function duality Z_a(q) = q**e Z_dual(1/q), on coefficients.
+
+    Holds when Z_a[k] = Z_dual[e - k] for every k; exact for any q. Returns
+    whether it holds and the number of degrees where the two sides differ.
+    """
+    e = _reversal_exponent(seq)
+    lhs = {k: c for k, c in enumerate(z.coeffs) if c}
+    rhs = {e - k: c for k, c in enumerate(partition_poly(dual_sequence(seq)).coeffs) if c}
+    mismatched = sum(lhs.get(k) != rhs.get(k) for k in lhs.keys() | rhs.keys())
+    return mismatched == 0, mismatched
+
+
+def _partition_at(z: QPolynomial, q):
+    """Z at the configured q: exact at a rational q, a finite float otherwise."""
     if isinstance(q, Fraction):
-        lhs = za(q)
-        rhs = q**_reversal_exponent(seq) * zd(1 / q)
-        return lhs == rhs, float(abs(lhs - rhs))
-    lhs = za(float(q))
-    rhs = float(q) ** _reversal_exponent(seq) * zd(1.0 / float(q))
-    resid = abs(lhs - rhs) / max(abs(lhs), 1.0)
-    return resid <= 1e-9, resid
+        return z(q)
+    try:
+        value = z(float(q))
+    except OverflowError:
+        value = math.inf
+    # Z has nonnegative coefficients, so at q > 0 a value of 0 has underflowed.
+    if not 0.0 < value < math.inf:
+        raise NumericalFailure(
+            f"partition function at q = {float(q)!r} is outside the float range"
+        )
+    return value
 
 
 def cmd_exact(cfg: ModelConfig, args) -> int:
     _require(cfg, "finite", "exact")
     out = _out_dir(cfg, args)
     seq, q = cfg.sequence, cfg.q
-    z = partition_det(seq)
+    z = partition_poly(seq)
+    z_at_q = _partition_at(z, q)
     serialize.write_csv(
         os.path.join(out, "partition.csv"),
         ("degree", "coefficient"),
@@ -93,8 +111,7 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
         ("ell", "H_dual"),
         table(one_point_exit_dual, seq.n, seq.top + seq.n),
     )
-    reversal_ok, reversal_resid = _reversal_check(seq, q)
-    z_at_q = z(q) if isinstance(q, Fraction) else z(float(q))
+    reversal_ok, reversal_resid = _reversal_check(seq, z)
     summary = {
         "sequence": list(seq),
         "q": serialize.format_cell(q),
@@ -256,6 +273,11 @@ def _verify_checks(cfg: ModelConfig):
         for q in (Fraction(1, 3), Fraction(7, 2)):
             worst = max(worst, abs(float(z(q) - partition_product(seq, q))))
     record("partition_det_vs_product", worst, 0.0)
+    record(
+        "partition_poly_vs_det",
+        sum(partition_poly(seq) != partition_det(seq) for seq in seqs),
+        0.0,
+    )
 
     seq = StartSequence((0, 2, 3))
     z = partition_det(seq)
@@ -268,10 +290,10 @@ def _verify_checks(cfg: ModelConfig):
         worst = max(worst, abs(to_second_family(c).total_area() - c.total_area()))
     record("second_family_area", worst, 0.0)
 
-    ok, resid = _reversal_check(StartSequence((0, 2, 5)), Fraction(3, 5))
-    record("partition_duality", resid if not ok else 0.0, 0.0)
-
     seq = StartSequence((0, 2, 5))
+    _, mismatched = _reversal_check(seq, partition_poly(seq))
+    record("partition_duality", mismatched, 0.0)
+
     q = Fraction(2, 5)
     zq = partition_det(seq)(q)
     n = seq.n

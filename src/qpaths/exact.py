@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import InvalidArgument
-from .qpoly import QPolynomial, poly_det, q_binomial, q_binomial_at
+from .errors import InvalidArgument, NumericalFailure
+from .qpoly import QPolynomial, cyclotomic, poly_det, power_product, q_binomial, q_binomial_at
 
 Rational = Union[int, Fraction]
 Weight = Union[int, Fraction, float]
@@ -84,6 +84,40 @@ def lgv_matrix(seq: StartSequence) -> list[list[QPolynomial]]:
 def partition_det(seq: StartSequence) -> QPolynomial:
     """Partition function as an exact polynomial in q (determinant route)."""
     return poly_det(lgv_matrix(seq))
+
+
+def _same_class_pairs(values: Sequence[int], d: int) -> int:
+    """Number of pairs i < j with values[i] = values[j] mod d."""
+    sizes: dict[int, int] = {}
+    for v in values:
+        sizes[v % d] = sizes.get(v % d, 0) + 1
+    return sum(k * (k - 1) // 2 for k in sizes.values())
+
+
+def partition_poly(seq: StartSequence) -> QPolynomial:
+    """Partition function as an exact polynomial in q (cyclotomic product route).
+
+    Z = q**E prod_{i<j} [a_j - a_i]_q / [j - i]_q, and every q-integer [m]_q
+    is the product of the cyclotomic polynomials Phi_d over d | m, d >= 2.
+    So Z = q**E prod_d Phi_d**c_d, where c_d counts the pairs i < j with
+    d | a_j - a_i minus those with d | j - i; no division is needed.
+    """
+    n = seq.n
+    factors = []
+    for d in range(2, seq.top + 1):
+        c = _same_class_pairs(seq.values, d) - _same_class_pairs(range(n + 1), d)
+        if c < 0:
+            # Evenly filled residue classes hold the fewest same-class pairs,
+            # so distinct starts never give fewer than the indices 0..n do.
+            raise NumericalFailure(f"negative multiplicity {c} of cyclotomic factor {d}")
+        if c:
+            factors.append((cyclotomic(d), c))
+    # Z counts configurations by area, so its coefficients are nonnegative
+    # and none exceeds Z(1), the number of configurations.
+    pairs = [(i, j) for j in range(n + 1) for i in range(j)]
+    count = math.prod(seq[j] - seq[i] for i, j in pairs) // math.prod(j - i for i, j in pairs)
+    exponent = sum(i * i + (n - i) * (a - i) for i, a in enumerate(seq.values))
+    return power_product(factors, count).shift(exponent)
 
 
 def partition_product(seq: StartSequence, q: Rational) -> Fraction:

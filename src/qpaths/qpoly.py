@@ -1,14 +1,17 @@
 """Exact polynomial arithmetic in the weight variable q.
 
 Dense integer-coefficient polynomials with arbitrary-precision coefficients,
-Gaussian (q-deformed) binomials, and a fraction-free Bareiss determinant for
+Gaussian (q-deformed) binomials, cyclotomic polynomials, products of powers
+with nonnegative coefficients, and a fraction-free Bareiss determinant for
 polynomial matrices. Everything here is pure and exact; floats only appear
 when a caller evaluates a polynomial at a float point.
 """
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .errors import InvalidArgument
@@ -184,6 +187,18 @@ class QPolynomial:
 
     def eval(self, q: Scalar) -> Scalar:
         """Horner evaluation; exact for int/Fraction arguments."""
+        if isinstance(q, Fraction):
+            # Horner on the integer numerator with the matching power of the
+            # denominator, normalised once: Fraction arithmetic would take a
+            # gcd at every step.
+            if not self.coeffs:
+                return Fraction(0)
+            num, den = q.numerator, q.denominator
+            acc, den_pow = 0, 1
+            for c in reversed(self.coeffs):
+                acc = acc * num + c * den_pow
+                den_pow *= den
+            return Fraction(acc, den_pow // den)
         acc: Scalar = 0
         for c in reversed(self.coeffs):
             acc = acc * q + c
@@ -254,6 +269,61 @@ def q_binomial_at(a: int, b: int, q: Scalar) -> Scalar:
     return res
 
 
+@lru_cache(maxsize=1024)
+def cyclotomic(d: int) -> QPolynomial:
+    """The d-th cyclotomic polynomial, for d >= 1.
+
+    q**d - 1 is the product of the cyclotomic polynomials of all divisors of
+    d, so dividing it by those of the proper divisors leaves the d-th.
+    """
+    if d < 1:
+        raise InvalidArgument(f"cyclotomic index must be >= 1, got {d}")
+    result = QPolynomial.monomial(d) - QPolynomial.one()
+    for e in range(1, d):
+        if d % e == 0:
+            result = result.exact_div(cyclotomic(e))
+    return result
+
+
+def power_product(factors: Sequence[tuple[QPolynomial, int]], bound: int) -> QPolynomial:
+    """prod p**e over (p, e) in factors, for a product whose coefficients lie in [0, bound].
+
+    Kronecker substitution at q = 10**w with 10**w > bound: each factor
+    becomes one exact decimal integer, the powers and a product tree run in
+    decimal arithmetic, and the base-10**w digits of the result are its
+    coefficients. The caller vouches for the coefficient range; the factors
+    themselves may have coefficients of either sign.
+    """
+    if bound < 1:
+        raise InvalidArgument(f"coefficient bound must be >= 1, got {bound}")
+    # Exact integer arithmetic: no result can reach this precision, and any
+    # rounding would raise. decimal multiplies large operands by a
+    # number-theoretic transform, far faster than int's Karatsuba here.
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+    )
+    w = bound.bit_length() * 30103 // 100000 + 1  # decimal digits per coefficient
+
+    def at_power_of_ten(coeffs: Sequence[int]) -> decimal.Decimal:
+        pos = "".join(str(max(c, 0)).zfill(w) for c in reversed(coeffs))
+        neg = "".join(str(max(-c, 0)).zfill(w) for c in reversed(coeffs))
+        return ctx.subtract(decimal.Decimal(pos), decimal.Decimal(neg))
+
+    values = [ctx.power(at_power_of_ten(p.coeffs), e) for p, e in factors if e]
+    values.sort(key=lambda v: v.adjusted())
+    while len(values) > 1:
+        values = [ctx.multiply(values[i], values[i + 1]) if i + 1 < len(values) else values[i]
+                  for i in range(0, len(values), 2)]
+    digits = str(values[0]) if values else "1"
+    digits = digits.zfill(-(-len(digits) // w) * w)
+    # int() of a long digit string is capped by the interpreter; via Decimal it is not.
+    return QPolynomial(
+        int(decimal.Decimal(digits[i - w : i])) for i in range(len(digits), 0, -w)
+    )
+
+
 def poly_det(matrix: Sequence[Sequence[QPolynomial]]) -> QPolynomial:
     """Determinant of a square QPolynomial matrix, Bareiss fraction-free.
 
@@ -286,8 +356,3 @@ def poly_det(matrix: Sequence[Sequence[QPolynomial]]) -> QPolynomial:
         prev = pivot
     det = m[n - 1][n - 1]
     return det if sign == 1 else -det
-
-
-def poly_eval(p: QPolynomial, q: Scalar) -> Scalar:
-    """Evaluate p at q (Horner); exact when q is int or Fraction."""
-    return p.eval(q)

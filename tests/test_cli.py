@@ -10,7 +10,8 @@ import pytest
 
 from qpaths import cli
 from qpaths.errors import NumericalFailure, QpathsError
-from qpaths.exact import StartSequence, partition_det
+from qpaths.exact import StartSequence, partition_det, partition_poly
+from qpaths.qpoly import QPolynomial
 from qpaths.serialize import load_csv
 
 FINITE = {
@@ -70,8 +71,38 @@ def test_exact_writes_tables(tmp_path):
     summary = json.loads((out / "exact_summary.json").read_text())
     assert summary["sequence"] == [0, 1, 3]
     assert summary["reversal_pass"] is True
+    assert summary["reversal_residual"] == 0
     # Z(7/10) for starts (0, 1, 3): q^5 + q^6 + q^7, checked by hand.
     assert summary["partition_at_q"] == "3680733/10000000"
+
+
+def test_exact_float_partition_out_of_range(tmp_path, capsys):
+    # Z(10^6) for these starts is about 10^360, beyond the float range.
+    doc = {"model": {"finite": {"sequence": [0, 2, 4, 6, 8], "q": {"base": 1e6, "n": 1}}}}
+    rc, out = run_cli(tmp_path, doc, "exact")
+    assert rc == 2
+    assert "outside the float range" in capsys.readouterr().err
+
+
+def test_exact_float_partition_in_range(tmp_path):
+    doc = {"model": {"finite": {"sequence": [0, 2, 4, 6, 8], "q": {"base": 3, "n": 4}}}}
+    rc, out = run_cli(tmp_path, doc, "exact")
+    assert rc == 0
+    summary = json.loads((out / "exact_summary.json").read_text())
+    z = partition_det(StartSequence((0, 2, 4, 6, 8)))
+    expected = float(z(Fraction(3**0.25)))
+    assert float(summary["partition_at_q"]) == pytest.approx(expected, rel=1e-12)
+    assert summary["reversal_pass"] is True
+
+
+def test_reversal_check_counts_mismatched_degrees():
+    seq = StartSequence((0, 2, 5))
+    z = partition_poly(seq)
+    assert cli._reversal_check(seq, z) == (True, 0)
+    # Moving one unit of weight to another degree breaks two coefficients.
+    k = z.degree
+    broken = z - QPolynomial.monomial(k) + QPolynomial.monomial(k + 1)
+    assert cli._reversal_check(seq, broken) == (False, 2)
 
 
 def test_sample_outputs_and_determinism(tmp_path):
@@ -157,6 +188,7 @@ def test_verify_reports_all_pass(tmp_path):
     assert report["all_pass"] is True
     names = [c["name"] for c in report["checks"]]
     assert "partition_det_vs_product" in names
+    assert "partition_poly_vs_det" in names
     assert "envelope_residual" in names
     for check in report["checks"]:
         assert check["residual"] <= check["tolerance"]

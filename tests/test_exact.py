@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpaths.errors import InvalidArgument
 from qpaths.exact import (
@@ -21,9 +23,11 @@ from qpaths.exact import (
     one_point_exit_det,
     one_point_exit_dual,
     partition_det,
+    partition_poly,
     partition_product,
     perturbed_partition,
 )
+from qpaths.qpoly import QPolynomial
 
 RATIONAL_QS = (Fraction(1, 3), Fraction(2, 5), Fraction(2), Fraction(7, 2))
 
@@ -126,6 +130,22 @@ def test_partition_trivial_cases():
     assert partition_det(StartSequence((0,)))(Fraction(5)) == 1
     # seq=(0,1): the unique configuration has area 1.
     assert list(partition_det(StartSequence((0, 1))).coeffs) == [0, 1]
+
+
+@given(st.lists(st.integers(min_value=1, max_value=24), max_size=8, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_partition_poly_equals_det(rest):
+    seq = StartSequence((0, *sorted(rest)))
+    assert partition_poly(seq) == partition_det(seq)
+
+
+def test_partition_poly_edge_cases():
+    assert partition_poly(StartSequence((0,))) == 1
+    assert partition_poly(StartSequence((0, 1))) == QPolynomial.monomial(1)
+    # Consecutive starts admit one configuration, of area sum i^2.
+    for n in range(6):
+        area = n * (n + 1) * (2 * n + 1) // 6
+        assert partition_poly(StartSequence(range(n + 1))) == QPolynomial.monomial(area)
 
 
 def test_partition_duality():

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpaths.errors import InvalidArgument
-from qpaths.qpoly import QPolynomial, poly_det, poly_eval, q_binomial, q_binomial_at
+from qpaths.qpoly import (
+    QPolynomial,
+    cyclotomic,
+    poly_det,
+    power_product,
+    q_binomial,
+    q_binomial_at,
+)
 
 
 def pascal_q_binomial(a: int, b: int) -> list[int]:
@@ -154,7 +161,70 @@ def test_poly_det_of_q_binomial_matrix():
     assert poly_det(matrix) == cofactor_det(matrix)
 
 
-def test_poly_eval_helper():
+def test_eval_exact_and_float():
     p = QPolynomial((1, 0, 2))
-    assert poly_eval(p, Fraction(1, 2)) == Fraction(3, 2)
-    assert poly_eval(p, 2.0) == 9.0
+    assert p.eval(Fraction(1, 2)) == Fraction(3, 2)
+    assert p.eval(2.0) == 9.0
+    assert p(Fraction(1, 2)) == Fraction(3, 2)
+    assert p(2.0) == 9.0
+    assert QPolynomial.zero()(Fraction(2, 3)) == 0
+    assert QPolynomial((0, 0, 4))(Fraction(3, 2)) == 9
+
+
+@given(st.lists(st.integers(min_value=-(2**80), max_value=2**80), min_size=1, max_size=12),
+       st.fractions(max_denominator=50))
+@settings(max_examples=80, deadline=None)
+def test_eval_at_fraction_matches_fraction_horner(coeffs, q):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * q + c
+    assert QPolynomial(coeffs)(q) == acc
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 4)), max_size=5
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_power_product_matches_repeated_multiplication(specs):
+    # q-binomials have nonnegative coefficients, so their products do too.
+    factors = [(q_binomial(a + b, b), e) for a, b, e in specs]
+    expected = QPolynomial.one()
+    bound = 1
+    for p, e in factors:
+        for _ in range(e):
+            expected = expected * p
+        bound *= p(1) ** e
+    assert power_product(factors, bound) == expected
+
+
+def test_power_product_signed_factors_and_digit_boundaries():
+    # Phi_6 = 1 - q + q^2 alone has a negative coefficient; Phi_3 * Phi_6 =
+    # 1 + q^2 + q^4 does not.
+    factors = [(cyclotomic(3), 2), (cyclotomic(6), 2)]
+    assert power_product(factors, 9) == QPolynomial((1, 0, 1, 0, 1)) * QPolynomial((1, 0, 1, 0, 1))
+    # Coefficient bounds at and next to powers of ten.
+    ones = QPolynomial((1, 1))
+    for e in (3, 4, 5, 13, 14):
+        expected = QPolynomial([math.comb(e, k) for k in range(e + 1)])
+        assert power_product([(ones, e)], 2**e) == expected
+    for c in (1, 9, 10, 99, 100, 10**20 - 1, 10**20, 2**64 - 1, 2**64):
+        assert power_product([(QPolynomial((c, 0, c)), 1)], c) == QPolynomial((c, 0, c))
+    assert power_product([], 1) == 1
+    with pytest.raises(InvalidArgument):
+        power_product([(ones, 1)], 0)
+
+
+def test_cyclotomic_divisor_products():
+    for m in range(1, 31):
+        product = QPolynomial.one()
+        for d in range(1, m + 1):
+            if m % d == 0:
+                product = product * cyclotomic(d)
+        assert product == QPolynomial.monomial(m) - QPolynomial.one()
+    assert cyclotomic(1) == QPolynomial((-1, 1))
+    assert cyclotomic(6) == QPolynomial((1, -1, 1))
+    assert -2 in cyclotomic(105).coeffs
+    with pytest.raises(InvalidArgument):
+        cyclotomic(0)
