@@ -1,8 +1,8 @@
 """Area-weighted non-intersecting lattice paths.
 
-Exact partition and one-point functions at finite size, Metropolis
-sampling, and the asymptotic arctic curve of the rescaled model with its
-degenerate-weight limit shapes.
+Exact partition and one-point functions at finite size, exact-start
+heat-bath sampling, and the asymptotic arctic curve of the rescaled
+model with its degenerate-weight limit shapes.
 """
 
 from .actions import (

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 
+from .curves import _check_base
 from .errors import InvalidArgument
 from .profile import StartDensity
 from .quadrature import integrate
@@ -37,13 +38,6 @@ __all__ = [
 
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-12
-
-
-def _check_base(qq: float) -> float:
-    qq = float(qq)
-    if not math.isfinite(qq) or qq <= 0.0 or qq == 1.0:
-        raise InvalidArgument(f"base must be positive and different from 1, got {qq!r}")
-    return qq
 
 
 def _log_ratio(num: float, den: float, what: str) -> float:

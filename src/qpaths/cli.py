@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: exact (partition and one-point tables), sample (Metropolis
-density fields), arctic (curve branches as CSV/SVG), limits (degenerate
-limit polylines), verify (invariant suite with residuals). Exit codes:
-0 success, 1 validation error, 2 numerical failure.
+Subcommands: exact (partition and one-point tables), sample (heat-bath
+density fields from an exact start), arctic (curve branches as CSV/SVG),
+limits (degenerate limit polylines), verify (invariant suite with
+residuals). Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("exact", "partition function and one-point tables"),
-        ("sample", "Metropolis sampling of path configurations"),
+        ("sample", "heat-bath sampling of path configurations"),
         ("arctic", "arctic-curve branches as CSV (optionally SVG)"),
         ("limits", "degenerate-weight limit polylines"),
         ("verify", "run the invariant suite and report residuals"),

@@ -117,14 +117,11 @@ class ScalingVars:
     """Saddle-point data attached to one tangency point.
 
     ``xi`` is the rescaled exit height and ``z`` the rescaled free-path
-    length of the tangent geodesic.  ``mu`` and ``phi`` are reserved for
-    chemical-potential style reparametrizations and stay None here.
+    length of the tangent geodesic.
     """
 
     xi: float
     z: float
-    mu: Optional[float] = None
-    phi: Optional[float] = None
 
 
 class _Scaled:

@@ -212,22 +212,30 @@ def _residue_terms_exact(seq: StartSequence, ell: int, q: Fraction, poles: Seque
     return total
 
 
-def _residue_terms_float(seq: StartSequence, ell: int, q: float, poles: list[int], offsets: range) -> float:
+def _residue_sum_float(
+    seq: StartSequence, ell: int, q: float, poles: list[int], offsets: range, exponent: int
+) -> float:
     # Terms alternate in sign; accumulate with exact summation after ordering
     # by pole magnitude to keep the cancellation as mild as possible.
-    powers = [q**a for a in seq.values]
-    poles = sorted(poles, key=lambda k: abs(powers[k]))
-    terms = []
-    for k in poles:
-        num = 1.0
-        for s in offsets:
-            num *= q ** (seq.values[k] + s - ell) - 1.0
-        den = 1.0
-        for s in range(seq.n + 1):
-            if s != k:
-                den *= powers[k] - powers[s]
-        terms.append(num / den)
-    return math.fsum(terms)
+    try:
+        powers = [q**a for a in seq.values]
+        poles = sorted(poles, key=lambda k: abs(powers[k]))
+        terms = []
+        for k in poles:
+            num = 1.0
+            for s in offsets:
+                num *= q ** (seq.values[k] + s - ell) - 1.0
+            den = 1.0
+            for s in range(seq.n + 1):
+                if s != k:
+                    den *= powers[k] - powers[s]
+            terms.append(num / den)
+        value = q**exponent * math.fsum(terms)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise NumericalFailure(f"residue sum at q = {q!r}, ell = {ell} is outside the float range")
+    return value
 
 
 def one_point_exit(seq: StartSequence, ell: int, q: Weight, *, extended_poles: bool = False) -> Weight:
@@ -247,7 +255,7 @@ def one_point_exit(seq: StartSequence, ell: int, q: Weight, *, extended_poles: b
     offsets = range(1, n + 1)
     exponent = n * ell - n * (n + 1) // 2
     if isinstance(q, float):
-        return q**exponent * _residue_terms_float(seq, ell, q, poles, offsets)
+        return _residue_sum_float(seq, ell, q, poles, offsets, exponent)
     qf = Fraction(q)
     return qf**exponent * _residue_terms_exact(seq, ell, qf, poles, offsets)
 
@@ -269,7 +277,7 @@ def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight, *, extended_pol
     offsets = range(0, n)
     exponent = n * ell - n * (n - 1) // 2
     if isinstance(q, float):
-        return q**exponent * _residue_terms_float(seq, ell, q, poles, offsets)
+        return _residue_sum_float(seq, ell, q, poles, offsets, exponent)
     qf = Fraction(q)
     return qf**exponent * _residue_terms_exact(seq, ell, qf, poles, offsets)
 

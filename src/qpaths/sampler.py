@@ -1,19 +1,28 @@
-"""Metropolis sampling of the weighted path ensemble via corner flips.
+"""Heat-bath sampling of the weighted path ensemble from an exact start.
 
-The chain state is a full non-intersecting configuration; a move picks a
-path and an interior vertex, flips a west-north corner to north-west or back
-(moving one north step sideways by one column, so the total area changes by
-exactly +-1), and accepts with the Metropolis ratio q**(area change).
-Proposals landing on an occupied vertex are rejected, which preserves
-detailed balance because the reverse move is blocked symmetrically.
+The chain state is the array of north-step abscissas: b[i][k] is the
+column of the north step of path i from row k to row k + 1, for
+1 <= i <= n and 0 <= k < i, stored flat in ``PathConfig.north_steps``
+order. The area is sum(b), and non-intersection is a set of inequalities
+between neighbouring sites, so site (i, k) may take any value in
+
+    lo = max(b[i][k+1] or 0, (b[i-1][k-1] or a_{i-1}) + 1)
+    hi = min(b[i][k-1] or a_i, b[i+1][k+1] - 1)
+
+where a missing b[i+1][k+1] (on the top path) imposes nothing. A sweep
+visits the sites in that order and redraws each from q**b truncated to
+[lo, hi], by inverse CDF from one uniform. The update is monotone in the
+state, so coupling from the past (Propp & Wilson, 1996) from the minimal
+and maximal configurations gives an exact sample of q**area, and the
+measured sweeps start from it.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -21,94 +30,117 @@ from .configs import PathConfig, Vertex, max_area_config, min_area_config
 from .errors import InvalidArgument, NumericalFailure
 from .exact import StartSequence, _check_weight_q
 
-StartSpec = Union[str, PathConfig]
+# Coupling from the past looks back at most this many sweeps.
+CFTP_MAX_SWEEPS = 1 << 16
 
 
-@dataclass
-class McState:
-    """Mutable chain state: vertex lists, occupancy set, running area."""
-
-    seq: StartSequence
-    paths: list[list[Vertex]]
-    occupied: set[Vertex]
-    area: int
-
-    @classmethod
-    def from_config(cls, config: PathConfig) -> "McState":
-        if config.family != "first" or config.exit is not None:
-            raise InvalidArgument("sampling requires a plain first-family configuration")
-        paths = [list(p) for p in config.paths]
-        occupied = {v for p in paths for v in p}
-        return cls(config.starts, paths, occupied, config.total_area())
-
-    def to_config(self) -> PathConfig:
-        return PathConfig(self.seq, tuple(tuple(p) for p in self.paths), "first")
-
-    def recompute_area(self) -> int:
-        return sum(x for p in self.paths for (x, y0), (_, y1) in zip(p, p[1:]) if y1 == y0 + 1)
+def abscissas(config: PathConfig) -> list[int]:
+    """The flat north-step array b of a plain first-family configuration."""
+    if config.family != "first" or config.exit is not None:
+        raise InvalidArgument("sampling requires a plain first-family configuration")
+    return [x for x, _ in config.north_steps()]
 
 
-def init_state(seq: StartSequence, start: StartSpec = "min") -> McState:
-    """Fresh chain state from an extremal configuration or an explicit one."""
-    if isinstance(start, PathConfig):
-        if start.starts.values != seq.values:
-            raise InvalidArgument("explicit start configuration does not match the sequence")
-        return McState.from_config(start)
-    if start == "min":
-        return McState.from_config(min_area_config(seq))
-    if start == "max":
-        return McState.from_config(max_area_config(seq))
-    raise InvalidArgument(f"start must be 'min', 'max' or a PathConfig, got {start!r}")
+def paths_from_abscissas(seq: StartSequence, b) -> tuple[tuple[Vertex, ...], ...]:
+    """Vertex paths of the configuration with north-step array b."""
+    steps = iter(b)
+    paths = []
+    for i, x in enumerate(seq.values):
+        verts = [(x, 0)]
+        for k in range(i):
+            col = next(steps)
+            verts += [(c, k) for c in range(x - 1, col - 1, -1)]
+            verts.append((col, k + 1))
+            x = col
+        verts += [(c, i) for c in range(x - 1, -1, -1)]
+        paths.append(tuple(verts))
+    return tuple(paths)
 
 
-def propose_flip(state: McState, i: int, j: int) -> tuple[Vertex, int] | None:
-    """Inspect the corner move at interior vertex j of path i.
+def _neighbours(seq: StartSequence) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Per site (site, lo1, lo2, hi1, hi2): indices into b + consts with
+    lo = max(v[lo1], v[lo2] + 1) and hi = min(v[hi1], v[hi2] - 1)."""
+    n, a = seq.n, seq.values
+    size = n * (n + 1) // 2
+    # Slots after the sites: 0, a_n + 1 (no bound above the top path), a_0 .. a_n.
+    consts = [0, a[-1] + 1, *a]
 
-    Returns (new vertex, area change) when the vertex sits on a flippable
-    corner and the flipped vertex is unoccupied; None otherwise. Pure: the
-    state is not modified.
+    def site(i, k):
+        return i * (i - 1) // 2 + k
+
+    plan = [
+        (
+            site(i, k),
+            site(i, k + 1) if k + 1 < i else size,
+            site(i - 1, k - 1) if k else size + 1 + i,
+            site(i, k - 1) if k else size + 2 + i,
+            site(i + 1, k + 1) if i < n else size + 1,
+        )
+        for i in range(1, n + 1)
+        for k in range(i)
+    ]
+    return plan, consts
+
+
+def _sweep(v: list[int], plan, uniforms, rate: float, up: bool) -> int:
+    """Heat-bath update of every planned site in order; returns how many moved.
+
+    Each site is redrawn from q**b on [lo, hi] by inverse CDF from its
+    uniform: j geometric steps of ratio exp(-rate), rate = |ln q| > 0,
+    counted from the heavy end, up from lo or, when ``up`` (q > 1), down
+    from hi, so no power of q can overflow. At fixed uniforms the draw is
+    monotone in lo and hi, hence in the state.
     """
-    path = state.paths[i]
-    if not 1 <= j <= len(path) - 2:
-        raise InvalidArgument(f"vertex index {j} is not interior to path {i}")
-    x0, y0 = path[j - 1]
-    x1, y1 = path[j]
-    x2, y2 = path[j + 1]
-    if x1 == x0 - 1 and y2 == y1 + 1:
-        new = (x0, y2)
-        delta = 1
-    elif y1 == y0 + 1 and x2 == x1 - 1:
-        new = (x2, y0)
-        delta = -1
-    else:
-        return None
-    if new in state.occupied:
-        return None
-    return new, delta
+    # Plain comparisons instead of max()/min(): this loop is the sampler's cost.
+    log1p, expm1 = math.log1p, math.expm1
+    moved = 0
+    for (s, lo1, lo2, hi1, hi2), u in zip(plan, uniforms):
+        lo, bound = v[lo2] + 1, v[lo1]
+        if bound > lo:
+            lo = bound
+        hi, bound = v[hi2] - 1, v[hi1]
+        if bound < hi:
+            hi = bound
+        if lo < hi:
+            m = hi - lo
+            j = int(log1p(u * expm1(-(m + 1) * rate)) / -rate)
+            if j > m:  # rounding at u -> 1
+                j = m
+            x = hi - j if up else lo + j
+        else:
+            x = lo
+        if x != v[s]:
+            v[s] = x
+            moved += 1
+    return moved
 
 
-def mc_step(state: McState, i: int, j: int, q: float, u: float) -> int:
-    """Apply one Metropolis proposal; returns the area change (0 if rejected).
+def _exact_start(bottom: list[int], top: list[int], plan, rate: float, up: bool, rng) -> list[int]:
+    """Monotone coupling from the past between the extremal states.
 
-    u is the uniform variate used for the accept test, passed in so the
-    caller owns the randomness.
+    Looks back T = 1, 2, 4, ... sweeps. Epoch j covers sweeps
+    [-2^j, -2^(j-1)) before time 0 (epoch 0 the last one) and regenerates
+    its uniforms from its own seed, drawn once from rng, so every attempt
+    reuses the randomness of the later sweeps. Returns the common state at
+    time 0 once both chains agree there.
     """
-    move = propose_flip(state, i, j)
-    if move is None:
-        return 0
-    new, delta = move
-    if delta > 0:
-        accept = q >= 1.0 or u < q
-    else:
-        accept = q <= 1.0 or u < 1.0 / q
-    if not accept:
-        return 0
-    old = state.paths[i][j]
-    state.occupied.discard(old)
-    state.occupied.add(new)
-    state.paths[i][j] = new
-    state.area += delta
-    return delta
+    seeds: list[int] = []
+    while True:
+        seeds.append(rng.getrandbits(64))
+        look_back = 1 << (len(seeds) - 1)
+        if look_back > CFTP_MAX_SWEEPS:
+            raise NumericalFailure(
+                f"coupling from the past did not coalesce within {CFTP_MAX_SWEEPS} sweeps"
+            )
+        lower, upper = list(bottom), list(top)
+        for j in range(len(seeds) - 1, -1, -1):
+            uniform = random.Random(seeds[j]).random
+            for _ in range(1 << max(j - 1, 0)):
+                us = [uniform() for _ in plan]
+                _sweep(lower, plan, us, rate, up)
+                _sweep(upper, plan, us, rate, up)
+        if lower == upper:
+            return lower
 
 
 @dataclass
@@ -130,7 +162,7 @@ class DensityField:
 
 @dataclass
 class ChainResult:
-    """Summary of one Metropolis run."""
+    """Summary of one heat-bath run."""
 
     final: PathConfig
     density: DensityField
@@ -143,114 +175,73 @@ class ChainResult:
     config_counts: dict[tuple[tuple[Vertex, ...], ...], int] | None = None
 
 
-def _interior_pairs(state: McState) -> list[tuple[int, int]]:
-    return [(i, j) for i, p in enumerate(state.paths) for j in range(1, len(p) - 1)]
-
-
-def _estimate_burn_in(areas: list[int]) -> int:
-    # Integrated-autocorrelation proxy from the lag-1 coefficient; crude but
-    # only used to pick a default warm-up length.
-    if len(areas) < 16:
-        return 64
-    arr = np.asarray(areas, dtype=float)
-    arr = arr - arr.mean()
-    var = float(arr @ arr)
-    if var == 0.0:
-        return 64
-    rho = float(arr[:-1] @ arr[1:]) / var
-    rho = min(max(rho, 0.0), 0.999)
-    tau = (1.0 + rho) / (1.0 - rho)
-    return max(64, int(10.0 * tau) + 1)
-
-
 def run_chain(
     seq: StartSequence,
     q: float,
     sweeps: int,
     seed: int,
     *,
-    start: StartSpec = "min",
-    burn_in: int | None = None,
+    burn_in: int = 0,
     record_every: int = 1,
     track_configs: bool = False,
-    audit_every: int = 1000,
 ) -> ChainResult:
-    """Run corner-flip Metropolis and accumulate the north-step density.
+    """Sample q**area exactly, then accumulate the north-step density.
 
-    A sweep issues one proposal per interior vertex (uniformly random path
-    and vertex each time). Measurements start after burn_in sweeps; when
-    burn_in is None a warm-up segment estimates the area autocorrelation
-    time and ten times that is used. Identical seeds give identical runs.
+    Coupling from the past gives an exact sample; burn_in sweeps after it
+    are discarded, and the states of the next sweeps are measured (with
+    burn_in 0 the first is the exact sample itself), every
+    record_every-th one recorded. A sweep updates once each site that can
+    move, i.e. whose value differs between the extremal configurations.
+    ``proposals`` counts the site updates of the burn_in + sweeps - 1
+    sweeps after the exact start (the coupling phase is not counted), and
+    ``acceptance_rate`` is the share of them that moved their site.
+    Identical seeds give identical runs.
     """
     q = float(q)
     _check_weight_q(q)
     if sweeps < 1:
         raise InvalidArgument("sweeps must be >= 1")
+    if burn_in < 0:
+        raise InvalidArgument("burn_in must be >= 0")
     if record_every < 1:
         raise InvalidArgument("record_every must be >= 1")
-    state = init_state(seq, start)
-    pairs = _interior_pairs(state)
-    if not pairs:
-        # A single trivial path: nothing can move, but the run is well defined.
-        density = DensityField(np.zeros((seq.top + 1, max(seq.n, 1)), dtype=np.int64), 0, sweeps, 0, seed)
-        return ChainResult(state.to_config(), density, array("q", []), 0.0, 0, sweeps, 0, seed)
-    npairs = len(pairs)
+    plan, consts = _neighbours(seq)
+    bottom = abscissas(min_area_config(seq)) + consts
+    top = abscissas(max_area_config(seq)) + consts
+    plan = [p for p in plan if bottom[p[0]] != top[p[0]]]
+    rate, up = abs(math.log(q)), q > 1.0
     rng = random.Random(seed)
-    rand = rng.random
+    v = _exact_start(bottom, top, plan, rate, up, rng)
 
-    if burn_in is None:
-        probe = min(max(sweeps // 10, 200), 4000)
-        probe_areas = []
-        for _ in range(probe):
-            for _ in range(npairs):
-                i, j = pairs[int(rand() * npairs)]
-                mc_step(state, i, j, q, rand())
-            probe_areas.append(state.area)
-        burn_in = _estimate_burn_in(probe_areas)
-
-    accepted = 0
-    proposals = 0
-    counts: dict[Vertex, int] = {}
-    config_counts: dict[tuple[tuple[Vertex, ...], ...], int] | None = {} if track_configs else None
+    n, width = seq.n, seq.top + 1
+    offsets = [k * width for i in range(1, n + 1) for k in range(i)]
+    cells = [0] * (width * max(n, 1))
+    base = sum(consts)
     areas = array("q")
-    samples = 0
-    audit_clock = 0
-
-    total = burn_in + sweeps
-    for sweep in range(total):
-        for _ in range(npairs):
-            i, j = pairs[int(rand() * npairs)]
-            if mc_step(state, i, j, q, rand()):
-                accepted += 1
-            proposals += 1
-        audit_clock += npairs
-        if audit_every and audit_clock >= audit_every:
-            audit_clock = 0
-            if state.recompute_area() != state.area:
-                raise NumericalFailure("incremental area bookkeeping diverged from recount")
-        if sweep < burn_in:
+    configs: dict[tuple[int, ...], int] | None = {} if track_configs else None
+    rand = rng.random
+    moved = 0
+    for t in range(burn_in + sweeps):
+        if t:
+            moved += _sweep(v, plan, iter(rand, None), rate, up)
+        if t < burn_in or (t - burn_in) % record_every:
             continue
-        measured = sweep - burn_in
-        if measured % record_every == 0:
-            areas.append(state.area)
-            samples += 1
-            for p in state.paths:
-                for (x, y0), (_, y1) in zip(p, p[1:]):
-                    if y1 == y0 + 1:
-                        key = (x, y0)
-                        counts[key] = counts.get(key, 0) + 1
-            if config_counts is not None:
-                key = tuple(tuple(p) for p in state.paths)
-                config_counts[key] = config_counts.get(key, 0) + 1
+        areas.append(sum(v) - base)
+        for offset, x in zip(offsets, v):
+            cells[offset + x] += 1
+        if configs is not None:
+            key = tuple(v)
+            configs[key] = configs.get(key, 0) + 1
 
-    max_x = seq.top
-    max_y = max(seq.n, 1)
-    grid = np.zeros((max_x + 1, max_y), dtype=np.int64)
-    for (x, y), c in counts.items():
-        grid[x, y] = c
-    density = DensityField(grid, samples, sweeps, burn_in, seed)
-    rate = accepted / proposals if proposals else 0.0
+    sites = len(offsets)
+    grid = np.array(cells, dtype=np.int64).reshape(max(n, 1), width).T
+    density = DensityField(grid, len(areas), sweeps, burn_in, seed)
+    proposals = (burn_in + sweeps - 1) * len(plan)
+    acceptance = moved / proposals if proposals else 0.0
+    config_counts = None
+    if configs is not None:
+        config_counts = {paths_from_abscissas(seq, key[:sites]): c for key, c in configs.items()}
+    final = PathConfig(seq, paths_from_abscissas(seq, v[:sites]), "first")
     return ChainResult(
-        state.to_config(), density, areas, rate, proposals, sweeps, burn_in, seed,
-        config_counts,
+        final, density, areas, acceptance, proposals, sweeps, burn_in, seed, config_counts
     )

@@ -8,13 +8,31 @@ SVG output is a flat polyline rendering with no plotting dependencies.
 from __future__ import annotations
 
 import csv
+import decimal
 import io
+import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidArgument
 
 _FLOAT_FMT = "%.17g"
+_DIGITS = re.compile(r"[+-]?[0-9]+")
+
+
+# int <-> str conversion is capped at a few thousand digits; decimal
+# converts from the binary limbs and has no such cap.
+def _format_int(value: int) -> str:
+    return str(decimal.Decimal(value))
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        if not _DIGITS.fullmatch(text):
+            raise
+        return int(decimal.Decimal(text))
 
 
 def format_cell(value) -> str:
@@ -24,9 +42,9 @@ def format_cell(value) -> str:
     if isinstance(value, bool):
         raise InvalidArgument("booleans have no CSV rendering")
     if isinstance(value, int):
-        return str(value)
+        return _format_int(value)
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_format_int(value.numerator)}/{_format_int(value.denominator)}"
     if isinstance(value, float):
         return _FLOAT_FMT % value
     raise InvalidArgument(f"cannot render {type(value).__name__} in CSV")
@@ -35,13 +53,13 @@ def format_cell(value) -> str:
 def parse_cell(text: str):
     """Inverse of format_cell for numeric cells; leaves other text alone."""
     try:
-        return int(text)
+        return _parse_int(text)
     except ValueError:
         pass
     if "/" in text:
         num, _, den = text.partition("/")
         try:
-            return Fraction(int(num), int(den))
+            return Fraction(_parse_int(num), _parse_int(den))
         except ValueError:
             return text
     try:

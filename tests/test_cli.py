@@ -12,7 +12,7 @@ from qpaths import cli
 from qpaths.errors import NumericalFailure, QpathsError
 from qpaths.exact import StartSequence, partition_det, partition_poly
 from qpaths.qpoly import QPolynomial
-from qpaths.serialize import load_csv
+from qpaths.serialize import load_csv, parse_cell
 
 FINITE = {
     "model": {"finite": {"sequence": [0, 1, 3], "q": "7/10"}},
@@ -82,6 +82,28 @@ def test_exact_float_partition_out_of_range(tmp_path, capsys):
     rc, out = run_cli(tmp_path, doc, "exact")
     assert rc == 2
     assert "outside the float range" in capsys.readouterr().err
+
+
+def test_exact_rational_q_with_large_values(tmp_path):
+    # Z(7/10) at 21 starts has a denominator of 10^5740, past the
+    # 4300-digit cap on int <-> str conversion.
+    seq = StartSequence(tuple(range(0, 41, 2)))
+    doc = {"model": {"finite": {"sequence": list(seq), "q": "7/10"}}}
+    rc, out = run_cli(tmp_path, doc, "exact")
+    assert rc == 0
+    summary = json.loads((out / "exact_summary.json").read_text())
+    assert parse_cell(summary["partition_at_q"]) == partition_poly(seq)(Fraction(7, 10))
+
+
+@pytest.mark.parametrize(
+    "sequence, base", [([0, 5], 1e60), ([0, 1, 40], 1e-5)]
+)
+def test_exact_float_residue_sums_out_of_range(tmp_path, capsys, sequence, base):
+    doc = {"model": {"finite": {"sequence": sequence, "q": {"base": base, "n": 1}}}}
+    rc, out = run_cli(tmp_path, doc, "exact")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "residue sum" in err and "Traceback" not in err
 
 
 def test_exact_float_partition_in_range(tmp_path):

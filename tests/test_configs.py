@@ -126,15 +126,16 @@ def test_extremal_configs_are_valid_and_extreme_for_larger_sizes():
     lo = min_area_config(seq)
     hi = max_area_config(seq)
     assert lo.total_area() < hi.total_area()
-    # Flipping any corner of the minimal state can only add area.
-    from qpaths.sampler import McState, propose_flip
+    # No north step of the minimal state can move left, and none of the
+    # maximal state can move right, without the paths touching.
+    from qpaths.sampler import abscissas, paths_from_abscissas
 
-    state = McState.from_config(lo)
-    for i in range(1, seq.n + 1):
-        for j in range(1, len(state.paths[i]) - 1):
-            move = propose_flip(state, i, j)
-            if move is not None:
-                assert move[1] > 0
+    for config, step in ((lo, -1), (hi, 1)):
+        b = abscissas(config)
+        for s in range(len(b)):
+            moved = b[:s] + [b[s] + step] + b[s + 1:]
+            with pytest.raises(InvalidArgument):
+                PathConfig(seq, paths_from_abscissas(seq, moved), "first")
 
 
 def test_path_config_validation():

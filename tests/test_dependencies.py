@@ -1,0 +1,30 @@
+"""numpy is the only runtime dependency; the test-only oracles stay out."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+PROGRAM = """
+import json, sys
+import qpaths
+from qpaths import StartDensity, StartSequence, arctic_curve, run_chain, t_domains
+
+run_chain(StartSequence((0, 2, 5)), 0.7, 50, seed=1)
+d = StartDensity([(1.0, 2.0)])
+arctic_curve(d, 3.0, t_domains(d, 3.0)[0], n_samples=20)
+print(json.dumps(sorted(name for name in ("scipy", "mpmath", "hypothesis") if name in sys.modules)))
+"""
+
+
+def test_library_runs_without_test_oracles():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", PROGRAM], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []

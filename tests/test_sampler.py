@@ -1,62 +1,150 @@
-"""Metropolis corner-flip sampler: determinism, balance, stationarity."""
+"""Heat-bath sampler: state, site intervals, exact start, determinism."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qpaths.configs import enumerate_configs, max_area_config, min_area_config
-from qpaths.errors import InvalidArgument
+import qpaths.sampler as sampler
+from qpaths.configs import PathConfig, enumerate_configs, max_area_config, min_area_config
+from qpaths.errors import InvalidArgument, NumericalFailure
 from qpaths.exact import StartSequence
-from qpaths.sampler import McState, init_state, mc_step, propose_flip, run_chain
+from qpaths.sampler import _neighbours, _sweep, abscissas, paths_from_abscissas, run_chain
 
 
-def test_init_state_modes():
-    seq = StartSequence((0, 2, 4))
-    lo = init_state(seq, "min")
-    hi = init_state(seq, "max")
-    assert lo.area == min_area_config(seq).total_area()
-    assert hi.area == max_area_config(seq).total_area()
-    with pytest.raises(InvalidArgument):
-        init_state(seq, "typical")
+def state(config):
+    """The sampler's working list b + consts for a configuration."""
+    _, consts = _neighbours(config.starts)
+    return abscissas(config) + consts
 
 
-def test_propose_flip_changes_area_by_one():
-    seq = StartSequence((0, 2, 5))
-    state = init_state(seq, "min")
-    for i in range(1, seq.n + 1):
-        for j in range(1, len(state.paths[i]) - 1):
-            move = propose_flip(state, i, j)
-            if move is not None:
-                assert move[1] in (-1, 1)
+def interval(v, site):
+    s, lo1, lo2, hi1, hi2 = site
+    return max(v[lo1], v[lo2] + 1), min(v[hi1], v[hi2] - 1)
 
 
-def test_mc_step_detailed_balance_ratio():
-    # Structural check: a proposed +1 move is accepted iff u < q, and the
-    # reverse -1 move is always accepted, matching min(1, q^delta).
-    seq = StartSequence((0, 2))
-    q = 0.4
-    state = init_state(seq, "min")
-    flips = [
-        (i, j)
-        for i in range(1, seq.n + 1)
-        for j in range(1, len(state.paths[i]) - 1)
-        if propose_flip(state, i, j) is not None
-    ]
-    assert flips
-    i, j = flips[0]
-    assert mc_step(state, i, j, q, u=q + 1e-6) == 0
-    assert mc_step(state, i, j, q, u=q - 1e-6) == 1
-    assert state.area == init_state(seq, "min").area + 1
-    assert mc_step(state, i, j, q, u=0.999999) == -1
+def exact_weights(seq, q):
+    weights = {c.paths: q ** c.total_area() for c in enumerate_configs(seq)}
+    z = sum(weights.values())
+    return {paths: w / z for paths, w in weights.items()}
 
 
-def test_state_round_trip_and_area_audit():
+def total_variation(counts, exact):
+    total = sum(counts.values())
+    tv = 0.5 * sum(abs(counts.get(k, 0) / total - p) for k, p in exact.items())
+    return tv + 0.5 * sum(c / total for k, c in counts.items() if k not in exact)
+
+
+def test_abscissas_round_trip():
     seq = StartSequence((0, 1, 4))
     for c in enumerate_configs(seq):
-        state = McState.from_config(c)
-        assert state.to_config() == c
-        assert state.recompute_area() == c.total_area()
+        b = abscissas(c)
+        assert len(b) == seq.n * (seq.n + 1) // 2
+        assert paths_from_abscissas(seq, b) == c.paths
+        assert sum(b) == c.total_area()
+
+
+def test_extremal_configs_sit_at_interval_ends():
+    for values in ((0, 1, 4), (0, 2, 4), (0, 2, 5, 7), (0, 3, 4, 9, 10)):
+        seq = StartSequence(values)
+        plan, _ = _neighbours(seq)
+        lo_state = state(min_area_config(seq))
+        hi_state = state(max_area_config(seq))
+        for site in plan:
+            assert lo_state[site[0]] == interval(lo_state, site)[0]
+            assert hi_state[site[0]] == interval(hi_state, site)[1]
+
+
+def test_site_interval_is_the_admissible_range():
+    # Moving one north step keeps the paths disjoint exactly inside [lo, hi],
+    # and changes the area by the move: the heat-bath law q**b on [lo, hi]
+    # is the ensemble's conditional law of that site (detailed balance).
+    for values in ((0, 1, 4), (0, 2, 3)):
+        seq = StartSequence(values)
+        plan, _ = _neighbours(seq)
+        for c in enumerate_configs(seq):
+            v = state(c)
+            b = abscissas(c)
+            for site in plan:
+                s = site[0]
+                lo, hi = interval(v, site)
+                assert lo <= b[s] <= hi
+                for x in range(seq.top + 2):
+                    moved = b[:s] + [x] + b[s + 1:]
+                    try:
+                        config = PathConfig(seq, paths_from_abscissas(seq, moved), "first")
+                    except InvalidArgument:
+                        assert not lo <= x <= hi
+                    else:
+                        assert lo <= x <= hi
+                        assert config.total_area() == c.total_area() + x - b[s]
+
+
+@pytest.mark.parametrize("q", [0.7, 1.6, 0.05])
+def test_draw_is_truncated_geometric(q):
+    # One site with lo = 2, hi = 7: v = [b, lo1, lo2, hi1, hi2].
+    plan = [(0, 1, 2, 3, 4)]
+    qf = Fraction(q)
+    weights = {x: qf**x for x in range(2, 8)}
+    z = sum(weights.values())
+    grid = 10_000
+    draws = []
+    for i in range(grid):
+        v = [0, 2, 0, 7, 100]
+        _sweep(v, plan, [(i + 0.5) / grid], abs(math.log(q)), q > 1.0)
+        draws.append(v[0])
+    # Inverse CDF: monotone in u, and each value takes a share of [0, 1)
+    # equal to its exact weight.
+    assert draws == sorted(draws, reverse=q > 1.0)
+    for x, w in weights.items():
+        assert abs(draws.count(x) - grid * float(w / z)) <= 1
+
+
+def test_sweep_is_monotone():
+    # Coupling from the past needs ordered states to stay ordered under a
+    # common sweep.
+    seq = StartSequence((0, 1, 4))
+    plan, _ = _neighbours(seq)
+    states = [state(c) for c in enumerate_configs(seq)]
+    rng = random.Random(5)
+    for lower in states:
+        for upper in states:
+            if all(x <= y for x, y in zip(lower, upper)):
+                for q in (0.3, 2.5):
+                    us = [rng.random() for _ in plan]
+                    lo, hi = list(lower), list(upper)
+                    _sweep(lo, plan, us, abs(math.log(q)), q > 1.0)
+                    _sweep(hi, plan, us, abs(math.log(q)), q > 1.0)
+                    assert all(x <= y for x, y in zip(lo, hi))
+
+
+def test_exact_start_matches_exact_weights():
+    # Sweep 0 of a run is the coupling-from-the-past sample itself.
+    seq = StartSequence((0, 1, 3))
+    counts = {}
+    for seed in range(20_000):
+        result = run_chain(seq, 0.7, 1, seed, track_configs=True)
+        (paths,) = result.config_counts
+        counts[paths] = counts.get(paths, 0) + 1
+        assert result.proposals == 0
+    assert total_variation(counts, exact_weights(seq, Fraction(7, 10))) < 0.02
+
+
+@pytest.mark.parametrize("q, extreme", [(1e-300, min_area_config), (1e300, max_area_config)])
+def test_extreme_q_gives_extremal_config(q, extreme):
+    seq = StartSequence((0, 2, 5, 7))
+    result = run_chain(seq, q, 20, seed=1)
+    assert result.final == extreme(seq)
+    assert set(result.area_series) == {extreme(seq).total_area()}
+
+
+def test_look_back_cap_raises(monkeypatch):
+    seq = StartSequence((0, 3, 6, 9, 12))
+    monkeypatch.setattr(sampler, "CFTP_MAX_SWEEPS", 4)
+    with pytest.raises(NumericalFailure):
+        run_chain(seq, 0.9, 10, seed=0)
 
 
 def test_run_chain_deterministic_per_seed():
@@ -76,6 +164,7 @@ def test_run_chain_forced_sequence_density():
     rows = list(result.density.rows())
     assert rows == [(1, 0, result.density.samples)]
     assert result.acceptance_rate == 0.0
+    assert result.proposals == 0
 
 
 def test_run_chain_two_state_ratio():
@@ -91,34 +180,29 @@ def test_run_chain_two_state_ratio():
 
 
 def test_run_chain_total_variation_small():
-    # Smaller copy of the stationarity acceptance run.
+    # Smaller copy of the stationarity acceptance run, at q < 1 and q > 1.
     seq = StartSequence((0, 1, 3))
-    q = 0.7
-    result = run_chain(seq, q, 60_000, seed=12, track_configs=True)
-    qf = Fraction(7, 10)
-    exact = {}
-    z = Fraction(0)
-    for c in enumerate_configs(seq):
-        w = qf ** c.total_area()
-        exact[c.paths] = w
-        z += w
-    total = sum(result.config_counts.values())
-    tv = 0.5 * sum(
-        abs(result.config_counts.get(paths, 0) / total - float(w / z))
-        for paths, w in exact.items()
-    )
-    assert tv < 0.05
-    assert set(result.config_counts) <= set(exact)
+    for q, qf in ((0.7, Fraction(7, 10)), (1.6, Fraction(8, 5))):
+        result = run_chain(seq, q, 60_000, seed=12, track_configs=True)
+        assert total_variation(result.config_counts, exact_weights(seq, qf)) < 0.05
 
 
 def test_run_chain_area_series_and_burn_in():
-    result = run_chain(StartSequence((0, 1, 3)), 0.7, 2000, seed=3, record_every=5)
-    assert result.burn_in >= 0
-    # sweeps counts measured sweeps; burn-in happens before them.
+    seq = StartSequence((0, 1, 3))
+    result = run_chain(seq, 0.7, 2000, seed=3, record_every=5)
+    assert result.burn_in == 0
+    # sweeps counts measured sweeps; sweep 0 is the exact start.
     assert len(result.area_series) == result.sweeps // 5
-    lo = min_area_config(StartSequence((0, 1, 3))).total_area()
-    hi = max_area_config(StartSequence((0, 1, 3))).total_area()
+    lo = min_area_config(seq).total_area()
+    hi = max_area_config(seq).total_area()
     assert all(lo <= a <= hi for a in result.area_series)
+    # Burn-in sweeps run after the exact start and are not recorded.
+    warm = run_chain(seq, 0.7, 2000, seed=3, burn_in=50)
+    assert warm.burn_in == 50
+    assert len(warm.area_series) == 2000
+    movable = 2  # b[1][0] is pinned to a_0 + 1 = a_1; b[2][0], b[2][1] move
+    assert warm.proposals == (50 + 2000 - 1) * movable
+    assert 0.0 < warm.acceptance_rate < 1.0
 
 
 def test_run_chain_validation():
@@ -127,6 +211,10 @@ def test_run_chain_validation():
         run_chain(seq, -0.5, 100, seed=0)
     with pytest.raises(InvalidArgument):
         run_chain(seq, 0.7, 0, seed=0)
+    with pytest.raises(InvalidArgument):
+        run_chain(seq, 0.7, 10, seed=0, burn_in=-1)
+    with pytest.raises(InvalidArgument):
+        run_chain(seq, 0.7, 10, seed=0, record_every=0)
 
 
 def test_density_grid_totals():

@@ -57,6 +57,18 @@ def test_rational_cells_round_trip_exact(value):
     assert again == value
 
 
+@pytest.mark.parametrize(
+    "value",
+    [7**9000, -(7**9000), Fraction(7**9000, 10**9000), Fraction(-1, 10**5000)],
+    ids=["int", "negative_int", "fraction", "negative_fraction"],
+)
+def test_cells_beyond_the_int_string_digit_cap_round_trip(value):
+    cell = format_cell(value)
+    assert len(cell) > 5000
+    again = parse_cell(cell)
+    assert again == value and type(again) is type(value)
+
+
 def test_emit_csv_layout():
     text = emit_csv(["ell", "H"], [(0, Fraction(1, 1)), (3, Fraction(2, 7))])
     assert text == "ell,H\n0,1/1\n3,2/7\n"
