@@ -73,7 +73,7 @@ def action_bulk(d: StartDensity, qq: float, t: float, xi: float) -> float:
         abs_tol=_ABS_TOL,
         breakpoints=d.breakpoints_u(),
     )
-    return (xi - 0.5) * log_q + float(val.real)
+    return (xi - 0.5) * log_q + val
 
 
 def _free_integrand(log_q: float, z: float):
@@ -97,10 +97,9 @@ def action_free(qq: float, xi: float, z: float) -> float:
     if xi <= 0.0 or z <= 0.0:
         raise InvalidArgument(f"need xi > 0 and z > 0, got xi={xi}, z={z}")
     log_q = math.log(qq)
-    val = integrate(
+    return integrate(
         _free_integrand(log_q, z), 0.0, xi, rel_tol=_REL_TOL, abs_tol=_ABS_TOL
     )
-    return float(val.real)
 
 
 def action_free_dual(d: StartDensity, qq: float, xi: float, z: float) -> float:
@@ -121,7 +120,7 @@ def action_free_dual(d: StartDensity, qq: float, xi: float, z: float) -> float:
     val = integrate(
         _free_integrand(log_q, z), 0.0, span, rel_tol=_REL_TOL, abs_tol=_ABS_TOL
     )
-    return z * (xi + z / 2.0) * log_q + float(val.real)
+    return z * (xi + z / 2.0) * log_q + val
 
 
 def _bulk_dt_integral(d: StartDensity, qq: float, t: float, log_q: float) -> float:

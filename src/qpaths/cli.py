@@ -123,7 +123,7 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
     with open(os.path.join(out, "exact_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    print(f"partition degree {z.degree}, Z(q) = {summary['partition_at_q']}")
+    print(f"partition degree {z.degree}, Z(q) in exact_summary.json")
     print(f"reversal symmetry {'pass' if reversal_ok else 'FAIL'} (residual {reversal_resid:g})")
     print(f"wrote partition.csv, one_point.csv, one_point_dual.csv in {out}")
     return 0
@@ -324,7 +324,11 @@ def _verify_checks(cfg: ModelConfig):
     two = StartDensity([(1.0, 2.0)])
     worst = 0.0
     for qq in (3.0, 1.0 / 3.0):
-        for t in (18.0, 150.0, -5.0) if qq > 1 else (30.0, 300.0, -5.0):
+        far = (18.0, 150.0, -5.0) if qq > 1 else (30.0, 300.0, -5.0)
+        # Also 1e-6 (relative) inside the finite outer-branch ends qq**2
+        # and 1, where the quadrature refines hardest.
+        step = 1e-6 if qq > 1 else -1e-6
+        for t in (*far, qq**2 * (1.0 + step), 1.0 - step):
             closed = curves.x_of_t(two, qq, t)
             quad = curves.x_of_t(two, qq, t, method="quadrature")
             worst = max(worst, abs(closed - quad) / abs(closed))

@@ -25,11 +25,12 @@ log space so extreme bases such as ``qq = 1e-4`` stay well conditioned.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidArgument, SingularPoint
+from .errors import InvalidArgument, NumericalFailure, SingularPoint
 from .profile import StartDensity, WindowSpec
 from .quadrature import integrate, integrate_pv
 
@@ -66,6 +67,19 @@ def _check_base(qq: float) -> float:
             "base 1 is the unweighted point; the scaled model needs base != 1"
         )
     return qq
+
+
+def _float_range(fn):
+    """Report an ArithmeticError (such as a float overflow) as NumericalFailure."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except ArithmeticError as exc:
+            raise NumericalFailure(f"{fn.__name__} left the float range ({exc})") from exc
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -209,6 +223,7 @@ class _Scaled:
         return sign, lx, x, one_minus_x, ratio
 
 
+@_float_range
 def t_domains(d: StartDensity, qq: float) -> list[TDomain]:
     """All admissible t intervals: right arc, left arc, then one per window."""
     sc = _Scaled(d, qq)
@@ -229,6 +244,7 @@ def t_domains(d: StartDensity, qq: float) -> list[TDomain]:
     return doms
 
 
+@_float_range
 def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> float:
     """The tangent-family weight x(t) at an admissible parameter value.
 
@@ -239,13 +255,11 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
     """
     sc = _Scaled(d, qq)
     if method == "closed":
-        sign, _, x, _, _ = sc.x_parts(t)
-        return x
+        return sc.x_parts(t)[2]
     if method != "quadrature":
         raise InvalidArgument(f"unknown method {method!r}")
     _, sign, window = sc.classify(t)
     log_q = sc.log_q
-    tau = math.log(t) / log_q if t > 0.0 else None
 
     def in_filled(a_lo: float, a_hi: float) -> bool:
         return (
@@ -255,25 +269,6 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
             and a_hi <= window.a_hi + 1e-12
         )
 
-    def pole_ladder(a_lo: float, a_hi: float) -> tuple[float, ...]:
-        # When the integrand's pole sits just outside a segment, the
-        # boundary layer (width ~ distance to the pole) is too thin for
-        # uniform bisection; geometric cuts toward that endpoint let each
-        # piece converge at modest depth.
-        if tau is None:
-            return ()
-        width = a_hi - a_lo
-        cuts: list[float] = []
-        for end, inward in ((a_lo, 1.0), (a_hi, -1.0)):
-            delta = abs(end - tau)
-            if delta >= 0.1 * width:
-                continue
-            w = max(delta, width * 1e-15)
-            while w < width:
-                cuts.append(end + inward * w)
-                w *= 8.0
-        return tuple(cuts)
-
     exponent = 0.0
     for a_lo, a_hi, inv_p, _, _ in sc.parts:
         if in_filled(a_lo, a_hi):
@@ -282,17 +277,14 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
         def integrand(a: float) -> float:
             return t / (t - qq**a)
 
-        exponent += inv_p * float(
-            integrate(
-                integrand, a_lo, a_hi, rel_tol=1e-12, abs_tol=1e-15,
-                breakpoints=pole_ladder(a_lo, a_hi),
-            ).real
-        )
+        exponent += inv_p * integrate(integrand, a_lo, a_hi, rel_tol=1e-12, abs_tol=1e-15)
     if window is not None and window.kind == "filled":
         # The pole sits inside the p = 1 run; integrate the whole run as
         # one principal value (slope 1 makes the integrand a single
         # analytic function of a there).  The continuation across the
         # support only flips the sign, which classify() already fixed.
+        tau = math.log(t) / log_q
+
         def numerator(a: float) -> float:
             return -(a - tau) / math.expm1((a - tau) * log_q)
 
@@ -302,6 +294,7 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
     return sign * math.exp(-exponent * log_q)
 
 
+@_float_range
 def dx_dt(d: StartDensity, qq: float, t: float) -> float:
     """Derivative x'(t) of the closed-form tangent-family weight."""
     sc = _Scaled(d, qq)
@@ -327,6 +320,7 @@ def _point(sc: _Scaled, t: float) -> tuple[float, float]:
     return math.log(qx) / sc.log_q, math.log(qy) / sc.log_q
 
 
+@_float_range
 def arctic_point(d: StartDensity, qq: float, t: float) -> tuple[float, float]:
     """The (X, Y) tangency point of the arctic curve at parameter t.
 
@@ -360,7 +354,7 @@ def _leg_taus(lo: float, hi: float, count: int, open_lo: bool, open_hi: bool) ->
     return sorted(pts)
 
 
-def _branch_legs(sc: _Scaled, dom: TDomain, cap: float) -> list[tuple[int, float, float, bool, bool]]:
+def _branch_legs(sc: _Scaled, dom: TDomain) -> list[tuple[int, float, float, bool, bool]]:
     """Sweep legs (sign, tau_lo, tau_hi, open_lo, open_hi) covering dom.
 
     t = sign * qq**tau; infinite domain ends are truncated at |tau| =
@@ -368,6 +362,8 @@ def _branch_legs(sc: _Scaled, dom: TDomain, cap: float) -> list[tuple[int, float
     legs running into t = 0 stop at |t| = _ZERO_RHO * min pole.
     """
     top = sc.top
+    # 700 < ln(largest float) keeps qq**cap finite.
+    cap = min(40.0, 700.0 / abs(sc.log_q))
     if dom.window is not None:
         w = dom.window
         return [(1, w.a_lo, w.a_hi, True, True)]
@@ -393,20 +389,21 @@ def _branch_legs(sc: _Scaled, dom: TDomain, cap: float) -> list[tuple[int, float
     return [(1, 0.0, -cap, True, False)]
 
 
+@_float_range
 def arctic_curve(
     d: StartDensity,
     qq: float,
     branch: TDomain | str,
     *,
     n_samples: int = 400,
-    tau_cap: float = 40.0,
 ) -> Curve:
     """Sample one arc of the arctic curve along its t interval.
 
     ``branch`` is a TDomain from :func:`t_domains` or its label.  The
     sweep walks t = +-qq**tau over the interval, clustering samples
     geometrically near finite branch ends; parameter values where the
-    point map is singular are skipped and counted.
+    point map is singular or leaves the float range are skipped and
+    counted.
     """
     sc = _Scaled(d, qq)
     if isinstance(branch, str):
@@ -419,7 +416,7 @@ def arctic_curve(
         dom = branch
     if n_samples < 2:
         raise InvalidArgument(f"n_samples must be at least 2, got {n_samples}")
-    legs = _branch_legs(sc, dom, tau_cap)
+    legs = _branch_legs(sc, dom)
     total_span = sum(abs(hi - lo) for _, lo, hi, _, _ in legs)
     # Every leg gets a fair floor: tau spans are a poor proxy for arc
     # length, and a short leg can carry a long visible piece of curve.
@@ -435,16 +432,11 @@ def arctic_curve(
         else:
             taus = _leg_taus(lo, hi, count, open_lo, open_hi)
         for tau in taus:
-            t = sign * sc.qq**tau
-            if t == 0.0 or not math.isfinite(t):
-                skipped += 1
-                continue
             try:
-                x_, y_ = _point(sc, t)
-            except (SingularPoint, InvalidArgument):
+                t = sign * sc.qq**tau
+                points.append((t, *_point(sc, t)))
+            except (SingularPoint, InvalidArgument, ArithmeticError):
                 skipped += 1
-                continue
-            points.append((t, x_, y_))
     from .geometry import polyline_self_intersects
 
     crossing = polyline_self_intersects([(x_, y_) for _, x_, y_ in points])
@@ -452,6 +444,7 @@ def arctic_curve(
                  self_intersecting=crossing)
 
 
+@_float_range
 def tangent_curve(
     d: StartDensity,
     qq: float,
@@ -484,6 +477,7 @@ def tangent_curve(
     return Curve(points=points, qq=sc.qq, branch=None)
 
 
+@_float_range
 def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
     """Limit shape of the free path tail between (0, 1 + z) and (xi, 1).
 
@@ -523,6 +517,7 @@ def _xi_of(sc: _Scaled, t: float, lx: float, x: float, one_minus_x: float) -> fl
     return math.log(q_xi) / sc.log_q
 
 
+@_float_range
 def exit_params_right(d: StartDensity, qq: float, t: float) -> ScalingVars:
     """Saddle parameters (xi, z) of the right-branch tangency at t.
 
@@ -541,6 +536,7 @@ def exit_params_right(d: StartDensity, qq: float, t: float) -> ScalingVars:
     return ScalingVars(xi=xi, z=math.log(q_z) / sc.log_q)
 
 
+@_float_range
 def exit_params_left(d: StartDensity, qq: float, t: float) -> ScalingVars:
     """Saddle parameters (xi, z) of the left-branch tangency at t.
 

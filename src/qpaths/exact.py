@@ -282,6 +282,18 @@ def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight, *, extended_pol
     return qf**exponent * _residue_terms_exact(seq, ell, qf, poles, offsets)
 
 
+def _float_weight(q: float, compute) -> float:
+    """A continuation weight at float q; NumericalFailure outside the float range."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    # The weight is positive at q > 0, so a value of 0 has underflowed.
+    if not 0.0 < value < math.inf:
+        raise NumericalFailure(f"free path weight at q = {q!r} is outside the float range")
+    return value
+
+
 def free_path_weight(ell: int, r: int, q: Weight) -> Weight:
     """Weight of the unconstrained continuation above the strip.
 
@@ -295,7 +307,7 @@ def free_path_weight(ell: int, r: int, q: Weight) -> Weight:
         raise InvalidArgument("endpoint shift r must be >= 1")
     _check_weight_q(q)
     if isinstance(q, float):
-        return q**ell * q_binomial_at(ell + r - 1, ell, q)
+        return _float_weight(q, lambda: q**ell * q_binomial_at(ell + r - 1, ell, q))
     qf = Fraction(q)
     return qf**ell * Fraction(q_binomial_at(ell + r - 1, ell, qf))
 
@@ -311,7 +323,7 @@ def free_path_weight_dual(seq: StartSequence, ell: int, r: int, q: Weight) -> We
     ell_dual = seq.top + n - ell
     exponent = r * (ell + 1) + r * (r - 1) // 2
     if isinstance(q, float):
-        return q**exponent * q_binomial_at(ell_dual + r - 1, ell_dual, q)
+        return _float_weight(q, lambda: q**exponent * q_binomial_at(ell_dual + r - 1, ell_dual, q))
     qf = Fraction(q)
     return qf**exponent * Fraction(q_binomial_at(ell_dual + r - 1, ell_dual, qf))
 

@@ -84,13 +84,16 @@ def test_exact_float_partition_out_of_range(tmp_path, capsys):
     assert "outside the float range" in capsys.readouterr().err
 
 
-def test_exact_rational_q_with_large_values(tmp_path):
+def test_exact_rational_q_with_large_values(tmp_path, capsys):
     # Z(7/10) at 21 starts has a denominator of 10^5740, past the
     # 4300-digit cap on int <-> str conversion.
     seq = StartSequence(tuple(range(0, 41, 2)))
     doc = {"model": {"finite": {"sequence": list(seq), "q": "7/10"}}}
     rc, out = run_cli(tmp_path, doc, "exact")
     assert rc == 0
+    # The value goes to the summary only; stdout is a few short lines
+    # besides the output directory.
+    assert len(capsys.readouterr().out.replace(str(out), "").encode()) < 200
     summary = json.loads((out / "exact_summary.json").read_text())
     assert parse_cell(summary["partition_at_q"]) == partition_poly(seq)(Fraction(7, 10))
 
@@ -166,6 +169,24 @@ def test_arctic_branches_and_svg(tmp_path):
         assert isinstance(t, (int, float)) and isinstance(x, (int, float))
         assert -0.5 <= y <= 1.5
     ET.fromstring((out / "arctic.svg").read_text())
+
+
+@pytest.mark.parametrize("base", [1e-9, 1e12])
+def test_arctic_extreme_bases(tmp_path, base):
+    doc = {"model": {"scaled": dict(SCALED_GAPPED["model"]["scaled"], base=base)}}
+    rc, out = run_cli(tmp_path, doc, "arctic")
+    assert rc == 0
+    _, rows = load_csv(str(out / "arctic.csv"))
+    assert {"right", "left"} <= {r[0] for r in rows}
+
+
+def test_arctic_base_beyond_float_range(tmp_path, capsys):
+    # qq**alpha(1) = 1e450 overflows before any branch is swept.
+    doc = {"model": {"scaled": dict(SCALED_GAPPED["model"]["scaled"], base=1e150)}}
+    rc, _ = run_cli(tmp_path, doc, "arctic")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
 
 
 def test_arctic_window_selection(tmp_path):

@@ -16,7 +16,7 @@ from qpaths.curves import (
     tangent_curve,
     x_of_t,
 )
-from qpaths.errors import InvalidArgument
+from qpaths.errors import InvalidArgument, NumericalFailure
 from qpaths.profile import StartDensity
 
 UNIFORM = StartDensity([(1.0, 2.0)])  # alpha(u) = 2u
@@ -56,6 +56,14 @@ def test_uniform_density_quadrature_route():
         for t in (admissible_ts(qq)[::5]):
             quad = x_of_t(UNIFORM, qq, t, method="quadrature")
             assert quad == pytest.approx(uniform_x(qq, t), rel=1e-8)
+
+
+@pytest.mark.parametrize("qq, t", [(3.0, 9.0 * (1 + 1e-9)), (1.0 / 3.0, (1 - 1e-9) / 9.0)])
+def test_quadrature_route_raises_where_rounding_beats_tolerance(qq, t):
+    # 1e-9 from the branch end, rounding in t - qq**a exceeds the 1e-12
+    # tolerance of the exponent: no value is returned.
+    with pytest.raises(NumericalFailure):
+        x_of_t(UNIFORM, qq, t, method="quadrature")
 
 
 def test_x_of_t_rejects_unknown_method():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpaths.errors import InvalidArgument
+from qpaths.errors import InvalidArgument, NumericalFailure
 from qpaths.exact import (
     StartSequence,
     dual_sequence,
@@ -238,6 +238,20 @@ def test_free_path_weight_by_hand():
         free_path_weight(1, 0, q)
     with pytest.raises(InvalidArgument):
         free_path_weight(-1, 1, q)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        lambda: free_path_weight(40, 3, 1e60),  # overflows
+        lambda: free_path_weight(5, 40, 1e-200),  # underflows to 0
+        lambda: free_path_weight_dual(StartSequence((0, 2, 4)), 4, 3, 1e60),
+        lambda: free_path_weight_dual(StartSequence((0, 2, 4)), 2, 40, 1e-200),
+    ],
+)
+def test_float_free_path_weight_out_of_range(weight):
+    with pytest.raises(NumericalFailure, match="outside the float range"):
+        weight()
 
 
 def test_perturbed_partition_matches_shifted_enumeration():

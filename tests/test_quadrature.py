@@ -1,10 +1,13 @@
 """Adaptive quadrature engine against closed forms and scipy."""
 
+import inspect
+import itertools
 import math
 
 import pytest
 import scipy.integrate
 
+from qpaths import quadrature
 from qpaths.errors import InvalidArgument, NumericalFailure
 from qpaths.quadrature import integrate, integrate_pv
 
@@ -83,6 +86,30 @@ def test_principal_value_pole_must_be_interior():
 def test_nonfinite_integrand_rejected():
     with pytest.raises(NumericalFailure):
         integrate(lambda x: math.inf if 0.4 < x < 0.6 else 1.0, 0.0, 1.0)
+
+
+def test_real_values_only():
+    assert "max_depth" not in inspect.signature(integrate).parameters
+    for f, a, b in ((lambda x: 1, 0.0, 1.0), (math.exp, 1.0, 0.0), (math.exp, 0.5, 0.5)):
+        assert type(integrate(f, a, b)) is float
+    with pytest.raises(TypeError):
+        integrate(lambda x: 1j * x, 0.0, 1.0)
+
+
+def test_missed_tolerance_raises(monkeypatch):
+    # Rounding-level noise never meets a 1e-10 tolerance: the call raises
+    # at the panel cap instead of returning its last estimate.
+    with pytest.raises(NumericalFailure, match="misses its tolerance"):
+        integrate(lambda x: math.sin(1e20 * x), 0.0, 1.0)
+    # A panel one ulp wide cannot be halved; an integrand that answers
+    # differently on every call keeps its error estimate above zero.
+    calls = itertools.count()
+    with pytest.raises(NumericalFailure, match="cannot be split"):
+        integrate(lambda x: next(calls), 1.0, math.nextafter(1.0, 2.0), abs_tol=0.0)
+    # The 1/sqrt(x) endpoint singularity needs more than 8 panels.
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
+    with pytest.raises(NumericalFailure, match="after 8 panels"):
+        integrate(lambda x: 1.0 / math.sqrt(x) if x > 0 else 0.0, 0.0, 1.0)
 
 
 def test_invalid_interval():
