@@ -11,16 +11,17 @@ where ``t`` parametrizes admissible tangency points and
 
     x(t) = qq**(-t * integral_0^1 du / (t - qq**alpha(u)))
 
-has a closed product form for piecewise-linear densities.  The map from
-``t`` to the tangency point is
+has a closed product form for piecewise-linear densities.  With
+s = t x'(t) / x(t), the map from ``t`` to the tangency point is
 
-    qq**X = t**2 x'(t) / D,    qq**Y = (t x'(t) + 1 - x(t)) / D,
-    D = t x'(t) + x(t) (1 - x(t)).
+    qq**X = t s / (s + 1 - x),    qq**Y = (x s + 1 - x) / (x (s + 1 - x)).
 
 Each maximal admissible ``t`` interval (branch) yields one arc: the
 right and left outer arcs plus one arc per density window, where the
-paths freeze into gap or filled phases.  All evaluations are done in
-log space so extreme bases such as ``qq = 1e-4`` stay well conditioned.
+paths freeze into gap or filled phases.  x(t) is evaluated in log space
+and s as a sum of bounded factors, so extreme bases such as
+``qq = 1e-20`` stay well conditioned; the point map runs on numpy arrays
+of t.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .errors import InvalidArgument, NumericalFailure, SingularPoint
 from .profile import StartDensity, WindowSpec
@@ -70,12 +73,17 @@ def _check_base(qq: float) -> float:
 
 
 def _float_range(fn):
-    """Report an ArithmeticError (such as a float overflow) as NumericalFailure."""
+    """Report an ArithmeticError (such as a float overflow) as NumericalFailure.
+
+    Overflow, division by zero and invalid operations in numpy raise too;
+    array code that masks non-finite values opts out locally.
+    """
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return fn(*args, **kwargs)
         except ArithmeticError as exc:
             raise NumericalFailure(f"{fn.__name__} left the float range ({exc})") from exc
 
@@ -149,19 +157,14 @@ class _Scaled:
         self.log_q = math.log(self.qq)
         # One (a_lo, a_hi, 1/p, E_lo, E_hi) tuple per linear segment;
         # jumps contribute no factor to x(t).
-        self.parts = []
-        for el in d.segment_elements():
-            self.parts.append(
-                (
-                    el.a_lo,
-                    el.a_hi,
-                    1.0 / el.p,
-                    self.qq**el.a_lo,
-                    self.qq**el.a_hi,
-                )
-            )
+        self.parts = [
+            (el.a_lo, el.a_hi, 1.0 / el.p, self.qq**el.a_lo, self.qq**el.a_hi)
+            for el in d.segment_elements()
+        ]
         self.top = d.alpha_top
         self.e_top = self.qq**self.top
+        if 0.0 in (self.e_top, *(e for part in self.parts for e in part[3:])):
+            raise NumericalFailure(f"a pole qq**a underflows to 0 at base {self.qq!r}")
         self.windows = d.windows
 
     # -- classification -------------------------------------------------
@@ -200,27 +203,22 @@ class _Scaled:
             "no branch of the arctic curve passes through it"
         )
 
-    # -- x(t) and its derivative ----------------------------------------
+    # -- x(t) and s = t x'(t) / x(t) -------------------------------------
 
-    def log_abs_x(self, t: float) -> float:
-        total = -self.log_q
-        for _, _, inv_p, e_lo, e_hi in self.parts:
-            total += inv_p * (math.log(abs(t - e_hi)) - math.log(abs(t - e_lo)))
-        return total
+    def terms(self, t, sign: int):
+        """Return (log|x|, x, 1 - x, s) at t, elementwise over numpy arrays.
 
-    def x_parts(self, t: float) -> tuple[int, float, float, float, float]:
-        """Return (sign, log|x|, x, 1 - x, x'/x) at admissible t."""
-        _, sign, _ = self.classify(t)
-        lx = self.log_abs_x(t)
-        x = sign * math.exp(lx)
-        if sign > 0:
-            one_minus_x = -math.expm1(lx)
-        else:
-            one_minus_x = 1.0 + math.exp(lx)
-        ratio = 0.0
+        ``sign`` is the sign of x on the branch of t.  No product of two
+        factors (t - E) is formed, so s stays finite wherever t is.
+        """
+        lx = -self.log_q
+        s = 0.0
         for _, _, inv_p, e_lo, e_hi in self.parts:
-            ratio += inv_p * (e_hi - e_lo) / ((t - e_hi) * (t - e_lo))
-        return sign, lx, x, one_minus_x, ratio
+            lx = lx + inv_p * (np.log(np.abs(t - e_hi)) - np.log(np.abs(t - e_lo)))
+            s = s + inv_p * (e_hi - e_lo) / (t - e_hi) * (t / (t - e_lo))
+        x_abs = np.exp(lx)
+        one_minus_x = -np.expm1(lx) if sign > 0 else 1.0 + x_abs
+        return lx, sign * x_abs, one_minus_x, s
 
 
 @_float_range
@@ -254,11 +252,11 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
     comes from the analytic continuation across the support).
     """
     sc = _Scaled(d, qq)
+    _, sign, window = sc.classify(t)
     if method == "closed":
-        return sc.x_parts(t)[2]
+        return float(sc.terms(t, sign)[1])
     if method != "quadrature":
         raise InvalidArgument(f"unknown method {method!r}")
-    _, sign, window = sc.classify(t)
     log_q = sc.log_q
 
     def in_filled(a_lo: float, a_hi: float) -> bool:
@@ -298,26 +296,33 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
 def dx_dt(d: StartDensity, qq: float, t: float) -> float:
     """Derivative x'(t) of the closed-form tangent-family weight."""
     sc = _Scaled(d, qq)
-    _, _, x, _, ratio = sc.x_parts(t)
-    return x * ratio
+    _, sign, _ = sc.classify(t)
+    _, x, _, s = sc.terms(t, sign)
+    if t == 0.0:
+        # s vanishes with t; there x'/x = sum (1/p) (1/E_lo - 1/E_hi).
+        return float(x * sum(inv_p * (1.0 / lo - 1.0 / hi) for *_, inv_p, lo, hi in sc.parts))
+    return float(x * s / t)
 
 
-def _point(sc: _Scaled, t: float) -> tuple[float, float]:
-    sign, lx, x, one_minus_x, ratio = sc.x_parts(t)
-    xp = x * ratio
-    a = t * xp
-    b = x * one_minus_x
-    denom = a + b
-    scale = abs(a) + abs(b)
-    if denom == 0.0 or abs(denom) < _SINGULAR_REL * scale:
-        raise SingularPoint(f"envelope denominator vanishes at t={t!r}")
-    qx = t * a / denom
-    qy = (a + one_minus_x) / denom
-    if qx <= 0.0 or qy <= 0.0 or not (math.isfinite(qx) and math.isfinite(qy)):
-        raise SingularPoint(
-            f"tangency point undefined at t={t!r} (qq^X={qx!r}, qq^Y={qy!r})"
-        )
-    return math.log(qx) / sc.log_q, math.log(qy) / sc.log_q
+def _tangency(sc: _Scaled, t, sign: int):
+    """The point map (X, Y, regular) at t, elementwise; ``sign`` is that of x.
+
+    With x divided out of the envelope denominator D = x (s + 1 - x), a
+    point is regular where s + 1 - x does not vanish relative to
+    |s| + |1 - x| and qq**X, qq**Y are finite and positive.
+    """
+    with np.errstate(all="ignore"):
+        _, x, one_minus_x, s = sc.terms(t, sign)
+        den = s + one_minus_x
+        qx = t * s / den
+        qy = (s + one_minus_x / x) / den
+        regular = np.abs(den) >= _SINGULAR_REL * (np.abs(s) + np.abs(one_minus_x))
+        regular &= (qx > 0.0) & (qy > 0.0) & np.isfinite(qx) & np.isfinite(qy)
+        return np.log(qx) / sc.log_q, np.log(qy) / sc.log_q, regular
+
+
+def _points(t, bx, by) -> list[tuple[float, float, float]]:
+    return list(zip(np.broadcast_to(t, np.shape(bx)).tolist(), bx.tolist(), by.tolist()))
 
 
 @_float_range
@@ -328,30 +333,33 @@ def arctic_point(d: StartDensity, qq: float, t: float) -> tuple[float, float]:
     example t = 0, where x = 1 exactly) and InvalidArgument for t
     outside every branch.
     """
-    return _point(_Scaled(d, qq), t)
+    sc = _Scaled(d, qq)
+    bx, by, regular = _tangency(sc, t, sc.classify(t)[1])
+    if not regular:
+        raise SingularPoint(f"point map singular or undefined at t={t!r}")
+    return float(bx), float(by)
 
 
-def _leg_taus(lo: float, hi: float, count: int, open_lo: bool, open_hi: bool) -> list[float]:
-    """Affine grid on [lo, hi] with geometric refinement toward open ends.
+def _leg_taus(lo: float, hi: float, count: int, open_lo: bool, open_hi: bool) -> np.ndarray:
+    """Affine grid from lo to hi with geometric refinement toward open ends.
 
     Open endpoints are branch boundaries where the curve closes onto a
     limiting point; a geometric ladder (down to 1e-9 of the span) makes
     the sampled arc approach it closely without ever evaluating on the
-    boundary itself.
+    boundary itself.  The grid runs from lo to hi in either direction.
     """
+    if hi < lo:
+        return _leg_taus(hi, lo, count, open_hi, open_lo)[::-1]
     count = max(count, 4)
     span = hi - lo
-    pts = {lo + span * i / (count - 1) for i in range(count)}
+    ladder = span * 10.0 ** -np.arange(1.0, 10.0)
+    grid = lo + span * np.arange(count) / (count - 1)
+    pieces = [grid[int(open_lo) : count - int(open_hi)]]
     if open_lo:
-        pts.discard(lo)
+        pieces.append(lo + ladder)
     if open_hi:
-        pts.discard(hi)
-    ladder = [10.0 ** (-k) for k in range(1, 10)]
-    if open_lo:
-        pts.update(lo + span * r for r in ladder)
-    if open_hi:
-        pts.update(hi - span * r for r in ladder)
-    return sorted(pts)
+        pieces.append(hi - ladder)
+    return np.unique(np.concatenate(pieces))
 
 
 def _branch_legs(sc: _Scaled, dom: TDomain) -> list[tuple[int, float, float, bool, bool]]:
@@ -374,18 +382,15 @@ def _branch_legs(sc: _Scaled, dom: TDomain) -> list[tuple[int, float, float, boo
         tau_zero += top
     if sc.qq > 1.0:
         if dom.branch == "right":
-            return [(1, top, max(cap, top + 1.0), True, False)]
+            if cap <= top:
+                raise NumericalFailure(
+                    f"the right branch lies beyond the float range at base {sc.qq!r}")
+            return [(1, top, cap, True, False)]
         # left: t in (-inf, 1): negative axis first, then (0, 1).
-        return [
-            (-1, cap, tau_zero, False, False),
-            (1, tau_zero, 0.0, False, True),
-        ]
+        return [(-1, cap, tau_zero, False, False), (1, tau_zero, 0.0, False, True)]
     if dom.branch == "right":
         # qq < 1: t in (-inf, qq**top): negative axis, then (0, qq**top).
-        return [
-            (-1, -cap, tau_zero, False, False),
-            (1, tau_zero, top, False, True),
-        ]
+        return [(-1, -cap, tau_zero, False, False), (1, tau_zero, top, False, True)]
     return [(1, 0.0, -cap, True, False)]
 
 
@@ -403,7 +408,8 @@ def arctic_curve(
     sweep walks t = +-qq**tau over the interval, clustering samples
     geometrically near finite branch ends; parameter values where the
     point map is singular or leaves the float range are skipped and
-    counted.
+    counted.  A branch without a single regular point raises
+    NumericalFailure.
     """
     sc = _Scaled(d, qq)
     if isinstance(branch, str):
@@ -421,60 +427,43 @@ def arctic_curve(
     # Every leg gets a fair floor: tau spans are a poor proxy for arc
     # length, and a short leg can carry a long visible piece of curve.
     floor = max(8, n_samples // (2 * len(legs)))
-    points = []
-    skipped = 0
-    for sign, lo, hi, open_lo, open_hi in legs:
-        if hi == lo:
-            continue
-        count = max(floor, int(round(n_samples * abs(hi - lo) / total_span)))
-        if hi < lo:
-            taus = _leg_taus(hi, lo, count, open_hi, open_lo)[::-1]
-        else:
-            taus = _leg_taus(lo, hi, count, open_lo, open_hi)
-        for tau in taus:
-            try:
-                t = sign * sc.qq**tau
-                points.append((t, *_point(sc, t)))
-            except (SingularPoint, InvalidArgument, ArithmeticError):
-                skipped += 1
+    t = np.concatenate([
+        sign * sc.qq ** _leg_taus(lo, hi, max(floor, round(n_samples * abs(hi - lo) / total_span)),
+                                  open_lo, open_hi)
+        for sign, lo, hi, open_lo, open_hi in legs
+        if hi != lo
+    ])
+    bx, by, regular = _tangency(sc, t, dom.sign_of_x)
+    if not regular.any():
+        raise NumericalFailure(f"no point of branch {dom.branch} is regular at base {sc.qq!r}")
     from .geometry import polyline_self_intersects
 
-    crossing = polyline_self_intersects([(x_, y_) for _, x_, y_ in points])
-    return Curve(points=points, qq=sc.qq, branch=dom, skipped=skipped,
-                 self_intersecting=crossing)
+    crossing = polyline_self_intersects(np.column_stack([bx[regular], by[regular]]))
+    return Curve(points=_points(t[regular], bx[regular], by[regular]), qq=sc.qq, branch=dom,
+                 skipped=int(np.count_nonzero(~regular)), self_intersecting=crossing)
 
 
 @_float_range
-def tangent_curve(
-    d: StartDensity,
-    qq: float,
-    t: float,
-    *,
-    n_samples: int = 100,
-    x_max: Optional[float] = None,
-) -> Curve:
+def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100) -> Curve:
     """The tangent line of the family at parameter t, in (X, Y) space.
 
-    Solves x(t) qq**Y + ((1 - x(t)) / t) qq**X = 1 for Y on an X grid,
-    keeping only the part where qq**Y is positive.  The arctic curve is
-    the envelope of these lines as t sweeps a branch.
+    Solves x(t) qq**Y + ((1 - x(t)) / t) qq**X = 1 for Y on a grid of X
+    from 0 to alpha_top + 1, keeping only the part where qq**Y is
+    positive.  The arctic curve is the envelope of these lines as t
+    sweeps a branch.
     """
     sc = _Scaled(d, qq)
-    sign, lx, x, one_minus_x, _ = sc.x_parts(t)
+    _, x, one_minus_x, _ = sc.terms(t, sc.classify(t)[1])
     if x == 0.0:
         raise SingularPoint(f"tangent line undefined at t={t!r}: x = 0")
-    if x_max is None:
-        x_max = sc.top + 1.0
     if n_samples < 2:
         raise InvalidArgument(f"n_samples must be at least 2, got {n_samples}")
+    bx = (sc.top + 1.0) * np.arange(n_samples) / (n_samples - 1)
     coeff = one_minus_x / t
-    points = []
-    for i in range(n_samples):
-        bx = x_max * i / (n_samples - 1)
+    with np.errstate(all="ignore"):
         qy = (1.0 - coeff * sc.qq**bx) / x
-        if qy > 0.0 and math.isfinite(qy):
-            points.append((t, bx, math.log(qy) / sc.log_q))
-    return Curve(points=points, qq=sc.qq, branch=None)
+    keep = (qy > 0.0) & np.isfinite(qy)
+    return Curve(points=_points(t, bx[keep], np.log(qy[keep]) / sc.log_q), qq=sc.qq)
 
 
 @_float_range
@@ -490,17 +479,11 @@ def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
     if n_samples < 2:
         raise InvalidArgument(f"n_samples must be at least 2, got {n_samples}")
     log_q = math.log(qq)
-    den_xi = -math.expm1(xi * log_q)
-    fac_z = -math.expm1(z * log_q)
-    points = []
-    for i in range(n_samples):
-        bx = xi * i / (n_samples - 1)
-        frac = -math.expm1(bx * log_q) / den_xi
-        qy1 = 1.0 - fac_z * (1.0 - frac)
-        if qy1 <= 0.0 or not math.isfinite(qy1):
-            continue
-        points.append((math.nan, bx, 1.0 + math.log(qy1) / log_q))
-    return Curve(points=points, qq=qq, branch=None)
+    bx = xi * np.arange(n_samples) / (n_samples - 1)
+    with np.errstate(all="ignore"):
+        qy1 = 1.0 + math.expm1(z * log_q) * (1.0 - np.expm1(bx * log_q) / math.expm1(xi * log_q))
+    keep = (qy1 > 0.0) & np.isfinite(qy1)
+    return Curve(points=_points(math.nan, bx[keep], 1.0 + np.log(qy1[keep]) / log_q), qq=qq)
 
 
 def _xi_of(sc: _Scaled, t: float, lx: float, x: float, one_minus_x: float) -> float:
@@ -525,10 +508,10 @@ def exit_params_right(d: StartDensity, qq: float, t: float) -> ScalingVars:
     Raises InvalidArgument when t is not on the right branch.
     """
     sc = _Scaled(d, qq)
-    label, _, _ = sc.classify(t)
+    label, sign, _ = sc.classify(t)
     if label != "right":
         raise InvalidArgument(f"t={t!r} is on branch {label!r}, not 'right'")
-    _, lx, x, one_minus_x, _ = sc.x_parts(t)
+    lx, x, one_minus_x, _ = sc.terms(t, sign)
     xi = _xi_of(sc, t, lx, x, one_minus_x)
     q_z = (t - one_minus_x) / (t * sc.qq * x)
     if q_z <= 0.0 or not math.isfinite(q_z):
@@ -544,10 +527,10 @@ def exit_params_left(d: StartDensity, qq: float, t: float) -> ScalingVars:
     tail from the dual corner.  Raises InvalidArgument off the branch.
     """
     sc = _Scaled(d, qq)
-    label, _, _ = sc.classify(t)
+    label, sign, _ = sc.classify(t)
     if label != "left":
         raise InvalidArgument(f"t={t!r} is on branch {label!r}, not 'left'")
-    _, lx, x, one_minus_x, _ = sc.x_parts(t)
+    lx, x, one_minus_x, _ = sc.terms(t, sign)
     xi = _xi_of(sc, t, lx, x, one_minus_x)
     denom = sc.qq * (t * x + sc.e_top * one_minus_x)
     if denom == 0.0:

@@ -94,14 +94,28 @@ def polyline_self_intersects(points) -> bool:
     a = pts[:-1]
     b = pts[1:]
     d = b - a
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    # Candidates are the pairs whose bounding boxes overlap (the simplest
+    # any-crossing form of the Shamos-Hoey sweep). With segments sorted by
+    # left x-edge, those overlapping one in x and sorted after it form a
+    # run that ends where the left edges pass its right edge.
+    order = np.argsort(lo[:, 0], kind="stable")
+    counts = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), counts)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    i_idx = np.minimum(order[first], order[second])
+    j_idx = np.maximum(order[first], order[second])
+    keep = j_idx - i_idx > 1
+    keep &= (lo[i_idx, 1] <= hi[j_idx, 1]) & (lo[j_idx, 1] <= hi[i_idx, 1])
+    i_idx, j_idx = i_idx[keep], j_idx[keep]
+    if len(i_idx) == 0:
+        return False
 
     def cross(v, w):
         return v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]
 
-    # All segment pairs (i, j), j > i + 1: proper crossing via orientation.
-    i_idx, j_idx = np.triu_indices(n, k=2)
-    if len(i_idx) == 0:
-        return False
+    # Proper crossing of each candidate pair (i, j), j > i + 1, via orientation.
     p, r = a[i_idx], d[i_idx]
     q, s = a[j_idx], d[j_idx]
     denom = cross(r, s)

@@ -1,6 +1,7 @@
 """End-to-end command-line runs against temporary directories."""
 
 import json
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -8,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from qpaths import cli
+from qpaths import cli, curves
 from qpaths.errors import NumericalFailure, QpathsError
 from qpaths.exact import StartSequence, partition_det, partition_poly
+from qpaths.profile import StartDensity
 from qpaths.qpoly import QPolynomial
 from qpaths.serialize import load_csv, parse_cell
 
@@ -183,6 +185,32 @@ def test_arctic_extreme_bases(tmp_path, base):
 def test_arctic_base_beyond_float_range(tmp_path, capsys):
     # qq**alpha(1) = 1e450 overflows before any branch is swept.
     doc = {"model": {"scaled": dict(SCALED_GAPPED["model"]["scaled"], base=1e150)}}
+    rc, _ = run_cli(tmp_path, doc, "arctic")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+
+
+def test_arctic_right_leg_stops_at_the_overflow_bound(tmp_path):
+    # At 1e150 the right leg may run only to tau = 700 / ln(qq) = 2.03.
+    doc = dict(SCALED_UNIFORM)
+    doc["model"] = {"scaled": {"segments": [[1.0, 2.0]], "base": 1e150}}
+    rc, out = run_cli(tmp_path, doc, "arctic")
+    assert rc == 0
+    _, rows = load_csv(str(out / "arctic.csv"))
+    right = [row for row in rows if row[0] == "right"]
+    assert len(right) >= 40
+    density = StartDensity([(1.0, 2.0)])
+    for _, t, bx, by in right:
+        x = curves.x_of_t(density, 1e150, t)
+        assert abs(x * 1e150**by + (1.0 - x) / t * 1e150**bx - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("base", [math.exp(352.0), 1e-300])
+def test_arctic_uniform_base_beyond_float_range(tmp_path, capsys, base):
+    # e**352: 2 * 352 = 704 >= 700, so no right-branch t is representable.
+    # 1e-300: the pole qq**2 underflows to 0.
+    doc = {"model": {"scaled": {"segments": [[1.0, 2.0]], "base": base}}}
     rc, _ = run_cli(tmp_path, doc, "arctic")
     assert rc == 2
     err = capsys.readouterr().err

@@ -16,13 +16,14 @@ from qpaths.curves import (
     tangent_curve,
     x_of_t,
 )
-from qpaths.errors import InvalidArgument, NumericalFailure
+from qpaths.errors import InvalidArgument, NumericalFailure, SingularPoint
 from qpaths.profile import StartDensity
 
 UNIFORM = StartDensity([(1.0, 2.0)])  # alpha(u) = 2u
 THIRDS = StartDensity([(1 / 3, 2.0), (1 / 3, 4.0), (1 / 3, 2.0)])
 FILLED = StartDensity([(1 / 3, 2.0), (1 / 3, 1.0), (1 / 3, 2.0)])
 GAPPED = StartDensity([(1 / 2, 2.0), (1 / 2, 2.0)], jumps=[(1 / 2, 1.0)])
+CORNERED = StartDensity([(1 / 3, 2.0), (1 / 3, 4.0), (1 / 3, 2.0)])
 
 
 def uniform_x(qq, t):
@@ -86,7 +87,7 @@ def test_base_validation():
 
 
 def test_dx_dt_matches_finite_differences():
-    for qq, ts in ((3.0, (18.0, 150.0, -7.0, 0.5)), (1.0 / 3.0, (30.0, -2.0, 0.05))):
+    for qq, ts in ((3.0, (18.0, 150.0, -7.0, 0.5, 0.0)), (1.0 / 3.0, (30.0, -2.0, 0.05, 0.0))):
         for t in ts:
             h = max(abs(t), 1.0) * 1e-6
             fd = (x_of_t(UNIFORM, qq, t + h) - x_of_t(UNIFORM, qq, t - h)) / (2 * h)
@@ -189,6 +190,32 @@ def test_envelope_residual_small_on_sampled_branches():
                 assert envelope_residual(d, qq, t, bx, by) <= 1e-10
 
 
+@pytest.mark.parametrize("qq", [1e-6, 1e-20, 1e6])
+@pytest.mark.parametrize("branch", ["right", "left"])
+def test_outer_branches_keep_every_point_at_extreme_bases(qq, branch):
+    # Far along the infinite legs (t up to qq**-40) the product of two
+    # (t - E) factors overflows; the point map never forms it.
+    dom = next(dom for dom in t_domains(CORNERED, qq) if dom.branch == branch)
+    curve = arctic_curve(CORNERED, qq, dom, n_samples=400)
+    assert curve.skipped == 0
+    assert len(curve) >= 400
+    end = CORNERED.alpha_top if branch == "right" else 0.0
+    for t, bx, by in curve.points:
+        # Within 1e-5 (in log|t| / log qq) of the finite branch end the
+        # rounded (X, Y) alone gives residuals up to 6e-10.
+        if t < 0.0 or abs(math.log(t) / math.log(qq) - end) > 1e-5:
+            assert envelope_residual(CORNERED, qq, t, bx, by) <= 1e-10
+
+
+@pytest.mark.parametrize("qq", [3.0, 1.0 / 3.0])
+@pytest.mark.parametrize("t", [0.0, 5e-324, 1e-300, -1e-300, -1e-20])
+def test_arctic_point_raises_where_the_map_degenerates(qq, t):
+    # t = 0: x = 1 and s = 0, so the envelope denominator vanishes; near
+    # it qq**X underflows to 0 or comes out negative.
+    with pytest.raises(SingularPoint):
+        arctic_point(UNIFORM, qq, t)
+
+
 def test_arctic_curve_window_branch():
     doms = t_domains(FILLED, 1e-2)
     window_curve = arctic_curve(FILLED, 1e-2, doms[2], n_samples=60)
@@ -222,6 +249,13 @@ def test_arctic_curve_is_simple_for_uniform_density():
     for qq in (3.0, 1.0 / 3.0):
         for dom in t_domains(UNIFORM, qq):
             assert not arctic_curve(UNIFORM, qq, dom, n_samples=200).self_intersecting
+    # Window arcs fold into 2-3 x-monotone runs, so the box-pruned scan
+    # has candidate pairs to test there.
+    for d in (FILLED, GAPPED):
+        for qq in (1e-2, 1e3):
+            window = t_domains(d, qq)[2]
+            assert "window" in window.branch
+            assert not arctic_curve(d, qq, window, n_samples=200).self_intersecting
 
 
 def test_tangent_family_touches_envelope():
@@ -244,6 +278,12 @@ def test_tangent_family_touches_envelope():
         r2 = family_at(t + dt / 2.0)
         assert abs(r1) < 1e-4
         assert abs(r2) <= abs(r1) / 3.0
+
+
+def test_tangent_line_at_t_zero_raises():
+    # (1 - x(t)) / t divides by zero; numpy scalars raise like floats here.
+    with pytest.raises(NumericalFailure):
+        tangent_curve(UNIFORM, 3.0, 0.0)
 
 
 def test_geodesic_endpoints_and_equation():

@@ -1,6 +1,7 @@
 """Polyline geometry: Hausdorff distance and self-intersection detection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,3 +118,83 @@ def test_no_false_positive_on_near_duplicate_points():
 
 def test_closed_loop_endpoints_do_not_count():
     assert not polyline_self_intersects(UNIT_SQUARE)
+
+
+def all_pairs_self_intersects(points) -> bool:
+    """Brute-force oracle: the same thinning and crossing test on every pair."""
+    pts = np.asarray(points, dtype=float)
+    diam = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    tol = 1e-9 * max(diam, 1e-300)
+    kept = [pts[0]]
+    for p in pts[1:]:
+        if max(abs(p[0] - kept[-1][0]), abs(p[1] - kept[-1][1])) > tol:
+            kept.append(p)
+    a = np.asarray(kept)
+    for i in range(len(a) - 1):
+        for j in range(i + 2, len(a) - 1):
+            r, s = a[i + 1] - a[i], a[j + 1] - a[j]
+            qp = a[j] - a[i]
+            denom = r[0] * s[1] - r[1] * s[0]
+            if not abs(denom) > 1e-9 * math.sqrt((r @ r) * (s @ s)):
+                continue
+            t = (qp[0] * s[1] - qp[1] * s[0]) / denom
+            u = (qp[0] * r[1] - qp[1] * r[0]) / denom
+            if 1e-9 < t < 1 - 1e-9 and 1e-9 < u < 1 - 1e-9:
+                return True
+    return False
+
+
+@st.composite
+def polylines(draw):
+    """Random polylines, closed loops, near-duplicate runs, vertical and near-parallel segments."""
+    coord = st.floats(-4.0, 4.0, allow_nan=False)
+    if draw(st.booleans()):
+        coord = st.integers(-3, 3).map(float)  # grid points: vertical and collinear segments
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=25))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(pts) - 1))
+        x, y = pts[at]
+        kind = draw(st.sampled_from(["duplicates", "vertical", "near_parallel"]))
+        if kind == "duplicates":
+            step = draw(st.sampled_from([1e-16, 1e-12, 1e-10]))
+            extra = [(x + k * step, y - k * step) for k in range(1, draw(st.integers(2, 8)))]
+        elif kind == "vertical":
+            extra = [(x, y + draw(st.floats(-4.0, 4.0)))]
+        else:
+            # A copy of the segment ending at pts[at], offset and turned slightly.
+            px, py = pts[at - 1]
+            off = draw(st.floats(-1e-3, 1e-3))
+            turn = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-5]))
+            extra = [(px + off, py - off), (x + off + turn, y - off)]
+        pts[at + 1 : at + 1] = extra
+    if draw(st.booleans()):
+        pts.append(pts[0])
+    return pts
+
+
+@given(polylines())
+@settings(max_examples=400, deadline=None)
+def test_crossing_scan_matches_all_pairs(pts):
+    assert polyline_self_intersects(pts) == all_pairs_self_intersects(pts)
+
+
+def test_figure_eight_crossing_between_first_and_last_segments():
+    # The first segment runs up the diagonal through (0, 0); after the right
+    # lobe and a detour below, the last one comes down the other diagonal.
+    eight = [(-1, -1), (1, 1), (2, 0), (1, -1), (0, -2.5), (-2.5, 0), (-1, 1), (1, -1)]
+    assert polyline_self_intersects(eight)
+    assert polyline_self_intersects(eight[::-1])
+    assert not polyline_self_intersects(eight[:-1])
+
+
+def test_crossing_scan_memory_on_a_long_spiral():
+    theta = np.linspace(0.0, 1.5 * math.pi, 4000)
+    spiral = np.column_stack([(1.0 + theta) * np.cos(theta), (1.0 + theta) * np.sin(theta)])
+    tracemalloc.start()
+    try:
+        crossing = polyline_self_intersects(spiral)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not crossing
+    assert peak < 20 * 2**20
