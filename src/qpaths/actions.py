@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .curves import _check_base
-from .errors import InvalidArgument
+from .errors import InvalidArgument, float_range
 from .profile import StartDensity
 from .quadrature import integrate
 
@@ -48,6 +48,7 @@ def _log_ratio(num: float, den: float, what: str) -> float:
     return math.log(abs(num)) - math.log(abs(den))
 
 
+@float_range
 def action_bulk(d: StartDensity, qq: float, t: float, xi: float) -> float:
     """Bulk action at tangency parameter t and exit height xi.
 
@@ -87,6 +88,7 @@ def _free_integrand(log_q: float, z: float):
     return integrand
 
 
+@float_range
 def action_free(qq: float, xi: float, z: float) -> float:
     """Free-tail action of the right construction.
 
@@ -102,6 +104,7 @@ def action_free(qq: float, xi: float, z: float) -> float:
     )
 
 
+@float_range
 def action_free_dual(d: StartDensity, qq: float, xi: float, z: float) -> float:
     """Free-tail action of the left (dual) construction.
 
@@ -138,6 +141,7 @@ def _bulk_dt_integral(d: StartDensity, qq: float, t: float, log_q: float) -> flo
     return total
 
 
+@float_range
 def saddle_residual_t(d: StartDensity, qq: float, t: float, xi: float) -> float:
     """Closed-form partial derivative of the bulk action in t.
 
@@ -157,6 +161,7 @@ def _xi_integral_term(qq: float, t: float, xi: float, log_q: float) -> float:
     return _log_ratio(num, den, "xi residual")
 
 
+@float_range
 def saddle_residual_xi_right(
     d: StartDensity, qq: float, t: float, xi: float, z: float
 ) -> float:
@@ -169,6 +174,7 @@ def saddle_residual_xi_right(
     return own - _xi_integral_term(qq, t, xi, log_q)
 
 
+@float_range
 def saddle_residual_xi_left(
     d: StartDensity, qq: float, t: float, xi: float, z: float
 ) -> float:

@@ -25,6 +25,7 @@ from .errors import (
     QpathsError,
     SingularPoint,
     UnsupportedConfiguration,
+    float_range,
 )
 from .exact import (
     StartSequence,
@@ -57,7 +58,7 @@ def _reversal_exponent(seq: StartSequence) -> int:
     return n * (n + 1) * (3 * seq.top + n + 2) // 6
 
 
-def _reversal_check(seq: StartSequence, z: QPolynomial) -> tuple[bool, int]:
+def _reversal_check(seq: StartSequence, z: QPolynomial, z_dual: QPolynomial) -> tuple[bool, int]:
     """Partition-function duality Z_a(q) = q**e Z_dual(1/q), on coefficients.
 
     Holds when Z_a[k] = Z_dual[e - k] for every k; exact for any q. Returns
@@ -65,24 +66,20 @@ def _reversal_check(seq: StartSequence, z: QPolynomial) -> tuple[bool, int]:
     """
     e = _reversal_exponent(seq)
     lhs = {k: c for k, c in enumerate(z.coeffs) if c}
-    rhs = {e - k: c for k, c in enumerate(partition_poly(dual_sequence(seq)).coeffs) if c}
+    rhs = {e - k: c for k, c in enumerate(z_dual.coeffs) if c}
     mismatched = sum(lhs.get(k) != rhs.get(k) for k in lhs.keys() | rhs.keys())
     return mismatched == 0, mismatched
 
 
-def _partition_at(z: QPolynomial, q):
+@float_range
+def _partition_function(z: QPolynomial, q):
     """Z at the configured q: exact at a rational q, a finite float otherwise."""
     if isinstance(q, Fraction):
         return z(q)
-    try:
-        value = z(float(q))
-    except OverflowError:
-        value = math.inf
+    value = z(float(q))
     # Z has nonnegative coefficients, so at q > 0 a value of 0 has underflowed.
     if not 0.0 < value < math.inf:
-        raise NumericalFailure(
-            f"partition function at q = {float(q)!r} is outside the float range"
-        )
+        raise NumericalFailure(f"partition function at q = {float(q)!r} is outside the float range")
     return value
 
 
@@ -91,7 +88,7 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
     out = _out_dir(cfg, args)
     seq, q = cfg.sequence, cfg.q
     z = partition_poly(seq)
-    z_at_q = _partition_at(z, q)
+    z_at_q = _partition_function(z, q)
     serialize.write_csv(
         os.path.join(out, "partition.csv"),
         ("degree", "coefficient"),
@@ -111,7 +108,7 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
         ("ell", "H_dual"),
         table(one_point_exit_dual, seq.n, seq.top + seq.n),
     )
-    reversal_ok, reversal_resid = _reversal_check(seq, z)
+    reversal_ok, reversal_resid = _reversal_check(seq, z, partition_poly(dual_sequence(seq)))
     summary = {
         "sequence": list(seq),
         "q": serialize.format_cell(q),
@@ -291,7 +288,8 @@ def _verify_checks(cfg: ModelConfig):
     record("second_family_area", worst, 0.0)
 
     seq = StartSequence((0, 2, 5))
-    _, mismatched = _reversal_check(seq, partition_poly(seq))
+    # Independent routes: Z's product form against the dual's determinant.
+    _, mismatched = _reversal_check(seq, partition_poly(seq), partition_det(dual_sequence(seq)))
     record("partition_duality", mismatched, 0.0)
 
     q = Fraction(2, 5)
@@ -414,6 +412,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            # The flag meets the rule of task.seed in the configuration file.
+            raise ConfigError([f"task.seed: expected an integer >= 0, got {args.seed!r}"])
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

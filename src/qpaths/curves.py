@@ -26,14 +26,13 @@ of t.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, NumericalFailure, SingularPoint
+from .errors import InvalidArgument, NumericalFailure, SingularPoint, float_range
 from .profile import StartDensity, WindowSpec
 from .quadrature import integrate, integrate_pv
 
@@ -70,24 +69,6 @@ def _check_base(qq: float) -> float:
             "base 1 is the unweighted point; the scaled model needs base != 1"
         )
     return qq
-
-
-def _float_range(fn):
-    """Report an ArithmeticError (such as a float overflow) as NumericalFailure.
-
-    Overflow, division by zero and invalid operations in numpy raise too;
-    array code that masks non-finite values opts out locally.
-    """
-
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return fn(*args, **kwargs)
-        except ArithmeticError as exc:
-            raise NumericalFailure(f"{fn.__name__} left the float range ({exc})") from exc
-
-    return checked
 
 
 @dataclass(frozen=True)
@@ -221,7 +202,7 @@ class _Scaled:
         return lx, sign * x_abs, one_minus_x, s
 
 
-@_float_range
+@float_range
 def t_domains(d: StartDensity, qq: float) -> list[TDomain]:
     """All admissible t intervals: right arc, left arc, then one per window."""
     sc = _Scaled(d, qq)
@@ -242,7 +223,7 @@ def t_domains(d: StartDensity, qq: float) -> list[TDomain]:
     return doms
 
 
-@_float_range
+@float_range
 def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> float:
     """The tangent-family weight x(t) at an admissible parameter value.
 
@@ -292,7 +273,7 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
     return sign * math.exp(-exponent * log_q)
 
 
-@_float_range
+@float_range
 def dx_dt(d: StartDensity, qq: float, t: float) -> float:
     """Derivative x'(t) of the closed-form tangent-family weight."""
     sc = _Scaled(d, qq)
@@ -325,7 +306,7 @@ def _points(t, bx, by) -> list[tuple[float, float, float]]:
     return list(zip(np.broadcast_to(t, np.shape(bx)).tolist(), bx.tolist(), by.tolist()))
 
 
-@_float_range
+@float_range
 def arctic_point(d: StartDensity, qq: float, t: float) -> tuple[float, float]:
     """The (X, Y) tangency point of the arctic curve at parameter t.
 
@@ -394,7 +375,7 @@ def _branch_legs(sc: _Scaled, dom: TDomain) -> list[tuple[int, float, float, boo
     return [(1, 0.0, -cap, True, False)]
 
 
-@_float_range
+@float_range
 def arctic_curve(
     d: StartDensity,
     qq: float,
@@ -443,7 +424,7 @@ def arctic_curve(
                  skipped=int(np.count_nonzero(~regular)), self_intersecting=crossing)
 
 
-@_float_range
+@float_range
 def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100) -> Curve:
     """The tangent line of the family at parameter t, in (X, Y) space.
 
@@ -466,7 +447,7 @@ def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100)
     return Curve(points=_points(t, bx[keep], np.log(qy[keep]) / sc.log_q), qq=sc.qq)
 
 
-@_float_range
+@float_range
 def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
     """Limit shape of the free path tail between (0, 1 + z) and (xi, 1).
 
@@ -500,7 +481,7 @@ def _xi_of(sc: _Scaled, t: float, lx: float, x: float, one_minus_x: float) -> fl
     return math.log(q_xi) / sc.log_q
 
 
-@_float_range
+@float_range
 def exit_params_right(d: StartDensity, qq: float, t: float) -> ScalingVars:
     """Saddle parameters (xi, z) of the right-branch tangency at t.
 
@@ -519,7 +500,7 @@ def exit_params_right(d: StartDensity, qq: float, t: float) -> ScalingVars:
     return ScalingVars(xi=xi, z=math.log(q_z) / sc.log_q)
 
 
-@_float_range
+@float_range
 def exit_params_left(d: StartDensity, qq: float, t: float) -> ScalingVars:
     """Saddle parameters (xi, z) of the left-branch tangency at t.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import InvalidArgument, NumericalFailure
+from .errors import InvalidArgument, NumericalFailure, float_range
 from .qpoly import QPolynomial, cyclotomic, poly_det, power_product, q_binomial, q_binomial_at
 
 Rational = Union[int, Fraction]
@@ -143,44 +143,13 @@ def partition_product(seq: StartSequence, q: Rational) -> Fraction:
     return q**exponent * num / den
 
 
-def fraction_det(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a rational matrix (Gaussian elimination)."""
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise InvalidArgument("fraction_det requires a square matrix")
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            if factor:
-                for j in range(k, n):
-                    m[i][j] -= factor * m[k][j]
-    return det
-
-
-def _exit_column_entry(a: int, n: int, ell: int, q: Rational) -> Fraction:
-    # Weighted paths (a, 0) -> (ell, n); empty when the start is left of the exit.
-    if a + n - ell < 0:
-        return Fraction(0)
-    return Fraction(q) ** (n * ell) * Fraction(q_binomial_at(a + n - ell, n, Fraction(q)))
-
-
 def one_point_exit_det(seq: StartSequence, ell: int, q: Rational) -> Fraction:
-    """Probability that the top path exits the strip at abscissa ell.
+    """Probability that the top path exits the strip at abscissa ell or beyond.
 
-    Determinant route: replace the top-path column by the truncated-path
-    counting column and divide by the unmodified determinant. Exact rational
-    arithmetic throughout.
+    Determinant route: replace the top-path column of the path-counting
+    matrix by the column counting weighted paths (a_i, 0) -> (ell, n), and
+    divide by the unmodified determinant. Exact polynomial arithmetic, then
+    one evaluation at rational q.
     """
     if isinstance(q, float):
         raise InvalidArgument("one_point_exit_det requires exact rational q")
@@ -188,112 +157,89 @@ def one_point_exit_det(seq: StartSequence, ell: int, q: Rational) -> Fraction:
     n = seq.n
     if not 0 <= ell <= seq.top:
         raise InvalidArgument(f"exit abscissa must lie in [0, {seq.top}], got {ell}")
-    qf = Fraction(q)
-    base = [[Fraction(q_binomial_at(a + j, j, qf)) for j in range(n + 1)] for a in seq.values]
-    mod = [row[:n] + [_exit_column_entry(seq.values[i], n, ell, qf)] for i, row in enumerate(base)]
-    denom = fraction_det(base)
-    if denom == 0:
-        raise InvalidArgument("degenerate instance: zero partition function")
-    return fraction_det(mod) / denom
+    matrix = lgv_matrix(seq)
+    for row, a in zip(matrix, seq.values):
+        # No such path when the start lies left of the exit.
+        row[n] = q_binomial(a + n - ell, n).shift(n * ell) if a + n >= ell else QPolynomial.zero()
+    q = Fraction(q)
+    # Z(q) > 0 at every admissible q: its coefficients are nonnegative.
+    return poly_det(matrix)(q) / partition_det(seq)(q)
 
 
-def _residue_terms_exact(seq: StartSequence, ell: int, q: Fraction, poles: Sequence[int], offsets: range) -> Fraction:
-    powers = [q**a for a in seq.values]
-    total = Fraction(0)
-    for k in poles:
-        num = Fraction(1)
+@float_range
+def _residue_sum(
+    seq: StartSequence, ell: int, q: Weight, poles: Sequence[int], offsets: range, exponent: int
+) -> Weight:
+    """q**exponent times the sum of the residues at the poles q**a_k.
+
+    One loop for an exact Fraction q and a float q. The terms alternate in
+    sign; they are taken in increasing pole magnitude and, at a float,
+    summed exactly, to keep the cancellation as mild as possible.
+    """
+    values = seq.values
+    powers = [q**a for a in values]
+    terms = []
+    for k in sorted(poles, key=lambda k: abs(powers[k])):
+        num = den = q**0  # one, in q's number type
         for s in offsets:
-            num *= q ** (seq.values[k] + s - ell) - 1
-        den = Fraction(1)
+            num *= q ** (values[k] + s - ell) - 1
         for s in range(seq.n + 1):
             if s != k:
                 den *= powers[k] - powers[s]
-        total += num / den
-    return total
-
-
-def _residue_sum_float(
-    seq: StartSequence, ell: int, q: float, poles: list[int], offsets: range, exponent: int
-) -> float:
-    # Terms alternate in sign; accumulate with exact summation after ordering
-    # by pole magnitude to keep the cancellation as mild as possible.
-    try:
-        powers = [q**a for a in seq.values]
-        poles = sorted(poles, key=lambda k: abs(powers[k]))
-        terms = []
-        for k in poles:
-            num = 1.0
-            for s in offsets:
-                num *= q ** (seq.values[k] + s - ell) - 1.0
-            den = 1.0
-            for s in range(seq.n + 1):
-                if s != k:
-                    den *= powers[k] - powers[s]
-            terms.append(num / den)
-        value = q**exponent * math.fsum(terms)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        value = math.nan
+        terms.append(num / den)
+    if isinstance(q, Fraction):
+        return q**exponent * sum(terms)
+    # fsum raises on inf - inf, so the terms are checked first.
+    value = q**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
     if not math.isfinite(value):
         raise NumericalFailure(f"residue sum at q = {q!r}, ell = {ell} is outside the float range")
     return value
 
 
-def one_point_exit(seq: StartSequence, ell: int, q: Weight, *, extended_poles: bool = False) -> Weight:
-    """Probability that the top path exits at abscissa ell (residue route).
+def _exact_or_float(q: Weight) -> Union[Fraction, float]:
+    return q if isinstance(q, float) else Fraction(q)
 
-    The defining contour encircles the weight-poles q**a_k with a_k >= ell;
-    extended_poles widens the contour down to a_k >= ell - n, which adds only
-    identically-vanishing residues (kept as a cross-check switch).
-    Exact for rational q; float q sums residues in increasing pole magnitude.
+
+def one_point_exit(seq: StartSequence, ell: int, q: Weight) -> Weight:
+    """Probability that the top path exits at abscissa ell or beyond (residue route).
+
+    The contour encircles the weight-poles q**a_k with a_k >= ell; the
+    residues at a_k in [ell - n, ell) vanish identically. Exact for
+    rational q; float q sums the residues in increasing pole magnitude.
     """
     _check_weight_q(q)
     n = seq.n
     if not 0 <= ell <= seq.top:
         raise InvalidArgument(f"exit abscissa must lie in [0, {seq.top}], got {ell}")
-    floor = ell - n if extended_poles else ell
-    poles = [k for k in range(n + 1) if seq.values[k] >= floor]
-    offsets = range(1, n + 1)
+    poles = [k for k in range(n + 1) if seq.values[k] >= ell]
     exponent = n * ell - n * (n + 1) // 2
-    if isinstance(q, float):
-        return _residue_sum_float(seq, ell, q, poles, offsets, exponent)
-    qf = Fraction(q)
-    return qf**exponent * _residue_terms_exact(seq, ell, qf, poles, offsets)
+    return _residue_sum(seq, ell, _exact_or_float(q), poles, range(1, n + 1), exponent)
 
 
-def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight, *, extended_poles: bool = False) -> Weight:
+def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
     """Exit probability seen from the complementary path family.
 
-    Defined for n <= ell <= a_n + n; the contour encircles poles with
-    a_k <= ell - n (extended_poles widens up to a_k <= ell, adding zeros).
-    Complementary to the direct route: one_point_exit(seq, ell, q) plus
-    one_point_exit_dual(seq, ell - 1, q) equals 1.
+    Defined for n <= ell <= a_n + n; the contour encircles the poles with
+    a_k <= ell - n. Complementary to the direct route: one_point_exit(seq,
+    ell, q) plus one_point_exit_dual(seq, ell - 1, q) equals 1.
     """
     _check_weight_q(q)
     n = seq.n
     if not n <= ell <= seq.top + n:
         raise InvalidArgument(f"dual exit abscissa must lie in [{n}, {seq.top + n}], got {ell}")
-    ceil = ell if extended_poles else ell - n
-    poles = [k for k in range(n + 1) if seq.values[k] <= ceil]
-    offsets = range(0, n)
+    poles = [k for k in range(n + 1) if seq.values[k] <= ell - n]
     exponent = n * ell - n * (n - 1) // 2
-    if isinstance(q, float):
-        return _residue_sum_float(seq, ell, q, poles, offsets, exponent)
-    qf = Fraction(q)
-    return qf**exponent * _residue_terms_exact(seq, ell, qf, poles, offsets)
+    return _residue_sum(seq, ell, _exact_or_float(q), poles, range(0, n), exponent)
 
 
-def _float_weight(q: float, compute) -> float:
-    """A continuation weight at float q; NumericalFailure outside the float range."""
-    try:
-        value = compute()
-    except (OverflowError, ZeroDivisionError):
-        value = math.nan
-    # The weight is positive at q > 0, so a value of 0 has underflowed.
-    if not 0.0 < value < math.inf:
+def _positive_weight(q: Weight, value: Weight) -> Weight:
+    # The weight is positive at q > 0, so a float value of 0 has underflowed.
+    if isinstance(q, float) and not 0.0 < value < math.inf:
         raise NumericalFailure(f"free path weight at q = {q!r} is outside the float range")
     return value
 
 
+@float_range
 def free_path_weight(ell: int, r: int, q: Weight) -> Weight:
     """Weight of the unconstrained continuation above the strip.
 
@@ -306,12 +252,11 @@ def free_path_weight(ell: int, r: int, q: Weight) -> Weight:
     if r < 1:
         raise InvalidArgument("endpoint shift r must be >= 1")
     _check_weight_q(q)
-    if isinstance(q, float):
-        return _float_weight(q, lambda: q**ell * q_binomial_at(ell + r - 1, ell, q))
-    qf = Fraction(q)
-    return qf**ell * Fraction(q_binomial_at(ell + r - 1, ell, qf))
+    q = _exact_or_float(q)
+    return _positive_weight(q, q**ell * q_binomial_at(ell + r - 1, ell, q))
 
 
+@float_range
 def free_path_weight_dual(seq: StartSequence, ell: int, r: int, q: Weight) -> Weight:
     """Continuation weight expressed through the complementary family."""
     if r < 1:
@@ -320,26 +265,25 @@ def free_path_weight_dual(seq: StartSequence, ell: int, r: int, q: Weight) -> We
     if not n <= ell <= seq.top + n:
         raise InvalidArgument(f"dual exit abscissa must lie in [{n}, {seq.top + n}], got {ell}")
     _check_weight_q(q)
+    q = _exact_or_float(q)
     ell_dual = seq.top + n - ell
     exponent = r * (ell + 1) + r * (r - 1) // 2
-    if isinstance(q, float):
-        return _float_weight(q, lambda: q**exponent * q_binomial_at(ell_dual + r - 1, ell_dual, q))
-    qf = Fraction(q)
-    return qf**exponent * Fraction(q_binomial_at(ell_dual + r - 1, ell_dual, qf))
+    return _positive_weight(q, q**exponent * q_binomial_at(ell_dual + r - 1, ell_dual, q))
 
 
+def _exit_weights(seq: StartSequence, r: int, q: Weight) -> list[Weight]:
+    """H(ell) times the continuation weight, for ell = 0 .. a_n."""
+    weights = [one_point_exit(seq, ell, q) * free_path_weight(ell, r, q) for ell in range(seq.top + 1)]
+    if isinstance(q, float) and not all(map(math.isfinite, weights)):
+        raise NumericalFailure(f"exit weight at q = {q!r} is outside the float range")
+    return weights
+
+
+@float_range
 def perturbed_partition(seq: StartSequence, r: int, q: Weight) -> Weight:
     """Partition-function ratio for the ensemble with the top endpoint moved up r rows."""
-    if r < 1:
-        raise InvalidArgument("endpoint shift r must be >= 1")
-    _check_weight_q(q)
-    terms = [
-        one_point_exit(seq, ell, q) * free_path_weight(ell, r, q)
-        for ell in range(seq.top + 1)
-    ]
-    if isinstance(q, float):
-        return math.fsum(terms)
-    return sum(terms, Fraction(0))
+    terms = _exit_weights(seq, r, q)
+    return math.fsum(terms) if isinstance(q, float) else sum(terms, Fraction(0))
 
 
 def most_likely_exit(seq: StartSequence, r: int, q: Weight) -> int:
@@ -349,14 +293,5 @@ def most_likely_exit(seq: StartSequence, r: int, q: Weight) -> int:
     float q (for example a fractional power of a rational base) runs in double
     precision.
     """
-    if r < 1:
-        raise InvalidArgument("endpoint shift r must be >= 1")
-    _check_weight_q(q)
-    best_ell = 0
-    best = None
-    for ell in range(seq.top + 1):
-        w = one_point_exit(seq, ell, q) * free_path_weight(ell, r, q)
-        if best is None or w > best:
-            best = w
-            best_ell = ell
-    return best_ell
+    weights = _exit_weights(seq, r, q)
+    return weights.index(max(weights))

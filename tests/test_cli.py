@@ -11,7 +11,7 @@ import pytest
 
 from qpaths import cli, curves
 from qpaths.errors import NumericalFailure, QpathsError
-from qpaths.exact import StartSequence, partition_det, partition_poly
+from qpaths.exact import StartSequence, dual_sequence, partition_det, partition_poly
 from qpaths.profile import StartDensity
 from qpaths.qpoly import QPolynomial
 from qpaths.serialize import load_csv, parse_cell
@@ -125,11 +125,42 @@ def test_exact_float_partition_in_range(tmp_path):
 def test_reversal_check_counts_mismatched_degrees():
     seq = StartSequence((0, 2, 5))
     z = partition_poly(seq)
-    assert cli._reversal_check(seq, z) == (True, 0)
+    z_dual = partition_poly(dual_sequence(seq))
+    assert cli._reversal_check(seq, z, z_dual) == (True, 0)
     # Moving one unit of weight to another degree breaks two coefficients.
     k = z.degree
     broken = z - QPolynomial.monomial(k) + QPolynomial.monomial(k + 1)
-    assert cli._reversal_check(seq, broken) == (False, 2)
+    assert cli._reversal_check(seq, broken, z_dual) == (False, 2)
+
+
+def test_verify_duality_checks_the_dual_determinant(tmp_path, monkeypatch):
+    # verify's partition_duality compares the product form of Z against the
+    # determinant of the dual sequence, so a fault in the latter must show.
+    real = cli.partition_det
+    dual = dual_sequence(StartSequence((0, 2, 5)))
+
+    def broken(seq):
+        z = real(seq)
+        return z + QPolynomial.monomial(z.degree) if seq == dual else z
+
+    monkeypatch.setattr(cli, "partition_det", broken)
+    rc, out = run_cli(tmp_path, FINITE, "verify")
+    assert rc == 0
+    checks = {c["name"]: c for c in json.loads((out / "verify.json").read_text())["checks"]}
+    assert checks["partition_duality"] == {
+        "name": "partition_duality", "pass": False, "residual": 1.0, "tolerance": 0.0
+    }
+    assert all(c["pass"] for name, c in checks.items() if name != "partition_duality")
+
+
+@pytest.mark.parametrize("where", ["flag", "file"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, where):
+    doc = {"model": FINITE["model"], "task": {"sweeps": 10, "seed": -5 if where == "file" else 0}}
+    extra = ("--seed", "-5") if where == "flag" else ()
+    rc, out = run_cli(tmp_path, doc, "sample", *extra)
+    assert rc == 1
+    assert capsys.readouterr().err == "config error: task.seed: expected an integer >= 0, got -5\n"
+    assert not (out / "area_series.csv").exists()
 
 
 def test_sample_outputs_and_determinism(tmp_path):

@@ -179,7 +179,6 @@ def test_one_point_triple_agreement():
                 )
                 assert one_point_exit(seq, ell, q) == tail
                 assert one_point_exit_det(seq, ell, q) == tail
-                assert one_point_exit(seq, ell, q, extended_poles=True) == tail
 
 
 def test_one_point_boundary_values():
