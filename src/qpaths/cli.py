@@ -47,8 +47,8 @@ def _require(cfg: ModelConfig, kind: str, command: str) -> None:
         raise InvalidArgument(f"{command} needs a {kind} model configuration")
 
 
-def _out_dir(cfg: ModelConfig, args) -> str:
-    out = args.out or cfg.out or "."
+def _out_dir(cfg: ModelConfig) -> str:
+    out = cfg.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -85,29 +85,15 @@ def _partition_function(z: QPolynomial, q):
 
 def cmd_exact(cfg: ModelConfig, args) -> int:
     _require(cfg, "finite", "exact")
-    out = _out_dir(cfg, args)
     seq, q = cfg.sequence, cfg.q
     z = partition_poly(seq)
     z_at_q = _partition_function(z, q)
-    serialize.write_csv(
-        os.path.join(out, "partition.csv"),
-        ("degree", "coefficient"),
-        ((i, c) for i, c in enumerate(z.coeffs)),
-    )
 
     def table(fn, lo, hi):
         return [(ell, fn(seq, ell, q)) for ell in range(lo, hi + 1)]
 
-    serialize.write_csv(
-        os.path.join(out, "one_point.csv"),
-        ("ell", "H"),
-        table(one_point_exit, 0, seq.top),
-    )
-    serialize.write_csv(
-        os.path.join(out, "one_point_dual.csv"),
-        ("ell", "H_dual"),
-        table(one_point_exit_dual, seq.n, seq.top + seq.n),
-    )
+    one_point = table(one_point_exit, 0, seq.top)
+    one_point_dual = table(one_point_exit_dual, seq.n, seq.top + seq.n)
     reversal_ok, reversal_resid = _reversal_check(seq, z, partition_poly(dual_sequence(seq)))
     summary = {
         "sequence": list(seq),
@@ -117,6 +103,14 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
         "reversal_pass": reversal_ok,
         "reversal_residual": reversal_resid,
     }
+    out = _out_dir(cfg)
+    serialize.write_csv(
+        os.path.join(out, "partition.csv"),
+        ("degree", "coefficient"),
+        ((i, c) for i, c in enumerate(z.coeffs)),
+    )
+    serialize.write_csv(os.path.join(out, "one_point.csv"), ("ell", "H"), one_point)
+    serialize.write_csv(os.path.join(out, "one_point_dual.csv"), ("ell", "H_dual"), one_point_dual)
     with open(os.path.join(out, "exact_summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
@@ -128,25 +122,17 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
 
 def cmd_sample(cfg: ModelConfig, args) -> int:
     _require(cfg, "finite", "sample")
-    out = _out_dir(cfg, args)
-    sweeps = args.samples if args.samples is not None else cfg.sweeps
-    seed = args.seed if args.seed is not None else cfg.seed
-    result = run_chain(cfg.sequence, float(cfg.q), sweeps, seed)
+    result = run_chain(cfg.sequence, float(cfg.q), cfg.sweeps, cfg.seed)
+    out = _out_dir(cfg)
     serialize.write_csv(
         os.path.join(out, "density.csv"), ("x", "y", "count"), result.density.rows()
     )
     serialize.write_csv(
         os.path.join(out, "area_series.csv"),
         ("sweep", "area"),
-        (
-            (result.burn_in + i, int(a))
-            for i, a in enumerate(result.area_series)
-        ),
+        ((i, int(a)) for i, a in enumerate(result.area_series)),
     )
-    print(
-        f"{result.sweeps} sweeps (burn-in {result.burn_in}), "
-        f"acceptance rate {result.acceptance_rate:.3f}, seed {result.seed}"
-    )
+    print(f"{result.sweeps} sweeps, acceptance rate {result.acceptance_rate:.3f}, seed {result.seed}")
     print(f"wrote density.csv, area_series.csv in {out}")
     return 0
 
@@ -165,24 +151,21 @@ def _select_domains(cfg: ModelConfig, domains):
 
 def cmd_arctic(cfg: ModelConfig, args) -> int:
     _require(cfg, "scaled", "arctic")
-    out = _out_dir(cfg, args)
-    d, qq = cfg.density, cfg.base
-    n_samples = args.samples if args.samples is not None else cfg.samples
+    d, qq, n_samples = cfg.density, cfg.base, cfg.samples
     domains = _select_domains(cfg, curves.t_domains(d, qq))
 
     rows = []
     branch_curves = []
     for dom in domains:
         curve = curves.arctic_curve(d, qq, dom, n_samples=n_samples)
-        branch_curves.append((dom, curve))
+        branch_curves.append(curve)
         rows.extend((dom.branch, t, x, y) for t, x, y in curve.points)
         if curve.skipped:
             print(f"note: {dom.branch}: skipped {curve.skipped} singular points", file=sys.stderr)
         if curve.self_intersecting:
             print(f"note: {dom.branch}: sampled polyline self-intersects", file=sys.stderr)
-    serialize.write_csv(os.path.join(out, "arctic.csv"), ("branch", "t", "X", "Y"), rows)
-    written = ["arctic.csv"]
 
+    doc = None
     if args.svg:
         z_max = 0.0
         overlays = []
@@ -199,23 +182,21 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
                 overlays.append({"points": geo.xy(), "stroke": "#b8860b", "width": 0.8})
                 break
         top = d.alpha_top
-        items = [
-            {
-                "points": [(0, 0), (top, 0), (top, 1), (0, 1), (0, 0)],
-                "stroke": "#000000",
-                "width": 0.6,
-                "dash": "4 3",
-            }
-        ]
+        box = [(0, 0), (top, 0), (top, 1), (0, 1), (0, 0)]
+        items = [{"points": box, "stroke": "#000000", "width": 0.6, "dash": "4 3"}]
         for which in ("q_to_0", "q_to_inf"):
             for part in limit_curve(d, which):
                 items.append({"points": part, "stroke": "#bbbbbb", "width": 0.8, "dash": "2 2"})
-        for dom, curve in branch_curves:
-            items.append({"points": curve.xy(), "width": 1.6})
+        items.extend({"points": curve.xy(), "width": 1.6} for curve in branch_curves)
         items.extend(overlays)
         doc = serialize.render_svg(
             items, x_range=(0.0, top + z_max), y_range=(0.0, 1.0 + z_max)
         )
+
+    out = _out_dir(cfg)
+    serialize.write_csv(os.path.join(out, "arctic.csv"), ("branch", "t", "X", "Y"), rows)
+    written = ["arctic.csv"]
+    if doc is not None:
         serialize.write_svg(os.path.join(out, "arctic.svg"), doc)
         written.append("arctic.svg")
     print(f"wrote {', '.join(written)} in {out}")
@@ -224,7 +205,6 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
 
 def cmd_limits(cfg: ModelConfig, args) -> int:
     _require(cfg, "scaled", "limits")
-    out = _out_dir(cfg, args)
     d = cfg.density
     rows = []
     for which in ("q_to_0", "q_to_inf"):
@@ -241,6 +221,7 @@ def cmd_limits(cfg: ModelConfig, args) -> int:
                 (which, f"{window.kind}_window_{w_index}", i, x, y)
                 for i, (x, y) in enumerate(tent)
             )
+    out = _out_dir(cfg)
     serialize.write_csv(
         os.path.join(out, "limits.csv"), ("limit", "part", "vertex", "X", "Y"), rows
     )
@@ -248,57 +229,49 @@ def cmd_limits(cfg: ModelConfig, args) -> int:
     return 0
 
 
-def _verify_checks(cfg: ModelConfig):
-    tol_env = cfg.tolerance
+_SMALL_SEQS = ((0, 2), (0, 1, 3), (0, 2, 5), (0, 3, 4, 6))
+_TWO = StartDensity([(1.0, 2.0)])
 
-    checks = []
 
-    def record(name, residual, tolerance):
-        checks.append(
-            {
-                "name": name,
-                "pass": bool(residual <= tolerance),
-                "residual": float(residual),
-                "tolerance": float(tolerance),
-            }
-        )
-
-    seqs = [StartSequence(s) for s in ((0, 2), (0, 1, 3), (0, 2, 5), (0, 3, 4, 6))]
+def _det_vs_product(cfg):
     worst = 0.0
-    for seq in seqs:
+    for seq in map(StartSequence, _SMALL_SEQS):
         z = partition_det(seq)
         for q in (Fraction(1, 3), Fraction(7, 2)):
             worst = max(worst, abs(float(z(q) - partition_product(seq, q))))
-    record("partition_det_vs_product", worst, 0.0)
-    record(
-        "partition_poly_vs_det",
-        sum(partition_poly(seq) != partition_det(seq) for seq in seqs),
-        0.0,
-    )
+    return worst
 
+
+def _poly_vs_det(cfg):
+    return sum(partition_poly(seq) != partition_det(seq) for seq in map(StartSequence, _SMALL_SEQS))
+
+
+def _vs_enumeration(cfg):
     seq = StartSequence((0, 2, 3))
-    z = partition_det(seq)
     q = Fraction(2, 3)
     brute = sum(q ** c.total_area() for c in enumerate_configs(seq))
-    record("partition_vs_enumeration", abs(float(z(q) - brute)), 0.0)
+    return abs(float(partition_det(seq)(q) - brute))
 
-    worst = 0.0
-    for c in enumerate_configs(seq):
-        worst = max(worst, abs(to_second_family(c).total_area() - c.total_area()))
-    record("second_family_area", worst, 0.0)
 
+def _second_family_area(cfg):
+    configs = enumerate_configs(StartSequence((0, 2, 3)))
+    return max(abs(to_second_family(c).total_area() - c.total_area()) for c in configs)
+
+
+def _duality(cfg):
     seq = StartSequence((0, 2, 5))
     # Independent routes: Z's product form against the dual's determinant.
-    _, mismatched = _reversal_check(seq, partition_poly(seq), partition_det(dual_sequence(seq)))
-    record("partition_duality", mismatched, 0.0)
+    return _reversal_check(seq, partition_poly(seq), partition_det(dual_sequence(seq)))[1]
 
+
+def _one_point_triple(cfg):
+    seq = StartSequence((0, 2, 5))
     q = Fraction(2, 5)
     zq = partition_det(seq)(q)
-    n = seq.n
     by_exit = {}
     for c in enumerate_configs(seq):
         # Exit abscissa: where the top path first reaches the top row.
-        ell = max(x for x, y in c.paths[-1] if y == n)
+        ell = max(x for x, y in c.paths[-1] if y == seq.n)
         by_exit[ell] = by_exit.get(ell, Fraction(0)) + q ** c.total_area()
     worst = 0.0
     for ell in range(seq.top + 1):
@@ -308,18 +281,19 @@ def _verify_checks(cfg: ModelConfig):
         h_res = one_point_exit(seq, ell, q)
         h_det = one_point_exit_det(seq, ell, q)
         worst = max(worst, abs(float(h_res - tail)), abs(float(h_res - h_det)))
-    record("one_point_triple", worst, 0.0)
+    return worst
 
+
+def _complementarity(cfg):
     seq = StartSequence((0, 2, 6))
     q = Fraction(3, 7)
-    worst = 0.0
-    for ell in range(seq.n + 1, seq.top + 1):
-        h = one_point_exit(seq, ell, q)
-        hd = one_point_exit_dual(seq, ell - 1, q)
-        worst = max(worst, abs(float(h + hd - 1)))
-    record("one_point_complementarity", worst, 0.0)
+    return max(
+        abs(float(one_point_exit(seq, ell, q) + one_point_exit_dual(seq, ell - 1, q) - 1))
+        for ell in range(seq.n + 1, seq.top + 1)
+    )
 
-    two = StartDensity([(1.0, 2.0)])
+
+def _closed_vs_quadrature(cfg):
     worst = 0.0
     for qq in (3.0, 1.0 / 3.0):
         far = (18.0, 150.0, -5.0) if qq > 1 else (30.0, 300.0, -5.0)
@@ -327,46 +301,72 @@ def _verify_checks(cfg: ModelConfig):
         # and 1, where the quadrature refines hardest.
         step = 1e-6 if qq > 1 else -1e-6
         for t in (*far, qq**2 * (1.0 + step), 1.0 - step):
-            closed = curves.x_of_t(two, qq, t)
-            quad = curves.x_of_t(two, qq, t, method="quadrature")
+            closed = curves.x_of_t(_TWO, qq, t)
+            quad = curves.x_of_t(_TWO, qq, t, method="quadrature")
             worst = max(worst, abs(closed - quad) / abs(closed))
-    record("x_closed_vs_quadrature", worst, 1e-8)
+    return worst
 
-    density = cfg.density if cfg.kind == "scaled" else two
+
+def _envelope(cfg):
+    density = cfg.density if cfg.kind == "scaled" else _TWO
     qq = cfg.base if cfg.kind == "scaled" else 3.0
-    sc_worst = 0.0
+    worst = 0.0
     for dom in curves.t_domains(density, qq):
-        curve = curves.arctic_curve(density, qq, dom, n_samples=24)
-        for t, bx, by in curve.points:
+        for t, bx, by in curves.arctic_curve(density, qq, dom, n_samples=24).points:
             x = curves.x_of_t(density, qq, t)
-            resid = abs(x * qq**by + (1.0 - x) / t * qq**bx - 1.0)
-            sc_worst = max(sc_worst, resid)
-    record("envelope_residual", sc_worst, tol_env)
+            worst = max(worst, abs(x * qq**by + (1.0 - x) / t * qq**bx - 1.0))
+    return worst
 
+
+def _saddle(cfg):
     worst = 0.0
     for t in (18.0, 150.0):
-        v = curves.exit_params_right(two, 3.0, t)
-        worst = max(worst, abs(actions.saddle_residual_t(two, 3.0, t, v.xi)))
-        worst = max(
-            worst, abs(actions.saddle_residual_xi_right(two, 3.0, t, v.xi, v.z))
-        )
-    record("saddle_residuals", worst, 1e-6)
+        v = curves.exit_params_right(_TWO, 3.0, t)
+        worst = max(worst, abs(actions.saddle_residual_t(_TWO, 3.0, t, v.xi)),
+                    abs(actions.saddle_residual_xi_right(_TWO, 3.0, t, v.xi, v.z)))
+    return worst
 
+
+def _csv_round_trip(cfg):
     cells = [math.pi, 1.0 / 3.0, 6.02214076e23, -2.5e-308]
-    round_trip = [serialize.parse_cell(serialize.format_cell(v)) for v in cells]
-    record("csv_round_trip", 0.0 if round_trip == cells else 1.0, 0.0)
-    return checks
+    return 0.0 if [serialize.parse_cell(serialize.format_cell(v)) for v in cells] == cells else 1.0
+
+
+# verify's checks: (name, residual of the model configuration, tolerance);
+# a tolerance of None means the configured task.tolerance.
+_CHECKS = [
+    ("partition_det_vs_product", _det_vs_product, 0.0),
+    ("partition_poly_vs_det", _poly_vs_det, 0.0),
+    ("partition_vs_enumeration", _vs_enumeration, 0.0),
+    ("second_family_area", _second_family_area, 0.0),
+    ("partition_duality", _duality, 0.0),
+    ("one_point_triple", _one_point_triple, 0.0),
+    ("one_point_complementarity", _complementarity, 0.0),
+    ("x_closed_vs_quadrature", _closed_vs_quadrature, 1e-8),
+    ("envelope_residual", _envelope, None),
+    ("saddle_residuals", _saddle, 1e-6),
+    ("csv_round_trip", _csv_round_trip, 0.0),
+]
 
 
 def cmd_verify(cfg: ModelConfig, args) -> int:
-    out = args.out or cfg.out
-    checks = _verify_checks(cfg)
+    checks = []
+    for name, residual_of, tolerance in _CHECKS:
+        tolerance = float(cfg.tolerance if tolerance is None else tolerance)
+        try:
+            residual = float(residual_of(cfg))
+        except QpathsError as exc:
+            checks.append({"name": name, "pass": False, "residual": None,
+                           "tolerance": tolerance, "error": str(exc)})
+            continue
+        checks.append({"name": name, "pass": residual <= tolerance,
+                       "residual": residual, "tolerance": tolerance})
     report = {"checks": checks, "all_pass": all(c["pass"] for c in checks)}
     text = json.dumps(report, indent=2)
     print(text)
-    if out:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "verify.json"), "w", encoding="utf-8") as fh:
+    if cfg.out:
+        os.makedirs(cfg.out, exist_ok=True)
+        with open(os.path.join(cfg.out, "verify.json"), "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return 0
 
@@ -410,11 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Flags override task keys and meet the file's rules; --samples counts
+    # sweeps for sample and curve points for every other command.
+    flags = {"seed": args.seed, "out": args.out,
+             "sweeps" if args.command == "sample" else "samples": args.samples}
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None and args.seed < 0:
-            # The flag meets the rule of task.seed in the configuration file.
-            raise ConfigError([f"task.seed: expected an integer >= 0, got {args.seed!r}"])
+        cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -10,7 +10,7 @@ in one pass.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
@@ -50,6 +50,17 @@ class ModelConfig:
     out: Optional[str] = None
 
 
+def _unknown_keys(node: dict, allowed, label: str, problems: list[str], where: str = "") -> None:
+    extra = set(node) - set(allowed)
+    if extra:
+        problems.append(f"{label}: unknown keys {sorted(extra)}{where}")
+
+
+def _finite_number(v: Any) -> bool:
+    """True for a number that fits a finite float (JSON booleans are not numbers)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _parse_weight(value: Any, problems: list[str]) -> Optional[Weight]:
     """Accept an integer, decimal, "num/den" string, or {base, n} pair."""
     if isinstance(value, bool):
@@ -61,7 +72,7 @@ def _parse_weight(value: Any, problems: list[str]) -> Optional[Weight]:
             return None
         return Fraction(value)
     if isinstance(value, float):
-        if not (value > 0.0 and math.isfinite(value)):
+        if not (_finite_number(value) and value > 0):
             problems.append(f"model.finite.q: must be positive and finite, got {value}")
             return None
         # repr() is the shortest decimal that round-trips, so the literal
@@ -78,17 +89,11 @@ def _parse_weight(value: Any, problems: list[str]) -> Optional[Weight]:
             return None
         return q
     if isinstance(value, dict):
-        extra = set(value) - {"base", "n"}
-        if extra:
-            problems.append(
-                f"model.finite.q: unknown keys {sorted(extra)} in the base/n form"
-            )
+        _unknown_keys(value, {"base", "n"}, "model.finite.q", problems, " in the base/n form")
         base = value.get("base")
         n = value.get("n")
         ok = True
-        if not isinstance(base, (int, float)) or isinstance(base, bool) or not (
-            base > 0 and math.isfinite(base)
-        ):
+        if not (_finite_number(base) and base > 0):
             problems.append(f"model.finite.q.base: must be a positive number, got {base!r}")
             ok = False
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -103,9 +108,7 @@ def _parse_finite(node: Any, problems: list[str]):
     if not isinstance(node, dict):
         problems.append("model.finite: expected an object")
         return None, None
-    extra = set(node) - {"sequence", "q"}
-    if extra:
-        problems.append(f"model.finite: unknown keys {sorted(extra)}")
+    _unknown_keys(node, {"sequence", "q"}, "model.finite", problems)
     seq = None
     raw = node.get("sequence")
     if not isinstance(raw, list) or not all(
@@ -146,9 +149,7 @@ def _parse_scaled(node: Any, problems: list[str]):
     if not isinstance(node, dict):
         problems.append("model.scaled: expected an object")
         return None, None
-    extra = set(node) - {"segments", "jumps", "base"}
-    if extra:
-        problems.append(f"model.scaled: unknown keys {sorted(extra)}")
+    _unknown_keys(node, {"segments", "jumps", "base"}, "model.scaled", problems)
     segments = _pair_list(node.get("segments"), "model.scaled.segments", problems)
     jumps: Optional[list[tuple[float, float]]] = []
     if "jumps" in node:
@@ -164,11 +165,7 @@ def _parse_scaled(node: Any, problems: list[str]):
     if "base" not in node:
         problems.append("model.scaled.base: missing")
         base = None
-    elif (
-        not isinstance(base, (int, float))
-        or isinstance(base, bool)
-        or not (base > 0 and math.isfinite(base))
-    ):
+    elif not (_finite_number(base) and base > 0):
         problems.append(f"model.scaled.base: must be a positive number, got {base!r}")
         base = None
     elif base == 1.0:
@@ -186,9 +183,7 @@ def _parse_task(node: Any, problems: list[str]) -> dict[str, Any]:
     if not isinstance(node, dict):
         problems.append("task: expected an object")
         return out
-    extra = set(node) - _TASK_KEYS
-    if extra:
-        problems.append(f"task: unknown keys {sorted(extra)}")
+    _unknown_keys(node, _TASK_KEYS, "task", problems)
 
     if "branch" in node:
         branch = node["branch"]
@@ -210,20 +205,13 @@ def _parse_task(node: Any, problems: list[str]) -> dict[str, Any]:
                 out[key] = v
     if "tolerance" in node:
         v = node["tolerance"]
-        if (
-            not isinstance(v, (int, float))
-            or isinstance(v, bool)
-            or not (v > 0 and math.isfinite(v))
-        ):
+        if not (_finite_number(v) and v > 0):
             problems.append(f"task.tolerance: expected a positive number, got {v!r}")
         else:
             out["tolerance"] = float(v)
     if "t_values" in node:
         v = node["t_values"]
-        if not isinstance(v, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-            for x in v
-        ):
+        if not isinstance(v, list) or not all(_finite_number(x) for x in v):
             problems.append("task.t_values: expected a list of finite numbers")
         else:
             out["t_values"] = tuple(float(x) for x in v)
@@ -236,11 +224,13 @@ def _parse_task(node: Any, problems: list[str]) -> dict[str, Any]:
     return out
 
 
-def parse_config(text: str) -> ModelConfig:
+def parse_config(text: str, overrides: Optional[dict[str, Any]] = None) -> ModelConfig:
     """Parse and validate a JSON configuration document.
 
-    Raises ConfigError carrying the complete list of violations; nothing is
-    reported until the whole document has been checked.
+    ``overrides`` replaces task keys before validation, so command-line
+    values meet the rules and messages of the file.  Raises ConfigError
+    carrying the complete list of violations; nothing is reported until
+    the whole document has been checked.
     """
     try:
         doc = json.loads(text)
@@ -252,9 +242,7 @@ def parse_config(text: str) -> ModelConfig:
     problems: list[str] = []
     if not isinstance(doc, dict):
         raise ConfigError(["top level: expected an object"])
-    extra = set(doc) - {"model", "task"}
-    if extra:
-        problems.append(f"top level: unknown keys {sorted(extra)}")
+    _unknown_keys(doc, {"model", "task"}, "top level", problems)
 
     model = doc.get("model")
     kind = None
@@ -262,9 +250,7 @@ def parse_config(text: str) -> ModelConfig:
     if not isinstance(model, dict):
         problems.append("model: missing or not an object")
     else:
-        extra = set(model) - {"finite", "scaled"}
-        if extra:
-            problems.append(f"model: unknown keys {sorted(extra)}")
+        _unknown_keys(model, {"finite", "scaled"}, "model", problems)
         has_finite = "finite" in model
         has_scaled = "scaled" in model
         if has_finite == has_scaled:
@@ -276,7 +262,10 @@ def parse_config(text: str) -> ModelConfig:
             kind = "scaled"
             density, base = _parse_scaled(model["scaled"], problems)
 
-    task = _parse_task(doc.get("task"), problems)
+    task = doc.get("task")
+    if overrides and (task is None or isinstance(task, dict)):
+        task = {**(task or {}), **overrides}
+    task = _parse_task(task, problems)
     if problems:
         raise ConfigError(problems)
     assert kind is not None
@@ -285,6 +274,6 @@ def parse_config(text: str) -> ModelConfig:
     )
 
 
-def load_config(path: str) -> ModelConfig:
+def load_config(path: str, overrides: Optional[dict[str, Any]] = None) -> ModelConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), overrides)

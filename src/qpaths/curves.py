@@ -98,13 +98,10 @@ class Curve:
 
     ``points`` holds (t, X, Y) triples in sweep order; ``skipped``
     counts parameter values dropped because the point map was singular
-    there.  ``branch`` is None for derived curves (tangent lines,
-    geodesics) that are not tied to a t interval.
+    there.
     """
 
     points: list[tuple[float, float, float]]
-    qq: float
-    branch: Optional[TDomain] = None
     skipped: int = 0
     self_intersecting: bool = False
 
@@ -130,7 +127,7 @@ class ScalingVars:
 class _Scaled:
     """Cached per-(density, base) quantities used by every evaluator."""
 
-    __slots__ = ("d", "qq", "log_q", "parts", "top", "e_top", "windows")
+    __slots__ = ("d", "qq", "log_q", "parts", "top", "e_top", "domains")
 
     def __init__(self, d: StartDensity, qq: float):
         self.d = d
@@ -146,43 +143,28 @@ class _Scaled:
         self.e_top = self.qq**self.top
         if 0.0 in (self.e_top, *(e for part in self.parts for e in part[3:])):
             raise NumericalFailure(f"a pole qq**a underflows to 0 at base {self.qq!r}")
-        self.windows = d.windows
+        # The branch ladder: right arc, left arc, then one per window.
+        inf = math.inf
+        if self.qq > 1.0:
+            self.domains = [TDomain(self.e_top, inf, "right", 1), TDomain(-inf, 1.0, "left", 1)]
+        else:
+            self.domains = [TDomain(-inf, self.e_top, "right", 1), TDomain(1.0, inf, "left", 1)]
+        for idx, w in enumerate(d.windows):
+            lo, hi = sorted((self.qq**w.a_lo, self.qq**w.a_hi))
+            sign = -1 if w.kind == "filled" else 1
+            self.domains.append(TDomain(lo, hi, f"{w.kind}_window_{idx + 1}", sign, window=w))
 
-    # -- classification -------------------------------------------------
+    def domain(self, t: float) -> TDomain:
+        """The branch whose open t interval holds t.
 
-    def classify(self, t: float) -> tuple[str, int, Optional[WindowSpec]]:
-        """Return (branch label, sign of x, window) for admissible t.
-
-        Raises InvalidArgument when t falls on the inadmissible part of
-        the ladder (a point of the density support that is not inside a
-        window) or exactly on a domain boundary.
+        Raises InvalidArgument for a non-finite t and for a t on no branch:
+        a branch end, or a point of the density support outside every
+        window.
         """
-        if not math.isfinite(t):
-            raise InvalidArgument(f"tangency parameter must be finite, got {t!r}")
-        if t <= 0.0:
-            # Negative t (and t = 0) always lies on an outer branch.
-            return ("left", 1, None) if self.qq > 1.0 else ("right", 1, None)
-        # tau orients positive t on the qq-power ladder for either base:
-        # beyond alpha(1) lies the right branch, below 0 the left one.
-        tau = math.log(t) / self.log_q
-        if tau >= self.top:
-            if tau == self.top:
-                raise InvalidArgument(f"t={t!r} sits on a branch boundary")
-            return "right", 1, None
-        if tau <= 0.0:
-            if tau == 0.0:
-                raise InvalidArgument(f"t={t!r} sits on a branch boundary")
-            return "left", 1, None
-        for idx, w in enumerate(self.windows):
-            if w.a_lo < tau < w.a_hi:
-                label = f"{w.kind}_window_{idx + 1}"
-                return label, (-1 if w.kind == "filled" else 1), w
-            if tau == w.a_lo or tau == w.a_hi:
-                raise InvalidArgument(f"t={t!r} sits on a window boundary")
-        raise InvalidArgument(
-            f"t={t!r} maps into the density support (exponent {tau:.6g}); "
-            "no branch of the arctic curve passes through it"
-        )
+        for dom in self.domains:
+            if t in dom:
+                return dom
+        raise InvalidArgument(f"t={t!r} lies on no branch of the arctic curve")
 
     # -- x(t) and s = t x'(t) / x(t) -------------------------------------
 
@@ -205,22 +187,7 @@ class _Scaled:
 @float_range
 def t_domains(d: StartDensity, qq: float) -> list[TDomain]:
     """All admissible t intervals: right arc, left arc, then one per window."""
-    sc = _Scaled(d, qq)
-    doms = []
-    inf = math.inf
-    if sc.qq > 1.0:
-        doms.append(TDomain(sc.e_top, inf, "right", 1))
-        doms.append(TDomain(-inf, 1.0, "left", 1))
-    else:
-        doms.append(TDomain(-inf, sc.e_top, "right", 1))
-        doms.append(TDomain(1.0, inf, "left", 1))
-    for idx, w in enumerate(sc.windows):
-        lo, hi = sc.qq**w.a_lo, sc.qq**w.a_hi
-        if lo > hi:
-            lo, hi = hi, lo
-        sign = -1 if w.kind == "filled" else 1
-        doms.append(TDomain(lo, hi, f"{w.kind}_window_{idx + 1}", sign, window=w))
-    return doms
+    return _Scaled(d, qq).domains
 
 
 @float_range
@@ -233,7 +200,8 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
     comes from the analytic continuation across the support).
     """
     sc = _Scaled(d, qq)
-    _, sign, window = sc.classify(t)
+    dom = sc.domain(t)
+    sign, window = dom.sign_of_x, dom.window
     if method == "closed":
         return float(sc.terms(t, sign)[1])
     if method != "quadrature":
@@ -261,7 +229,7 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
         # The pole sits inside the p = 1 run; integrate the whole run as
         # one principal value (slope 1 makes the integrand a single
         # analytic function of a there).  The continuation across the
-        # support only flips the sign, which classify() already fixed.
+        # support only flips the sign, which the branch already fixed.
         tau = math.log(t) / log_q
 
         def numerator(a: float) -> float:
@@ -277,8 +245,7 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
 def dx_dt(d: StartDensity, qq: float, t: float) -> float:
     """Derivative x'(t) of the closed-form tangent-family weight."""
     sc = _Scaled(d, qq)
-    _, sign, _ = sc.classify(t)
-    _, x, _, s = sc.terms(t, sign)
+    _, x, _, s = sc.terms(t, sc.domain(t).sign_of_x)
     if t == 0.0:
         # s vanishes with t; there x'/x = sum (1/p) (1/E_lo - 1/E_hi).
         return float(x * sum(inv_p * (1.0 / lo - 1.0 / hi) for *_, inv_p, lo, hi in sc.parts))
@@ -315,7 +282,7 @@ def arctic_point(d: StartDensity, qq: float, t: float) -> tuple[float, float]:
     outside every branch.
     """
     sc = _Scaled(d, qq)
-    bx, by, regular = _tangency(sc, t, sc.classify(t)[1])
+    bx, by, regular = _tangency(sc, t, sc.domain(t).sign_of_x)
     if not regular:
         raise SingularPoint(f"point map singular or undefined at t={t!r}")
     return float(bx), float(by)
@@ -393,14 +360,12 @@ def arctic_curve(
     NumericalFailure.
     """
     sc = _Scaled(d, qq)
+    dom = branch
     if isinstance(branch, str):
-        matches = [dom for dom in t_domains(d, qq) if dom.branch == branch]
-        if not matches:
-            labels = ", ".join(dom.branch for dom in t_domains(d, qq))
+        dom = next((dom for dom in sc.domains if dom.branch == branch), None)
+        if dom is None:
+            labels = ", ".join(dom.branch for dom in sc.domains)
             raise InvalidArgument(f"unknown branch {branch!r}; have: {labels}")
-        dom = matches[0]
-    else:
-        dom = branch
     if n_samples < 2:
         raise InvalidArgument(f"n_samples must be at least 2, got {n_samples}")
     legs = _branch_legs(sc, dom)
@@ -420,7 +385,7 @@ def arctic_curve(
     from .geometry import polyline_self_intersects
 
     crossing = polyline_self_intersects(np.column_stack([bx[regular], by[regular]]))
-    return Curve(points=_points(t[regular], bx[regular], by[regular]), qq=sc.qq, branch=dom,
+    return Curve(points=_points(t[regular], bx[regular], by[regular]),
                  skipped=int(np.count_nonzero(~regular)), self_intersecting=crossing)
 
 
@@ -434,7 +399,7 @@ def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100)
     sweeps a branch.
     """
     sc = _Scaled(d, qq)
-    _, x, one_minus_x, _ = sc.terms(t, sc.classify(t)[1])
+    _, x, one_minus_x, _ = sc.terms(t, sc.domain(t).sign_of_x)
     if x == 0.0:
         raise SingularPoint(f"tangent line undefined at t={t!r}: x = 0")
     if n_samples < 2:
@@ -444,7 +409,7 @@ def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100)
     with np.errstate(all="ignore"):
         qy = (1.0 - coeff * sc.qq**bx) / x
     keep = (qy > 0.0) & np.isfinite(qy)
-    return Curve(points=_points(t, bx[keep], np.log(qy[keep]) / sc.log_q), qq=sc.qq)
+    return Curve(points=_points(t, bx[keep], np.log(qy[keep]) / sc.log_q))
 
 
 @float_range
@@ -464,7 +429,7 @@ def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
     with np.errstate(all="ignore"):
         qy1 = 1.0 + math.expm1(z * log_q) * (1.0 - np.expm1(bx * log_q) / math.expm1(xi * log_q))
     keep = (qy1 > 0.0) & np.isfinite(qy1)
-    return Curve(points=_points(math.nan, bx[keep], 1.0 + np.log(qy1[keep]) / log_q), qq=qq)
+    return Curve(points=_points(math.nan, bx[keep], 1.0 + np.log(qy1[keep]) / log_q))
 
 
 def _xi_of(sc: _Scaled, t: float, lx: float, x: float, one_minus_x: float) -> float:
@@ -489,10 +454,10 @@ def exit_params_right(d: StartDensity, qq: float, t: float) -> ScalingVars:
     Raises InvalidArgument when t is not on the right branch.
     """
     sc = _Scaled(d, qq)
-    label, sign, _ = sc.classify(t)
-    if label != "right":
-        raise InvalidArgument(f"t={t!r} is on branch {label!r}, not 'right'")
-    lx, x, one_minus_x, _ = sc.terms(t, sign)
+    dom = sc.domain(t)
+    if dom.branch != "right":
+        raise InvalidArgument(f"t={t!r} is on branch {dom.branch!r}, not 'right'")
+    lx, x, one_minus_x, _ = sc.terms(t, dom.sign_of_x)
     xi = _xi_of(sc, t, lx, x, one_minus_x)
     q_z = (t - one_minus_x) / (t * sc.qq * x)
     if q_z <= 0.0 or not math.isfinite(q_z):
@@ -508,10 +473,10 @@ def exit_params_left(d: StartDensity, qq: float, t: float) -> ScalingVars:
     tail from the dual corner.  Raises InvalidArgument off the branch.
     """
     sc = _Scaled(d, qq)
-    label, sign, _ = sc.classify(t)
-    if label != "left":
-        raise InvalidArgument(f"t={t!r} is on branch {label!r}, not 'left'")
-    lx, x, one_minus_x, _ = sc.terms(t, sign)
+    dom = sc.domain(t)
+    if dom.branch != "left":
+        raise InvalidArgument(f"t={t!r} is on branch {dom.branch!r}, not 'left'")
+    lx, x, one_minus_x, _ = sc.terms(t, dom.sign_of_x)
     xi = _xi_of(sc, t, lx, x, one_minus_x)
     denom = sc.qq * (t * x + sc.e_top * one_minus_x)
     if denom == 0.0:

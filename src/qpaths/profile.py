@@ -42,7 +42,6 @@ class WindowSpec:
     """A freezing window: the density-value range it spans and its origin."""
 
     kind: Literal["gap", "filled"]
-    index: int
     a_lo: float
     a_hi: float
     internal: bool
@@ -51,7 +50,7 @@ class WindowSpec:
 class StartDensity:
     """Validated piecewise-linear start-point density."""
 
-    __slots__ = ("segments", "jumps", "_elements", "_windows")
+    __slots__ = ("_elements", "_windows")
 
     def __init__(
         self,
@@ -113,8 +112,6 @@ class StartDensity:
                 elements.append(ProfileElement("jump", u_hi, u_hi, a, a + d, None))
                 a += d
 
-        self.segments = tuple(segs)
-        self.jumps = tuple(jmp)
         self._elements = tuple(elements)
         self._windows = self._find_windows(elements)
 
@@ -128,9 +125,7 @@ class StartDensity:
             nonlocal run_start, run_end
             if run_start is not None:
                 internal = run_start.u_lo > 0.0 and run_end.u_hi < 1.0
-                windows.append(WindowSpec(
-                    "filled", len(windows), run_start.a_lo, run_end.a_hi, internal,
-                ))
+                windows.append(WindowSpec("filled", run_start.a_lo, run_end.a_hi, internal))
             run_start = run_end = None
 
         for el in elements:
@@ -141,9 +136,7 @@ class StartDensity:
             else:
                 flush()
                 if el.kind == "jump":
-                    windows.append(WindowSpec(
-                        "gap", len(windows), el.a_lo, el.a_hi, True,
-                    ))
+                    windows.append(WindowSpec("gap", el.a_lo, el.a_hi, True))
         flush()
         return tuple(windows)
 

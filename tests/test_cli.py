@@ -84,6 +84,7 @@ def test_exact_float_partition_out_of_range(tmp_path, capsys):
     rc, out = run_cli(tmp_path, doc, "exact")
     assert rc == 2
     assert "outside the float range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exact_rational_q_with_large_values(tmp_path, capsys):
@@ -101,14 +102,17 @@ def test_exact_rational_q_with_large_values(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "sequence, base", [([0, 5], 1e60), ([0, 1, 40], 1e-5)]
+    "sequence, base", [([0, 5], 1e60), ([0, 1, 40], 1e-5), ([0, 5], 1e-60)]
 )
 def test_exact_float_residue_sums_out_of_range(tmp_path, capsys, sequence, base):
+    # At 1e60 the first one-point table fails, at 1e-60 the dual one; a
+    # failing command writes none of its files.
     doc = {"model": {"finite": {"sequence": sequence, "q": {"base": base, "n": 1}}}}
     rc, out = run_cli(tmp_path, doc, "exact")
     assert rc == 2
     err = capsys.readouterr().err
     assert "residue sum" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_exact_float_partition_in_range(tmp_path):
@@ -163,6 +167,23 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, where):
     assert not (out / "area_series.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, samples, message",
+    [
+        ("arctic", "1", "task.samples: expected an integer >= 2, got 1"),
+        ("sample", "0", "task.sweeps: expected an integer >= 1, got 0"),
+    ],
+)
+def test_samples_flag_is_a_task_override(tmp_path, capsys, command, samples, message):
+    # --samples sets task.sweeps for sample and task.samples otherwise,
+    # under the rules and messages of the configuration file.
+    doc = FINITE if command == "sample" else SCALED_UNIFORM
+    rc, out = run_cli(tmp_path, doc, command, "--samples", samples)
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_sample_outputs_and_determinism(tmp_path):
     rc, out = run_cli(tmp_path, FINITE, "sample")
     assert rc == 0
@@ -204,6 +225,16 @@ def test_arctic_branches_and_svg(tmp_path):
     ET.fromstring((out / "arctic.svg").read_text())
 
 
+def test_failing_arctic_writes_nothing(tmp_path, capsys):
+    # t = 3 lies in the density support; its tangent line fails only after
+    # every branch has been computed.
+    doc = dict(SCALED_UNIFORM, task={"t_values": [3.0]})
+    rc, out = run_cli(tmp_path, doc, "arctic", "--svg")
+    assert rc == 1
+    assert "no branch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("base", [1e-9, 1e12])
 def test_arctic_extreme_bases(tmp_path, base):
     doc = {"model": {"scaled": dict(SCALED_GAPPED["model"]["scaled"], base=base)}}
@@ -216,10 +247,11 @@ def test_arctic_extreme_bases(tmp_path, base):
 def test_arctic_base_beyond_float_range(tmp_path, capsys):
     # qq**alpha(1) = 1e450 overflows before any branch is swept.
     doc = {"model": {"scaled": dict(SCALED_GAPPED["model"]["scaled"], base=1e150)}}
-    rc, _ = run_cli(tmp_path, doc, "arctic")
+    rc, out = run_cli(tmp_path, doc, "arctic")
     assert rc == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_arctic_right_leg_stops_at_the_overflow_bound(tmp_path):
@@ -242,10 +274,11 @@ def test_arctic_uniform_base_beyond_float_range(tmp_path, capsys, base):
     # e**352: 2 * 352 = 704 >= 700, so no right-branch t is representable.
     # 1e-300: the pole qq**2 underflows to 0.
     doc = {"model": {"scaled": {"segments": [[1.0, 2.0]], "base": base}}}
-    rc, _ = run_cli(tmp_path, doc, "arctic")
+    rc, out = run_cli(tmp_path, doc, "arctic")
     assert rc == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_arctic_window_selection(tmp_path):
@@ -294,6 +327,25 @@ def test_verify_reports_all_pass(tmp_path):
     assert "envelope_residual" in names
     for check in report["checks"]:
         assert check["residual"] <= check["tolerance"]
+
+
+@pytest.mark.parametrize(
+    "base, message",
+    [(1e-300, "a pole qq**a underflows to 0"), (1e200, "t domains is outside the float range")],
+)
+def test_verify_reports_a_raising_check_as_failed(tmp_path, capsys, base, message):
+    doc = {"model": {"scaled": {"segments": [[1.0, 2.0]], "base": base}}}
+    rc, out = run_cli(tmp_path, doc, "verify")
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == json.loads((out / "verify.json").read_text())
+    assert report["all_pass"] is False
+    checks = {c["name"]: c for c in report["checks"]}
+    envelope = checks.pop("envelope_residual")
+    assert envelope["pass"] is False and envelope["residual"] is None
+    assert envelope["tolerance"] == 1e-10
+    assert envelope["error"].startswith(message)
+    assert len(checks) == 10 and all(c["pass"] for c in checks.values())
 
 
 def test_config_errors_reported_together(tmp_path, capsys):

@@ -66,7 +66,8 @@ def test_weight_forms():
 
 
 def test_weight_rejections():
-    for bad in (0, -3, 0.0, -1.5, "0/3", "x", True, [2], {"base": 0, "n": 4}):
+    for bad in (0, -3, 0.0, -1.5, "0/3", "x", True, [2], {"base": 0, "n": 4},
+                {"base": 10**400, "n": 4}):
         doc = {"model": {"finite": {"sequence": [0, 1], "q": bad}}}
         with pytest.raises(ConfigError):
             parse_config(json.dumps(doc))
@@ -95,6 +96,17 @@ def test_all_violations_reported_in_one_pass():
     assert "task.seed" in text
     assert "unknown keys ['bogus']" in text
     assert len(info.value.problems) >= 8
+
+
+def test_integers_beyond_the_float_range_are_rejected():
+    doc = {
+        "model": {"scaled": {"segments": [[1.0, 2.0]], "base": 10**400}},
+        "task": {"tolerance": 10**400, "t_values": [10**400]},
+    }
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    labels = [p.partition(":")[0] for p in info.value.problems]
+    assert labels == ["model.scaled.base", "task.tolerance", "task.t_values"]
 
 
 def test_json_error_carries_position():

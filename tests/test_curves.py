@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qpaths.curves import (
     arctic_curve,
@@ -139,6 +141,45 @@ def test_window_weight_signs_and_quadrature():
         assert x_of_t(GAPPED, 3.0, t, method="quadrature") == pytest.approx(
             closed, rel=1e-8
         )
+
+
+@st.composite
+def ladder_cases(draw):
+    """A two- or three-piece density, a base in [1e-3, 1e3] without 1, and a t.
+
+    t is log-uniform of either sign, or a pole qq**a at a piece end, where
+    branches end or the density support lies.
+    """
+    pieces = draw(st.integers(2, 3))
+    widths = [draw(st.floats(0.1, 1.0)) for _ in range(pieces)]
+    widths = [w / math.fsum(widths) for w in widths]
+    slopes = [draw(st.sampled_from([1.0, 1.5, 2.0, 4.0])) for _ in range(pieces)]
+    at = draw(st.integers(1, pieces - 1)) if draw(st.booleans()) else None
+    jumps = [] if at is None else [(sum(widths[:at]), draw(st.floats(0.1, 2.0)))]
+    # Adjacent unit slopes with no jump between are one filled run split in
+    # two; x(t) at their junction is not a question of the ladder.
+    assume(not any(slopes[i - 1] == slopes[i] == 1.0 and i != at for i in range(1, pieces)))
+    d = StartDensity(list(zip(widths, slopes)), jumps=jumps)
+    qq = 10.0 ** (draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 3.0)))
+    if draw(st.booleans()):
+        a = draw(st.sampled_from([el.a_lo for el in d.elements] + [d.alpha_top]))
+        t = qq**a
+    else:
+        t = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-20.0, 20.0))
+    return d, qq, t
+
+
+@given(ladder_cases())
+@settings(max_examples=300, deadline=None)
+def test_x_of_t_follows_the_branch_ladder(case):
+    d, qq, t = case
+    holding = [dom for dom in t_domains(d, qq) if t in dom]
+    assert len(holding) <= 1
+    if not holding:
+        with pytest.raises(InvalidArgument):
+            x_of_t(d, qq, t)
+        return
+    assert np.sign(x_of_t(d, qq, t)) == holding[0].sign_of_x
 
 
 def test_window_boundary_rejected():

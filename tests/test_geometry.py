@@ -57,7 +57,7 @@ def test_multi_part_input_does_not_bridge_parts():
 def test_curve_object_input():
     from qpaths.curves import Curve
 
-    curve = Curve(points=[(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)], qq=3.0)
+    curve = Curve(points=[(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)])
     assert hausdorff_distance(curve, [(0.0, 0.0), (1.0, 0.0)]) == 0.0
 
 
