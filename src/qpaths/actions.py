@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .curves import _check_base
+from .curves import _check_base, _Scaled
 from .errors import InvalidArgument, float_range
 from .profile import StartDensity
 from .quadrature import integrate
@@ -126,32 +126,20 @@ def action_free_dual(d: StartDensity, qq: float, xi: float, z: float) -> float:
     return z * (xi + z / 2.0) * log_q + val
 
 
-def _bulk_dt_integral(d: StartDensity, qq: float, t: float, log_q: float) -> float:
-    """Closed form of int_0^1 du / (t - qq**alpha(u)) for piecewise-linear d."""
-    total = 0.0
-    for el in d.segment_elements():
-        e_lo = qq**el.a_lo
-        e_hi = qq**el.a_hi
-        num = e_hi / (t - e_hi)
-        den = e_lo / (t - e_lo)
-        total += (
-            _log_ratio(num, den, "bulk derivative")
-            / (el.p * t * log_q)
-        )
-    return total
-
-
 @float_range
 def saddle_residual_t(d: StartDensity, qq: float, t: float, xi: float) -> float:
     """Closed-form partial derivative of the bulk action in t.
 
     Vanishes when xi is the exit height attached to the tangency at t.
+    Defined, like the bulk action, for t on the outer branches.
     """
-    qq = _check_base(qq)
-    log_q = math.log(qq)
-    q_xi = qq**xi
-    boundary = _log_ratio(t * qq - q_xi, t - q_xi, "t residual") / (t * log_q)
-    return boundary - _bulk_dt_integral(d, qq, t, log_q)
+    sc = _Scaled(d, qq)
+    if sc.domain(t).window is not None:
+        raise InvalidArgument(f"t={t!r} lies on a window branch, not an outer one")
+    q_xi = sc.qq**xi
+    boundary = _log_ratio(t * sc.qq - q_xi, t - q_xi, "t residual") / (t * sc.log_q)
+    # int_0^1 du / (t - qq**alpha(u)) = -ln x(t) / (t ln qq).
+    return float(boundary + sc.terms(t, 1)[0] / (t * sc.log_q))
 
 
 def _xi_integral_term(qq: float, t: float, xi: float, log_q: float) -> float:

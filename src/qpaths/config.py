@@ -238,6 +238,8 @@ def parse_config(text: str, overrides: Optional[dict[str, Any]] = None) -> Model
         raise ConfigError(
             [f"line {exc.lineno} column {exc.colno}: {exc.msg}"]
         ) from None
+    except ValueError as exc:  # e.g. an integer literal beyond Python's digit cap
+        raise ConfigError([f"unreadable JSON: {exc}"]) from None
 
     problems: list[str] = []
     if not isinstance(doc, dict):

@@ -11,7 +11,7 @@ lattice stays integral.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import InvalidArgument, SizeLimitExceeded
 from .exact import StartSequence, dual_sequence

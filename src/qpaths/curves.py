@@ -207,29 +207,21 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
     if method != "quadrature":
         raise InvalidArgument(f"unknown method {method!r}")
     log_q = sc.log_q
-
-    def in_filled(a_lo: float, a_hi: float) -> bool:
-        return (
-            window is not None
-            and window.kind == "filled"
-            and a_lo >= window.a_lo - 1e-12
-            and a_hi <= window.a_hi + 1e-12
-        )
-
     exponent = 0.0
-    for a_lo, a_hi, inv_p, _, _ in sc.parts:
-        if in_filled(a_lo, a_hi):
-            continue  # handled as one principal value over the window
+    for i, el in enumerate(d.elements):
+        if el.kind == "jump" or (window is not None and i == window.element):
+            continue  # a filled window is one principal value below
 
         def integrand(a: float) -> float:
             return t / (t - qq**a)
 
-        exponent += inv_p * integrate(integrand, a_lo, a_hi, rel_tol=1e-12, abs_tol=1e-15)
+        exponent += 1.0 / el.p * integrate(
+            integrand, el.a_lo, el.a_hi, rel_tol=1e-12, abs_tol=1e-15)
     if window is not None and window.kind == "filled":
-        # The pole sits inside the p = 1 run; integrate the whole run as
-        # one principal value (slope 1 makes the integrand a single
-        # analytic function of a there).  The continuation across the
-        # support only flips the sign, which the branch already fixed.
+        # The pole sits inside the window's slope-1 element, where the
+        # integrand is a single analytic function of a: one principal
+        # value.  The continuation across the support only flips the
+        # sign, which the branch already fixed.
         tau = math.log(t) / log_q
 
         def numerator(a: float) -> float:
@@ -313,33 +305,31 @@ def _leg_taus(lo: float, hi: float, count: int, open_lo: bool, open_hi: bool) ->
 def _branch_legs(sc: _Scaled, dom: TDomain) -> list[tuple[int, float, float, bool, bool]]:
     """Sweep legs (sign, tau_lo, tau_hi, open_lo, open_hi) covering dom.
 
-    t = sign * qq**tau; infinite domain ends are truncated at |tau| =
-    cap, finite open ends are flagged for geometric refinement, and
-    legs running into t = 0 stop at |t| = _ZERO_RHO * min pole.
+    t = sign * qq**tau.  A window's leg runs over its element's values;
+    an outer branch runs from its far end, truncated where qq**tau would
+    leave the float range, to its finite end, flagged open for geometric
+    refinement; legs running into t = 0 stop at |t| = _ZERO_RHO * min pole.
     """
-    top = sc.top
-    # 700 < ln(largest float) keeps qq**cap finite.
-    cap = min(40.0, 700.0 / abs(sc.log_q))
     if dom.window is not None:
-        w = dom.window
-        return [(1, w.a_lo, w.a_hi, True, True)]
-    # tau value at which |t| equals _ZERO_RHO times the smallest pole
-    # magnitude (qq**0 = 1 for qq > 1, qq**top for qq < 1).
+        return [(1, dom.window.a_lo, dom.window.a_hi, True, True)]
+    # Outer branches: the finite end is t = qq**top (right) or t = 1
+    # (left); the far end stops where 700 < ln(largest float) keeps qq**tau
+    # finite.
+    end = sc.top if dom.branch == "right" else 0.0
+    far = math.copysign(min(40.0, 700.0 / abs(sc.log_q)), sc.log_q)
+    if dom.hi == math.inf:
+        if abs(far) <= abs(end):
+            raise NumericalFailure(
+                f"the {dom.branch} branch lies beyond the float range at base {sc.qq!r}")
+        return [(1, end, far, True, False)]
+    # The branch crosses t = 0: negative axis from the far end, then the
+    # positive axis up to the finite end.  tau_zero is where |t| equals
+    # _ZERO_RHO times the smallest pole magnitude (qq**0 = 1 for qq > 1,
+    # qq**top for qq < 1).
     tau_zero = math.log(_ZERO_RHO) / sc.log_q
     if sc.qq < 1.0:
-        tau_zero += top
-    if sc.qq > 1.0:
-        if dom.branch == "right":
-            if cap <= top:
-                raise NumericalFailure(
-                    f"the right branch lies beyond the float range at base {sc.qq!r}")
-            return [(1, top, cap, True, False)]
-        # left: t in (-inf, 1): negative axis first, then (0, 1).
-        return [(-1, cap, tau_zero, False, False), (1, tau_zero, 0.0, False, True)]
-    if dom.branch == "right":
-        # qq < 1: t in (-inf, qq**top): negative axis, then (0, qq**top).
-        return [(-1, -cap, tau_zero, False, False), (1, tau_zero, top, False, True)]
-    return [(1, 0.0, -cap, True, False)]
+        tau_zero += sc.top
+    return [(-1, far, tau_zero, False, False), (1, tau_zero, end, False, True)]
 
 
 @float_range

@@ -39,16 +39,25 @@ class ProfileElement:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """A freezing window: the density-value range it spans and its origin."""
+    """A freezing window: the density-value range it spans and its origin.
+
+    ``element`` indexes the window's element in ``StartDensity.elements``:
+    the slope-1 segment of a filled window or the jump of a gap window.
+    """
 
     kind: Literal["gap", "filled"]
     a_lo: float
     a_hi: float
     internal: bool
+    element: int
 
 
 class StartDensity:
-    """Validated piecewise-linear start-point density."""
+    """Validated piecewise-linear start-point density.
+
+    Adjacent segments of equal slope with no jump between them form one
+    element, so each slope-1 element and each jump is one freezing window.
+    """
 
     __slots__ = ("_elements", "_windows")
 
@@ -75,10 +84,8 @@ class StartDensity:
             cum.append(cum[-1] + g)
         cum[-1] = 1.0
 
-        jmp = sorted((float(u), float(d)) for u, d in jumps)
-        used_boundaries: set[int] = set()
         jump_at: dict[int, float] = {}
-        for u, d in jmp:
+        for u, d in sorted((float(u), float(d)) for u, d in jumps):
             if not (d > 0.0 and math.isfinite(d)):
                 problems.append(f"jump at u={u}: height must be positive, got {d}")
             if not 0.0 < u < 1.0:
@@ -93,52 +100,36 @@ class StartDensity:
                 problems.append(
                     f"jump location {u} does not coincide with a segment boundary"
                 )
-            elif hit in used_boundaries:
+            elif hit in jump_at:
                 problems.append(f"multiple jumps at segment boundary u={cum[hit]}")
             else:
-                used_boundaries.add(hit)
                 jump_at[hit] = d
         if problems:
             raise InvalidArgument("; ".join(problems))
 
+        # Adjacent segments of equal slope with no jump between them are one
+        # piece; a piece starts at each other segment boundary.
+        starts = [i for i, (_, p) in enumerate(segs)
+                  if i == 0 or p != segs[i - 1][1] or i in jump_at]
         elements: list[ProfileElement] = []
         a = 0.0
-        for i, (g, p) in enumerate(segs):
-            u_lo, u_hi = cum[i], cum[i + 1]
-            elements.append(ProfileElement("segment", u_lo, u_hi, a, a + p * g, p))
+        for lo, hi in zip(starts, starts[1:] + [len(segs)]):
+            g, p = sum(w for w, _ in segs[lo:hi]), segs[lo][1]
+            elements.append(ProfileElement("segment", cum[lo], cum[hi], a, a + p * g, p))
             a += p * g
-            d = jump_at.get(i + 1)
+            d = jump_at.get(hi)
             if d is not None:
-                elements.append(ProfileElement("jump", u_hi, u_hi, a, a + d, None))
+                elements.append(ProfileElement("jump", cum[hi], cum[hi], a, a + d, None))
                 a += d
 
         self._elements = tuple(elements)
-        self._windows = self._find_windows(elements)
-
-    @staticmethod
-    def _find_windows(elements: list[ProfileElement]) -> tuple[WindowSpec, ...]:
-        windows: list[WindowSpec] = []
-        run_start: ProfileElement | None = None
-        run_end: ProfileElement | None = None
-
-        def flush() -> None:
-            nonlocal run_start, run_end
-            if run_start is not None:
-                internal = run_start.u_lo > 0.0 and run_end.u_hi < 1.0
-                windows.append(WindowSpec("filled", run_start.a_lo, run_end.a_hi, internal))
-            run_start = run_end = None
-
-        for el in elements:
-            if el.kind == "segment" and el.p == 1.0:
-                if run_start is None:
-                    run_start = el
-                run_end = el
-            else:
-                flush()
-                if el.kind == "jump":
-                    windows.append(WindowSpec("gap", el.a_lo, el.a_hi, True))
-        flush()
-        return tuple(windows)
+        # Each slope-1 piece is one filled window, each jump one gap window.
+        self._windows = tuple(
+            WindowSpec("gap" if el.kind == "jump" else "filled", el.a_lo, el.a_hi,
+                       0 < i < len(elements) - 1, i)
+            for i, el in enumerate(elements)
+            if el.kind == "jump" or el.p == 1.0
+        )
 
     @property
     def elements(self) -> tuple[ProfileElement, ...]:
@@ -193,35 +184,16 @@ def limit_curve(
     """
     if which not in ("q_to_0", "q_to_inf"):
         raise InvalidArgument(f"unknown limit {which!r}")
-    if which == "q_to_0":
-        pts = [(1.0, 1.0)]
-        x, y = pts[0]
-        for el in d.elements:
-            if el.kind == "segment":
-                x += (el.p - 1.0) * (el.u_hi - el.u_lo)
-                y -= el.u_hi - el.u_lo
-            else:
-                x += el.a_hi - el.a_lo
-            pts.append((x, y))
-        return [pts, [(0.0, 0.0), (1.0, 1.0)]]
-    pts = [(0.0, 0.0)]
-    x, y = pts[0]
+    to_0 = which == "q_to_0"
+    x, y = (1.0, 1.0) if to_0 else (0.0, 0.0)
+    pts = [(x, y)]
     for el in d.elements:
-        if el.kind == "segment":
-            x += el.a_hi - el.a_lo
-            y += el.u_hi - el.u_lo
-        else:
-            x += el.a_hi - el.a_lo
+        du = el.u_hi - el.u_lo
+        x += (el.p - 1.0) * du if to_0 and el.kind == "segment" else el.a_hi - el.a_lo
+        y += -du if to_0 else du
         pts.append((x, y))
     top = d.alpha_top
-    return [pts, [(top, 1.0), (top, 0.0)]]
-
-
-def _limit_vertices_through(
-    d: StartDensity, which: str
-) -> list[tuple[ProfileElement, tuple[float, float], tuple[float, float]]]:
-    main = limit_curve(d, which)[0]
-    return [(el, main[i], main[i + 1]) for i, el in enumerate(d.elements)]
+    return [pts, [(0.0, 0.0), (1.0, 1.0)] if to_0 else [(top, 1.0), (top, 0.0)]]
 
 
 def freezing_tent(
@@ -233,26 +205,16 @@ def freezing_tent(
 
     The extra arctic-curve portion traced inside the window collapses, in
     the degenerate limit, onto three sides of a strip: a connector up from
-    (a_lo, 0), the merge segment shared with the main limit polyline, and
-    a connector back down to (a_hi, 0). Connectors are at 45 degrees for
-    q_to_0 and vertical for q_to_inf. Only windows strictly inside the
-    profile have this documented limit.
+    (a_lo, 0), the merge segment shared with the main limit polyline (the
+    step of the window's element), and a connector back down to (a_hi, 0).
+    Connectors are at 45 degrees for q_to_0 and vertical for q_to_inf.
+    Only windows strictly inside the profile have this documented limit.
     """
+    if window not in d.windows:
+        raise InvalidArgument("window does not belong to this profile")
     if not window.internal:
         raise UnsupportedConfiguration(
             "freezing windows touching the profile edge have no documented limit shape"
         )
-    verts = _limit_vertices_through(d, which)
-    lo_v = hi_v = None
-    for el, before, after in verts:
-        matches = (
-            (window.kind == "gap" and el.kind == "jump")
-            or (window.kind == "filled" and el.kind == "segment" and el.p == 1.0)
-        )
-        if matches and el.a_lo >= window.a_lo - 1e-12 and el.a_hi <= window.a_hi + 1e-12:
-            if lo_v is None:
-                lo_v = before
-            hi_v = after
-    if lo_v is None:
-        raise InvalidArgument("window does not belong to this profile")
-    return [(window.a_lo, 0.0), lo_v, hi_v, (window.a_hi, 0.0)]
+    main = limit_curve(d, which)[0]
+    return [(window.a_lo, 0.0), main[window.element], main[window.element + 1], (window.a_hi, 0.0)]

@@ -103,7 +103,6 @@ def integrate_pv(
     *,
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-14,
-    breakpoints: tuple[float, ...] = (),
 ) -> float:
     """Cauchy principal value of numerator(x) / (x - pole) over [a, b].
 
@@ -131,13 +130,7 @@ def integrate_pv(
 
     rest = 0.0
     if pole - a > h:
-        rest += integrate(
-            full, a, pole - h, rel_tol=rel_tol, abs_tol=abs_tol,
-            breakpoints=breakpoints,
-        )
+        rest += integrate(full, a, pole - h, rel_tol=rel_tol, abs_tol=abs_tol)
     if b - pole > h:
-        rest += integrate(
-            full, pole + h, b, rel_tol=rel_tol, abs_tol=abs_tol,
-            breakpoints=breakpoints,
-        )
+        rest += integrate(full, pole + h, b, rel_tol=rel_tol, abs_tol=abs_tol)
     return core + rest

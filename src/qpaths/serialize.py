@@ -12,7 +12,7 @@ import decimal
 import io
 import re
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidArgument
 

@@ -19,6 +19,7 @@ from qpaths.profile import StartDensity
 
 UNIFORM = StartDensity([(1.0, 2.0)])
 THIRDS = StartDensity([(1 / 3, 2.0), (1 / 3, 4.0), (1 / 3, 2.0)])
+GAPPED = StartDensity([(1 / 2, 2.0), (1 / 2, 2.0)], jumps=[(1 / 2, 1.0)])
 
 # (density, qq, t, construction) -- admissible tangency parameters whose
 # exit height and tail length are recomputed at full precision in-test.
@@ -161,3 +162,7 @@ def test_action_argument_validation():
         action_free_dual(UNIFORM, 3.0, 1.5, 0.0)
     with pytest.raises(InvalidArgument):
         action_free_dual(UNIFORM, 3.0, 3.0, 0.5)  # xi beyond alpha(1) + 1
+    # t = 5 lies in the gap window (3, 9), on no outer branch, whatever xi.
+    for xi in (0.5, 1.5, 2.5):
+        with pytest.raises(InvalidArgument):
+            saddle_residual_t(GAPPED, 3.0, 5.0, xi)

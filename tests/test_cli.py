@@ -402,3 +402,17 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for name in ("exact", "sample", "arctic", "limits", "verify"):
         assert name in proc.stdout
+
+
+def test_oversized_json_integer_is_a_config_error(tmp_path, capsys):
+    # json.loads raises a plain ValueError on an integer literal beyond
+    # Python's 4300-digit string-conversion cap.
+    cfg = tmp_path / "run.json"
+    base = "1" + "0" * 5000
+    cfg.write_text('{"model": {"scaled": {"segments": [[1.0, 2.0]], "base": ' + base + "}}}")
+    out = tmp_path / "out"
+    rc = cli.main(["arctic", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()

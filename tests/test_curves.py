@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpaths.curves import (
@@ -143,6 +143,24 @@ def test_window_weight_signs_and_quadrature():
         )
 
 
+SPLIT_FILLED = StartDensity([(0.25, 2.0), (0.25, 1.0), (0.25, 1.0), (0.25, 2.0)])
+
+
+def test_split_filled_window_is_one_window():
+    # The two slope-1 pieces are one element, so their seam t = 3**0.75
+    # is no pole of x(t) but an interior point of the window.
+    seam = 3.0**0.75
+    merged = StartDensity([(0.25, 2.0), (0.5, 1.0), (0.25, 2.0)])
+    x = x_of_t(SPLIT_FILLED, 3.0, seam)
+    assert math.isfinite(x) and x < 0.0
+    assert x_of_t(SPLIT_FILLED, 3.0, seam, method="quadrature") == pytest.approx(x, rel=1e-8)
+    assert x == pytest.approx(x_of_t(merged, 3.0, seam), rel=1e-12)
+
+
+def test_split_filled_window_arc_skips_no_point():
+    assert arctic_curve(SPLIT_FILLED, 3.0, "filled_window_1", n_samples=401).skipped == 0
+
+
 @st.composite
 def ladder_cases(draw):
     """A two- or three-piece density, a base in [1e-3, 1e3] without 1, and a t.
@@ -156,9 +174,6 @@ def ladder_cases(draw):
     slopes = [draw(st.sampled_from([1.0, 1.5, 2.0, 4.0])) for _ in range(pieces)]
     at = draw(st.integers(1, pieces - 1)) if draw(st.booleans()) else None
     jumps = [] if at is None else [(sum(widths[:at]), draw(st.floats(0.1, 2.0)))]
-    # Adjacent unit slopes with no jump between are one filled run split in
-    # two; x(t) at their junction is not a question of the ladder.
-    assume(not any(slopes[i - 1] == slopes[i] == 1.0 and i != at for i in range(1, pieces)))
     d = StartDensity(list(zip(widths, slopes)), jumps=jumps)
     qq = 10.0 ** (draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 3.0)))
     if draw(st.booleans()):

@@ -79,6 +79,28 @@ def test_window_detection():
     # Two edge-touching filled strips plus the internal gap.
     assert kinds == [("filled", False), ("filled", False), ("gap", True)]
 
+    # Each window is one element: FILLED's slope-1 piece, GAPPED's jump.
+    assert [w.element for w in FILLED.windows] == [1]
+    assert [w.element for w in GAPPED.windows] == [1]
+    assert [(w.kind, w.element) for w in HEXAGON.windows] == [
+        ("filled", 0), ("gap", 1), ("filled", 2)
+    ]
+    for d in (FILLED, GAPPED, HEXAGON):
+        for w in d.windows:
+            el = d.elements[w.element]
+            assert (el.a_lo, el.a_hi) == (w.a_lo, w.a_hi)
+
+
+def test_equal_slope_pieces_merge_unless_a_jump_splits_them():
+    (el,) = StartDensity([(0.5, 2.0), (0.5, 2.0)]).elements
+    assert (el.u_lo, el.u_hi, el.a_lo, el.a_hi, el.p) == (0.0, 1.0, 0.0, 2.0, 2.0)
+    assert [el.kind for el in GAPPED.elements] == ["segment", "jump", "segment"]
+    split = StartDensity([(0.25, 2.0), (0.25, 1.0), (0.25, 1.0), (0.25, 2.0)])
+    (w,) = split.windows
+    assert (w.kind, w.a_lo, w.a_hi, w.internal, w.element) == ("filled", 0.5, 1.0, True, 1)
+    # One limit vertex per piece: the collinear seam vertex is gone.
+    close(limit_curve(split, "q_to_0")[0], [(1, 1), (1.25, 0.75), (1.25, 0.25), (1.5, 0)])
+
 
 def test_limit_curve_piecewise_linear_vertices():
     main, closing = limit_curve(THIRDS, "q_to_0")
@@ -110,6 +132,11 @@ def test_freezing_tent_filled_window():
 def test_freezing_tent_gap_window():
     (w,) = GAPPED.windows
     close(freezing_tent(GAPPED, w, "q_to_inf"), [(1, 0), (1, 1 / 2), (2, 1 / 2), (2, 0)])
+
+
+def test_freezing_tent_rejects_a_window_of_another_profile():
+    with pytest.raises(InvalidArgument):
+        freezing_tent(FILLED, GAPPED.windows[0], "q_to_0")
 
 
 def test_freezing_tent_rejects_edge_windows():

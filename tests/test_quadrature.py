@@ -67,15 +67,6 @@ def test_principal_value_against_scipy_cauchy():
         assert got == pytest.approx(expected, rel=1e-10)
 
 
-def test_principal_value_with_breakpoints():
-    f = lambda x: abs(x - 0.25) + 1.0
-    expected = scipy.integrate.quad(
-        f, 0.0, 1.0, weight="cauchy", wvar=0.6, limit=400
-    )[0]
-    got = integrate_pv(f, 0.0, 1.0, 0.6, breakpoints=(0.25,))
-    assert got == pytest.approx(expected, rel=1e-9)
-
-
 def test_principal_value_pole_must_be_interior():
     with pytest.raises(InvalidArgument):
         integrate_pv(lambda x: 1.0, 0.0, 1.0, 0.0)
