@@ -130,7 +130,7 @@ def cmd_sample(cfg: ModelConfig, args) -> int:
     serialize.write_csv(
         os.path.join(out, "area_series.csv"),
         ("sweep", "area"),
-        ((i, int(a)) for i, a in enumerate(result.area_series)),
+        enumerate(result.area_series),
     )
     print(f"{result.sweeps} sweeps, acceptance rate {result.acceptance_rate:.3f}, seed {result.seed}")
     print(f"wrote density.csv, area_series.csv in {out}")
@@ -328,8 +328,11 @@ def _saddle(cfg):
 
 
 def _csv_round_trip(cfg):
-    cells = [math.pi, 1.0 / 3.0, 6.02214076e23, -2.5e-308]
-    return 0.0 if [serialize.parse_cell(serialize.format_cell(v)) for v in cells] == cells else 1.0
+    # One row through the writer and reader the commands use: floats, an
+    # int past the int-to-str digit cap, a rational and a text label.
+    cells = [math.pi, 1.0 / 3.0, 6.02214076e23, -2.5e-308, 7**9000, Fraction(-22, 7), "right"]
+    _, rows = serialize.read_csv(serialize.emit_csv(["cell"] * len(cells), [cells]))
+    return 0.0 if rows == [cells] else 1.0
 
 
 # verify's checks: (name, residual of the model configuration, tolerance);

@@ -83,11 +83,14 @@ def polyline_self_intersects(points) -> bool:
         # parameters with rounding noise.
         diam = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
         tol = 1e-9 * max(diam, 1e-300)
-        kept = [pts[0]]
-        for p in pts[1:]:
-            if max(abs(p[0] - kept[-1][0]), abs(p[1] - kept[-1][1])) > tol:
-                kept.append(p)
-        pts = np.asarray(kept)
+        xy = pts.tolist()
+        kept = [0]
+        last_x, last_y = xy[0]
+        for i, (x, y) in enumerate(xy):
+            if max(abs(x - last_x), abs(y - last_y)) > tol:
+                kept.append(i)
+                last_x, last_y = x, y
+        pts = pts[kept]
     n = len(pts) - 1
     if n < 3:
         return False

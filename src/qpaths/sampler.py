@@ -154,10 +154,9 @@ class DensityField:
     seed: int
 
     def rows(self):
-        """Yield (x, y, count) for every nonzero cell, row-major."""
+        """Iterate (x, y, count) over every nonzero cell, row-major."""
         xs, ys = np.nonzero(self.grid)
-        for x, y in zip(xs.tolist(), ys.tolist()):
-            yield x, y, int(self.grid[x, y])
+        return zip(xs.tolist(), ys.tolist(), self.grid[xs, ys].tolist())
 
 
 @dataclass

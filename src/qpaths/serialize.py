@@ -17,21 +17,26 @@ from typing import Iterable, Sequence
 from .errors import InvalidArgument
 
 _FLOAT_FMT = "%.17g"
-_DIGITS = re.compile(r"[+-]?[0-9]+")
+# The numeric forms format_cell writes; int() and float() accept more
+# ("1_000", " 7", Unicode digits, "Infinity"), and such text stays text.
+_INT = re.compile(r"[+-]?[0-9]+")
+_RATIO = re.compile(r"([+-]?[0-9]+)/([+-]?0*[1-9][0-9]*)")
+_FLOAT = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf|nan)")
 
 
-# int <-> str conversion is capped at a few thousand digits; decimal
-# converts from the binary limbs and has no such cap.
+# int <-> str conversion is capped at a few thousand digits; past the cap,
+# decimal converts from the binary limbs, which has no such cap.
 def _format_int(value: int) -> str:
-    return str(decimal.Decimal(value))
+    try:
+        return str(value)
+    except ValueError:
+        return str(decimal.Decimal(value))
 
 
 def _parse_int(text: str) -> int:
     try:
         return int(text)
-    except ValueError:
-        if not _DIGITS.fullmatch(text):
-            raise
+    except ValueError:  # past the digit cap
         return int(decimal.Decimal(text))
 
 
@@ -51,28 +56,62 @@ def format_cell(value) -> str:
 
 
 def parse_cell(text: str):
-    """Inverse of format_cell for numeric cells; leaves other text alone."""
-    try:
+    """Inverse of format_cell: the numeric forms it writes become numbers,
+    and any other text is returned as it is."""
+    if _INT.fullmatch(text):
         return _parse_int(text)
-    except ValueError:
-        pass
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            return Fraction(_parse_int(num), _parse_int(den))
-        except ValueError:
-            return text
-    try:
+    ratio = _RATIO.fullmatch(text)
+    if ratio:
+        return Fraction(_parse_int(ratio[1]), _parse_int(ratio[2]))
+    if _FLOAT.fullmatch(text):
         return float(text)
-    except ValueError:
-        return text
+    return text
+
+
+# Cell types a %-format renders exactly as format_cell does. Their
+# subclasses (bool, np.float64) and all other types go through format_cell.
+_ROW_SPECS = {float: _FLOAT_FMT, int: "%d", str: "%s"}
+
+
+def _row_format(kinds: tuple) -> tuple[str, bool] | None:
+    """The %-format of a row of cells of exactly these types, and whether it has text."""
+    if not all(kind in _ROW_SPECS for kind in kinds):
+        return None
+    return ",".join(_ROW_SPECS[kind] for kind in kinds) + "\n", str in kinds
+
+
+def _unquoted(line: str, cells: int) -> bool:
+    """Whether csv writes the text cells of this %-rendered row as they are.
+
+    Numbers render without ',', '"', CR or LF, so each of those in the line
+    comes from a text cell, which csv may quote; such rows and a lone empty
+    cell are left to the csv writer.
+    """
+    return (line.count(",") == cells - 1 and line.count("\n") == 1 and len(line) > 1
+            and '"' not in line and "\r" not in line)
 
 
 def emit_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header))
+    formats: dict[tuple, tuple[str, bool] | None] = {}
     for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            formats[kinds] = _row_format(kinds)
+        fast = formats[kinds]
+        if fast is not None:
+            fmt, has_text = fast
+            try:
+                line = fmt % row
+            except ValueError:  # an int past the int-to-str digit cap
+                pass
+            else:
+                if not has_text or _unquoted(line, len(row)):
+                    buf.write(line)
+                    continue
         writer.writerow([format_cell(v) for v in row])
     return buf.getvalue()
 

@@ -178,6 +178,15 @@ def test_crossing_scan_matches_all_pairs(pts):
     assert polyline_self_intersects(pts) == all_pairs_self_intersects(pts)
 
 
+@pytest.mark.parametrize("at", range(5))
+def test_nan_vertex_thins_as_the_oracle_does(at):
+    # A NaN vertex makes the figure diameter NaN, so the thinning keeps
+    # only the first point and nothing crosses.
+    pts = [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
+    pts.insert(at, (math.nan, 0.5))
+    assert polyline_self_intersects(pts) == all_pairs_self_intersects(pts) is False
+
+
 def test_figure_eight_crossing_between_first_and_last_segments():
     # The first segment runs up the diagonal through (0, 0); after the right
     # lobe and a detour below, the last one comes down the other diagonal.

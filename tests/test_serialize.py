@@ -1,11 +1,14 @@
 """CSV and SVG emission: exact round-trips and well-formed documents."""
 
+import csv
+import io
 import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpaths.errors import InvalidArgument
@@ -41,6 +44,21 @@ def test_cell_parses():
     assert parse_cell("a/b") == "a/b"
 
 
+@pytest.mark.parametrize("text", ["1_000", " 7", "7 ", "\u0663", "Infinity", "-infinity",
+                                  "1_0.5", "1E5", ".5", "1/0", "1/ 2", "1_0/3"])
+def test_text_cells_that_int_or_float_would_read_stay_text(text):
+    assert parse_cell(format_cell(text)) == text
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, 5e-324, -1e308])
+def test_extreme_float_cells_round_trip(value):
+    assert parse_cell(format_cell(value)) == value
+
+
+def test_nan_cell_round_trips():
+    assert math.isnan(parse_cell(format_cell(math.nan)))
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_float_cells_round_trip_bit_exact(value):
     again = parse_cell(format_cell(value))
@@ -73,6 +91,45 @@ def test_emit_csv_layout():
     text = emit_csv(["ell", "H"], [(0, Fraction(1, 1)), (3, Fraction(2, 7))])
     assert text == "ell,H\n0,1/1\n3,2/7\n"
     assert "\r" not in text
+
+
+def csv_writer_emit_csv(header, rows) -> str:
+    """The per-cell csv.writer emitter that emit_csv replaced, kept as its oracle."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(header))
+    for row in rows:
+        writer.writerow([format_cell(v) for v in row])
+    return buf.getvalue()
+
+
+_EXTREME_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308]
+_CELLS = st.one_of(
+    st.text(alphabet='ab7,"\r\n '),
+    st.text(),
+    st.integers(),
+    st.sampled_from([7**9000, -(7**9000)]),
+    st.fractions(),
+    st.floats(),
+    st.sampled_from(_EXTREME_FLOATS),
+    st.floats().map(np.float64),
+)
+
+
+@given(st.lists(st.lists(_CELLS, max_size=5), max_size=8))
+@example([[""]])
+@example([["", ""], [""], []])
+@example([["a,b", 1, 0.5], ["a\rb", 1, 0.5], ["a\nb", 1, 0.5], ['a"b', 1, 0.5], ["ab", 1, 0.5]])
+@example([[7**9000, 1.0], [3, 1.0], [Fraction(1, 3), 1.0], [np.float64(0.1), 1.0], [0.1, 1.0]])
+def test_emit_csv_matches_the_csv_writer_oracle(rows):
+    header = ["a", "b,c", ""]
+    assert emit_csv(header, rows) == csv_writer_emit_csv(header, rows)
+
+
+@pytest.mark.parametrize("bad", [True, object()], ids=["bool", "object"])
+def test_emit_csv_rejects_cells_without_a_rendering(bad):
+    with pytest.raises(InvalidArgument):
+        emit_csv(["a", "b"], [(1.0, 2), (1.0, bad)])
 
 
 def test_csv_file_round_trip(tmp_path):
