@@ -13,7 +13,11 @@ carries the interaction with the start density, while the free parts
                          + int_0^(alpha(1)+1-xi) ln(same integrand) du
 
 weigh the free tail of the exit path in the right and left tangent
-constructions.  Saddle residual helpers expose the closed-form first
+constructions.  The free integrand has a log singularity at u = 0.
+Near it, ln|expm1(y)| = ln|y| + ln(expm1(y)/y): the ln|y| terms integrate
+in closed form and the smooth remainder goes to the quadrature; past
+u = 4/|ln qq| the integrand is a fast series in e**(-u |ln qq|), summed
+term by term.  Saddle residual helpers expose the closed-form first
 derivatives so the stationarity of a tangency point can be checked
 without numerical differentiation.
 """
@@ -38,6 +42,10 @@ __all__ = [
 
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-12
+# Cut, in units of 1/|ln qq|, past which the free-tail integrand is summed
+# as a series; e**(-_FAR * _FAR_TERMS) is below the double epsilon.
+_FAR = 4.0
+_FAR_TERMS = 10
 
 
 def _log_ratio(num: float, den: float, what: str) -> float:
@@ -77,31 +85,77 @@ def action_bulk(d: StartDensity, qq: float, t: float, xi: float) -> float:
     return (xi - 0.5) * log_q + val
 
 
-def _free_integrand(log_q: float, z: float):
-    def integrand(u: float) -> float:
-        num = math.expm1((u + z) * log_q)
-        den = math.expm1(u * log_q)
-        # Both factors share the sign of log_q times their exponent;
-        # for u > 0, z > -u the ratio is positive on either side of 1.
-        return math.log(abs(num)) - math.log(abs(den))
+def _check_right(xi: float, z: float) -> None:
+    if xi <= 0.0 or z <= 0.0:
+        raise InvalidArgument(f"need xi > 0 and z > 0, got xi={xi}, z={z}")
 
-    return integrand
+
+def _dual_span(d: StartDensity, xi: float, z: float) -> float:
+    """Dual height span alpha(1) + 1 - xi of the left construction, checked."""
+    if z <= 0.0:
+        raise InvalidArgument(f"need z > 0, got z={z}")
+    span = d.alpha_top + 1.0 - xi
+    if span <= 0.0:
+        raise InvalidArgument(
+            f"need xi < alpha(1) + 1 = {d.alpha_top + 1.0}, got xi={xi}"
+        )
+    return span
+
+
+def _xlog1p(x: float, y: float) -> float:
+    """x ln(1 + y/x) for x, y > 0, also where y/x overflows."""
+    r = y / x
+    return x * (math.log1p(r) if r < math.inf else math.log(y) - math.log(x))
+
+
+def _free_integral(log_q: float, z: float, span: float) -> float:
+    """int_0^span ln(expm1((u+z) log_q) / expm1(u log_q)) du, for z, span > 0.
+
+    With l = |log_q| the integrand is z max(log_q, 0) + D(u), where
+    D(u) = ln((1 - e**(-(u+z) l)) / (1 - e**(-u l))) >= 0 carries the log
+    singularity at u = 0.  Up to the cut u = _FAR / l, write
+    ln|expm1(y)| = ln|y| + ln(expm1(y)/y) for y = (u+z) log_q and
+    y = u log_q.  The ln|y| terms integrate in closed form; the remainder,
+    smooth on a scale of 1/l, goes to the quadrature as D(u) - ln(1 + z/u),
+    a form that keeps its digits when z is far below u.  Past the cut,
+    D(u) = sum_k e**(-k u l) (1 - e**(-k z l)) / k integrates term by term,
+    with terms falling like e**(-k _FAR).  Carrying the split past the cut
+    would cancel the closed term against the remainder (ten thousandfold at
+    qq = 1e-300, span = 300, z = 5), and one long panel would meet the
+    absolute tolerance while missing the decay on the scale 1/l.
+    """
+    ell = abs(log_q)
+    tail = -math.expm1(-z * ell)
+    cut = min(span, _FAR / ell)
+
+    def remainder(u: float) -> float:
+        ratio = tail * math.exp(-u * ell) / -math.expm1(-u * ell)
+        return math.log1p(ratio) - math.log1p(z / u)
+
+    # F(cut+z) - F(z) - F(cut) for F(s) = s (ln s + ln l - 1), whose
+    # ln l - 1 parts cancel.
+    val = _xlog1p(z, cut) + _xlog1p(cut, z)
+    val += integrate(remainder, 0.0, cut, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
+    if span > cut:
+        far = (span - cut) * ell
+        val += math.fsum(
+            -math.expm1(-k * z * ell) * math.exp(-k * _FAR) * -math.expm1(-k * far)
+            / (k * k * ell)
+            for k in range(1, _FAR_TERMS + 1)
+        )
+    return z * span * max(log_q, 0.0) + val
 
 
 @float_range
 def action_free(qq: float, xi: float, z: float) -> float:
     """Free-tail action of the right construction.
 
-    The integrand has an integrable log singularity at u = 0; the
-    adaptive quadrature resolves it without special casing.
+    The integrand's log singularity at u = 0 is integrated in closed
+    form; see _free_integral.
     """
     qq = _check_base(qq)
-    if xi <= 0.0 or z <= 0.0:
-        raise InvalidArgument(f"need xi > 0 and z > 0, got xi={xi}, z={z}")
-    log_q = math.log(qq)
-    return integrate(
-        _free_integrand(log_q, z), 0.0, xi, rel_tol=_REL_TOL, abs_tol=_ABS_TOL
-    )
+    _check_right(xi, z)
+    return _free_integral(math.log(qq), z, xi)
 
 
 @float_range
@@ -112,18 +166,9 @@ def action_free_dual(d: StartDensity, qq: float, xi: float, z: float) -> float:
     explicit area exchange term z (xi + z/2) ln qq.
     """
     qq = _check_base(qq)
-    if z <= 0.0:
-        raise InvalidArgument(f"need z > 0, got z={z}")
-    span = d.alpha_top + 1.0 - xi
-    if span <= 0.0:
-        raise InvalidArgument(
-            f"need xi < alpha(1) + 1 = {d.alpha_top + 1.0}, got xi={xi}"
-        )
+    span = _dual_span(d, xi, z)
     log_q = math.log(qq)
-    val = integrate(
-        _free_integrand(log_q, z), 0.0, span, rel_tol=_REL_TOL, abs_tol=_ABS_TOL
-    )
-    return z * (xi + z / 2.0) * log_q + val
+    return z * (xi + z / 2.0) * log_q + _free_integral(log_q, z, span)
 
 
 @float_range
@@ -155,6 +200,7 @@ def saddle_residual_xi_right(
 ) -> float:
     """Closed-form derivative in xi of bulk plus free action (right)."""
     qq = _check_base(qq)
+    _check_right(xi, z)
     log_q = math.log(qq)
     own = _log_ratio(
         qq * math.expm1((xi + z) * log_q), math.expm1(xi * log_q), "xi residual"
@@ -168,8 +214,8 @@ def saddle_residual_xi_left(
 ) -> float:
     """Closed-form derivative in xi of bulk plus dual free action (left)."""
     qq = _check_base(qq)
+    span = _dual_span(d, xi, z)
     log_q = math.log(qq)
-    span = d.alpha_top + 1.0 - xi
     own = _log_ratio(
         qq ** (z + 1.0) * math.expm1(span * log_q),
         math.expm1((span + z) * log_q),

@@ -28,9 +28,10 @@ _HALF_WEIGHTS = (0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.1
 _NODES = tuple(-x for x in _HALF_NODES[:0:-1]) + _HALF_NODES
 _WEIGHTS = _HALF_WEIGHTS[:0:-1] + _HALF_WEIGHTS
 # Bound on the panels of one call.  Converging calls hold at most 54
-# panels in the test suite (the 1/sqrt(x) endpoint test) and 26 in the
-# benchmark; a call still short of its tolerance at 1000 panels (about
-# 30 000 integrand calls) is chasing rounding noise.
+# panels in the test suite (the 1/sqrt(x) endpoint test) and 21 in the
+# benchmark (tangent seeds 101-105, arctic seed 101); a call still short
+# of its tolerance at 1000 panels (about 30 000 integrand calls) is
+# chasing rounding noise.
 _MAX_PANELS = 1000
 
 

@@ -3,8 +3,10 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
+from qpaths import actions, quadrature
 from qpaths.actions import (
     action_bulk,
     action_free,
@@ -14,12 +16,13 @@ from qpaths.actions import (
     saddle_residual_xi_right,
 )
 from qpaths.curves import exit_params_left, exit_params_right
-from qpaths.errors import InvalidArgument
+from qpaths.errors import InvalidArgument, QpathsError
 from qpaths.profile import StartDensity
 
 UNIFORM = StartDensity([(1.0, 2.0)])
 THIRDS = StartDensity([(1 / 3, 2.0), (1 / 3, 4.0), (1 / 3, 2.0)])
 GAPPED = StartDensity([(1 / 2, 2.0), (1 / 2, 2.0)], jumps=[(1 / 2, 1.0)])
+WIDE = StartDensity([(1.0, 299.0)])  # alpha(1) + 1 = 300: dual spans up to 300
 
 # (density, qq, t, construction) -- admissible tangency parameters whose
 # exit height and tail length are recomputed at full precision in-test.
@@ -48,6 +51,34 @@ def dilog_free_action(qq, xi, z):
             li2(qq ** -(xi + z)) - li2(qq**-z) - li2(qq**-xi) + li2(1.0)
         ) / log_q
     return -(li2(qq ** (xi + z)) - li2(qq**z) - li2(qq**xi) + li2(1.0)) / log_q
+
+
+def mp_free_integral(qq, span, z):
+    """int_0^span ln((qq**(u+z) - 1)/(qq**u - 1)) du at 50 digits.
+
+    With l = |ln qq| and phi(s) = ln(1 - e**(-s l)) the integrand is
+    z max(ln qq, 0) + phi(u+z) - phi(u), so the integral telescopes into
+    z span max(ln qq, 0) + int_b^(a+b) phi - int_0^a phi, with
+    {a, b} = {span, z} and a <= b.  Both run over [0, 1] after scaling by
+    a (tanh-sinh loses digits on an interval 1e-300 long), split at 1, 10,
+    100 and 1000 times 1/l.
+    """
+    with mpmath.workdps(50):
+        qq, span, z = mpmath.mpf(qq), mpmath.mpf(span), mpmath.mpf(z)
+        log_q = mpmath.log(qq)
+        ell = abs(log_q)
+        a, b = min(span, z), max(span, z)
+
+        def piece(s0):
+            cuts = [(k / ell - s0) / a for k in (1, 10, 100, 1000)]
+            pts = [0, *sorted(c for c in cuts if 0 < c < 1), 1]
+            val, err = mpmath.quad(
+                lambda x: mpmath.log(-mpmath.expm1(-(s0 + a * x) * ell)), pts, error=True
+            )
+            assert err <= mpmath.mpf(10) ** -30 * (1 + abs(val))
+            return val
+
+        return z * span * max(log_q, 0) + a * (piece(b) - piece(0))
 
 
 def params_at(d, qq, t, which):
@@ -132,6 +163,69 @@ def test_free_actions_match_dilogarithm_form():
             )
 
 
+def test_free_actions_against_mpmath():
+    cases = [
+        (qq, xi, z)
+        for qq in (1e-300, 1e-20, 1.0 / 3.0, 3.0, 1e20, 1e300)
+        for xi in (1e-12, 0.5, 300.0)
+        for z in (1e-300, 1e-12, 0.5, 5.0)
+    ]
+    # An action of 1.4e-12, and one of 0.0024, both far below the
+    # quadrature's absolute tolerance; a tail below the smallest normal
+    # double, where span / z overflows.
+    cases += [(3.0, 1e-12, 1e-12), (1e-300, 0.5, 0.5), (3.0, 0.5, 1e-310)]
+    for qq, xi, z in cases:
+        free = mp_free_integral(qq, xi, z)
+        got = action_free(qq, xi, z)
+        assert abs(got - free) <= 1e-12 * abs(free), (qq, xi, z, got)
+        # The same span on the dual side, as the library rounds it.
+        xi_dual = WIDE.alpha_top + 1.0 - xi
+        span = WIDE.alpha_top + 1.0 - xi_dual
+        if span != xi:
+            free = mp_free_integral(qq, span, z)
+        expected = z * (mpmath.mpf(xi_dual) + mpmath.mpf(z) / 2) * mpmath.log(qq) + free
+        got = action_free_dual(WIDE, qq, xi_dual, z)
+        assert abs(got - expected) <= 1e-12 * abs(expected), (qq, xi_dual, z, got)
+
+
+def test_free_action_quadrature_budget(monkeypatch):
+    # Criterion 09's grid: UNIFORM at qq = 3, both constructions, xi +- 1e-5.
+    # A smooth remainder converges on its first panel (45 evaluations); the
+    # singular integrand would take about 1500.
+    counts = []
+
+    def counted(f, a, b, **kwargs):
+        calls = [0]
+
+        def g(u):
+            calls[0] += 1
+            return f(u)
+
+        try:
+            return quadrature.integrate(g, a, b, **kwargs)
+        finally:
+            counts.append(calls[0])
+
+    monkeypatch.setattr(actions, "integrate", counted)
+    qq, eps = 3.0, 1e-5
+    for which, fn, ts in (
+        ("right", exit_params_right, np.geomspace(9.3, 1e6, 28)),
+        ("left", exit_params_left, -np.geomspace(12.5, 1e6, 40)),
+    ):
+        for t in (float(v) for v in ts):
+            try:
+                v = fn(UNIFORM, qq, t)
+            except QpathsError:
+                continue
+            for xi in (v.xi + eps, v.xi - eps):
+                if which == "right":
+                    action_free(qq, xi, v.z)
+                else:
+                    action_free_dual(UNIFORM, qq, xi, v.z)
+    assert len(counts) >= 80
+    assert max(counts) <= 45
+
+
 def test_free_action_ordering():
     # For qq > 1 the integrand ln((qq**(u+z)-1)/(qq**u-1)) is positive and
     # increasing in z, so the action is positive and monotone in z.
@@ -162,6 +256,13 @@ def test_action_argument_validation():
         action_free_dual(UNIFORM, 3.0, 1.5, 0.0)
     with pytest.raises(InvalidArgument):
         action_free_dual(UNIFORM, 3.0, 3.0, 0.5)  # xi beyond alpha(1) + 1
+    # The xi residuals share their action's domain.
+    for xi, z in ((-1.0, -0.5), (0.0, 0.5), (1.7, 0.0)):
+        with pytest.raises(InvalidArgument):
+            saddle_residual_xi_right(UNIFORM, 3.0, 18.0, xi, z)
+    for xi, z in ((4.0, 0.5), (3.0, 0.5), (1.6, 0.0), (1.6, -0.5)):
+        with pytest.raises(InvalidArgument):
+            saddle_residual_xi_left(UNIFORM, 3.0, -20.0, xi, z)
     # t = 5 lies in the gap window (3, 9), on no outer branch, whatever xi.
     for xi in (0.5, 1.5, 2.5):
         with pytest.raises(InvalidArgument):
