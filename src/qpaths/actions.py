@@ -187,6 +187,15 @@ def saddle_residual_t(d: StartDensity, qq: float, t: float, xi: float) -> float:
     return float(boundary + sc.terms(t, 1)[0] / (t * sc.log_q))
 
 
+def _log_abs_expm1(y: float) -> float:
+    """ln|e**y - 1| for y != 0, also where e**y overflows."""
+    if y > 0.0:
+        return y + math.log(-math.expm1(-y))
+    if y < 0.0:
+        return math.log(-math.expm1(y))
+    raise InvalidArgument("xi residual: log argument is zero")
+
+
 def _xi_integral_term(qq: float, t: float, xi: float, log_q: float) -> float:
     # t ln(qq) int_0^1 qq**(u-xi) / (t qq**(u-xi) - 1) du, in closed form.
     num = t * qq ** (1.0 - xi) - 1.0
@@ -202,9 +211,8 @@ def saddle_residual_xi_right(
     qq = _check_base(qq)
     _check_right(xi, z)
     log_q = math.log(qq)
-    own = _log_ratio(
-        qq * math.expm1((xi + z) * log_q), math.expm1(xi * log_q), "xi residual"
-    )
+    # ln(qq expm1((xi+z) ln qq) / expm1(xi ln qq)); both expm1 share a sign.
+    own = log_q + _log_abs_expm1((xi + z) * log_q) - _log_abs_expm1(xi * log_q)
     return own - _xi_integral_term(qq, t, xi, log_q)
 
 
@@ -216,9 +224,6 @@ def saddle_residual_xi_left(
     qq = _check_base(qq)
     span = _dual_span(d, xi, z)
     log_q = math.log(qq)
-    own = _log_ratio(
-        qq ** (z + 1.0) * math.expm1(span * log_q),
-        math.expm1((span + z) * log_q),
-        "xi residual",
-    )
+    # ln(qq**(z+1) expm1(span ln qq) / expm1((span+z) ln qq)), in log space.
+    own = (z + 1.0) * log_q + _log_abs_expm1(span * log_q) - _log_abs_expm1((span + z) * log_q)
     return own - _xi_integral_term(qq, t, xi, log_q)

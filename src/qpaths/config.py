@@ -137,7 +137,7 @@ def _pair_list(node: Any, label: str, problems: list[str]) -> Optional[list[tupl
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item)
+            or not all(_finite_number(v) for v in item)
         ):
             problems.append(f"{label}[{i}]: expected a [number, number] pair")
             return None

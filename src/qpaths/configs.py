@@ -1,4 +1,5 @@
-"""Explicit path configurations: enumeration, areas, and the family bijection.
+"""Explicit path configurations: enumeration, areas, the family bijection,
+north-step arrays and the closed-form extremal states.
 
 First-family paths run from (a_i, 0) to (0, i) with west/north steps on the
 integer lattice. Second-family paths live on the half-integer columns: path i
@@ -24,16 +25,13 @@ ENUM_MAX_TOP = 8
 
 @dataclass(frozen=True)
 class ExitSpec:
-    """Exit constraint for the top path: abscissa ell, optional endpoint shift r."""
+    """Exit constraint for the top path: it ends at (ell, n)."""
 
     ell: int
-    r: int | None = None
 
     def __post_init__(self):
         if self.ell < 0:
             raise InvalidArgument("exit abscissa must be >= 0")
-        if self.r is not None and self.r < 1:
-            raise InvalidArgument("endpoint shift r must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -62,12 +60,7 @@ class PathConfig:
         n = self.starts.n
         if self.family == "first":
             start = (self.starts[i], 0)
-            if i < n or self.exit is None:
-                end = (0, i)
-            elif self.exit.r is None:
-                end = (self.exit.ell, n)
-            else:
-                end = (0, n + self.exit.r)
+            end = (0, i) if i < n or self.exit is None else (self.exit.ell, n)
             steps = {(-1, 0), (0, 1)}
         else:
             start = (2 * self.starts[n - i] + 1, 0)
@@ -78,10 +71,6 @@ class PathConfig:
         for (x0, y0), (x1, y1) in zip(path, path[1:]):
             if (x1 - x0, y1 - y0) not in steps:
                 raise InvalidArgument(f"path {i} has an illegal step ({x0},{y0})->({x1},{y1})")
-        if self.family == "first" and i == n and self.exit is not None and self.exit.r is not None:
-            crossing = [x0 for (x0, y0), (_, y1) in zip(path, path[1:]) if (y0, y1) == (n, n + 1)]
-            if crossing != [self.exit.ell]:
-                raise InvalidArgument(f"path {i} must leave the strip by a north step at x={self.exit.ell}")
 
     def north_steps(self) -> Iterator[Vertex]:
         """Yield (x, y) for each north step (x,y)->(x,y+1), first family only."""
@@ -131,44 +120,26 @@ def _monotone_paths(start: Vertex, end: Vertex, blocked: set[Vertex]) -> Iterato
             yield (start,) + rest
 
 
-def _top_paths_with_exit(seq: StartSequence, exit: ExitSpec, blocked: set[Vertex]) -> Iterator[tuple[Vertex, ...]]:
-    # Top path through the forced exit: any path to (ell, n), then the north
-    # step off the strip, then (when r is set) any continuation to (0, n+r).
-    n = seq.n
-    if exit.ell > seq.top:
-        raise InvalidArgument(f"exit abscissa must be <= {seq.top}, got {exit.ell}")
-    for lower in _monotone_paths((seq.top, 0), (exit.ell, n), blocked):
-        if exit.r is None:
-            yield lower
-            continue
-        step = (exit.ell, n + 1)
-        sub_blocked = blocked | set(lower)
-        for upper in _monotone_paths(step, (0, n + exit.r), sub_blocked):
-            yield lower + upper
-
-
 def enumerate_configs(seq: StartSequence, exit: ExitSpec | None = None) -> list[PathConfig]:
     """Exhaustively enumerate configurations (guarded brute force).
 
     With an exit given, the top path ends at the exit abscissa on the top
-    boundary; with an endpoint shift r, it continues through the forced north
-    step up to (0, n + r). Enumeration is limited to n <= 3, a_n <= 8.
+    boundary. Enumeration is limited to n <= 3, a_n <= 8.
     """
     if seq.n > ENUM_MAX_N or seq.top > ENUM_MAX_TOP:
         raise SizeLimitExceeded(
             f"enumeration is limited to n <= {ENUM_MAX_N} and a_n <= {ENUM_MAX_TOP}"
         )
+    if exit is not None and exit.ell > seq.top:
+        raise InvalidArgument(f"exit abscissa must be <= {seq.top}, got {exit.ell}")
     configs: list[PathConfig] = []
 
     def recurse(i: int, blocked: set[Vertex], chosen: list[tuple[Vertex, ...]]) -> None:
         if i > seq.n:
             configs.append(PathConfig(seq, tuple(chosen), "first", exit))
             return
-        if i == seq.n and exit is not None:
-            gen = _top_paths_with_exit(seq, exit, blocked)
-        else:
-            gen = _monotone_paths((seq[i], 0), (0, i), blocked)
-        for path in gen:
+        end = (exit.ell, i) if i == seq.n and exit is not None else (0, i)
+        for path in _monotone_paths((seq[i], 0), end, blocked):
             chosen.append(path)
             recurse(i + 1, blocked | set(path), chosen)
             chosen.pop()
@@ -250,28 +221,55 @@ def reflect_second_family(config: PathConfig) -> PathConfig:
     return PathConfig(dual, tuple(paths), "first")
 
 
-def min_area_config(seq: StartSequence) -> PathConfig:
-    """Ground state for q -> 0: the pre-image of straight second-family paths."""
-    n = seq.n
+def abscissas(config: PathConfig) -> list[int]:
+    """The north-step array b of a plain first-family configuration.
+
+    b[i][k] is the column of the north step of path i from row k to row
+    k + 1, for 1 <= i <= n and 0 <= k < i, stored flat in that order.
+    """
+    if config.family != "first" or config.exit is not None:
+        raise InvalidArgument("abscissas requires a plain first-family configuration")
+    return [x for x, _ in config.north_steps()]
+
+
+def paths_from_abscissas(seq: StartSequence, b) -> tuple[tuple[Vertex, ...], ...]:
+    """Vertex paths of the configuration with north-step array b."""
+    steps = iter(b)
     paths = []
-    for i in range(n + 1):
-        xd = 2 * seq[n - i] + 1
-        verts = [(xd + 2 * t, t) for t in range(i + 1)]
-        xd_end = 2 * seq.top + 1 + 2 * i
-        x = xd + 2 * i
-        while x < xd_end:
-            x += 2
-            verts.append((x, i))
+    for i, x in enumerate(seq.values):
+        verts = [(x, 0)]
+        for k in range(i):
+            col = next(steps)
+            verts += [(c, k) for c in range(x - 1, col - 1, -1)]
+            verts.append((col, k + 1))
+            x = col
+        verts += [(c, i) for c in range(x - 1, -1, -1)]
         paths.append(tuple(verts))
-    return from_second_family(PathConfig(seq, tuple(paths), "second"))
+    return tuple(paths)
+
+
+def min_area_abscissas(seq: StartSequence) -> list[int]:
+    """North-step array of the q -> 0 ground state: b[i][k] = a_{i-k-1} + k + 1.
+
+    Every north step sits one column right of the north step of path i - 1
+    one row lower, or of the start a_{i-1} at k = 0: the least value the
+    paths allow. Unrolled down the diagonal, that is a_{i-k-1} + k + 1.
+    """
+    a = seq.values
+    return [a[i - k - 1] + k + 1 for i in range(1, seq.n + 1) for k in range(i)]
+
+
+def max_area_abscissas(seq: StartSequence) -> list[int]:
+    """North-step array of the q -> infinity ground state: b[i][k] = a_i."""
+    a = seq.values
+    return [a[i] for i in range(1, seq.n + 1) for _ in range(i)]
+
+
+def min_area_config(seq: StartSequence) -> PathConfig:
+    """Ground state for q -> 0, the configuration of least area."""
+    return PathConfig(seq, paths_from_abscissas(seq, min_area_abscissas(seq)), "first")
 
 
 def max_area_config(seq: StartSequence) -> PathConfig:
     """Ground state for q -> infinity: go straight north, then west."""
-    n = seq.n
-    paths = []
-    for i in range(n + 1):
-        verts = [(seq[i], t) for t in range(i + 1)]
-        verts += [(x, i) for x in range(seq[i] - 1, -1, -1)]
-        paths.append(tuple(verts))
-    return PathConfig(seq, tuple(paths), "first")
+    return PathConfig(seq, paths_from_abscissas(seq, max_area_abscissas(seq)), "first")

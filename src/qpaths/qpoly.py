@@ -10,6 +10,7 @@ when a caller evaluates a polynomial at a float point.
 from __future__ import annotations
 
 import decimal
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -18,51 +19,12 @@ from .errors import InvalidArgument
 
 Scalar = Union[int, float, Fraction]
 
-# Below this many coefficient products schoolbook multiplication wins over
-# packing into big integers.
-_KRONECKER_CUTOFF = 4096
-
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
     n = len(coeffs)
     while n > 0 and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
-
-
-def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # Multiply via evaluation at 2**bits: Python's big-int product does the
-    # convolution in C. Negative coefficients are handled by splitting each
-    # factor into positive and negative parts.
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
-    bound = 2 * max_a * max_b * min(len(a), len(b)) + 1
-    bits = ((bound.bit_length() + 7) // 8) * 8
-    nbytes = bits // 8
-
-    def pack(part: list[int]) -> int:
-        buf = bytearray()
-        for c in part:
-            buf += c.to_bytes(nbytes, "little")
-        return int.from_bytes(bytes(buf), "little")
-
-    def unpack(v: int, length: int) -> list[int]:
-        raw = v.to_bytes(length * nbytes + nbytes, "little")
-        return [
-            int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
-            for i in range(length)
-        ]
-
-    ap = [c if c > 0 else 0 for c in a]
-    an = [-c if c < 0 else 0 for c in a]
-    bp = [c if c > 0 else 0 for c in b]
-    bn = [-c if c < 0 else 0 for c in b]
-    n_out = len(a) + len(b) - 1
-    pos = pack(ap) * pack(bp) + pack(an) * pack(bn)
-    neg = pack(ap) * pack(bn) + pack(an) * pack(bp)
-    pl = unpack(pos, n_out)
-    nl = unpack(neg, n_out)
-    return [p - q for p, q in zip(pl, nl)]
 
 
 class QPolynomial:
@@ -132,20 +94,30 @@ class QPolynomial:
         return QPolynomial(out)
 
     def __mul__(self, other: "QPolynomial") -> "QPolynomial":
+        # Signed Kronecker substitution: evaluate both factors at 2**bits, so
+        # Python's big-int product does the convolution in C. Every product
+        # coefficient lies strictly inside +-2**(bits-1); adding half a slot
+        # to every slot makes each base-2**bits digit nonnegative, so the
+        # digits read back directly.
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPolynomial.zero()
-        if len(a) * len(b) <= _KRONECKER_CUTOFF:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        out[i + j] += ca * cb
-            return QPolynomial(out)
-        return QPolynomial(_kronecker_mul(a, b))
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        nbytes = bound.bit_length() // 8 + 1
+        half = 1 << (8 * nbytes - 1)
 
-    def scale(self, k: int) -> "QPolynomial":
-        return QPolynomial([k * c for c in self.coeffs])
+        def at_slot_base(coeffs: Sequence[int]) -> int:
+            pos = b"".join((c if c > 0 else 0).to_bytes(nbytes, "little") for c in coeffs)
+            neg = b"".join((-c if c < 0 else 0).to_bytes(nbytes, "little") for c in coeffs)
+            return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+        n_out = len(a) + len(b) - 1
+        halves = int.from_bytes((bytes(nbytes - 1) + b"\x80") * n_out, "little")
+        raw = (at_slot_base(a) * at_slot_base(b) + halves).to_bytes(n_out * nbytes, "little")
+        return QPolynomial(
+            [int.from_bytes(raw[i : i + nbytes], "little") - half
+             for i in range(0, n_out * nbytes, nbytes)]
+        )
 
     def shift(self, exponent: int) -> "QPolynomial":
         """Multiply by q**exponent."""
@@ -230,16 +202,12 @@ def q_binomial(a: int, b: int) -> QPolynomial:
         raise InvalidArgument(f"q_binomial requires a >= 0, got a={a}")
     if b < 0 or b > a:
         return QPolynomial.zero()
-    b = min(b, a - b)
-    # Multiply in the numerator factor and divide out the denominator factor
-    # one s at a time; every intermediate is itself a Gaussian binomial, so
-    # each division is exact.
-    result = QPolynomial.one()
-    for s in range(1, b + 1):
-        num = QPolynomial.monomial(s + a - b) - QPolynomial.one()
-        den = QPolynomial.monomial(s) - QPolynomial.one()
-        result = (result * num).exact_div(den)
-    return result
+    # [a, b]_q = prod_{s <= b} (q**(a-b+s) - 1) / (q**s - 1), and q**m - 1 is
+    # the product of Phi_d over d | m; counting multiples of d among a-b+1..a
+    # and among 1..b gives the power of Phi_d, so no division is needed. The
+    # coefficients count partitions in an (a-b) x b box, at most C(a, b).
+    factors = [(cyclotomic(d), a // d - b // d - (a - b) // d) for d in range(2, a + 1)]
+    return power_product(factors, math.comb(a, b))
 
 
 def q_binomial_at(a: int, b: int, q: Scalar) -> Scalar:

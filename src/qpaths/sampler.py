@@ -26,35 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configs import PathConfig, Vertex, max_area_config, min_area_config
+from .configs import (
+    PathConfig,
+    Vertex,
+    max_area_abscissas,
+    min_area_abscissas,
+    paths_from_abscissas,
+)
 from .errors import InvalidArgument, NumericalFailure
 from .exact import StartSequence, _check_weight_q
 
 # Coupling from the past looks back at most this many sweeps.
 CFTP_MAX_SWEEPS = 1 << 16
-
-
-def abscissas(config: PathConfig) -> list[int]:
-    """The flat north-step array b of a plain first-family configuration."""
-    if config.family != "first" or config.exit is not None:
-        raise InvalidArgument("sampling requires a plain first-family configuration")
-    return [x for x, _ in config.north_steps()]
-
-
-def paths_from_abscissas(seq: StartSequence, b) -> tuple[tuple[Vertex, ...], ...]:
-    """Vertex paths of the configuration with north-step array b."""
-    steps = iter(b)
-    paths = []
-    for i, x in enumerate(seq.values):
-        verts = [(x, 0)]
-        for k in range(i):
-            col = next(steps)
-            verts += [(c, k) for c in range(x - 1, col - 1, -1)]
-            verts.append((col, k + 1))
-            x = col
-        verts += [(c, i) for c in range(x - 1, -1, -1)]
-        paths.append(tuple(verts))
-    return tuple(paths)
 
 
 def _neighbours(seq: StartSequence) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -149,9 +132,6 @@ class DensityField:
 
     grid: np.ndarray
     samples: int
-    sweeps: int
-    burn_in: int
-    seed: int
 
     def rows(self):
         """Iterate (x, y, count) over every nonzero cell, row-major."""
@@ -181,16 +161,15 @@ def run_chain(
     seed: int,
     *,
     burn_in: int = 0,
-    record_every: int = 1,
     track_configs: bool = False,
 ) -> ChainResult:
     """Sample q**area exactly, then accumulate the north-step density.
 
     Coupling from the past gives an exact sample; burn_in sweeps after it
-    are discarded, and the states of the next sweeps are measured (with
-    burn_in 0 the first is the exact sample itself), every
-    record_every-th one recorded. A sweep updates once each site that can
-    move, i.e. whose value differs between the extremal configurations.
+    are discarded, and the states of the next sweeps are recorded (with
+    burn_in 0 the first is the exact sample itself). A sweep updates once
+    each site that can move, i.e. whose value differs between the extremal
+    states.
     ``proposals`` counts the site updates of the burn_in + sweeps - 1
     sweeps after the exact start (the coupling phase is not counted), and
     ``acceptance_rate`` is the share of them that moved their site.
@@ -202,11 +181,9 @@ def run_chain(
         raise InvalidArgument("sweeps must be >= 1")
     if burn_in < 0:
         raise InvalidArgument("burn_in must be >= 0")
-    if record_every < 1:
-        raise InvalidArgument("record_every must be >= 1")
     plan, consts = _neighbours(seq)
-    bottom = abscissas(min_area_config(seq)) + consts
-    top = abscissas(max_area_config(seq)) + consts
+    bottom = min_area_abscissas(seq) + consts
+    top = max_area_abscissas(seq) + consts
     plan = [p for p in plan if bottom[p[0]] != top[p[0]]]
     rate, up = abs(math.log(q)), q > 1.0
     rng = random.Random(seed)
@@ -223,7 +200,7 @@ def run_chain(
     for t in range(burn_in + sweeps):
         if t:
             moved += _sweep(v, plan, iter(rand, None), rate, up)
-        if t < burn_in or (t - burn_in) % record_every:
+        if t < burn_in:
             continue
         areas.append(sum(v) - base)
         for offset, x in zip(offsets, v):
@@ -234,7 +211,7 @@ def run_chain(
 
     sites = len(offsets)
     grid = np.array(cells, dtype=np.int64).reshape(max(n, 1), width).T
-    density = DensityField(grid, len(areas), sweeps, burn_in, seed)
+    density = DensityField(grid, len(areas))
     proposals = (burn_in + sweeps - 1) * len(plan)
     acceptance = moved / proposals if proposals else 0.0
     config_counts = None

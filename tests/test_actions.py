@@ -188,6 +188,46 @@ def test_free_actions_against_mpmath():
         assert abs(got - expected) <= 1e-12 * abs(expected), (qq, xi_dual, z, got)
 
 
+def mp_xi_residual(qq, t, xi, z, span=None):
+    """The xi residual's own and integral terms at 50 digits: right, or left
+    with its span. The residual is their difference."""
+    with mpmath.workdps(50):
+        q, xi, z = mpmath.mpf(qq), mpmath.mpf(xi), mpmath.mpf(z)
+        log_q = mpmath.log(q)
+        integral = mpmath.log((t * q ** (1 - xi) - 1) / (t * q ** (-xi) - 1))
+        if span is None:
+            own = log_q + mpmath.log(mpmath.expm1((xi + z) * log_q) / mpmath.expm1(xi * log_q))
+        else:
+            span = mpmath.mpf(span)
+            ratio = mpmath.expm1(span * log_q) / mpmath.expm1((span + z) * log_q)
+            own = (z + 1) * log_q + mpmath.log(ratio)
+        return own, integral
+
+
+def test_xi_residuals_against_mpmath_across_bases():
+    # The own terms run in log space, so bases where qq**(xi+z) overflows a
+    # double (1e200 at xi = 1.5, z = 2) still give finite residuals.
+    cases = [
+        (qq, xi, z)
+        for qq in (1e-300, 1e-200, 1e-20, 1.0 / 3.0, 3.0, 1e20, 1e200, 1e300)
+        for xi in (1e-12, 0.5)
+        for z in (1e-12, 0.5, 2.0)
+    ]
+    cases += [(1e200, 1.5, 2.0), (1e300, 1.5, 2.0)]
+    # The residual is a difference of two terms, so its error is measured
+    # against their size: at xi = z = 1e-12 they cancel to 1e-13.
+    t = -1.0
+    for qq, xi, z in cases:
+        for fn, span in (
+            (saddle_residual_xi_right, None),
+            (saddle_residual_xi_left, UNIFORM.alpha_top + 1.0 - xi),
+        ):
+            own, integral = mp_xi_residual(qq, t, xi, z, span)
+            got = fn(UNIFORM, qq, t, xi, z)
+            error = abs(got - (own - integral))
+            assert error <= 1e-13 * (abs(own) + abs(integral)), (fn.__name__, qq, xi, z, got)
+
+
 def test_free_action_quadrature_budget(monkeypatch):
     # Criterion 09's grid: UNIFORM at qq = 3, both constructions, xi +- 1e-5.
     # A smooth remainder converges on its first panel (45 evaluations); the

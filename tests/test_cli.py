@@ -404,6 +404,19 @@ def test_console_entry_point():
         assert name in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "key, pairs", [("segments", [[10**400, 2.0]]), ("jumps", [[0.5, -(10**400)]])]
+)
+def test_pair_beyond_float_range_is_a_config_error(tmp_path, capsys, key, pairs):
+    # float() of a 400-digit integer raises OverflowError.
+    doc = {"model": {"scaled": dict(SCALED_GAPPED["model"]["scaled"], **{key: pairs})}}
+    rc, out = run_cli(tmp_path, doc, "limits")
+    assert rc == 1
+    message = f"model.scaled.{key}[0]: expected a [number, number] pair"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_oversized_json_integer_is_a_config_error(tmp_path, capsys):
     # json.loads raises a plain ValueError on an integer literal beyond
     # Python's 4300-digit string-conversion cap.

@@ -5,10 +5,12 @@ import pytest
 from qpaths.configs import (
     ExitSpec,
     PathConfig,
+    abscissas,
     enumerate_configs,
     from_second_family,
     max_area_config,
     min_area_config,
+    paths_from_abscissas,
     reflect_second_family,
     to_second_family,
 )
@@ -128,8 +130,6 @@ def test_extremal_configs_are_valid_and_extreme_for_larger_sizes():
     assert lo.total_area() < hi.total_area()
     # No north step of the minimal state can move left, and none of the
     # maximal state can move right, without the paths touching.
-    from qpaths.sampler import abscissas, paths_from_abscissas
-
     for config, step in ((lo, -1), (hi, 1)):
         b = abscissas(config)
         for s in range(len(b)):

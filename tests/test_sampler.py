@@ -6,12 +6,25 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qpaths.sampler as sampler
-from qpaths.configs import PathConfig, enumerate_configs, max_area_config, min_area_config
+from qpaths.configs import (
+    ENUM_MAX_N,
+    ENUM_MAX_TOP,
+    PathConfig,
+    abscissas,
+    enumerate_configs,
+    max_area_abscissas,
+    max_area_config,
+    min_area_abscissas,
+    min_area_config,
+    paths_from_abscissas,
+)
 from qpaths.errors import InvalidArgument, NumericalFailure
 from qpaths.exact import StartSequence
-from qpaths.sampler import _neighbours, _sweep, abscissas, paths_from_abscissas, run_chain
+from qpaths.sampler import _neighbours, _sweep, run_chain
 
 
 def state(config):
@@ -55,6 +68,31 @@ def test_extremal_configs_sit_at_interval_ends():
         for site in plan:
             assert lo_state[site[0]] == interval(lo_state, site)[0]
             assert hi_state[site[0]] == interval(hi_state, site)[1]
+
+
+def start_sequences(max_n, max_top):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(st.integers(1, max_top), min_size=n, max_size=n, unique=True)
+    ).map(lambda xs: StartSequence([0, *sorted(xs)]))
+
+
+@given(st.one_of(start_sequences(ENUM_MAX_N, ENUM_MAX_TOP), start_sequences(12, 60)))
+@settings(max_examples=150, deadline=None)
+def test_closed_form_extremal_arrays(seq):
+    # The closed-form arrays are valid configurations, sit at the low and
+    # high end of every site interval, and are the area extremes wherever
+    # enumeration reaches.
+    plan, consts = _neighbours(seq)
+    bottom, top = min_area_abscissas(seq), max_area_abscissas(seq)
+    for b in (bottom, top):
+        assert abscissas(PathConfig(seq, paths_from_abscissas(seq, b), "first")) == b
+    lo_state, hi_state = bottom + consts, top + consts
+    for site in plan:
+        assert lo_state[site[0]] == interval(lo_state, site)[0]
+        assert hi_state[site[0]] == interval(hi_state, site)[1]
+    if seq.n <= ENUM_MAX_N and seq.top <= ENUM_MAX_TOP:
+        areas = [c.total_area() for c in enumerate_configs(seq)]
+        assert (sum(bottom), sum(top)) == (min(areas), max(areas))
 
 
 def test_site_interval_is_the_admissible_range():
@@ -189,10 +227,10 @@ def test_run_chain_total_variation_small():
 
 def test_run_chain_area_series_and_burn_in():
     seq = StartSequence((0, 1, 3))
-    result = run_chain(seq, 0.7, 2000, seed=3, record_every=5)
+    result = run_chain(seq, 0.7, 2000, seed=3)
     assert result.burn_in == 0
     # sweeps counts measured sweeps; sweep 0 is the exact start.
-    assert len(result.area_series) == result.sweeps // 5
+    assert len(result.area_series) == result.sweeps
     lo = min_area_config(seq).total_area()
     hi = max_area_config(seq).total_area()
     assert all(lo <= a <= hi for a in result.area_series)
@@ -213,8 +251,6 @@ def test_run_chain_validation():
         run_chain(seq, 0.7, 0, seed=0)
     with pytest.raises(InvalidArgument):
         run_chain(seq, 0.7, 10, seed=0, burn_in=-1)
-    with pytest.raises(InvalidArgument):
-        run_chain(seq, 0.7, 10, seed=0, record_every=0)
 
 
 def test_density_grid_totals():
