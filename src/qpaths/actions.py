@@ -196,11 +196,28 @@ def _log_abs_expm1(y: float) -> float:
     raise InvalidArgument("xi residual: log argument is zero")
 
 
-def _xi_integral_term(qq: float, t: float, xi: float, log_q: float) -> float:
-    # t ln(qq) int_0^1 qq**(u-xi) / (t qq**(u-xi) - 1) du, in closed form.
-    num = t * qq ** (1.0 - xi) - 1.0
-    den = t * qq ** (-xi) - 1.0
-    return _log_ratio(num, den, "xi residual")
+def _log_abs_shifted(t: float, power: float, log_q: float) -> tuple[float, bool]:
+    """ln|t qq**power - 1| and whether t qq**power > 1, for t != 0.
+
+    Formed from y = ln|t| + power ln qq, so qq**power may leave the float range.
+    """
+    y = math.log(abs(t)) + power * log_q
+    if t > 0.0:
+        return _log_abs_expm1(y), y > 0.0
+    # |t| qq**power + 1 = e**y + 1.
+    return (y + math.log1p(math.exp(-y)) if y > 0.0 else math.log1p(math.exp(y))), False
+
+
+def _xi_integral_term(t: float, xi: float, log_q: float) -> float:
+    # t ln(qq) int_0^1 qq**(u-xi) / (t qq**(u-xi) - 1) du
+    # = ln((t qq**(1-xi) - 1) / (t qq**(-xi) - 1)), in log space.
+    if t == 0.0:
+        return 0.0
+    num, num_positive = _log_abs_shifted(t, 1.0 - xi, log_q)
+    den, den_positive = _log_abs_shifted(t, -xi, log_q)
+    if num_positive != den_positive:
+        raise InvalidArgument(f"xi residual: log argument not positive at t={t!r}, xi={xi!r}")
+    return num - den
 
 
 @float_range
@@ -213,7 +230,7 @@ def saddle_residual_xi_right(
     log_q = math.log(qq)
     # ln(qq expm1((xi+z) ln qq) / expm1(xi ln qq)); both expm1 share a sign.
     own = log_q + _log_abs_expm1((xi + z) * log_q) - _log_abs_expm1(xi * log_q)
-    return own - _xi_integral_term(qq, t, xi, log_q)
+    return own - _xi_integral_term(t, xi, log_q)
 
 
 @float_range
@@ -226,4 +243,4 @@ def saddle_residual_xi_left(
     log_q = math.log(qq)
     # ln(qq**(z+1) expm1(span ln qq) / expm1((span+z) ln qq)), in log space.
     own = (z + 1.0) * log_q + _log_abs_expm1(span * log_q) - _log_abs_expm1((span + z) * log_q)
-    return own - _xi_integral_term(qq, t, xi, log_q)
+    return own - _xi_integral_term(t, xi, log_q)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import InvalidArgument, NumericalFailure, SingularPoint, float_range
 from .profile import StartDensity, WindowSpec
-from .quadrature import integrate, integrate_pv
+from .quadrature import integrate
 
 __all__ = [
     "TDomain",
@@ -190,46 +190,60 @@ def t_domains(d: StartDensity, qq: float) -> list[TDomain]:
     return _Scaled(d, qq).domains
 
 
+def _log_over(t: float, e: float) -> float:
+    """ln(t / e) for t, e > 0, keeping its digits when t is close to e."""
+    if 0.5 < t / e < 2.0:
+        return math.log1p((t - e) / e)
+    return math.log(t) - math.log(e)
+
+
+def _pole_free(z: float) -> float:
+    """1/z - 1/expm1(z): smooth, in (0, 1), and 1/2 at z = 0."""
+    if abs(z) < 0.1:
+        # Both terms are near 1/z here; the Bernoulli series keeps the digits.
+        w = z * z
+        return 0.5 - z * (1.0 / 12.0 - w * (1.0 / 720.0 - w * (1.0 / 30240.0 - w / 1209600.0)))
+    # For z > 0 the form with e**(-z) cannot overflow.
+    return 1.0 / z - (math.exp(-z) / -math.expm1(-z) if z > 0.0 else 1.0 / math.expm1(z))
+
+
 @float_range
 def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> float:
     """The tangent-family weight x(t) at an admissible parameter value.
 
     ``method="closed"`` uses the exact product form for piecewise-linear
     densities.  ``method="quadrature"`` integrates the defining exponent
-    numerically (principal value inside filled windows, where the sign
-    comes from the analytic continuation across the support).
+    numerically, one linear element at a time.  For t > 0 the integrand
+    t/(t - qq**a) = -1/expm1(z), z = (a - tau) ln qq with qq**tau = t, has
+    a pole at a = tau when t lies on or next to the density support: its
+    pole part -1/z integrates in closed form (a principal value inside a
+    filled window) and the bounded remainder 1/z - 1/expm1(z) goes to the
+    quadrature.  The sign of x comes from the branch of t.
     """
     sc = _Scaled(d, qq)
-    dom = sc.domain(t)
-    sign, window = dom.sign_of_x, dom.window
+    sign = sc.domain(t).sign_of_x
     if method == "closed":
         return float(sc.terms(t, sign)[1])
     if method != "quadrature":
         raise InvalidArgument(f"unknown method {method!r}")
     log_q = sc.log_q
-    exponent = 0.0
-    for i, el in enumerate(d.elements):
-        if el.kind == "jump" or (window is not None and i == window.element):
-            continue  # a filled window is one principal value below
-
-        def integrand(a: float) -> float:
-            return t / (t - qq**a)
-
-        exponent += 1.0 / el.p * integrate(
-            integrand, el.a_lo, el.a_hi, rel_tol=1e-12, abs_tol=1e-15)
-    if window is not None and window.kind == "filled":
-        # The pole sits inside the window's slope-1 element, where the
-        # integrand is a single analytic function of a: one principal
-        # value.  The continuation across the support only flips the
-        # sign, which the branch already fixed.
+    if t > 0.0:
         tau = math.log(t) / log_q
 
-        def numerator(a: float) -> float:
-            return -(a - tau) / math.expm1((a - tau) * log_q)
+        def integrand(a: float) -> float:
+            return _pole_free((a - tau) * log_q)
+    else:
 
-        exponent += integrate_pv(
-            numerator, window.a_lo, window.a_hi, tau, rel_tol=1e-12, abs_tol=1e-15
-        )
+        def integrand(a: float) -> float:
+            return t / (t - sc.qq**a)
+
+    exponent = 0.0
+    for a_lo, a_hi, inv_p, e_lo, e_hi in sc.parts:
+        part = integrate(integrand, a_lo, a_hi, rel_tol=1e-12, abs_tol=1e-15)
+        if t > 0.0:
+            # -int da / ((a - tau) ln qq), where a_end - tau = -ln(t / e_end) / ln qq.
+            part -= (math.log(abs(_log_over(t, e_hi))) - math.log(abs(_log_over(t, e_lo)))) / log_q
+        exponent += inv_p * part
     return sign * math.exp(-exponent * log_q)
 
 

@@ -5,8 +5,12 @@ error estimate, how far that sum moved from the whole-panel rule.  The
 panel with the largest estimate is bisected until the estimates summed
 over all panels meet the tolerance (the global strategy of QUADPACK).
 Known awkward points (kinks, jump locations) are passed as breakpoints
-so panels never straddle them.  A tolerance that cannot be met raises
-NumericalFailure; no estimate is returned short of it.
+so panels never straddle them.  Singular integrands are the caller's to
+regularise: x(t) in :mod:`qpaths.curves` integrates the pole of
+t/(t - qq**a) in closed form and the free-tail action in
+:mod:`qpaths.actions` its ln u singularity, so only bounded remainders
+reach this rule.  A tolerance that cannot be met raises NumericalFailure;
+no estimate is returned short of it.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ _HALF_WEIGHTS = (0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.1
 _NODES = tuple(-x for x in _HALF_NODES[:0:-1]) + _HALF_NODES
 _WEIGHTS = _HALF_WEIGHTS[:0:-1] + _HALF_WEIGHTS
 # Bound on the panels of one call.  Converging calls hold at most 54
-# panels in the test suite (the 1/sqrt(x) endpoint test) and 21 in the
-# benchmark (tangent seeds 101-105, arctic seed 101); a call still short
-# of its tolerance at 1000 panels (about 30 000 integrand calls) is
-# chasing rounding noise.
+# panels in the test suite (the 1/sqrt(x) endpoint test; 6 outside the
+# quadrature tests) and 4 in the benchmark (tangent seeds 1 and 101-105;
+# the other workloads make no call); a call still short of its tolerance
+# at 1000 panels (about 30 000 integrand calls) is chasing rounding noise.
 _MAX_PANELS = 1000
 
 
@@ -95,43 +99,3 @@ def integrate(
         heapq.heappush(heap, _panel(f, lo, mid, left))
         heapq.heappush(heap, _panel(f, mid, hi, right))
 
-
-def integrate_pv(
-    numerator: Callable[[float], float],
-    a: float,
-    b: float,
-    pole: float,
-    *,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-14,
-) -> float:
-    """Cauchy principal value of numerator(x) / (x - pole) over [a, b].
-
-    Taking the numerator rather than the full integrand keeps the fold
-    (numerator(pole+s) - numerator(pole-s)) / s free of the 0 * inf noise
-    that folding the raw integrand produces near the pole.
-    """
-    if not a < pole < b:
-        raise InvalidArgument("principal-value pole must lie strictly inside the interval")
-    h = min(pole - a, b - pole)
-    if h <= 0.0 or not math.isfinite(h):
-        raise NumericalFailure("degenerate principal-value window")
-
-    def folded(s: float) -> float:
-        return (numerator(pole + s) - numerator(pole - s)) / s
-
-    # Below the cut the fold is 2 * numerator'(pole) + O(s^2); one midpoint
-    # cell there avoids dividing rounding error of the difference by tiny s.
-    cut = h * 6.0e-6
-    core = cut * folded(0.5 * cut)
-    core += integrate(folded, cut, h, rel_tol=rel_tol, abs_tol=abs_tol)
-
-    def full(x: float) -> float:
-        return numerator(x) / (x - pole)
-
-    rest = 0.0
-    if pole - a > h:
-        rest += integrate(full, a, pole - h, rel_tol=rel_tol, abs_tol=abs_tol)
-    if b - pole > h:
-        rest += integrate(full, pole + h, b, rel_tol=rel_tol, abs_tol=abs_tol)
-    return core + rest

@@ -139,6 +139,7 @@ def load_csv(path: str) -> tuple[list[str], list[list]]:
 
 
 _PALETTE = ("#1f6f8b", "#c1443c", "#3a7d44", "#8a4f9e", "#b8860b", "#555555")
+_SVG_WIDTH = 720
 
 
 def render_svg(
@@ -146,20 +147,20 @@ def render_svg(
     *,
     x_range: tuple[float, float],
     y_range: tuple[float, float],
-    width: int = 720,
 ) -> str:
     """Render polylines into a standalone SVG document.
 
     Each item is a dict with "points" (sequence of (x, y)) and optional
     "stroke", "width", "dash". The viewBox is fixed by x_range/y_range so
-    separately produced documents overlay consistently.
+    separately produced documents overlay consistently; the document is
+    _SVG_WIDTH pixels wide.
     """
     x0, x1 = float(x_range[0]), float(x_range[1])
     y0, y1 = float(y_range[0]), float(y_range[1])
     if not (x1 > x0 and y1 > y0):
         raise InvalidArgument("svg ranges must be nonempty")
     margin = 20.0
-    scale = (width - 2 * margin) / (x1 - x0)
+    scale = (_SVG_WIDTH - 2 * margin) / (x1 - x0)
     height = 2 * margin + scale * (y1 - y0)
 
     def to_pixel(p):
@@ -168,8 +169,8 @@ def render_svg(
         return px, py
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:g} {height:.6g}">',
-        f'<rect width="{width:g}" height="{height:.6g}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_WIDTH:g} {height:.6g}">',
+        f'<rect width="{_SVG_WIDTH:g}" height="{height:.6g}" fill="white"/>',
     ]
     for i, item in enumerate(items):
         pts = [to_pixel(p) for p in item["points"]]

@@ -205,15 +205,16 @@ def mp_xi_residual(qq, t, xi, z, span=None):
 
 
 def test_xi_residuals_against_mpmath_across_bases():
-    # The own terms run in log space, so bases where qq**(xi+z) overflows a
-    # double (1e200 at xi = 1.5, z = 2) still give finite residuals.
+    # Both terms run in log space, so bases where qq**(xi+z) or qq**(-xi)
+    # leaves the double range (1e200 and 1e-200 at xi = 1.5, z = 2) still
+    # give finite residuals.
     cases = [
         (qq, xi, z)
         for qq in (1e-300, 1e-200, 1e-20, 1.0 / 3.0, 3.0, 1e20, 1e200, 1e300)
         for xi in (1e-12, 0.5)
         for z in (1e-12, 0.5, 2.0)
     ]
-    cases += [(1e200, 1.5, 2.0), (1e300, 1.5, 2.0)]
+    cases += [(1e200, 1.5, 2.0), (1e300, 1.5, 2.0), (1e-300, 1.5, 2.0), (1e-200, 1.5, 2.0)]
     # The residual is a difference of two terms, so its error is measured
     # against their size: at xi = z = 1e-12 they cancel to 1e-13.
     t = -1.0

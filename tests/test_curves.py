@@ -2,12 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpaths.curves import (
+    _pole_free,
     arctic_curve,
     arctic_point,
     dx_dt,
@@ -61,12 +64,26 @@ def test_uniform_density_quadrature_route():
             assert quad == pytest.approx(uniform_x(qq, t), rel=1e-8)
 
 
-@pytest.mark.parametrize("qq, t", [(3.0, 9.0 * (1 + 1e-9)), (1.0 / 3.0, (1 - 1e-9) / 9.0)])
-def test_quadrature_route_raises_where_rounding_beats_tolerance(qq, t):
-    # 1e-9 from the branch end, rounding in t - qq**a exceeds the 1e-12
-    # tolerance of the exponent: no value is returned.
-    with pytest.raises(NumericalFailure):
-        x_of_t(UNIFORM, qq, t, method="quadrature")
+@pytest.mark.parametrize("qq, t", [
+    (3.0, 9.0 * (1 + 1e-9)),
+    (1.0 / 3.0, (1 - 1e-9) / 9.0),
+    (3.0, 9.0 * (1 + 1e-12)),
+    (1.0 / 3.0, (1 - 1e-12) / 9.0),
+])
+def test_quadrature_route_next_to_a_branch_end(qq, t):
+    # The pole of t/(t - qq**a) just past the element end is integrated in
+    # closed form, so the quadrature only sees a bounded remainder.
+    assert x_of_t(UNIFORM, qq, t, method="quadrature") == pytest.approx(uniform_x(qq, t), rel=1e-12)
+
+
+def test_pole_free_remainder_against_mpmath():
+    # 1/z - 1/expm1(z) is the difference of two terms near 1/z for small z:
+    # formed directly it keeps no digit at |z| = 1e-16.
+    for z in (0.0, 1e-300, 1e-16, 1e-8, 0.0999, 0.1, 1.0, 30.0, 700.0, 1e3):
+        for z in (z, -z):
+            with mpmath.workdps(400):
+                exact = 0.5 if z == 0.0 else 1 / mpmath.mpf(z) - 1 / mpmath.expm1(z)
+            assert _pole_free(z) == pytest.approx(float(exact), rel=1e-14), z
 
 
 def test_x_of_t_rejects_unknown_method():
@@ -143,6 +160,30 @@ def test_window_weight_signs_and_quadrature():
         )
 
 
+def test_filled_window_exponent_against_scipy_cauchy():
+    # Inside FILLED's filled window (a in (2/3, 1)) the exponent
+    # int_0^1 t du / (t - qq**alpha(u)) is a principal value at
+    # a = tau = ln t / ln qq.  QUADPACK's Cauchy-weight rule takes the
+    # window element, its plain rule the other two.
+    qq = 0.01
+    log_q = math.log(qq)
+    for t in (0.015, 0.025, 0.04):
+        tau = math.log(t) / log_q
+        expected = 0.0
+        for el in FILLED.segment_elements():
+            if el.a_lo < tau < el.a_hi:
+                numerator = lambda a: t * (a - tau) / (t - qq**a)
+                part = scipy.integrate.quad(numerator, el.a_lo, el.a_hi, weight="cauchy", wvar=tau,
+                                            epsabs=1e-14, epsrel=1e-13)[0]
+            else:
+                part = scipy.integrate.quad(lambda a: t / (t - qq**a), el.a_lo, el.a_hi,
+                                            epsabs=1e-14, epsrel=1e-13)[0]
+            expected += part / el.p
+        x = x_of_t(FILLED, qq, t, method="quadrature")
+        assert x < 0.0
+        assert -math.log(-x) / log_q == pytest.approx(expected, rel=1e-10)
+
+
 SPLIT_FILLED = StartDensity([(0.25, 2.0), (0.25, 1.0), (0.25, 1.0), (0.25, 2.0)])
 
 
@@ -162,19 +203,25 @@ def test_split_filled_window_arc_skips_no_point():
 
 
 @st.composite
-def ladder_cases(draw):
-    """A two- or three-piece density, a base in [1e-3, 1e3] without 1, and a t.
-
-    t is log-uniform of either sign, or a pole qq**a at a piece end, where
-    branches end or the density support lies.
-    """
+def densities(draw):
+    """A two- or three-piece density of slopes 1, 1.5, 2, 4 with at most one jump."""
     pieces = draw(st.integers(2, 3))
     widths = [draw(st.floats(0.1, 1.0)) for _ in range(pieces)]
     widths = [w / math.fsum(widths) for w in widths]
     slopes = [draw(st.sampled_from([1.0, 1.5, 2.0, 4.0])) for _ in range(pieces)]
     at = draw(st.integers(1, pieces - 1)) if draw(st.booleans()) else None
     jumps = [] if at is None else [(sum(widths[:at]), draw(st.floats(0.1, 2.0)))]
-    d = StartDensity(list(zip(widths, slopes)), jumps=jumps)
+    return StartDensity(list(zip(widths, slopes)), jumps=jumps)
+
+
+@st.composite
+def ladder_cases(draw):
+    """A density, a base in [1e-3, 1e3] without 1, and a t.
+
+    t is log-uniform of either sign, or a pole qq**a at a piece end, where
+    branches end or the density support lies.
+    """
+    d = draw(densities())
     qq = 10.0 ** (draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 3.0)))
     if draw(st.booleans()):
         a = draw(st.sampled_from([el.a_lo for el in d.elements] + [d.alpha_top]))
@@ -195,6 +242,26 @@ def test_x_of_t_follows_the_branch_ladder(case):
             x_of_t(d, qq, t)
         return
     assert np.sign(x_of_t(d, qq, t)) == holding[0].sign_of_x
+
+
+@given(densities(), st.sampled_from([-1.0, 1.0]), st.floats(0.01, 20.0), st.floats(-12.0, -1.0))
+@settings(max_examples=200, deadline=None)
+def test_quadrature_route_matches_closed_form_on_every_branch(d, side, decades, offset):
+    # t sits a relative distance r inside each finite end of every branch,
+    # where a pole qq**a lies just outside the branch, and far along the
+    # infinite legs.
+    qq, r = 10.0 ** (side * decades), 10.0**offset
+    for dom in t_domains(d, qq):
+        ts = []
+        if math.isfinite(dom.lo):
+            ts += [dom.lo * (1.0 + r), dom.lo * 1e3]
+        if math.isfinite(dom.hi):
+            ts += [dom.hi * (1.0 - r), dom.hi * 1e-3]
+        if math.isinf(dom.lo):
+            ts += [-1e3, -1e-3]
+        for t in (t for t in ts if t in dom):
+            closed = x_of_t(d, qq, t)
+            assert x_of_t(d, qq, t, method="quadrature") == pytest.approx(closed, rel=1e-10), t
 
 
 def test_window_boundary_rejected():

@@ -9,7 +9,7 @@ import scipy.integrate
 
 from qpaths import quadrature
 from qpaths.errors import InvalidArgument, NumericalFailure
-from qpaths.quadrature import integrate, integrate_pv
+from qpaths.quadrature import integrate
 
 
 def test_polynomials_exact():
@@ -50,28 +50,6 @@ def test_integrable_endpoint_singularity():
     # 1/sqrt(x) integrates to 2 despite the endpoint blow-up.
     got = integrate(lambda x: 1.0 / math.sqrt(x) if x > 0 else 0.0, 0.0, 1.0)
     assert got == pytest.approx(2.0, rel=1e-7)
-
-
-def test_principal_value_log_ratio():
-    # PV of 1/(x - p) over [0, 1] is ln((1-p)/p).
-    for p in (0.25, 0.5, 0.9):
-        got = integrate_pv(lambda x: 1.0, 0.0, 1.0, p)
-        assert got == pytest.approx(math.log((1.0 - p) / p), abs=1e-12)
-
-
-def test_principal_value_against_scipy_cauchy():
-    f = lambda x: math.exp(x)
-    for p in (0.3, 0.7):
-        expected = scipy.integrate.quad(f, 0.0, 1.0, weight="cauchy", wvar=p)[0]
-        got = integrate_pv(f, 0.0, 1.0, p)
-        assert got == pytest.approx(expected, rel=1e-10)
-
-
-def test_principal_value_pole_must_be_interior():
-    with pytest.raises(InvalidArgument):
-        integrate_pv(lambda x: 1.0, 0.0, 1.0, 0.0)
-    with pytest.raises(InvalidArgument):
-        integrate_pv(lambda x: 1.0, 0.0, 1.0, 1.5)
 
 
 def test_nonfinite_integrand_rejected():
