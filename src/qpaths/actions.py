@@ -48,41 +48,30 @@ _FAR = 4.0
 _FAR_TERMS = 10
 
 
-def _log_ratio(num: float, den: float, what: str) -> float:
-    if num == 0.0 or den == 0.0 or (num > 0.0) != (den > 0.0):
-        raise InvalidArgument(
-            f"{what}: log argument not positive (numerator {num!r}, denominator {den!r})"
-        )
-    return math.log(abs(num)) - math.log(abs(den))
-
-
 @float_range
 def action_bulk(d: StartDensity, qq: float, t: float, xi: float) -> float:
     """Bulk action at tangency parameter t and exit height xi.
 
     Defined for t on the outer branches, where the integrand's log
-    argument keeps one sign across u in [0, 1].  The quadrature splits
-    at the breakpoints of the start density.
+    argument keeps one sign across u in [0, 1].  The quadrature runs one
+    linear segment at a time (jumps have no u extent).  On a segment, with
+    a = alpha(u), t - qq**a = qq**a (t qq**(-a) - 1), so the integrand is
+    ln((t qq**(u-xi) - 1) / (t qq**(-a) - 1)) - a ln qq, formed in log
+    space where qq**(u-xi) or qq**a leaves the float range.
     """
     qq = _check_base(qq)
     log_q = math.log(qq)
     if t == 0.0:
         raise InvalidArgument("bulk action undefined at t = 0")
+    val = (xi - 0.5) * log_q
+    for el in d.segment_elements():
 
-    def integrand(u: float) -> float:
-        num = t * qq ** (u - xi) - 1.0
-        den = t - qq ** d.alpha(u)
-        return _log_ratio(num, den, "bulk action")
+        def integrand(u: float, u_lo=el.u_lo, a_lo=el.a_lo, p=el.p) -> float:
+            a = a_lo + p * (u - u_lo)
+            return _log_shift_ratio(t, u - xi, -a, log_q, "bulk action") - a * log_q
 
-    val = integrate(
-        integrand,
-        0.0,
-        1.0,
-        rel_tol=_REL_TOL,
-        abs_tol=_ABS_TOL,
-        breakpoints=d.breakpoints_u(),
-    )
-    return (xi - 0.5) * log_q + val
+        val += integrate(integrand, el.u_lo, el.u_hi, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
+    return val
 
 
 def _check_right(xi: float, z: float) -> None:
@@ -181,43 +170,45 @@ def saddle_residual_t(d: StartDensity, qq: float, t: float, xi: float) -> float:
     sc = _Scaled(d, qq)
     if sc.domain(t).window is not None:
         raise InvalidArgument(f"t={t!r} lies on a window branch, not an outer one")
-    q_xi = sc.qq**xi
-    boundary = _log_ratio(t * sc.qq - q_xi, t - q_xi, "t residual") / (t * sc.log_q)
-    # int_0^1 du / (t - qq**alpha(u)) = -ln x(t) / (t ln qq).
-    return float(boundary + sc.terms(t, 1)[0] / (t * sc.log_q))
+    # The boundary term ln((t qq - qq**xi) / (t - qq**xi)) is the xi
+    # residuals' integral term, and int_0^1 du / (t - qq**alpha(u)) =
+    # -ln x(t) / (t ln qq).
+    boundary = _log_shift_ratio(t, 1.0 - xi, -xi, sc.log_q, "t residual")
+    return (boundary + float(sc.terms(t, 1)[0])) / (t * sc.log_q)
 
 
-def _log_abs_expm1(y: float) -> float:
+def _log_abs_expm1(y: float, what: str) -> float:
     """ln|e**y - 1| for y != 0, also where e**y overflows."""
     if y > 0.0:
         return y + math.log(-math.expm1(-y))
     if y < 0.0:
         return math.log(-math.expm1(y))
-    raise InvalidArgument("xi residual: log argument is zero")
+    raise InvalidArgument(f"{what}: log argument is zero")
 
 
-def _log_abs_shifted(t: float, power: float, log_q: float) -> tuple[float, bool]:
-    """ln|t qq**power - 1| and whether t qq**power > 1, for t != 0.
+def _log_abs_shifted(y: float, positive: bool, what: str) -> float:
+    """ln|e**y - 1| if positive, else ln(e**y + 1); e**y may overflow."""
+    if positive:
+        return _log_abs_expm1(y, what)
+    return y + math.log1p(math.exp(-y)) if y > 0.0 else math.log1p(math.exp(y))
 
-    Formed from y = ln|t| + power ln qq, so qq**power may leave the float range.
+
+def _log_shift_ratio(t: float, p: float, r: float, log_q: float, what: str) -> float:
+    """ln((t qq**p - 1) / (t qq**r - 1)), and 0 at t = 0.
+
+    Formed from ln|t| + p ln qq and ln|t| + r ln qq, so qq**p and qq**r
+    may leave the float range.  Raises InvalidArgument when the two
+    differences differ in sign, which only a t > 0 can give.
     """
-    y = math.log(abs(t)) + power * log_q
-    if t > 0.0:
-        return _log_abs_expm1(y), y > 0.0
-    # |t| qq**power + 1 = e**y + 1.
-    return (y + math.log1p(math.exp(-y)) if y > 0.0 else math.log1p(math.exp(y))), False
-
-
-def _xi_integral_term(t: float, xi: float, log_q: float) -> float:
-    # t ln(qq) int_0^1 qq**(u-xi) / (t qq**(u-xi) - 1) du
-    # = ln((t qq**(1-xi) - 1) / (t qq**(-xi) - 1)), in log space.
     if t == 0.0:
         return 0.0
-    num, num_positive = _log_abs_shifted(t, 1.0 - xi, log_q)
-    den, den_positive = _log_abs_shifted(t, -xi, log_q)
-    if num_positive != den_positive:
-        raise InvalidArgument(f"xi residual: log argument not positive at t={t!r}, xi={xi!r}")
-    return num - den
+    log_t = math.log(abs(t))
+    y_num = log_t + p * log_q
+    y_den = log_t + r * log_q
+    positive = t > 0.0
+    if positive and (y_num > 0.0) != (y_den > 0.0):
+        raise InvalidArgument(f"{what}: log argument not positive at t={t!r}")
+    return _log_abs_shifted(y_num, positive, what) - _log_abs_shifted(y_den, positive, what)
 
 
 @float_range
@@ -229,8 +220,9 @@ def saddle_residual_xi_right(
     _check_right(xi, z)
     log_q = math.log(qq)
     # ln(qq expm1((xi+z) ln qq) / expm1(xi ln qq)); both expm1 share a sign.
-    own = log_q + _log_abs_expm1((xi + z) * log_q) - _log_abs_expm1(xi * log_q)
-    return own - _xi_integral_term(t, xi, log_q)
+    own = (log_q + _log_abs_expm1((xi + z) * log_q, "xi residual")
+           - _log_abs_expm1(xi * log_q, "xi residual"))
+    return own - _log_shift_ratio(t, 1.0 - xi, -xi, log_q, "xi residual")
 
 
 @float_range
@@ -242,5 +234,6 @@ def saddle_residual_xi_left(
     span = _dual_span(d, xi, z)
     log_q = math.log(qq)
     # ln(qq**(z+1) expm1(span ln qq) / expm1((span+z) ln qq)), in log space.
-    own = (z + 1.0) * log_q + _log_abs_expm1(span * log_q) - _log_abs_expm1((span + z) * log_q)
-    return own - _xi_integral_term(t, xi, log_q)
+    own = ((z + 1.0) * log_q + _log_abs_expm1(span * log_q, "xi residual")
+           - _log_abs_expm1((span + z) * log_q, "xi residual"))
+    return own - _log_shift_ratio(t, 1.0 - xi, -xi, log_q, "xi residual")

@@ -251,11 +251,10 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
 def dx_dt(d: StartDensity, qq: float, t: float) -> float:
     """Derivative x'(t) of the closed-form tangent-family weight."""
     sc = _Scaled(d, qq)
-    _, x, _, s = sc.terms(t, sc.domain(t).sign_of_x)
-    if t == 0.0:
-        # s vanishes with t; there x'/x = sum (1/p) (1/E_lo - 1/E_hi).
-        return float(x * sum(inv_p * (1.0 / lo - 1.0 / hi) for *_, inv_p, lo, hi in sc.parts))
-    return float(x * s / t)
+    x = sc.terms(t, sc.domain(t).sign_of_x)[1]
+    # x'/x = s/t, summed without dividing by t, so t = 0 needs no case.
+    return float(x * sum(inv_p * (e_hi - e_lo) / (t - e_hi) / (t - e_lo)
+                         for *_, inv_p, e_lo, e_hi in sc.parts))
 
 
 def _tangency(sc: _Scaled, t, sign: int):
@@ -436,13 +435,10 @@ def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
     return Curve(points=_points(math.nan, bx[keep], 1.0 + np.log(qy1[keep]) / log_q))
 
 
-def _xi_of(sc: _Scaled, t: float, lx: float, x: float, one_minus_x: float) -> float:
-    # qq**xi = t (qq x - 1) / (x - 1), stable via expm1 in log space.
-    if x > 0.0:
-        qx_minus_1 = math.expm1(sc.log_q + lx)
-    else:
-        qx_minus_1 = sc.qq * x - 1.0
-    q_xi = t * qx_minus_1 / (-one_minus_x)
+def _xi_of(sc: _Scaled, t: float, lx: float, one_minus_x: float) -> float:
+    # qq**xi = t (qq x - 1) / (x - 1), stable via expm1 in log space; x > 0
+    # on the outer branches, the only ones with exit parameters.
+    q_xi = t * math.expm1(sc.log_q + lx) / (-one_minus_x)
     if q_xi <= 0.0 or not math.isfinite(q_xi):
         raise InvalidArgument(
             f"no real exit height at t={t!r} (qq^xi = {q_xi!r})"
@@ -462,7 +458,7 @@ def exit_params_right(d: StartDensity, qq: float, t: float) -> ScalingVars:
     if dom.branch != "right":
         raise InvalidArgument(f"t={t!r} is on branch {dom.branch!r}, not 'right'")
     lx, x, one_minus_x, _ = sc.terms(t, dom.sign_of_x)
-    xi = _xi_of(sc, t, lx, x, one_minus_x)
+    xi = _xi_of(sc, t, lx, one_minus_x)
     q_z = (t - one_minus_x) / (t * sc.qq * x)
     if q_z <= 0.0 or not math.isfinite(q_z):
         raise InvalidArgument(f"no real tail length at t={t!r} (qq^z = {q_z!r})")
@@ -481,7 +477,7 @@ def exit_params_left(d: StartDensity, qq: float, t: float) -> ScalingVars:
     if dom.branch != "left":
         raise InvalidArgument(f"t={t!r} is on branch {dom.branch!r}, not 'left'")
     lx, x, one_minus_x, _ = sc.terms(t, dom.sign_of_x)
-    xi = _xi_of(sc, t, lx, x, one_minus_x)
+    xi = _xi_of(sc, t, lx, one_minus_x)
     denom = sc.qq * (t * x + sc.e_top * one_minus_x)
     if denom == 0.0:
         raise InvalidArgument(f"no real tail length at t={t!r} (degenerate)")

@@ -147,11 +147,6 @@ class StartDensity:
     def segment_elements(self) -> Iterator[ProfileElement]:
         return (el for el in self._elements if el.kind == "segment")
 
-    def breakpoints_u(self) -> tuple[float, ...]:
-        """Interior u values where the density kinks or jumps."""
-        pts = {el.u_hi for el in self._elements}
-        return tuple(sorted(p for p in pts if 0.0 < p < 1.0))
-
     def alpha(self, u: float) -> float:
         """Density value at u, right-continuous at jump locations."""
         if not 0.0 <= u <= 1.0:

@@ -4,13 +4,13 @@ Every panel carries the sum of its two Gauss-Legendre halves and, as its
 error estimate, how far that sum moved from the whole-panel rule.  The
 panel with the largest estimate is bisected until the estimates summed
 over all panels meet the tolerance (the global strategy of QUADPACK).
-Known awkward points (kinks, jump locations) are passed as breakpoints
-so panels never straddle them.  Singular integrands are the caller's to
-regularise: x(t) in :mod:`qpaths.curves` integrates the pole of
-t/(t - qq**a) in closed form and the free-tail action in
-:mod:`qpaths.actions` its ln u singularity, so only bounded remainders
-reach this rule.  A tolerance that cannot be met raises NumericalFailure;
-no estimate is returned short of it.
+Kinks and singularities are the caller's to handle.  The bulk action
+and x(t) integrate one linear element of the start density at a time,
+so no panel straddles a kink or a jump.  x(t) in :mod:`qpaths.curves`
+integrates the pole of t/(t - qq**a) in closed form and the free-tail
+action in :mod:`qpaths.actions` its ln u singularity, so only bounded
+remainders reach this rule.  A tolerance that cannot be met raises
+NumericalFailure; no estimate is returned short of it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ def integrate(
     *,
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-14,
-    breakpoints: tuple[float, ...] = (),
 ) -> float:
     """Integral of f over [a, b] to max(abs_tol, rel_tol * |integral|).
 
@@ -77,11 +76,8 @@ def integrate(
     if a == b:
         return 0.0
     if b < a:
-        return -integrate(f, b, a, rel_tol=rel_tol, abs_tol=abs_tol, breakpoints=breakpoints)
-    cuts = sorted({float(c) for c in breakpoints if a < c < b})
-    edges = [a, *cuts, b]
-    heap = [_panel(f, lo, hi, _rule(f, lo, hi)) for lo, hi in zip(edges, edges[1:])]
-    heapq.heapify(heap)
+        return -integrate(f, b, a, rel_tol=rel_tol, abs_tol=abs_tol)
+    heap = [_panel(f, a, b, _rule(f, a, b))]
     while True:
         total = math.fsum(left + right for _, _, _, left, right in heap)
         error = -math.fsum(neg_err for neg_err, *_ in heap)

@@ -138,11 +138,68 @@ def test_bulk_action_against_high_precision_quadrature():
                 (t * qq ** (u - xi) - 1.0) / (t - qq ** d.alpha(u))
             )
 
-        pts = [0.0, *d.breakpoints_u(), 1.0]
+        pts = sorted({0.0, *(el.u_hi for el in d.elements)})
         expected = (xi - 0.5) * math.log(qq) + float(
             mpmath.quad(integrand, pts)
         )
         assert action_bulk(d, qq, t, xi) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+def mp_bulk_action(d, qq, t, xi):
+    """S_bulk at 60 digits, the integral split at the element ends, at
+    u* = xi - ln|t| / ln qq and where qq**alpha(u) = |t|: next to each,
+    the integrand turns on a scale of 1/|ln qq|.  Tanh-sinh of degree 5
+    meets 1e-16 there, a hundred thousandth of the tolerance it checks."""
+    with mpmath.workdps(60):
+        t, xi = mpmath.mpf(t), mpmath.mpf(xi)
+        log_q = mpmath.log(qq)
+        tau = mpmath.log(abs(t)) / log_q
+        total = (xi - mpmath.mpf(0.5)) * log_q
+        for el in d.segment_elements():
+            u_lo, u_hi = mpmath.mpf(el.u_lo), mpmath.mpf(el.u_hi)
+            a_lo, p = mpmath.mpf(el.a_lo), mpmath.mpf(el.p)
+            cuts = (xi - tau, u_lo + (tau - a_lo) / p)
+            pts = [u_lo, *sorted(c for c in cuts if u_lo < c < u_hi), u_hi]
+            val, err = mpmath.quad(
+                lambda u: mpmath.log(
+                    (t * mpmath.exp((u - xi) * log_q) - 1)
+                    / (t - mpmath.exp((a_lo + p * (u - u_lo)) * log_q))
+                ),
+                pts,
+                maxdegree=5,
+                error=True,
+            )
+            assert err <= 1e-16
+            total += val
+        return total
+
+
+def test_bulk_action_against_mpmath_at_extreme_bases():
+    # Bases where qq**(u - xi) or qq**alpha(u) leaves the double range;
+    # the error is measured against the size of the (xi - 1/2) ln qq term.
+    for d in (UNIFORM, THIRDS, GAPPED):
+        for qq in (1e-300, 1e-150, 1e-20, 1e20, 1e200, 1e250):
+            for t in (-1e5, -20.0, -1.0, -1e-3):
+                for xi in (0.3, 1.5, 2.5):
+                    expected = mp_bulk_action(d, qq, t, xi)
+                    got = action_bulk(d, qq, t, xi)
+                    tol = 1e-11 * (1.0 + abs(xi - 0.5) * abs(math.log(qq)))
+                    assert abs(got - expected) <= tol, (d, qq, t, xi, got)
+
+
+def test_bulk_plus_free_action_derivative_at_extreme_bases():
+    # The central difference in xi of bulk plus free action is the closed
+    # right xi residual, also where qq**xi leaves the double range.
+    eps = 1e-4
+    for qq in (1e-300, 1e200):
+        for t in (-20.0, -1.0):
+            for xi, z in ((0.3, 0.5), (1.5, 2.0)):
+                def total(x):
+                    return action_bulk(UNIFORM, qq, t, x) + action_free(qq, x, z)
+
+                fd = (total(xi + eps) - total(xi - eps)) / (2 * eps)
+                r = saddle_residual_xi_right(UNIFORM, qq, t, xi, z)
+                assert abs(r - fd) <= 1e-8 * abs(math.log(qq)), (qq, t, xi, r, fd)
 
 
 def test_free_actions_match_dilogarithm_form():
@@ -308,3 +365,6 @@ def test_action_argument_validation():
     for xi in (0.5, 1.5, 2.5):
         with pytest.raises(InvalidArgument):
             saddle_residual_t(GAPPED, 3.0, 5.0, xi)
+    # t qq**(-xi) = 1 exactly: the t residual's log argument is zero.
+    with pytest.raises(InvalidArgument, match="t residual"):
+        saddle_residual_t(UNIFORM, 2.0, 0.5, -1.0)

@@ -58,12 +58,6 @@ def test_alpha_with_jump_uses_upper_value():
     assert d.alpha_top == pytest.approx(3.0)
 
 
-def test_breakpoints():
-    # Interior breakpoints only; the endpoints are integration limits anyway.
-    assert THIRDS.breakpoints_u() == pytest.approx((1 / 3, 2 / 3))
-    assert GAPPED.breakpoints_u() == pytest.approx((0.5,))
-
-
 def test_window_detection():
     assert THIRDS.windows == ()
 

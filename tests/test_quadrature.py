@@ -32,14 +32,6 @@ def test_reversed_interval_changes_sign():
     assert integrate(math.exp, 0.5, 0.5) == 0.0
 
 
-def test_kink_with_breakpoint():
-    f = lambda x: abs(x - 1.0 / 3.0)
-    exact = ((1.0 / 3.0) ** 2 + (2.0 / 3.0) ** 2) / 2.0
-    assert integrate(f, 0.0, 1.0, breakpoints=(1.0 / 3.0,)) == pytest.approx(
-        exact, rel=1e-13
-    )
-
-
 def test_against_scipy_on_oscillatory_integrand():
     f = lambda x: math.cos(40.0 * x) * math.exp(-x)
     expected, _ = scipy.integrate.quad(f, 0.0, 2.0, limit=200)
