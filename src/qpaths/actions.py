@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .curves import _check_base, _Scaled
+from .curves import _check_base
 from .errors import InvalidArgument, float_range
 from .profile import StartDensity
 from .quadrature import integrate
@@ -165,16 +165,25 @@ def saddle_residual_t(d: StartDensity, qq: float, t: float, xi: float) -> float:
     """Closed-form partial derivative of the bulk action in t.
 
     Vanishes when xi is the exit height attached to the tangency at t.
-    Defined, like the bulk action, for t on the outer branches.
+    Defined, like the bulk action, for t on the outer branches: t < 0, or
+    tau = ln t / ln qq outside [0, alpha(1)].  The boundary term
+    ln((t qq - qq**xi) / (t - qq**xi)) is the xi residuals' integral term,
+    and int_0^1 du / (t - qq**alpha(u)) = -ln x(t) / (t ln qq), where
+    ln x(t) = -ln qq + sum over segments of ln|(t - qq**a_hi)/(t - qq**a_lo)| / p
+    is formed in log space: ln|t - qq**a| = a ln qq + ln|t qq**(-a) - 1|.
     """
-    sc = _Scaled(d, qq)
-    if sc.domain(t).window is not None:
-        raise InvalidArgument(f"t={t!r} lies on a window branch, not an outer one")
-    # The boundary term ln((t qq - qq**xi) / (t - qq**xi)) is the xi
-    # residuals' integral term, and int_0^1 du / (t - qq**alpha(u)) =
-    # -ln x(t) / (t ln qq).
-    boundary = _log_shift_ratio(t, 1.0 - xi, -xi, sc.log_q, "t residual")
-    return (boundary + float(sc.terms(t, 1)[0])) / (t * sc.log_q)
+    qq = _check_base(qq)
+    log_q = math.log(qq)
+    if not math.isfinite(t) or t == 0.0:
+        raise InvalidArgument(f"t residual undefined at t={t!r}")
+    if t > 0.0 and 0.0 <= math.log(t) / log_q <= d.alpha_top:
+        raise InvalidArgument(f"t={t!r} lies on no outer branch")
+    log_x = -log_q
+    for el in d.segment_elements():
+        ratio = _log_shift_ratio(t, -el.a_hi, -el.a_lo, log_q, "t residual")
+        log_x += ((el.a_hi - el.a_lo) * log_q + ratio) / el.p
+    boundary = _log_shift_ratio(t, 1.0 - xi, -xi, log_q, "t residual")
+    return (boundary + log_x) / (t * log_q)
 
 
 def _log_abs_expm1(y: float, what: str) -> float:

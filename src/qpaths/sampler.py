@@ -11,10 +11,33 @@ between neighbouring sites, so site (i, k) may take any value in
 
 where a missing b[i+1][k+1] (on the top path) imposes nothing. A sweep
 visits the sites in that order and redraws each from q**b truncated to
-[lo, hi], by inverse CDF from one uniform. The update is monotone in the
-state, so coupling from the past (Propp & Wilson, 1996) from the minimal
-and maximal configurations gives an exact sample of q**area, and the
-measured sweeps start from it.
+[lo, hi], its conditional law (heat bath). Two draws give that law:
+
+- The coupling sweep (_sweep) takes j geometric steps of ratio
+  exp(-|ln q|) from the heavy end of [lo, hi] by inverse CDF from one
+  uniform. At fixed uniforms it is monotone in the state, so coupling
+  from the past (Propp & Wilson, 1996) from the minimal and maximal
+  configurations gives an exact sample of q**area, and the measured
+  sweeps start from it.
+- The forward chain after it needs only the law, not monotonicity
+  (_mod_sweeps). An untruncated geometric G = floor(-log1p(-u)/|ln q|),
+  P(G = k) proportional to exp(-k |ln q|), is memoryless, so
+  j = G mod (hi - lo + 1) has the truncated law on {0 .. hi - lo}
+  (Devroye, Non-Uniform Random Variate Generation, 1986). The G are made
+  by numpy a chunk of sweeps at a time from the run's own generator, and
+  a site costs one modulo. -log1p(-u) <= 37 carries a relative error of
+  about 2**-53, so the law of the mod draw is off by up to about
+  37 * 2**-53 / |ln q|, 3e-10 at |ln q| = 2**-16. Below that floor (q
+  within about 1.5e-5 of 1) float G no longer resolves its low digits
+  that well, and the forward chain keeps the coupling sweep.
+
+The forward chain runs a chunk of sweeps as one loop over the repeated
+sweep order, collecting each new value, and copies them into a small
+preallocated int64 array of states (sites that cannot move keep their
+column). numpy then takes the areas (row sums), the density (a bincount
+of row + cell offsets), the visited configurations (distinct rows) and
+the moves from each chunk. Each site is updated once per sweep, so it
+moved exactly when it differs from the previous sweep's state.
 """
 
 from __future__ import annotations
@@ -38,6 +61,12 @@ from .exact import StartSequence, _check_weight_q
 
 # Coupling from the past looks back at most this many sweeps.
 CFTP_MAX_SWEEPS = 1 << 16
+# The forward chain runs and records its sweeps in chunks of at most this
+# many site values.
+_CHUNK_VALUES = 1 << 12
+# Below this |ln q| float G no longer resolves its low digits, and the
+# forward chain keeps the inverse-CDF sweep (see the module docstring).
+_MOD_RATE_FLOOR = 2.0**-16
 
 
 def _neighbours(seq: StartSequence) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -65,8 +94,8 @@ def _neighbours(seq: StartSequence) -> tuple[list[tuple[int, ...]], list[int]]:
     return plan, consts
 
 
-def _sweep(v: list[int], plan, uniforms, rate: float, up: bool) -> int:
-    """Heat-bath update of every planned site in order; returns how many moved.
+def _sweep(v: list[int], plan, uniforms, rate: float, up: bool) -> None:
+    """Heat-bath update of every planned site in order, monotone in the state.
 
     Each site is redrawn from q**b on [lo, hi] by inverse CDF from its
     uniform: j geometric steps of ratio exp(-rate), rate = |ln q| > 0,
@@ -74,9 +103,8 @@ def _sweep(v: list[int], plan, uniforms, rate: float, up: bool) -> int:
     from hi, so no power of q can overflow. At fixed uniforms the draw is
     monotone in lo and hi, hence in the state.
     """
-    # Plain comparisons instead of max()/min(): this loop is the sampler's cost.
+    # Plain comparisons instead of max()/min(): this loop is the exact start's cost.
     log1p, expm1 = math.log1p, math.expm1
-    moved = 0
     for (s, lo1, lo2, hi1, hi2), u in zip(plan, uniforms):
         lo, bound = v[lo2] + 1, v[lo1]
         if bound > lo:
@@ -89,13 +117,60 @@ def _sweep(v: list[int], plan, uniforms, rate: float, up: bool) -> int:
             j = int(log1p(u * expm1(-(m + 1) * rate)) / -rate)
             if j > m:  # rounding at u -> 1
                 j = m
-            x = hi - j if up else lo + j
+            v[s] = hi - j if up else lo + j
         else:
-            x = lo
-        if x != v[s]:
-            v[s] = x
-            moved += 1
-    return moved
+            v[s] = lo
+
+
+def _mod_sweeps(v: list[int], plan, draws, up: bool, put) -> None:
+    """Heat-bath updates of the planned sites in order, from untruncated geometrics.
+
+    ``draws`` holds one G per update with P(G = k) proportional to
+    exp(-k |ln q|); G mod (hi - lo + 1) steps from the heavy end of
+    [lo, hi] have the truncated law of _sweep, but are not monotone in the
+    state. ``plan`` may repeat the sweep order to run several sweeps in
+    one loop; each new value also goes to ``put``.
+    """
+    # As in _sweep; this loop is the forward chain's cost.
+    for (s, lo1, lo2, hi1, hi2), g in zip(plan, draws):
+        lo, bound = v[lo2] + 1, v[lo1]
+        if bound > lo:
+            lo = bound
+        hi, bound = v[hi2] - 1, v[hi1]
+        if bound < hi:
+            hi = bound
+        v[s] = x = hi - g % (hi - lo + 1) if up else lo + g % (hi - lo + 1)
+        put(x)
+
+
+def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """count uniforms on [0, 1), 53 random bits each, from rng's generator.
+
+    The bit stream does not depend on how it is cut into calls, so neither
+    does a run depend on its chunk size.
+    """
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), np.uint64)
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _geometric(uniforms: np.ndarray, rate: float) -> list[int]:
+    """G = floor(-log1p(-u) / rate) per uniform u: P(G = k) is proportional to exp(-k rate)."""
+    return (-np.log1p(-uniforms) / rate).astype(np.int64).tolist()
+
+
+def _row_counts(states: np.ndarray) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The distinct rows of a 2-D int array as tuples, and how often each occurs.
+
+    One lexsort; np.unique(axis=0) takes about seven times as long.
+    """
+    if not states.shape[1]:
+        return [()], [len(states)]
+    ordered = states[np.lexsort(states.T)]
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(ordered))
+    return list(map(tuple, ordered[starts].tolist())), counts.tolist()
 
 
 def _exact_start(bottom: list[int], top: list[int], plan, rate: float, up: bool, rng) -> list[int]:
@@ -173,7 +248,9 @@ def run_chain(
     ``proposals`` counts the site updates of the burn_in + sweeps - 1
     sweeps after the exact start (the coupling phase is not counted), and
     ``acceptance_rate`` is the share of them that moved their site.
-    Identical seeds give identical runs.
+    Identical seeds give identical runs. The forward sweeps draw by
+    geometric mod interval above |ln q| = 2**-16 and by the coupling
+    sweep below it; see the module docstring.
     """
     q = float(q)
     _check_weight_q(q)
@@ -190,33 +267,61 @@ def run_chain(
     v = _exact_start(bottom, top, plan, rate, up, rng)
 
     n, width = seq.n, seq.top + 1
-    offsets = [k * width for i in range(1, n + 1) for k in range(i)]
-    cells = [0] * (width * max(n, 1))
-    base = sum(consts)
+    sites = n * (n + 1) // 2
+    movable = [p[0] for p in plan]
+    offsets = np.array([k * width for i in range(1, n + 1) for k in range(i)], dtype=np.int64)
+    cells = np.zeros(width * max(n, 1), dtype=np.int64)
     areas = array("q")
     configs: dict[tuple[int, ...], int] | None = {} if track_configs else None
-    rand = rng.random
-    moved = 0
-    for t in range(burn_in + sweeps):
-        if t:
-            moved += _sweep(v, plan, iter(rand, None), rate, up)
-        if t < burn_in:
-            continue
-        areas.append(sum(v) - base)
-        for offset, x in zip(offsets, v):
-            cells[offset + x] += 1
-        if configs is not None:
-            key = tuple(v)
-            configs[key] = configs.get(key, 0) + 1
 
-    sites = len(offsets)
-    grid = np.array(cells, dtype=np.int64).reshape(max(n, 1), width).T
+    def record(states: np.ndarray) -> None:
+        areas.extend(states.sum(axis=1).tolist())
+        cells[:] += np.bincount((states + offsets).ravel(), minlength=cells.size)
+        if configs is not None:
+            for key, c in zip(*_row_counts(states)):
+                configs[key] = configs.get(key, 0) + c
+
+    # The recorded states of one chunk of sweeps. Sites that cannot move
+    # keep their column from the exact start.
+    rows = max(1, _CHUNK_VALUES // max(sites, 1))
+    states = np.tile(np.array(v[:sites], dtype=np.int64), (rows, 1))
+    if not burn_in:
+        record(states[:1])
+    last = states[0, movable]
+    mod_draw = rate >= _MOD_RATE_FLOOR
+    moved = 0
+    done, total = 1, burn_in + sweeps
+    while done < total:
+        count = min(rows, total - done)
+        us = _uniforms(rng, count * len(plan))
+        new: list[int] = []
+        if mod_draw:
+            _mod_sweeps(v, plan * count, _geometric(us, rate), up, new.append)
+        else:
+            draws = iter(us.tolist())
+            for _ in range(count):
+                _sweep(v, plan, draws, rate, up)
+                new += [v[s] for s in movable]
+        # Row r: the movable sites after sweep done + r. Each site is
+        # updated once per sweep, so it moved exactly when it differs from
+        # the row before.
+        block = np.array(new, dtype=np.int64).reshape(count, len(plan))
+        moved += int(np.count_nonzero(block[0] != last))
+        moved += int(np.count_nonzero(block[1:] != block[:-1]))
+        last = block[-1]
+        skip = max(burn_in - done, 0)
+        if skip < count:
+            states[: count - skip, movable] = block[skip:]
+            record(states[: count - skip])
+        done += count
+
+    grid = cells.reshape(max(n, 1), width).T
     density = DensityField(grid, len(areas))
-    proposals = (burn_in + sweeps - 1) * len(plan)
+    proposals = (total - 1) * len(plan)
     acceptance = moved / proposals if proposals else 0.0
     config_counts = None
     if configs is not None:
-        config_counts = {paths_from_abscissas(seq, key[:sites]): c for key, c in configs.items()}
+        config_counts = {paths_from_abscissas(seq, key): c for key, c in configs.items()}
     final = PathConfig(seq, paths_from_abscissas(seq, v[:sites]), "first")
     return ChainResult(
         final, density, areas, acceptance, proposals, sweeps, burn_in, seed, config_counts

@@ -15,7 +15,7 @@ from qpaths.actions import (
     saddle_residual_xi_left,
     saddle_residual_xi_right,
 )
-from qpaths.curves import exit_params_left, exit_params_right
+from qpaths.curves import exit_params_left, exit_params_right, x_of_t
 from qpaths.errors import InvalidArgument, QpathsError
 from qpaths.profile import StartDensity
 
@@ -200,6 +200,68 @@ def test_bulk_plus_free_action_derivative_at_extreme_bases():
                 fd = (total(xi + eps) - total(xi - eps)) / (2 * eps)
                 r = saddle_residual_xi_right(UNIFORM, qq, t, xi, z)
                 assert abs(r - fd) <= 1e-8 * abs(math.log(qq)), (qq, t, xi, r, fd)
+
+
+def mp_t_residual(d, qq, t, xi):
+    """The t residual at 60 digits, as the t derivative under the integral
+    of S_bulk: int_0^1 1/(t - qq**(xi - u)) - 1/(t - qq**alpha(u)) du, split
+    where mp_bulk_action splits."""
+    with mpmath.workdps(60):
+        t, xi = mpmath.mpf(t), mpmath.mpf(xi)
+        log_q = mpmath.log(qq)
+        tau = mpmath.log(abs(t)) / log_q
+        total = mpmath.mpf(0)
+        for el in d.segment_elements():
+            u_lo, u_hi = mpmath.mpf(el.u_lo), mpmath.mpf(el.u_hi)
+            a_lo, p = mpmath.mpf(el.a_lo), mpmath.mpf(el.p)
+            cuts = (xi - tau, u_lo + (tau - a_lo) / p)
+            pts = [u_lo, *sorted(c for c in cuts if u_lo < c < u_hi), u_hi]
+            val, err = mpmath.quad(
+                lambda u: 1 / (t - mpmath.exp((xi - u) * log_q))
+                - 1 / (t - mpmath.exp((a_lo + p * (u - u_lo)) * log_q)),
+                pts,
+                maxdegree=6,
+                error=True,
+            )
+            assert err <= 1e-20
+            total += val
+        return total
+
+
+def test_residual_t_against_mpmath_at_extreme_bases():
+    # Bases where a pole qq**alpha(u) leaves the double range.  The
+    # residual is (boundary + ln x) / (t ln qq), and each log term rounds
+    # to a few units of ln|qq|'s last place, so the error stays below
+    # 1e-14 / |t|.
+    for d in (UNIFORM, THIRDS, GAPPED):
+        for qq in (1e-300, 1e200):
+            for t in (-20.0, -1.0):
+                for xi in (0.3, 1.5):
+                    expected = mp_t_residual(d, qq, t, xi)
+                    got = saddle_residual_t(d, qq, t, xi)
+                    assert abs(got - expected) <= 1e-14 / abs(t), (d, qq, t, xi, got)
+
+
+def test_residual_t_matches_the_direct_closed_form():
+    # Where every pole qq**a is a double, ln x(t) in log space agrees with
+    # the log of the closed product form x_of_t.  Off the outer branches,
+    # or where the boundary term's log argument is negative, it raises.
+    for d in (UNIFORM, THIRDS, GAPPED):
+        for qq in (3.0, 1 / 3, 1e-2, 1e3, 1e-20, 1e20):
+            log_q = math.log(qq)
+            for t in (-1e5, -20.0, -1.0, -1e-3, 1e-3, 0.5, 3.0, 18.0, 1e5):
+                outer = t < 0 or not 0 <= math.log(t) / log_q <= d.alpha_top
+                for xi in (0.3, 1.5, 2.5):
+                    num, den = t * qq ** (1 - xi) - 1, t * qq ** (-xi) - 1
+                    # den is 0 at qq = 1e-2, t = 1e-3, xi = 1.5.
+                    ratio = num / den if den else 0.0
+                    if not outer or ratio <= 0:
+                        with pytest.raises(InvalidArgument):
+                            saddle_residual_t(d, qq, t, xi)
+                        continue
+                    direct = (math.log(ratio) + math.log(x_of_t(d, qq, t))) / (t * log_q)
+                    got = saddle_residual_t(d, qq, t, xi)
+                    assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct)), (d, qq, t, xi)
 
 
 def test_free_actions_match_dilogarithm_form():

@@ -1,4 +1,8 @@
-"""numpy is the only runtime dependency; the test-only oracles stay out."""
+"""numpy is the only runtime dependency; the test-only oracles stay out.
+
+The sampler also stays clear of numpy.random: it draws from the run's own
+``random.Random``, and importing numpy.random costs several MB of resident memory.
+"""
 
 import json
 import os
@@ -16,7 +20,7 @@ from qpaths import StartDensity, StartSequence, arctic_curve, run_chain, t_domai
 run_chain(StartSequence((0, 2, 5)), 0.7, 50, seed=1)
 d = StartDensity([(1.0, 2.0)])
 arctic_curve(d, 3.0, t_domains(d, 3.0)[0], n_samples=20)
-print(json.dumps(sorted(name for name in ("scipy", "mpmath", "hypothesis") if name in sys.modules)))
+print(json.dumps(sorted(name for name in ("scipy", "mpmath", "hypothesis", "numpy.random") if name in sys.modules)))
 """
 
 

@@ -158,6 +158,105 @@ def test_sweep_is_monotone():
                     assert all(x <= y for x, y in zip(lo, hi))
 
 
+@pytest.mark.parametrize("q", [0.05, 0.7, 1.6])
+def test_mod_draw_is_truncated_geometric(q):
+    # A fine grid of uniforms mapped to G: each {G = k} is one interval of
+    # u, so its grid count is within 1 of the geometric mass, and past the
+    # largest G drawn less than one grid point of mass is left.
+    rate, up = abs(math.log(q)), q > 1.0
+    grid = 100_000
+    gs = sampler._geometric((np.arange(grid) + 0.5) / grid, rate)
+    top = max(gs)
+    counts = [gs.count(k) for k in range(top + 1)]
+    rho = math.exp(-rate)
+    for k, c in enumerate(counts):
+        assert abs(c - grid * (1 - rho) * rho**k) <= 1
+    assert grid * rho ** (top + 1) <= 1
+    qf = Fraction(q)
+    for m in range(7):
+        # One site with lo = 2, hi = 2 + m: v = [b, lo1, lo2, hi1, hi2].
+        weights = {x: qf**x for x in range(2, 3 + m)}
+        z = sum(weights.values())
+        hits = {x: 0 for x in weights}
+        classes = {x: 0 for x in weights}
+        for g, c in enumerate(counts):
+            v = [0, 2, 0, 2 + m, 100]
+            sampler._mod_sweeps(v, [(0, 1, 2, 3, 4)], [g], up, lambda x: None)
+            hits[v[0]] += c
+            classes[v[0]] += 1
+        # Each value takes the G of one residue class mod m + 1, each G off
+        # its exact share by at most one grid point, plus the tail.
+        for x, w in weights.items():
+            assert abs(hits[x] - grid * float(w / z)) <= classes[x] + 1
+
+
+@pytest.mark.parametrize("q", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_forward_chain_next_to_q_one(monkeypatch, q):
+    # Below the |ln q| floor float G cannot resolve its low digits, so the
+    # forward chain keeps the coupling sweep.
+    def no_mod_sweep(*args):
+        raise AssertionError("modular draw below the |ln q| floor")
+
+    monkeypatch.setattr(sampler, "_mod_sweeps", no_mod_sweep)
+    seq = StartSequence((0, 1, 3))
+    a = run_chain(seq, q, 20_000, seed=6, track_configs=True)
+    b = run_chain(seq, q, 20_000, seed=6, track_configs=True)
+    assert list(a.area_series) == list(b.area_series)
+    assert np.array_equal(a.density.grid, b.density.grid)
+    assert a.acceptance_rate == b.acceptance_rate
+    lo = min_area_config(seq).total_area()
+    hi = max_area_config(seq).total_area()
+    assert all(lo <= x <= hi for x in a.area_series)
+    assert total_variation(a.config_counts, exact_weights(seq, Fraction(q))) < 0.05
+
+
+@pytest.mark.parametrize("exponent, mod_draw", [(-15, True), (-17, False)])
+def test_forward_draw_switches_at_the_rate_floor(monkeypatch, exponent, mod_draw):
+    calls = []
+    mod_sweeps = sampler._mod_sweeps
+
+    def spy(*args):
+        calls.append(1)
+        mod_sweeps(*args)
+
+    monkeypatch.setattr(sampler, "_mod_sweeps", spy)
+    for q in (math.exp(2.0**exponent), math.exp(-(2.0**exponent))):
+        calls.clear()
+        run_chain(StartSequence((0, 1, 3)), q, 50, seed=1)
+        assert bool(calls) == mod_draw
+
+
+def test_acceptance_counts_area_changes():
+    # seq=(0,2) has one movable site, so a sweep moved it exactly when the
+    # area changed.
+    seq = StartSequence((0, 2))
+    result = run_chain(seq, 0.6, 5000, seed=3)
+    areas = list(result.area_series)
+    changes = sum(x != y for x, y in zip(areas, areas[1:]))
+    assert result.proposals == 5000 - 1
+    assert round(result.acceptance_rate * result.proposals) == changes
+    # Burn-in sweeps run the same chain and count their moves; only their
+    # states go unrecorded.
+    warm = run_chain(seq, 0.6, 5000 - 137, seed=3, burn_in=137)
+    assert list(warm.area_series) == areas[137:]
+    assert warm.proposals == result.proposals
+    assert round(warm.acceptance_rate * warm.proposals) == changes
+
+
+def test_chunk_size_does_not_change_the_run(monkeypatch):
+    seq = StartSequence((0, 2, 5))
+    runs = []
+    for chunk in (1 << 14, 30, 1):
+        monkeypatch.setattr(sampler, "_CHUNK_VALUES", chunk)
+        runs.append(run_chain(seq, 1.4, 400, seed=2, burn_in=45, track_configs=True))
+    for other in runs[1:]:
+        assert list(other.area_series) == list(runs[0].area_series)
+        assert np.array_equal(other.density.grid, runs[0].density.grid)
+        assert other.acceptance_rate == runs[0].acceptance_rate
+        assert other.config_counts == runs[0].config_counts
+        assert other.final == runs[0].final
+
+
 def test_exact_start_matches_exact_weights():
     # Sweep 0 of a run is the coupling-from-the-past sample itself.
     seq = StartSequence((0, 1, 3))
