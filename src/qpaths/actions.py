@@ -5,6 +5,7 @@ system size, around the minimizer of an action.  Its bulk part
 
     S_bulk(t, xi) = (xi - 1/2) ln qq
                     + int_0^1 ln((t qq**(u - xi) - 1)/(t - qq**alpha(u))) du
+                  = int_0^1 ln((t - qq**(xi - u))/(t - qq**alpha(u))) du
 
 carries the interaction with the start density, while the free parts
 
@@ -19,14 +20,16 @@ in closed form and the smooth remainder goes to the quadrature; past
 u = 4/|ln qq| the integrand is a fast series in e**(-u |ln qq|), summed
 term by term.  Saddle residual helpers expose the closed-form first
 derivatives so the stationarity of a tangency point can be checked
-without numerical differentiation.
+without numerical differentiation.  Every factor t - qq**b goes through
+the pole kernel of :mod:`qpaths.curves`, so the actions and residuals
+stay finite where qq**b leaves the doubles.
 """
 
 from __future__ import annotations
 
 import math
 
-from .curves import _check_base
+from .curves import _check_base, _log_pole, _log_shift, _Scaled
 from .errors import InvalidArgument, float_range
 from .profile import StartDensity
 from .quadrature import integrate
@@ -54,24 +57,36 @@ def action_bulk(d: StartDensity, qq: float, t: float, xi: float) -> float:
 
     Defined for t on the outer branches, where the integrand's log
     argument keeps one sign across u in [0, 1].  The quadrature runs one
-    linear segment at a time (jumps have no u extent).  On a segment, with
-    a = alpha(u), t - qq**a = qq**a (t qq**(-a) - 1), so the integrand is
-    ln((t qq**(u-xi) - 1) / (t qq**(-a) - 1)) - a ln qq, formed in log
-    space where qq**(u-xi) or qq**a leaves the float range.
+    linear segment at a time (jumps have no u extent) over
+    ln((t - qq**(xi - u)) / (t - qq**alpha(u))), the (xi - 1/2) ln qq term
+    folded in.
     """
     qq = _check_base(qq)
     log_q = math.log(qq)
     if t == 0.0:
         raise InvalidArgument("bulk action undefined at t = 0")
-    val = (xi - 0.5) * log_q
+    val = 0.0
     for el in d.segment_elements():
 
         def integrand(u: float, u_lo=el.u_lo, a_lo=el.a_lo, p=el.p) -> float:
-            a = a_lo + p * (u - u_lo)
-            return _log_shift_ratio(t, u - xi, -a, log_q, "bulk action") - a * log_q
+            return _log_ratio(t, xi - u, a_lo + p * (u - u_lo), qq, log_q, "bulk action")
 
         val += integrate(integrand, el.u_lo, el.u_hi, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
     return val
+
+
+def _log_ratio(t: float, b: float, c: float, qq: float, log_q: float, what: str) -> float:
+    """ln((t - qq**b) / (t - qq**c)) from the pole kernel of curves.
+
+    Raises InvalidArgument where the two differences differ in sign or one
+    of them vanishes.
+    """
+    num, num_above = _log_pole(t, b, qq, log_q)
+    den, den_above = _log_pole(t, c, qq, log_q)
+    value = num - den
+    if num_above != den_above or not math.isfinite(value):
+        raise InvalidArgument(f"{what}: log argument not positive at t={t!r}")
+    return value
 
 
 def _check_right(xi: float, z: float) -> None:
@@ -165,59 +180,17 @@ def saddle_residual_t(d: StartDensity, qq: float, t: float, xi: float) -> float:
     """Closed-form partial derivative of the bulk action in t.
 
     Vanishes when xi is the exit height attached to the tangency at t.
-    Defined, like the bulk action, for t on the outer branches: t < 0, or
-    tau = ln t / ln qq outside [0, alpha(1)].  The boundary term
-    ln((t qq - qq**xi) / (t - qq**xi)) is the xi residuals' integral term,
-    and int_0^1 du / (t - qq**alpha(u)) = -ln x(t) / (t ln qq), where
-    ln x(t) = -ln qq + sum over segments of ln|(t - qq**a_hi)/(t - qq**a_lo)| / p
-    is formed in log space: ln|t - qq**a| = a ln qq + ln|t qq**(-a) - 1|.
+    Defined, like the bulk action, for t != 0 on the outer branches, found
+    by the branch lookup of x(t).  The derivative is
+    (ln qq + ln((t - qq**(xi - 1)) / (t - qq**xi)) + ln x(t)) / (t ln qq):
+    the boundary term is the xi residuals' integral term, and
+    int_0^1 du / (t - qq**alpha(u)) = -ln x(t) / (t ln qq).
     """
-    qq = _check_base(qq)
-    log_q = math.log(qq)
-    if not math.isfinite(t) or t == 0.0:
-        raise InvalidArgument(f"t residual undefined at t={t!r}")
-    if t > 0.0 and 0.0 <= math.log(t) / log_q <= d.alpha_top:
+    sc = _Scaled(d, qq)
+    if t == 0.0 or sc.domain(t).window is not None:
         raise InvalidArgument(f"t={t!r} lies on no outer branch")
-    log_x = -log_q
-    for el in d.segment_elements():
-        ratio = _log_shift_ratio(t, -el.a_hi, -el.a_lo, log_q, "t residual")
-        log_x += ((el.a_hi - el.a_lo) * log_q + ratio) / el.p
-    boundary = _log_shift_ratio(t, 1.0 - xi, -xi, log_q, "t residual")
-    return (boundary + log_x) / (t * log_q)
-
-
-def _log_abs_expm1(y: float, what: str) -> float:
-    """ln|e**y - 1| for y != 0, also where e**y overflows."""
-    if y > 0.0:
-        return y + math.log(-math.expm1(-y))
-    if y < 0.0:
-        return math.log(-math.expm1(y))
-    raise InvalidArgument(f"{what}: log argument is zero")
-
-
-def _log_abs_shifted(y: float, positive: bool, what: str) -> float:
-    """ln|e**y - 1| if positive, else ln(e**y + 1); e**y may overflow."""
-    if positive:
-        return _log_abs_expm1(y, what)
-    return y + math.log1p(math.exp(-y)) if y > 0.0 else math.log1p(math.exp(y))
-
-
-def _log_shift_ratio(t: float, p: float, r: float, log_q: float, what: str) -> float:
-    """ln((t qq**p - 1) / (t qq**r - 1)), and 0 at t = 0.
-
-    Formed from ln|t| + p ln qq and ln|t| + r ln qq, so qq**p and qq**r
-    may leave the float range.  Raises InvalidArgument when the two
-    differences differ in sign, which only a t > 0 can give.
-    """
-    if t == 0.0:
-        return 0.0
-    log_t = math.log(abs(t))
-    y_num = log_t + p * log_q
-    y_den = log_t + r * log_q
-    positive = t > 0.0
-    if positive and (y_num > 0.0) != (y_den > 0.0):
-        raise InvalidArgument(f"{what}: log argument not positive at t={t!r}")
-    return _log_abs_shifted(y_num, positive, what) - _log_abs_shifted(y_den, positive, what)
+    boundary = sc.log_q + _log_ratio(t, xi - 1.0, xi, sc.qq, sc.log_q, "t residual")
+    return (boundary + float(sc.terms(t, 1)[0])) / (t * sc.log_q)
 
 
 @float_range
@@ -228,10 +201,10 @@ def saddle_residual_xi_right(
     qq = _check_base(qq)
     _check_right(xi, z)
     log_q = math.log(qq)
-    # ln(qq expm1((xi+z) ln qq) / expm1(xi ln qq)); both expm1 share a sign.
-    own = (log_q + _log_abs_expm1((xi + z) * log_q, "xi residual")
-           - _log_abs_expm1(xi * log_q, "xi residual"))
-    return own - _log_shift_ratio(t, 1.0 - xi, -xi, log_q, "xi residual")
+    # ln(expm1((xi+z) ln qq) / expm1(xi ln qq)) - ln((t - qq**(xi-1)) / (t - qq**xi));
+    # both expm1 share a sign, and ln qq cancels between the two terms.
+    own = _log_shift((xi + z) * log_q, True) - _log_shift(xi * log_q, True)
+    return own - _log_ratio(t, xi - 1.0, xi, qq, log_q, "xi residual")
 
 
 @float_range
@@ -242,7 +215,6 @@ def saddle_residual_xi_left(
     qq = _check_base(qq)
     span = _dual_span(d, xi, z)
     log_q = math.log(qq)
-    # ln(qq**(z+1) expm1(span ln qq) / expm1((span+z) ln qq)), in log space.
-    own = ((z + 1.0) * log_q + _log_abs_expm1(span * log_q, "xi residual")
-           - _log_abs_expm1((span + z) * log_q, "xi residual"))
-    return own - _log_shift_ratio(t, 1.0 - xi, -xi, log_q, "xi residual")
+    # ln(qq**z expm1(span ln qq) / expm1((span+z) ln qq)) - ln((t - qq**(xi-1)) / (t - qq**xi)).
+    own = z * log_q + _log_shift(span * log_q, True) - _log_shift((span + z) * log_q, True)
+    return own - _log_ratio(t, xi - 1.0, xi, qq, log_q, "xi residual")

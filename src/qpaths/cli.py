@@ -358,6 +358,9 @@ def cmd_verify(cfg: ModelConfig, args) -> int:
         tolerance = float(cfg.tolerance if tolerance is None else tolerance)
         try:
             residual = float(residual_of(cfg))
+            if not math.isfinite(residual):
+                # JSON holds no inf or nan: a residual outside the doubles is an error.
+                raise NumericalFailure(f"the residual is {residual!r}")
         except QpathsError as exc:
             checks.append({"name": name, "pass": False, "residual": None,
                            "tolerance": tolerance, "error": str(exc)})

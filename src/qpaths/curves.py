@@ -18,15 +18,17 @@ s = t x'(t) / x(t), the map from ``t`` to the tangency point is
 
 Each maximal admissible ``t`` interval (branch) yields one arc: the
 right and left outer arcs plus one arc per density window, where the
-paths freeze into gap or filled phases.  x(t) is evaluated in log space
-and s as a sum of bounded factors, so extreme bases such as
-``qq = 1e-20`` stay well conditioned; the point map runs on numpy arrays
-of t.
+paths freeze into gap or filled phases.  Every factor t - qq**a of x(t)
+and of :mod:`qpaths.actions` meets its pole in one kernel, _log_pole:
+ln|t - qq**a| = a ln qq + ln|sigma e**y - 1| with y = ln|t| - a ln qq,
+so no pole leaves the doubles and bases such as 1e-300 keep every branch
+that holds a double t.  The point map runs on numpy arrays of t.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,6 +55,16 @@ __all__ = [
 
 # Relative floor under which the envelope denominator D counts as zero.
 _SINGULAR_REL = 1e-14
+
+# A pole qq**a is formed as a double only where |a ln qq| <= _LOG_RANGE,
+# which keeps it a normal double; the arc sweep keeps |ln|t|| within it too.
+_LOG_RANGE = 700.0
+
+# A t > 0 within this many units of rounding of a branch end, in
+# tau = ln t / ln qq, counts as the end: x(t) has no digits there.
+_END_ULPS = 4.0
+
+_LN2 = math.log(2.0)
 
 # Branch sweeps stop approaching t = 0 once |t| falls below this fraction
 # of the smallest pole magnitude: beyond that the envelope denominator
@@ -124,47 +136,125 @@ class ScalingVars:
     z: float
 
 
+def _log_shift(y: float, positive: bool) -> float:
+    """ln|e**y - 1| if positive, else ln(e**y + 1), for a float y.
+
+    Written max(y, 0) + ln|sigma - e**m| with m = -|y|, so e**y is never
+    formed.  ln(1 - e**m) takes log1p(-e**m) below m = -ln 2 and
+    ln(-expm1(m)) above, which keeps its relative digits for every m
+    (Maechler, 2012).  Raises InvalidArgument at y = 0 when positive, where
+    the log argument is zero.
+    """
+    m = -abs(y)
+    if not positive:
+        return max(y, 0.0) + math.log1p(math.exp(m))
+    if m < -_LN2:
+        return max(y, 0.0) + math.log1p(-math.exp(m))
+    if not m:
+        raise InvalidArgument("log argument is zero")
+    return max(y, 0.0) + math.log(-math.expm1(m))
+
+
+def _log_shift_array(y, positive):
+    """_log_shift elementwise over numpy arrays; ``positive`` may be an array."""
+    m = -np.abs(y)
+    e = np.exp(m)
+    with np.errstate(divide="ignore"):
+        tail = np.where(positive, np.where(m < -_LN2, np.log1p(-e), np.log(-np.expm1(m))),
+                        np.log1p(e))
+    return np.maximum(y, 0.0) + tail
+
+
+def _log_pole(t: float, a: float, qq: float, log_q: float) -> tuple[float, bool]:
+    """(ln|t - qq**a|, t > qq**a) for a float t.
+
+    The one place a pole meets t: from t - qq**a where qq**a is a normal
+    double (|a ln qq| <= _LOG_RANGE), which keeps the digits of t next to
+    the pole, with ln 0 = -inf; else a ln qq + ln|sigma e**y - 1| with
+    y = ln|t| - a ln qq.
+    """
+    e = a * log_q
+    if abs(e) <= _LOG_RANGE:
+        gap = t - qq**a
+        return (math.log(abs(gap)) if gap else -math.inf), gap > 0.0
+    if t == 0.0:
+        return e, False
+    y = math.log(abs(t)) - e
+    return e + _log_shift(y, t > 0.0), t > 0.0 and y > 0.0
+
+
+def _log_poles(t, a: float, qq: float, log_q: float):
+    """_log_pole elementwise over a numpy array of t."""
+    e = a * log_q
+    if abs(e) <= _LOG_RANGE:
+        pole = qq**a
+        return np.log(np.abs(t - pole)), t > pole
+    with np.errstate(divide="ignore"):
+        y = np.log(np.abs(t)) - e
+    return e + _log_shift_array(y, t > 0.0), (t > 0.0) & (y > 0.0)
+
+
 class _Scaled:
     """Cached per-(density, base) quantities used by every evaluator."""
 
-    __slots__ = ("d", "qq", "log_q", "parts", "top", "e_top", "domains")
+    __slots__ = ("d", "qq", "log_q", "parts", "top", "domains", "taus")
 
     def __init__(self, d: StartDensity, qq: float):
         self.d = d
         self.qq = _check_base(qq)
         self.log_q = math.log(self.qq)
-        # One (a_lo, a_hi, 1/p, E_lo, E_hi) tuple per linear segment;
-        # jumps contribute no factor to x(t).
-        self.parts = [
-            (el.a_lo, el.a_hi, 1.0 / el.p, self.qq**el.a_lo, self.qq**el.a_hi)
-            for el in d.segment_elements()
-        ]
+        # One (a_lo, a_hi, 1/p) tuple per linear segment; jumps contribute
+        # no factor to x(t).
+        self.parts = [(el.a_lo, el.a_hi, 1.0 / el.p) for el in d.segment_elements()]
         self.top = d.alpha_top
-        self.e_top = self.qq**self.top
-        if 0.0 in (self.e_top, *(e for part in self.parts for e in part[3:])):
-            raise NumericalFailure(f"a pole qq**a underflows to 0 at base {self.qq!r}")
-        # The branch ladder: right arc, left arc, then one per window.
+        # The branch ladder: right arc, left arc, then one per window.  Each
+        # branch holds the t > 0 whose tau = ln t / ln qq lies in its taus
+        # interval; its t bounds are the poles, 0 or inf where those leave
+        # the doubles.
+        self.taus = [(self.top, math.inf), (-math.inf, 0.0)] + [
+            (w.a_lo, w.a_hi) for w in d.windows]
         inf = math.inf
+        e_right = self.pole(self.top)
         if self.qq > 1.0:
-            self.domains = [TDomain(self.e_top, inf, "right", 1), TDomain(-inf, 1.0, "left", 1)]
+            self.domains = [TDomain(e_right, inf, "right", 1), TDomain(-inf, 1.0, "left", 1)]
         else:
-            self.domains = [TDomain(-inf, self.e_top, "right", 1), TDomain(1.0, inf, "left", 1)]
+            self.domains = [TDomain(-inf, e_right, "right", 1), TDomain(1.0, inf, "left", 1)]
         for idx, w in enumerate(d.windows):
-            lo, hi = sorted((self.qq**w.a_lo, self.qq**w.a_hi))
+            lo, hi = sorted((self.pole(w.a_lo), self.pole(w.a_hi)))
             sign = -1 if w.kind == "filled" else 1
             self.domains.append(TDomain(lo, hi, f"{w.kind}_window_{idx + 1}", sign, window=w))
 
-    def domain(self, t: float) -> TDomain:
-        """The branch whose open t interval holds t.
+    def pole(self, a: float) -> float:
+        """qq**a where |a ln qq| <= _LOG_RANGE keeps it a normal double, else 0 or inf."""
+        e = a * self.log_q
+        return self.qq**a if abs(e) <= _LOG_RANGE else (0.0 if e < 0.0 else math.inf)
 
+    def domain(self, t: float) -> TDomain:
+        """The branch that holds t.
+
+        A t <= 0 lies on the outer branch through t = 0.  A t > 0 is placed
+        by tau = ln t / ln qq; within _END_ULPS units of rounding of a branch
+        end a (ulp(a) for the end, eps / |ln qq| for t) it counts as the end.
         Raises InvalidArgument for a non-finite t and for a t on no branch:
         a branch end, or a point of the density support outside every
         window.
         """
-        for dom in self.domains:
-            if t in dom:
-                return dom
+        if math.isfinite(t):
+            if t <= 0.0:
+                return self.domains[1 if self.qq > 1.0 else 0]
+            tau = math.log(t) / self.log_q
+            for dom, (lo, hi) in zip(self.domains, self.taus):
+                if lo < tau < hi:
+                    end = lo if tau - lo < hi - tau else hi
+                    slack = math.ulp(end) + sys.float_info.epsilon / abs(self.log_q)
+                    if abs(tau - end) > _END_ULPS * slack:
+                        return dom
+                    break
         raise InvalidArgument(f"t={t!r} lies on no branch of the arctic curve")
+
+    def log_span(self, a_lo: float, a_hi: float) -> float:
+        """ln|qq**a_hi - qq**a_lo| for a_lo < a_hi."""
+        return a_lo * self.log_q + _log_shift((a_hi - a_lo) * self.log_q, True)
 
     # -- x(t) and s = t x'(t) / x(t) -------------------------------------
 
@@ -176,9 +266,21 @@ class _Scaled:
         """
         lx = -self.log_q
         s = 0.0
-        for _, _, inv_p, e_lo, e_hi in self.parts:
-            lx = lx + inv_p * (np.log(np.abs(t - e_hi)) - np.log(np.abs(t - e_lo)))
-            s = s + inv_p * (e_hi - e_lo) / (t - e_hi) * (t / (t - e_lo))
+        for a_lo, a_hi, inv_p in self.parts:
+            l_hi, above_hi = _log_poles(t, a_hi, self.qq, self.log_q)
+            l_lo, above_lo = _log_poles(t, a_lo, self.qq, self.log_q)
+            lx = lx + inv_p * (l_hi - l_lo)
+            e_lo, e_hi = self.pole(a_lo), self.pole(a_hi)
+            if 0.0 < e_lo < math.inf and 0.0 < e_hi < math.inf:
+                s = s + inv_p * (e_hi - e_lo) / (t - e_hi) * (t / (t - e_lo))
+                continue
+            # The same term t (E_hi - E_lo) / ((t - E_hi)(t - E_lo)) from the
+            # logs of its factors; E_hi - E_lo has the sign of ln qq.
+            with np.errstate(divide="ignore"):
+                log_t = np.log(np.abs(t))
+            size = np.exp(log_t + self.log_span(a_lo, a_hi) - l_hi - l_lo)
+            sign_t = np.sign(t) * np.where(above_hi == above_lo, 1.0, -1.0)
+            s = s + math.copysign(inv_p, self.log_q) * sign_t * size
         x_abs = np.exp(lx)
         one_minus_x = -np.expm1(lx) if sign > 0 else 1.0 + x_abs
         return lx, sign * x_abs, one_minus_x, s
@@ -188,13 +290,6 @@ class _Scaled:
 def t_domains(d: StartDensity, qq: float) -> list[TDomain]:
     """All admissible t intervals: right arc, left arc, then one per window."""
     return _Scaled(d, qq).domains
-
-
-def _log_over(t: float, e: float) -> float:
-    """ln(t / e) for t, e > 0, keeping its digits when t is close to e."""
-    if 0.5 < t / e < 2.0:
-        return math.log1p((t - e) / e)
-    return math.log(t) - math.log(e)
 
 
 def _pole_free(z: float) -> float:
@@ -218,7 +313,8 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
     a pole at a = tau when t lies on or next to the density support: its
     pole part -1/z integrates in closed form (a principal value inside a
     filled window) and the bounded remainder 1/z - 1/expm1(z) goes to the
-    quadrature.  The sign of x comes from the branch of t.
+    quadrature.  For t <= 0 the integrand is 1 / (1 + e**z).  The sign of x
+    comes from the branch of t.
     """
     sc = _Scaled(d, qq)
     sign = sc.domain(t).sign_of_x
@@ -233,16 +329,30 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
         def integrand(a: float) -> float:
             return _pole_free((a - tau) * log_q)
     else:
+        # t / (t - qq**a) = 1 / (1 + e**z), z = a ln qq - ln|t|, without
+        # forming qq**a.
+        log_t = math.log(-t) if t else -math.inf
 
         def integrand(a: float) -> float:
-            return t / (t - sc.qq**a)
+            return 0.5 - 0.5 * math.tanh(0.5 * (a * log_q - log_t))
 
+    def log_depth(a: float) -> float:
+        # ln|ln(t / qq**a)|; next to the pole, ln(t / qq**a) is
+        # log1p((t - qq**a) / qq**a), whose argument the kernel gives.
+        gap, above = _log_pole(t, a, sc.qq, log_q)
+        w = gap - a * log_q
+        if w < -1.0:
+            return math.log(abs(math.log1p(math.exp(w) if above else -math.exp(w))))
+        return math.log(abs(math.log(t) - a * log_q))
+
+    # x = qq**(-exponent): its relative error is |ln qq| times the exponent's.
+    rel_tol = 1e-12 / max(1.0, abs(log_q))
     exponent = 0.0
-    for a_lo, a_hi, inv_p, e_lo, e_hi in sc.parts:
-        part = integrate(integrand, a_lo, a_hi, rel_tol=1e-12, abs_tol=1e-15)
+    for a_lo, a_hi, inv_p in sc.parts:
+        part = integrate(integrand, a_lo, a_hi, rel_tol=rel_tol, abs_tol=1e-15)
         if t > 0.0:
-            # -int da / ((a - tau) ln qq), where a_end - tau = -ln(t / e_end) / ln qq.
-            part -= (math.log(abs(_log_over(t, e_hi))) - math.log(abs(_log_over(t, e_lo)))) / log_q
+            # -int da / ((a - tau) ln qq), where (a - tau) ln qq = -ln(t / qq**a).
+            part -= (log_depth(a_hi) - log_depth(a_lo)) / log_q
         exponent += inv_p * part
     return sign * math.exp(-exponent * log_q)
 
@@ -251,10 +361,18 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
 def dx_dt(d: StartDensity, qq: float, t: float) -> float:
     """Derivative x'(t) of the closed-form tangent-family weight."""
     sc = _Scaled(d, qq)
-    x = sc.terms(t, sc.domain(t).sign_of_x)[1]
-    # x'/x = s/t, summed without dividing by t, so t = 0 needs no case.
-    return float(x * sum(inv_p * (e_hi - e_lo) / (t - e_hi) / (t - e_lo)
-                         for *_, inv_p, e_lo, e_hi in sc.parts))
+    sign = sc.domain(t).sign_of_x
+    lx = float(sc.terms(t, sign)[0])
+    # x' = x s / t, a sum over the segments of
+    # x (E_hi - E_lo) / ((t - E_hi)(t - E_lo)) / p, each term from the logs of
+    # its factors; E_hi - E_lo has the sign of ln qq, and t = 0 needs no case.
+    total = 0.0
+    for a_lo, a_hi, inv_p in sc.parts:
+        l_hi, above_hi = _log_pole(t, a_hi, sc.qq, sc.log_q)
+        l_lo, above_lo = _log_pole(t, a_lo, sc.qq, sc.log_q)
+        size = inv_p * math.exp(lx + sc.log_span(a_lo, a_hi) - l_hi - l_lo)
+        total += math.copysign(size, sc.log_q if above_hi == above_lo else -sc.log_q)
+    return sign * total
 
 
 def _tangency(sc: _Scaled, t, sign: int):
@@ -262,16 +380,28 @@ def _tangency(sc: _Scaled, t, sign: int):
 
     With x divided out of the envelope denominator D = x (s + 1 - x), a
     point is regular where s + 1 - x does not vanish relative to
-    |s| + |1 - x| and qq**X, qq**Y are finite and positive.
+    |s| + |1 - x|, x is not 1 to rounding (the degenerate point t = 0),
+    and qq**X, qq**Y are positive.  Where qq**X or qq**Y is no normal
+    double, its log comes from the logs of its factors.
     """
     with np.errstate(all="ignore"):
         _, x, one_minus_x, s = sc.terms(t, sign)
         den = s + one_minus_x
-        qx = t * s / den
-        qy = (s + one_minus_x / x) / den
+        num_y = s + one_minus_x / x
+        log_den = np.log(np.abs(den))
+        log_qx = _log_positive(t * s / den, np.log(np.abs(t)) + np.log(np.abs(s)) - log_den)
+        log_qy = _log_positive(num_y / den, np.log(np.abs(num_y)) - log_den)
         regular = np.abs(den) >= _SINGULAR_REL * (np.abs(s) + np.abs(one_minus_x))
-        regular &= (qx > 0.0) & (qy > 0.0) & np.isfinite(qx) & np.isfinite(qy)
-        return np.log(qx) / sc.log_q, np.log(qy) / sc.log_q, regular
+        regular &= (one_minus_x != 0.0) & np.isfinite(log_qx) & np.isfinite(log_qy)
+        return log_qx / sc.log_q, log_qy / sc.log_q, regular
+
+
+def _log_positive(q, log_abs):
+    """ln q elementwise, nan where q <= 0.  Where q is no normal double its
+    log is log_abs, from the logs of its factors; an under- or overflowed q
+    keeps its sign."""
+    normal = (np.abs(q) >= sys.float_info.min) & (np.abs(q) <= sys.float_info.max)
+    return np.where(normal, np.log(q), np.where(np.copysign(1.0, q) > 0.0, log_abs, np.nan))
 
 
 def _points(t, bx, by) -> list[tuple[float, float, float]]:
@@ -319,30 +449,39 @@ def _branch_legs(sc: _Scaled, dom: TDomain) -> list[tuple[int, float, float, boo
     """Sweep legs (sign, tau_lo, tau_hi, open_lo, open_hi) covering dom.
 
     t = sign * qq**tau.  A window's leg runs over its element's values;
-    an outer branch runs from its far end, truncated where qq**tau would
-    leave the float range, to its finite end, flagged open for geometric
-    refinement; legs running into t = 0 stop at |t| = _ZERO_RHO * min pole.
+    an outer branch runs from its far end to its finite end, flagged open
+    for geometric refinement; legs running into t = 0 stop at
+    |t| = _ZERO_RHO * min pole.  Every leg is cut where |ln|t|| passes
+    _LOG_RANGE, and a cut end is no longer open.  A branch left with no
+    leg raises NumericalFailure.
     """
+    bound = _LOG_RANGE / abs(sc.log_q)
     if dom.window is not None:
-        return [(1, dom.window.a_lo, dom.window.a_hi, True, True)]
-    # Outer branches: the finite end is t = qq**top (right) or t = 1
-    # (left); the far end stops where 700 < ln(largest float) keeps qq**tau
-    # finite.
-    end = sc.top if dom.branch == "right" else 0.0
-    far = math.copysign(min(40.0, 700.0 / abs(sc.log_q)), sc.log_q)
-    if dom.hi == math.inf:
-        if abs(far) <= abs(end):
-            raise NumericalFailure(
-                f"the {dom.branch} branch lies beyond the float range at base {sc.qq!r}")
-        return [(1, end, far, True, False)]
-    # The branch crosses t = 0: negative axis from the far end, then the
-    # positive axis up to the finite end.  tau_zero is where |t| equals
-    # _ZERO_RHO times the smallest pole magnitude (qq**0 = 1 for qq > 1,
-    # qq**top for qq < 1).
-    tau_zero = math.log(_ZERO_RHO) / sc.log_q
-    if sc.qq < 1.0:
-        tau_zero += sc.top
-    return [(-1, far, tau_zero, False, False), (1, tau_zero, end, False, True)]
+        legs = [(1, dom.window.a_lo, dom.window.a_hi, True, True)]
+    else:
+        # Outer branches: the finite end is t = qq**top (right) or t = 1
+        # (left).
+        end = sc.top if dom.branch == "right" else 0.0
+        far = math.copysign(min(40.0, bound), sc.log_q)
+        if dom.hi == math.inf:
+            legs = [(1, end, far, True, False)] if abs(far) > abs(end) else []
+        else:
+            # The branch crosses t = 0: negative axis from the far end, then
+            # the positive axis up to the finite end.  tau_zero is where |t|
+            # equals _ZERO_RHO times the smallest pole magnitude (qq**0 = 1
+            # for qq > 1, qq**top for qq < 1).
+            tau_zero = math.log(_ZERO_RHO) / sc.log_q
+            if sc.qq < 1.0:
+                tau_zero += sc.top
+            legs = [(-1, far, tau_zero, False, False), (1, tau_zero, end, False, True)]
+    legs = [(sign, max(-bound, min(bound, lo)), max(-bound, min(bound, hi)),
+             open_lo and abs(lo) <= bound, open_hi and abs(hi) <= bound)
+            for sign, lo, hi, open_lo, open_hi in legs]
+    legs = [leg for leg in legs if leg[1] != leg[2]]
+    if not legs:
+        raise NumericalFailure(
+            f"the {dom.branch} branch lies beyond the float range at base {sc.qq!r}")
+    return legs
 
 
 @float_range
@@ -380,7 +519,6 @@ def arctic_curve(
         sign * sc.qq ** _leg_taus(lo, hi, max(floor, round(n_samples * abs(hi - lo) / total_span)),
                                   open_lo, open_hi)
         for sign, lo, hi, open_lo, open_hi in legs
-        if hi != lo
     ])
     bx, by, regular = _tangency(sc, t, dom.sign_of_x)
     if not regular.any():
@@ -478,10 +616,11 @@ def exit_params_left(d: StartDensity, qq: float, t: float) -> ScalingVars:
         raise InvalidArgument(f"t={t!r} is on branch {dom.branch!r}, not 'left'")
     lx, x, one_minus_x, _ = sc.terms(t, dom.sign_of_x)
     xi = _xi_of(sc, t, lx, one_minus_x)
-    denom = sc.qq * (t * x + sc.e_top * one_minus_x)
-    if denom == 0.0:
+    # qq**z = t / (qq (t x + qq**top (1 - x))) = -t / (qq (1 - x) (T - qq**top))
+    # with T = -t x / (1 - x), so the pole qq**top meets T in the kernel.
+    gap, above = _log_pole(-t * x / one_minus_x, sc.top, sc.qq, sc.log_q)
+    if gap == -math.inf:
         raise InvalidArgument(f"no real tail length at t={t!r} (degenerate)")
-    q_z = t / denom
-    if q_z <= 0.0 or not math.isfinite(q_z):
-        raise InvalidArgument(f"no real tail length at t={t!r} (qq^z = {q_z!r})")
-    return ScalingVars(xi=xi, z=math.log(q_z) / sc.log_q)
+    if ((t > 0.0) == (one_minus_x > 0.0)) == above:
+        raise InvalidArgument(f"no real tail length at t={t!r} (qq^z <= 0)")
+    return ScalingVars(xi=xi, z=(math.log(abs(t / one_minus_x)) - gap) / sc.log_q - 1.0)

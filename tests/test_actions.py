@@ -23,6 +23,7 @@ UNIFORM = StartDensity([(1.0, 2.0)])
 THIRDS = StartDensity([(1 / 3, 2.0), (1 / 3, 4.0), (1 / 3, 2.0)])
 GAPPED = StartDensity([(1 / 2, 2.0), (1 / 2, 2.0)], jumps=[(1 / 2, 1.0)])
 WIDE = StartDensity([(1.0, 299.0)])  # alpha(1) + 1 = 300: dual spans up to 300
+FILLED_MID = StartDensity([(1 / 3, 2.0), (1 / 3, 1.0), (1 / 3, 2.0)])
 
 # (density, qq, t, construction) -- admissible tangency parameters whose
 # exit height and tail length are recomputed at full precision in-test.
@@ -430,3 +431,21 @@ def test_action_argument_validation():
     # t qq**(-xi) = 1 exactly: the t residual's log argument is zero.
     with pytest.raises(InvalidArgument, match="t residual"):
         saddle_residual_t(UNIFORM, 2.0, 0.5, -1.0)
+
+
+def test_a_branch_end_to_rounding_lies_on_no_branch():
+    # t = 1e5 is qq**alpha(1) = 1e3**(5/3) to rounding; the double pole lies
+    # 7 ulps below it, so t - qq**alpha(1) is all rounding: x(t) came out
+    # 3.2e-11 and the t residual -2.404e-5, where 60 digits give -2.496e-5.
+    # One branch-end rule rejects the point for every evaluator.
+    qq, end = 1e3, 1e5
+    for call in (
+        lambda t: x_of_t(FILLED_MID, qq, t),
+        lambda t: exit_params_right(FILLED_MID, qq, t),
+        lambda t: saddle_residual_t(FILLED_MID, qq, t, 1.5),
+    ):
+        with pytest.raises(InvalidArgument, match="lies on no branch"):
+            call(end)
+    # The rule spans a few units of rounding; 1e-12 away, t is on the branch.
+    assert x_of_t(FILLED_MID, qq, end * (1.0 + 1e-12)) > 0.0
+    assert math.isfinite(saddle_residual_t(FILLED_MID, qq, end * (1.0 + 1e-12), 1.5))

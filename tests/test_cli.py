@@ -269,16 +269,30 @@ def test_arctic_right_leg_stops_at_the_overflow_bound(tmp_path):
         assert abs(x * 1e150**by + (1.0 - x) / t * 1e150**bx - 1.0) <= 1e-10
 
 
-@pytest.mark.parametrize("base", [math.exp(352.0), 1e-300])
+@pytest.mark.parametrize("base", [math.exp(352.0)])
 def test_arctic_uniform_base_beyond_float_range(tmp_path, capsys, base):
     # e**352: 2 * 352 = 704 >= 700, so no right-branch t is representable.
-    # 1e-300: the pole qq**2 underflows to 0.
     doc = {"model": {"scaled": {"segments": [[1.0, 2.0]], "base": base}}}
     rc, out = run_cli(tmp_path, doc, "arctic")
     assert rc == 2
     err = capsys.readouterr().err
-    assert "numerical failure" in err and "Traceback" not in err
+    assert "numerical failure" in err and "right branch" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_arctic_uniform_base_whose_poles_leave_the_doubles(tmp_path, capsys):
+    # At 1e-300 the pole qq**2 = 1e-600 is no double, but both branches hold
+    # double t: the right one on the negative axis, the left one past t = 1.
+    doc = {"model": {"scaled": {"segments": [[1.0, 2.0]], "base": 1e-300}}}
+    rc, out = run_cli(tmp_path, doc, "arctic")
+    assert rc == 0
+    assert "Traceback" not in capsys.readouterr().err
+    _, rows = load_csv(str(out / "arctic.csv"))
+    for branch, sign in (("right", -1.0), ("left", 1.0)):
+        points = [row[1:] for row in rows if row[0] == branch]
+        assert len(points) >= 300
+        assert all(math.copysign(1.0, t) == sign and math.isfinite(bx) and math.isfinite(by)
+                   for t, bx, by in points)
 
 
 def test_arctic_window_selection(tmp_path):
@@ -331,7 +345,9 @@ def test_verify_reports_all_pass(tmp_path):
 
 @pytest.mark.parametrize(
     "base, message",
-    [(1e-300, "a pole qq**a underflows to 0"), (1e200, "t domains is outside the float range")],
+    # 1e-300: the family equation's terms x qq**Y and (1 - x) qq**X / t
+    # leave the doubles at the arc's points near t = 0.
+    [(1e-300, "the residual is inf"), (1e200, "the right branch lies beyond")],
 )
 def test_verify_reports_a_raising_check_as_failed(tmp_path, capsys, base, message):
     doc = {"model": {"scaled": {"segments": [[1.0, 2.0]], "base": base}}}

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpaths.curves import (
+    _log_shift,
+    _log_shift_array,
     _pole_free,
     arctic_curve,
     arctic_point,
@@ -84,6 +86,79 @@ def test_pole_free_remainder_against_mpmath():
             with mpmath.workdps(400):
                 exact = 0.5 if z == 0.0 else 1 / mpmath.mpf(z) - 1 / mpmath.expm1(z)
             assert _pole_free(z) == pytest.approx(float(exact), rel=1e-14), z
+
+
+@pytest.mark.parametrize("positive", [True, False])
+def test_log_shift_scalar_and_array_agree(positive):
+    # The pole kernel's one primitive ln|sigma e**y - 1|, once for floats and
+    # once for numpy arrays.
+    ys = [*np.linspace(-800.0, 800.0, 3201), *(s * 10.0**k for s in (-1.0, 1.0)
+                                              for k in range(-323, 1, 7)), 0.0, -0.0]
+    with np.errstate(divide="ignore"):
+        array = _log_shift_array(np.array(ys), positive)
+    for y, got in zip(ys, array.tolist()):
+        if positive and y == 0.0:
+            # ln 0: the array form gives -inf, the float form raises.
+            assert got == -math.inf
+            with pytest.raises(InvalidArgument):
+                _log_shift(y, positive)
+            continue
+        expected = _log_shift(y, positive)
+        assert abs(got - expected) <= 2 * math.ulp(expected), y
+
+
+def mp_weight(d, qq, t, sign):
+    """x(t) and x'(t) in the closed product form at 60 digits."""
+    with mpmath.workdps(60):
+        q, t = mpmath.mpf(qq), mpmath.mpf(t)
+        log_x, dlog_x = -mpmath.log(q), mpmath.mpf(0)
+        for el in d.segment_elements():
+            e_lo, e_hi = q ** mpmath.mpf(el.a_lo), q ** mpmath.mpf(el.a_hi)
+            log_x += (mpmath.log(abs(t - e_hi)) - mpmath.log(abs(t - e_lo))) / el.p
+            dlog_x += (e_hi - e_lo) / ((t - e_hi) * (t - e_lo)) / el.p
+        x = sign * mpmath.exp(log_x)
+        return x, x * dlog_x
+
+
+EXTREME_TS = [s * 10.0**k for s in (1.0, -1.0) for k in range(-320, 309, 20)] + [
+    10.0**(s * k) for s in (1.0, -1.0) for k in (201.5, 301.5, 303.0, 305.0, 307.0)]
+
+
+@pytest.mark.parametrize("qq", [1e-300, 1e-200, 1e200, 1e300])
+@pytest.mark.parametrize("d", [UNIFORM, CORNERED, GAPPED], ids=["uniform", "cornered", "gapped"])
+def test_weights_at_extreme_bases_against_mpmath(d, qq):
+    # Bases where poles qq**a leave the doubles: the full ladder, and x(t)
+    # both ways and x'(t) at double t on every branch that holds one.
+    doms = t_domains(d, qq)
+    assert [dom.branch for dom in doms] == ["right", "left"] + ["gap_window_1"] * (d is GAPPED)
+    for dom in doms:
+        ts = [t for t in EXTREME_TS if t in dom]
+        if dom.branch == "right" and qq > 1.0:
+            # (qq**alpha(1), inf) starts past the largest double.
+            assert not ts and dom.lo == math.inf
+            continue
+        assert len(ts) >= 4, dom.branch
+        for t in ts:
+            x, dx = mp_weight(d, qq, t, dom.sign_of_x)
+            for got in (x_of_t(d, qq, t), x_of_t(d, qq, t, method="quadrature")):
+                assert abs(got - x) <= 1e-12 * abs(x), (dom.branch, t)
+            if 1e-300 < abs(dx) < 1e300:
+                assert abs(dx_dt(d, qq, t) - dx) <= 1e-12 * abs(dx), (dom.branch, t)
+
+
+@pytest.mark.parametrize("qq", [1e-300, 1e300])
+@pytest.mark.parametrize("d", [UNIFORM, CORNERED, GAPPED], ids=["uniform", "cornered", "gapped"])
+def test_arctic_curve_at_extreme_bases(d, qq):
+    # Every branch with a double t gives an arc; the right branch at
+    # qq > 1, which holds none, raises and names itself.
+    for dom in t_domains(d, qq):
+        if dom.branch == "right" and qq > 1.0:
+            with pytest.raises(NumericalFailure, match="the right branch lies beyond"):
+                arctic_curve(d, qq, dom, n_samples=60)
+            continue
+        curve = arctic_curve(d, qq, dom, n_samples=60)
+        assert len(curve) >= 40 and curve.skipped == 0, dom.branch
+        assert all(math.isfinite(v) for point in curve.points for v in point)
 
 
 def test_x_of_t_rejects_unknown_method():
@@ -334,7 +409,7 @@ def test_outer_branches_keep_every_point_at_extreme_bases(qq, branch):
 @pytest.mark.parametrize("t", [0.0, 5e-324, 1e-300, -1e-300, -1e-20])
 def test_arctic_point_raises_where_the_map_degenerates(qq, t):
     # t = 0: x = 1 and s = 0, so the envelope denominator vanishes; near
-    # it qq**X underflows to 0 or comes out negative.
+    # it x rounds to 1, and s + 1 - x keeps no digit.
     with pytest.raises(SingularPoint):
         arctic_point(UNIFORM, qq, t)
 
