@@ -15,6 +15,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import actions, curves, serialize
 from .config import ModelConfig, load_config
 from .configs import enumerate_configs, to_second_family
@@ -124,13 +126,17 @@ def cmd_sample(cfg: ModelConfig, args) -> int:
     _require(cfg, "finite", "sample")
     result = run_chain(cfg.sequence, float(cfg.q), cfg.sweeps, cfg.seed)
     out = _out_dir(cfg)
+    grid = result.density.grid
+    xs, ys = np.nonzero(grid)
     serialize.write_csv(
-        os.path.join(out, "density.csv"), ("x", "y", "count"), result.density.rows()
+        os.path.join(out, "density.csv"), ("x", "y", "count"),
+        [serialize.ArrayRows(np.column_stack([xs, ys, grid[xs, ys]]))],
     )
+    areas = np.asarray(result.area_series, dtype=np.int64)
     serialize.write_csv(
         os.path.join(out, "area_series.csv"),
         ("sweep", "area"),
-        enumerate(result.area_series),
+        [serialize.ArrayRows(np.column_stack([np.arange(len(areas)), areas]))],
     )
     print(f"{result.sweeps} sweeps, acceptance rate {result.acceptance_rate:.3f}, seed {result.seed}")
     print(f"wrote density.csv, area_series.csv in {out}")
@@ -154,12 +160,12 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
     d, qq, n_samples = cfg.density, cfg.base, cfg.samples
     domains = _select_domains(cfg, curves.t_domains(d, qq))
 
-    rows = []
+    blocks = []
     branch_curves = []
     for dom in domains:
         curve = curves.arctic_curve(d, qq, dom, n_samples=n_samples)
         branch_curves.append(curve)
-        rows.extend((dom.branch, t, x, y) for t, x, y in curve.points)
+        blocks.append(serialize.ArrayRows(curve.txy, (dom.branch,)))
         if curve.skipped:
             print(f"note: {dom.branch}: skipped {curve.skipped} singular points", file=sys.stderr)
         if curve.self_intersecting:
@@ -171,7 +177,7 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
         overlays = []
         for t in cfg.t_values:
             tangent = curves.tangent_curve(d, qq, t, n_samples=max(2, n_samples // 4))
-            overlays.append({"points": tangent.xy(), "stroke": "#999999", "width": 0.8})
+            overlays.append({"points": tangent.txy[:, 1:], "stroke": "#999999", "width": 0.8})
             for exit_params in (curves.exit_params_right, curves.exit_params_left):
                 try:
                     v = exit_params(d, qq, t)
@@ -179,7 +185,7 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
                     continue
                 z_max = max(z_max, v.z)
                 geo = curves.geodesic(qq, v.xi, v.z, n_samples=max(2, n_samples // 4))
-                overlays.append({"points": geo.xy(), "stroke": "#b8860b", "width": 0.8})
+                overlays.append({"points": geo.txy[:, 1:], "stroke": "#b8860b", "width": 0.8})
                 break
         top = d.alpha_top
         box = [(0, 0), (top, 0), (top, 1), (0, 1), (0, 0)]
@@ -187,14 +193,14 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
         for which in ("q_to_0", "q_to_inf"):
             for part in limit_curve(d, which):
                 items.append({"points": part, "stroke": "#bbbbbb", "width": 0.8, "dash": "2 2"})
-        items.extend({"points": curve.xy(), "width": 1.6} for curve in branch_curves)
+        items.extend({"points": curve.txy[:, 1:], "width": 1.6} for curve in branch_curves)
         items.extend(overlays)
         doc = serialize.render_svg(
             items, x_range=(0.0, top + z_max), y_range=(0.0, 1.0 + z_max)
         )
 
     out = _out_dir(cfg)
-    serialize.write_csv(os.path.join(out, "arctic.csv"), ("branch", "t", "X", "Y"), rows)
+    serialize.write_csv(os.path.join(out, "arctic.csv"), ("branch", "t", "X", "Y"), blocks)
     written = ["arctic.csv"]
     if doc is not None:
         serialize.write_svg(os.path.join(out, "arctic.svg"), doc)
@@ -307,14 +313,39 @@ def _closed_vs_quadrature(cfg):
     return worst
 
 
+def _log_abs(value: float) -> float:
+    return math.log(abs(value)) if value else -math.inf
+
+
+def _envelope_residual(x: float, qq: float, t: float, bx: float, by: float) -> float:
+    """|x qq**Y + (1 - x) qq**X / t - 1| relative to the larger of 1 and the two terms.
+
+    In doubles where qq**X and qq**Y are normal and both terms finite, where
+    a residual with terms of size at most 1 is the plain one; else from
+    the logs of the terms' factors, so that terms beyond the doubles next
+    to t = 0 at extreme bases keep their digits.
+    """
+    log_q = math.log(qq)
+    if max(abs(bx), abs(by)) * abs(log_q) <= 700.0:
+        term_y, term_x = x * qq**by, (1.0 - x) / t * qq**bx
+        if math.isfinite(term_y) and math.isfinite(term_x):
+            return abs(term_y + term_x - 1.0) / max(abs(term_y), abs(term_x), 1.0)
+    log_y = _log_abs(x) + by * log_q
+    log_x = _log_abs(1.0 - x) - math.log(abs(t)) + bx * log_q
+    scale = max(log_y, log_x, 0.0)
+    return abs(math.copysign(math.exp(log_y - scale), x)
+               + math.copysign(math.exp(log_x - scale), (1.0 - x) * t) - math.exp(-scale))
+
+
 def _envelope(cfg):
     density = cfg.density if cfg.kind == "scaled" else _TWO
     qq = cfg.base if cfg.kind == "scaled" else 3.0
     worst = 0.0
     for dom in curves.t_domains(density, qq):
-        for t, bx, by in curves.arctic_curve(density, qq, dom, n_samples=24).points:
+        txy = curves.arctic_curve(density, qq, dom, n_samples=24).txy
+        for t, bx, by in txy.tolist():
             x = curves.x_of_t(density, qq, t)
-            worst = max(worst, abs(x * qq**by + (1.0 - x) / t * qq**bx - 1.0))
+            worst = max(worst, _envelope_residual(x, qq, t, bx, by))
     return worst
 
 

@@ -104,24 +104,29 @@ class TDomain:
         return self.lo < t < self.hi
 
 
-@dataclass
+@dataclass(eq=False)
 class Curve:
     """A sampled arc in the (X, Y) rescaled plane.
 
-    ``points`` holds (t, X, Y) triples in sweep order; ``skipped``
-    counts parameter values dropped because the point map was singular
-    there.
+    ``txy`` is an (n, 3) float array of (t, X, Y) rows in sweep order;
+    ``skipped`` counts parameter values dropped because the point map was
+    singular there.
     """
 
-    points: list[tuple[float, float, float]]
+    txy: np.ndarray
     skipped: int = 0
     self_intersecting: bool = False
 
+    @property
+    def points(self) -> list[tuple[float, float, float]]:
+        """The (t, X, Y) rows as float tuples."""
+        return list(map(tuple, self.txy.tolist()))
+
     def xy(self) -> list[tuple[float, float]]:
-        return [(x, y) for _, x, y in self.points]
+        return list(map(tuple, self.txy[:, 1:].tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.txy)
 
 
 @dataclass(frozen=True)
@@ -404,8 +409,8 @@ def _log_positive(q, log_abs):
     return np.where(normal, np.log(q), np.where(np.copysign(1.0, q) > 0.0, log_abs, np.nan))
 
 
-def _points(t, bx, by) -> list[tuple[float, float, float]]:
-    return list(zip(np.broadcast_to(t, np.shape(bx)).tolist(), bx.tolist(), by.tolist()))
+def _txy(t, bx, by) -> np.ndarray:
+    return np.column_stack([np.broadcast_to(t, np.shape(bx)), bx, by])
 
 
 @float_range
@@ -525,9 +530,9 @@ def arctic_curve(
         raise NumericalFailure(f"no point of branch {dom.branch} is regular at base {sc.qq!r}")
     from .geometry import polyline_self_intersects
 
-    crossing = polyline_self_intersects(np.column_stack([bx[regular], by[regular]]))
-    return Curve(points=_points(t[regular], bx[regular], by[regular]),
-                 skipped=int(np.count_nonzero(~regular)), self_intersecting=crossing)
+    txy = _txy(t[regular], bx[regular], by[regular])
+    return Curve(txy, skipped=int(np.count_nonzero(~regular)),
+                 self_intersecting=polyline_self_intersects(txy[:, 1:]))
 
 
 @float_range
@@ -550,7 +555,7 @@ def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100)
     with np.errstate(all="ignore"):
         qy = (1.0 - coeff * sc.qq**bx) / x
     keep = (qy > 0.0) & np.isfinite(qy)
-    return Curve(points=_points(t, bx[keep], np.log(qy[keep]) / sc.log_q))
+    return Curve(_txy(t, bx[keep], np.log(qy[keep]) / sc.log_q))
 
 
 @float_range
@@ -570,18 +575,56 @@ def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
     with np.errstate(all="ignore"):
         qy1 = 1.0 + math.expm1(z * log_q) * (1.0 - np.expm1(bx * log_q) / math.expm1(xi * log_q))
     keep = (qy1 > 0.0) & np.isfinite(qy1)
-    return Curve(points=_points(math.nan, bx[keep], 1.0 + np.log(qy1[keep]) / log_q))
+    return Curve(_txy(math.nan, bx[keep], 1.0 + np.log(qy1[keep]) / log_q))
 
 
-def _xi_of(sc: _Scaled, t: float, lx: float, one_minus_x: float) -> float:
-    # qq**xi = t (qq x - 1) / (x - 1), stable via expm1 in log space; x > 0
-    # on the outer branches, the only ones with exit parameters.
-    q_xi = t * math.expm1(sc.log_q + lx) / (-one_minus_x)
-    if q_xi <= 0.0 or not math.isfinite(q_xi):
-        raise InvalidArgument(
-            f"no real exit height at t={t!r} (qq^xi = {q_xi!r})"
-        )
-    return math.log(q_xi) / sc.log_q
+def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVars:
+    """(xi, z) at t on an outer branch, where x > 0, from ln(qq x).
+
+    ln(qq x) is the sum over segments of ln((t - E_hi) / (t - E_lo)) / p,
+    each term log1p((E_lo - E_hi) / (t - E_lo)) while that ratio is below
+    1/2 in size: as |t| grows qq x -> 1, and ln qq + ln x would cancel.
+    qq**xi and qq**z are taken in logs with their signs.
+    """
+    t = float(t)
+    sc = _Scaled(d, qq)
+    dom = sc.domain(t)
+    if dom.branch != branch:
+        raise InvalidArgument(f"t={t!r} is on branch {dom.branch!r}, not {branch!r}")
+    log_qx = 0.0
+    for a_lo, a_hi, inv_p in sc.parts:
+        l_hi, _ = _log_pole(t, a_hi, sc.qq, sc.log_q)
+        l_lo, above_lo = _log_pole(t, a_lo, sc.qq, sc.log_q)
+        # E_hi - E_lo has the sign of ln qq.
+        log_ratio = sc.log_span(a_lo, a_hi) - l_lo
+        if log_ratio < -_LN2:
+            ratio = math.exp(log_ratio)
+            log_qx += inv_p * math.log1p(ratio if (sc.log_q > 0.0) != above_lo else -ratio)
+        else:
+            log_qx += inv_p * (l_hi - l_lo)
+    lx = log_qx - sc.log_q
+    if t == 0.0 or lx == 0.0:
+        raise InvalidArgument(f"no exit parameters at t={t!r}: x = 1, the degenerate point")
+    # qq**xi = t (qq x - 1) / (x - 1), with qq x - 1 = expm1(ln(qq x)) and
+    # x - 1 of the sign of ln x.
+    if log_qx == 0.0 or (t > 0.0) != ((log_qx > 0.0) == (lx > 0.0)):
+        raise InvalidArgument(f"no real exit height at t={t!r} (qq^xi <= 0)")
+    log_t, log_1mx = math.log(abs(t)), _log_shift(lx, True)
+    xi = (log_t + _log_shift(log_qx, True) - log_1mx) / sc.log_q
+    if branch == "right":
+        # qq**z = (t - (1 - x)) / (t qq x) = (1 - w) / (qq x), w = (1 - x) / t.
+        log_w, w_positive = log_1mx - log_t, (t > 0.0) == (lx < 0.0)
+    else:
+        # qq**z = t / (qq (t x + qq**top (1 - x))) = 1 / (qq x (1 - w)),
+        # w = -qq**top (1/x - 1) / t.
+        log_w = sc.top * sc.log_q - log_t + _log_shift(-lx, True)
+        w_positive = (t > 0.0) == (lx > 0.0)
+    if w_positive and log_w >= 0.0:
+        raise InvalidArgument(f"no real tail length at t={t!r} (qq^z <= 0)")
+    # ln(1 - w), with ln|1 - w| = ln|sigma e**log_w - 1|.
+    log_1mw = _log_shift(log_w, w_positive)
+    z = log_1mw - log_qx if branch == "right" else -(log_qx + log_1mw)
+    return ScalingVars(xi=xi, z=z / sc.log_q)
 
 
 @float_range
@@ -589,18 +632,10 @@ def exit_params_right(d: StartDensity, qq: float, t: float) -> ScalingVars:
     """Saddle parameters (xi, z) of the right-branch tangency at t.
 
     xi lies in (0, alpha_top); z > 0 measures the free tail length.
-    Raises InvalidArgument when t is not on the right branch.
+    Raises InvalidArgument when t is not on the right branch, and where
+    xi or z has no real value.
     """
-    sc = _Scaled(d, qq)
-    dom = sc.domain(t)
-    if dom.branch != "right":
-        raise InvalidArgument(f"t={t!r} is on branch {dom.branch!r}, not 'right'")
-    lx, x, one_minus_x, _ = sc.terms(t, dom.sign_of_x)
-    xi = _xi_of(sc, t, lx, one_minus_x)
-    q_z = (t - one_minus_x) / (t * sc.qq * x)
-    if q_z <= 0.0 or not math.isfinite(q_z):
-        raise InvalidArgument(f"no real tail length at t={t!r} (qq^z = {q_z!r})")
-    return ScalingVars(xi=xi, z=math.log(q_z) / sc.log_q)
+    return _exit_params(d, qq, t, "right")
 
 
 @float_range
@@ -608,19 +643,7 @@ def exit_params_left(d: StartDensity, qq: float, t: float) -> ScalingVars:
     """Saddle parameters (xi, z) of the left-branch tangency at t.
 
     xi lies in (1, alpha_top + 1): the left construction hangs the free
-    tail from the dual corner.  Raises InvalidArgument off the branch.
+    tail from the dual corner.  Raises InvalidArgument off the branch, and
+    where xi or z has no real value.
     """
-    sc = _Scaled(d, qq)
-    dom = sc.domain(t)
-    if dom.branch != "left":
-        raise InvalidArgument(f"t={t!r} is on branch {dom.branch!r}, not 'left'")
-    lx, x, one_minus_x, _ = sc.terms(t, dom.sign_of_x)
-    xi = _xi_of(sc, t, lx, one_minus_x)
-    # qq**z = t / (qq (t x + qq**top (1 - x))) = -t / (qq (1 - x) (T - qq**top))
-    # with T = -t x / (1 - x), so the pole qq**top meets T in the kernel.
-    gap, above = _log_pole(-t * x / one_minus_x, sc.top, sc.qq, sc.log_q)
-    if gap == -math.inf:
-        raise InvalidArgument(f"no real tail length at t={t!r} (degenerate)")
-    if ((t > 0.0) == (one_minus_x > 0.0)) == above:
-        raise InvalidArgument(f"no real tail length at t={t!r} (qq^z <= 0)")
-    return ScalingVars(xi=xi, z=(math.log(abs(t / one_minus_x)) - gap) / sc.log_q - 1.0)
+    return _exit_params(d, qq, t, "left")

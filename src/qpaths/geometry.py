@@ -13,8 +13,8 @@ def _as_parts(obj) -> list[np.ndarray]:
     Multi-part inputs are kept as separate parts so that no phantom
     segment bridges disjoint pieces.
     """
-    if hasattr(obj, "xy"):
-        return [np.asarray(obj.xy(), dtype=float)]
+    if hasattr(obj, "txy"):
+        return [np.asarray(obj.txy[:, 1:], dtype=float)]
     arr = None
     try:
         arr = np.asarray(obj, dtype=float)
@@ -74,23 +74,36 @@ def hausdorff_distance(a, b) -> float:
     return max(_directed(parts_a, parts_b), _directed(parts_b, parts_a))
 
 
+def _thin(pts: np.ndarray) -> np.ndarray:
+    """Greedy thinning: keep a point once it lies more than 1e-9 of the
+    figure diameter (in the max norm) from the last kept point.
+
+    Near-zero segments carry no geometry but poison the crossing
+    parameters with rounding noise.
+    """
+    diam = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    tol = 1e-9 * max(diam, 1e-300)
+    # A point equal to its predecessor is never kept: it lies as far from
+    # the last kept point as its predecessor does.
+    pts = pts[np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))]
+    # With every step past tol the scan keeps every point.
+    if np.all(np.abs(np.diff(pts, axis=0)).max(axis=1) > tol):
+        return pts
+    xy = pts.tolist()
+    kept = [0]
+    last_x, last_y = xy[0]
+    for i, (x, y) in enumerate(xy):
+        if max(abs(x - last_x), abs(y - last_y)) > tol:
+            kept.append(i)
+            last_x, last_y = x, y
+    return pts[kept]
+
+
 def polyline_self_intersects(points) -> bool:
     """True when any two non-adjacent segments of the polyline cross."""
     pts = np.asarray(points, dtype=float)
     if len(pts) > 1:
-        # Thin out points closer than 1e-9 of the figure diameter:
-        # near-zero segments carry no geometry but poison the crossing
-        # parameters with rounding noise.
-        diam = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
-        tol = 1e-9 * max(diam, 1e-300)
-        xy = pts.tolist()
-        kept = [0]
-        last_x, last_y = xy[0]
-        for i, (x, y) in enumerate(xy):
-            if max(abs(x - last_x), abs(y - last_y)) > tol:
-                kept.append(i)
-                last_x, last_y = x, y
-        pts = pts[kept]
+        pts = _thin(pts)
     n = len(pts) - 1
     if n < 3:
         return False

@@ -2,7 +2,11 @@
 
 CSV files carry a header row, LF line endings, floats at 17 significant
 digits (enough for bit-exact round-trips) and exact rationals as num/den.
-SVG output is a flat polyline rendering with no plotting dependencies.
+Rows are formatted in blocks with one %-format per block; numpy tables
+come as ArrayRows, and rows with cells no single %-spec renders as
+format_cell does go through format_cell and csv quoting. SVG output is a
+flat polyline rendering with no plotting dependencies, each polyline
+mapped to pixels with numpy and formatted with one %-format.
 """
 
 from __future__ import annotations
@@ -11,8 +15,12 @@ import csv
 import decimal
 import io
 import re
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, groupby, islice
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvalidArgument
 
@@ -68,58 +76,112 @@ def parse_cell(text: str):
     return text
 
 
-# Cell types a %-format renders exactly as format_cell does. Their
-# subclasses (bool, np.float64) and all other types go through format_cell.
-_ROW_SPECS = {float: _FLOAT_FMT, int: "%d", str: "%s"}
+# Rows are written in blocks of this many, one %-format per block.
+_BLOCK_ROWS = 2048
+# The %-spec of a cell of exactly this type, as format_cell renders it.
+# Subclasses (bool, np.float64) and all other types go through format_cell.
+_SPECS = {float: _FLOAT_FMT, int: "%d"}
+# Text csv quotes: a delimiter, a quote character or a line break.
+_QUOTED = re.compile(r'[,"\r\n]')
 
 
-def _row_format(kinds: tuple) -> tuple[str, bool] | None:
-    """The %-format of a row of cells of exactly these types, and whether it has text."""
-    if not all(kind in _ROW_SPECS for kind in kinds):
-        return None
-    return ",".join(_ROW_SPECS[kind] for kind in kinds) + "\n", str in kinds
+@dataclass(frozen=True, eq=False)
+class ArrayRows:
+    """CSV rows from a 2-D numpy array of ints or floats.
 
-
-def _unquoted(line: str, cells: int) -> bool:
-    """Whether csv writes the text cells of this %-rendered row as they are.
-
-    Numbers render without ',', '"', CR or LF, so each of those in the line
-    comes from a text cell, which csv may quote; such rows and a lone empty
-    cell are left to the csv writer.
+    Each row is the ``labels`` cells followed by one row of ``cells``.
+    emit_csv formats them in blocks, one %-format per block, and renders
+    every cell as format_cell renders the Python int or float.
     """
-    return (line.count(",") == cells - 1 and line.count("\n") == 1 and len(line) > 1
-            and '"' not in line and "\r" not in line)
+
+    cells: np.ndarray
+    labels: tuple = ()
 
 
-def emit_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+def _fixed_cell(value) -> str:
+    """One cell as format_cell and csv write it among others, %-escaped for a row format."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(header))
-    formats: dict[tuple, tuple[str, bool] | None] = {}
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        if kinds not in formats:
-            formats[kinds] = _row_format(kinds)
-        fast = formats[kinds]
-        if fast is not None:
-            fmt, has_text = fast
+    csv.writer(buf, lineterminator="\n").writerow([format_cell(value), ""])
+    return buf.getvalue()[:-2].replace("%", "%%")
+
+
+def _column_spec(column, width: int) -> str | None:
+    """The %-spec that renders each cell of a column as format_cell and csv do, if one does."""
+    kinds = set(map(type, column))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is str:
+        # csv quotes such text, and a row that is one empty cell.
+        if _QUOTED.search("".join(column)) or (width == 1 and not all(column)):
+            return None
+        return "%s"
+    return _SPECS.get(kind)
+
+
+def _write_block(out, prefix: str, specs, cells: list, count: int) -> None:
+    """Write count rows of row-major cells, each led by prefix, with one %-format."""
+    out.write(((prefix + ",".join(specs) + "\n") * count) % tuple(cells))
+
+
+def _write_rows(out, writer, rows: list) -> None:
+    """A block of rows: one %-format when the table is rectangular and every
+    column holds one type that has a spec, else row by row through format_cell
+    and the csv writer."""
+    width = len(rows[0])
+    if width and all(len(row) == width for row in rows):
+        cells = list(chain.from_iterable(rows))
+        specs = [_column_spec(cells[j::width], width) for j in range(width)]
+        if None not in specs:
             try:
-                line = fmt % row
+                return _write_block(out, "", specs, cells, len(rows))
             except ValueError:  # an int past the int-to-str digit cap
                 pass
-            else:
-                if not has_text or _unquoted(line, len(row)):
-                    buf.write(line)
-                    continue
+    for row in rows:
         writer.writerow([format_cell(v) for v in row])
+
+
+def _write_array_rows(out, item: ArrayRows) -> None:
+    cells = np.asarray(item.cells)
+    if cells.ndim != 2 or not cells.shape[1]:
+        raise InvalidArgument(f"array rows need a 2-D array with columns, got shape {cells.shape}")
+    if cells.dtype.kind in "iu":
+        spec = "%d"
+    elif cells.dtype.kind == "f":
+        spec = _FLOAT_FMT
+    else:
+        raise InvalidArgument(f"cannot render {cells.dtype} arrays in CSV")
+    prefix = "".join(_fixed_cell(label) + "," for label in item.labels)
+    specs = [spec] * cells.shape[1]
+    for lo in range(0, len(cells), _BLOCK_ROWS):
+        block = cells[lo : lo + _BLOCK_ROWS]
+        _write_block(out, prefix, specs, block.ravel().tolist(), len(block))
+
+
+def _write_csv(out, header: Sequence[str], rows: Iterable) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(header))
+    for arrays, items in groupby(rows, key=lambda row: isinstance(row, ArrayRows)):
+        if arrays:
+            for item in items:
+                _write_array_rows(out, item)
+        else:
+            for block in iter(lambda: list(islice(items, _BLOCK_ROWS)), []):
+                _write_rows(out, writer, block)
+
+
+def emit_csv(header: Sequence[str], rows: Iterable) -> str:
+    """CSV text of a header and rows; each item of ``rows`` is a sequence of
+    cells or an ArrayRows block."""
+    buf = io.StringIO()
+    _write_csv(buf, header, rows)
     return buf.getvalue()
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
     # newline="" hands line-ending control to the csv writer (always LF).
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(emit_csv(header, rows))
+        _write_csv(fh, header, rows)
 
 
 def read_csv(source: str) -> tuple[list[str], list[list]]:
@@ -163,24 +225,22 @@ def render_svg(
     scale = (_SVG_WIDTH - 2 * margin) / (x1 - x0)
     height = 2 * margin + scale * (y1 - y0)
 
-    def to_pixel(p):
-        px = margin + (p[0] - x0) * scale
-        py = height - margin - (p[1] - y0) * scale
-        return px, py
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_WIDTH:g} {height:.6g}">',
         f'<rect width="{_SVG_WIDTH:g}" height="{height:.6g}" fill="white"/>',
     ]
     for i, item in enumerate(items):
-        pts = [to_pixel(p) for p in item["points"]]
+        pts = np.asarray(item["points"], dtype=float)
         if len(pts) < 2:
             continue
+        pixels = np.empty_like(pts)
+        pixels[:, 0] = margin + (pts[:, 0] - x0) * scale
+        pixels[:, 1] = height - margin - (pts[:, 1] - y0) * scale
         stroke = item.get("stroke") or _PALETTE[i % len(_PALETTE)]
         stroke_width = item.get("width", 1.5)
         dash = item.get("dash")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in pts)
+        coords = ("%.3f,%.3f " * len(pts))[:-1] % tuple(pixels.ravel().tolist())
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
             f' stroke-width="{stroke_width:g}"{dash_attr}/>'

@@ -549,3 +549,56 @@ def test_exit_params_consistent_with_envelope():
     assert all(0.0 < v < 2.0 for v in xs)
     zs = [exit_params_right(UNIFORM, 3.0, t).z for t in (12.0, 20.0, 60.0, 200.0)]
     assert all(a > b for a, b in zip(zs, zs[1:]))
+
+
+def _uniform_exit_reference(which, qq, t):
+    """(xi, z) of UNIFORM in high-precision closed form, or None where either is not real."""
+    # 250 digits hold 80 past the cancellation in x - 1 at t = -1e-100.
+    with mpmath.workdps(250):
+        q, t = mpmath.mpf(qq), mpmath.mpf(t)
+        x = mpmath.sqrt((t - q**2) / (t - 1)) / q
+        q_xi = t * (q * x - 1) / (x - 1)
+        if which == "right":
+            q_z = (t - (1 - x)) / (t * q * x)
+        else:
+            q_z = t / (q * (t * x + q**2 * (1 - x)))
+        if not (q_xi > 0 and q_z > 0):
+            return None
+        return float(mpmath.log(q_xi) / mpmath.log(q)), float(mpmath.log(q_z) / mpmath.log(q))
+
+
+def _outer_branch_ts(qq):
+    """t on both outer branches of UNIFORM: near the finite end, across 0, out to |t| = 1e15."""
+    end = qq**2
+    far = [1e2, 1e5, 1e8, 1e10, 1e12, 1e15]
+    if qq > 1.0:  # right (qq**2, inf), left (-inf, 1)
+        right = [end * (1.0 + s) for s in (1e-2, 1.0, 1e2)] + [t for t in far if t > end]
+        left = [0.99, 0.5, 1e-3, -1e-3, -1.0] + [-t for t in far]
+    else:  # right (-inf, qq**2), left (1, inf)
+        right = [end * s for s in (0.99, 0.5) if end > 0.0] + [-1e-100, -1e-3, -1.0]
+        right += [-t for t in far]
+        left = [1.01, 2.0] + far
+    return {"right": right, "left": left}
+
+
+@pytest.mark.parametrize("qq", [3.0, 1 / 3, 1e-2, 1e3, 1e-20, 1e-200, 1e-300])
+def test_exit_params_against_mpmath_on_uniform(qq):
+    # As |t| grows qq x -> 1; (xi, z) keep their digits out to |t| = 1e15,
+    # and raise exactly where the closed form has no real value.
+    for which, ts in _outer_branch_ts(qq).items():
+        fn = exit_params_right if which == "right" else exit_params_left
+        for t in ts:
+            expected = _uniform_exit_reference(which, qq, t)
+            if expected is None:
+                with pytest.raises(InvalidArgument):
+                    fn(UNIFORM, qq, t)
+                continue
+            got = fn(UNIFORM, qq, t)
+            assert got.xi == pytest.approx(expected[0], rel=1e-12, abs=0.0), (which, t)
+            assert got.z == pytest.approx(expected[1], rel=1e-12, abs=0.0), (which, t)
+
+
+def test_exit_params_name_the_missing_real_value():
+    # At 1e-300 and t = -1e-100 the exit height 7/6 is real; the tail length is not.
+    with pytest.raises(InvalidArgument, match=r"no real tail length at t=-1e-100 \(qq\^z <= 0\)"):
+        exit_params_right(UNIFORM, 1e-300, np.float64(-1e-100))

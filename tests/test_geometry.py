@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpaths.errors import InvalidArgument
-from qpaths.geometry import hausdorff_distance, polyline_self_intersects
+from qpaths.geometry import _thin, hausdorff_distance, polyline_self_intersects
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)]
 
@@ -57,7 +57,7 @@ def test_multi_part_input_does_not_bridge_parts():
 def test_curve_object_input():
     from qpaths.curves import Curve
 
-    curve = Curve(points=[(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)])
+    curve = Curve(np.array([(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)]))
     assert hausdorff_distance(curve, [(0.0, 0.0), (1.0, 0.0)]) == 0.0
 
 
@@ -175,6 +175,59 @@ def polylines(draw):
 @given(polylines())
 @settings(max_examples=400, deadline=None)
 def test_crossing_scan_matches_all_pairs(pts):
+    assert polyline_self_intersects(pts) == all_pairs_self_intersects(pts)
+
+
+def greedy_thin(points) -> np.ndarray:
+    """The plain greedy thinning scan over every point, kept as the oracle
+    of the repeat-dropping and all-steps-long shortcuts."""
+    pts = np.asarray(points, dtype=float)
+    diam = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    tol = 1e-9 * max(diam, 1e-300)
+    xy = pts.tolist()
+    kept = [0]
+    last_x, last_y = xy[0]
+    for i, (x, y) in enumerate(xy):
+        if max(abs(x - last_x), abs(y - last_y)) > tol:
+            kept.append(i)
+            last_x, last_y = x, y
+    return pts[kept]
+
+
+@st.composite
+def thinning_polylines(draw):
+    """Polylines with runs of exact repeats, steps next to the thinning
+    tolerance 1e-9 * diameter on either side, and closed loops."""
+    coord = st.floats(-4.0, 4.0, allow_nan=False)
+    if draw(st.booleans()):
+        coord = st.integers(-3, 3).map(float)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
+    arr = np.asarray(pts)
+    tol = 1e-9 * max(float(np.max(arr.max(axis=0) - arr.min(axis=0))), 1e-300)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(pts) - 1))
+        x, y = pts[at]
+        if draw(st.booleans()):
+            extra = [(x, y)] * draw(st.integers(1, 5))
+        else:
+            # Steps of 1e-9 * diameter, give or take a few units of rounding,
+            # along either axis.
+            factor = draw(st.sampled_from([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0]))
+            axis = draw(st.integers(0, 1))
+            extra = []
+            for k in range(1, draw(st.integers(1, 4)) + 1):
+                step = k * factor * tol * draw(st.sampled_from([1.0, -1.0]))
+                extra.append((x + step, y) if axis == 0 else (x, y + step))
+        pts[at + 1 : at + 1] = extra
+    if draw(st.booleans()):
+        pts.append(pts[0])
+    return pts
+
+
+@given(thinning_polylines())
+@settings(max_examples=400, deadline=None)
+def test_thinning_shortcuts_match_the_greedy_scan(pts):
+    assert np.array_equal(_thin(np.asarray(pts, dtype=float)), greedy_thin(pts))
     assert polyline_self_intersects(pts) == all_pairs_self_intersects(pts)
 
 

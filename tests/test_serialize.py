@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -11,8 +12,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from qpaths import cli, curves, serialize
 from qpaths.errors import InvalidArgument
+from qpaths.profile import StartDensity
 from qpaths.serialize import (
+    ArrayRows,
     emit_csv,
     format_cell,
     load_csv,
@@ -126,6 +130,43 @@ def test_emit_csv_matches_the_csv_writer_oracle(rows):
     assert emit_csv(header, rows) == csv_writer_emit_csv(header, rows)
 
 
+@given(st.lists(st.floats(), min_size=1, max_size=30),
+       st.sampled_from(["right", "a,b", 'q"x', "50%", "%s", ""]))
+def test_array_rows_match_the_oracle_rows(values, label):
+    v = np.array(values)
+    cells = np.column_stack([v, -v, v[::-1]])
+    rows = [(label, *row) for row in cells.tolist()]
+    header = ["branch", "t", "X", "Y"]
+    assert emit_csv(header, [ArrayRows(cells, (label,))]) == csv_writer_emit_csv(header, rows)
+
+
+def test_array_rows_span_blocks_and_mix_with_rows():
+    ints = np.arange(3 * 5000, dtype=np.int64).reshape(-1, 3) - 7000
+    floats = np.linspace(-1.0, 1.0, 2 * 4100).reshape(-1, 2) ** 3
+    items = [(1, "a"), ArrayRows(ints), (Fraction(1, 3), 0.5), ArrayRows(floats, ("x", 7))]
+    rows = [(1, "a"), *ints.tolist(), (Fraction(1, 3), 0.5),
+            *(("x", 7, *row) for row in floats.tolist())]
+    assert emit_csv(["c"], items) == csv_writer_emit_csv(["c"], rows)
+
+
+def test_rows_past_one_block_match_the_oracle():
+    rows = [(i, i / 7.0, "left" if i % 3 else "right") for i in range(5000)]
+    rows[4321] = (7**9000, 0.5, "right")
+    assert emit_csv(["a", "b", "c"], rows) == csv_writer_emit_csv(["a", "b", "c"], rows)
+
+
+@pytest.mark.parametrize("cells, labels", [
+    (np.array([[True, False]]), ()),
+    (np.array([["a", "b"]]), ()),
+    (np.zeros(3), ()),
+    (np.zeros((2, 0)), ()),
+    (np.zeros((2, 2)), (True,)),
+], ids=["bool", "text", "1-d", "no_columns", "bool_label"])
+def test_array_rows_without_a_rendering_are_rejected(cells, labels):
+    with pytest.raises(InvalidArgument):
+        emit_csv(["a", "b"], [ArrayRows(cells, labels)])
+
+
 @pytest.mark.parametrize("bad", [True, object()], ids=["bool", "object"])
 def test_emit_csv_rejects_cells_without_a_rendering(bad):
     with pytest.raises(InvalidArgument):
@@ -208,3 +249,78 @@ def test_svg_range_validation(tmp_path):
     path = str(tmp_path / "plot.svg")
     write_svg(path, _svg_doc([{"points": [(0, 0), (1, 1)]}]))
     ET.fromstring(open(path).read())
+
+
+def per_point_render_svg(items, *, x_range, y_range) -> str:
+    """The per-point render_svg that the array one replaced, kept as its oracle."""
+    x0, x1 = float(x_range[0]), float(x_range[1])
+    y0, y1 = float(y_range[0]), float(y_range[1])
+    margin = 20.0
+    scale = (720 - 2 * margin) / (x1 - x0)
+    height = 2 * margin + scale * (y1 - y0)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 720 {height:.6g}">',
+        f'<rect width="720" height="{height:.6g}" fill="white"/>',
+    ]
+    palette = ("#1f6f8b", "#c1443c", "#3a7d44", "#8a4f9e", "#b8860b", "#555555")
+    for i, item in enumerate(items):
+        pts = [(margin + (p[0] - x0) * scale, height - margin - (p[1] - y0) * scale)
+               for p in item["points"]]
+        if len(pts) < 2:
+            continue
+        stroke = item.get("stroke") or palette[i % len(palette)]
+        dash = item.get("dash")
+        stroke_width = item.get("width", 1.5)
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in pts)
+        parts.append(
+            f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
+            f' stroke-width="{stroke_width:g}"{dash_attr}/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def test_svg_matches_the_per_point_oracle():
+    # -0.0 inputs, pixels just below 0 that print as -0.000, int points,
+    # an array, and one-point and empty items that draw nothing.
+    edge = 20.0 / (680.0 / 3.0) + 1e-7  # 20 pixels of margin and a little
+    items = [
+        {"points": [(-0.0, -0.0), (-edge, 1.0 + edge), (3, 0)]},
+        {"points": [(0, 1), (1, 0), (2, 1)], "stroke": "#000000", "width": 0.6, "dash": "4 3"},
+        {"points": np.array([[0.1, 0.2], [1.0 / 3.0, 2.0 / 3.0], [2.5, 0.0625]])},
+        {"points": [(1, 1)]},
+        {"points": []},
+    ]
+    assert _svg_doc(items) == per_point_render_svg(items, x_range=(0.0, 3.0), y_range=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("segments, jumps, base, t_values", [
+    ([[1 / 3, 2.0], [1 / 3, 1.0], [1 / 3, 2.0]], [], 1e-2, [4e-4, 2.0]),
+    ([[1 / 3, 1.0], [2 / 3, 1.0]], [[1 / 3, 1.0]], 1e3, [2e6, 0.5]),
+], ids=["FILLED_MID@1e-2", "HEX_LIKE@1e3"])
+def test_arctic_outputs_match_the_row_route(tmp_path, monkeypatch, segments, jumps, base, t_values):
+    doc = {"model": {"scaled": {"segments": segments, "jumps": jumps, "base": base}},
+           "task": {"samples": 300, "t_values": t_values}}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    rendered = []
+
+    def render(items, **kw):
+        rendered.append((items, kw))
+        return render_svg(items, **kw)
+
+    monkeypatch.setattr(serialize, "render_svg", render)
+    out = tmp_path / "out"
+    assert cli.main(["arctic", "--config", str(cfg), "--out", str(out), "--svg"]) == 0
+    d = StartDensity([tuple(s) for s in segments], jumps=[tuple(j) for j in jumps])
+    rows = [(dom.branch, t, x, y)
+            for dom in curves.t_domains(d, base)
+            for t, x, y in curves.arctic_curve(d, base, dom, n_samples=300).points]
+    expected = csv_writer_emit_csv(["branch", "t", "X", "Y"], rows).encode()
+    assert (out / "arctic.csv").read_bytes() == expected
+    (items, kw), = rendered
+    # The row route handed render_svg lists of float (X, Y) tuples.
+    as_tuples = [{**item, "points": [tuple(map(float, p)) for p in np.asarray(item["points"]).tolist()]}
+                 for item in items]
+    assert (out / "arctic.svg").read_bytes() == per_point_render_svg(as_tuples, **kw).encode()
