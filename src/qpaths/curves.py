@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -91,7 +91,9 @@ class TDomain:
     "filled_window_<m>" with m counting windows of the density from 1.
     ``sign_of_x`` is the constant sign of x(t) on the interval: negative
     exactly on filled windows.  ``lo``/``hi`` may be infinite; the
-    interval is open at every endpoint.
+    interval is open at every endpoint.  ``taus`` and ``log_q`` place a
+    t > 0 by tau = ln t / ln qq, as for every evaluator; without them
+    ``t in dom`` compares t with ``lo``/``hi``.
     """
 
     lo: float
@@ -99,9 +101,31 @@ class TDomain:
     branch: str
     sign_of_x: int
     window: Optional[WindowSpec] = None
+    taus: Optional[tuple[float, float]] = field(default=None, repr=False)
+    log_q: Optional[float] = field(default=None, repr=False)
 
     def __contains__(self, t: float) -> bool:
-        return self.lo < t < self.hi
+        """Whether t lies on the branch.
+
+        A t <= 0 lies on the branch whose interval reaches -inf.  A t > 0
+        lies on it when tau lies inside ``taus`` and more than _END_ULPS
+        units of rounding (ulp of the end, eps / |ln qq| for t) from its
+        nearer end: closer, x(t) has no digits.  A non-finite t lies on no
+        branch.
+        """
+        if self.log_q is None:
+            return self.lo < t < self.hi
+        if not math.isfinite(t):
+            return False
+        if t <= 0.0:
+            return self.lo == -math.inf
+        lo, hi = self.taus
+        tau = math.log(t) / self.log_q
+        if not lo < tau < hi:
+            return False
+        end = lo if tau - lo < hi - tau else hi
+        slack = math.ulp(end) + sys.float_info.epsilon / abs(self.log_q)
+        return abs(tau - end) > _END_ULPS * slack
 
 
 @dataclass(eq=False)
@@ -202,7 +226,7 @@ def _log_poles(t, a: float, qq: float, log_q: float):
 class _Scaled:
     """Cached per-(density, base) quantities used by every evaluator."""
 
-    __slots__ = ("d", "qq", "log_q", "parts", "top", "domains", "taus")
+    __slots__ = ("d", "qq", "log_q", "parts", "top", "domains")
 
     def __init__(self, d: StartDensity, qq: float):
         self.d = d
@@ -216,18 +240,18 @@ class _Scaled:
         # branch holds the t > 0 whose tau = ln t / ln qq lies in its taus
         # interval; its t bounds are the poles, 0 or inf where those leave
         # the doubles.
-        self.taus = [(self.top, math.inf), (-math.inf, 0.0)] + [
-            (w.a_lo, w.a_hi) for w in d.windows]
         inf = math.inf
         e_right = self.pole(self.top)
-        if self.qq > 1.0:
-            self.domains = [TDomain(e_right, inf, "right", 1), TDomain(-inf, 1.0, "left", 1)]
-        else:
-            self.domains = [TDomain(-inf, e_right, "right", 1), TDomain(1.0, inf, "left", 1)]
+        outer = [(e_right, inf), (-inf, 1.0)] if self.qq > 1.0 else [(-inf, e_right), (1.0, inf)]
+        self.domains = [
+            TDomain(*outer[0], "right", 1, taus=(self.top, inf), log_q=self.log_q),
+            TDomain(*outer[1], "left", 1, taus=(-inf, 0.0), log_q=self.log_q),
+        ]
         for idx, w in enumerate(d.windows):
             lo, hi = sorted((self.pole(w.a_lo), self.pole(w.a_hi)))
             sign = -1 if w.kind == "filled" else 1
-            self.domains.append(TDomain(lo, hi, f"{w.kind}_window_{idx + 1}", sign, window=w))
+            self.domains.append(TDomain(lo, hi, f"{w.kind}_window_{idx + 1}", sign, window=w,
+                                        taus=(w.a_lo, w.a_hi), log_q=self.log_q))
 
     def pole(self, a: float) -> float:
         """qq**a where |a ln qq| <= _LOG_RANGE keeps it a normal double, else 0 or inf."""
@@ -235,26 +259,15 @@ class _Scaled:
         return self.qq**a if abs(e) <= _LOG_RANGE else (0.0 if e < 0.0 else math.inf)
 
     def domain(self, t: float) -> TDomain:
-        """The branch that holds t.
+        """The branch that holds t (see TDomain.__contains__).
 
-        A t <= 0 lies on the outer branch through t = 0.  A t > 0 is placed
-        by tau = ln t / ln qq; within _END_ULPS units of rounding of a branch
-        end a (ulp(a) for the end, eps / |ln qq| for t) it counts as the end.
         Raises InvalidArgument for a non-finite t and for a t on no branch:
         a branch end, or a point of the density support outside every
         window.
         """
-        if math.isfinite(t):
-            if t <= 0.0:
-                return self.domains[1 if self.qq > 1.0 else 0]
-            tau = math.log(t) / self.log_q
-            for dom, (lo, hi) in zip(self.domains, self.taus):
-                if lo < tau < hi:
-                    end = lo if tau - lo < hi - tau else hi
-                    slack = math.ulp(end) + sys.float_info.epsilon / abs(self.log_q)
-                    if abs(tau - end) > _END_ULPS * slack:
-                        return dom
-                    break
+        for dom in self.domains:
+            if t in dom:
+                return dom
         raise InvalidArgument(f"t={t!r} lies on no branch of the arctic curve")
 
     def log_span(self, a_lo: float, a_hi: float) -> float:
