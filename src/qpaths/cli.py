@@ -126,11 +126,9 @@ def cmd_sample(cfg: ModelConfig, args) -> int:
     _require(cfg, "finite", "sample")
     result = run_chain(cfg.sequence, float(cfg.q), cfg.sweeps, cfg.seed)
     out = _out_dir(cfg)
-    grid = result.density.grid
-    xs, ys = np.nonzero(grid)
     serialize.write_csv(
         os.path.join(out, "density.csv"), ("x", "y", "count"),
-        [serialize.ArrayRows(np.column_stack([xs, ys, grid[xs, ys]]))],
+        [serialize.ArrayRows(result.density.rows())],
     )
     areas = np.asarray(result.area_series, dtype=np.int64)
     serialize.write_csv(

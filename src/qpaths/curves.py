@@ -92,17 +92,16 @@ class TDomain:
     ``sign_of_x`` is the constant sign of x(t) on the interval: negative
     exactly on filled windows.  ``lo``/``hi`` may be infinite; the
     interval is open at every endpoint.  ``taus`` and ``log_q`` place a
-    t > 0 by tau = ln t / ln qq, as for every evaluator; without them
-    ``t in dom`` compares t with ``lo``/``hi``.
+    t > 0 by tau = ln t / ln qq, as for every evaluator.
     """
 
     lo: float
     hi: float
     branch: str
     sign_of_x: int
+    taus: tuple[float, float] = field(repr=False)
+    log_q: float = field(repr=False)
     window: Optional[WindowSpec] = None
-    taus: Optional[tuple[float, float]] = field(default=None, repr=False)
-    log_q: Optional[float] = field(default=None, repr=False)
 
     def __contains__(self, t: float) -> bool:
         """Whether t lies on the branch.
@@ -113,8 +112,6 @@ class TDomain:
         nearer end: closer, x(t) has no digits.  A non-finite t lies on no
         branch.
         """
-        if self.log_q is None:
-            return self.lo < t < self.hi
         if not math.isfinite(t):
             return False
         if t <= 0.0:
@@ -595,9 +592,10 @@ def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVa
     """(xi, z) at t on an outer branch, where x > 0, from ln(qq x).
 
     ln(qq x) is the sum over segments of ln((t - E_hi) / (t - E_lo)) / p,
-    each term log1p((E_lo - E_hi) / (t - E_lo)) while that ratio is below
-    1/2 in size: as |t| grows qq x -> 1, and ln qq + ln x would cancel.
-    qq**xi and qq**z are taken in logs with their signs.
+    each term log1p((E_lo - E_hi) / (t - E_lo)) while that ratio lies in
+    (-1/2, 1): as |t| grows qq x -> 1, and ln qq + ln x would cancel.
+    qq**xi is taken in logs with its sign, and qq**z from ln(1 - w), with
+    w in doubles where it and its factors are normal doubles.
     """
     t = float(t)
     sc = _Scaled(d, qq)
@@ -608,13 +606,16 @@ def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVa
     for a_lo, a_hi, inv_p in sc.parts:
         l_hi, _ = _log_pole(t, a_hi, sc.qq, sc.log_q)
         l_lo, above_lo = _log_pole(t, a_lo, sc.qq, sc.log_q)
-        # E_hi - E_lo has the sign of ln qq.
-        log_ratio = sc.log_span(a_lo, a_hi) - l_lo
-        if log_ratio < -_LN2:
-            ratio = math.exp(log_ratio)
-            log_qx += inv_p * math.log1p(ratio if (sc.log_q > 0.0) != above_lo else -ratio)
+        e_lo, e_hi = sc.pole(a_lo), sc.pole(a_hi)
+        if 0.0 < e_lo < math.inf and 0.0 < e_hi < math.inf:
+            ratio = (e_lo - e_hi) / (t - e_lo)
         else:
-            log_qx += inv_p * (l_hi - l_lo)
+            # E_hi - E_lo has the sign of ln qq; |ratio| >= 1 takes the logs below.
+            size = math.exp(min(sc.log_span(a_lo, a_hi) - l_lo, 0.0))
+            ratio = size if (sc.log_q > 0.0) != above_lo else -size
+        # 1 + ratio = (t - E_hi) / (t - E_lo): log1p keeps the digits of a
+        # small ratio, the logs those of a t next to E_hi.
+        log_qx += inv_p * (math.log1p(ratio) if -0.5 < ratio < 1.0 else l_hi - l_lo)
     lx = log_qx - sc.log_q
     if t == 0.0 or lx == 0.0:
         raise InvalidArgument(f"no exit parameters at t={t!r}: x = 1, the degenerate point")
@@ -626,16 +627,24 @@ def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVa
     xi = (log_t + _log_shift(log_qx, True) - log_1mx) / sc.log_q
     if branch == "right":
         # qq**z = (t - (1 - x)) / (t qq x) = (1 - w) / (qq x), w = (1 - x) / t.
-        log_w, w_positive = log_1mx - log_t, (t > 0.0) == (lx < 0.0)
+        logs, w_positive = (log_1mx, -log_t), (t > 0.0) == (lx < 0.0)
     else:
         # qq**z = t / (qq (t x + qq**top (1 - x))) = 1 / (qq x (1 - w)),
         # w = -qq**top (1/x - 1) / t.
-        log_w = sc.top * sc.log_q - log_t + _log_shift(-lx, True)
+        logs = (sc.top * sc.log_q, _log_shift(-lx, True), -log_t)
         w_positive = (t > 0.0) == (lx > 0.0)
-    if w_positive and log_w >= 0.0:
+    direct = max(map(abs, logs)) <= _LOG_RANGE / 3
+    if direct:
+        # w and its factors are normal doubles: log1p(-w) keeps the digits of ln(1 - w).
+        w = -math.expm1(lx) / t if branch == "right" else -sc.pole(sc.top) * math.expm1(-lx) / t
+        real = w < 1.0
+    else:
+        log_w = sum(logs)
+        real = not w_positive or log_w < 0.0
+    if not real:
         raise InvalidArgument(f"no real tail length at t={t!r} (qq^z <= 0)")
-    # ln(1 - w), with ln|1 - w| = ln|sigma e**log_w - 1|.
-    log_1mw = _log_shift(log_w, w_positive)
+    # Else ln|1 - w| = ln|sigma e**log_w - 1|.
+    log_1mw = math.log1p(-w) if direct else _log_shift(log_w, w_positive)
     z = log_1mw - log_qx if branch == "right" else -(log_qx + log_1mw)
     return ScalingVars(xi=xi, z=z / sc.log_q)
 

@@ -208,10 +208,10 @@ class DensityField:
     grid: np.ndarray
     samples: int
 
-    def rows(self):
-        """Iterate (x, y, count) over every nonzero cell, row-major."""
+    def rows(self) -> np.ndarray:
+        """An (n, 3) int array of (x, y, count) over every nonzero cell, row-major."""
         xs, ys = np.nonzero(self.grid)
-        return zip(xs.tolist(), ys.tolist(), self.grid[xs, ys].tolist())
+        return np.column_stack([xs, ys, self.grid[xs, ys]])
 
 
 @dataclass

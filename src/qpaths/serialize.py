@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import decimal
 import io
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,9 +180,21 @@ def emit_csv(header: Sequence[str], rows: Iterable) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
-    # newline="" hands line-ending control to the csv writer (always LF).
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, header, rows)
+    """Write the CSV of a header and rows to path.
+
+    The blocks stream to a sibling file that replaces path only once every
+    row is written, so a row that raises leaves path as it was.
+    """
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        # newline="" hands line-ending control to the csv writer (always LF).
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            _write_csv(fh, header, rows)
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
 
 
 def read_csv(source: str) -> tuple[list[str], list[list]]:

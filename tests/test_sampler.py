@@ -298,8 +298,8 @@ def test_run_chain_deterministic_per_seed():
 def test_run_chain_forced_sequence_density():
     # seq=(0,1) has a single configuration, so the field is deterministic.
     result = run_chain(StartSequence((0, 1)), 0.5, 500, seed=1)
-    rows = list(result.density.rows())
-    assert rows == [(1, 0, result.density.samples)]
+    rows = result.density.rows().tolist()
+    assert rows == [[1, 0, result.density.samples]]
     assert result.acceptance_rate == 0.0
     assert result.proposals == 0
 

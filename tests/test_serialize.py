@@ -184,6 +184,22 @@ def test_csv_file_round_trip(tmp_path):
     assert got == [list(r) for r in rows]
 
 
+@pytest.mark.parametrize("bad", [
+    [ArrayRows(np.zeros((3000, 2))), (1.0, object())],
+    [ArrayRows(np.zeros((3000, 2))), ArrayRows(np.zeros((2, 2)), (True,))],
+], ids=["object_cell", "bool_label"])
+def test_write_csv_that_raises_leaves_the_file_as_it_was(tmp_path, bad):
+    path = tmp_path / "table.csv"
+    with pytest.raises(InvalidArgument):
+        write_csv(str(path), ["a", "b"], bad)
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("a,b\n1,2\n")
+    with pytest.raises(InvalidArgument):
+        write_csv(str(path), ["a", "b"], bad)
+    assert path.read_text() == "a,b\n1,2\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_read_csv_rejects_empty():
     with pytest.raises(InvalidArgument):
         read_csv("")
