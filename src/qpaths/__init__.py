@@ -15,7 +15,6 @@ from .actions import (
 )
 from .config import ModelConfig, parse_config
 from .configs import (
-    ExitSpec,
     PathConfig,
     enumerate_configs,
     from_second_family,
@@ -73,7 +72,6 @@ __all__ = [
     "ConfigError",
     "Curve",
     "DensityField",
-    "ExitSpec",
     "InvalidArgument",
     "ModelConfig",
     "NumericalFailure",

@@ -211,6 +211,7 @@ def cmd_limits(cfg: ModelConfig, args) -> int:
     _require(cfg, "scaled", "limits")
     d = cfg.density
     rows = []
+    notes = {}  # one note per window, not one per limit
     for which in ("q_to_0", "q_to_inf"):
         main, closing = limit_curve(d, which)
         rows.extend((which, "main", i, x, y) for i, (x, y) in enumerate(main))
@@ -219,12 +220,14 @@ def cmd_limits(cfg: ModelConfig, args) -> int:
             try:
                 tent = freezing_tent(d, window, which)
             except UnsupportedConfiguration as exc:
-                print(f"note: window {w_index}: {exc}", file=sys.stderr)
+                notes.setdefault(w_index, exc)
                 continue
             rows.extend(
                 (which, f"{window.kind}_window_{w_index}", i, x, y)
                 for i, (x, y) in enumerate(tent)
             )
+    for w_index, exc in notes.items():
+        print(f"note: window {w_index}: {exc}", file=sys.stderr)
     out = _out_dir(cfg)
     serialize.write_csv(
         os.path.join(out, "limits.csv"), ("limit", "part", "vertex", "X", "Y"), rows
@@ -364,8 +367,7 @@ def _csv_round_trip(cfg):
     return 0.0 if rows == [cells] else 1.0
 
 
-# verify's checks: (name, residual of the model configuration, tolerance);
-# a tolerance of None means the configured task.tolerance.
+# verify's checks: (name, residual of the model configuration, tolerance).
 _CHECKS = [
     ("partition_det_vs_product", _det_vs_product, 0.0),
     ("partition_poly_vs_det", _poly_vs_det, 0.0),
@@ -375,7 +377,7 @@ _CHECKS = [
     ("one_point_triple", _one_point_triple, 0.0),
     ("one_point_complementarity", _complementarity, 0.0),
     ("x_closed_vs_quadrature", _closed_vs_quadrature, 1e-8),
-    ("envelope_residual", _envelope, None),
+    ("envelope_residual", _envelope, 1e-10),
     ("saddle_residuals", _saddle, 1e-6),
     ("csv_round_trip", _csv_round_trip, 0.0),
 ]
@@ -384,7 +386,6 @@ _CHECKS = [
 def cmd_verify(cfg: ModelConfig, args) -> int:
     checks = []
     for name, residual_of, tolerance in _CHECKS:
-        tolerance = float(cfg.tolerance if tolerance is None else tolerance)
         try:
             residual = float(residual_of(cfg))
             if not math.isfinite(residual):

@@ -26,7 +26,6 @@ _TASK_KEYS = {
     "samples",
     "sweeps",
     "seed",
-    "tolerance",
     "t_values",
     "out",
 }
@@ -45,7 +44,6 @@ class ModelConfig:
     samples: int = 400
     sweeps: int = 100_000
     seed: int = 0
-    tolerance: float = 1e-10
     t_values: tuple[float, ...] = ()
     out: Optional[str] = None
 
@@ -203,12 +201,6 @@ def _parse_task(node: Any, problems: list[str]) -> dict[str, Any]:
                 problems.append(f"task.{key}: expected an integer >= {minimum}, got {v!r}")
             else:
                 out[key] = v
-    if "tolerance" in node:
-        v = node["tolerance"]
-        if not (_finite_number(v) and v > 0):
-            problems.append(f"task.tolerance: expected a positive number, got {v!r}")
-        else:
-            out["tolerance"] = float(v)
     if "t_values" in node:
         v = node["t_values"]
         if not isinstance(v, list) or not all(_finite_number(x) for x in v):

@@ -11,7 +11,7 @@ lattice stays integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import InvalidArgument, SizeLimitExceeded
@@ -24,24 +24,12 @@ ENUM_MAX_TOP = 8
 
 
 @dataclass(frozen=True)
-class ExitSpec:
-    """Exit constraint for the top path: it ends at (ell, n)."""
-
-    ell: int
-
-    def __post_init__(self):
-        if self.ell < 0:
-            raise InvalidArgument("exit abscissa must be >= 0")
-
-
-@dataclass(frozen=True)
 class PathConfig:
     """A full non-intersecting configuration, one vertex tuple per path."""
 
     starts: StartSequence
     paths: tuple[tuple[Vertex, ...], ...]
     family: str = "first"
-    exit: ExitSpec | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.family not in ("first", "second"):
@@ -60,7 +48,7 @@ class PathConfig:
         n = self.starts.n
         if self.family == "first":
             start = (self.starts[i], 0)
-            end = (0, i) if i < n or self.exit is None else (self.exit.ell, n)
+            end = (0, i)
             steps = {(-1, 0), (0, 1)}
         else:
             start = (2 * self.starts[n - i] + 1, 0)
@@ -120,26 +108,22 @@ def _monotone_paths(start: Vertex, end: Vertex, blocked: set[Vertex]) -> Iterato
             yield (start,) + rest
 
 
-def enumerate_configs(seq: StartSequence, exit: ExitSpec | None = None) -> list[PathConfig]:
+def enumerate_configs(seq: StartSequence) -> list[PathConfig]:
     """Exhaustively enumerate configurations (guarded brute force).
 
-    With an exit given, the top path ends at the exit abscissa on the top
-    boundary. Enumeration is limited to n <= 3, a_n <= 8.
+    Enumeration is limited to n <= 3, a_n <= 8.
     """
     if seq.n > ENUM_MAX_N or seq.top > ENUM_MAX_TOP:
         raise SizeLimitExceeded(
             f"enumeration is limited to n <= {ENUM_MAX_N} and a_n <= {ENUM_MAX_TOP}"
         )
-    if exit is not None and exit.ell > seq.top:
-        raise InvalidArgument(f"exit abscissa must be <= {seq.top}, got {exit.ell}")
     configs: list[PathConfig] = []
 
     def recurse(i: int, blocked: set[Vertex], chosen: list[tuple[Vertex, ...]]) -> None:
         if i > seq.n:
-            configs.append(PathConfig(seq, tuple(chosen), "first", exit))
+            configs.append(PathConfig(seq, tuple(chosen), "first"))
             return
-        end = (exit.ell, i) if i == seq.n and exit is not None else (0, i)
-        for path in _monotone_paths((seq[i], 0), end, blocked):
+        for path in _monotone_paths((seq[i], 0), (0, i), blocked):
             chosen.append(path)
             recurse(i + 1, blocked | set(path), chosen)
             chosen.pop()
@@ -155,8 +139,8 @@ def to_second_family(config: PathConfig) -> PathConfig:
     overpasses every encountered north step with a northeast step; the total
     weighted area is preserved.
     """
-    if config.family != "first" or config.exit is not None:
-        raise InvalidArgument("to_second_family requires a plain first-family configuration")
+    if config.family != "first":
+        raise InvalidArgument("to_second_family requires a first-family configuration")
     seq = config.starts
     n = seq.n
     norths = set(config.north_steps())
@@ -222,13 +206,13 @@ def reflect_second_family(config: PathConfig) -> PathConfig:
 
 
 def abscissas(config: PathConfig) -> list[int]:
-    """The north-step array b of a plain first-family configuration.
+    """The north-step array b of a first-family configuration.
 
     b[i][k] is the column of the north step of path i from row k to row
     k + 1, for 1 <= i <= n and 0 <= k < i, stored flat in that order.
     """
-    if config.family != "first" or config.exit is not None:
-        raise InvalidArgument("abscissas requires a plain first-family configuration")
+    if config.family != "first":
+        raise InvalidArgument("abscissas requires a first-family configuration")
     return [x for x, _ in config.north_steps()]
 
 

@@ -64,7 +64,7 @@ def dual_sequence(seq: StartSequence) -> StartSequence:
     return StartSequence(tuple(top - seq.values[seq.n - i] for i in range(seq.n + 1)))
 
 
-def _check_weight_q(q: Weight, *, allow_negative: bool = False) -> None:
+def _check_weight_q(q: Weight) -> None:
     if isinstance(q, float):
         if not math.isfinite(q):
             raise InvalidArgument("q must be finite")
@@ -72,7 +72,7 @@ def _check_weight_q(q: Weight, *, allow_negative: bool = False) -> None:
         raise InvalidArgument("q = 1 is excluded (uniform weights degenerate the formulas)")
     if q == 0:
         raise InvalidArgument("q = 0 is excluded")
-    if not allow_negative and q < 0:
+    if q < 0:
         raise InvalidArgument("q must be positive")
 
 
@@ -128,7 +128,7 @@ def partition_product(seq: StartSequence, q: Rational) -> Fraction:
     """
     if isinstance(q, float):
         raise InvalidArgument("partition_product requires exact rational q")
-    _check_weight_q(q, allow_negative=True)
+    _check_weight_q(q)
     q = Fraction(q)
     n = seq.n
     num = Fraction(1)
@@ -167,26 +167,30 @@ def one_point_exit_det(seq: StartSequence, ell: int, q: Rational) -> Fraction:
 
 
 @float_range
-def _residue_sum(
-    seq: StartSequence, ell: int, q: Weight, poles: Sequence[int], offsets: range, exponent: int
-) -> Weight:
-    """q**exponent times the sum of the residues at the poles q**a_k.
+def _residue_sum(seq: StartSequence, ell: int, q: Weight, dual: bool) -> Weight:
+    """The residue sum of H(ell), or of H_dual(ell) when dual is set.
 
-    One loop for an exact Fraction q and a float q. The terms alternate in
-    sign; they are taken in increasing pole magnitude and, at a float,
-    summed exactly, to keep the cancellation as mild as possible.
+    The poles are q**a_k with a_k >= ell, or a_k <= ell - n for the dual.
+    With m = a_k - ell - dual, a pole's numerator is the product of q**s - 1
+    over s = m + 1 .. m + n: the dual residue is the direct one at m - 1.
+    One loop for a Fraction q and a float q, summed exactly in any order.
     """
     values = seq.values
+    n = seq.n
     powers = [q**a for a in values]
     terms = []
-    for k in sorted(poles, key=lambda k: abs(powers[k])):
+    for k, a in enumerate(values):
+        if not (a <= ell - n if dual else a >= ell):
+            continue
+        m = a - ell - dual
         num = den = q**0  # one, in q's number type
-        for s in offsets:
-            num *= q ** (values[k] + s - ell) - 1
-        for s in range(seq.n + 1):
+        for s in range(m + 1, m + n + 1):
+            num *= q**s - 1
+        for s in range(n + 1):
             if s != k:
                 den *= powers[k] - powers[s]
         terms.append(num / den)
+    exponent = n * ell - n * (n + 1) // 2 + n * dual
     if isinstance(q, Fraction):
         return q**exponent * sum(terms)
     # fsum raises on inf - inf, so the terms are checked first.
@@ -205,15 +209,12 @@ def one_point_exit(seq: StartSequence, ell: int, q: Weight) -> Weight:
 
     The contour encircles the weight-poles q**a_k with a_k >= ell; the
     residues at a_k in [ell - n, ell) vanish identically. Exact for
-    rational q; float q sums the residues in increasing pole magnitude.
+    rational q; a float q sums the residues with fsum.
     """
     _check_weight_q(q)
-    n = seq.n
     if not 0 <= ell <= seq.top:
         raise InvalidArgument(f"exit abscissa must lie in [0, {seq.top}], got {ell}")
-    poles = [k for k in range(n + 1) if seq.values[k] >= ell]
-    exponent = n * ell - n * (n + 1) // 2
-    return _residue_sum(seq, ell, _exact_or_float(q), poles, range(1, n + 1), exponent)
+    return _residue_sum(seq, ell, _exact_or_float(q), False)
 
 
 def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
@@ -227,9 +228,7 @@ def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
     n = seq.n
     if not n <= ell <= seq.top + n:
         raise InvalidArgument(f"dual exit abscissa must lie in [{n}, {seq.top + n}], got {ell}")
-    poles = [k for k in range(n + 1) if seq.values[k] <= ell - n]
-    exponent = n * ell - n * (n - 1) // 2
-    return _residue_sum(seq, ell, _exact_or_float(q), poles, range(0, n), exponent)
+    return _residue_sum(seq, ell, _exact_or_float(q), True)
 
 
 def _positive_weight(q: Weight, value: Weight) -> Weight:

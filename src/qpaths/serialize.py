@@ -2,11 +2,12 @@
 
 CSV files carry a header row, LF line endings, floats at 17 significant
 digits (enough for bit-exact round-trips) and exact rationals as num/den.
-Rows are formatted in blocks with one %-format per block; numpy tables
-come as ArrayRows, and rows with cells no single %-spec renders as
-format_cell does go through format_cell and csv quoting. SVG output is a
-flat polyline rendering with no plotting dependencies, each polyline
-mapped to pixels with numpy and formatted with one %-format.
+Rows are formatted in blocks with one %-format per block when each
+column holds only ints or only floats; numpy tables come as ArrayRows,
+and other rows, text among them, go through format_cell and the csv
+writer. SVG output is a flat polyline rendering with no plotting
+dependencies, each polyline mapped to pixels with numpy and formatted
+with one %-format.
 """
 
 from __future__ import annotations
@@ -82,8 +83,6 @@ _BLOCK_ROWS = 2048
 # The %-spec of a cell of exactly this type, as format_cell renders it.
 # Subclasses (bool, np.float64) and all other types go through format_cell.
 _SPECS = {float: _FLOAT_FMT, int: "%d"}
-# Text csv quotes: a delimiter, a quote character or a line break.
-_QUOTED = re.compile(r'[,"\r\n]')
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,18 +105,10 @@ def _fixed_cell(value) -> str:
     return buf.getvalue()[:-2].replace("%", "%%")
 
 
-def _column_spec(column, width: int) -> str | None:
-    """The %-spec that renders each cell of a column as format_cell and csv do, if one does."""
+def _column_spec(column) -> str | None:
+    """The %-spec of a column whose cells are all ints or all floats, else None."""
     kinds = set(map(type, column))
-    if len(kinds) != 1:
-        return None
-    kind = kinds.pop()
-    if kind is str:
-        # csv quotes such text, and a row that is one empty cell.
-        if _QUOTED.search("".join(column)) or (width == 1 and not all(column)):
-            return None
-        return "%s"
-    return _SPECS.get(kind)
+    return _SPECS.get(kinds.pop()) if len(kinds) == 1 else None
 
 
 def _write_block(out, prefix: str, specs, cells: list, count: int) -> None:
@@ -127,12 +118,12 @@ def _write_block(out, prefix: str, specs, cells: list, count: int) -> None:
 
 def _write_rows(out, writer, rows: list) -> None:
     """A block of rows: one %-format when the table is rectangular and every
-    column holds one type that has a spec, else row by row through format_cell
-    and the csv writer."""
+    column holds only ints or only floats, else row by row through
+    format_cell and the csv writer."""
     width = len(rows[0])
     if width and all(len(row) == width for row in rows):
         cells = list(chain.from_iterable(rows))
-        specs = [_column_spec(cells[j::width], width) for j in range(width)]
+        specs = [_column_spec(cells[j::width]) for j in range(width)]
         if None not in specs:
             try:
                 return _write_block(out, "", specs, cells, len(rows))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -31,6 +32,18 @@ SCALED_GAPPED = {
         "scaled": {
             "segments": [[0.5, 2.0], [0.5, 2.0]],
             "jumps": [[0.5, 1.0]],
+            "base": 3.0,
+        }
+    }
+}
+
+# Slope-1 runs at both ends (edge windows 1 and 3) around a jump (the
+# internal gap window 2).
+SCALED_HEX_LIKE = {
+    "model": {
+        "scaled": {
+            "segments": [[1 / 3, 1.0], [2 / 3, 1.0]],
+            "jumps": [[1 / 3, 1.0]],
             "base": 3.0,
         }
     }
@@ -306,6 +319,46 @@ def test_arctic_window_selection(tmp_path):
     doc["task"] = {"branch": "window:9", "samples": 24}
     cfg = write_config(tmp_path, doc, "bad.json")
     assert cli.main(["arctic", "--config", cfg, "--out", str(tmp_path / "o2")]) == 1
+
+
+@pytest.mark.parametrize("branch", ["right", "left"])
+def test_arctic_side_selection(tmp_path, branch):
+    doc = dict(SCALED_GAPPED, task={"branch": branch, "samples": 24})
+    rc, out = run_cli(tmp_path, doc, "arctic")
+    assert rc == 0
+    _, rows = load_csv(str(out / "arctic.csv"))
+    assert rows and {r[0] for r in rows} == {branch}
+
+
+def test_arctic_notes_skipped_points_and_self_intersections(tmp_path, capsys):
+    doc = {
+        "model": {"scaled": dict(SCALED_HEX_LIKE["model"]["scaled"], base=1e-20)},
+        "task": {"samples": 200},
+    }
+    rc, _ = run_cli(tmp_path, doc, "arctic")
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert re.search(r"^note: right: skipped [1-9][0-9]* singular points$", err, re.M)
+    assert "note: right: sampled polyline self-intersects\n" in err
+
+
+def test_limits_notes_each_edge_window_once(tmp_path, capsys):
+    rc, out = run_cli(tmp_path, SCALED_HEX_LIKE, "limits")
+    assert rc == 0
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+    message = "freezing windows touching the profile edge have no documented limit shape"
+    assert notes == [f"note: window 1: {message}", f"note: window 3: {message}"]
+    _, rows = load_csv(str(out / "limits.csv"))
+    tents = [(r[0], r[1]) for r in rows if "window" in r[1]]
+    assert tents == [("q_to_0", "gap_window_2")] * 4 + [("q_to_inf", "gap_window_2")] * 4
+
+
+def test_task_tolerance_is_an_unknown_key(tmp_path, capsys):
+    doc = dict(SCALED_UNIFORM, task={"tolerance": 1e-10})
+    rc, out = run_cli(tmp_path, doc, "verify")
+    assert rc == 1
+    assert capsys.readouterr().err == "config error: task: unknown keys ['tolerance']\n"
+    assert not out.exists()
 
 
 def test_limits_table(tmp_path):

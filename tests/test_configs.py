@@ -3,7 +3,6 @@
 import pytest
 
 from qpaths.configs import (
-    ExitSpec,
     PathConfig,
     abscissas,
     enumerate_configs,
@@ -58,27 +57,6 @@ def test_enumeration_counts_against_independent_dfs():
 
     for values in ((0, 1), (0, 3), (0, 1, 3), (0, 2, 4), (0, 2, 3, 5)):
         assert len(enumerate_configs(StartSequence(values))) == count(values)
-
-
-def test_enumeration_with_exit():
-    # A free configuration whose top path first reaches the top row at m
-    # truncates to an exit-pinned configuration for every ell <= m, and the
-    # west walk along the top row carries no area. The pinned ensemble at
-    # ell therefore matches the free configurations with first-hit >= ell.
-    seq = StartSequence((0, 1, 3))
-    free = [
-        (max(x for x, y in c.paths[-1] if y == seq.n), c.total_area())
-        for c in enumerate_configs(seq)
-    ]
-    for ell in range(seq.top + 1):
-        got = enumerate_configs(seq, ExitSpec(ell))
-        tail = sorted(area for m, area in free if m >= ell)
-        assert sorted(c.total_area() for c in got) == tail
-
-
-def test_enumeration_exit_out_of_range():
-    with pytest.raises(InvalidArgument):
-        enumerate_configs(StartSequence((0, 2)), ExitSpec(3))
 
 
 def test_enumeration_guard_rails():

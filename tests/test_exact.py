@@ -5,6 +5,7 @@ against the model definition only; it shares no code with the package.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpaths.errors import InvalidArgument, NumericalFailure
+from qpaths.errors import InvalidArgument, NumericalFailure, float_range
 from qpaths.exact import (
     StartSequence,
     dual_sequence,
@@ -216,6 +217,85 @@ def test_one_point_dual_range():
     assert one_point_exit_dual(seq, seq.top + seq.n, q) == 1
 
 
+def test_dual_residue_is_the_direct_one_on_the_reflected_model():
+    # Reflecting the second path family maps the dual exit at ell to the
+    # direct exit at a_n + n - ell on the dual sequence, at weight 1/q.
+    rng = random.Random(29)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        seq = random_sequence(rng, n, rng.randint(n, 17))
+        dual = dual_sequence(seq)
+        for q in (Fraction(2, 5), Fraction(9, 10), Fraction(5, 4), Fraction(7, 3)):
+            for ell in range(n, seq.top + n + 1):
+                assert one_point_exit_dual(seq, ell, q) == one_point_exit(
+                    dual, seq.top + n - ell, 1 / q
+                )
+
+
+@float_range
+def _per_route_residue_sum(seq, ell, q, poles, offsets, exponent):
+    """q**exponent times the residues at the given poles, each with its own
+    numerator offsets, the poles taken in increasing magnitude: the direct
+    and dual residue sums written as two separate formulas."""
+    values = seq.values
+    powers = [q**a for a in values]
+    terms = []
+    for k in sorted(poles, key=lambda k: abs(powers[k])):
+        num = den = q**0
+        for s in offsets:
+            num *= q ** (values[k] + s - ell) - 1
+        for s in range(seq.n + 1):
+            if s != k:
+                den *= powers[k] - powers[s]
+        terms.append(num / den)
+    if isinstance(q, Fraction):
+        return q**exponent * sum(terms)
+    value = q**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
+    if not math.isfinite(value):
+        raise NumericalFailure(f"residue sum at q = {q!r}, ell = {ell} is outside the float range")
+    return value
+
+
+def _per_route_exit(seq, ell, q):
+    n = seq.n
+    poles = [k for k in range(n + 1) if seq[k] >= ell]
+    return _per_route_residue_sum(seq, ell, q, poles, range(1, n + 1), n * ell - n * (n + 1) // 2)
+
+
+def _per_route_exit_dual(seq, ell, q):
+    n = seq.n
+    poles = [k for k in range(n + 1) if seq[k] <= ell - n]
+    return _per_route_residue_sum(seq, ell, q, poles, range(0, n), n * ell - n * (n - 1) // 2)
+
+
+def _outcome(fn, *args):
+    """A value's type and bits, or the NumericalFailure it raised."""
+    try:
+        value = fn(*args)
+    except NumericalFailure:
+        return NumericalFailure
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def test_residue_loop_matches_the_per_route_formulas():
+    # One loop picks the poles for both tables; the sums are exact, so
+    # neither the pole order nor the shared numerator may move a bit.
+    rng = random.Random(31)
+    for _ in range(25):
+        n = rng.randint(1, 12)
+        seq = random_sequence(rng, n, n + rng.randint(0, 12))
+        qs = [Fraction(7, 10), Fraction(3, 2)] + [10.0 ** rng.uniform(-3, 3) for _ in range(3)]
+        for q in qs:
+            for ell in range(seq.top + 1):
+                assert _outcome(one_point_exit, seq, ell, q) == _outcome(
+                    _per_route_exit, seq, ell, q
+                ), (seq, ell, q)
+            for ell in range(n, seq.top + n + 1):
+                assert _outcome(one_point_exit_dual, seq, ell, q) == _outcome(
+                    _per_route_exit_dual, seq, ell, q
+                ), (seq, ell, q)
+
+
 def test_float_routes_match_exact():
     seq = StartSequence((0, 2, 5))
     for q in (0.3, 2.5):
@@ -266,6 +346,11 @@ def test_perturbed_partition_matches_shifted_enumeration():
 def test_perturbed_partition_hand_value():
     # seq=(0,1), r=1, q=2: H0*Y0 + H1*Y1 = 1*1 + 1*2 = 3.
     assert perturbed_partition(StartSequence((0, 1)), 1, Fraction(2)) == 3
+
+
+def test_partition_product_rejects_negative_q():
+    with pytest.raises(InvalidArgument, match="positive"):
+        partition_product(StartSequence((0, 1, 3)), Fraction(-1, 2))
 
 
 def test_free_path_weight_dual_hand_values():
