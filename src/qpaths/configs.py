@@ -157,8 +157,6 @@ def to_second_family(config: PathConfig) -> PathConfig:
             else:
                 xd += 2
             path.append((xd, y))
-        if y != i:
-            raise InvalidArgument("configuration does not admit the overpass construction")
         paths.append(tuple(path))
     return PathConfig(seq, tuple(paths), "second")
 

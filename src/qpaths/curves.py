@@ -223,10 +223,9 @@ def _log_poles(t, a: float, qq: float, log_q: float):
 class _Scaled:
     """Cached per-(density, base) quantities used by every evaluator."""
 
-    __slots__ = ("d", "qq", "log_q", "parts", "top", "domains")
+    __slots__ = ("qq", "log_q", "parts", "top", "domains")
 
     def __init__(self, d: StartDensity, qq: float):
-        self.d = d
         self.qq = _check_base(qq)
         self.log_q = math.log(self.qq)
         # One (a_lo, a_hi, 1/p) tuple per linear segment; jumps contribute
@@ -552,9 +551,12 @@ def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100)
     Solves x(t) qq**Y + ((1 - x(t)) / t) qq**X = 1 for Y on a grid of X
     from 0 to alpha_top + 1, keeping only the part where qq**Y is
     positive.  The arctic curve is the envelope of these lines as t
-    sweeps a branch.
+    sweeps a branch.  Raises SingularPoint at t = 0, where x = 1 and the
+    line degenerates.
     """
     sc = _Scaled(d, qq)
+    if t == 0.0:
+        raise SingularPoint(f"tangent line undefined at t={t!r}: x = 1, the degenerate point")
     _, x, one_minus_x, _ = sc.terms(t, sc.domain(t).sign_of_x)
     if x == 0.0:
         raise SingularPoint(f"tangent line undefined at t={t!r}: x = 0")

@@ -64,16 +64,29 @@ def dual_sequence(seq: StartSequence) -> StartSequence:
     return StartSequence(tuple(top - seq.values[seq.n - i] for i in range(seq.n + 1)))
 
 
-def _check_weight_q(q: Weight) -> None:
-    if isinstance(q, float):
-        if not math.isfinite(q):
-            raise InvalidArgument("q must be finite")
+def _weight(q: Weight) -> Union[Fraction, float]:
+    """q as a weight base: a float unchanged, any other number as a Fraction.
+
+    The one contract on q of the finite-n routes: q is finite, positive and
+    not 1. A float q computes in doubles, every other q exactly.
+    """
+    if isinstance(q, float) and not math.isfinite(q):
+        raise InvalidArgument("q must be finite")
     if q == 1:
         raise InvalidArgument("q = 1 is excluded (uniform weights degenerate the formulas)")
     if q == 0:
         raise InvalidArgument("q = 0 is excluded")
     if q < 0:
         raise InvalidArgument("q must be positive")
+    return q if isinstance(q, float) else Fraction(q)
+
+
+def _check_exit(seq: StartSequence, ell: int, dual: bool) -> None:
+    """The exit abscissa range: [0, a_n], or [n, a_n + n] for the dual family."""
+    lo = seq.n if dual else 0
+    if not lo <= ell <= seq.top + lo:
+        name = "dual exit" if dual else "exit"
+        raise InvalidArgument(f"{name} abscissa must lie in [{lo}, {seq.top + lo}], got {ell}")
 
 
 def lgv_matrix(seq: StartSequence) -> list[list[QPolynomial]]:
@@ -128,8 +141,7 @@ def partition_product(seq: StartSequence, q: Rational) -> Fraction:
     """
     if isinstance(q, float):
         raise InvalidArgument("partition_product requires exact rational q")
-    _check_weight_q(q)
-    q = Fraction(q)
+    q = _weight(q)
     n = seq.n
     num = Fraction(1)
     den = Fraction(1)
@@ -153,15 +165,13 @@ def one_point_exit_det(seq: StartSequence, ell: int, q: Rational) -> Fraction:
     """
     if isinstance(q, float):
         raise InvalidArgument("one_point_exit_det requires exact rational q")
-    _check_weight_q(q)
+    q = _weight(q)
+    _check_exit(seq, ell, False)
     n = seq.n
-    if not 0 <= ell <= seq.top:
-        raise InvalidArgument(f"exit abscissa must lie in [0, {seq.top}], got {ell}")
     matrix = lgv_matrix(seq)
     for row, a in zip(matrix, seq.values):
         # No such path when the start lies left of the exit.
         row[n] = q_binomial(a + n - ell, n).shift(n * ell) if a + n >= ell else QPolynomial.zero()
-    q = Fraction(q)
     # Z(q) > 0 at every admissible q: its coefficients are nonnegative.
     return poly_det(matrix)(q) / partition_det(seq)(q)
 
@@ -200,10 +210,6 @@ def _residue_sum(seq: StartSequence, ell: int, q: Weight, dual: bool) -> Weight:
     return value
 
 
-def _exact_or_float(q: Weight) -> Union[Fraction, float]:
-    return q if isinstance(q, float) else Fraction(q)
-
-
 def one_point_exit(seq: StartSequence, ell: int, q: Weight) -> Weight:
     """Probability that the top path exits at abscissa ell or beyond (residue route).
 
@@ -211,10 +217,9 @@ def one_point_exit(seq: StartSequence, ell: int, q: Weight) -> Weight:
     residues at a_k in [ell - n, ell) vanish identically. Exact for
     rational q; a float q sums the residues with fsum.
     """
-    _check_weight_q(q)
-    if not 0 <= ell <= seq.top:
-        raise InvalidArgument(f"exit abscissa must lie in [0, {seq.top}], got {ell}")
-    return _residue_sum(seq, ell, _exact_or_float(q), False)
+    q = _weight(q)
+    _check_exit(seq, ell, False)
+    return _residue_sum(seq, ell, q, False)
 
 
 def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
@@ -224,11 +229,9 @@ def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
     a_k <= ell - n. Complementary to the direct route: one_point_exit(seq,
     ell, q) plus one_point_exit_dual(seq, ell - 1, q) equals 1.
     """
-    _check_weight_q(q)
-    n = seq.n
-    if not n <= ell <= seq.top + n:
-        raise InvalidArgument(f"dual exit abscissa must lie in [{n}, {seq.top + n}], got {ell}")
-    return _residue_sum(seq, ell, _exact_or_float(q), True)
+    q = _weight(q)
+    _check_exit(seq, ell, True)
+    return _residue_sum(seq, ell, q, True)
 
 
 def _positive_weight(q: Weight, value: Weight) -> Weight:
@@ -250,8 +253,7 @@ def free_path_weight(ell: int, r: int, q: Weight) -> Weight:
         raise InvalidArgument("exit abscissa must be >= 0")
     if r < 1:
         raise InvalidArgument("endpoint shift r must be >= 1")
-    _check_weight_q(q)
-    q = _exact_or_float(q)
+    q = _weight(q)
     return _positive_weight(q, q**ell * q_binomial_at(ell + r - 1, ell, q))
 
 
@@ -260,12 +262,9 @@ def free_path_weight_dual(seq: StartSequence, ell: int, r: int, q: Weight) -> We
     """Continuation weight expressed through the complementary family."""
     if r < 1:
         raise InvalidArgument("endpoint shift r must be >= 1")
-    n = seq.n
-    if not n <= ell <= seq.top + n:
-        raise InvalidArgument(f"dual exit abscissa must lie in [{n}, {seq.top + n}], got {ell}")
-    _check_weight_q(q)
-    q = _exact_or_float(q)
-    ell_dual = seq.top + n - ell
+    _check_exit(seq, ell, True)
+    q = _weight(q)
+    ell_dual = seq.top + seq.n - ell
     exponent = r * (ell + 1) + r * (r - 1) // 2
     return _positive_weight(q, q**exponent * q_binomial_at(ell_dual + r - 1, ell_dual, q))
 

@@ -153,16 +153,10 @@ class StartDensity:
             raise InvalidArgument(f"u must lie in [0, 1], got {u}")
         if u == 1.0:
             return self.alpha_top
-        value = 0.0
-        for el in self._elements:
-            if el.kind == "jump":
-                if el.u_lo <= u:
-                    value = el.a_hi
-                continue
-            if u < el.u_hi:
-                return el.a_lo + el.p * (u - el.u_lo)
-            value = el.a_hi
-        return value
+        # The segments cover [0, 1) and a jump starts the next one, so the
+        # segment holding u gives the right-continuous value.
+        el = next(el for el in self.segment_elements() if u < el.u_hi)
+        return el.a_lo + el.p * (u - el.u_lo)
 
 
 def limit_curve(

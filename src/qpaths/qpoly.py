@@ -213,28 +213,21 @@ def q_binomial(a: int, b: int) -> QPolynomial:
 def q_binomial_at(a: int, b: int, q: Scalar) -> Scalar:
     """Gaussian binomial evaluated at a scalar q via the factor product.
 
-    Exact for Fraction/int q; float q uses plain IEEE arithmetic (all factors
-    carry the same sign for q > 0, so the product is well conditioned).
+    A float q runs in plain IEEE arithmetic (all factors carry the same
+    sign for q > 0, so the product is well conditioned); any other q is
+    taken as a Fraction and the result is exact.
     """
     if a < 0:
         raise InvalidArgument(f"q_binomial_at requires a >= 0, got a={a}")
+    if not isinstance(q, float):
+        q = Fraction(q)
     if b < 0 or b > a:
         return 0 * q
     b = min(b, a - b)
-    if isinstance(q, float):
-        out = 1.0
-        for s in range(1, b + 1):
-            out *= (q ** (s + a - b) - 1.0) / (q**s - 1.0)
-        return out
-    num = 1
-    den = 1
+    out = q**0  # one, in q's number type
     for s in range(1, b + 1):
-        num *= q ** (s + a - b) - 1
-        den *= q**s - 1
-    res = Fraction(num, den) if not isinstance(num, Fraction) else num / den
-    if isinstance(q, int) and res.denominator == 1:
-        return int(res)
-    return res
+        out *= (q ** (s + a - b) - 1) / (q**s - 1)
+    return out
 
 
 @lru_cache(maxsize=1024)

@@ -35,9 +35,10 @@ The forward chain runs a chunk of sweeps as one loop over the repeated
 sweep order, collecting each new value, and copies them into a small
 preallocated int64 array of states (sites that cannot move keep their
 column). numpy then takes the areas (row sums), the density (a bincount
-of row + cell offsets), the visited configurations (distinct rows) and
-the moves from each chunk. Each site is updated once per sweep, so it
-moved exactly when it differs from the previous sweep's state.
+of row + cell offsets) and the moves from each chunk; a Counter of the
+rows as tuples tallies the visited configurations when asked to. Each
+site is updated once per sweep, so it moved exactly when it differs from
+the previous sweep's state.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +59,7 @@ from .configs import (
     paths_from_abscissas,
 )
 from .errors import InvalidArgument, NumericalFailure
-from .exact import StartSequence, _check_weight_q
+from .exact import StartSequence, _weight
 
 # Coupling from the past looks back at most this many sweeps.
 CFTP_MAX_SWEEPS = 1 << 16
@@ -158,21 +160,6 @@ def _geometric(uniforms: np.ndarray, rate: float) -> list[int]:
     return (-np.log1p(-uniforms) / rate).astype(np.int64).tolist()
 
 
-def _row_counts(states: np.ndarray) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The distinct rows of a 2-D int array as tuples, and how often each occurs.
-
-    One lexsort; np.unique(axis=0) takes about seven times as long.
-    """
-    if not states.shape[1]:
-        return [()], [len(states)]
-    ordered = states[np.lexsort(states.T)]
-    new = np.ones(len(ordered), dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=len(ordered))
-    return list(map(tuple, ordered[starts].tolist())), counts.tolist()
-
-
 def _exact_start(bottom: list[int], top: list[int], plan, rate: float, up: bool, rng) -> list[int]:
     """Monotone coupling from the past between the extremal states.
 
@@ -252,8 +239,7 @@ def run_chain(
     geometric mod interval above |ln q| = 2**-16 and by the coupling
     sweep below it; see the module docstring.
     """
-    q = float(q)
-    _check_weight_q(q)
+    q = _weight(float(q))
     if sweeps < 1:
         raise InvalidArgument("sweeps must be >= 1")
     if burn_in < 0:
@@ -272,14 +258,13 @@ def run_chain(
     offsets = np.array([k * width for i in range(1, n + 1) for k in range(i)], dtype=np.int64)
     cells = np.zeros(width * max(n, 1), dtype=np.int64)
     areas = array("q")
-    configs: dict[tuple[int, ...], int] | None = {} if track_configs else None
+    configs: Counter[tuple[int, ...]] | None = Counter() if track_configs else None
 
     def record(states: np.ndarray) -> None:
         areas.extend(states.sum(axis=1).tolist())
         cells[:] += np.bincount((states + offsets).ravel(), minlength=cells.size)
         if configs is not None:
-            for key, c in zip(*_row_counts(states)):
-                configs[key] = configs.get(key, 0) + c
+            configs.update(map(tuple, states.tolist()))
 
     # The recorded states of one chunk of sweeps. Sites that cannot move
     # keep their column from the exact start.

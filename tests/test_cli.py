@@ -396,6 +396,25 @@ def test_verify_reports_all_pass(tmp_path):
         assert check["residual"] <= check["tolerance"]
 
 
+def test_verify_reports_a_non_finite_residual_as_failed(tmp_path, capsys, monkeypatch):
+    # JSON holds no inf or nan, so such a residual is reported as an error.
+    bad = {"one_point_complementarity": math.inf, "csv_round_trip": math.nan}
+    checks = [(name, (lambda cfg, r=bad[name]: r) if name in bad else residual_of, tolerance)
+              for name, residual_of, tolerance in cli._CHECKS]
+    monkeypatch.setattr(cli, "_CHECKS", checks)
+    rc, out = run_cli(tmp_path, FINITE, "verify")
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report == json.loads((out / "verify.json").read_text())
+    assert report["all_pass"] is False
+    rows = {c["name"]: c for c in report["checks"]}
+    for name, residual in bad.items():
+        row = rows.pop(name)
+        assert row["pass"] is False and row["residual"] is None
+        assert row["error"] == f"the residual is {residual!r}"
+    assert all(c["pass"] for c in rows.values())
+
+
 @pytest.mark.parametrize("base, message", [(1e200, "the right branch lies beyond")])
 def test_verify_reports_a_raising_check_as_failed(tmp_path, capsys, base, message):
     doc = {"model": {"scaled": {"segments": [[1.0, 2.0]], "base": base}}}

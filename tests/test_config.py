@@ -121,6 +121,22 @@ def test_structure_violations():
         parse_config("[1, 2]")
     assert info.value.problems == ["top level: expected an object"]
 
+    for doc, problem in (
+        ({"model": {"finite": [0, 1]}}, "model.finite: expected an object"),
+        ({"model": {"finite": {"sequence": [0, 1]}}}, "model.finite.q: missing"),
+        ({"model": {"finite": {"sequence": [0, 1], "q": {"base": 3, "n": 0}}}},
+         "model.finite.q.n: must be a positive integer, got 0"),
+        ({"model": {"scaled": 3}}, "model.scaled: expected an object"),
+        ({"model": {"scaled": {"segments": {"a": 1}, "base": 3}}},
+         "model.scaled.segments: expected a list of [number, number] pairs"),
+        ({"model": {"scaled": {"segments": [[1, 2]]}}}, "model.scaled.base: missing"),
+        ({**FINITE_DOC, "task": [1]}, "task: expected an object"),
+        ({**FINITE_DOC, "task": {"out": ""}}, "task.out: expected a non-empty string, got ''"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert info.value.problems == [problem]
+
     with pytest.raises(ConfigError) as info:
         parse_config("{}")
     assert info.value.problems == ["model: missing or not an object"]

@@ -124,3 +124,16 @@ def test_path_config_validation():
         PathConfig(seq, (((0, 0),), ((1, 0), (0, 0))), "first")
     with pytest.raises(InvalidArgument):
         PathConfig(seq, (((0, 0),), ((1, 0), (1, 1), (0, 1))), "third")
+    # Each family-specific operation refuses the other family.
+    first = min_area_config(StartSequence((0, 1, 3)))
+    second = to_second_family(first)
+    for call, message in (
+        (lambda: list(second.north_steps()), "north_steps applies to first-family"),
+        (lambda: list(first.crossings()), "crossings applies to second-family"),
+        (lambda: to_second_family(second), "to_second_family requires a first-family"),
+        (lambda: from_second_family(first), "from_second_family requires a second-family"),
+        (lambda: reflect_second_family(first), "reflect_second_family requires a second-family"),
+        (lambda: abscissas(second), "abscissas requires a first-family"),
+    ):
+        with pytest.raises(InvalidArgument, match=message):
+            call()

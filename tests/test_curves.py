@@ -172,6 +172,12 @@ def test_x_off_domain_rejected():
             x_of_t(UNIFORM, 3.0, t)
     with pytest.raises(InvalidArgument):
         x_of_t(UNIFORM, 1.0 / 3.0, 0.5)
+    # A non-finite t lies on no branch.
+    for t in (math.nan, math.inf, -math.inf):
+        assert not any(t in dom for dom in t_domains(UNIFORM, 3.0))
+        for evaluate in (x_of_t, tangent_curve):
+            with pytest.raises(InvalidArgument, match="lies on no branch"):
+                evaluate(UNIFORM, 3.0, t)
 
 
 def test_base_validation():
@@ -441,6 +447,10 @@ def test_arctic_curve_sample_count_contract():
     assert len(tiny) >= 2
     with pytest.raises(InvalidArgument):
         arctic_curve(UNIFORM, 3.0, "right", n_samples=1)
+    for tiny_line in (lambda: tangent_curve(UNIFORM, 3.0, 18.0, n_samples=1),
+                      lambda: geodesic(3.0, 1.5, 0.5, n_samples=1)):
+        with pytest.raises(InvalidArgument, match="n_samples must be at least 2, got 1"):
+            tiny_line()
 
 
 def test_arctic_curve_is_simple_for_uniform_density():
@@ -479,9 +489,11 @@ def test_tangent_family_touches_envelope():
 
 
 def test_tangent_line_at_t_zero_raises():
-    # (1 - x(t)) / t divides by zero; numpy scalars raise like floats here.
-    with pytest.raises(NumericalFailure):
-        tangent_curve(UNIFORM, 3.0, 0.0)
+    # x(0) = 1 is the degenerate point, as for arctic_point and the exit
+    # parameters: (1 - x(t)) / t has no value there.
+    for qq in (3.0, 0.2):
+        with pytest.raises(SingularPoint, match="x = 1, the degenerate point"):
+            tangent_curve(UNIFORM, qq, 0.0)
 
 
 def test_geodesic_endpoints_and_equation():

@@ -190,10 +190,10 @@ def test_one_point_boundary_values():
     # decrease in the abscissa.
     values = [one_point_exit(seq, ell, q) for ell in range(seq.top + 1)]
     assert all(a >= b for a, b in zip(values, values[1:]))
-    with pytest.raises(InvalidArgument):
-        one_point_exit(seq, seq.top + 1, q)
-    with pytest.raises(InvalidArgument):
-        one_point_exit(seq, -1, q)
+    for route in (one_point_exit, one_point_exit_det):
+        for ell in (seq.top + 1, -1):
+            with pytest.raises(InvalidArgument, match=r"^exit abscissa must lie in \[0, 5\]"):
+                route(seq, ell, q)
 
 
 def test_one_point_complementarity():
@@ -351,6 +351,32 @@ def test_perturbed_partition_hand_value():
 def test_partition_product_rejects_negative_q():
     with pytest.raises(InvalidArgument, match="positive"):
         partition_product(StartSequence((0, 1, 3)), Fraction(-1, 2))
+
+
+_SEQ = StartSequence((0, 1, 3))
+_Q_ROUTES = {
+    "one_point_exit": lambda q: one_point_exit(_SEQ, 1, q),
+    "one_point_exit_dual": lambda q: one_point_exit_dual(_SEQ, 3, q),
+    "free_path_weight": lambda q: free_path_weight(1, 2, q),
+    "free_path_weight_dual": lambda q: free_path_weight_dual(_SEQ, 3, 2, q),
+    "partition_product": lambda q: partition_product(_SEQ, q),
+    "one_point_exit_det": lambda q: one_point_exit_det(_SEQ, 1, q),
+    "most_likely_exit": lambda q: most_likely_exit(_SEQ, 2, q),
+    "perturbed_partition": lambda q: perturbed_partition(_SEQ, 2, q),
+}
+
+
+@pytest.mark.parametrize("route", _Q_ROUTES.values(), ids=_Q_ROUTES.keys())
+def test_every_route_refuses_q_outside_the_weight_contract(route):
+    exact_only = route in (_Q_ROUTES["partition_product"], _Q_ROUTES["one_point_exit_det"])
+    for q, message in ((math.nan, "q must be finite"), (math.inf, "q must be finite"),
+                       (0.0, "q = 0 is excluded"), (1.0, "q = 1 is excluded"),
+                       (0, "q = 0 is excluded"), (1, "q = 1 is excluded"),
+                       (Fraction(1), "q = 1 is excluded"), (-2, "q must be positive")):
+        if exact_only and isinstance(q, float):
+            message = "requires exact rational q"
+        with pytest.raises(InvalidArgument, match=message):
+            route(q)
 
 
 def test_free_path_weight_dual_hand_values():

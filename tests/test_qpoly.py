@@ -80,6 +80,9 @@ def test_q_binomial_out_of_range_is_zero():
 def test_q_binomial_rejects_negative_upper():
     with pytest.raises(InvalidArgument):
         q_binomial(-1, 0)
+    for q in (2.0, Fraction(1, 2), 3):
+        with pytest.raises(InvalidArgument, match="q_binomial_at requires a >= 0"):
+            q_binomial_at(-1, 0, q)
 
 
 def test_q_binomial_at_agrees_with_polynomial():
@@ -92,6 +95,10 @@ def test_q_binomial_at_agrees_with_polynomial():
                     assert direct == via_poly
                 else:
                     assert direct == pytest.approx(via_poly, rel=1e-12)
+    # Any q but a float is taken as a Fraction, an int q too.
+    for a, b in ((6, 2), (6, 0), (6, 7), (6, -1)):
+        direct = q_binomial_at(a, b, 3)
+        assert type(direct) is Fraction and direct == q_binomial(a, b)(3)
 
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
@@ -137,14 +144,28 @@ def test_exact_division_round_trip():
     a = q_binomial(9, 4)
     b = QPolynomial((1, 2, 1))
     assert (a * b).exact_div(b) == a
-    with pytest.raises(InvalidArgument):
-        QPolynomial((1, 1, 1)).exact_div(QPolynomial((1, 1)))
+    assert QPolynomial.zero().exact_div(b).is_zero()
+    for num, den, message in (
+        ((1, 1, 1), (1, 1), r"\(nonzero remainder\)"),
+        ((1, 1), (1, 1, 1), r"\(degree too low\)"),
+        ((1, 0, 3), (1, 2), r"^inexact polynomial division$"),
+        ((1, 1), (), "division by the zero polynomial"),
+    ):
+        with pytest.raises(InvalidArgument, match=message):
+            QPolynomial(num).exact_div(QPolynomial(den))
 
 
 def test_monomial_shift_scale():
     p = QPolynomial.monomial(3, 2)
     assert list(p.coeffs) == [0, 0, 0, 2]
     assert list(p.shift(2).coeffs) == [0, 0, 0, 0, 0, 2]
+    with pytest.raises(InvalidArgument, match="monomial exponent must be >= 0"):
+        QPolynomial.monomial(-1)
+    with pytest.raises(InvalidArgument, match="shift exponent must be >= 0"):
+        p.shift(-1)
+    for bad in (1.0, Fraction(1, 2)):
+        with pytest.raises(InvalidArgument, match="coefficients must be int"):
+            QPolynomial((1, bad))
 
 
 def test_poly_det_matches_cofactor_oracle():
@@ -161,6 +182,9 @@ def test_poly_det_matches_cofactor_oracle():
                 for _ in range(size)
             ]
             assert poly_det(matrix) == cofactor_det(matrix)
+    assert poly_det([]) == QPolynomial.one()
+    with pytest.raises(InvalidArgument, match="square matrix"):
+        poly_det([[QPolynomial.one(), QPolynomial.one()]])
 
 
 def test_poly_det_of_q_binomial_matrix():

@@ -140,6 +140,17 @@ def test_draw_is_truncated_geometric(q):
         assert abs(draws.count(x) - grid * float(w / z)) <= 1
 
 
+def test_draw_at_the_largest_uniform_stays_in_range():
+    # random() returns at most 1 - 2**-53, where the inverse CDF can round
+    # up to hi - lo + 1 steps: here lo = 3, hi = 5 and exp(-rate) = q.
+    u, rate = 1.0 - 2.0**-53, 0.4
+    assert int(math.log1p(u * math.expm1(-3 * rate)) / -rate) == 3
+    for up, end in ((False, 5), (True, 3)):
+        v = [0, 3, 0, 5, 100]
+        _sweep(v, [(0, 1, 2, 3, 4)], [u], rate, up)
+        assert v[0] == end
+
+
 def test_sweep_is_monotone():
     # Coupling from the past needs ordered states to stay ordered under a
     # common sweep.
