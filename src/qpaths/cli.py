@@ -1,9 +1,6 @@
-"""Command-line entry point.
+"""Command-line entry point: ``qpaths <command> --config FILE [flags]``.
 
-Subcommands: exact (partition and one-point tables), sample (heat-bath
-density fields from an exact start), arctic (curve branches as CSV/SVG),
-limits (degenerate limit polylines), verify (invariant suite with
-residuals). Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ from .errors import (
     SingularPoint,
     UnsupportedConfiguration,
     float_range,
+    float_value,
 )
 from .exact import (
     StartSequence,
@@ -55,18 +53,13 @@ def _out_dir(cfg: ModelConfig) -> str:
     return out
 
 
-def _reversal_exponent(seq: StartSequence) -> int:
-    n = seq.n
-    return n * (n + 1) * (3 * seq.top + n + 2) // 6
-
-
 def _reversal_check(seq: StartSequence, z: QPolynomial, z_dual: QPolynomial) -> tuple[bool, int]:
     """Partition-function duality Z_a(q) = q**e Z_dual(1/q), on coefficients.
 
     Holds when Z_a[k] = Z_dual[e - k] for every k; exact for any q. Returns
     whether it holds and the number of degrees where the two sides differ.
     """
-    e = _reversal_exponent(seq)
+    e = seq.n * (seq.n + 1) * (3 * seq.top + seq.n + 2) // 6
     lhs = {k: c for k, c in enumerate(z.coeffs) if c}
     rhs = {e - k: c for k, c in enumerate(z_dual.coeffs) if c}
     mismatched = sum(lhs.get(k) != rhs.get(k) for k in lhs.keys() | rhs.keys())
@@ -76,16 +69,13 @@ def _reversal_check(seq: StartSequence, z: QPolynomial, z_dual: QPolynomial) -> 
 @float_range
 def _partition_function(z: QPolynomial, q):
     """Z at the configured q: exact at a rational q, a finite float otherwise."""
-    if isinstance(q, Fraction):
-        return z(q)
-    value = z(float(q))
+    q = q if isinstance(q, Fraction) else float(q)
     # Z has nonnegative coefficients, so at q > 0 a value of 0 has underflowed.
-    if not 0.0 < value < math.inf:
-        raise NumericalFailure(f"partition function at q = {float(q)!r} is outside the float range")
-    return value
+    return float_value(z(q), f"partition function at q = {q!r}", positive=True)
 
 
 def cmd_exact(cfg: ModelConfig, args) -> int:
+    """Partition function and one-point tables."""
     _require(cfg, "finite", "exact")
     seq, q = cfg.sequence, cfg.q
     z = partition_poly(seq)
@@ -123,6 +113,7 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
 
 
 def cmd_sample(cfg: ModelConfig, args) -> int:
+    """Heat-bath sampling of path configurations."""
     _require(cfg, "finite", "sample")
     result = run_chain(cfg.sequence, float(cfg.q), cfg.sweeps, cfg.seed)
     out = _out_dir(cfg)
@@ -154,6 +145,7 @@ def _select_domains(cfg: ModelConfig, domains):
 
 
 def cmd_arctic(cfg: ModelConfig, args) -> int:
+    """Arctic-curve branches as CSV (optionally SVG)."""
     _require(cfg, "scaled", "arctic")
     d, qq, n_samples = cfg.density, cfg.base, cfg.samples
     domains = _select_domains(cfg, curves.t_domains(d, qq))
@@ -208,6 +200,7 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
 
 
 def cmd_limits(cfg: ModelConfig, args) -> int:
+    """Degenerate-weight limit polylines."""
     _require(cfg, "scaled", "limits")
     d = cfg.density
     rows = []
@@ -327,7 +320,7 @@ def _envelope_residual(x: float, qq: float, t: float, bx: float, by: float) -> f
     to t = 0 at extreme bases keep their digits.
     """
     log_q = math.log(qq)
-    if max(abs(bx), abs(by)) * abs(log_q) <= 700.0:
+    if max(abs(bx), abs(by)) * abs(log_q) <= curves._LOG_RANGE:
         term_y, term_x = x * qq**by, (1.0 - x) / t * qq**bx
         if math.isfinite(term_y) and math.isfinite(term_x):
             return abs(term_y + term_x - 1.0) / max(abs(term_y), abs(term_x), 1.0)
@@ -384,6 +377,7 @@ _CHECKS = [
 
 
 def cmd_verify(cfg: ModelConfig, args) -> int:
+    """Run the invariant suite and report residuals."""
     checks = []
     for name, residual_of, tolerance in _CHECKS:
         try:
@@ -417,30 +411,19 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"\n  {name:<8}{fn.__doc__}" for name, fn in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="qpaths",
-        description="Exact, sampled and asymptotic analysis of area-weighted "
-        "non-intersecting lattice paths.",
+        description="Exact, sampled and asymptotic analysis of area-weighted\n"
+        f"non-intersecting lattice paths.\n\ncommands:{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="JSON configuration file")
-    common.add_argument("--out", help="output directory (overrides the config)")
-    common.add_argument("--seed", type=int, help="RNG seed override")
-    common.add_argument(
-        "--samples", type=int, help="sample count override (sweeps or curve points)"
-    )
-    common.add_argument(
-        "--svg", action="store_true", help="also write an SVG rendering (arctic)"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("exact", "partition function and one-point tables"),
-        ("sample", "heat-bath sampling of path configurations"),
-        ("arctic", "arctic-curve branches as CSV (optionally SVG)"),
-        ("limits", "degenerate-weight limit polylines"),
-        ("verify", "run the invariant suite and report residuals"),
-    ):
-        sub.add_parser(name, parents=[common], help=help_text)
+    parser.add_argument("command", choices=_COMMANDS, help="one of the commands above")
+    parser.add_argument("--config", required=True, help="JSON configuration file")
+    parser.add_argument("--out", help="output directory (overrides the config)")
+    parser.add_argument("--seed", type=int, help="RNG seed override")
+    parser.add_argument("--samples", type=int, help="sweep or curve-point count override")
+    parser.add_argument("--svg", action="store_true", help="also write an SVG rendering (arctic)")
     return parser
 
 
@@ -464,7 +447,8 @@ def main(argv=None) -> int:
     except (SingularPoint, NumericalFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except QpathsError as exc:
+    except (QpathsError, OSError) as exc:
+        # An OSError here comes from writing the outputs, as when --out names a file.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -221,7 +221,7 @@ def _log_poles(t, a: float, qq: float, log_q: float):
 
 
 class _Scaled:
-    """Cached per-(density, base) quantities used by every evaluator."""
+    """The per-(density, base) quantities every evaluator builds on entry."""
 
     __slots__ = ("qq", "log_q", "parts", "top", "domains")
 
@@ -578,8 +578,8 @@ def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
     for X in [0, xi].  Degenerates to the straight segment as qq -> 1.
     """
     qq = _check_base(qq)
-    if xi <= 0.0 or z <= 0.0:
-        raise InvalidArgument(f"geodesic needs xi > 0 and z > 0, got xi={xi}, z={z}")
+    if not (0.0 < xi < math.inf and 0.0 < z < math.inf):
+        raise InvalidArgument(f"geodesic needs finite xi > 0 and z > 0, got xi={xi}, z={z}")
     if n_samples < 2:
         raise InvalidArgument(f"n_samples must be at least 2, got {n_samples}")
     log_q = math.log(qq)

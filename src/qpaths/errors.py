@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -46,7 +47,7 @@ def float_range(fn):
     array code that masks non-finite values opts out locally. The message
     names the quantity after the function: ``_residue_sum`` reads "residue
     sum". A non-finite or underflowed float that raised nothing is left to
-    the caller's own check.
+    :func:`float_value`.
     """
     what = fn.__name__.strip("_").replace("_", " ")
 
@@ -59,3 +60,12 @@ def float_range(fn):
             raise NumericalFailure(f"{what} is outside the float range ({exc})") from exc
 
     return checked
+
+
+def float_value(value, what: str, positive: bool = False):
+    """Return value, unless a float that is not finite, or not above 0 where
+    the quantity is positive (it underflowed): that raises NumericalFailure."""
+    lo = 0.0 if positive else -math.inf
+    if isinstance(value, float) and not lo < value < math.inf:
+        raise NumericalFailure(f"{what} is outside the float range")
+    return value

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import InvalidArgument, NumericalFailure, float_range
+from .errors import InvalidArgument, NumericalFailure, float_range, float_value
 from .qpoly import QPolynomial, cyclotomic, poly_det, power_product, q_binomial, q_binomial_at
 
 Rational = Union[int, Fraction]
@@ -29,7 +29,10 @@ class StartSequence:
     values: tuple[int, ...]
 
     def __init__(self, values: Sequence[int]):
-        vals = tuple(int(v) for v in values)
+        given = tuple(values)
+        vals = tuple(map(int, given))
+        if vals != given:
+            raise InvalidArgument(f"start sequence must hold integers, got {list(given)}")
         if len(vals) == 0:
             raise InvalidArgument("start sequence must be nonempty")
         if vals[0] != 0:
@@ -205,9 +208,7 @@ def _residue_sum(seq: StartSequence, ell: int, q: Weight, dual: bool) -> Weight:
         return q**exponent * sum(terms)
     # fsum raises on inf - inf, so the terms are checked first.
     value = q**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
-    if not math.isfinite(value):
-        raise NumericalFailure(f"residue sum at q = {q!r}, ell = {ell} is outside the float range")
-    return value
+    return float_value(value, f"residue sum at q = {q!r}, ell = {ell}")
 
 
 def one_point_exit(seq: StartSequence, ell: int, q: Weight) -> Weight:
@@ -234,13 +235,6 @@ def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
     return _residue_sum(seq, ell, q, True)
 
 
-def _positive_weight(q: Weight, value: Weight) -> Weight:
-    # The weight is positive at q > 0, so a float value of 0 has underflowed.
-    if isinstance(q, float) and not 0.0 < value < math.inf:
-        raise NumericalFailure(f"free path weight at q = {q!r} is outside the float range")
-    return value
-
-
 @float_range
 def free_path_weight(ell: int, r: int, q: Weight) -> Weight:
     """Weight of the unconstrained continuation above the strip.
@@ -254,7 +248,8 @@ def free_path_weight(ell: int, r: int, q: Weight) -> Weight:
     if r < 1:
         raise InvalidArgument("endpoint shift r must be >= 1")
     q = _weight(q)
-    return _positive_weight(q, q**ell * q_binomial_at(ell + r - 1, ell, q))
+    value = q**ell * q_binomial_at(ell + r - 1, ell, q)
+    return float_value(value, f"free path weight at q = {q!r}", positive=True)
 
 
 @float_range
@@ -266,15 +261,14 @@ def free_path_weight_dual(seq: StartSequence, ell: int, r: int, q: Weight) -> We
     q = _weight(q)
     ell_dual = seq.top + seq.n - ell
     exponent = r * (ell + 1) + r * (r - 1) // 2
-    return _positive_weight(q, q**exponent * q_binomial_at(ell_dual + r - 1, ell_dual, q))
+    value = q**exponent * q_binomial_at(ell_dual + r - 1, ell_dual, q)
+    return float_value(value, f"free path weight at q = {q!r}", positive=True)
 
 
 def _exit_weights(seq: StartSequence, r: int, q: Weight) -> list[Weight]:
     """H(ell) times the continuation weight, for ell = 0 .. a_n."""
     weights = [one_point_exit(seq, ell, q) * free_path_weight(ell, r, q) for ell in range(seq.top + 1)]
-    if isinstance(q, float) and not all(map(math.isfinite, weights)):
-        raise NumericalFailure(f"exit weight at q = {q!r} is outside the float range")
-    return weights
+    return [float_value(w, f"exit weight at q = {q!r}") for w in weights]
 
 
 @float_range

@@ -71,6 +71,9 @@ def hausdorff_distance(a, b) -> float:
     parts_b = [p for p in _as_parts(b) if len(p)]
     if not parts_a or not parts_b:
         raise InvalidArgument("Hausdorff distance needs nonempty inputs")
+    # max() would drop a nan distance, and an inf vertex has none.
+    if not all(np.isfinite(p).all() for p in parts_a + parts_b):
+        raise InvalidArgument("Hausdorff distance needs finite vertices")
     return max(_directed(parts_a, parts_b), _directed(parts_b, parts_a))
 
 

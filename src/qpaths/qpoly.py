@@ -215,7 +215,8 @@ def q_binomial_at(a: int, b: int, q: Scalar) -> Scalar:
 
     A float q runs in plain IEEE arithmetic (all factors carry the same
     sign for q > 0, so the product is well conditioned); any other q is
-    taken as a Fraction and the result is exact.
+    taken as a Fraction and the result is exact. At q = +-1, where a factor
+    q**s - 1 vanishes, the polynomial itself is evaluated: C(a, b) at 1.
     """
     if a < 0:
         raise InvalidArgument(f"q_binomial_at requires a >= 0, got a={a}")
@@ -224,6 +225,8 @@ def q_binomial_at(a: int, b: int, q: Scalar) -> Scalar:
     if b < 0 or b > a:
         return 0 * q
     b = min(b, a - b)
+    if abs(q) == 1:
+        return q_binomial(a, b)(q)
     out = q**0  # one, in q's number type
     for s in range(1, b + 1):
         out *= (q ** (s + a - b) - 1) / (q**s - 1)

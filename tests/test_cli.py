@@ -510,15 +510,37 @@ def test_exit_code_two_on_numerical_failure(tmp_path, monkeypatch, capsys):
     assert cli.main(["exact", "--config", cfg]) == 1
 
 
-def test_console_entry_point():
+def test_console_entry_point(capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "qpaths.cli", "--help"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0
+    # One parser: every command shows the shared help, a line per command.
     for name in ("exact", "sample", "arctic", "limits", "verify"):
-        assert name in proc.stdout
+        with pytest.raises(SystemExit) as info:
+            cli.main([name, "--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        for out in (proc.stdout, text):
+            for command, fn in cli._COMMANDS.items():
+                assert f"\n  {command:<8}{fn.__doc__}\n" in out
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_unusable_out_path_is_an_error_without_a_traceback(tmp_path, capsys, sub):
+    # --out names an existing file, or a directory below one.
+    cfg = write_config(tmp_path, SCALED_GAPPED)
+    blocker = tmp_path / "afile"
+    blocker.write_text("keep\n", encoding="utf-8")
+    out = blocker / sub if sub else blocker
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert cli.main(["limits", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and str(blocker) in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
 @pytest.mark.parametrize(

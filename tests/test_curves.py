@@ -120,8 +120,9 @@ def mp_weight(d, qq, t, sign):
         return x, x * dlog_x
 
 
+# t = 0 meets every pole beyond the doubles in the kernel's t = 0 case.
 EXTREME_TS = [s * 10.0**k for s in (1.0, -1.0) for k in range(-320, 309, 20)] + [
-    10.0**(s * k) for s in (1.0, -1.0) for k in (201.5, 301.5, 303.0, 305.0, 307.0)]
+    10.0**(s * k) for s in (1.0, -1.0) for k in (201.5, 301.5, 303.0, 305.0, 307.0)] + [0.0]
 
 
 @pytest.mark.parametrize("qq", [1e-300, 1e-200, 1e200, 1e300])
@@ -159,6 +160,11 @@ def test_arctic_curve_at_extreme_bases(d, qq):
         curve = arctic_curve(d, qq, dom, n_samples=60)
         assert len(curve) >= 40 and curve.skipped == 0, dom.branch
         assert all(math.isfinite(v) for point in curve.points for v in point)
+    if d is UNIFORM and qq < 1.0:
+        # Below the normal doubles x(t) ~ 1/qq overflows at every t of the
+        # left branch, so no point of it is regular.
+        with pytest.raises(NumericalFailure, match="no point of branch left is regular at base 1e-310"):
+            arctic_curve(d, 1e-310, "left", n_samples=60)
 
 
 def test_x_of_t_rejects_unknown_method():
@@ -516,6 +522,9 @@ def test_geodesic_validation():
         geodesic(3.0, -1.0, 0.5)
     with pytest.raises(InvalidArgument):
         geodesic(3.0, 1.5, 0.0)
+    for xi, z in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(InvalidArgument, match="finite xi > 0 and z > 0"):
+            geodesic(3.0, xi, z)
     with pytest.raises(InvalidArgument):
         geodesic(1.0, 1.5, 0.5)
 
@@ -614,3 +623,6 @@ def test_exit_params_name_the_missing_real_value():
     # At 1e-300 and t = -1e-100 the exit height 7/6 is real; the tail length is not.
     with pytest.raises(InvalidArgument, match=r"no real tail length at t=-1e-100 \(qq\^z <= 0\)"):
         exit_params_right(UNIFORM, 1e-300, np.float64(-1e-100))
+    # Next to t = 0+ the tangency x lies above 1 while qq x < 1, so qq**xi < 0.
+    with pytest.raises(InvalidArgument, match=r"no real exit height at t=1e-300 \(qq\^xi <= 0\)"):
+        exit_params_right(UNIFORM, 0.8, 1e-300)

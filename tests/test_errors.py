@@ -8,12 +8,13 @@ or numpy FloatingPointError never escapes.
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qpaths import actions, curves, exact
-from qpaths.errors import NumericalFailure, QpathsError, float_range
+from qpaths.errors import NumericalFailure, QpathsError, float_range, float_value
 from qpaths.exact import StartSequence
 from qpaths.profile import StartDensity
 
@@ -99,3 +100,19 @@ def test_guard_names_the_quantity_and_keeps_the_cause(base):
     with pytest.raises(NumericalFailure, match="^residue sum is outside the float range") as info:
         _residue_sum(base)
     assert isinstance(info.value.__cause__, ArithmeticError)
+
+
+def test_value_check_refuses_floats_outside_the_doubles():
+    for value in (math.nan, math.inf, -math.inf):
+        for positive in (False, True):
+            with pytest.raises(NumericalFailure, match="^Z at q = 2.0 is outside the float range$"):
+                float_value(value, "Z at q = 2.0", positive)
+    # 0 is a value, unless the quantity is positive: then it has underflowed.
+    assert float_value(0.0, "Z") == 0.0
+    assert float_value(-1.5, "Z") == -1.5
+    with pytest.raises(NumericalFailure, match="^Z is outside the float range$"):
+        float_value(0.0, "Z", positive=True)
+    assert float_value(np.float64(2.5), "Z", positive=True) == 2.5
+    # Exact values pass, whatever their size or sign.
+    for value in (Fraction(0), Fraction(-10**400, 3), 10**400):
+        assert float_value(value, "Z", positive=True) is value

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpaths import exact
 from qpaths.errors import InvalidArgument, NumericalFailure, float_range
 from qpaths.exact import (
     StartSequence,
@@ -99,6 +100,9 @@ def test_sequence_validation():
         StartSequence([0, 4, 2])
     with pytest.raises(InvalidArgument):
         StartSequence([])
+    with pytest.raises(InvalidArgument, match="must hold integers"):
+        StartSequence((0, 1.5, 3))
+    assert StartSequence((0, 1.0, 3)) == StartSequence((0, 1, 3))
 
 
 def test_dual_sequence_involution():
@@ -393,7 +397,7 @@ def test_free_path_weight_dual_hand_values():
         free_path_weight_dual(seq, seq.n, 0, q)
 
 
-def test_most_likely_exit_is_argmax():
+def test_most_likely_exit_is_argmax(monkeypatch):
     seq = StartSequence((0, 2, 5))
     for q in (Fraction(1, 3), Fraction(7, 2), 0.7):
         for r in (1, 3):
@@ -404,3 +408,8 @@ def test_most_likely_exit_is_argmax():
             ]
             assert scores[best] == max(scores)
             assert all(scores[e] < scores[best] for e in range(best))
+    # No input has been found whose finite exit probability and finite
+    # weight multiply past the doubles, so a digit-less H stands in for one.
+    monkeypatch.setattr(exact, "one_point_exit", lambda seq, ell, q: 1e300)
+    with pytest.raises(NumericalFailure, match=r"^exit weight at q = 10.0 is outside the float range$"):
+        most_likely_exit(seq, 3, 10.0)

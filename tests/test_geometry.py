@@ -52,6 +52,9 @@ def test_multi_part_input_does_not_bridge_parts():
     parts = [[(0.0, 0.0), (1.0, 0.0)], [(0.0, 1.0), (1.0, 1.0)]]
     probe = [(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), (0.0, 1.0), (1.0, 1.0)]
     assert hausdorff_distance(probe, parts) == pytest.approx(0.5)
+    # Parts of different lengths form no rectangular array.
+    ragged = [[(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)], [(0.0, 1.0), (1.0, 1.0)]]
+    assert hausdorff_distance(probe, ragged) == pytest.approx(0.5)
 
 
 def test_curve_object_input():
@@ -66,6 +69,10 @@ def test_empty_input_rejected():
         hausdorff_distance([], UNIT_SQUARE)
     with pytest.raises(InvalidArgument):
         hausdorff_distance(UNIT_SQUARE, [])
+    # A nan distance would drop out of max(), and an inf vertex has none.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InvalidArgument, match="finite vertices"):
+            hausdorff_distance([[0, 0], [1, 1]], [[bad, 0], [1, 1]])
 
 
 @given(

@@ -33,6 +33,9 @@ def test_validation_collects_all_problems():
 def test_validation_single_problems():
     with pytest.raises(InvalidArgument):
         StartDensity([])
+    for width in (0.0, -0.5, math.nan):
+        with pytest.raises(InvalidArgument, match="segment 1: width must be positive"):
+            StartDensity([(1.0, 2.0), (width, 2.0)])
     with pytest.raises(InvalidArgument):
         StartDensity([(1.0, 2.0)], jumps=[(0.0, 1.0)])
     with pytest.raises(InvalidArgument):

@@ -86,12 +86,14 @@ def test_q_binomial_rejects_negative_upper():
 
 
 def test_q_binomial_at_agrees_with_polynomial():
-    for q in (Fraction(2, 7), Fraction(3), 0.37, 2.5):
+    # At q = +-1 a factor q**s - 1 of the product vanishes.
+    for q in (Fraction(2, 7), Fraction(3), 0.37, 2.5, 1, 1.0, -1, -1.0, Fraction(1), Fraction(-1)):
         for a in range(9):
             for b in range(a + 1):
                 direct = q_binomial_at(a, b, q)
                 via_poly = q_binomial(a, b)(q)
-                if isinstance(q, Fraction):
+                assert type(direct) is (float if isinstance(q, float) else Fraction)
+                if not isinstance(q, float) or abs(q) == 1:
                     assert direct == via_poly
                 else:
                     assert direct == pytest.approx(via_poly, rel=1e-12)
@@ -166,6 +168,13 @@ def test_monomial_shift_scale():
     for bad in (1.0, Fraction(1, 2)):
         with pytest.raises(InvalidArgument, match="coefficients must be int"):
             QPolynomial((1, bad))
+    # Equal polynomials hash alike; a non-polynomial is never equal.
+    assert len({p, QPolynomial((0, 0, 0, 2)), p.shift(1)}) == 2
+    assert p != "2*q^3" and p != 2.0 and p != None  # noqa: E711
+    assert repr(p) == "QPolynomial(2*q^3)"
+    assert repr(QPolynomial((-1, 1, 1, 0, 1))) == "QPolynomial(-1 + q + q^2 + q^4)"
+    assert repr(QPolynomial((0, 3))) == "QPolynomial(3*q)"
+    assert repr(QPolynomial.zero()) == "QPolynomial(0)"
 
 
 def test_poly_det_matches_cofactor_oracle():
