@@ -55,6 +55,7 @@ from .exact import (
     one_point_exit,
     one_point_exit_det,
     one_point_exit_dual,
+    one_point_table,
     partition_det,
     partition_poly,
     partition_product,
@@ -109,6 +110,7 @@ __all__ = [
     "one_point_exit",
     "one_point_exit_det",
     "one_point_exit_dual",
+    "one_point_table",
     "parse_config",
     "partition_det",
     "partition_poly",

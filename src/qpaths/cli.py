@@ -33,6 +33,7 @@ from .exact import (
     one_point_exit,
     one_point_exit_det,
     one_point_exit_dual,
+    one_point_table,
     partition_det,
     partition_poly,
     partition_product,
@@ -81,11 +82,8 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
     z = partition_poly(seq)
     z_at_q = _partition_function(z, q)
 
-    def table(fn, lo, hi):
-        return [(ell, fn(seq, ell, q)) for ell in range(lo, hi + 1)]
-
-    one_point = table(one_point_exit, 0, seq.top)
-    one_point_dual = table(one_point_exit_dual, seq.n, seq.top + seq.n)
+    one_point = list(enumerate(one_point_table(seq, q)))
+    one_point_dual = list(enumerate(one_point_table(seq, q, dual=True), start=seq.n))
     reversal_ok, reversal_resid = _reversal_check(seq, z, partition_poly(dual_sequence(seq)))
     summary = {
         "sequence": list(seq),

@@ -11,6 +11,7 @@ and closed products/residue sums.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -30,7 +31,10 @@ class StartSequence:
 
     def __init__(self, values: Sequence[int]):
         given = tuple(values)
-        vals = tuple(map(int, given))
+        try:
+            vals = tuple(map(int, given))
+        except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
+            vals = None
         if vals != given:
             raise InvalidArgument(f"start sequence must hold integers, got {list(given)}")
         if len(vals) == 0:
@@ -180,35 +184,53 @@ def one_point_exit_det(seq: StartSequence, ell: int, q: Rational) -> Fraction:
 
 
 @float_range
-def _residue_sum(seq: StartSequence, ell: int, q: Weight, dual: bool) -> Weight:
-    """The residue sum of H(ell), or of H_dual(ell) when dual is set.
+def _residue_sum(seq: StartSequence, ells: range, q: Weight, dual: bool) -> list[Weight]:
+    """The residue sums of H(ell), or of H_dual(ell) when dual is set, one per ell.
 
     The poles are q**a_k with a_k >= ell, or a_k <= ell - n for the dual.
-    With m = a_k - ell - dual, a pole's numerator is the product of q**s - 1
-    over s = m + 1 .. m + n: the dual residue is the direct one at m - 1.
-    One loop for a Fraction q and a float q, summed exactly in any order.
+    With m = a_k - ell - dual, a pole's numerator N(m) is the product of
+    q**s - 1 over s = m + 1 .. m + n: the dual residue is the direct one at
+    m - 1. Its denominator D_k, the product of q**a_k - q**a_s over s != k,
+    does not depend on ell. One call forms each N(m) and each D_k once, on
+    first use, by the same products in the same order for every range of
+    ells, so a float keeps every bit and a failure is the one at the lowest
+    failing ell. One loop for a Fraction q and a float q, summed exactly in
+    any order.
     """
     values = seq.values
     n = seq.n
     powers = [q**a for a in values]
-    terms = []
-    for k, a in enumerate(values):
-        if not (a <= ell - n if dual else a >= ell):
+    one = q**0  # in q's number type
+    numerators = {}
+    denominators = [None] * (n + 1)
+    sums = []
+    for ell in ells:
+        terms = []
+        poles = range(bisect_right(values, ell - n)) if dual else range(bisect_left(values, ell), n + 1)
+        for k in poles:
+            m = values[k] - ell - dual
+            num = numerators.get(m)
+            if num is None:
+                num = one
+                for s in range(m + 1, m + n + 1):
+                    num *= q**s - 1
+                numerators[m] = num
+            den = denominators[k]
+            if den is None:
+                den = one
+                pole = powers[k]
+                for power in powers[:k] + powers[k + 1 :]:
+                    den *= pole - power
+                denominators[k] = den
+            terms.append(num / den)
+        exponent = n * ell - n * (n + 1) // 2 + n * dual
+        if isinstance(q, Fraction):
+            sums.append(q**exponent * sum(terms))
             continue
-        m = a - ell - dual
-        num = den = q**0  # one, in q's number type
-        for s in range(m + 1, m + n + 1):
-            num *= q**s - 1
-        for s in range(n + 1):
-            if s != k:
-                den *= powers[k] - powers[s]
-        terms.append(num / den)
-    exponent = n * ell - n * (n + 1) // 2 + n * dual
-    if isinstance(q, Fraction):
-        return q**exponent * sum(terms)
-    # fsum raises on inf - inf, so the terms are checked first.
-    value = q**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
-    return float_value(value, f"residue sum at q = {q!r}, ell = {ell}")
+        # fsum raises on inf - inf, so the terms are checked first.
+        value = q**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
+        sums.append(float_value(value, f"residue sum at q = {q!r}, ell = {ell}"))
+    return sums
 
 
 def one_point_exit(seq: StartSequence, ell: int, q: Weight) -> Weight:
@@ -220,7 +242,7 @@ def one_point_exit(seq: StartSequence, ell: int, q: Weight) -> Weight:
     """
     q = _weight(q)
     _check_exit(seq, ell, False)
-    return _residue_sum(seq, ell, q, False)
+    return _residue_sum(seq, range(ell, ell + 1), q, False)[0]
 
 
 def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
@@ -232,7 +254,19 @@ def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
     """
     q = _weight(q)
     _check_exit(seq, ell, True)
-    return _residue_sum(seq, ell, q, True)
+    return _residue_sum(seq, range(ell, ell + 1), q, True)[0]
+
+
+def one_point_table(seq: StartSequence, q: Weight, dual: bool = False) -> list[Weight]:
+    """The whole exit law in one pass: one_point_exit(seq, ell, q) for ell =
+    0 .. a_n, or one_point_exit_dual(seq, ell, q) for ell = n .. a_n + n when
+    dual is set, equal to those calls value by value.
+
+    A failure is the one the per-ell calls meet at the lowest failing ell.
+    """
+    q = _weight(q)
+    lo = seq.n if dual else 0
+    return _residue_sum(seq, range(lo, seq.top + lo + 1), q, dual)
 
 
 @float_range
@@ -267,7 +301,7 @@ def free_path_weight_dual(seq: StartSequence, ell: int, r: int, q: Weight) -> We
 
 def _exit_weights(seq: StartSequence, r: int, q: Weight) -> list[Weight]:
     """H(ell) times the continuation weight, for ell = 0 .. a_n."""
-    weights = [one_point_exit(seq, ell, q) * free_path_weight(ell, r, q) for ell in range(seq.top + 1)]
+    weights = [h * free_path_weight(ell, r, q) for ell, h in enumerate(one_point_table(seq, q))]
     return [float_value(w, f"exit weight at q = {q!r}") for w in weights]
 
 

@@ -89,13 +89,17 @@ def _thin(pts: np.ndarray) -> np.ndarray:
     # A point equal to its predecessor is never kept: it lies as far from
     # the last kept point as its predecessor does.
     pts = pts[np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))]
-    # With every step past tol the scan keeps every point.
-    if np.all(np.abs(np.diff(pts, axis=0)).max(axis=1) > tol):
+    # Up to the first step within tol, each point lies past tol from its
+    # predecessor, the last kept point, so the scan keeps them all.
+    short = ~(np.abs(np.diff(pts, axis=0)).max(axis=1) > tol)
+    if not short.any():
         return pts
+    start = int(short.argmax())
     xy = pts.tolist()
-    kept = [0]
-    last_x, last_y = xy[0]
-    for i, (x, y) in enumerate(xy):
+    kept = list(range(start + 1))
+    last_x, last_y = xy[start]
+    for i in range(start + 1, len(xy)):
+        x, y = xy[i]
         if max(abs(x - last_x), abs(y - last_y)) > tol:
             kept.append(i)
             last_x, last_y = x, y

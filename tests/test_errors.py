@@ -24,6 +24,8 @@ CASES = {
     # exact
     "one_point_exit": lambda: exact.one_point_exit(StartSequence((0, 5)), 0, 1e60),
     "one_point_exit_dual": lambda: exact.one_point_exit_dual(StartSequence((0, 1, 40)), 42, 1e-5),
+    "one_point_table": lambda: exact.one_point_table(StartSequence((0, 5)), 1e60),
+    "one_point_table_dual": lambda: exact.one_point_table(StartSequence((0, 1, 40)), 1e-5, dual=True),
     "free_path_weight": lambda: exact.free_path_weight(40, 3, 1e60),
     "free_path_weight_underflow": lambda: exact.free_path_weight(5, 40, 1e-200),
     "free_path_weight_dual": lambda: exact.free_path_weight_dual(StartSequence((0, 2, 4)), 4, 3, 1e60),

@@ -24,6 +24,7 @@ from qpaths.exact import (
     one_point_exit,
     one_point_exit_det,
     one_point_exit_dual,
+    one_point_table,
     partition_det,
     partition_poly,
     partition_product,
@@ -100,8 +101,9 @@ def test_sequence_validation():
         StartSequence([0, 4, 2])
     with pytest.raises(InvalidArgument):
         StartSequence([])
-    with pytest.raises(InvalidArgument, match="must hold integers"):
-        StartSequence((0, 1.5, 3))
+    for values in ((0, 1.5, 3), (0, math.nan, 3), (0, math.inf), (0, None)):
+        with pytest.raises(InvalidArgument, match="must hold integers"):
+            StartSequence(values)
     assert StartSequence((0, 1.0, 3)) == StartSequence((0, 1, 3))
 
 
@@ -300,6 +302,38 @@ def test_residue_loop_matches_the_per_route_formulas():
                 ), (seq, ell, q)
 
 
+def test_table_matches_the_per_exit_route():
+    # One pass shares each pole's numerator and denominator across ell; the
+    # factors are formed by the same products, so no bit may move, and a
+    # failure is the one the per-ell calls meet first.
+    rng = random.Random(37)
+    cases = [(StartSequence((0, 1, 40)), 1e-5)]  # the dual overflows from ell = 32 on
+    for _ in range(25):
+        n = rng.randint(1, 12)
+        seq = random_sequence(rng, n, n + rng.randint(0, 12))
+        qs = [Fraction(7, 10), Fraction(3, 2)] + [10.0 ** rng.uniform(-3, 3) for _ in range(3)]
+        cases += [(seq, q) for q in qs]
+    failures = {False: [], True: []}
+    for seq, q in cases:
+        for dual, per_ell in ((False, one_point_exit), (True, one_point_exit_dual)):
+            lo = seq.n if dual else 0
+            ells = range(lo, seq.top + lo + 1)
+            try:
+                table = one_point_table(seq, q, dual)
+            except NumericalFailure as exc:
+                first = next(e for e in ells if _outcome(per_ell, seq, e, q) is NumericalFailure)
+                with pytest.raises(NumericalFailure) as per_ell_exc:
+                    per_ell(seq, first, q)
+                assert str(exc) == str(per_ell_exc.value), (seq, q, dual)
+                failures[dual].append(first - lo)
+                continue
+            assert [_outcome(table.__getitem__, e - lo) for e in ells] == [
+                _outcome(per_ell, seq, e, q) for e in ells
+            ], (seq, q, dual)
+    # Both directions meet overflows, and some only past their first ell.
+    assert failures[False] and failures[True] and max(failures[True]) > 0
+
+
 def test_float_routes_match_exact():
     seq = StartSequence((0, 2, 5))
     for q in (0.3, 2.5):
@@ -410,6 +444,6 @@ def test_most_likely_exit_is_argmax(monkeypatch):
             assert all(scores[e] < scores[best] for e in range(best))
     # No input has been found whose finite exit probability and finite
     # weight multiply past the doubles, so a digit-less H stands in for one.
-    monkeypatch.setattr(exact, "one_point_exit", lambda seq, ell, q: 1e300)
+    monkeypatch.setattr(exact, "one_point_table", lambda seq, q: [1e300] * (seq.top + 1))
     with pytest.raises(NumericalFailure, match=r"^exit weight at q = 10.0 is outside the float range$"):
         most_likely_exit(seq, 3, 10.0)

@@ -187,7 +187,7 @@ def test_crossing_scan_matches_all_pairs(pts):
 
 def greedy_thin(points) -> np.ndarray:
     """The plain greedy thinning scan over every point, kept as the oracle
-    of the repeat-dropping and all-steps-long shortcuts."""
+    of the repeat-dropping, all-steps-long and first-short-step shortcuts."""
     pts = np.asarray(points, dtype=float)
     diam = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
     tol = 1e-9 * max(diam, 1e-300)
@@ -238,12 +238,28 @@ def test_thinning_shortcuts_match_the_greedy_scan(pts):
     assert polyline_self_intersects(pts) == all_pairs_self_intersects(pts)
 
 
+@pytest.mark.parametrize("first_short", [0, 1, 5, 18, None])
+def test_thinning_starts_its_scan_at_the_first_short_step(first_short):
+    # The points before the first step within the tolerance are kept
+    # unscanned; a run of short steps there, or none at all, thins as the
+    # greedy scan over every point does.
+    theta = np.linspace(0.0, 3.0, 20)
+    pts = np.column_stack((np.cos(theta), np.sin(theta)))
+    if first_short is not None:
+        tol = 1e-9 * float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+        at = pts[first_short]
+        run = at + np.outer([0.3, 0.6, 1.2, 1.5, 3.0], [tol, -tol])
+        pts = np.concatenate((pts[: first_short + 1], run, pts[first_short + 1 :]))
+    assert np.array_equal(_thin(pts), greedy_thin(pts))
+
+
 @pytest.mark.parametrize("at", range(5))
 def test_nan_vertex_thins_as_the_oracle_does(at):
     # A NaN vertex makes the figure diameter NaN, so the thinning keeps
     # only the first point and nothing crosses.
     pts = [(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]
     pts.insert(at, (math.nan, 0.5))
+    assert np.array_equal(_thin(np.asarray(pts)), greedy_thin(pts), equal_nan=True)
     assert polyline_self_intersects(pts) == all_pairs_self_intersects(pts) is False
 
 
