@@ -50,7 +50,6 @@ from .exact import (
     StartSequence,
     dual_sequence,
     free_path_weight,
-    free_path_weight_dual,
     most_likely_exit,
     one_point_exit,
     one_point_exit_det,
@@ -98,7 +97,6 @@ __all__ = [
     "exit_params_left",
     "exit_params_right",
     "free_path_weight",
-    "free_path_weight_dual",
     "from_second_family",
     "freezing_tent",
     "geodesic",

@@ -29,6 +29,8 @@ from .errors import (
 )
 from .exact import (
     StartSequence,
+    _dual_partition,
+    _reversal_check,
     dual_sequence,
     one_point_exit,
     one_point_exit_det,
@@ -54,19 +56,6 @@ def _out_dir(cfg: ModelConfig) -> str:
     return out
 
 
-def _reversal_check(seq: StartSequence, z: QPolynomial, z_dual: QPolynomial) -> tuple[bool, int]:
-    """Partition-function duality Z_a(q) = q**e Z_dual(1/q), on coefficients.
-
-    Holds when Z_a[k] = Z_dual[e - k] for every k; exact for any q. Returns
-    whether it holds and the number of degrees where the two sides differ.
-    """
-    e = seq.n * (seq.n + 1) * (3 * seq.top + seq.n + 2) // 6
-    lhs = {k: c for k, c in enumerate(z.coeffs) if c}
-    rhs = {e - k: c for k, c in enumerate(z_dual.coeffs) if c}
-    mismatched = sum(lhs.get(k) != rhs.get(k) for k in lhs.keys() | rhs.keys())
-    return mismatched == 0, mismatched
-
-
 @float_range
 def _partition_function(z: QPolynomial, q):
     """Z at the configured q: exact at a rational q, a finite float otherwise."""
@@ -84,7 +73,7 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
 
     one_point = list(enumerate(one_point_table(seq, q)))
     one_point_dual = list(enumerate(one_point_table(seq, q, dual=True), start=seq.n))
-    reversal_ok, reversal_resid = _reversal_check(seq, z, partition_poly(dual_sequence(seq)))
+    reversal_ok, reversal_resid = _reversal_check(seq, z, _dual_partition(seq, z))
     summary = {
         "sequence": list(seq),
         "q": serialize.format_cell(q),
@@ -142,12 +131,19 @@ def _select_domains(cfg: ModelConfig, domains):
     return selected
 
 
+# An arc point farther than this times max(alpha(1), 1) outside the box
+# [0, alpha(1)] x [0, 1] is noted: the arctic curve lies inside it.
+_BOX_SLACK = 1e-9
+
+
 def cmd_arctic(cfg: ModelConfig, args) -> int:
     """Arctic-curve branches as CSV (optionally SVG)."""
     _require(cfg, "scaled", "arctic")
     d, qq, n_samples = cfg.density, cfg.base, cfg.samples
     domains = _select_domains(cfg, curves.t_domains(d, qq))
 
+    top = d.alpha_top
+    slack = _BOX_SLACK * max(top, 1.0)
     blocks = []
     branch_curves = []
     for dom in domains:
@@ -158,6 +154,12 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
             print(f"note: {dom.branch}: skipped {curve.skipped} singular points", file=sys.stderr)
         if curve.self_intersecting:
             print(f"note: {dom.branch}: sampled polyline self-intersects", file=sys.stderr)
+        bx, by = curve.txy[:, 1], curve.txy[:, 2]
+        outside = np.count_nonzero((np.minimum(bx, by) < -slack) | (bx > top + slack)
+                                   | (by > 1.0 + slack))
+        if outside:
+            print(f"note: {dom.branch}: {outside} points lie outside [0, {top:.6g}] x [0, 1]",
+                  file=sys.stderr)
 
     doc = None
     if args.svg:
@@ -175,7 +177,6 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
                 geo = curves.geodesic(qq, v.xi, v.z, n_samples=max(2, n_samples // 4))
                 overlays.append({"points": geo.txy[:, 1:], "stroke": "#b8860b", "width": 0.8})
                 break
-        top = d.alpha_top
         box = [(0, 0), (top, 0), (top, 1), (0, 1), (0, 0)]
         items = [{"points": box, "stroke": "#000000", "width": 0.6, "dash": "4 3"}]
         for which in ("q_to_0", "q_to_inf"):
@@ -380,9 +381,8 @@ def cmd_verify(cfg: ModelConfig, args) -> int:
     for name, residual_of, tolerance in _CHECKS:
         try:
             residual = float(residual_of(cfg))
-            if not math.isfinite(residual):
-                # JSON holds no inf or nan: a residual outside the doubles is an error.
-                raise NumericalFailure(f"the residual is {residual!r}")
+            # JSON holds no inf or nan: a residual outside the doubles is an error.
+            float_value(residual, f"the residual {residual!r}")
         except QpathsError as exc:
             checks.append({"name": name, "pass": False, "residual": None,
                            "tolerance": tolerance, "error": str(exc)})

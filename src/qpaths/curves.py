@@ -131,7 +131,7 @@ class Curve:
 
     ``txy`` is an (n, 3) float array of (t, X, Y) rows in sweep order;
     ``skipped`` counts parameter values dropped because the point map was
-    singular there.
+    singular there or x(t) had no digits (t on no branch).
     """
 
     txy: np.ndarray
@@ -459,6 +459,24 @@ def _leg_taus(lo: float, hi: float, count: int, open_lo: bool, open_hi: bool) ->
     return np.unique(np.concatenate(pieces))
 
 
+def _on_branch(dom: TDomain, t: np.ndarray) -> np.ndarray:
+    """``t in dom`` elementwise over the t of a sweep of dom.
+
+    numpy's log may differ from math.log by an ulp, so the rule itself runs
+    on every t > 0 within twice its band of an end; every other t lies on
+    dom.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.log(t) / dom.log_q
+    lo, hi = dom.taus
+    top = max((abs(e) for e in dom.taus if math.isfinite(e)), default=0.0)
+    band = 2.0 * _END_ULPS * sys.float_info.epsilon * (top + 1.0 / abs(dom.log_q))
+    keep = np.ones(len(t), dtype=bool)
+    near = np.flatnonzero((t > 0.0) & ~((tau - lo > band) & (hi - tau > band)))
+    keep[near] = [float(t[i]) in dom for i in near]
+    return keep
+
+
 def _branch_legs(sc: _Scaled, dom: TDomain) -> list[tuple[int, float, float, bool, bool]]:
     """Sweep legs (sign, tau_lo, tau_hi, open_lo, open_hi) covering dom.
 
@@ -511,9 +529,9 @@ def arctic_curve(
     ``branch`` is a TDomain from :func:`t_domains` or its label.  The
     sweep walks t = +-qq**tau over the interval, clustering samples
     geometrically near finite branch ends; parameter values where the
-    point map is singular or leaves the float range are skipped and
-    counted.  A branch without a single regular point raises
-    NumericalFailure.
+    point map is singular or leaves the float range, or that lie on no
+    branch (see TDomain.__contains__), are skipped and counted.  A branch
+    without a single regular point raises NumericalFailure.
     """
     sc = _Scaled(d, qq)
     dom = branch
@@ -535,6 +553,7 @@ def arctic_curve(
         for sign, lo, hi, open_lo, open_hi in legs
     ])
     bx, by, regular = _tangency(sc, t, dom.sign_of_x)
+    regular &= _on_branch(dom, t)
     if not regular.any():
         raise NumericalFailure(f"no point of branch {dom.branch} is regular at base {sc.qq!r}")
     from .geometry import polyline_self_intersects
@@ -625,20 +644,19 @@ def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVa
     # x - 1 of the sign of ln x.
     if log_qx == 0.0 or (t > 0.0) != ((log_qx > 0.0) == (lx > 0.0)):
         raise InvalidArgument(f"no real exit height at t={t!r} (qq^xi <= 0)")
-    log_t, log_1mx = math.log(abs(t)), _log_shift(lx, True)
-    xi = (log_t + _log_shift(log_qx, True) - log_1mx) / sc.log_q
-    if branch == "right":
-        # qq**z = (t - (1 - x)) / (t qq x) = (1 - w) / (qq x), w = (1 - x) / t.
-        logs, w_positive = (log_1mx, -log_t), (t > 0.0) == (lx < 0.0)
-    else:
-        # qq**z = t / (qq (t x + qq**top (1 - x))) = 1 / (qq x (1 - w)),
-        # w = -qq**top (1/x - 1) / t.
-        logs = (sc.top * sc.log_q, _log_shift(-lx, True), -log_t)
-        w_positive = (t > 0.0) == (lx > 0.0)
-    direct = max(map(abs, logs)) <= _LOG_RANGE / 3
+    log_q, log_t, pole = sc.log_q, math.log(abs(t)), 1.0
+    xi = (log_t + _log_shift(log_qx, True) - _log_shift(lx, True)) / log_q
+    if branch == "left":
+        # The right branch of the reflected model, d* at 1/qq and t qq**(-top),
+        # where ln x, ln(qq x) and ln qq change sign.
+        lx, log_qx, log_q, log_t = -lx, -log_qx, -log_q, log_t - sc.top * log_q
+        pole = sc.pole(sc.top)
+    # qq**z = (t - (1 - x)) / (t qq x) = (1 - w) / (qq x), w = (1 - x) / t.
+    logs, w_positive = (_log_shift(lx, True), -log_t), (t > 0.0) == (lx < 0.0)
+    direct = max(map(abs, logs)) <= _LOG_RANGE / 3 and 0.0 < pole < math.inf
     if direct:
-        # w and its factors are normal doubles: log1p(-w) keeps the digits of ln(1 - w).
-        w = -math.expm1(lx) / t if branch == "right" else -sc.pole(sc.top) * math.expm1(-lx) / t
+        # w, its factors and t / pole are normal doubles: log1p(-w) keeps its digits.
+        w = -math.expm1(lx) / (t / pole)
         real = w < 1.0
     else:
         log_w = sum(logs)
@@ -647,8 +665,7 @@ def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVa
         raise InvalidArgument(f"no real tail length at t={t!r} (qq^z <= 0)")
     # Else ln|1 - w| = ln|sigma e**log_w - 1|.
     log_1mw = math.log1p(-w) if direct else _log_shift(log_w, w_positive)
-    z = log_1mw - log_qx if branch == "right" else -(log_qx + log_1mw)
-    return ScalingVars(xi=xi, z=z / sc.log_q)
+    return ScalingVars(xi=xi, z=(log_1mw - log_qx) / log_q)
 
 
 @float_range

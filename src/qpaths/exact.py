@@ -136,8 +136,32 @@ def partition_poly(seq: StartSequence) -> QPolynomial:
     # and none exceeds Z(1), the number of configurations.
     pairs = [(i, j) for j in range(n + 1) for i in range(j)]
     count = math.prod(seq[j] - seq[i] for i, j in pairs) // math.prod(j - i for i, j in pairs)
-    exponent = sum(i * i + (n - i) * (a - i) for i, a in enumerate(seq.values))
-    return power_product(factors, count).shift(exponent)
+    return power_product(factors, count).shift(_lowest_degree(seq))
+
+
+def _lowest_degree(seq: StartSequence) -> int:
+    """E, the lowest degree of Z: the sum of i**2 + (n - i)(a_i - i)."""
+    return sum(i * i + (seq.n - i) * (a - i) for i, a in enumerate(seq.values))
+
+
+def _dual_partition(seq: StartSequence, z: QPolynomial) -> QPolynomial:
+    """partition_poly(dual_sequence(seq)) from z = partition_poly(seq): the dual
+    keeps the multiset of differences a_j - a_i, on which alone the product's
+    factors and bound depend, so only the lowest degree moves."""
+    return QPolynomial(z.coeffs[_lowest_degree(seq) :]).shift(_lowest_degree(dual_sequence(seq)))
+
+
+def _reversal_check(seq: StartSequence, z: QPolynomial, z_dual: QPolynomial) -> tuple[bool, int]:
+    """Partition-function duality Z_a(q) = q**e Z_dual(1/q), on coefficients.
+
+    Holds when Z_a[k] = Z_dual[e - k] for every k; exact for any q. Returns
+    whether it holds and the number of degrees where the two sides differ.
+    """
+    e = seq.n * (seq.n + 1) * (3 * seq.top + seq.n + 2) // 6
+    lhs = {k: c for k, c in enumerate(z.coeffs) if c}
+    rhs = {e - k: c for k, c in enumerate(z_dual.coeffs) if c}
+    mismatched = sum(lhs.get(k) != rhs.get(k) for k in lhs.keys() | rhs.keys())
+    return mismatched == 0, mismatched
 
 
 def partition_product(seq: StartSequence, q: Rational) -> Fraction:
@@ -283,19 +307,6 @@ def free_path_weight(ell: int, r: int, q: Weight) -> Weight:
         raise InvalidArgument("endpoint shift r must be >= 1")
     q = _weight(q)
     value = q**ell * q_binomial_at(ell + r - 1, ell, q)
-    return float_value(value, f"free path weight at q = {q!r}", positive=True)
-
-
-@float_range
-def free_path_weight_dual(seq: StartSequence, ell: int, r: int, q: Weight) -> Weight:
-    """Continuation weight expressed through the complementary family."""
-    if r < 1:
-        raise InvalidArgument("endpoint shift r must be >= 1")
-    _check_exit(seq, ell, True)
-    q = _weight(q)
-    ell_dual = seq.top + seq.n - ell
-    exponent = r * (ell + 1) + r * (r - 1) // 2
-    value = q**exponent * q_binomial_at(ell_dual + r - 1, ell_dual, q)
     return float_value(value, f"free path weight at q = {q!r}", positive=True)
 
 

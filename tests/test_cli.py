@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpaths import cli, curves
+from qpaths import cli, curves, exact
 from qpaths.errors import NumericalFailure, QpathsError
 from qpaths.exact import StartSequence, dual_sequence, partition_det, partition_poly
 from qpaths.profile import StartDensity
@@ -139,15 +140,22 @@ def test_exact_float_partition_in_range(tmp_path):
     assert summary["reversal_pass"] is True
 
 
-def test_reversal_check_counts_mismatched_degrees():
-    seq = StartSequence((0, 2, 5))
-    z = partition_poly(seq)
-    z_dual = partition_poly(dual_sequence(seq))
-    assert cli._reversal_check(seq, z, z_dual) == (True, 0)
-    # Moving one unit of weight to another degree breaks two coefficients.
-    k = z.degree
-    broken = z - QPolynomial.monomial(k) + QPolynomial.monomial(k + 1)
-    assert cli._reversal_check(seq, broken, z_dual) == (False, 2)
+def test_exact_builds_one_cyclotomic_product(tmp_path, monkeypatch):
+    # The reversal check takes the dual's Z from Z's own product.
+    calls = []
+    real = exact.power_product
+
+    def counted(factors, bound):
+        calls.append(bound)
+        return real(factors, bound)
+
+    monkeypatch.setattr(exact, "power_product", counted)
+    doc = {"model": {"finite": {"sequence": [0, 2, 3, 7], "q": "7/10"}}}
+    rc, out = run_cli(tmp_path, doc, "exact")
+    assert rc == 0
+    assert len(calls) == 1
+    summary = json.loads((out / "exact_summary.json").read_text())
+    assert summary["reversal_pass"] is True and summary["reversal_residual"] == 0
 
 
 def test_verify_duality_checks_the_dual_determinant(tmp_path, monkeypatch):
@@ -340,6 +348,19 @@ def test_arctic_notes_skipped_points_and_self_intersections(tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.search(r"^note: right: skipped [1-9][0-9]* singular points$", err, re.M)
     assert "note: right: sampled polyline self-intersects\n" in err
+    assert "lie outside" not in err
+    # Next to base 1 whole arcs leave the box [0, alpha(1)] x [0, 1] (UNIFORM:
+    # alpha(1) = 2): 370 of 408 right-branch points at 1 - 1e-8 and 232 of 408
+    # left-branch points at 1 + 1e-6 lie more than 2e-9 outside it.
+    for base, least in ((1 - 1e-8, {"right": 300}), (1 + 1e-6, {"left": 200}), (1.1, {})):
+        doc = {"model": {"scaled": {"segments": [[1.0, 2.0]], "base": base}},
+               "task": {"samples": 400}}
+        rc, _ = run_cli(tmp_path, doc, "arctic")
+        assert rc == 0
+        err = capsys.readouterr().err
+        found = re.findall(r"^note: (\w+): (\d+) points lie outside \[0, 2\] x \[0, 1\]$", err, re.M)
+        assert {branch for branch, _ in found} == set(least)
+        assert all(int(count) >= least[branch] for branch, count in found)
 
 
 def test_limits_notes_each_edge_window_once(tmp_path, capsys):
@@ -411,7 +432,7 @@ def test_verify_reports_a_non_finite_residual_as_failed(tmp_path, capsys, monkey
     for name, residual in bad.items():
         row = rows.pop(name)
         assert row["pass"] is False and row["residual"] is None
-        assert row["error"] == f"the residual is {residual!r}"
+        assert row["error"] == f"the residual {residual!r} is outside the float range"
     assert all(c["pass"] for c in rows.values())
 
 
@@ -511,10 +532,14 @@ def test_exit_code_two_on_numerical_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_console_entry_point(capsys):
+    # The child imports the package this run imports, with or without PYTHONPATH.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "qpaths.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     # One parser: every command shows the shared help, a line per command.

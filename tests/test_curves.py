@@ -626,3 +626,91 @@ def test_exit_params_name_the_missing_real_value():
     # Next to t = 0+ the tangency x lies above 1 while qq x < 1, so qq**xi < 0.
     with pytest.raises(InvalidArgument, match=r"no real exit height at t=1e-300 \(qq\^xi <= 0\)"):
         exit_params_right(UNIFORM, 0.8, 1e-300)
+
+
+HEX_LIKE = StartDensity([(1 / 3, 1.0), (2 / 3, 1.0)], jumps=[(1 / 3, 1.0)])
+# 1 +- 10**-k for k = 1 .. 12, then bases far from 1.
+_SWEEP_BASES = [1.0 + s * 10.0**-k for s in (1.0, -1.0) for k in range(1, 13)]
+_SWEEP_BASES += [1e-2, 1e2, 1e-6, 1e6, 3.0]
+
+
+@pytest.mark.parametrize("d", [UNIFORM, CORNERED, FILLED, GAPPED, HEX_LIKE],
+                         ids=["uniform", "cornered", "filled", "gapped", "hex_like"])
+def test_every_swept_t_lies_on_its_branch(d):
+    # Near base 1 the ladder toward a branch end steps inside the band where
+    # x(t) has no digits; those t are skipped, never written.
+    for qq in _SWEEP_BASES:
+        for dom in t_domains(d, qq):
+            for t in arctic_curve(d, qq, dom, n_samples=24).txy[:, 0].tolist():
+                assert np.sign(x_of_t(d, qq, t)) == dom.sign_of_x, (qq, dom.branch, t)
+
+
+@st.composite
+def reflected_profiles(draw):
+    """(d, d*, qq): 1-4 segments of slopes in [1, 4] with optional interior
+    jumps, its reflection d* (segments reversed, a jump at u moved to
+    1 - u, so alpha*(u) = alpha(1) - alpha(1 - u)), and a base 10**U(-6, 6)
+    with |ln qq| >= 1e-3."""
+    k = draw(st.integers(1, 4))
+    widths = [draw(st.floats(0.1, 1.0)) for _ in range(k)]
+    widths = [w / math.fsum(widths) for w in widths]
+    slopes = [draw(st.one_of(st.just(1.0), st.floats(1.0, 4.0))) for _ in range(k)]
+    cuts = [math.fsum(widths[:i]) for i in range(1, k)]
+    jumps = [(u, draw(st.floats(0.1, 2.0))) for u in cuts if draw(st.booleans())]
+    exponent = draw(st.floats(-6.0, 6.0).filter(lambda e: abs(e) * math.log(10.0) >= 1e-3))
+    d = StartDensity(list(zip(widths, slopes)), jumps=jumps)
+    mirror = StartDensity(list(zip(widths[::-1], slopes[::-1])),
+                          jumps=[(1.0 - u, h) for u, h in jumps])
+    return d, mirror, 10.0**exponent
+
+
+def _outcome(fn, *args):
+    """fn's value, or the first words of its refusal."""
+    try:
+        return fn(*args)
+    except (InvalidArgument, SingularPoint) as exc:
+        return str(exc).split(" at ")[0]
+
+
+@given(reflected_profiles(), st.floats(0.01, 0.99), st.floats(0.01, 3.0), st.floats(0.0, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_left_construction_is_the_right_one_on_the_reflected_model(case, frac, step, decades):
+    # arctic_point(d, qq, t) = R(arctic_point(d*, 1/qq, t qq**(-top))) with
+    # R(X, Y) = (top + Y - X, Y), and the left exit parameters at t are
+    # (top + 1 - xi', z') of the right ones there. Away from the branch
+    # ends and from t = 0 (|t| >= min(1, qq**top)) the two sides agreed to
+    # 2.4e-10 in (X, Y) and 1.8e-11 in (xi, z) over 18 000 random points;
+    # nearer t = 0 the point map loses digits on both sides (8.9e-7 at
+    # |t| = 0.01 min(1, qq**top)).
+    d, mirror, qq = case
+    top, windows = d.alpha_top, len(d.windows)
+    smallest = min(1.0, qq**top)
+    mirrored = {"right": "left", "left": "right"}
+    for dom in t_domains(d, qq):
+        if dom.window is not None:
+            index = int(dom.branch.rpartition("_")[2])
+            mirrored[dom.branch] = f"{dom.window.kind}_window_{windows + 1 - index}"
+            ts = [qq ** (dom.taus[0] + frac * (dom.taus[1] - dom.taus[0]))]
+        else:
+            t = qq ** (top + step if dom.branch == "right" else -step)
+            ts = [t] if t >= smallest else []
+            if dom.lo == -math.inf:
+                ts.append(-smallest * 10.0**decades)
+        for t in (t for t in ts if t in dom):
+            t_mirror = t * qq**-top
+            assert [m.branch for m in t_domains(mirror, 1 / qq) if t_mirror in m] == [mirrored[dom.branch]]
+            got = _outcome(arctic_point, d, qq, t)
+            via = _outcome(arctic_point, mirror, 1 / qq, t_mirror)
+            if isinstance(got, str) or isinstance(via, str):
+                assert got == via, (dom.branch, t)
+            else:
+                assert got == pytest.approx((top + via[1] - via[0], via[1]), rel=0.0, abs=1e-8)
+            if dom.branch != "left":
+                continue
+            got = _outcome(exit_params_left, d, qq, t)
+            via = _outcome(exit_params_right, mirror, 1 / qq, t_mirror)
+            if isinstance(got, str) or isinstance(via, str):
+                assert got == via, t
+            else:
+                assert got.xi == pytest.approx(top + 1.0 - via.xi, rel=1e-9, abs=1e-9)
+                assert got.z == pytest.approx(via.z, rel=1e-9, abs=1e-9)

@@ -28,7 +28,6 @@ CASES = {
     "one_point_table_dual": lambda: exact.one_point_table(StartSequence((0, 1, 40)), 1e-5, dual=True),
     "free_path_weight": lambda: exact.free_path_weight(40, 3, 1e60),
     "free_path_weight_underflow": lambda: exact.free_path_weight(5, 40, 1e-200),
-    "free_path_weight_dual": lambda: exact.free_path_weight_dual(StartSequence((0, 2, 4)), 4, 3, 1e60),
     "perturbed_partition": lambda: exact.perturbed_partition(StartSequence((0, 5)), 3, 1e60),
     "most_likely_exit": lambda: exact.most_likely_exit(StartSequence((0, 1, 40)), 3, 1e-5),
     # curves

@@ -19,7 +19,6 @@ from qpaths.exact import (
     StartSequence,
     dual_sequence,
     free_path_weight,
-    free_path_weight_dual,
     most_likely_exit,
     one_point_exit,
     one_point_exit_det,
@@ -30,7 +29,7 @@ from qpaths.exact import (
     partition_product,
     perturbed_partition,
 )
-from qpaths.qpoly import QPolynomial
+from qpaths.qpoly import QPolynomial, q_binomial_at
 
 RATIONAL_QS = (Fraction(1, 3), Fraction(2, 5), Fraction(2), Fraction(7, 2))
 
@@ -362,8 +361,8 @@ def test_free_path_weight_by_hand():
     [
         lambda: free_path_weight(40, 3, 1e60),  # overflows
         lambda: free_path_weight(5, 40, 1e-200),  # underflows to 0
-        lambda: free_path_weight_dual(StartSequence((0, 2, 4)), 4, 3, 1e60),
-        lambda: free_path_weight_dual(StartSequence((0, 2, 4)), 2, 40, 1e-200),
+        lambda: free_path_weight(2, 40, 1e60),  # overflows through r
+        lambda: free_path_weight(40, 2, 1e-200),  # underflows through ell
     ],
 )
 def test_float_free_path_weight_out_of_range(weight):
@@ -396,7 +395,6 @@ _Q_ROUTES = {
     "one_point_exit": lambda q: one_point_exit(_SEQ, 1, q),
     "one_point_exit_dual": lambda q: one_point_exit_dual(_SEQ, 3, q),
     "free_path_weight": lambda q: free_path_weight(1, 2, q),
-    "free_path_weight_dual": lambda q: free_path_weight_dual(_SEQ, 3, 2, q),
     "partition_product": lambda q: partition_product(_SEQ, q),
     "one_point_exit_det": lambda q: one_point_exit_det(_SEQ, 1, q),
     "most_likely_exit": lambda q: most_likely_exit(_SEQ, 2, q),
@@ -417,18 +415,54 @@ def test_every_route_refuses_q_outside_the_weight_contract(route):
             route(q)
 
 
-def test_free_path_weight_dual_hand_values():
-    seq = StartSequence((0, 2))
-    q = Fraction(1, 2)
-    # At the largest admissible abscissa the staircase factor is 1 and only
-    # the forced-step exponent r(ell+1) + r(r-1)/2 survives.
-    top_ell = seq.top + seq.n
-    assert free_path_weight_dual(seq, top_ell, 1, q) == q ** (top_ell + 1)
-    assert free_path_weight_dual(seq, seq.n, 1, q) == Fraction(1, 4)
-    with pytest.raises(InvalidArgument):
-        free_path_weight_dual(seq, seq.n - 1, 1, q)
-    with pytest.raises(InvalidArgument):
-        free_path_weight_dual(seq, seq.n, 0, q)
+def _retired_dual_weight(seq, ell, r, q):
+    """The continuation weight through the complementary family, as the
+    package computed it before it was written as free_path_weight at 1/q."""
+    ell_dual = seq.top + seq.n - ell
+    return q ** (r * (ell + 1) + r * (r - 1) // 2) * q_binomial_at(ell_dual + r - 1, ell_dual, q)
+
+
+def test_free_path_weight_at_the_inverse_base_is_the_dual_weight():
+    # q**(r(a_n + n + 1) + r(r - 1)/2) free_path_weight(a_n + n - ell, r, 1/q)
+    # is the dual continuation weight: exactly for rational q, for every
+    # dual exit ell in [n, a_n + n]. Floats agree to 1.8e-15 here.
+    for values in ((0, 2), (0, 1, 3), (0, 2, 5), (0, 3, 4, 9)):
+        seq = StartSequence(values)
+        for ell in range(seq.n, seq.top + seq.n + 1):
+            for r in (1, 2, 5):
+                e = r * (seq.top + seq.n + 1) + r * (r - 1) // 2
+                for q in (Fraction(7, 10), Fraction(3, 2), Fraction(5)):
+                    via_direct = q**e * free_path_weight(seq.top + seq.n - ell, r, 1 / q)
+                    assert via_direct == _retired_dual_weight(seq, ell, r, q)
+                for q in (0.7, 1.5, 5.0):
+                    via_direct = q**e * free_path_weight(seq.top + seq.n - ell, r, 1 / q)
+                    assert via_direct == pytest.approx(_retired_dual_weight(seq, ell, r, q),
+                                                       rel=1e-14)
+    # The hand values of the dual form: at the largest dual exit only the
+    # forced-step power survives, and (0, 2) at ell = n = 1 gives 1/4.
+    seq, q = StartSequence((0, 2)), Fraction(1, 2)
+    assert q**4 * free_path_weight(0, 1, 1 / q) == q ** (seq.top + seq.n + 1)
+    assert q**4 * free_path_weight(2, 1, 1 / q) == Fraction(1, 4)
+
+
+def test_reversal_check_counts_mismatched_degrees():
+    seq = StartSequence((0, 2, 5))
+    z = partition_poly(seq)
+    z_dual = partition_poly(dual_sequence(seq))
+    assert exact._reversal_check(seq, z, z_dual) == (True, 0)
+    # Moving one unit of weight to another degree breaks two coefficients.
+    k = z.degree
+    broken = z - QPolynomial.monomial(k) + QPolynomial.monomial(k + 1)
+    assert exact._reversal_check(seq, broken, z_dual) == (False, 2)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=30), max_size=8, unique=True))
+@settings(max_examples=60, deadline=None)
+def test_dual_partition_is_the_dual_sequences_product(rest):
+    # The dual keeps the multiset of start differences, so its Z is Z's own
+    # product moved to the dual's lowest degree.
+    seq = StartSequence((0, *sorted(rest)))
+    assert exact._dual_partition(seq, partition_poly(seq)) == partition_poly(dual_sequence(seq))
 
 
 def test_most_likely_exit_is_argmax(monkeypatch):
