@@ -29,7 +29,6 @@ from .curves import (
     TDomain,
     arctic_curve,
     arctic_point,
-    dx_dt,
     exit_params_left,
     exit_params_right,
     geodesic,
@@ -92,7 +91,6 @@ __all__ = [
     "arctic_curve",
     "arctic_point",
     "dual_sequence",
-    "dx_dt",
     "enumerate_configs",
     "exit_params_left",
     "exit_params_right",

@@ -182,15 +182,15 @@ def saddle_residual_t(d: StartDensity, qq: float, t: float, xi: float) -> float:
     Vanishes when xi is the exit height attached to the tangency at t.
     Defined, like the bulk action, for t != 0 on the outer branches, found
     by the branch lookup of x(t).  The derivative is
-    (ln qq + ln((t - qq**(xi - 1)) / (t - qq**xi)) + ln x(t)) / (t ln qq):
+    (ln((t - qq**(xi - 1)) / (t - qq**xi)) + ln(qq x(t))) / (t ln qq):
     the boundary term is the xi residuals' integral term, and
     int_0^1 du / (t - qq**alpha(u)) = -ln x(t) / (t ln qq).
     """
     sc = _Scaled(d, qq)
     if t == 0.0 or sc.domain(t).window is not None:
         raise InvalidArgument(f"t={t!r} lies on no outer branch")
-    boundary = sc.log_q + _log_ratio(t, xi - 1.0, xi, sc.qq, sc.log_q, "t residual")
-    return (boundary + float(sc.terms(t, 1)[0])) / (t * sc.log_q)
+    boundary = _log_ratio(t, xi - 1.0, xi, sc.qq, sc.log_q, "t residual")
+    return (boundary + sc.log_x(t)[1]) / (t * sc.log_q)
 
 
 @float_range

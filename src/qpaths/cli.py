@@ -90,9 +90,8 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
     )
     serialize.write_csv(os.path.join(out, "one_point.csv"), ("ell", "H"), one_point)
     serialize.write_csv(os.path.join(out, "one_point_dual.csv"), ("ell", "H_dual"), one_point_dual)
-    with open(os.path.join(out, "exact_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    serialize.write_text(os.path.join(out, "exact_summary.json"),
+                         json.dumps(summary, indent=2) + "\n")
     print(f"partition degree {z.degree}, Z(q) in exact_summary.json")
     print(f"reversal symmetry {'pass' if reversal_ok else 'FAIL'} (residual {reversal_resid:g})")
     print(f"wrote partition.csv, one_point.csv, one_point_dual.csv in {out}")
@@ -151,7 +150,8 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
         branch_curves.append(curve)
         blocks.append(serialize.ArrayRows(curve.txy, (dom.branch,)))
         if curve.skipped:
-            print(f"note: {dom.branch}: skipped {curve.skipped} singular points", file=sys.stderr)
+            print(f"note: {dom.branch}: skipped {curve.skipped} points: the point map is singular"
+                  " there, or t lies too close to a branch end", file=sys.stderr)
         if curve.self_intersecting:
             print(f"note: {dom.branch}: sampled polyline self-intersects", file=sys.stderr)
         bx, by = curve.txy[:, 1], curve.txy[:, 2]
@@ -393,9 +393,7 @@ def cmd_verify(cfg: ModelConfig, args) -> int:
     text = json.dumps(report, indent=2)
     print(text)
     if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, "verify.json"), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        serialize.write_text(os.path.join(_out_dir(cfg), "verify.json"), text + "\n")
     return 0
 
 

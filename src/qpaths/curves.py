@@ -22,7 +22,11 @@ paths freeze into gap or filled phases.  Every factor t - qq**a of x(t)
 and of :mod:`qpaths.actions` meets its pole in one kernel, _log_pole:
 ln|t - qq**a| = a ln qq + ln|sigma e**y - 1| with y = ln|t| - a ln qq,
 so no pole leaves the doubles and bases such as 1e-300 keep every branch
-that holds a double t.  The point map runs on numpy arrays of t.
+that holds a double t.  The point map runs on numpy arrays of t; the exit
+parameters and actions.saddle_residual_t read ln x and ln(qq x) at one
+float t from _Scaled.log_x, in three forms: the quotients t / qq**a next
+to t = 0, where x(0) = 1 exactly; log1p of the pole ratios as |t| grows
+and qq x -> 1; and the pole logs next to a pole.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ __all__ = [
     "ScalingVars",
     "t_domains",
     "x_of_t",
-    "dx_dt",
     "arctic_point",
     "arctic_curve",
     "tangent_curve",
@@ -272,6 +275,41 @@ class _Scaled:
 
     # -- x(t) and s = t x'(t) / x(t) -------------------------------------
 
+    def near_zero(self, t: float) -> bool:
+        """Whether |t| < half the smallest pole (in logs), where that pole is a normal double."""
+        log_min = min(0.0, self.top * self.log_q)
+        return log_min >= -_LOG_RANGE and (not t or math.log(abs(t)) < log_min - _LN2)
+
+    def log_x(self, t: float) -> tuple[float, float]:
+        """(ln x, ln(qq x)) at a float t of an outer branch, where x > 0.
+
+        Near zero ln x sums (log1p(-t/E_hi) - log1p(-t/E_lo)) / p, t/E = 0
+        where E is beyond the doubles: the a ln qq parts of ln|t - E| cancel
+        -ln qq exactly, as the widths (a_hi - a_lo) / p sum to 1.  Else
+        ln(qq x) sums ln((t - E_hi) / (t - E_lo)) / p, each term
+        log1p((E_lo - E_hi) / (t - E_lo)) while that ratio lies in (-1/2, 1),
+        as when |t| grows and qq x -> 1, and the pole logs otherwise.
+        """
+        if self.near_zero(t):
+            lx = sum(inv_p * (math.log1p(-t / self.pole(a_hi)) - math.log1p(-t / self.pole(a_lo)))
+                     for a_lo, a_hi, inv_p in self.parts)
+            return lx, lx + self.log_q
+        log_qx = 0.0
+        for a_lo, a_hi, inv_p in self.parts:
+            l_hi, _ = _log_pole(t, a_hi, self.qq, self.log_q)
+            l_lo, above_lo = _log_pole(t, a_lo, self.qq, self.log_q)
+            e_lo, e_hi = self.pole(a_lo), self.pole(a_hi)
+            if 0.0 < e_lo < math.inf and 0.0 < e_hi < math.inf:
+                ratio = (e_lo - e_hi) / (t - e_lo)
+            else:
+                # E_hi - E_lo has the sign of ln qq; |ratio| >= 1 takes the logs below.
+                size = math.exp(min(self.log_span(a_lo, a_hi) - l_lo, 0.0))
+                ratio = size if (self.log_q > 0.0) != above_lo else -size
+            # 1 + ratio = (t - E_hi) / (t - E_lo): log1p keeps the digits of a
+            # small ratio, the logs those of a t next to E_hi.
+            log_qx += inv_p * (math.log1p(ratio) if -0.5 < ratio < 1.0 else l_hi - l_lo)
+        return log_qx - self.log_q, log_qx
+
     def terms(self, t, sign: int):
         """Return (log|x|, x, 1 - x, s) at t, elementwise over numpy arrays.
 
@@ -369,24 +407,6 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
             part -= (log_depth(a_hi) - log_depth(a_lo)) / log_q
         exponent += inv_p * part
     return sign * math.exp(-exponent * log_q)
-
-
-@float_range
-def dx_dt(d: StartDensity, qq: float, t: float) -> float:
-    """Derivative x'(t) of the closed-form tangent-family weight."""
-    sc = _Scaled(d, qq)
-    sign = sc.domain(t).sign_of_x
-    lx = float(sc.terms(t, sign)[0])
-    # x' = x s / t, a sum over the segments of
-    # x (E_hi - E_lo) / ((t - E_hi)(t - E_lo)) / p, each term from the logs of
-    # its factors; E_hi - E_lo has the sign of ln qq, and t = 0 needs no case.
-    total = 0.0
-    for a_lo, a_hi, inv_p in sc.parts:
-        l_hi, above_hi = _log_pole(t, a_hi, sc.qq, sc.log_q)
-        l_lo, above_lo = _log_pole(t, a_lo, sc.qq, sc.log_q)
-        size = inv_p * math.exp(lx + sc.log_span(a_lo, a_hi) - l_hi - l_lo)
-        total += math.copysign(size, sc.log_q if above_hi == above_lo else -sc.log_q)
-    return sign * total
 
 
 def _tangency(sc: _Scaled, t, sign: int):
@@ -610,34 +630,17 @@ def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
 
 
 def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVars:
-    """(xi, z) at t on an outer branch, where x > 0, from ln(qq x).
+    """(xi, z) at t on an outer branch, where x > 0, from _Scaled.log_x.
 
-    ln(qq x) is the sum over segments of ln((t - E_hi) / (t - E_lo)) / p,
-    each term log1p((E_lo - E_hi) / (t - E_lo)) while that ratio lies in
-    (-1/2, 1): as |t| grows qq x -> 1, and ln qq + ln x would cancel.
-    qq**xi is taken in logs with its sign, and qq**z from ln(1 - w), with
-    w in doubles where it and its factors are normal doubles.
+    qq**xi is taken in logs with its sign, and qq**z from ln(1 - w), with w
+    in doubles where it and its factors are normal doubles.
     """
     t = float(t)
     sc = _Scaled(d, qq)
     dom = sc.domain(t)
     if dom.branch != branch:
         raise InvalidArgument(f"t={t!r} is on branch {dom.branch!r}, not {branch!r}")
-    log_qx = 0.0
-    for a_lo, a_hi, inv_p in sc.parts:
-        l_hi, _ = _log_pole(t, a_hi, sc.qq, sc.log_q)
-        l_lo, above_lo = _log_pole(t, a_lo, sc.qq, sc.log_q)
-        e_lo, e_hi = sc.pole(a_lo), sc.pole(a_hi)
-        if 0.0 < e_lo < math.inf and 0.0 < e_hi < math.inf:
-            ratio = (e_lo - e_hi) / (t - e_lo)
-        else:
-            # E_hi - E_lo has the sign of ln qq; |ratio| >= 1 takes the logs below.
-            size = math.exp(min(sc.log_span(a_lo, a_hi) - l_lo, 0.0))
-            ratio = size if (sc.log_q > 0.0) != above_lo else -size
-        # 1 + ratio = (t - E_hi) / (t - E_lo): log1p keeps the digits of a
-        # small ratio, the logs those of a t next to E_hi.
-        log_qx += inv_p * (math.log1p(ratio) if -0.5 < ratio < 1.0 else l_hi - l_lo)
-    lx = log_qx - sc.log_q
+    lx, log_qx = sc.log_x(t)
     if t == 0.0 or lx == 0.0:
         raise InvalidArgument(f"no exit parameters at t={t!r}: x = 1, the degenerate point")
     # qq**xi = t (qq x - 1) / (x - 1), with qq x - 1 = expm1(ln(qq x)) and
@@ -645,7 +648,9 @@ def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVa
     if log_qx == 0.0 or (t > 0.0) != ((log_qx > 0.0) == (lx > 0.0)):
         raise InvalidArgument(f"no real exit height at t={t!r} (qq^xi <= 0)")
     log_q, log_t, pole = sc.log_q, math.log(abs(t)), 1.0
-    xi = (log_t + _log_shift(log_qx, True) - _log_shift(lx, True)) / log_q
+    # Next to t = 0 ln|t| and ln|x - 1| cancel, and (x - 1) / t is finite.
+    xi = ((_log_shift(log_qx, True) - math.log(abs(math.expm1(lx) / t))) if sc.near_zero(t)
+          else log_t + _log_shift(log_qx, True) - _log_shift(lx, True)) / log_q
     if branch == "left":
         # The right branch of the reflected model, d* at 1/qq and t qq**(-top),
         # where ln x, ln(qq x) and ln qq change sign.
@@ -653,7 +658,7 @@ def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVa
         pole = sc.pole(sc.top)
     # qq**z = (t - (1 - x)) / (t qq x) = (1 - w) / (qq x), w = (1 - x) / t.
     logs, w_positive = (_log_shift(lx, True), -log_t), (t > 0.0) == (lx < 0.0)
-    direct = max(map(abs, logs)) <= _LOG_RANGE / 3 and 0.0 < pole < math.inf
+    direct = max(map(abs, (*logs, sum(logs)))) <= _LOG_RANGE and 0.0 < pole < math.inf
     if direct:
         # w, its factors and t / pole are normal doubles: log1p(-w) keeps its digits.
         w = -math.expm1(lx) / (t / pole)

@@ -17,6 +17,7 @@ import decimal
 import io
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, islice
@@ -170,22 +171,31 @@ def emit_csv(header: Sequence[str], rows: Iterable) -> str:
     return buf.getvalue()
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
-    """Write the CSV of a header and rows to path.
-
-    The blocks stream to a sibling file that replaces path only once every
-    row is written, so a row that raises leaves path as it was.
-    """
+@contextmanager
+def _replacing(path: str):
+    """A file whose text replaces path on a clean exit; a raise leaves path as it was."""
     partial = f"{path}.{os.getpid()}.partial"
     try:
-        # newline="" hands line-ending control to the csv writer (always LF).
+        # newline="" keeps line endings as written (the csv writer's are LF).
         with open(partial, "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, header, rows)
+            yield fh
         os.replace(partial, path)
     except BaseException:
         if os.path.exists(partial):
             os.remove(partial)
         raise
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable) -> None:
+    """Stream the CSV of a header and rows to path, as _replacing writes."""
+    with _replacing(path) as fh:
+        _write_csv(fh, header, rows)
+
+
+def write_text(path: str, text: str) -> None:
+    """Write text to path, as _replacing writes."""
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def read_csv(source: str) -> tuple[list[str], list[list]]:
@@ -253,6 +263,4 @@ def render_svg(
     return "\n".join(parts) + "\n"
 
 
-def write_svg(path: str, document: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(document)
+write_svg = write_text

@@ -1,6 +1,7 @@
 """Arctic-curve machinery: weights x(t), branches, exit parameters."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -13,9 +14,9 @@ from qpaths.curves import (
     _log_shift,
     _log_shift_array,
     _pole_free,
+    _Scaled,
     arctic_curve,
     arctic_point,
-    dx_dt,
     exit_params_left,
     exit_params_right,
     geodesic,
@@ -129,7 +130,8 @@ EXTREME_TS = [s * 10.0**k for s in (1.0, -1.0) for k in range(-320, 309, 20)] + 
 @pytest.mark.parametrize("d", [UNIFORM, CORNERED, GAPPED], ids=["uniform", "cornered", "gapped"])
 def test_weights_at_extreme_bases_against_mpmath(d, qq):
     # Bases where poles qq**a leave the doubles: the full ladder, and x(t)
-    # both ways and x'(t) at double t on every branch that holds one.
+    # both ways and s = t x'(t) / x(t) at double t on every branch that
+    # holds one.
     doms = t_domains(d, qq)
     assert [dom.branch for dom in doms] == ["right", "left"] + ["gap_window_1"] * (d is GAPPED)
     for dom in doms:
@@ -139,12 +141,15 @@ def test_weights_at_extreme_bases_against_mpmath(d, qq):
             assert not ts and dom.lo == math.inf
             continue
         assert len(ts) >= 4, dom.branch
+        sc = _Scaled(d, qq)
         for t in ts:
             x, dx = mp_weight(d, qq, t, dom.sign_of_x)
             for got in (x_of_t(d, qq, t), x_of_t(d, qq, t, method="quadrature")):
                 assert abs(got - x) <= 1e-12 * abs(x), (dom.branch, t)
-            if 1e-300 < abs(dx) < 1e300:
-                assert abs(dx_dt(d, qq, t) - dx) <= 1e-12 * abs(dx), (dom.branch, t)
+            s = float(t * dx / x)
+            if 1e-300 < abs(s) < 1e300:
+                got = float(sc.terms(t, dom.sign_of_x)[3])
+                assert abs(got - s) <= 1e-12 * abs(s), (dom.branch, t)
 
 
 @pytest.mark.parametrize("qq", [1e-300, 1e300])
@@ -190,14 +195,6 @@ def test_base_validation():
     for qq in (1.0, 0.0, -2.0):
         with pytest.raises(InvalidArgument):
             x_of_t(UNIFORM, qq, 18.0)
-
-
-def test_dx_dt_matches_finite_differences():
-    for qq, ts in ((3.0, (18.0, 150.0, -7.0, 0.5, 0.0)), (1.0 / 3.0, (30.0, -2.0, 0.05, 0.0))):
-        for t in ts:
-            h = max(abs(t), 1.0) * 1e-6
-            fd = (x_of_t(UNIFORM, qq, t + h) - x_of_t(UNIFORM, qq, t - h)) / (2 * h)
-            assert dx_dt(UNIFORM, qq, t) == pytest.approx(fd, rel=2e-8)
 
 
 def test_t_domains_layout():
@@ -572,20 +569,51 @@ def test_exit_params_consistent_with_envelope():
     assert all(a > b for a, b in zip(zs, zs[1:]))
 
 
-def _uniform_exit_reference(which, qq, t):
-    """(xi, z) of UNIFORM in high-precision closed form, or None where either is not real."""
-    # 250 digits hold 80 past the cancellation in x - 1 at t = -1e-100.
-    with mpmath.workdps(250):
-        q, t = mpmath.mpf(qq), mpmath.mpf(t)
-        x = mpmath.sqrt((t - q**2) / (t - 1)) / q
-        q_xi = t * (q * x - 1) / (x - 1)
-        if which == "right":
-            q_z = (t - (1 - x)) / (t * q * x)
-        else:
-            q_z = t / (q * (t * x + q**2 * (1 - x)))
-        if not (q_xi > 0 and q_z > 0):
-            return None
-        return float(mpmath.log(q_xi) / mpmath.log(q)), float(mpmath.log(q_z) / mpmath.log(q))
+def _exit_reference(d, qq):
+    """(which, t) -> (xi, z) of d at 420 digits, or None where either is not real.
+
+    d's a's must be binary fractions, so that its doubles hold them
+    exactly; 420 digits hold 120 past the cancellation in x - 1 at
+    |t| = 1e-300.
+    """
+    elements = list(d.segment_elements())
+    assert sum((Fraction(el.a_hi) - Fraction(el.a_lo)) / Fraction(el.p) for el in elements) == 1
+    with mpmath.workdps(420):
+        q = mpmath.mpf(qq)
+        log_q, q_top = mpmath.log(q), q ** mpmath.mpf(d.alpha_top)
+        parts = [(q ** mpmath.mpf(el.a_lo), q ** mpmath.mpf(el.a_hi), 1 / mpmath.mpf(el.p))
+                 for el in elements]
+
+    def reference(which, t):
+        with mpmath.workdps(420):
+            t = mpmath.mpf(t)
+            log_x = -log_q + mpmath.fsum(inv_p * (mpmath.log(abs(t - e_hi)) - mpmath.log(abs(t - e_lo)))
+                                         for e_lo, e_hi, inv_p in parts)
+            x = mpmath.exp(log_x)
+            q_xi = t * (q * x - 1) / (x - 1)
+            if which == "right":
+                q_z = (t - (1 - x)) / (t * q * x)
+            else:
+                q_z = t / (q * (t * x + q_top * (1 - x)))
+            if not (q_xi > 0 and q_z > 0):
+                return None
+            return float(mpmath.log(q_xi) / log_q), float(mpmath.log(q_z) / log_q)
+
+    return reference
+
+
+def _assert_exit_params(d, qq, which, t, expected, rel):
+    """exit_params_<which>(d, qq, t), held to expected to rel, or None where
+    expected is None and it refuses."""
+    fn = exit_params_right if which == "right" else exit_params_left
+    if expected is None:
+        with pytest.raises(InvalidArgument):
+            fn(d, qq, t)
+        return None
+    got = fn(d, qq, t)
+    assert got.xi == pytest.approx(expected[0], rel=rel, abs=0.0), (which, t)
+    assert got.z == pytest.approx(expected[1], rel=rel, abs=0.0), (which, t)
+    return got.xi, got.z
 
 
 def _outer_branch_ts(qq):
@@ -606,26 +634,79 @@ def _outer_branch_ts(qq):
 def test_exit_params_against_mpmath_on_uniform(qq):
     # As |t| grows qq x -> 1; (xi, z) keep their digits out to |t| = 1e15,
     # and raise exactly where the closed form has no real value.
+    reference = _exit_reference(UNIFORM, qq)
     for which, ts in _outer_branch_ts(qq).items():
-        fn = exit_params_right if which == "right" else exit_params_left
         for t in ts:
-            expected = _uniform_exit_reference(which, qq, t)
-            if expected is None:
-                with pytest.raises(InvalidArgument):
-                    fn(UNIFORM, qq, t)
-                continue
-            got = fn(UNIFORM, qq, t)
-            assert got.xi == pytest.approx(expected[0], rel=1e-12, abs=0.0), (which, t)
-            assert got.z == pytest.approx(expected[1], rel=1e-12, abs=0.0), (which, t)
+            _assert_exit_params(UNIFORM, qq, which, t, reference(which, t), 1e-12)
+
+
+EXACT_BINARY = StartDensity([(0.25, 2.0), (0.5, 1.25), (0.25, 4.0)])
+
+
+@pytest.mark.parametrize("qq", [1.1, 0.9, 3.0, 1 / 3, 1e-2, 1e2])
+@pytest.mark.parametrize("d", [UNIFORM, EXACT_BINARY], ids=["uniform", "exact_binary"])
+def test_exit_params_keep_their_digits_down_to_t_zero(d, qq):
+    # As t -> 0, x -> 1 and ln x = ln(qq x) - ln qq would cancel; (xi, z)
+    # keep their digits down to |t| = 1e-300 on the outer branch that
+    # crosses 0, and raise exactly where the closed form has no real value.
+    # The worst error is 1.1e-14; forming ln|(x - 1) / t| or w = (1 - x) / t
+    # from logs there would leave 7.7e-13 in xi or 8.9e-13 in z.
+    reference = _exit_reference(d, qq)
+    checked = 0
+    for t in (s * 10.0**-k for k in range(2, 301) for s in (1.0, -1.0)):
+        branches = [dom.branch for dom in t_domains(d, qq) if t in dom and dom.window is None]
+        if branches:
+            _assert_exit_params(d, qq, branches[0], t, reference(branches[0], t), 1e-13)
+            checked += 1
+    assert checked >= 590
+
+
+@st.composite
+def binary_profiles(draw):
+    """(d, qq): 1-4 segments of widths k / 2**m and slopes 1 + j/8 in [1, 4],
+    optional interior jumps of heights j/8, so that every a is a binary
+    fraction; and a base 10**U(-3, 3) with |ln qq| >= 1e-3."""
+    n = 2 ** draw(st.integers(2, 6))
+    k = draw(st.integers(1, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=k - 1, max_size=k - 1)))
+    widths = [(hi - lo) / n for lo, hi in zip([0, *cuts], [*cuts, n])]
+    slopes = [1.0 + draw(st.integers(0, 24)) / 8.0 for _ in widths]
+    jumps = [(c / n, draw(st.integers(1, 16)) / 8.0) for c in cuts if draw(st.booleans())]
+    exponent = draw(st.floats(-3.0, 3.0).filter(lambda e: abs(e) * math.log(10.0) >= 1e-3))
+    return StartDensity(list(zip(widths, slopes)), jumps=jumps), 10.0**exponent
+
+
+@given(binary_profiles(), st.sampled_from([-1.0, 1.0]))
+@settings(max_examples=100, deadline=None)
+def test_exit_params_across_the_near_zero_switch(case, sign):
+    # ln x changes form where |t| passes half the smallest pole. Just inside
+    # and just outside, on the outer branch that crosses 0, (xi, z) match
+    # mpmath or both refuse, and their step across the switch is mpmath's.
+    d, qq = case
+    sc = _Scaled(d, qq)
+    half = 0.5 * min(1.0, qq**d.alpha_top)
+    inside, outside = (sign * (1.0 + s * 2.0**-20) * half for s in (-1.0, 1.0))
+    assert sc.near_zero(inside) and not sc.near_zero(outside)
+    branch = sc.domain(inside).branch
+    assert branch in ("right", "left") and outside in sc.domain(inside)
+    reference = _exit_reference(d, qq)
+    expected = [reference(branch, t) for t in (inside, outside)]
+    got = [_assert_exit_params(d, qq, branch, t, e, 1e-10)
+           for t, e in zip((inside, outside), expected)]
+    if None not in expected:
+        for i in (0, 1):
+            step = (got[1][i] - got[0][i]) - (expected[1][i] - expected[0][i])
+            assert abs(step) <= 1e-10, (branch, i)
 
 
 def test_exit_params_name_the_missing_real_value():
     # At 1e-300 and t = -1e-100 the exit height 7/6 is real; the tail length is not.
     with pytest.raises(InvalidArgument, match=r"no real tail length at t=-1e-100 \(qq\^z <= 0\)"):
         exit_params_right(UNIFORM, 1e-300, np.float64(-1e-100))
-    # Next to t = 0+ the tangency x lies above 1 while qq x < 1, so qq**xi < 0.
-    with pytest.raises(InvalidArgument, match=r"no real exit height at t=1e-300 \(qq\^xi <= 0\)"):
-        exit_params_right(UNIFORM, 0.8, 1e-300)
+    # Next to t = 0+ both are real: 400-digit mpmath gives these values.
+    got = exit_params_right(UNIFORM, 0.8, 1e-300)
+    assert got.xi == pytest.approx(1.527835265517185, rel=1e-12, abs=0.0)
+    assert got.z == pytest.approx(0.4799517392530943, rel=1e-12, abs=0.0)
 
 
 HEX_LIKE = StartDensity([(1 / 3, 1.0), (2 / 3, 1.0)], jumps=[(1 / 3, 1.0)])

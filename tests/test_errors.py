@@ -34,7 +34,6 @@ CASES = {
     "t_domains": lambda: curves.t_domains(UNIFORM, 1e300),
     "x_of_t": lambda: curves.x_of_t(UNIFORM, 1e200, 1e300),
     "x_of_t_quadrature": lambda: curves.x_of_t(UNIFORM, 1e200, 1e300, method="quadrature"),
-    "dx_dt": lambda: curves.dx_dt(UNIFORM, 1e200, 1e300),
     "arctic_point": lambda: curves.arctic_point(UNIFORM, 1e200, 1e300),
     "arctic_curve": lambda: curves.arctic_curve(UNIFORM, 1e300, "right", n_samples=8),
     "tangent_curve": lambda: curves.tangent_curve(UNIFORM, 1e200, 1e300),

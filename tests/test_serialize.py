@@ -25,6 +25,7 @@ from qpaths.serialize import (
     render_svg,
     write_csv,
     write_svg,
+    write_text,
 )
 
 
@@ -187,18 +188,25 @@ def test_csv_file_round_trip(tmp_path):
     assert got == [list(r) for r in rows]
 
 
-@pytest.mark.parametrize("bad", [
-    [ArrayRows(np.zeros((3000, 2))), (1.0, object())],
-    [ArrayRows(np.zeros((3000, 2))), ArrayRows(np.zeros((2, 2)), (True,))],
-], ids=["object_cell", "bool_label"])
-def test_write_csv_that_raises_leaves_the_file_as_it_was(tmp_path, bad):
+@pytest.mark.parametrize("write, error", [
+    (lambda path: write_csv(path, ["a", "b"], [ArrayRows(np.zeros((3000, 2))), (1.0, object())]),
+     InvalidArgument),
+    (lambda path: write_csv(path, ["a", "b"], [ArrayRows(np.zeros((3000, 2))),
+                                               ArrayRows(np.zeros((2, 2)), (True,))]),
+     InvalidArgument),
+    # A lone surrogate has no UTF-8 form.
+    (lambda path: write_text(path, "a,b\n\ud800"), UnicodeEncodeError),
+], ids=["object_cell", "bool_label", "text"])
+def test_write_csv_that_raises_leaves_the_file_as_it_was(tmp_path, write, error):
+    # write_csv and write_text share one rule: a failed write leaves the
+    # target as it was, and no partial file behind.
     path = tmp_path / "table.csv"
-    with pytest.raises(InvalidArgument):
-        write_csv(str(path), ["a", "b"], bad)
+    with pytest.raises(error):
+        write(str(path))
     assert list(tmp_path.iterdir()) == []
     path.write_text("a,b\n1,2\n")
-    with pytest.raises(InvalidArgument):
-        write_csv(str(path), ["a", "b"], bad)
+    with pytest.raises(error):
+        write(str(path))
     assert path.read_text() == "a,b\n1,2\n"
     assert list(tmp_path.iterdir()) == [path]
 
