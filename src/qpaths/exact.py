@@ -25,7 +25,11 @@ Weight = Union[int, Fraction, float]
 
 @dataclass(frozen=True)
 class StartSequence:
-    """Strictly increasing integer starting abscissas with a_0 = 0."""
+    """Strictly increasing integer starting abscissas with a_0 = 0.
+
+    :func:`_residue_sum` keeps its pole factors on the instance, outside
+    the dataclass fields, so they leave ==, hash and repr alone.
+    """
 
     values: tuple[int, ...]
 
@@ -72,7 +76,8 @@ def dual_sequence(seq: StartSequence) -> StartSequence:
 
 
 def _weight(q: Weight) -> Union[Fraction, float]:
-    """q as a weight base: a float unchanged, any other number as a Fraction.
+    """q as a weight base: a float (numpy's too) as a plain float, any other
+    number as a Fraction.
 
     The one contract on q of the finite-n routes: q is finite, positive and
     not 1. A float q computes in doubles, every other q exactly.
@@ -85,7 +90,7 @@ def _weight(q: Weight) -> Union[Fraction, float]:
         raise InvalidArgument("q = 0 is excluded")
     if q < 0:
         raise InvalidArgument("q must be positive")
-    return q if isinstance(q, float) else Fraction(q)
+    return float(q) if isinstance(q, float) else Fraction(q)
 
 
 def _check_exit(seq: StartSequence, ell: int, dual: bool) -> None:
@@ -215,18 +220,25 @@ def _residue_sum(seq: StartSequence, ells: range, q: Weight, dual: bool) -> list
     With m = a_k - ell - dual, a pole's numerator N(m) is the product of
     q**s - 1 over s = m + 1 .. m + n: the dual residue is the direct one at
     m - 1. Its denominator D_k, the product of q**a_k - q**a_s over s != k,
-    does not depend on ell. One call forms each N(m) and each D_k once, on
-    first use, by the same products in the same order for every range of
-    ells, so a float keeps every bit and a failure is the one at the lowest
-    failing ell. One loop for a Fraction q and a float q, summed exactly in
-    any order.
+    does not depend on ell. The powers q**a_k, each N(m) and each D_k live
+    on the sequence for the last q it met, the last two formed on first
+    use, so every call at that q, direct or dual, per ell or a whole table,
+    reuses them. The same products in the same order form each factor
+    whatever the calls before, so a float keeps every bit; a product that
+    raises stores nothing, and a failure is the one at the lowest failing
+    ell. One loop for a Fraction q and a float q, summed exactly in any
+    order.
     """
     values = seq.values
     n = seq.n
-    powers = [q**a for a in values]
+    # The key holds q's type: 0.5 == Fraction(1, 2), and the two hash alike.
+    key = (type(q), q)
+    memo = getattr(seq, "_poles", None)
+    if memo is None or memo[0] != key:
+        memo = (key, [q**a for a in values], {}, [None] * (n + 1))
+        object.__setattr__(seq, "_poles", memo)
+    _, powers, numerators, denominators = memo
     one = q**0  # in q's number type
-    numerators = {}
-    denominators = [None] * (n + 1)
     sums = []
     for ell in ells:
         terms = []
@@ -286,7 +298,9 @@ def one_point_table(seq: StartSequence, q: Weight, dual: bool = False) -> list[W
     0 .. a_n, or one_point_exit_dual(seq, ell, q) for ell = n .. a_n + n when
     dual is set, equal to those calls value by value.
 
-    A failure is the one the per-ell calls meet at the lowest failing ell.
+    The pole factors live on seq for its last q, shared with every per-ell
+    call and table at that q. A failure is the one the per-ell calls meet at
+    the lowest failing ell.
     """
     q = _weight(q)
     lo = seq.n if dual else 0

@@ -4,11 +4,13 @@ The oracle here is an independent west/north path enumerator written
 against the model definition only; it shares no code with the package.
 """
 
+import dataclasses
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -291,12 +293,13 @@ def test_residue_loop_matches_the_per_route_formulas():
         seq = random_sequence(rng, n, n + rng.randint(0, 12))
         qs = [Fraction(7, 10), Fraction(3, 2)] + [10.0 ** rng.uniform(-3, 3) for _ in range(3)]
         for q in qs:
+            # Each call on a fresh sequence, so no pole factor is shared.
             for ell in range(seq.top + 1):
-                assert _outcome(one_point_exit, seq, ell, q) == _outcome(
+                assert _outcome(one_point_exit, StartSequence(seq.values), ell, q) == _outcome(
                     _per_route_exit, seq, ell, q
                 ), (seq, ell, q)
             for ell in range(n, seq.top + n + 1):
-                assert _outcome(one_point_exit_dual, seq, ell, q) == _outcome(
+                assert _outcome(one_point_exit_dual, StartSequence(seq.values), ell, q) == _outcome(
                     _per_route_exit_dual, seq, ell, q
                 ), (seq, ell, q)
 
@@ -304,7 +307,9 @@ def test_residue_loop_matches_the_per_route_formulas():
 def test_table_matches_the_per_exit_route():
     # One pass shares each pole's numerator and denominator across ell; the
     # factors are formed by the same products, so no bit may move, and a
-    # failure is the one the per-ell calls meet first.
+    # failure is the one the per-ell calls meet first. Each per-ell call
+    # runs on a fresh sequence, so the table is not checked against the
+    # pole factors it reads itself.
     rng = random.Random(37)
     cases = [(StartSequence((0, 1, 40)), 1e-5)]  # the dual overflows from ell = 32 on
     for _ in range(25):
@@ -320,17 +325,91 @@ def test_table_matches_the_per_exit_route():
             try:
                 table = one_point_table(seq, q, dual)
             except NumericalFailure as exc:
-                first = next(e for e in ells if _outcome(per_ell, seq, e, q) is NumericalFailure)
+                first = next(e for e in ells if _outcome(per_ell, StartSequence(seq.values), e, q)
+                             is NumericalFailure)
                 with pytest.raises(NumericalFailure) as per_ell_exc:
-                    per_ell(seq, first, q)
+                    per_ell(StartSequence(seq.values), first, q)
                 assert str(exc) == str(per_ell_exc.value), (seq, q, dual)
                 failures[dual].append(first - lo)
                 continue
             assert [_outcome(table.__getitem__, e - lo) for e in ells] == [
-                _outcome(per_ell, seq, e, q) for e in ells
+                _outcome(per_ell, StartSequence(seq.values), e, q) for e in ells
             ], (seq, q, dual)
     # Both directions meet overflows, and some only past their first ell.
     assert failures[False] and failures[True] and max(failures[True]) > 0
+
+
+def _result(fn, *args):
+    """A value's type and bits, or the message of the NumericalFailure it raised."""
+    try:
+        value = fn(*args)
+    except NumericalFailure as exc:
+        return NumericalFailure, str(exc)
+    values = value if isinstance(value, list) else [value]
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+def _cold(fn, values, *args):
+    """fn's result on a fresh sequence, whose pole factors start empty."""
+    return _result(fn, StartSequence(values), *args)
+
+
+def test_warm_pole_factors_keep_every_bit():
+    # The pole factors live on the sequence for its last q: whatever the
+    # calls before, in whatever order, each value and each failure must be
+    # the one a fresh sequence gives.
+    rng = random.Random(41)
+    cases = [((0, 5), 1e60), ((0, 1, 40), 1e-5)]  # the direct, and the dual, overflow
+    for _ in range(8):
+        n = rng.randint(1, 10)
+        seq = random_sequence(rng, n, n + rng.randint(0, 10))
+        cases += [(seq.values, q) for q in (Fraction(7, 10), Fraction(3, 2), 10.0 ** rng.uniform(-3, 3))]
+    recovered = 0
+    for values, q in cases:
+        seq = StartSequence(values)
+        n, top = seq.n, seq.top
+        per_ell = [(one_point_exit, ell, q) for ell in range(top + 1)]
+        per_ell += [(one_point_exit_dual, ell, q) for ell in range(n, top + n + 1)]
+        ascending = sorted(per_ell, key=lambda call: call[1])  # direct, then dual, at each ell
+        tables = [(one_point_table, q, False), (one_point_table, q, True)]
+        steps = tables + ascending + ascending[::-1] + rng.sample(per_ell, len(per_ell)) + tables
+        steps += [(fn, r, q) for r in range(1, 2 * n + 1) for fn in (most_likely_exit, perturbed_partition)]
+        raised = []
+        for fn, *args in steps:
+            warm = _result(fn, seq, *args)
+            assert warm == _cold(fn, values, *args), (values, q, fn.__name__, args)
+            raised.append(warm[0] is NumericalFailure)
+        recovered += sum(a and not b for a, b in zip(raised, raised[1:]))
+    # Valid calls followed failures on the same sequence.
+    assert recovered
+
+
+def test_pole_factors_are_kept_per_type_and_value_of_q():
+    # 0.5 == Fraction(1, 2) and the two hash alike: a key on q alone would
+    # hand the float factors to the exact call.
+    seq = StartSequence((0, 2, 5))
+    assert type(one_point_exit(seq, 1, 0.5)) is float
+    exact_value = one_point_exit(seq, 1, Fraction(1, 2))
+    assert type(exact_value) is Fraction
+    assert exact_value == one_point_exit(StartSequence((0, 2, 5)), 1, Fraction(1, 2))
+    # Switching q and back gives the cold values each time.
+    for q in (0.7, Fraction(3, 2), 0.7, 2.5, Fraction(3, 2)):
+        for ell in range(seq.top + 1):
+            assert _result(one_point_exit, seq, ell, q) == _cold(one_point_exit, seq.values, ell, q)
+        assert _result(one_point_table, seq, q, True) == _cold(one_point_table, seq.values, q, True)
+    # The memo is no dataclass field: a used sequence keeps its ==, hash and repr.
+    fresh = StartSequence((0, 2, 5))
+    assert seq == fresh and hash(seq) == hash(fresh) and repr(seq) == repr(fresh)
+    assert [field.name for field in dataclasses.fields(seq)] == ["values"]
+
+
+def test_a_float_subclass_q_is_a_plain_float():
+    # numpy's float64 is a float: it takes the same memo key, and the same
+    # result type and bits, as the plain float.
+    seq = StartSequence((0, 2, 5))
+    value = one_point_exit(seq, 3, np.float64(0.7))
+    assert type(value) is float
+    assert value.hex() == one_point_exit(StartSequence((0, 2, 5)), 3, 0.7).hex()
 
 
 def test_float_routes_match_exact():
