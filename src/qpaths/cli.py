@@ -59,7 +59,6 @@ def _out_dir(cfg: ModelConfig) -> str:
 @float_range
 def _partition_function(z: QPolynomial, q):
     """Z at the configured q: exact at a rational q, a finite float otherwise."""
-    q = q if isinstance(q, Fraction) else float(q)
     # Z has nonnegative coefficients, so at q > 0 a value of 0 has underflowed.
     return float_value(z(q), f"partition function at q = {q!r}", positive=True)
 
@@ -101,7 +100,7 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
 def cmd_sample(cfg: ModelConfig, args) -> int:
     """Heat-bath sampling of path configurations."""
     _require(cfg, "finite", "sample")
-    result = run_chain(cfg.sequence, float(cfg.q), cfg.sweeps, cfg.seed)
+    result = run_chain(cfg.sequence, cfg.q, cfg.sweeps, cfg.seed)
     out = _out_dir(cfg)
     serialize.write_csv(
         os.path.join(out, "density.csv"), ("x", "y", "count"),
@@ -119,15 +118,16 @@ def cmd_sample(cfg: ModelConfig, args) -> int:
 
 
 def _select_domains(cfg: ModelConfig, domains):
+    """The branches of the ladder ``domains`` that task.branch names; window:K is its K-th window."""
     if cfg.branch == "all":
         return list(domains)
     if cfg.branch in ("right", "left"):
         return [d for d in domains if d.branch == cfg.branch]
-    index = cfg.branch.partition(":")[2]
-    selected = [d for d in domains if d.branch.endswith(f"window_{index}")]
-    if not selected:
+    windows = [d for d in domains if d.window is not None]
+    index = int(cfg.branch.partition(":")[2])
+    if not 1 <= index <= len(windows):
         raise InvalidArgument(f"no branch matches {cfg.branch!r}")
-    return selected
+    return [windows[index - 1]]
 
 
 # An arc point farther than this times max(alpha(1), 1) outside the box
@@ -139,7 +139,8 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
     """Arctic-curve branches as CSV (optionally SVG)."""
     _require(cfg, "scaled", "arctic")
     d, qq, n_samples = cfg.density, cfg.base, cfg.samples
-    domains = _select_domains(cfg, curves.t_domains(d, qq))
+    ladder = curves.t_domains(d, qq)
+    domains = _select_domains(cfg, ladder)
 
     top = d.alpha_top
     slack = _BOX_SLACK * max(top, 1.0)
@@ -168,15 +169,18 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
         for t in cfg.t_values:
             tangent = curves.tangent_curve(d, qq, t, n_samples=max(2, n_samples // 4))
             overlays.append({"points": tangent.txy[:, 1:], "stroke": "#999999", "width": 0.8})
-            for exit_params in (curves.exit_params_right, curves.exit_params_left):
-                try:
-                    v = exit_params(d, qq, t)
-                except QpathsError:
-                    continue
-                z_max = max(z_max, v.z)
-                geo = curves.geodesic(qq, v.xi, v.z, n_samples=max(2, n_samples // 4))
-                overlays.append({"points": geo.txy[:, 1:], "stroke": "#b8860b", "width": 0.8})
-                break
+            # tangent_curve found t on the ladder; only the outer branches have exits.
+            branch = next(dom.branch for dom in ladder if t in dom)
+            if branch not in ("right", "left"):
+                continue
+            exit_params = curves.exit_params_right if branch == "right" else curves.exit_params_left
+            try:
+                v = exit_params(d, qq, t)
+            except QpathsError:
+                continue
+            z_max = max(z_max, v.z)
+            geo = curves.geodesic(qq, v.xi, v.z, n_samples=max(2, n_samples // 4))
+            overlays.append({"points": geo.txy[:, 1:], "stroke": "#b8860b", "width": 0.8})
         box = [(0, 0), (top, 0), (top, 1), (0, 1), (0, 0)]
         items = [{"points": box, "stroke": "#000000", "width": 0.6, "dash": "4 3"}]
         for which in ("q_to_0", "q_to_inf"):
@@ -202,22 +206,21 @@ def cmd_limits(cfg: ModelConfig, args) -> int:
     """Degenerate-weight limit polylines."""
     _require(cfg, "scaled", "limits")
     d = cfg.density
+    # Each tent takes the label of its window's branch in the ladder.
+    windows = [dom for dom in curves.t_domains(d, cfg.base) if dom.window is not None]
     rows = []
     notes = {}  # one note per window, not one per limit
     for which in ("q_to_0", "q_to_inf"):
         main, closing = limit_curve(d, which)
         rows.extend((which, "main", i, x, y) for i, (x, y) in enumerate(main))
         rows.extend((which, "closing", i, x, y) for i, (x, y) in enumerate(closing))
-        for w_index, window in enumerate(d.windows, start=1):
+        for w_index, dom in enumerate(windows, start=1):
             try:
-                tent = freezing_tent(d, window, which)
+                tent = freezing_tent(d, dom.window, which)
             except UnsupportedConfiguration as exc:
                 notes.setdefault(w_index, exc)
                 continue
-            rows.extend(
-                (which, f"{window.kind}_window_{w_index}", i, x, y)
-                for i, (x, y) in enumerate(tent)
-            )
+            rows.extend((which, dom.branch, i, x, y) for i, (x, y) in enumerate(tent))
     for w_index, exc in notes.items():
         print(f"note: window {w_index}: {exc}", file=sys.stderr)
     out = _out_dir(cfg)

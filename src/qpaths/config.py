@@ -10,13 +10,15 @@ in one pass.
 from __future__ import annotations
 
 import json
-import sys
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
 
+from .curves import _check_base
 from .errors import ConfigError, InvalidArgument
-from .exact import StartSequence
+from .exact import StartSequence, _weight
 from .profile import StartDensity
 
 Weight = Union[Fraction, float]
@@ -54,52 +56,60 @@ def _unknown_keys(node: dict, allowed, label: str, problems: list[str], where: s
         problems.append(f"{label}: unknown keys {sorted(extra)}{where}")
 
 
+def _as_float(v: Any) -> Optional[float]:
+    """A JSON number as a float, an integer beyond the doubles as +-inf; None
+    for any other value (JSON booleans are not numbers)."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _finite_number(v: Any) -> bool:
-    """True for a number that fits a finite float (JSON booleans are not numbers)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    """True for a number that fits a finite float."""
+    return (f := _as_float(v)) is not None and math.isfinite(f)
+
+
+def _checked(rule, value: Any, label: str, problems: list[str]):
+    """rule(value), or None with the rule's refusal listed under label."""
+    try:
+        return rule(value)
+    except InvalidArgument as exc:
+        problems.append(f"{label}: {exc}")
+        return None
 
 
 def _parse_weight(value: Any, problems: list[str]) -> Optional[Weight]:
-    """Accept an integer, decimal, "num/den" string, or {base, n} pair."""
-    if isinstance(value, bool):
-        problems.append("model.finite.q: expected a number, fraction or {base, n}")
-        return None
-    if isinstance(value, int):
-        if value <= 0:
-            problems.append(f"model.finite.q: must be positive, got {value}")
+    """Accept an integer, decimal, "num/den" string, or {base, n} pair as q for exact._weight."""
+    if isinstance(value, dict):
+        _unknown_keys(value, {"base", "n"}, "model.finite.q", problems, " in the base/n form")
+        base, n = _as_float(value.get("base")), value.get("n")
+        if base is None:
+            problems.append(f"model.finite.q.base: expected a number, got {value.get('base')!r}")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            problems.append(f"model.finite.q.n: must be a positive integer, got {n!r}")
+            n = None
+        if base is None or n is None:
             return None
-        return Fraction(value)
-    if isinstance(value, float):
-        if not (_finite_number(value) and value > 0):
-            problems.append(f"model.finite.q: must be positive and finite, got {value}")
-            return None
-        # repr() is the shortest decimal that round-trips, so the literal
-        # written in the file is recovered exactly.
-        return Fraction(repr(value))
-    if isinstance(value, str):
+        # A base <= 0 has no positive root: _weight refuses it as it stands.
+        q = base ** (1.0 / n) if base > 0.0 else base
+    elif isinstance(value, str):
         try:
             q = Fraction(value)
         except (ValueError, ZeroDivisionError):
             problems.append(f"model.finite.q: cannot parse fraction {value!r}")
             return None
-        if q <= 0:
-            problems.append(f"model.finite.q: must be positive, got {value!r}")
-            return None
-        return q
-    if isinstance(value, dict):
-        _unknown_keys(value, {"base", "n"}, "model.finite.q", problems, " in the base/n form")
-        base = value.get("base")
-        n = value.get("n")
-        ok = True
-        if not (_finite_number(base) and base > 0):
-            problems.append(f"model.finite.q.base: must be a positive number, got {base!r}")
-            ok = False
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            problems.append(f"model.finite.q.n: must be a positive integer, got {n!r}")
-            ok = False
-        return float(base) ** (1.0 / n) if ok else None
-    problems.append(f"model.finite.q: unsupported value {value!r}")
-    return None
+    elif _as_float(value) is not None:
+        q = value
+    else:
+        problems.append(f"model.finite.q: expected a number, fraction or {{base, n}}, got {value!r}")
+        return None
+    q = _checked(_weight, q, "model.finite.q", problems)
+    # repr() is the shortest decimal that round-trips, so the literal
+    # written in the file is recovered exactly.
+    return Fraction(repr(value)) if q is not None and isinstance(value, float) else q
 
 
 def _parse_finite(node: Any, problems: list[str]):
@@ -114,10 +124,7 @@ def _parse_finite(node: Any, problems: list[str]):
     ):
         problems.append("model.finite.sequence: expected a list of integers")
     else:
-        try:
-            seq = StartSequence(raw)
-        except InvalidArgument as exc:
-            problems.append(f"model.finite.sequence: {exc}")
+        seq = _checked(StartSequence, raw, "model.finite.sequence", problems)
     q = None
     if "q" not in node:
         problems.append("model.finite.q: missing")
@@ -159,18 +166,13 @@ def _parse_scaled(node: Any, problems: list[str]):
         except InvalidArgument as exc:
             # The density constructor reports every problem in one message.
             problems.extend(f"model.scaled: {part}" for part in str(exc).split("; "))
-    base = node.get("base")
+    base = _as_float(node.get("base"))
     if "base" not in node:
         problems.append("model.scaled.base: missing")
-        base = None
-    elif not (_finite_number(base) and base > 0):
-        problems.append(f"model.scaled.base: must be a positive number, got {base!r}")
-        base = None
-    elif base == 1.0:
-        problems.append("model.scaled.base: weight 1 is the unweighted model, not supported")
-        base = None
+    elif base is None:
+        problems.append(f"model.scaled.base: expected a number, got {node['base']!r}")
     else:
-        base = float(base)
+        base = _checked(_check_base, base, "model.scaled.base", problems)
     return density, base
 
 
@@ -185,10 +187,7 @@ def _parse_task(node: Any, problems: list[str]) -> dict[str, Any]:
 
     if "branch" in node:
         branch = node["branch"]
-        ok = branch in ("all", "right", "left")
-        if not ok and isinstance(branch, str) and branch.startswith("window:"):
-            ok = branch[len("window:"):].isdigit()
-        if ok:
+        if isinstance(branch, str) and re.fullmatch(r"all|right|left|window:[0-9]+", branch):
             out["branch"] = branch
         else:
             problems.append(

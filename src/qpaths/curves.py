@@ -70,8 +70,9 @@ _END_ULPS = 4.0
 _LN2 = math.log(2.0)
 
 # Branch sweeps stop approaching t = 0 once |t| falls below this fraction
-# of the smallest pole magnitude: beyond that the envelope denominator
-# behaves like t**2 and cancellation destroys the point map.
+# of the smallest pole magnitude, and arctic_point refuses such a t: beyond
+# it the envelope denominator behaves like t**2 and cancellation destroys
+# the point map.
 _ZERO_RHO = 1e-2
 
 
@@ -84,6 +85,11 @@ def _check_base(qq: float) -> float:
             "base 1 is the unweighted point; the scaled model needs base != 1"
         )
     return qq
+
+
+def _check_samples(n_samples: int) -> None:
+    if n_samples < 2:
+        raise InvalidArgument(f"n_samples must be at least 2, got {n_samples}")
 
 
 @dataclass(frozen=True)
@@ -280,6 +286,11 @@ class _Scaled:
         log_min = min(0.0, self.top * self.log_q)
         return log_min >= -_LOG_RANGE and (not t or math.log(abs(t)) < log_min - _LN2)
 
+    def tau_zero(self) -> float:
+        """tau of |t| = _ZERO_RHO times the smallest pole (1 for qq > 1, qq**top for qq < 1)."""
+        tau = math.log(_ZERO_RHO) / self.log_q
+        return tau + self.top if self.qq < 1.0 else tau
+
     def log_x(self, t: float) -> tuple[float, float]:
         """(ln x, ln(qq x)) at a float t of an outer branch, where x > 0.
 
@@ -446,11 +457,13 @@ def _txy(t, bx, by) -> np.ndarray:
 def arctic_point(d: StartDensity, qq: float, t: float) -> tuple[float, float]:
     """The (X, Y) tangency point of the arctic curve at parameter t.
 
-    Raises SingularPoint where the envelope map degenerates (for
-    example t = 0, where x = 1 exactly) and InvalidArgument for t
-    outside every branch.
+    Raises SingularPoint where the envelope map degenerates or, nearer
+    t = 0 than the sweep's stop (_Scaled.tau_zero), has no digits, and
+    InvalidArgument for t outside every branch.
     """
     sc = _Scaled(d, qq)
+    if not t or math.log(abs(t)) < sc.tau_zero() * sc.log_q:
+        raise SingularPoint(f"point map has no digits at t={t!r}, nearer 0 than the sweep's stop")
     bx, by, regular = _tangency(sc, t, sc.domain(t).sign_of_x)
     if not regular:
         raise SingularPoint(f"point map singular or undefined at t={t!r}")
@@ -519,12 +532,8 @@ def _branch_legs(sc: _Scaled, dom: TDomain) -> list[tuple[int, float, float, boo
             legs = [(1, end, far, True, False)] if abs(far) > abs(end) else []
         else:
             # The branch crosses t = 0: negative axis from the far end, then
-            # the positive axis up to the finite end.  tau_zero is where |t|
-            # equals _ZERO_RHO times the smallest pole magnitude (qq**0 = 1
-            # for qq > 1, qq**top for qq < 1).
-            tau_zero = math.log(_ZERO_RHO) / sc.log_q
-            if sc.qq < 1.0:
-                tau_zero += sc.top
+            # the positive axis up to the finite end.
+            tau_zero = sc.tau_zero()
             legs = [(-1, far, tau_zero, False, False), (1, tau_zero, end, False, True)]
     legs = [(sign, max(-bound, min(bound, lo)), max(-bound, min(bound, hi)),
              open_lo and abs(lo) <= bound, open_hi and abs(hi) <= bound)
@@ -537,31 +546,20 @@ def _branch_legs(sc: _Scaled, dom: TDomain) -> list[tuple[int, float, float, boo
 
 
 @float_range
-def arctic_curve(
-    d: StartDensity,
-    qq: float,
-    branch: TDomain | str,
-    *,
-    n_samples: int = 400,
-) -> Curve:
+def arctic_curve(d: StartDensity, qq: float, dom: TDomain, *, n_samples: int = 400) -> Curve:
     """Sample one arc of the arctic curve along its t interval.
 
-    ``branch`` is a TDomain from :func:`t_domains` or its label.  The
-    sweep walks t = +-qq**tau over the interval, clustering samples
-    geometrically near finite branch ends; parameter values where the
+    ``dom`` is a TDomain of :func:`t_domains` at this density and base,
+    else InvalidArgument.  The sweep walks t = +-qq**tau over the interval,
+    clustering samples geometrically near finite branch ends; t where the
     point map is singular or leaves the float range, or that lie on no
     branch (see TDomain.__contains__), are skipped and counted.  A branch
-    without a single regular point raises NumericalFailure.
+    without a regular point raises NumericalFailure.
     """
     sc = _Scaled(d, qq)
-    dom = branch
-    if isinstance(branch, str):
-        dom = next((dom for dom in sc.domains if dom.branch == branch), None)
-        if dom is None:
-            labels = ", ".join(dom.branch for dom in sc.domains)
-            raise InvalidArgument(f"unknown branch {branch!r}; have: {labels}")
-    if n_samples < 2:
-        raise InvalidArgument(f"n_samples must be at least 2, got {n_samples}")
+    if dom not in sc.domains:
+        raise InvalidArgument(f"{dom!r} is no branch of this density at base {sc.qq!r}")
+    _check_samples(n_samples)
     legs = _branch_legs(sc, dom)
     total_span = sum(abs(hi - lo) for _, lo, hi, _, _ in legs)
     # Every leg gets a fair floor: tau spans are a poor proxy for arc
@@ -599,8 +597,7 @@ def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100)
     _, x, one_minus_x, _ = sc.terms(t, sc.domain(t).sign_of_x)
     if x == 0.0:
         raise SingularPoint(f"tangent line undefined at t={t!r}: x = 0")
-    if n_samples < 2:
-        raise InvalidArgument(f"n_samples must be at least 2, got {n_samples}")
+    _check_samples(n_samples)
     bx = (sc.top + 1.0) * np.arange(n_samples) / (n_samples - 1)
     coeff = one_minus_x / t
     with np.errstate(all="ignore"):
@@ -619,8 +616,7 @@ def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
     qq = _check_base(qq)
     if not (0.0 < xi < math.inf and 0.0 < z < math.inf):
         raise InvalidArgument(f"geodesic needs finite xi > 0 and z > 0, got xi={xi}, z={z}")
-    if n_samples < 2:
-        raise InvalidArgument(f"n_samples must be at least 2, got {n_samples}")
+    _check_samples(n_samples)
     log_q = math.log(qq)
     bx = xi * np.arange(n_samples) / (n_samples - 1)
     with np.errstate(all="ignore"):

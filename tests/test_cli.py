@@ -329,6 +329,62 @@ def test_arctic_window_selection(tmp_path):
     assert cli.main(["arctic", "--config", cfg, "--out", str(tmp_path / "o2")]) == 1
 
 
+def test_window_selector_takes_the_kth_window_of_the_ladder(tmp_path):
+    # An interior filled window (the slope-1 segment) before an interior gap
+    # window (the jump): window:K is the K-th, and its arc and its tent
+    # carry the ladder's one label.
+    doc = {"model": {"scaled": {"segments": [[0.25, 2.0], [0.25, 1.0], [0.25, 2.0], [0.25, 2.0]],
+                                "jumps": [[0.75, 1.0]], "base": 3.0}}}
+    rc, out = run_cli(tmp_path, doc, "limits")
+    assert rc == 0
+    tents = [r[1] for r in load_csv(str(out / "limits.csv"))[1] if "window" in r[1]]
+    for k, label in ((1, "filled_window_1"), (2, "gap_window_2")):
+        doc["task"] = {"branch": f"window:{k}", "samples": 24}
+        rc, out = run_cli(tmp_path, doc, "arctic")
+        assert rc == 0
+        _, rows = load_csv(str(out / "arctic.csv"))
+        assert rows and {r[0] for r in rows} == {label}
+        assert label in tents
+
+
+FINITE_COMMANDS = ("exact", "sample", "verify")
+SCALED_COMMANDS = ("arctic", "limits", "verify")
+
+
+@pytest.mark.parametrize("q, problem", [
+    (1, "q = 1 is excluded"), ("1/1", "q = 1 is excluded"),
+    ({"base": 1, "n": 3}, "q = 1 is excluded"), (0, "q = 0 is excluded"),
+    (-2, "q must be positive"), ("2/0", "cannot parse fraction '2/0'"),
+])
+def test_weights_are_refused_at_validation_in_the_library_words(tmp_path, capsys, q, problem):
+    # exact._weight's refusal is a config error, listed with every other
+    # problem of the file; no command gets to run or make its output directory.
+    for task, others in (({}, []), ({"seed": -1}, ["task.seed: expected an integer >= 0, got -1"])):
+        doc = {"model": {"finite": {"sequence": [0, 1, 3], "q": q}}, "task": task}
+        for command in FINITE_COMMANDS:
+            rc, out = run_cli(tmp_path, doc, command)
+            assert rc == 1 and not out.exists(), command
+            lines = capsys.readouterr().err.splitlines()
+            assert lines[0].startswith(f"config error: model.finite.q: {problem}"), command
+            assert lines[1:] == [f"config error: {p}" for p in others]
+
+
+@pytest.mark.parametrize("base, problem", [
+    (1, "base 1 is the unweighted point; the scaled model needs base != 1"),
+    (0, "base must be a finite positive number, got 0.0"),
+    (-1, "base must be a finite positive number, got -1.0"),
+])
+def test_bases_are_refused_at_validation_in_the_library_words(tmp_path, capsys, base, problem):
+    for task, others in (({}, []), ({"samples": 1}, ["task.samples: expected an integer >= 2, got 1"])):
+        doc = {"model": {"scaled": {"segments": [[1.0, 2.0]], "base": base}}, "task": task}
+        for command in SCALED_COMMANDS:
+            rc, out = run_cli(tmp_path, doc, command)
+            assert rc == 1 and not out.exists(), command
+            lines = capsys.readouterr().err.splitlines()
+            assert lines == [f"config error: model.scaled.base: {problem}",
+                             *(f"config error: {p}" for p in others)], command
+
+
 @pytest.mark.parametrize("branch", ["right", "left"])
 def test_arctic_side_selection(tmp_path, branch):
     doc = dict(SCALED_GAPPED, task={"branch": branch, "samples": 24})
@@ -470,7 +526,8 @@ def test_verify_passes_at_base_1e_300(tmp_path):
                                           (1e-300, "right"), (1e-300, "left")])
 def test_envelope_residual_flags_a_moved_point(base, branch):
     d = StartDensity([(1.0, 2.0)])
-    txy = curves.arctic_curve(d, base, branch, n_samples=24).txy
+    dom = next(dom for dom in curves.t_domains(d, base) if dom.branch == branch)
+    txy = curves.arctic_curve(d, base, dom, n_samples=24).txy
     t, bx, by = txy[len(txy) // 2].tolist()
     x = curves.x_of_t(d, base, t)
     assert cli._envelope_residual(x, base, t, bx, by) <= 1e-12
@@ -479,7 +536,8 @@ def test_envelope_residual_flags_a_moved_point(base, branch):
 
 def test_envelope_residual_with_terms_within_one_is_the_plain_residual():
     d = StartDensity([(1.0, 2.0)])
-    t, bx, by = curves.arctic_curve(d, 3.0, "right", n_samples=24).txy[5].tolist()
+    right = curves.t_domains(d, 3.0)[0]
+    t, bx, by = curves.arctic_curve(d, 3.0, right, n_samples=24).txy[5].tolist()
     x = curves.x_of_t(d, 3.0, t)
     by += 1e-6
     terms = (x * 3.0**by, (1.0 - x) / t * 3.0**bx)

@@ -169,7 +169,7 @@ def test_arctic_curve_at_extreme_bases(d, qq):
         # Below the normal doubles x(t) ~ 1/qq overflows at every t of the
         # left branch, so no point of it is regular.
         with pytest.raises(NumericalFailure, match="no point of branch left is regular at base 1e-310"):
-            arctic_curve(d, 1e-310, "left", n_samples=60)
+            arctic_curve(d, 1e-310, t_domains(d, 1e-310)[1], n_samples=60)
 
 
 def test_x_of_t_rejects_unknown_method():
@@ -283,7 +283,8 @@ def test_split_filled_window_is_one_window():
 
 
 def test_split_filled_window_arc_skips_no_point():
-    assert arctic_curve(SPLIT_FILLED, 3.0, "filled_window_1", n_samples=401).skipped == 0
+    window = t_domains(SPLIT_FILLED, 3.0)[2]
+    assert arctic_curve(SPLIT_FILLED, 3.0, window, n_samples=401).skipped == 0
 
 
 @st.composite
@@ -437,19 +438,26 @@ def test_arctic_curve_window_branch():
         assert envelope_residual(FILLED, 1e-2, t, bx, by) <= 1e-9
 
 
-def test_arctic_curve_accepts_branch_labels():
-    by_label = arctic_curve(UNIFORM, 3.0, "right", n_samples=30)
-    by_domain = arctic_curve(UNIFORM, 3.0, t_domains(UNIFORM, 3.0)[0], n_samples=30)
-    assert by_label.points == by_domain.points
-    with pytest.raises(InvalidArgument):
-        arctic_curve(UNIFORM, 3.0, "middle")
+def test_arctic_curve_refuses_a_domain_of_another_ladder():
+    # A right branch of base 0.5 lies where base 3 has its left branch; a
+    # window of another profile is no arc of UNIFORM at all; a label is no
+    # domain.
+    right_at_half = t_domains(UNIFORM, 0.5)[0]
+    window_elsewhere = t_domains(FILLED, 3.0)[2]
+    assert window_elsewhere.window is not None
+    for foreign in (right_at_half, window_elsewhere, "right"):
+        with pytest.raises(InvalidArgument, match="is no branch of this density at base 3.0"):
+            arctic_curve(UNIFORM, 3.0, foreign, n_samples=50)
+    # The ladder's own domain, built anew, is accepted.
+    assert len(arctic_curve(UNIFORM, 3.0, t_domains(UNIFORM, 3.0)[0], n_samples=50)) > 0
 
 
 def test_arctic_curve_sample_count_contract():
-    tiny = arctic_curve(UNIFORM, 3.0, "right", n_samples=2)
+    right = t_domains(UNIFORM, 3.0)[0]
+    tiny = arctic_curve(UNIFORM, 3.0, right, n_samples=2)
     assert len(tiny) >= 2
     with pytest.raises(InvalidArgument):
-        arctic_curve(UNIFORM, 3.0, "right", n_samples=1)
+        arctic_curve(UNIFORM, 3.0, right, n_samples=1)
     for tiny_line in (lambda: tangent_curve(UNIFORM, 3.0, 18.0, n_samples=1),
                       lambda: geodesic(3.0, 1.5, 0.5, n_samples=1)):
         with pytest.raises(InvalidArgument, match="n_samples must be at least 2, got 1"):
@@ -659,6 +667,38 @@ def test_exit_params_keep_their_digits_down_to_t_zero(d, qq):
             _assert_exit_params(d, qq, branches[0], t, reference(branches[0], t), 1e-13)
             checked += 1
     assert checked >= 590
+
+
+def _point_reference(d, qq, t):
+    """The (X, Y) of the point map at t on an outer branch, at 420 digits (d's
+    a's binary fractions, as for _exit_reference)."""
+    with mpmath.workdps(420):
+        q, t = mpmath.mpf(qq), mpmath.mpf(t)
+        log_x, s = -mpmath.log(q), mpmath.mpf(0)
+        for el in d.segment_elements():
+            e_lo, e_hi = q ** mpmath.mpf(el.a_lo), q ** mpmath.mpf(el.a_hi)
+            log_x += (mpmath.log(abs(t - e_hi)) - mpmath.log(abs(t - e_lo))) / el.p
+            s += t * (e_hi - e_lo) / ((t - e_hi) * (t - e_lo)) / el.p
+        x = mpmath.exp(log_x)
+        den = s + 1 - x
+        return (float(mpmath.log(t * s / den) / mpmath.log(q)),
+                float(mpmath.log((x * s + 1 - x) / (x * den)) / mpmath.log(q)))
+
+
+@pytest.mark.parametrize("qq", [1.1, 3.0])
+def test_arctic_point_refuses_where_it_has_no_digits_next_to_t_zero(qq):
+    # Next to t = 0, ln x = ln(qq x) - ln qq cancels in the point map: at 1.1
+    # and t = -1e-8 it gave X = -7.5 where the point is (1.3464, 0.9983).
+    # Nearer 0 than the sweep's stop, |t| = 1e-2 min(1, qq**alpha(1)), it
+    # refuses; at and beyond the stop it holds mpmath.
+    for t in [-0.0101] + [-(10.0**-k) for k in range(2, 15)]:
+        try:
+            got = arctic_point(EXACT_BINARY, qq, t)
+        except SingularPoint:
+            assert t != -0.0101
+            continue
+        want = _point_reference(EXACT_BINARY, qq, t)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9, t
 
 
 @st.composite

@@ -35,7 +35,8 @@ CASES = {
     "x_of_t": lambda: curves.x_of_t(UNIFORM, 1e200, 1e300),
     "x_of_t_quadrature": lambda: curves.x_of_t(UNIFORM, 1e200, 1e300, method="quadrature"),
     "arctic_point": lambda: curves.arctic_point(UNIFORM, 1e200, 1e300),
-    "arctic_curve": lambda: curves.arctic_curve(UNIFORM, 1e300, "right", n_samples=8),
+    "arctic_curve": lambda: curves.arctic_curve(UNIFORM, 1e300, curves.t_domains(UNIFORM, 1e300)[0],
+                                                n_samples=8),
     "tangent_curve": lambda: curves.tangent_curve(UNIFORM, 1e200, 1e300),
     "geodesic": lambda: curves.geodesic(1e200, 1.5, 2.0),
     "exit_params_right": lambda: curves.exit_params_right(UNIFORM, 1e200, 1e300),
@@ -58,7 +59,8 @@ CASES = {
 # t, so these must return.
 RETURNING = {
     "t_domains": lambda: curves.t_domains(UNIFORM, 1e-300),
-    "arctic_curve": lambda: curves.arctic_curve(UNIFORM, 1e-300, "right", n_samples=8),
+    "arctic_curve": lambda: curves.arctic_curve(UNIFORM, 1e-300, curves.t_domains(UNIFORM, 1e-300)[0],
+                                                n_samples=8),
 }
 
 
