@@ -16,12 +16,10 @@ from .actions import (
 from .config import ModelConfig, parse_config
 from .configs import (
     PathConfig,
+    dual_config,
     enumerate_configs,
-    from_second_family,
     max_area_config,
     min_area_config,
-    reflect_second_family,
-    to_second_family,
 )
 from .curves import (
     Curve,
@@ -90,12 +88,12 @@ __all__ = [
     "action_free_dual",
     "arctic_curve",
     "arctic_point",
+    "dual_config",
     "dual_sequence",
     "enumerate_configs",
     "exit_params_left",
     "exit_params_right",
     "free_path_weight",
-    "from_second_family",
     "freezing_tent",
     "geodesic",
     "hausdorff_distance",
@@ -116,13 +114,11 @@ __all__ = [
     "polyline_self_intersects",
     "q_binomial",
     "q_binomial_at",
-    "reflect_second_family",
     "run_chain",
     "saddle_residual_t",
     "saddle_residual_xi_left",
     "saddle_residual_xi_right",
     "t_domains",
     "tangent_curve",
-    "to_second_family",
     "x_of_t",
 ]

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 
-from .curves import _check_base, _log_pole, _log_shift, _Scaled
+from .curves import _log_pole, _log_shift, _Scaled
 from .errors import InvalidArgument, float_range
-from .profile import StartDensity
+from .profile import StartDensity, _check_base
 from .quadrature import integrate
 
 __all__ = [

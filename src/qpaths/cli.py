@@ -16,7 +16,7 @@ import numpy as np
 
 from . import actions, curves, serialize
 from .config import ModelConfig, load_config
-from .configs import enumerate_configs, to_second_family
+from .configs import dual_config, enumerate_configs
 from .errors import (
     ConfigError,
     InvalidArgument,
@@ -30,6 +30,7 @@ from .errors import (
 from .exact import (
     StartSequence,
     _dual_partition,
+    _duality_exponent,
     _reversal_check,
     dual_sequence,
     one_point_exit,
@@ -141,6 +142,17 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
     d, qq, n_samples = cfg.density, cfg.base, cfg.samples
     ladder = curves.t_domains(d, qq)
     domains = _select_domains(cfg, ladder)
+    # Each overlay's branch, found before any sweep: a t on no branch drops
+    # only its own overlays.
+    overlay_ts = []
+    if args.svg:
+        for t in cfg.t_values:
+            branch = next((dom.branch for dom in ladder if t in dom), None)
+            if branch is None:
+                print(f"note: t={t!r} lies on no branch of the arctic curve;"
+                      " its overlays are left out", file=sys.stderr)
+            else:
+                overlay_ts.append((t, branch))
 
     top = d.alpha_top
     slack = _BOX_SLACK * max(top, 1.0)
@@ -166,11 +178,10 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
     if args.svg:
         z_max = 0.0
         overlays = []
-        for t in cfg.t_values:
+        for t, branch in overlay_ts:
             tangent = curves.tangent_curve(d, qq, t, n_samples=max(2, n_samples // 4))
             overlays.append({"points": tangent.txy[:, 1:], "stroke": "#999999", "width": 0.8})
-            # tangent_curve found t on the ladder; only the outer branches have exits.
-            branch = next(dom.branch for dom in ladder if t in dom)
+            # Only the outer branches have exits.
             if branch not in ("right", "left"):
                 continue
             exit_params = curves.exit_params_right if branch == "right" else curves.exit_params_left
@@ -255,9 +266,10 @@ def _vs_enumeration(cfg):
     return abs(float(partition_det(seq)(q) - brute))
 
 
-def _second_family_area(cfg):
-    configs = enumerate_configs(StartSequence((0, 2, 3)))
-    return max(abs(to_second_family(c).total_area() - c.total_area()) for c in configs)
+def _dual_config_area(cfg):
+    seq = StartSequence((0, 2, 3))
+    e = _duality_exponent(seq)
+    return max(abs(c.total_area() + dual_config(c).total_area() - e) for c in enumerate_configs(seq))
 
 
 def _duality(cfg):
@@ -367,7 +379,7 @@ _CHECKS = [
     ("partition_det_vs_product", _det_vs_product, 0.0),
     ("partition_poly_vs_det", _poly_vs_det, 0.0),
     ("partition_vs_enumeration", _vs_enumeration, 0.0),
-    ("second_family_area", _second_family_area, 0.0),
+    ("dual_config_area", _dual_config_area, 0.0),
     ("partition_duality", _duality, 0.0),
     ("one_point_triple", _one_point_triple, 0.0),
     ("one_point_complementarity", _complementarity, 0.0),

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .curves import _check_base
 from .errors import ConfigError, InvalidArgument
 from .exact import StartSequence, _weight
-from .profile import StartDensity
+from .profile import StartDensity, _check_base
 
 Weight = Union[Fraction, float]
 

@@ -1,12 +1,10 @@
-"""Explicit path configurations: enumeration, areas, the family bijection,
-north-step arrays and the closed-form extremal states.
+"""Explicit path configurations: enumeration, areas, the reflection onto the
+dual sequence, north-step arrays and the closed-form extremal states.
 
-First-family paths run from (a_i, 0) to (0, i) with west/north steps on the
-integer lattice. Second-family paths live on the half-integer columns: path i
-runs from (a_{n-i} + 1/2, 0) to (a_n + 1/2 + i, i) with east/northeast steps,
-northeast steps crossing the north steps of a first-family configuration.
-Second-family x coordinates are stored doubled (always odd integers) so the
-lattice stays integral.
+Path i runs from (a_i, 0) to (0, i) with west/north steps on the integer
+lattice, and its area is the sum of its north-step abscissas. The reflected
+(complementary) model is the same kind of configuration on
+dual_sequence(starts); dual_config maps one ensemble onto the other.
 """
 
 from __future__ import annotations
@@ -29,11 +27,8 @@ class PathConfig:
 
     starts: StartSequence
     paths: tuple[tuple[Vertex, ...], ...]
-    family: str = "first"
 
     def __post_init__(self):
-        if self.family not in ("first", "second"):
-            raise InvalidArgument(f"family must be 'first' or 'second', got {self.family!r}")
         if len(self.paths) != self.starts.n + 1:
             raise InvalidArgument("one path per start is required")
         seen: set[Vertex] = set()
@@ -45,47 +40,28 @@ class PathConfig:
                 seen.add(v)
 
     def _check_path(self, i: int, path: tuple[Vertex, ...]) -> None:
-        n = self.starts.n
-        if self.family == "first":
-            start = (self.starts[i], 0)
-            end = (0, i)
-            steps = {(-1, 0), (0, 1)}
-        else:
-            start = (2 * self.starts[n - i] + 1, 0)
-            end = (2 * self.starts[n] + 1 + 2 * i, i)
-            steps = {(2, 0), (2, 1)}
+        start, end = (self.starts[i], 0), (0, i)
         if not path or path[0] != start or path[-1] != end:
             raise InvalidArgument(f"path {i} must run from {start} to {end}")
         for (x0, y0), (x1, y1) in zip(path, path[1:]):
-            if (x1 - x0, y1 - y0) not in steps:
+            if (x1 - x0, y1 - y0) not in ((-1, 0), (0, 1)):
                 raise InvalidArgument(f"path {i} has an illegal step ({x0},{y0})->({x1},{y1})")
 
     def north_steps(self) -> Iterator[Vertex]:
-        """Yield (x, y) for each north step (x,y)->(x,y+1), first family only."""
-        if self.family != "first":
-            raise InvalidArgument("north_steps applies to first-family configurations")
+        """Yield (x, y) for each north step (x,y)->(x,y+1)."""
         for path in self.paths:
             for (x0, y0), (x1, y1) in zip(path, path[1:]):
                 if y1 == y0 + 1:
                     yield (x0, y0)
 
-    def crossings(self) -> Iterator[Vertex]:
-        """Yield (column, y) for each northeast crossing, second family only."""
-        if self.family != "second":
-            raise InvalidArgument("crossings applies to second-family configurations")
-        for path in self.paths:
-            for (x0, y0), (x1, y1) in zip(path, path[1:]):
-                if y1 == y0 + 1:
-                    yield ((x0 + 1) // 2, y0)
-
     def areas(self) -> tuple[int, ...]:
-        """Per-path weighted area: sum of north-step abscissas (or crossing columns)."""
+        """Per-path weighted area: the sum of the path's north-step abscissas."""
         out = []
         for path in self.paths:
             total = 0
             for (x0, y0), (x1, y1) in zip(path, path[1:]):
                 if y1 == y0 + 1:
-                    total += x0 if self.family == "first" else (x0 + 1) // 2
+                    total += x0
             out.append(total)
         return tuple(out)
 
@@ -121,7 +97,7 @@ def enumerate_configs(seq: StartSequence) -> list[PathConfig]:
 
     def recurse(i: int, blocked: set[Vertex], chosen: list[tuple[Vertex, ...]]) -> None:
         if i > seq.n:
-            configs.append(PathConfig(seq, tuple(chosen), "first"))
+            configs.append(PathConfig(seq, tuple(chosen)))
             return
         for path in _monotone_paths((seq[i], 0), (0, i), blocked):
             chosen.append(path)
@@ -132,85 +108,39 @@ def enumerate_configs(seq: StartSequence) -> list[PathConfig]:
     return configs
 
 
-def to_second_family(config: PathConfig) -> PathConfig:
-    """Map a first-family configuration to its overpassing second-family image.
+def dual_config(config: PathConfig) -> PathConfig:
+    """The reflected configuration on dual_sequence(config.starts).
 
-    Each second path performs east steps on the half-integer columns and
-    overpasses every encountered north step with a northeast step; the total
-    weighted area is preserved.
+    Dual path i starts at (a_n - a_{n-i}, 0). At each point (x, y) it steps
+    north when (a_n + 1 + y - x, y) is a north step of config, and west
+    otherwise, until it reaches (0, i). The map is an involution and a
+    bijection onto the dual ensemble, and A(c) + A(dual_config(c)) is the
+    exponent e of the duality Z_a(q) = q**e Z_dual(1/q).
     """
-    if config.family != "first":
-        raise InvalidArgument("to_second_family requires a first-family configuration")
     seq = config.starts
-    n = seq.n
+    dual = dual_sequence(seq)
     norths = set(config.north_steps())
     paths = []
-    for i in range(n + 1):
-        xd = 2 * seq[n - i] + 1
+    for i, x in enumerate(dual.values):
         y = 0
-        xd_end = 2 * seq.top + 1 + 2 * i
-        path = [(xd, y)]
-        while (xd, y) != (xd_end, i):
-            column = (xd + 1) // 2
-            if (column, y) in norths:
-                xd, y = xd + 2, y + 1
-            else:
-                xd += 2
-            path.append((xd, y))
-        paths.append(tuple(path))
-    return PathConfig(seq, tuple(paths), "second")
-
-
-def from_second_family(config: PathConfig) -> PathConfig:
-    """Invert to_second_family: rebuild the unique first-family pre-image."""
-    if config.family != "second":
-        raise InvalidArgument("from_second_family requires a second-family configuration")
-    seq = config.starts
-    n = seq.n
-    cross = set(config.crossings())
-    paths = []
-    for i in range(n + 1):
-        x, y = seq[i], 0
         path = [(x, y)]
-        while (x, y) != (0, i):
-            if (x, y) in cross:
+        # A west/north path to (0, i) takes x + i steps; PathConfig checks the end.
+        for _ in range(x + i):
+            if (seq.top + 1 + y - x, y) in norths:
                 y += 1
             else:
                 x -= 1
-            if x < 0 or y > i:
-                raise InvalidArgument("crossing pattern does not reassemble into paths")
             path.append((x, y))
         paths.append(tuple(path))
-    return PathConfig(seq, tuple(paths), "first")
-
-
-def reflect_second_family(config: PathConfig) -> PathConfig:
-    """Reflect a second-family configuration onto the dual start sequence.
-
-    The reflection x -> a_n + 1/2 + y - x sends northeast steps to north
-    steps and east steps to west steps, producing a first-family
-    configuration over the dual sequence. Applying the coordinate map twice
-    is the identity.
-    """
-    if config.family != "second":
-        raise InvalidArgument("reflect_second_family requires a second-family configuration")
-    seq = config.starts
-    dual = dual_sequence(seq)
-    paths = []
-    for path in config.paths:
-        image = tuple(((2 * seq.top + 1 + 2 * y - xd) // 2, y) for xd, y in path)
-        paths.append(image)
-    return PathConfig(dual, tuple(paths), "first")
+    return PathConfig(dual, tuple(paths))
 
 
 def abscissas(config: PathConfig) -> list[int]:
-    """The north-step array b of a first-family configuration.
+    """The north-step array b of a configuration.
 
     b[i][k] is the column of the north step of path i from row k to row
     k + 1, for 1 <= i <= n and 0 <= k < i, stored flat in that order.
     """
-    if config.family != "first":
-        raise InvalidArgument("abscissas requires a first-family configuration")
     return [x for x, _ in config.north_steps()]
 
 
@@ -249,9 +179,9 @@ def max_area_abscissas(seq: StartSequence) -> list[int]:
 
 def min_area_config(seq: StartSequence) -> PathConfig:
     """Ground state for q -> 0, the configuration of least area."""
-    return PathConfig(seq, paths_from_abscissas(seq, min_area_abscissas(seq)), "first")
+    return PathConfig(seq, paths_from_abscissas(seq, min_area_abscissas(seq)))
 
 
 def max_area_config(seq: StartSequence) -> PathConfig:
     """Ground state for q -> infinity: go straight north, then west."""
-    return PathConfig(seq, paths_from_abscissas(seq, max_area_abscissas(seq)), "first")
+    return PathConfig(seq, paths_from_abscissas(seq, max_area_abscissas(seq)))

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidArgument, NumericalFailure, SingularPoint, float_range
-from .profile import StartDensity, WindowSpec
+from .profile import StartDensity, WindowSpec, _check_base
 from .quadrature import integrate
 
 __all__ = [
@@ -74,17 +74,6 @@ _LN2 = math.log(2.0)
 # it the envelope denominator behaves like t**2 and cancellation destroys
 # the point map.
 _ZERO_RHO = 1e-2
-
-
-def _check_base(qq: float) -> float:
-    qq = float(qq)
-    if not math.isfinite(qq) or qq <= 0.0:
-        raise InvalidArgument(f"base must be a finite positive number, got {qq!r}")
-    if qq == 1.0:
-        raise InvalidArgument(
-            "base 1 is the unweighted point; the scaled model needs base != 1"
-        )
-    return qq
 
 
 def _check_samples(n_samples: int) -> None:

@@ -70,7 +70,7 @@ class StartSequence:
 
 
 def dual_sequence(seq: StartSequence) -> StartSequence:
-    """Complementary start sequence of the reflected second path family."""
+    """Complementary start sequence of the reflected path model: a_n - a_{n-i}."""
     top = seq.top
     return StartSequence(tuple(top - seq.values[seq.n - i] for i in range(seq.n + 1)))
 
@@ -156,13 +156,19 @@ def _dual_partition(seq: StartSequence, z: QPolynomial) -> QPolynomial:
     return QPolynomial(z.coeffs[_lowest_degree(seq) :]).shift(_lowest_degree(dual_sequence(seq)))
 
 
+def _duality_exponent(seq: StartSequence) -> int:
+    """e = n(n + 1)(3 a_n + n + 2)/6 of the duality Z_a(q) = q**e Z_dual(1/q):
+    the area of a configuration plus that of its reflection onto the dual."""
+    return seq.n * (seq.n + 1) * (3 * seq.top + seq.n + 2) // 6
+
+
 def _reversal_check(seq: StartSequence, z: QPolynomial, z_dual: QPolynomial) -> tuple[bool, int]:
     """Partition-function duality Z_a(q) = q**e Z_dual(1/q), on coefficients.
 
     Holds when Z_a[k] = Z_dual[e - k] for every k; exact for any q. Returns
     whether it holds and the number of degrees where the two sides differ.
     """
-    e = seq.n * (seq.n + 1) * (3 * seq.top + seq.n + 2) // 6
+    e = _duality_exponent(seq)
     lhs = {k: c for k, c in enumerate(z.coeffs) if c}
     rhs = {e - k: c for k, c in enumerate(z_dual.coeffs) if c}
     mismatched = sum(lhs.get(k) != rhs.get(k) for k in lhs.keys() | rhs.keys())

@@ -159,6 +159,18 @@ class StartDensity:
         return el.a_lo + el.p * (u - el.u_lo)
 
 
+def _check_base(qq: float) -> float:
+    """The base qq of the scaled model as a float: finite, positive and not 1."""
+    qq = float(qq)
+    if not math.isfinite(qq) or qq <= 0.0:
+        raise InvalidArgument(f"base must be a finite positive number, got {qq!r}")
+    if qq == 1.0:
+        raise InvalidArgument(
+            "base 1 is the unweighted point; the scaled model needs base != 1"
+        )
+    return qq
+
+
 def limit_curve(
     d: StartDensity, which: Literal["q_to_0", "q_to_inf"]
 ) -> list[list[tuple[float, float]]]:

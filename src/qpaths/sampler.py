@@ -307,7 +307,7 @@ def run_chain(
     config_counts = None
     if configs is not None:
         config_counts = {paths_from_abscissas(seq, key): c for key, c in configs.items()}
-    final = PathConfig(seq, paths_from_abscissas(seq, v[:sites]), "first")
+    final = PathConfig(seq, paths_from_abscissas(seq, v[:sites]))
     return ChainResult(
         final, density, areas, acceptance, proposals, sweeps, burn_in, seed, config_counts
     )

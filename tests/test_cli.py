@@ -247,13 +247,33 @@ def test_arctic_branches_and_svg(tmp_path):
 
 
 def test_failing_arctic_writes_nothing(tmp_path, capsys):
-    # t = 3 lies in the density support; its tangent line fails only after
-    # every branch has been computed.
-    doc = dict(SCALED_UNIFORM, task={"t_values": [3.0]})
+    # t = 0 lies on the left branch, but its tangent line degenerates (x = 1);
+    # that fails only after every branch has been computed.
+    doc = dict(SCALED_UNIFORM, task={"t_values": [0.0]})
     rc, out = run_cli(tmp_path, doc, "arctic", "--svg")
-    assert rc == 1
-    assert "no branch" in capsys.readouterr().err
+    assert rc == 2
+    assert "tangent line undefined at t=0.0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_arctic_t_on_no_branch_drops_only_its_overlays(tmp_path, capsys):
+    # 9 = 3**alpha(1) is the right branch's end, so t = 9 lies on no branch:
+    # the command notes it and draws every other overlay.
+    doc = dict(SCALED_UNIFORM, task={"samples": 40, "t_values": [18.0, 9.0]})
+    rc, out = run_cli(tmp_path, doc, "arctic", "--svg")
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "note: t=9.0 lies on no branch of the arctic curve" in err
+    assert "t=18.0" not in err
+    svg = (out / "arctic.svg").read_text()
+    csv = (out / "arctic.csv").read_text()
+
+    only = dict(SCALED_UNIFORM, task={"samples": 40, "t_values": [18.0]})
+    (tmp_path / "only").mkdir()
+    rc, out = run_cli(tmp_path / "only", only, "arctic", "--svg")
+    assert rc == 0
+    assert (out / "arctic.svg").read_text() == svg
+    assert (out / "arctic.csv").read_text() == csv
 
 
 @pytest.mark.parametrize("base", [1e-9, 1e12])
@@ -470,6 +490,7 @@ def test_verify_reports_all_pass(tmp_path):
     assert "partition_det_vs_product" in names
     assert "partition_poly_vs_det" in names
     assert "envelope_residual" in names
+    assert "dual_config_area" in names and "second_family_area" not in names
     for check in report["checks"]:
         assert check["residual"] <= check["tolerance"]
 

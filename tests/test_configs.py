@@ -1,20 +1,22 @@
-"""Configuration enumeration, the second path family, and extremal states."""
+"""Configuration enumeration, the reflection onto the dual sequence, and extremal states."""
+
+import itertools
 
 import pytest
 
 from qpaths.configs import (
+    ENUM_MAX_N,
+    ENUM_MAX_TOP,
     PathConfig,
     abscissas,
+    dual_config,
     enumerate_configs,
-    from_second_family,
     max_area_config,
     min_area_config,
     paths_from_abscissas,
-    reflect_second_family,
-    to_second_family,
 )
 from qpaths.errors import InvalidArgument, SizeLimitExceeded
-from qpaths.exact import StartSequence, dual_sequence
+from qpaths.exact import StartSequence, _duality_exponent, dual_sequence
 
 
 def test_enumeration_hand_counts():
@@ -66,31 +68,33 @@ def test_enumeration_guard_rails():
         enumerate_configs(StartSequence((0, 9)))
 
 
-def test_second_family_preserves_area():
-    for values in ((0, 1), (0, 2, 3), (0, 1, 4)):
-        for c in enumerate_configs(StartSequence(values)):
-            image = to_second_family(c)
-            assert image.family == "second"
-            assert image.total_area() == c.total_area()
-
-
-def test_second_family_round_trip():
-    for c in enumerate_configs(StartSequence((0, 2, 3))):
-        assert from_second_family(to_second_family(c)) == c
-
-
-def test_reflection_lands_on_dual_sequence():
-    seq = StartSequence((0, 1, 4))
-    dual = dual_sequence(seq)
-    originals = enumerate_configs(seq)
-    reflected = [reflect_second_family(to_second_family(c)) for c in originals]
-    for image in reflected:
-        assert image.family == "first"
-        assert image.starts == dual
-    # The reflection is an area-preserving bijection onto the dual ensemble.
-    assert sorted(c.total_area() for c in reflected) == sorted(
-        c.total_area() for c in enumerate_configs(dual)
-    )
+def test_dual_config_is_an_area_complementing_bijection_onto_the_dual_ensemble():
+    # Every start sequence within the enumeration limits: the map is an
+    # involution, it sends the ensemble one-to-one onto the dual's, and a
+    # configuration and its image have areas summing to the exponent e of
+    # Z_a(q) = q**e Z_dual(1/q).
+    sequences = [
+        StartSequence((0, *mid, top))
+        for n in range(1, ENUM_MAX_N + 1)
+        for top in range(n, ENUM_MAX_TOP + 1)
+        for mid in itertools.combinations(range(1, top), n - 1)
+    ]
+    assert len(sequences) == 8 + 28 + 56
+    total = 0
+    for seq in [StartSequence((0,)), *sequences]:
+        dual = dual_sequence(seq)
+        e = seq.n * (seq.n + 1) * (3 * seq.top + seq.n + 2) // 6
+        assert _duality_exponent(seq) == e
+        originals = enumerate_configs(seq)
+        images = [dual_config(c) for c in originals]
+        assert all(image.starts == dual for image in images)
+        assert [dual_config(image) for image in images] == originals
+        assert sorted(images, key=lambda c: c.paths) == sorted(
+            enumerate_configs(dual), key=lambda c: c.paths
+        )
+        assert {c.total_area() + image.total_area() for c, image in zip(originals, images)} == {e}
+        total += len(originals)
+    assert total == 7483
 
 
 def test_extremal_configs():
@@ -113,27 +117,12 @@ def test_extremal_configs_are_valid_and_extreme_for_larger_sizes():
         for s in range(len(b)):
             moved = b[:s] + [b[s] + step] + b[s + 1:]
             with pytest.raises(InvalidArgument):
-                PathConfig(seq, paths_from_abscissas(seq, moved), "first")
+                PathConfig(seq, paths_from_abscissas(seq, moved))
 
 
 def test_path_config_validation():
     seq = StartSequence((0, 1))
     with pytest.raises(InvalidArgument):
-        PathConfig(seq, (((0, 0),),), "first")
+        PathConfig(seq, (((0, 0),),))
     with pytest.raises(InvalidArgument):
-        PathConfig(seq, (((0, 0),), ((1, 0), (0, 0))), "first")
-    with pytest.raises(InvalidArgument):
-        PathConfig(seq, (((0, 0),), ((1, 0), (1, 1), (0, 1))), "third")
-    # Each family-specific operation refuses the other family.
-    first = min_area_config(StartSequence((0, 1, 3)))
-    second = to_second_family(first)
-    for call, message in (
-        (lambda: list(second.north_steps()), "north_steps applies to first-family"),
-        (lambda: list(first.crossings()), "crossings applies to second-family"),
-        (lambda: to_second_family(second), "to_second_family requires a first-family"),
-        (lambda: from_second_family(first), "from_second_family requires a second-family"),
-        (lambda: reflect_second_family(first), "reflect_second_family requires a second-family"),
-        (lambda: abscissas(second), "abscissas requires a first-family"),
-    ):
-        with pytest.raises(InvalidArgument, match=message):
-            call()
+        PathConfig(seq, (((0, 0),), ((1, 0), (0, 0))))

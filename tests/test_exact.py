@@ -225,8 +225,8 @@ def test_one_point_dual_range():
 
 
 def test_dual_residue_is_the_direct_one_on_the_reflected_model():
-    # Reflecting the second path family maps the dual exit at ell to the
-    # direct exit at a_n + n - ell on the dual sequence, at weight 1/q.
+    # The reflection onto the dual sequence (configs.dual_config) maps the
+    # dual exit at ell to the direct exit at a_n + n - ell there, at weight 1/q.
     rng = random.Random(29)
     for _ in range(30):
         n = rng.randint(1, 5)

@@ -85,7 +85,7 @@ def test_closed_form_extremal_arrays(seq):
     plan, consts = _neighbours(seq)
     bottom, top = min_area_abscissas(seq), max_area_abscissas(seq)
     for b in (bottom, top):
-        assert abscissas(PathConfig(seq, paths_from_abscissas(seq, b), "first")) == b
+        assert abscissas(PathConfig(seq, paths_from_abscissas(seq, b))) == b
     lo_state, hi_state = bottom + consts, top + consts
     for site in plan:
         assert lo_state[site[0]] == interval(lo_state, site)[0]
@@ -112,7 +112,7 @@ def test_site_interval_is_the_admissible_range():
                 for x in range(seq.top + 2):
                     moved = b[:s] + [x] + b[s + 1:]
                     try:
-                        config = PathConfig(seq, paths_from_abscissas(seq, moved), "first")
+                        config = PathConfig(seq, paths_from_abscissas(seq, moved))
                     except InvalidArgument:
                         assert not lo <= x <= hi
                     else:
