@@ -142,18 +142,6 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
     d, qq, n_samples = cfg.density, cfg.base, cfg.samples
     ladder = curves.t_domains(d, qq)
     domains = _select_domains(cfg, ladder)
-    # Each overlay's branch, found before any sweep: a t on no branch drops
-    # only its own overlays.
-    overlay_ts = []
-    if args.svg:
-        for t in cfg.t_values:
-            branch = next((dom.branch for dom in ladder if t in dom), None)
-            if branch is None:
-                print(f"note: t={t!r} lies on no branch of the arctic curve;"
-                      " its overlays are left out", file=sys.stderr)
-            else:
-                overlay_ts.append((t, branch))
-
     top = d.alpha_top
     slack = _BOX_SLACK * max(top, 1.0)
     blocks = []
@@ -178,20 +166,23 @@ def cmd_arctic(cfg: ModelConfig, args) -> int:
     if args.svg:
         z_max = 0.0
         overlays = []
-        for t, branch in overlay_ts:
-            tangent = curves.tangent_curve(d, qq, t, n_samples=max(2, n_samples // 4))
-            overlays.append({"points": tangent.txy[:, 1:], "stroke": "#999999", "width": 0.8})
-            # Only the outer branches have exits.
-            if branch not in ("right", "left"):
-                continue
-            exit_params = curves.exit_params_right if branch == "right" else curves.exit_params_left
+        exit_params = {"right": curves.exit_params_right, "left": curves.exit_params_left}
+        for t in cfg.t_values:
+            # A refusal, such as a t on no branch or the degenerate t = 0,
+            # leaves out only this t's remaining overlays.
             try:
-                v = exit_params(d, qq, t)
-            except QpathsError:
-                continue
-            z_max = max(z_max, v.z)
-            geo = curves.geodesic(qq, v.xi, v.z, n_samples=max(2, n_samples // 4))
-            overlays.append({"points": geo.txy[:, 1:], "stroke": "#b8860b", "width": 0.8})
+                tangent = curves.tangent_curve(d, qq, t, n_samples=max(2, n_samples // 4))
+                overlays.append({"points": tangent.txy[:, 1:], "stroke": "#999999", "width": 0.8})
+                # tangent_curve found t's branch; only the outer branches have exits.
+                branch = next(dom.branch for dom in ladder if t in dom)
+                if branch in exit_params:
+                    v = exit_params[branch](d, qq, t)
+                    geo = curves.geodesic(qq, v.xi, v.z, n_samples=max(2, n_samples // 4))
+                    overlays.append({"points": geo.txy[:, 1:], "stroke": "#b8860b", "width": 0.8})
+                    z_max = max(z_max, v.z)
+            except QpathsError as exc:
+                print(f"note: {exc}; the remaining overlays of t={t!r} are left out",
+                      file=sys.stderr)
         box = [(0, 0), (top, 0), (top, 1), (0, 1), (0, 0)]
         items = [{"points": box, "stroke": "#000000", "width": 0.6, "dash": "4 3"}]
         for which in ("q_to_0", "q_to_inf"):
@@ -321,30 +312,6 @@ def _closed_vs_quadrature(cfg):
     return worst
 
 
-def _log_abs(value: float) -> float:
-    return math.log(abs(value)) if value else -math.inf
-
-
-def _envelope_residual(x: float, qq: float, t: float, bx: float, by: float) -> float:
-    """|x qq**Y + (1 - x) qq**X / t - 1| relative to the larger of 1 and the two terms.
-
-    In doubles where qq**X and qq**Y are normal and both terms finite, where
-    a residual with terms of size at most 1 is the plain one; else from
-    the logs of the terms' factors, so that terms beyond the doubles next
-    to t = 0 at extreme bases keep their digits.
-    """
-    log_q = math.log(qq)
-    if max(abs(bx), abs(by)) * abs(log_q) <= curves._LOG_RANGE:
-        term_y, term_x = x * qq**by, (1.0 - x) / t * qq**bx
-        if math.isfinite(term_y) and math.isfinite(term_x):
-            return abs(term_y + term_x - 1.0) / max(abs(term_y), abs(term_x), 1.0)
-    log_y = _log_abs(x) + by * log_q
-    log_x = _log_abs(1.0 - x) - math.log(abs(t)) + bx * log_q
-    scale = max(log_y, log_x, 0.0)
-    return abs(math.copysign(math.exp(log_y - scale), x)
-               + math.copysign(math.exp(log_x - scale), (1.0 - x) * t) - math.exp(-scale))
-
-
 def _envelope(cfg):
     density = cfg.density if cfg.kind == "scaled" else _TWO
     qq = cfg.base if cfg.kind == "scaled" else 3.0
@@ -353,7 +320,7 @@ def _envelope(cfg):
         txy = curves.arctic_curve(density, qq, dom, n_samples=24).txy
         for t, bx, by in txy.tolist():
             x = curves.x_of_t(density, qq, t)
-            worst = max(worst, _envelope_residual(x, qq, t, bx, by))
+            worst = max(worst, curves._envelope_residual(x, qq, t, bx, by))
     return worst
 
 

@@ -118,9 +118,7 @@ def _parse_finite(node: Any, problems: list[str]):
     _unknown_keys(node, {"sequence", "q"}, "model.finite", problems)
     seq = None
     raw = node.get("sequence")
-    if not isinstance(raw, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in raw
-    ):
+    if not isinstance(raw, list):
         problems.append("model.finite.sequence: expected a list of integers")
     else:
         seq = _checked(StartSequence, raw, "model.finite.sequence", problems)

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, NumericalFailure, SingularPoint, float_range
+from .errors import InvalidArgument, NumericalFailure, SingularPoint, float_range, integer_value
 from .profile import StartDensity, WindowSpec, _check_base
 from .quadrature import integrate
 
@@ -74,11 +74,6 @@ _LN2 = math.log(2.0)
 # it the envelope denominator behaves like t**2 and cancellation destroys
 # the point map.
 _ZERO_RHO = 1e-2
-
-
-def _check_samples(n_samples: int) -> None:
-    if n_samples < 2:
-        raise InvalidArgument(f"n_samples must be at least 2, got {n_samples}")
 
 
 @dataclass(frozen=True)
@@ -189,6 +184,10 @@ def _log_shift_array(y, positive):
     return np.maximum(y, 0.0) + tail
 
 
+def _log_abs(value: float) -> float:
+    return math.log(abs(value)) if value else -math.inf
+
+
 def _log_pole(t: float, a: float, qq: float, log_q: float) -> tuple[float, bool]:
     """(ln|t - qq**a|, t > qq**a) for a float t.
 
@@ -200,7 +199,7 @@ def _log_pole(t: float, a: float, qq: float, log_q: float) -> tuple[float, bool]
     e = a * log_q
     if abs(e) <= _LOG_RANGE:
         gap = t - qq**a
-        return (math.log(abs(gap)) if gap else -math.inf), gap > 0.0
+        return _log_abs(gap), gap > 0.0
     if t == 0.0:
         return e, False
     y = math.log(abs(t)) - e
@@ -438,6 +437,26 @@ def _log_positive(q, log_abs):
     return np.where(normal, np.log(q), np.where(np.copysign(1.0, q) > 0.0, log_abs, np.nan))
 
 
+def _envelope_residual(x: float, qq: float, t: float, bx: float, by: float) -> float:
+    """|x qq**Y + (1 - x) qq**X / t - 1| relative to the larger of 1 and the two terms.
+
+    In doubles where qq**X and qq**Y are normal and both terms finite, where
+    a residual with terms of size at most 1 is the plain one; else from
+    the logs of the terms' factors, so that terms beyond the doubles next
+    to t = 0 at extreme bases keep their digits.
+    """
+    log_q = math.log(qq)
+    if max(abs(bx), abs(by)) * abs(log_q) <= _LOG_RANGE:
+        term_y, term_x = x * qq**by, (1.0 - x) / t * qq**bx
+        if math.isfinite(term_y) and math.isfinite(term_x):
+            return abs(term_y + term_x - 1.0) / max(abs(term_y), abs(term_x), 1.0)
+    log_y = _log_abs(x) + by * log_q
+    log_x = _log_abs(1.0 - x) - math.log(abs(t)) + bx * log_q
+    scale = max(log_y, log_x, 0.0)
+    return abs(math.copysign(math.exp(log_y - scale), x)
+               + math.copysign(math.exp(log_x - scale), (1.0 - x) * t) - math.exp(-scale))
+
+
 def _txy(t, bx, by) -> np.ndarray:
     return np.column_stack([np.broadcast_to(t, np.shape(bx)), bx, by])
 
@@ -548,7 +567,7 @@ def arctic_curve(d: StartDensity, qq: float, dom: TDomain, *, n_samples: int = 4
     sc = _Scaled(d, qq)
     if dom not in sc.domains:
         raise InvalidArgument(f"{dom!r} is no branch of this density at base {sc.qq!r}")
-    _check_samples(n_samples)
+    n_samples = integer_value(n_samples, "n_samples", 2)
     legs = _branch_legs(sc, dom)
     total_span = sum(abs(hi - lo) for _, lo, hi, _, _ in legs)
     # Every leg gets a fair floor: tau spans are a poor proxy for arc
@@ -586,7 +605,7 @@ def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100)
     _, x, one_minus_x, _ = sc.terms(t, sc.domain(t).sign_of_x)
     if x == 0.0:
         raise SingularPoint(f"tangent line undefined at t={t!r}: x = 0")
-    _check_samples(n_samples)
+    n_samples = integer_value(n_samples, "n_samples", 2)
     bx = (sc.top + 1.0) * np.arange(n_samples) / (n_samples - 1)
     coeff = one_minus_x / t
     with np.errstate(all="ignore"):
@@ -605,7 +624,7 @@ def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
     qq = _check_base(qq)
     if not (0.0 < xi < math.inf and 0.0 < z < math.inf):
         raise InvalidArgument(f"geodesic needs finite xi > 0 and z > 0, got xi={xi}, z={z}")
-    _check_samples(n_samples)
+    n_samples = integer_value(n_samples, "n_samples", 2)
     log_q = math.log(qq)
     bx = xi * np.arange(n_samples) / (n_samples - 1)
     with np.errstate(all="ignore"):

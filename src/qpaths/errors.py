@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the float-range guard."""
+"""Exception types shared across the package, the float-range guard, and
+the one rule on integer arguments."""
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -69,3 +71,22 @@ def float_value(value, what: str, positive: bool = False):
     if isinstance(value, float) and not lo < value < math.inf:
         raise NumericalFailure(f"{what} is outside the float range")
     return value
+
+
+def integer_value(value, what: str, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """value as an int in [lo, hi]: the one rule on integer arguments.
+
+    A Python or numpy integer passes; a bool, a float (1.0 too) or any other
+    number raises InvalidArgument, as does an integer outside [lo, hi].
+    Constant time.
+    """
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None:
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+    if not lo <= index <= hi:
+        bounds = f"lie in [{lo}, {hi}]" if hi < math.inf else f"be at least {lo}"
+        raise InvalidArgument(f"{what} must {bounds}, got {index}")
+    return index

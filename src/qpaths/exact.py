@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import InvalidArgument, NumericalFailure, float_range, float_value
+from .errors import InvalidArgument, NumericalFailure, float_range, float_value, integer_value
 from .qpoly import QPolynomial, cyclotomic, poly_det, power_product, q_binomial, q_binomial_at
 
 Rational = Union[int, Fraction]
@@ -25,7 +25,8 @@ Weight = Union[int, Fraction, float]
 
 @dataclass(frozen=True)
 class StartSequence:
-    """Strictly increasing integer starting abscissas with a_0 = 0.
+    """Strictly increasing integer starting abscissas with a_0 = 0, held as
+    ints: a Python or numpy integer passes, a bool or a float (1.0 too) not.
 
     :func:`_residue_sum` keeps its pole factors on the instance, outside
     the dataclass fields, so they leave ==, hash and repr alone.
@@ -36,11 +37,9 @@ class StartSequence:
     def __init__(self, values: Sequence[int]):
         given = tuple(values)
         try:
-            vals = tuple(map(int, given))
-        except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
-            vals = None
-        if vals != given:
-            raise InvalidArgument(f"start sequence must hold integers, got {list(given)}")
+            vals = tuple(integer_value(v, "start") for v in given)
+        except InvalidArgument:
+            raise InvalidArgument(f"start sequence must hold integers, got {list(given)}") from None
         if len(vals) == 0:
             raise InvalidArgument("start sequence must be nonempty")
         if vals[0] != 0:
@@ -91,14 +90,6 @@ def _weight(q: Weight) -> Union[Fraction, float]:
     if q < 0:
         raise InvalidArgument("q must be positive")
     return float(q) if isinstance(q, float) else Fraction(q)
-
-
-def _check_exit(seq: StartSequence, ell: int, dual: bool) -> None:
-    """The exit abscissa range: [0, a_n], or [n, a_n + n] for the dual family."""
-    lo = seq.n if dual else 0
-    if not lo <= ell <= seq.top + lo:
-        name = "dual exit" if dual else "exit"
-        raise InvalidArgument(f"{name} abscissa must lie in [{lo}, {seq.top + lo}], got {ell}")
 
 
 def lgv_matrix(seq: StartSequence) -> list[list[QPolynomial]]:
@@ -208,7 +199,7 @@ def one_point_exit_det(seq: StartSequence, ell: int, q: Rational) -> Fraction:
     if isinstance(q, float):
         raise InvalidArgument("one_point_exit_det requires exact rational q")
     q = _weight(q)
-    _check_exit(seq, ell, False)
+    ell = integer_value(ell, "exit abscissa", 0, seq.top)
     n = seq.n
     matrix = lgv_matrix(seq)
     for row, a in zip(matrix, seq.values):
@@ -283,7 +274,7 @@ def one_point_exit(seq: StartSequence, ell: int, q: Weight) -> Weight:
     rational q; a float q sums the residues with fsum.
     """
     q = _weight(q)
-    _check_exit(seq, ell, False)
+    ell = integer_value(ell, "exit abscissa", 0, seq.top)
     return _residue_sum(seq, range(ell, ell + 1), q, False)[0]
 
 
@@ -295,7 +286,7 @@ def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
     ell, q) plus one_point_exit_dual(seq, ell - 1, q) equals 1.
     """
     q = _weight(q)
-    _check_exit(seq, ell, True)
+    ell = integer_value(ell, "dual exit abscissa", seq.n, seq.top + seq.n)
     return _residue_sum(seq, range(ell, ell + 1), q, True)[0]
 
 
@@ -309,6 +300,8 @@ def one_point_table(seq: StartSequence, q: Weight, dual: bool = False) -> list[W
     the lowest failing ell.
     """
     q = _weight(q)
+    # A bool is the flag's own type; the residue sums read it as 0 or 1.
+    dual = integer_value(int(dual) if isinstance(dual, bool) else dual, "side flag dual", 0, 1)
     lo = seq.n if dual else 0
     return _residue_sum(seq, range(lo, seq.top + lo + 1), q, dual)
 
@@ -321,10 +314,8 @@ def free_path_weight(ell: int, r: int, q: Weight) -> Weight:
     rows higher on the axis: one forced north step (weight q**ell) times the
     generating polynomial of the remaining staircase.
     """
-    if ell < 0:
-        raise InvalidArgument("exit abscissa must be >= 0")
-    if r < 1:
-        raise InvalidArgument("endpoint shift r must be >= 1")
+    ell = integer_value(ell, "exit abscissa", 0)
+    r = integer_value(r, "endpoint shift r", 1)
     q = _weight(q)
     value = q**ell * q_binomial_at(ell + r - 1, ell, q)
     return float_value(value, f"free path weight at q = {q!r}", positive=True)

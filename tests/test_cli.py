@@ -247,23 +247,25 @@ def test_arctic_branches_and_svg(tmp_path):
 
 
 def test_failing_arctic_writes_nothing(tmp_path, capsys):
-    # t = 0 lies on the left branch, but its tangent line degenerates (x = 1);
-    # that fails only after every branch has been computed.
-    doc = dict(SCALED_UNIFORM, task={"t_values": [0.0]})
+    # At 1e300 the right branch lies beyond the doubles (2 ln qq > 700): the
+    # sweep fails before any file is written.
+    doc = dict(SCALED_UNIFORM, model={"scaled": {"segments": [[1.0, 2.0]], "base": 1e300}})
     rc, out = run_cli(tmp_path, doc, "arctic", "--svg")
     assert rc == 2
-    assert "tangent line undefined at t=0.0" in capsys.readouterr().err
+    assert "right branch lies beyond the float range" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_arctic_t_on_no_branch_drops_only_its_overlays(tmp_path, capsys):
-    # 9 = 3**alpha(1) is the right branch's end, so t = 9 lies on no branch:
-    # the command notes it and draws every other overlay.
-    doc = dict(SCALED_UNIFORM, task={"samples": 40, "t_values": [18.0, 9.0]})
+    # 9 = 3**alpha(1) is the right branch's end, so t = 9 lies on no branch,
+    # and at t = 0 the tangent line degenerates (x = 1): the command notes
+    # both and draws every other overlay.
+    doc = dict(SCALED_UNIFORM, task={"samples": 40, "t_values": [0.0, 18.0, 9.0]})
     rc, out = run_cli(tmp_path, doc, "arctic", "--svg")
     assert rc == 0
     err = capsys.readouterr().err
     assert "note: t=9.0 lies on no branch of the arctic curve" in err
+    assert "note: tangent line undefined at t=0.0" in err
     assert "t=18.0" not in err
     svg = (out / "arctic.svg").read_text()
     csv = (out / "arctic.csv").read_text()
@@ -551,8 +553,8 @@ def test_envelope_residual_flags_a_moved_point(base, branch):
     txy = curves.arctic_curve(d, base, dom, n_samples=24).txy
     t, bx, by = txy[len(txy) // 2].tolist()
     x = curves.x_of_t(d, base, t)
-    assert cli._envelope_residual(x, base, t, bx, by) <= 1e-12
-    assert cli._envelope_residual(x, base, t, bx, by + 1e-8) > 1e-10
+    assert curves._envelope_residual(x, base, t, bx, by) <= 1e-12
+    assert curves._envelope_residual(x, base, t, bx, by + 1e-8) > 1e-10
 
 
 def test_envelope_residual_with_terms_within_one_is_the_plain_residual():
@@ -563,7 +565,7 @@ def test_envelope_residual_with_terms_within_one_is_the_plain_residual():
     by += 1e-6
     terms = (x * 3.0**by, (1.0 - x) / t * 3.0**bx)
     assert max(map(abs, terms)) <= 1.0
-    assert cli._envelope_residual(x, 3.0, t, bx, by) == abs(terms[0] + terms[1] - 1.0)
+    assert curves._envelope_residual(x, 3.0, t, bx, by) == abs(terms[0] + terms[1] - 1.0)
 
 
 def test_config_errors_reported_together(tmp_path, capsys):

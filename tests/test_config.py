@@ -153,6 +153,17 @@ def test_sequence_violations():
         with pytest.raises(ConfigError) as info:
             parse_config(json.dumps(doc))
         assert any("sequence" in p for p in info.value.problems)
+    # Elements are refused in StartSequence's words, one problem each.
+    for bad, shown in (([0, True, 3], "[0, True, 3]"), ([0, 1.5], "[0, 1.5]"), ([0, 1.0], "[0, 1.0]")):
+        doc = {"model": {"finite": {"sequence": bad, "q": 2}}}
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert info.value.problems == [
+            f"model.finite.sequence: start sequence must hold integers, got {shown}"]
+    doc = {"model": {"finite": {"sequence": {"a": 0}, "q": 2}}}
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert info.value.problems == ["model.finite.sequence: expected a list of integers"]
 
 
 def test_branch_selector_forms():

@@ -462,6 +462,15 @@ def test_arctic_curve_sample_count_contract():
                       lambda: geodesic(3.0, 1.5, 0.5, n_samples=1)):
         with pytest.raises(InvalidArgument, match="n_samples must be at least 2, got 1"):
             tiny_line()
+    # A count is an integer, as task.samples is: no bool, no 2.5, no 7.0.
+    for bad in (True, 2.5, 7.0, np.bool_(True)):
+        for call in (lambda: arctic_curve(UNIFORM, 3.0, right, n_samples=bad),
+                     lambda: tangent_curve(UNIFORM, 3.0, 18.0, n_samples=bad),
+                     lambda: geodesic(3.0, 1.5, 0.5, n_samples=bad)):
+            with pytest.raises(InvalidArgument, match="n_samples must be an integer"):
+                call()
+    line = tangent_curve(UNIFORM, 3.0, 18.0, n_samples=np.int64(7))
+    assert np.array_equal(line.txy, tangent_curve(UNIFORM, 3.0, 18.0, n_samples=7).txy)
 
 
 def test_arctic_curve_is_simple_for_uniform_density():

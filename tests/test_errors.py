@@ -104,6 +104,22 @@ def test_guard_names_the_quantity_and_keeps_the_cause(base):
     assert isinstance(info.value.__cause__, ArithmeticError)
 
 
+# Just past the left branch's end t = 1, ln x(t) is about 714: numpy's
+# exp overflows in the terms kernel, and without the guard's numpy mode
+# x_of_t would return inf and tangent_curve an empty Curve.
+STEEP = StartDensity([(0.5, 1.0), (0.5, 3.0)])
+NUMPY_OVERFLOW = {
+    "x_of_t": lambda: curves.x_of_t(STEEP, 1e-300, 1.0 + 1e-10),
+    "tangent_curve": lambda: curves.tangent_curve(STEEP, 1e-300, 1.0 + 1e-10),
+}
+
+
+@pytest.mark.parametrize("call", NUMPY_OVERFLOW.values(), ids=NUMPY_OVERFLOW.keys())
+def test_guard_refuses_numpy_overflow_in_entry_points(call):
+    with pytest.raises(NumericalFailure, match=r"outside the float range \(overflow"):
+        call()
+
+
 def test_value_check_refuses_floats_outside_the_doubles():
     for value in (math.nan, math.inf, -math.inf):
         for positive in (False, True):

@@ -102,10 +102,13 @@ def test_sequence_validation():
         StartSequence([0, 4, 2])
     with pytest.raises(InvalidArgument):
         StartSequence([])
-    for values in ((0, 1.5, 3), (0, math.nan, 3), (0, math.inf), (0, None)):
+    for values in ((0, 1.5, 3), (0, math.nan, 3), (0, math.inf), (0, None), (0, 1.0, 3),
+                   (0, np.bool_(True), 3), (0, Fraction(1), 3)):
         with pytest.raises(InvalidArgument, match="must hold integers"):
             StartSequence(values)
-    assert StartSequence((0, 1.0, 3)) == StartSequence((0, 1, 3))
+    given = StartSequence((0, np.int64(1), np.int32(3)))
+    assert given == StartSequence((0, 1, 3))
+    assert all(type(a) is int for a in given)
 
 
 def test_dual_sequence_involution():
@@ -201,6 +204,40 @@ def test_one_point_boundary_values():
         for ell in (seq.top + 1, -1):
             with pytest.raises(InvalidArgument, match=r"^exit abscissa must lie in \[0, 5\]"):
                 route(seq, ell, q)
+
+
+SEQ = StartSequence((0, 2, 5))
+HALF = Fraction(1, 2)
+REFUSED_INTEGERS = {
+    "sequence_bool": lambda: StartSequence((0, True, 3)),
+    "sequence_float": lambda: StartSequence((0, 1.0, 3)),
+    **{f"{route.__name__}_{ell}": lambda route=route, ell=ell: route(SEQ, ell, HALF)
+       for route in (one_point_exit, one_point_exit_dual, one_point_exit_det) for ell in (2.5, True)},
+    "free_path_weight_ell": lambda: free_path_weight(2.5, 2, HALF),
+    "free_path_weight_r": lambda: free_path_weight(2, 2.5, HALF),
+    "most_likely_exit_r": lambda: most_likely_exit(SEQ, 1.5, HALF),
+    "one_point_table_dual_2": lambda: one_point_table(SEQ, HALF, dual=2),
+    "one_point_table_dual_float": lambda: one_point_table(SEQ, HALF, dual=1.0),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED_INTEGERS.values(), ids=REFUSED_INTEGERS.keys())
+def test_finite_n_integer_arguments_are_refused(call):
+    # One rule for every integer argument: a bool, a float (1.0 too) or an
+    # integer out of range raises InvalidArgument, never a wrong value.
+    with pytest.raises(InvalidArgument):
+        call()
+
+
+def test_finite_n_integer_arguments_accept_numpy_integers():
+    three = np.int64(3)
+    assert one_point_exit(SEQ, three, HALF) == one_point_exit(SEQ, 3, HALF)
+    assert one_point_exit_dual(SEQ, three, HALF) == one_point_exit_dual(SEQ, 3, HALF)
+    assert one_point_exit_det(SEQ, three, HALF) == one_point_exit_det(SEQ, 3, HALF)
+    assert free_path_weight(three, np.int32(2), HALF) == free_path_weight(3, 2, HALF)
+    assert most_likely_exit(SEQ, three, HALF) == most_likely_exit(SEQ, 3, HALF)
+    assert one_point_table(SEQ, HALF, dual=1) == one_point_table(SEQ, HALF, dual=True)
+    assert one_point_table(SEQ, HALF, dual=np.int64(0)) == one_point_table(SEQ, HALF)
 
 
 def test_one_point_complementarity():
