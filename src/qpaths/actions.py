@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 from .curves import _log_pole, _log_shift, _Scaled
-from .errors import InvalidArgument, float_range
+from .errors import InvalidArgument, float_range, float_value, real_value
 from .profile import StartDensity, _check_base
 from .quadrature import integrate
 
@@ -62,6 +62,7 @@ def action_bulk(d: StartDensity, qq: float, t: float, xi: float) -> float:
     folded in.
     """
     qq = _check_base(qq)
+    t, xi = real_value(t, "t"), real_value(xi, "xi")
     log_q = math.log(qq)
     if t == 0.0:
         raise InvalidArgument("bulk action undefined at t = 0")
@@ -72,7 +73,7 @@ def action_bulk(d: StartDensity, qq: float, t: float, xi: float) -> float:
             return _log_ratio(t, xi - u, a_lo + p * (u - u_lo), qq, log_q, "bulk action")
 
         val += integrate(integrand, el.u_lo, el.u_hi, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
-    return val
+    return float_value(val, "bulk action")
 
 
 def _log_ratio(t: float, b: float, c: float, qq: float, log_q: float, what: str) -> float:
@@ -89,13 +90,18 @@ def _log_ratio(t: float, b: float, c: float, qq: float, log_q: float, what: str)
     return value
 
 
-def _check_right(xi: float, z: float) -> None:
+def _check_right(xi, z) -> tuple[float, float]:
+    """(xi, z) of the right construction as floats, checked: both above 0."""
+    xi, z = real_value(xi, "xi"), real_value(z, "z")
     if xi <= 0.0 or z <= 0.0:
         raise InvalidArgument(f"need xi > 0 and z > 0, got xi={xi}, z={z}")
+    return xi, z
 
 
-def _dual_span(d: StartDensity, xi: float, z: float) -> float:
-    """Dual height span alpha(1) + 1 - xi of the left construction, checked."""
+def _dual_span(d: StartDensity, xi, z) -> tuple[float, float, float]:
+    """(xi, z, alpha(1) + 1 - xi) of the left construction as floats,
+    checked: z and the dual height span above 0."""
+    xi, z = real_value(xi, "xi"), real_value(z, "z")
     if z <= 0.0:
         raise InvalidArgument(f"need z > 0, got z={z}")
     span = d.alpha_top + 1.0 - xi
@@ -103,7 +109,7 @@ def _dual_span(d: StartDensity, xi: float, z: float) -> float:
         raise InvalidArgument(
             f"need xi < alpha(1) + 1 = {d.alpha_top + 1.0}, got xi={xi}"
         )
-    return span
+    return xi, z, span
 
 
 def _xlog1p(x: float, y: float) -> float:
@@ -158,8 +164,8 @@ def action_free(qq: float, xi: float, z: float) -> float:
     form; see _free_integral.
     """
     qq = _check_base(qq)
-    _check_right(xi, z)
-    return _free_integral(math.log(qq), z, xi)
+    xi, z = _check_right(xi, z)
+    return float_value(_free_integral(math.log(qq), z, xi), "free action")
 
 
 @float_range
@@ -170,9 +176,10 @@ def action_free_dual(d: StartDensity, qq: float, xi: float, z: float) -> float:
     explicit area exchange term z (xi + z/2) ln qq.
     """
     qq = _check_base(qq)
-    span = _dual_span(d, xi, z)
+    xi, z, span = _dual_span(d, xi, z)
     log_q = math.log(qq)
-    return z * (xi + z / 2.0) * log_q + _free_integral(log_q, z, span)
+    return float_value(z * (xi + z / 2.0) * log_q + _free_integral(log_q, z, span),
+                       "dual free action")
 
 
 @float_range
@@ -186,6 +193,7 @@ def saddle_residual_t(d: StartDensity, qq: float, t: float, xi: float) -> float:
     the boundary term is the xi residuals' integral term, and
     int_0^1 du / (t - qq**alpha(u)) = -ln x(t) / (t ln qq).
     """
+    t, xi = real_value(t, "t"), real_value(xi, "xi")
     sc = _Scaled(d, qq)
     if t == 0.0 or sc.domain(t).window is not None:
         raise InvalidArgument(f"t={t!r} lies on no outer branch")
@@ -199,7 +207,8 @@ def saddle_residual_xi_right(
 ) -> float:
     """Closed-form derivative in xi of bulk plus free action (right)."""
     qq = _check_base(qq)
-    _check_right(xi, z)
+    t = real_value(t, "t")
+    xi, z = _check_right(xi, z)
     log_q = math.log(qq)
     # ln(expm1((xi+z) ln qq) / expm1(xi ln qq)) - ln((t - qq**(xi-1)) / (t - qq**xi));
     # both expm1 share a sign, and ln qq cancels between the two terms.
@@ -213,7 +222,8 @@ def saddle_residual_xi_left(
 ) -> float:
     """Closed-form derivative in xi of bulk plus dual free action (left)."""
     qq = _check_base(qq)
-    span = _dual_span(d, xi, z)
+    t = real_value(t, "t")
+    xi, z, span = _dual_span(d, xi, z)
     log_q = math.log(qq)
     # ln(qq**z expm1(span ln qq) / expm1((span+z) ln qq)) - ln((t - qq**(xi-1)) / (t - qq**xi)).
     own = z * log_q + _log_shift(span * log_q, True) - _log_shift((span + z) * log_q, True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .errors import ConfigError, InvalidArgument
+from .errors import ConfigError, InvalidArgument, integer_value, real_value
 from .exact import StartSequence, _weight
 from .profile import StartDensity, _check_base
 
@@ -66,11 +66,6 @@ def _as_float(v: Any) -> Optional[float]:
         return math.inf if v > 0 else -math.inf
 
 
-def _finite_number(v: Any) -> bool:
-    """True for a number that fits a finite float."""
-    return (f := _as_float(v)) is not None and math.isfinite(f)
-
-
 def _checked(rule, value: Any, label: str, problems: list[str]):
     """rule(value), or None with the rule's refusal listed under label."""
     try:
@@ -84,12 +79,10 @@ def _parse_weight(value: Any, problems: list[str]) -> Optional[Weight]:
     """Accept an integer, decimal, "num/den" string, or {base, n} pair as q for exact._weight."""
     if isinstance(value, dict):
         _unknown_keys(value, {"base", "n"}, "model.finite.q", problems, " in the base/n form")
-        base, n = _as_float(value.get("base")), value.get("n")
+        base = _as_float(value.get("base"))
         if base is None:
             problems.append(f"model.finite.q.base: expected a number, got {value.get('base')!r}")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            problems.append(f"model.finite.q.n: must be a positive integer, got {n!r}")
-            n = None
+        n = _checked(lambda v: integer_value(v, "n", 1), value.get("n"), "model.finite.q.n", problems)
         if base is None or n is None:
             return None
         # A base <= 0 has no positive root: _weight refuses it as it stands.
@@ -130,21 +123,17 @@ def _parse_finite(node: Any, problems: list[str]):
     return seq, q
 
 
-def _pair_list(node: Any, label: str, problems: list[str]) -> Optional[list[tuple[float, float]]]:
+def _pair_list(node: Any, label: str, problems: list[str]) -> Optional[list[list[Any]]]:
+    """node if it is a list of two-item lists, else None with the problem
+    listed; the numbers in the pairs are StartDensity's to check."""
     if not isinstance(node, list):
         problems.append(f"{label}: expected a list of [number, number] pairs")
         return None
-    pairs = []
     for i, item in enumerate(node):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(_finite_number(v) for v in item)
-        ):
+        if not isinstance(item, list) or len(item) != 2:
             problems.append(f"{label}[{i}]: expected a [number, number] pair")
             return None
-        pairs.append((float(item[0]), float(item[1])))
-    return pairs
+    return node
 
 
 def _parse_scaled(node: Any, problems: list[str]):
@@ -153,7 +142,7 @@ def _parse_scaled(node: Any, problems: list[str]):
         return None, None
     _unknown_keys(node, {"segments", "jumps", "base"}, "model.scaled", problems)
     segments = _pair_list(node.get("segments"), "model.scaled.segments", problems)
-    jumps: Optional[list[tuple[float, float]]] = []
+    jumps: Optional[list[list[Any]]] = []
     if "jumps" in node:
         jumps = _pair_list(node["jumps"], "model.scaled.jumps", problems)
     density = None
@@ -163,13 +152,11 @@ def _parse_scaled(node: Any, problems: list[str]):
         except InvalidArgument as exc:
             # The density constructor reports every problem in one message.
             problems.extend(f"model.scaled: {part}" for part in str(exc).split("; "))
-    base = _as_float(node.get("base"))
+    base = None
     if "base" not in node:
         problems.append("model.scaled.base: missing")
-    elif base is None:
-        problems.append(f"model.scaled.base: expected a number, got {node['base']!r}")
     else:
-        base = _checked(_check_base, base, "model.scaled.base", problems)
+        base = _checked(_check_base, node["base"], "model.scaled.base", problems)
     return density, base
 
 
@@ -192,17 +179,17 @@ def _parse_task(node: Any, problems: list[str]) -> dict[str, Any]:
             )
     for key, minimum in (("samples", 2), ("sweeps", 1), ("seed", 0)):
         if key in node:
-            v = node[key]
-            if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-                problems.append(f"task.{key}: expected an integer >= {minimum}, got {v!r}")
-            else:
+            v = _checked(lambda v: integer_value(v, key, minimum), node[key], f"task.{key}", problems)
+            if v is not None:
                 out[key] = v
     if "t_values" in node:
         v = node["t_values"]
-        if not isinstance(v, list) or not all(_finite_number(x) for x in v):
+        if not isinstance(v, list):
             problems.append("task.t_values: expected a list of finite numbers")
         else:
-            out["t_values"] = tuple(float(x) for x in v)
+            v = _checked(lambda v: tuple(real_value(x, "t") for x in v), v, "task.t_values", problems)
+            if v is not None:
+                out["t_values"] = v
     if "out" in node:
         v = node["out"]
         if not isinstance(v, str) or not v:

@@ -38,7 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, NumericalFailure, SingularPoint, float_range, integer_value
+from .errors import (InvalidArgument, NumericalFailure, SingularPoint, float_range, float_value,
+                     integer_value, real_value)
 from .profile import StartDensity, WindowSpec, _check_base
 from .quadrature import integrate
 
@@ -175,12 +176,14 @@ def _log_shift(y: float, positive: bool) -> float:
 
 
 def _log_shift_array(y, positive):
-    """_log_shift elementwise over numpy arrays; ``positive`` may be an array."""
+    """_log_shift elementwise over numpy arrays; ``positive`` may be an array.
+
+    Gives -inf at y = 0 when positive, where the scalar form raises.
+    """
     m = -np.abs(y)
     e = np.exp(m)
-    with np.errstate(divide="ignore"):
-        tail = np.where(positive, np.where(m < -_LN2, np.log1p(-e), np.log(-np.expm1(m))),
-                        np.log1p(e))
+    tail = np.where(positive, np.where(m < -_LN2, np.log1p(-e), np.log(-np.expm1(m))),
+                    np.log1p(e))
     return np.maximum(y, 0.0) + tail
 
 
@@ -212,8 +215,7 @@ def _log_poles(t, a: float, qq: float, log_q: float):
     if abs(e) <= _LOG_RANGE:
         pole = qq**a
         return np.log(np.abs(t - pole)), t > pole
-    with np.errstate(divide="ignore"):
-        y = np.log(np.abs(t)) - e
+    y = np.log(np.abs(t)) - e
     return e + _log_shift_array(y, t > 0.0), (t > 0.0) & (y > 0.0)
 
 
@@ -313,28 +315,29 @@ class _Scaled:
         """Return (log|x|, x, 1 - x, s) at t, elementwise over numpy arrays.
 
         ``sign`` is the sign of x on the branch of t.  No product of two
-        factors (t - E) is formed, so s stays finite wherever t is.
+        factors (t - E) is formed, so s stays finite wherever t is.  numpy
+        raises and warns of nothing here: a value that left the doubles
+        comes back as inf, 0 or nan, for the caller to mask or refuse.
         """
-        lx = -self.log_q
-        s = 0.0
-        for a_lo, a_hi, inv_p in self.parts:
-            l_hi, above_hi = _log_poles(t, a_hi, self.qq, self.log_q)
-            l_lo, above_lo = _log_poles(t, a_lo, self.qq, self.log_q)
-            lx = lx + inv_p * (l_hi - l_lo)
-            e_lo, e_hi = self.pole(a_lo), self.pole(a_hi)
-            if 0.0 < e_lo < math.inf and 0.0 < e_hi < math.inf:
-                s = s + inv_p * (e_hi - e_lo) / (t - e_hi) * (t / (t - e_lo))
-                continue
-            # The same term t (E_hi - E_lo) / ((t - E_hi)(t - E_lo)) from the
-            # logs of its factors; E_hi - E_lo has the sign of ln qq.
-            with np.errstate(divide="ignore"):
-                log_t = np.log(np.abs(t))
-            size = np.exp(log_t + self.log_span(a_lo, a_hi) - l_hi - l_lo)
-            sign_t = np.sign(t) * np.where(above_hi == above_lo, 1.0, -1.0)
-            s = s + math.copysign(inv_p, self.log_q) * sign_t * size
-        x_abs = np.exp(lx)
-        one_minus_x = -np.expm1(lx) if sign > 0 else 1.0 + x_abs
-        return lx, sign * x_abs, one_minus_x, s
+        with np.errstate(all="ignore"):
+            lx = -self.log_q
+            s = 0.0
+            for a_lo, a_hi, inv_p in self.parts:
+                l_hi, above_hi = _log_poles(t, a_hi, self.qq, self.log_q)
+                l_lo, above_lo = _log_poles(t, a_lo, self.qq, self.log_q)
+                lx = lx + inv_p * (l_hi - l_lo)
+                e_lo, e_hi = self.pole(a_lo), self.pole(a_hi)
+                if 0.0 < e_lo < math.inf and 0.0 < e_hi < math.inf:
+                    s = s + inv_p * (e_hi - e_lo) / (t - e_hi) * (t / (t - e_lo))
+                    continue
+                # The same term t (E_hi - E_lo) / ((t - E_hi)(t - E_lo)) from the
+                # logs of its factors; E_hi - E_lo has the sign of ln qq.
+                size = np.exp(np.log(np.abs(t)) + self.log_span(a_lo, a_hi) - l_hi - l_lo)
+                sign_t = np.sign(t) * np.where(above_hi == above_lo, 1.0, -1.0)
+                s = s + math.copysign(inv_p, self.log_q) * sign_t * size
+            x_abs = np.exp(lx)
+            one_minus_x = -np.expm1(lx) if sign > 0 else 1.0 + x_abs
+            return lx, sign * x_abs, one_minus_x, s
 
 
 @float_range
@@ -367,10 +370,11 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
     quadrature.  For t <= 0 the integrand is 1 / (1 + e**z).  The sign of x
     comes from the branch of t.
     """
+    t = real_value(t, "t")
     sc = _Scaled(d, qq)
     sign = sc.domain(t).sign_of_x
     if method == "closed":
-        return float(sc.terms(t, sign)[1])
+        return float_value(float(sc.terms(t, sign)[1]), f"x at t={t!r}")
     if method != "quadrature":
         raise InvalidArgument(f"unknown method {method!r}")
     log_q = sc.log_q
@@ -469,6 +473,7 @@ def arctic_point(d: StartDensity, qq: float, t: float) -> tuple[float, float]:
     t = 0 than the sweep's stop (_Scaled.tau_zero), has no digits, and
     InvalidArgument for t outside every branch.
     """
+    t = real_value(t, "t")
     sc = _Scaled(d, qq)
     if not t or math.log(abs(t)) < sc.tau_zero() * sc.log_q:
         raise SingularPoint(f"point map has no digits at t={t!r}, nearer 0 than the sweep's stop")
@@ -597,17 +602,20 @@ def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100)
     from 0 to alpha_top + 1, keeping only the part where qq**Y is
     positive.  The arctic curve is the envelope of these lines as t
     sweeps a branch.  Raises SingularPoint at t = 0, where x = 1 and the
-    line degenerates.
+    line degenerates, and NumericalFailure where x or (1 - x) / t leaves
+    the doubles.
     """
+    t = real_value(t, "t")
     sc = _Scaled(d, qq)
     if t == 0.0:
         raise SingularPoint(f"tangent line undefined at t={t!r}: x = 1, the degenerate point")
     _, x, one_minus_x, _ = sc.terms(t, sc.domain(t).sign_of_x)
+    x = float_value(float(x), f"x at t={t!r}")
     if x == 0.0:
         raise SingularPoint(f"tangent line undefined at t={t!r}: x = 0")
+    coeff = float_value(float(one_minus_x) / t, f"(1 - x) / t at t={t!r}")
     n_samples = integer_value(n_samples, "n_samples", 2)
     bx = (sc.top + 1.0) * np.arange(n_samples) / (n_samples - 1)
-    coeff = one_minus_x / t
     with np.errstate(all="ignore"):
         qy = (1.0 - coeff * sc.qq**bx) / x
     keep = (qy > 0.0) & np.isfinite(qy)
@@ -622,8 +630,9 @@ def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
     for X in [0, xi].  Degenerates to the straight segment as qq -> 1.
     """
     qq = _check_base(qq)
-    if not (0.0 < xi < math.inf and 0.0 < z < math.inf):
-        raise InvalidArgument(f"geodesic needs finite xi > 0 and z > 0, got xi={xi}, z={z}")
+    xi, z = real_value(xi, "xi"), real_value(z, "z")
+    if xi <= 0.0 or z <= 0.0:
+        raise InvalidArgument(f"geodesic needs xi > 0 and z > 0, got xi={xi}, z={z}")
     n_samples = integer_value(n_samples, "n_samples", 2)
     log_q = math.log(qq)
     bx = xi * np.arange(n_samples) / (n_samples - 1)
@@ -639,7 +648,7 @@ def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVa
     qq**xi is taken in logs with its sign, and qq**z from ln(1 - w), with w
     in doubles where it and its factors are normal doubles.
     """
-    t = float(t)
+    t = real_value(t, "t")
     sc = _Scaled(d, qq)
     dom = sc.domain(t)
     if dom.branch != branch:

@@ -1,13 +1,12 @@
 """Exception types shared across the package, the float-range guard, and
-the one rule on integer arguments."""
+the one rule each on integer and real arguments."""
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
-
-import numpy as np
 
 
 class QpathsError(Exception):
@@ -45,19 +44,17 @@ class ConfigError(QpathsError):
 def float_range(fn):
     """Report an ArithmeticError (such as a float overflow) as NumericalFailure.
 
-    Overflow, division by zero and invalid operations in numpy raise too;
-    array code that masks non-finite values opts out locally. The message
-    names the quantity after the function: ``_residue_sum`` reads "residue
-    sum". A non-finite or underflowed float that raised nothing is left to
-    :func:`float_value`.
+    The message names the quantity after the function: ``_residue_sum``
+    reads "residue sum". numpy's error mode is left alone: the array
+    kernels set their own, and a non-finite or underflowed float that
+    raised nothing is left to :func:`float_value`.
     """
     what = fn.__name__.strip("_").replace("_", " ")
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return fn(*args, **kwargs)
+            return fn(*args, **kwargs)
         except ArithmeticError as exc:
             raise NumericalFailure(f"{what} is outside the float range ({exc})") from exc
 
@@ -90,3 +87,21 @@ def integer_value(value, what: str, lo: float = -math.inf, hi: float = math.inf)
         bounds = f"lie in [{lo}, {hi}]" if hi < math.inf else f"be at least {lo}"
         raise InvalidArgument(f"{what} must {bounds}, got {index}")
     return index
+
+
+def real_value(value, what: str) -> float:
+    """value as a plain finite float: the one rule on real arguments.
+
+    A Python or numpy real number passes (an integer or a Fraction too); a
+    bool or any other value raises InvalidArgument, as does a real number
+    that is not finite or lies beyond the doubles (a huge integer).
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InvalidArgument(f"{what} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise InvalidArgument(f"{what} lies beyond the float range") from None
+    if not math.isfinite(number):
+        raise InvalidArgument(f"{what} must be finite, got {value!r}")
+    return number

@@ -11,12 +11,14 @@ and closed products/residue sums.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import InvalidArgument, NumericalFailure, float_range, float_value, integer_value
+from .errors import InvalidArgument, NumericalFailure, float_range, float_value, integer_value, real_value
 from .qpoly import QPolynomial, cyclotomic, poly_det, power_product, q_binomial, q_binomial_at
 
 Rational = Union[int, Fraction]
@@ -75,21 +77,23 @@ def dual_sequence(seq: StartSequence) -> StartSequence:
 
 
 def _weight(q: Weight) -> Union[Fraction, float]:
-    """q as a weight base: a float (numpy's too) as a plain float, any other
-    number as a Fraction.
+    """q as a weight base: an integer, a Fraction or a finite Decimal as a
+    Fraction, any other real number through errors.real_value as a plain
+    float; a bool or a non-number raises InvalidArgument.
 
     The one contract on q of the finite-n routes: q is finite, positive and
-    not 1. A float q computes in doubles, every other q exactly.
+    not 1. A float q (numpy's too) computes in doubles, every other q exactly.
     """
-    if isinstance(q, float) and not math.isfinite(q):
-        raise InvalidArgument("q must be finite")
+    exact = (isinstance(q, numbers.Rational) and not isinstance(q, bool)
+             or isinstance(q, Decimal) and q.is_finite())
+    q = Fraction(q) if exact else real_value(q, "q")
     if q == 1:
         raise InvalidArgument("q = 1 is excluded (uniform weights degenerate the formulas)")
     if q == 0:
         raise InvalidArgument("q = 0 is excluded")
     if q < 0:
         raise InvalidArgument("q must be positive")
-    return float(q) if isinstance(q, float) else Fraction(q)
+    return q
 
 
 def lgv_matrix(seq: StartSequence) -> list[list[QPolynomial]]:

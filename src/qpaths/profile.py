@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
-from .errors import InvalidArgument, UnsupportedConfiguration
+from .errors import InvalidArgument, UnsupportedConfiguration, real_value
 
 _WIDTH_SUM_TOL = 1e-9
 _BOUNDARY_TOL = 1e-12
@@ -55,8 +55,10 @@ class WindowSpec:
 class StartDensity:
     """Validated piecewise-linear start-point density.
 
-    Adjacent segments of equal slope with no jump between them form one
-    element, so each slope-1 element and each jump is one freezing window.
+    Every number goes through the rule of :func:`errors.real_value`, and
+    the constructor lists every refusal in one InvalidArgument.  Adjacent
+    segments of equal slope with no jump between them form one element, so
+    each slope-1 element and each jump is one freezing window.
     """
 
     __slots__ = ("_elements", "_windows")
@@ -66,14 +68,25 @@ class StartDensity:
         segments: Sequence[tuple[float, float]],
         jumps: Sequence[tuple[float, float]] = (),
     ):
-        segs = [(float(g), float(p)) for g, p in segments]
+        problems: list[str] = []
+
+        def number(value, what: str) -> float:
+            # A refused number is listed and stands in as nan, which the
+            # sign checks below pass over.
+            try:
+                return real_value(value, what)
+            except InvalidArgument as exc:
+                problems.append(str(exc))
+                return math.nan
+
+        segs = [(number(g, f"segment {i}: width"), number(p, f"segment {i}: slope"))
+                for i, (g, p) in enumerate(segments)]
         if not segs:
             raise InvalidArgument("profile needs at least one segment")
-        problems = []
         for i, (g, p) in enumerate(segs):
-            if not (g > 0.0 and math.isfinite(g)):
+            if g <= 0.0:
                 problems.append(f"segment {i}: width must be positive, got {g}")
-            if not (p >= 1.0 and math.isfinite(p)):
+            if p < 1.0:
                 problems.append(f"segment {i}: slope must be >= 1, got {p}")
         total = math.fsum(g for g, _ in segs)
         if abs(total - 1.0) > _WIDTH_SUM_TOL:
@@ -85,12 +98,16 @@ class StartDensity:
         cum[-1] = 1.0
 
         jump_at: dict[int, float] = {}
-        for u, d in sorted((float(u), float(d)) for u, d in jumps):
-            if not (d > 0.0 and math.isfinite(d)):
+        given = [(number(u, f"jump {i}: location"), number(d, f"jump {i}: height"))
+                 for i, (u, d) in enumerate(jumps)]
+        for u, d in sorted(j for j in given if not math.isnan(j[0])):
+            if d <= 0.0:
                 problems.append(f"jump at u={u}: height must be positive, got {d}")
             if not 0.0 < u < 1.0:
                 problems.append(f"jump location {u} must lie strictly inside (0, 1)")
                 continue
+            if math.isnan(total):
+                continue  # a refused width leaves no boundary to match
             hit = None
             for b in range(1, len(segs)):
                 if abs(u - cum[b]) <= _BOUNDARY_TOL:
@@ -160,9 +177,10 @@ class StartDensity:
 
 
 def _check_base(qq: float) -> float:
-    """The base qq of the scaled model as a float: finite, positive and not 1."""
-    qq = float(qq)
-    if not math.isfinite(qq) or qq <= 0.0:
+    """The base qq of the scaled model as a float (see errors.real_value):
+    finite, positive and not 1."""
+    qq = real_value(qq, "base")
+    if qq <= 0.0:
         raise InvalidArgument(f"base must be a finite positive number, got {qq!r}")
     if qq == 1.0:
         raise InvalidArgument(

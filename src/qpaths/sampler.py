@@ -58,7 +58,7 @@ from .configs import (
     min_area_abscissas,
     paths_from_abscissas,
 )
-from .errors import InvalidArgument, NumericalFailure
+from .errors import NumericalFailure, integer_value, real_value
 from .exact import StartSequence, _weight
 
 # Coupling from the past looks back at most this many sweeps.
@@ -237,13 +237,15 @@ def run_chain(
     ``acceptance_rate`` is the share of them that moved their site.
     Identical seeds give identical runs. The forward sweeps draw by
     geometric mod interval above |ln q| = 2**-16 and by the coupling
-    sweep below it; see the module docstring.
+    sweep below it; see the module docstring. q takes the contract of
+    exact._weight, and keeps it as the double the chain computes in;
+    sweeps >= 1, burn_in >= 0 and seed >= 0 take the rule of
+    errors.integer_value.
     """
-    q = _weight(float(q))
-    if sweeps < 1:
-        raise InvalidArgument("sweeps must be >= 1")
-    if burn_in < 0:
-        raise InvalidArgument("burn_in must be >= 0")
+    q = _weight(real_value(_weight(q), "q"))
+    sweeps = integer_value(sweeps, "sweeps", 1)
+    burn_in = integer_value(burn_in, "burn_in", 0)
+    seed = integer_value(seed, "seed", 0)
     plan, consts = _neighbours(seq)
     bottom = min_area_abscissas(seq) + consts
     top = max_area_abscissas(seq) + consts

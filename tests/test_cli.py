@@ -184,15 +184,15 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, where):
     extra = ("--seed", "-5") if where == "flag" else ()
     rc, out = run_cli(tmp_path, doc, "sample", *extra)
     assert rc == 1
-    assert capsys.readouterr().err == "config error: task.seed: expected an integer >= 0, got -5\n"
+    assert capsys.readouterr().err == "config error: task.seed: seed must be at least 0, got -5\n"
     assert not (out / "area_series.csv").exists()
 
 
 @pytest.mark.parametrize(
     "command, samples, message",
     [
-        ("arctic", "1", "task.samples: expected an integer >= 2, got 1"),
-        ("sample", "0", "task.sweeps: expected an integer >= 1, got 0"),
+        ("arctic", "1", "task.samples: samples must be at least 2, got 1"),
+        ("sample", "0", "task.sweeps: sweeps must be at least 1, got 0"),
     ],
 )
 def test_samples_flag_is_a_task_override(tmp_path, capsys, command, samples, message):
@@ -381,7 +381,7 @@ SCALED_COMMANDS = ("arctic", "limits", "verify")
 def test_weights_are_refused_at_validation_in_the_library_words(tmp_path, capsys, q, problem):
     # exact._weight's refusal is a config error, listed with every other
     # problem of the file; no command gets to run or make its output directory.
-    for task, others in (({}, []), ({"seed": -1}, ["task.seed: expected an integer >= 0, got -1"])):
+    for task, others in (({}, []), ({"seed": -1}, ["task.seed: seed must be at least 0, got -1"])):
         doc = {"model": {"finite": {"sequence": [0, 1, 3], "q": q}}, "task": task}
         for command in FINITE_COMMANDS:
             rc, out = run_cli(tmp_path, doc, command)
@@ -397,7 +397,7 @@ def test_weights_are_refused_at_validation_in_the_library_words(tmp_path, capsys
     (-1, "base must be a finite positive number, got -1.0"),
 ])
 def test_bases_are_refused_at_validation_in_the_library_words(tmp_path, capsys, base, problem):
-    for task, others in (({}, []), ({"samples": 1}, ["task.samples: expected an integer >= 2, got 1"])):
+    for task, others in (({}, []), ({"samples": 1}, ["task.samples: samples must be at least 2, got 1"])):
         doc = {"model": {"scaled": {"segments": [[1.0, 2.0]], "base": base}}, "task": task}
         for command in SCALED_COMMANDS:
             rc, out = run_cli(tmp_path, doc, command)
@@ -654,11 +654,13 @@ def test_unusable_out_path_is_an_error_without_a_traceback(tmp_path, capsys, sub
     "key, pairs", [("segments", [[10**400, 2.0]]), ("jumps", [[0.5, -(10**400)]])]
 )
 def test_pair_beyond_float_range_is_a_config_error(tmp_path, capsys, key, pairs):
-    # float() of a 400-digit integer raises OverflowError.
+    # float() of a 400-digit integer raises OverflowError; StartDensity
+    # refuses the number in the words of errors.real_value.
     doc = {"model": {"scaled": dict(SCALED_GAPPED["model"]["scaled"], **{key: pairs})}}
     rc, out = run_cli(tmp_path, doc, "limits")
     assert rc == 1
-    message = f"model.scaled.{key}[0]: expected a [number, number] pair"
+    number = {"segments": "segment 0: width", "jumps": "jump 0: height"}[key]
+    message = f"model.scaled: {number} lies beyond the float range"
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 

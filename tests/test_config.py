@@ -125,7 +125,7 @@ def test_structure_violations():
         ({"model": {"finite": [0, 1]}}, "model.finite: expected an object"),
         ({"model": {"finite": {"sequence": [0, 1]}}}, "model.finite.q: missing"),
         ({"model": {"finite": {"sequence": [0, 1], "q": {"base": 3, "n": 0}}}},
-         "model.finite.q.n: must be a positive integer, got 0"),
+         "model.finite.q.n: n must be at least 1, got 0"),
         ({"model": {"scaled": 3}}, "model.scaled: expected an object"),
         ({"model": {"scaled": {"segments": {"a": 1}, "base": 3}}},
          "model.scaled.segments: expected a list of [number, number] pairs"),

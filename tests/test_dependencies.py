@@ -32,3 +32,21 @@ def test_library_runs_without_test_oracles():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+ERRORS_ALONE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("errors", sys.argv[1])
+errors = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(errors)
+print(json.dumps("numpy" in sys.modules))
+"""
+
+
+def test_errors_module_imports_no_numpy():
+    # The float guard is a plain try/except; numpy's error mode lives in the
+    # array kernels of curves.
+    path = str(Path(SRC) / "qpaths" / "errors.py")
+    proc = subprocess.run([sys.executable, "-c", ERRORS_ALONE, path], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) is False

@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -529,6 +530,20 @@ def test_every_route_refuses_q_outside_the_weight_contract(route):
             message = "requires exact rational q"
         with pytest.raises(InvalidArgument, match=message):
             route(q)
+
+
+def test_weight_refuses_non_numbers_and_keeps_exact_numbers_exact():
+    # A non-number, a bool or a non-finite Decimal is an InvalidArgument,
+    # never a raw TypeError, InvalidOperation or OverflowError.
+    for q in ("0.5", None, 0.5j, True, Decimal("NaN"), Decimal("Infinity"), np.array([0.5])):
+        with pytest.raises(InvalidArgument, match="^q must be "):
+            one_point_exit(_SEQ, 1, q)
+    # A numpy float of any width computes in doubles; Decimal and Fraction
+    # stay exact.
+    assert one_point_exit(_SEQ, 1, np.float32(0.5)) == one_point_exit(_SEQ, 1, 0.5)
+    assert type(one_point_exit(_SEQ, 1, np.float32(0.5))) is float
+    for q in (Decimal("0.5"), Fraction(1, 2), np.int64(2)):
+        assert one_point_exit(_SEQ, 1, q) == one_point_exit_det(_SEQ, 1, Fraction(q))
 
 
 def _retired_dual_weight(seq, ell, r, q):

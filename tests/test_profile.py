@@ -33,8 +33,13 @@ def test_validation_collects_all_problems():
 def test_validation_single_problems():
     with pytest.raises(InvalidArgument):
         StartDensity([])
-    for width in (0.0, -0.5, math.nan):
+    for width in (0.0, -0.5):
         with pytest.raises(InvalidArgument, match="segment 1: width must be positive"):
+            StartDensity([(1.0, 2.0), (width, 2.0)])
+    # Every number goes through errors.real_value first.
+    for width, problem in ((math.nan, "must be finite"), ("0.5", "must be a real number"),
+                           (True, "must be a real number"), (10**400, "lies beyond the float range")):
+        with pytest.raises(InvalidArgument, match=f"^segment 1: width {problem}"):
             StartDensity([(1.0, 2.0), (width, 2.0)])
     with pytest.raises(InvalidArgument):
         StartDensity([(1.0, 2.0)], jumps=[(0.0, 1.0)])

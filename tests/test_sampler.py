@@ -361,6 +361,17 @@ def test_run_chain_validation():
         run_chain(seq, 0.7, 0, seed=0)
     with pytest.raises(InvalidArgument):
         run_chain(seq, 0.7, 10, seed=0, burn_in=-1)
+    # The integer arguments take errors.integer_value's rule and q
+    # exact._weight's: no bool, float, string or negative seed runs.
+    for kwargs in ({"sweeps": 2.5}, {"sweeps": True}, {"burn_in": 0.5}, {"seed": 1.5},
+                   {"seed": "a"}, {"seed": -1}, {"q": "0.7"}, {"q": None},
+                   {"q": Fraction(1, 10**400)}, {"q": Fraction(10**400)}, {"q": 1 + Fraction(1, 10**20)}):
+        args = {"q": 0.7, "sweeps": 10, "seed": 0, **kwargs}
+        with pytest.raises(InvalidArgument):
+            run_chain(seq, **args)
+    # A rational q samples as its float.
+    a, b = run_chain(seq, Fraction(7, 10), 50, seed=3), run_chain(seq, 0.7, 50, seed=3)
+    assert a.area_series == b.area_series
 
 
 def test_density_grid_totals():
