@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the float-range guard, and
-the one rule each on integer and real arguments."""
+"""Exception types shared across the package, the float-range guard, the
+one rule each on integer and real arguments, and the bounded rendering of
+a refused value."""
 
 from __future__ import annotations
 
@@ -70,6 +71,22 @@ def float_value(value, what: str, positive: bool = False):
     return value
 
 
+def shown(value) -> str:
+    """repr(value) for a refusal, bounded: an integer beyond 2**128 shows its
+    number of digits, and a value the interpreter will not print (a Fraction
+    of more than 4300 digits) its type."""
+    if isinstance(value, int) and value.bit_length() > 128:
+        size = abs(value)
+        digits = (size.bit_length() - 1) * 3010299956 // 10**10 + 1  # at most the count
+        while 10**digits <= size:
+            digits += 1
+        return f"an integer of {digits} digits"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to print"
+
+
 def integer_value(value, what: str, lo: float = -math.inf, hi: float = math.inf) -> int:
     """value as an int in [lo, hi]: the one rule on integer arguments.
 
@@ -82,10 +99,10 @@ def integer_value(value, what: str, lo: float = -math.inf, hi: float = math.inf)
     except TypeError:
         index = None
     if index is None:
-        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+        raise InvalidArgument(f"{what} must be an integer, got {shown(value)}")
     if not lo <= index <= hi:
         bounds = f"lie in [{lo}, {hi}]" if hi < math.inf else f"be at least {lo}"
-        raise InvalidArgument(f"{what} must {bounds}, got {index}")
+        raise InvalidArgument(f"{what} must {bounds}, got {shown(index)}")
     return index
 
 
@@ -97,11 +114,11 @@ def real_value(value, what: str) -> float:
     that is not finite or lies beyond the doubles (a huge integer).
     """
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise InvalidArgument(f"{what} must be a real number, got {value!r}")
+        raise InvalidArgument(f"{what} must be a real number, got {shown(value)}")
     try:
         number = float(value)
     except OverflowError:
         raise InvalidArgument(f"{what} lies beyond the float range") from None
     if not math.isfinite(number):
-        raise InvalidArgument(f"{what} must be finite, got {value!r}")
+        raise InvalidArgument(f"{what} must be finite, got {shown(value)}")
     return number

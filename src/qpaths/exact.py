@@ -5,7 +5,9 @@ a_n; paths run from (a_i, 0) to (0, i) with west/north unit steps, a north
 step at abscissa x carrying weight q**x, and distinct paths sharing no
 vertex. This module computes partition functions and exit ("one-point")
 quantities exactly, via two independent routes each: symbolic determinants
-and closed products/residue sums.
+and closed products/residue sums. At a rational q = p/d the residue sums
+and q-binomials run in integer products of p and d, normalised to a
+Fraction once per value; a float q computes in doubles.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import InvalidArgument, NumericalFailure, float_range, float_value, integer_value, real_value
+from .errors import (
+    InvalidArgument, NumericalFailure, float_range, float_value, integer_value, real_value, shown,
+)
 from .qpoly import QPolynomial, cyclotomic, poly_det, power_product, q_binomial, q_binomial_at
 
 Rational = Union[int, Fraction]
@@ -41,14 +45,16 @@ class StartSequence:
         try:
             vals = tuple(integer_value(v, "start") for v in given)
         except InvalidArgument:
-            raise InvalidArgument(f"start sequence must hold integers, got {list(given)}") from None
+            shown_values = ", ".join(map(shown, given))
+            raise InvalidArgument(f"start sequence must hold integers, got [{shown_values}]") from None
         if len(vals) == 0:
             raise InvalidArgument("start sequence must be nonempty")
         if vals[0] != 0:
-            raise InvalidArgument(f"start sequence must begin at 0, got {vals[0]}")
+            raise InvalidArgument(f"start sequence must begin at 0, got {shown(vals[0])}")
         for lo, hi in zip(vals, vals[1:]):
             if hi <= lo:
-                raise InvalidArgument(f"start sequence must be strictly increasing, got {lo} then {hi}")
+                raise InvalidArgument(
+                    f"start sequence must be strictly increasing, got {shown(lo)} then {shown(hi)}")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -213,60 +219,123 @@ def one_point_exit_det(seq: StartSequence, ell: int, q: Rational) -> Fraction:
     return poly_det(matrix)(q) / partition_det(seq)(q)
 
 
-@float_range
-def _residue_sum(seq: StartSequence, ells: range, q: Weight, dual: bool) -> list[Weight]:
-    """The residue sums of H(ell), or of H_dual(ell) when dual is set, one per ell.
+def _poles(values: Sequence[int], ell: int, dual: bool) -> range:
+    """The indices k of H(ell)'s poles q**a_k: a_k >= ell, or a_k <= ell - n
+    for H_dual(ell); the residues at the a_k in between vanish."""
+    n = len(values) - 1
+    return range(bisect_right(values, ell - n)) if dual else range(bisect_left(values, ell), n + 1)
 
-    The poles are q**a_k with a_k >= ell, or a_k <= ell - n for the dual.
-    With m = a_k - ell - dual, a pole's numerator N(m) is the product of
-    q**s - 1 over s = m + 1 .. m + n: the dual residue is the direct one at
-    m - 1. Its denominator D_k, the product of q**a_k - q**a_s over s != k,
-    does not depend on ell. The powers q**a_k, each N(m) and each D_k live
-    on the sequence for the last q it met, the last two formed on first
-    use, so every call at that q, direct or dual, per ell or a whole table,
-    reuses them. The same products in the same order form each factor
-    whatever the calls before, so a float keeps every bit; a product that
-    raises stores nothing, and a failure is the one at the lowest failing
-    ell. One loop for a Fraction q and a float q, summed exactly in any
-    order.
-    """
-    values = seq.values
-    n = seq.n
+
+def _pole_memo(seq: StartSequence, q: Weight, fresh):
+    """The pole factors seq keeps for its last q, replaced by fresh() ones
+    when q is another."""
     # The key holds q's type: 0.5 == Fraction(1, 2), and the two hash alike.
     key = (type(q), q)
     memo = getattr(seq, "_poles", None)
     if memo is None or memo[0] != key:
-        memo = (key, [q**a for a in values], {}, [None] * (n + 1))
+        memo = (key, fresh())
         object.__setattr__(seq, "_poles", memo)
-    _, powers, numerators, denominators = memo
-    one = q**0  # in q's number type
+    return memo[1]
+
+
+@float_range
+def _residue_sum(seq: StartSequence, ells: range, q: Weight, dual: bool) -> list[Weight]:
+    """The residue sums of H(ell), or of H_dual(ell) when dual is set, one per ell.
+
+    H(ell) is q**(n ell - n(n + 1)/2) times the sum over the poles k of
+    N(m)/D_k, and H_dual(ell) carries n more powers of q. With m = a_k - ell
+    - dual, the numerator N(m) is the product of q**s - 1 over s = m + 1 ..
+    m + n: the dual residue is the direct one at m - 1. The denominator D_k,
+    the product of q**a_k - q**a_s over s != k, does not depend on ell.
+
+    A Fraction q goes to :func:`_exact_residue_sum`. For a float q the
+    powers q**a_k, each N(m) and each D_k live on the sequence for the last
+    q it met, the last two formed on first use, so every call at that q,
+    direct or dual, per ell or a whole table, reuses them. The same products
+    in the same order form each factor whatever the calls before, so a float
+    keeps every bit; a product that raises stores nothing, and a failure is
+    the one at the lowest failing ell.
+    """
+    if isinstance(q, Fraction):
+        return _exact_residue_sum(seq, ells, q, dual)
+    values = seq.values
+    n = seq.n
+    powers, numerators, denominators = _pole_memo(
+        seq, q, lambda: ([q**a for a in values], {}, [None] * (n + 1)))
     sums = []
     for ell in ells:
         terms = []
-        poles = range(bisect_right(values, ell - n)) if dual else range(bisect_left(values, ell), n + 1)
-        for k in poles:
+        for k in _poles(values, ell, dual):
             m = values[k] - ell - dual
             num = numerators.get(m)
             if num is None:
-                num = one
+                num = 1.0
                 for s in range(m + 1, m + n + 1):
                     num *= q**s - 1
                 numerators[m] = num
             den = denominators[k]
             if den is None:
-                den = one
+                den = 1.0
                 pole = powers[k]
                 for power in powers[:k] + powers[k + 1 :]:
                     den *= pole - power
                 denominators[k] = den
             terms.append(num / den)
         exponent = n * ell - n * (n + 1) // 2 + n * dual
-        if isinstance(q, Fraction):
-            sums.append(q**exponent * sum(terms))
-            continue
         # fsum raises on inf - inf, so the terms are checked first.
         value = q**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
         sums.append(float_value(value, f"residue sum at q = {q!r}, ell = {ell}"))
+    return sums
+
+
+def _exact_residue_sum(seq: StartSequence, ells: Sequence[int], q: Fraction, dual: bool) -> list[Fraction]:
+    """The residue sums at q = p/d in integers, one Fraction per ell.
+
+    H_dual(ell) at q is H(a_n + n - ell) of the dual sequence at 1/q, so
+    only the direct sum is written out. With g(s) = p**s - d**s, q**s - 1
+    is g(s)/d**s, and q**a_k - q**a_s is +-p**min g(|a_k - a_s|)/d**max of
+    the pair. So q**(n ell - n(n + 1)/2) N(m)/D_k is p**(n ell - n(n + 1)/2)
+    times G(m) d**x_k / B_k, where G(m) is the product of g(s) over s = m +
+    1 .. m + n, x_k is the sum of a_s - a_k over s > k, and B_k is (-1)**(n
+    - k) p**y_k times the product of g(|a_k - a_s|) over s != k, with y_k
+    the sum of min(a_k, a_s). Over L = lcm(B_k) the poles share one
+    denominator: H(ell) is one integer sum of G(m) w_k, with w_k = d**x_k L
+    // B_k, and one Fraction per ell, normalised once.
+
+    Each side keeps g, L, its weights and each G(m) on the sequence for its
+    last q, the G(m) formed on first use.
+    """
+    n, top = seq.n, seq.top
+    values = seq.values
+    p, d = q.numerator, q.denominator
+    if dual:
+        values = tuple(top - a for a in reversed(values))
+        p, d = d, p
+        ells = [top + n - ell for ell in ells]
+    sides = _pole_memo(seq, q, dict)
+    if dual not in sides:
+        g = {s: p**s - d**s for s in range(1, top + n + 1)}
+        bases, shifts = [], []
+        for k, a in enumerate(values):
+            others = values[:k] + values[k + 1 :]
+            low = sum(min(a, v) for v in others)
+            bases.append((-1) ** (n - k) * p**low * math.prod(g[abs(a - v)] for v in others))
+            shifts.append(sum(values[k + 1 :]) - (n - k) * a)
+        common = math.lcm(*bases)
+        sides[dual] = (g, {}, common, [d**x * (common // b) for x, b in zip(shifts, bases)])
+    g, numerators, common, weights = sides[dual]
+    sums = []
+    for ell in ells:
+        total = 0
+        for k in _poles(values, ell, False):
+            m = values[k] - ell
+            num = numerators.get(m)
+            if num is None:
+                num = numerators[m] = math.prod(g[s] for s in range(m + 1, m + n + 1))
+            total += num * weights[k]
+        exponent = n * ell - n * (n + 1) // 2
+        sums.append(Fraction(total * p**exponent, common) if exponent >= 0
+                    else Fraction(total, common * p**-exponent))
     return sums
 
 
@@ -322,13 +391,13 @@ def free_path_weight(ell: int, r: int, q: Weight) -> Weight:
     r = integer_value(r, "endpoint shift r", 1)
     q = _weight(q)
     value = q**ell * q_binomial_at(ell + r - 1, ell, q)
-    return float_value(value, f"free path weight at q = {q!r}", positive=True)
+    return float_value(value, f"free path weight at q = {shown(q)}", positive=True)
 
 
 def _exit_weights(seq: StartSequence, r: int, q: Weight) -> list[Weight]:
     """H(ell) times the continuation weight, for ell = 0 .. a_n."""
     weights = [h * free_path_weight(ell, r, q) for ell, h in enumerate(one_point_table(seq, q))]
-    return [float_value(w, f"exit weight at q = {q!r}") for w in weights]
+    return [float_value(w, f"exit weight at q = {shown(q)}") for w in weights]
 
 
 @float_range

@@ -34,19 +34,26 @@ def test_library_runs_without_test_oracles():
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
 
 
-ERRORS_ALONE = """
-import importlib.util, json, sys
-spec = importlib.util.spec_from_file_location("errors", sys.argv[1])
-errors = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(errors)
+FINITE_N_ALONE = """
+import importlib, json, sys, types
+from fractions import Fraction
+# A bare package: its submodules load without qpaths/__init__.
+package = types.ModuleType("qpaths")
+package.__path__ = [sys.argv[1]]
+sys.modules["qpaths"] = package
+errors, qpoly, exact = (importlib.import_module(f"qpaths.{name}") for name in ("errors", "qpoly", "exact"))
+seq = exact.StartSequence((0, 2, 5))
+assert exact.one_point_table(seq, Fraction(7, 10), True)[-1] == 1
+assert exact.one_point_table(seq, 0.7)[0] == 1
 print(json.dumps("numpy" in sys.modules))
 """
 
 
-def test_errors_module_imports_no_numpy():
-    # The float guard is a plain try/except; numpy's error mode lives in the
-    # array kernels of curves.
-    path = str(Path(SRC) / "qpaths" / "errors.py")
-    proc = subprocess.run([sys.executable, "-c", ERRORS_ALONE, path], capture_output=True, text=True)
+def test_finite_n_modules_import_no_numpy():
+    # The float guard is a plain try/except, and the finite-n layer (errors,
+    # qpoly, exact) is pure Python: numpy's error mode lives in the array
+    # kernels of curves.
+    path = str(Path(SRC) / "qpaths")
+    proc = subprocess.run([sys.executable, "-c", FINITE_N_ALONE, path], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) is False

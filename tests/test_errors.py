@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 
 from qpaths import actions, curves, exact
-from qpaths.errors import InvalidArgument, NumericalFailure, QpathsError, float_range, float_value, real_value
+from qpaths.errors import (
+    InvalidArgument, NumericalFailure, QpathsError,
+    float_range, float_value, integer_value, real_value, shown,
+)
 from qpaths.exact import StartSequence
 from qpaths.profile import StartDensity
 
@@ -199,3 +202,37 @@ def test_real_value_makes_plain_finite_floats():
                            (Fraction(10**400, 3), "lies beyond the float range")):
         with pytest.raises(InvalidArgument, match=f"^t {re.escape(problem)}"):
             real_value(value, "t")
+
+
+HUGE = 10**5000  # beyond the interpreter's 4300-digit limit on int to str
+HUGE_INTEGERS = {
+    "integer_value": lambda: integer_value(HUGE, "seed", 0, 10),
+    "start_sequence": lambda: StartSequence((0, HUGE, 5)),
+    "one_point_exit_ell": lambda: exact.one_point_exit(StartSequence((0, 2, 5)), HUGE, Fraction(7, 10)),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_INTEGERS.values(), ids=HUGE_INTEGERS.keys())
+def test_huge_integers_are_refused_with_a_bounded_message(call):
+    # The refusal names the integer by its length: its repr would raise a
+    # raw ValueError, or fill the message.
+    with pytest.raises(InvalidArgument, match="got an integer of 5001 digits") as refusal:
+        call()
+    assert len(str(refusal.value)) < 100
+
+
+def test_exact_weights_take_a_rational_q_too_long_to_print():
+    # The float check's message names q, and is formed for an exact q too.
+    q = Fraction(HUGE + 1, HUGE)
+    assert exact.free_path_weight(2, 1, q) == q**2
+    assert exact.most_likely_exit(StartSequence((0, 2)), 1, q) in (0, 1, 2)
+
+
+def test_shown_bounds_every_rendering():
+    # Up to 2**128 an integer shows in full.
+    assert shown(2**128 - 1) == repr(2**128 - 1) and shown(-3) == "-3" and shown(0.5) == "0.5"
+    assert shown(2**128) == "an integer of 39 digits"
+    for digits in (40, 41, 1000, 5001):
+        for value in (10 ** (digits - 1), 10**digits - 1, -(10 ** (digits - 1))):
+            assert shown(value) == f"an integer of {digits} digits"
+    assert shown(Fraction(HUGE, 3)) == "a Fraction too long to print"

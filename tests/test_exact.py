@@ -377,6 +377,30 @@ def test_table_matches_the_per_exit_route():
     assert failures[False] and failures[True] and max(failures[True]) > 0
 
 
+EXTREME_QS = (Fraction(1, 1000), Fraction(999, 1000), Fraction(1001, 1000), Fraction(1000, 3))
+
+
+@given(st.lists(st.integers(min_value=1, max_value=5), max_size=7), st.sampled_from(EXTREME_QS))
+@settings(max_examples=60, deadline=None)
+def test_integer_residue_sums_match_the_fraction_formulas(gaps, q):
+    # The integer route sums the poles over one common denominator; the
+    # per-route formulas take a gcd at every Fraction step, and the
+    # determinant shares no residue at all. q lies far from 1 and next to
+    # it, on both sides.
+    seq = StartSequence(tuple(itertools.accumulate(gaps, initial=0)))
+    n, top = seq.n, seq.top
+    direct = one_point_table(seq, q)
+    dual = one_point_table(seq, q, True)
+    assert all(type(v) is Fraction for v in direct + dual)
+    assert direct == [_per_route_exit(seq, ell, q) for ell in range(top + 1)]
+    assert dual == [_per_route_exit_dual(seq, ell, q) for ell in range(n, top + n + 1)]
+    if n <= 4:
+        by_det = [one_point_exit_det(seq, ell, q) for ell in range(top + 1)] + [0]
+        assert direct == by_det[:-1]
+        # H_dual(ell) = 1 - H(ell + 1), and no path exits past a_n.
+        assert dual == [1 - by_det[min(ell + 1, top + 1)] for ell in range(n, top + n + 1)]
+
+
 def _result(fn, *args):
     """A value's type and bits, or the message of the NumericalFailure it raised."""
     try:
@@ -430,11 +454,15 @@ def test_pole_factors_are_kept_per_type_and_value_of_q():
     exact_value = one_point_exit(seq, 1, Fraction(1, 2))
     assert type(exact_value) is Fraction
     assert exact_value == one_point_exit(StartSequence((0, 2, 5)), 1, Fraction(1, 2))
-    # Switching q and back gives the cold values each time.
-    for q in (0.7, Fraction(3, 2), 0.7, 2.5, Fraction(3, 2)):
+    # Switching q and back, between equal values of two types too, gives
+    # the cold values, types and bits each time.
+    for q in (Fraction(1, 2), 0.5, Fraction(1, 2), 0.7, Fraction(3, 2), 0.7, 2.5, Fraction(3, 2)):
         for ell in range(seq.top + 1):
             assert _result(one_point_exit, seq, ell, q) == _cold(one_point_exit, seq.values, ell, q)
-        assert _result(one_point_table, seq, q, True) == _cold(one_point_table, seq.values, q, True)
+            assert _result(one_point_exit_dual, seq, ell + seq.n, q) == _cold(
+                one_point_exit_dual, seq.values, ell + seq.n, q)
+        for dual in (False, True):
+            assert _result(one_point_table, seq, q, dual) == _cold(one_point_table, seq.values, q, dual)
     # The memo is no dataclass field: a used sequence keeps its ==, hash and repr.
     fresh = StartSequence((0, 2, 5))
     assert seq == fresh and hash(seq) == hash(fresh) and repr(seq) == repr(fresh)

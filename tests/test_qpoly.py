@@ -103,6 +103,18 @@ def test_q_binomial_at_agrees_with_polynomial():
         assert type(direct) is Fraction and direct == q_binomial(a, b)(3)
 
 
+def test_q_binomial_at_a_fraction_is_the_polynomial_value():
+    # The integer products over d**(b(a - b)), normalised once, on either
+    # side of 1 and next to it.
+    qs = (Fraction(1, 1000), Fraction(2, 7), Fraction(999, 1000), Fraction(1001, 1000),
+          Fraction(7, 2), Fraction(1000, 3), Fraction(0), Fraction(-2, 3), 5)
+    for q in qs:
+        for a in range(13):
+            for b in range(-1, a + 2):
+                direct = q_binomial_at(a, b, q)
+                assert type(direct) is Fraction and direct == q_binomial(a, b)(q), (q, a, b)
+
+
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 # Products are packed into byte-wide slots, so coefficients at +-2**(8k-1)
 # and next to them sit exactly on a slot's sign boundary. Constant lists
