@@ -72,7 +72,7 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
     z_at_q = _partition_function(z, q)
 
     one_point = list(enumerate(one_point_table(seq, q)))
-    one_point_dual = list(enumerate(one_point_table(seq, q, dual=True), start=seq.n))
+    one_point_dual = [(ell, one_point_exit_dual(seq, ell, q)) for ell in range(seq.n, seq.top + seq.n + 1)]
     reversal_ok, reversal_resid = _reversal_check(seq, z, _dual_partition(seq, z))
     summary = {
         "sequence": list(seq),
@@ -290,10 +290,12 @@ def _one_point_triple(cfg):
 
 
 def _complementarity(cfg):
+    # The residue route at q against the determinant on the reflected model
+    # at 1/q, where an exit at or beyond ell is one below a_n + n + 1 - ell.
     seq = StartSequence((0, 2, 6))
-    q = Fraction(3, 7)
+    dual, q, far = dual_sequence(seq), Fraction(3, 7), seq.top + seq.n + 1
     return max(
-        abs(float(one_point_exit(seq, ell, q) + one_point_exit_dual(seq, ell - 1, q) - 1))
+        abs(float(one_point_exit(seq, ell, q) + one_point_exit_det(dual, far - ell, 1 / q) - 1))
         for ell in range(seq.n + 1, seq.top + 1)
     )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -219,13 +219,6 @@ def one_point_exit_det(seq: StartSequence, ell: int, q: Rational) -> Fraction:
     return poly_det(matrix)(q) / partition_det(seq)(q)
 
 
-def _poles(values: Sequence[int], ell: int, dual: bool) -> range:
-    """The indices k of H(ell)'s poles q**a_k: a_k >= ell, or a_k <= ell - n
-    for H_dual(ell); the residues at the a_k in between vanish."""
-    n = len(values) - 1
-    return range(bisect_right(values, ell - n)) if dual else range(bisect_left(values, ell), n + 1)
-
-
 def _pole_memo(seq: StartSequence, q: Weight, fresh):
     """The pole factors seq keeps for its last q, replaced by fresh() ones
     when q is another."""
@@ -239,39 +232,52 @@ def _pole_memo(seq: StartSequence, q: Weight, fresh):
 
 
 @float_range
-def _residue_sum(seq: StartSequence, ells: range, q: Weight, dual: bool) -> list[Weight]:
-    """The residue sums of H(ell), or of H_dual(ell) when dual is set, one per ell.
+def _residue_sum(seq: StartSequence, ells: range, q: Weight) -> list[Weight]:
+    """The exit law H(ell) for each ell in ells, all in (n, a_n], by one
+    residue sum at a base above 1.
 
-    H(ell) is q**(n ell - n(n + 1)/2) times the sum over the poles k of
-    N(m)/D_k, and H_dual(ell) carries n more powers of q. With m = a_k - ell
-    - dual, the numerator N(m) is the product of q**s - 1 over s = m + 1 ..
-    m + n: the dual residue is the direct one at m - 1. The denominator D_k,
-    the product of q**a_k - q**a_s over s != k, does not depend on ell.
+    At q > 1, H(ell) is q**(n ell - n(n + 1)/2) times the sum over the
+    poles k with a_k >= ell of N(m)/D_k, m = a_k - ell. The numerator N(m)
+    is the product of q**s - 1 over s = m + 1 .. m + n; the denominator
+    D_k, the product of q**a_k - q**a_s over s != k, does not depend on
+    ell. Pole k's term has size about q**-(the sum of a_s - a_k over s >
+    k), so the top pole's is about 1 and the others fall off: the sum
+    cancels little. Below 1 those sizes grow instead, and the sum cancels
+    every digit, so at q < 1 it runs on the reflected sequence a_n -
+    a_{n-i} at 1/q, whose exit law H* gives H(ell) = 1 - H*(a_n + n + 1 -
+    ell): the reflection (configs.dual_config) sends an exit below ell to
+    one at or beyond a_n + n + 1 - ell.
 
     A Fraction q goes to :func:`_exact_residue_sum`. For a float q the
-    powers q**a_k, each N(m) and each D_k live on the sequence for the last
-    q it met, the last two formed on first use, so every call at that q,
-    direct or dual, per ell or a whole table, reuses them. The same products
-    in the same order form each factor whatever the calls before, so a float
-    keeps every bit; a product that raises stores nothing, and a failure is
-    the one at the lowest failing ell.
+    powers, each N(m) and each D_k live on the sequence for the last q it
+    met, the last two formed on first use, so every call at that q, per
+    ell or a whole table, reuses them. The same products in the same
+    order form each factor whatever the calls before, so a float keeps
+    every bit; a D_k or a sum outside the doubles raises NumericalFailure,
+    a product that raises stores nothing, and a failure is the one at the
+    lowest failing ell.
     """
+    n, top = seq.n, seq.top
+    flip = q < 1
+    values = tuple(top - a for a in reversed(seq.values)) if flip else seq.values
+    base = 1 / q if flip else q
+    reflected = [top + n + 1 - ell for ell in ells] if flip else ells
     if isinstance(q, Fraction):
-        return _exact_residue_sum(seq, ells, q, dual)
-    values = seq.values
-    n = seq.n
+        sums = _exact_residue_sum(seq, values, reflected, q, base)
+        return [1 - h for h in sums] if flip else sums
     powers, numerators, denominators = _pole_memo(
-        seq, q, lambda: ([q**a for a in values], {}, [None] * (n + 1)))
+        seq, q, lambda: ([base**a for a in values], {}, [None] * (n + 1)))
     sums = []
-    for ell in ells:
+    for ell, e in zip(ells, reflected):
+        what = f"residue sum at q = {q!r}, ell = {ell}"
         terms = []
-        for k in _poles(values, ell, dual):
-            m = values[k] - ell - dual
+        for k in range(bisect_left(values, e), n + 1):
+            m = values[k] - e
             num = numerators.get(m)
             if num is None:
                 num = 1.0
                 for s in range(m + 1, m + n + 1):
-                    num *= q**s - 1
+                    num *= base**s - 1
                 numerators[m] = num
             den = denominators[k]
             if den is None:
@@ -279,42 +285,39 @@ def _residue_sum(seq: StartSequence, ells: range, q: Weight, dual: bool) -> list
                 pole = powers[k]
                 for power in powers[:k] + powers[k + 1 :]:
                     den *= pole - power
-                denominators[k] = den
+                # A finite numerator over an infinite D_k would make a silent 0.
+                den = denominators[k] = float_value(den, what)
             terms.append(num / den)
-        exponent = n * ell - n * (n + 1) // 2 + n * dual
+        exponent = n * e - n * (n + 1) // 2
         # fsum raises on inf - inf, so the terms are checked first.
-        value = q**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
-        sums.append(float_value(value, f"residue sum at q = {q!r}, ell = {ell}"))
-    return sums
+        value = base**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
+        sums.append(float_value(value, what))
+    return [1 - h for h in sums] if flip else sums
 
 
-def _exact_residue_sum(seq: StartSequence, ells: Sequence[int], q: Fraction, dual: bool) -> list[Fraction]:
-    """The residue sums at q = p/d in integers, one Fraction per ell.
+def _exact_residue_sum(seq: StartSequence, values: tuple[int, ...], ells: Sequence[int], q: Fraction,
+                       base: Fraction) -> list[Fraction]:
+    """The residue sums of :func:`_residue_sum` at base = p/d > 1 on values,
+    in integers, one Fraction per ell.
 
-    H_dual(ell) at q is H(a_n + n - ell) of the dual sequence at 1/q, so
-    only the direct sum is written out. With g(s) = p**s - d**s, q**s - 1
-    is g(s)/d**s, and q**a_k - q**a_s is +-p**min g(|a_k - a_s|)/d**max of
-    the pair. So q**(n ell - n(n + 1)/2) N(m)/D_k is p**(n ell - n(n + 1)/2)
-    times G(m) d**x_k / B_k, where G(m) is the product of g(s) over s = m +
-    1 .. m + n, x_k is the sum of a_s - a_k over s > k, and B_k is (-1)**(n
-    - k) p**y_k times the product of g(|a_k - a_s|) over s != k, with y_k
-    the sum of min(a_k, a_s). Over L = lcm(B_k) the poles share one
-    denominator: H(ell) is one integer sum of G(m) w_k, with w_k = d**x_k L
-    // B_k, and one Fraction per ell, normalised once.
+    With g(s) = p**s - d**s, base**s - 1 is g(s)/d**s, and base**a_k -
+    base**a_s is +-p**min g(|a_k - a_s|)/d**max of the pair. So
+    base**(n ell - n(n + 1)/2) N(m)/D_k is p**(n ell - n(n + 1)/2) times
+    G(m) d**x_k / B_k, where G(m) is the product of g(s) over s = m + 1 ..
+    m + n, x_k is the sum of a_s - a_k over s > k, and B_k is (-1)**(n -
+    k) p**y_k times the product of g(|a_k - a_s|) over s != k, with y_k the
+    sum of min(a_k, a_s). Over L = lcm(B_k) the poles share one
+    denominator: H(ell) is one integer sum of G(m) w_k, with w_k = d**x_k
+    L // B_k, and one Fraction per ell, normalised once.
 
-    Each side keeps g, L, its weights and each G(m) on the sequence for its
-    last q, the G(m) formed on first use.
+    g, L, the weights and each G(m) live on seq for its last q, the G(m)
+    formed on first use.
     """
     n, top = seq.n, seq.top
-    values = seq.values
-    p, d = q.numerator, q.denominator
-    if dual:
-        values = tuple(top - a for a in reversed(values))
-        p, d = d, p
-        ells = [top + n - ell for ell in ells]
-    sides = _pole_memo(seq, q, dict)
-    if dual not in sides:
-        g = {s: p**s - d**s for s in range(1, top + n + 1)}
+    p, d = base.numerator, base.denominator
+
+    def fresh():
+        g = {s: p**s - d**s for s in range(1, top + 1)}
         bases, shifts = [], []
         for k, a in enumerate(values):
             others = values[:k] + values[k + 1 :]
@@ -322,61 +325,57 @@ def _exact_residue_sum(seq: StartSequence, ells: Sequence[int], q: Fraction, dua
             bases.append((-1) ** (n - k) * p**low * math.prod(g[abs(a - v)] for v in others))
             shifts.append(sum(values[k + 1 :]) - (n - k) * a)
         common = math.lcm(*bases)
-        sides[dual] = (g, {}, common, [d**x * (common // b) for x, b in zip(shifts, bases)])
-    g, numerators, common, weights = sides[dual]
+        return g, {}, common, [d**x * (common // b) for x, b in zip(shifts, bases)]
+
+    g, numerators, common, weights = _pole_memo(seq, q, fresh)
     sums = []
     for ell in ells:
         total = 0
-        for k in _poles(values, ell, False):
+        for k in range(bisect_left(values, ell), n + 1):
             m = values[k] - ell
             num = numerators.get(m)
             if num is None:
                 num = numerators[m] = math.prod(g[s] for s in range(m + 1, m + n + 1))
             total += num * weights[k]
-        exponent = n * ell - n * (n + 1) // 2
-        sums.append(Fraction(total * p**exponent, common) if exponent >= 0
-                    else Fraction(total, common * p**-exponent))
+        # ell > n, so the power of p is positive.
+        sums.append(Fraction(total * p ** (n * ell - n * (n + 1) // 2), common))
     return sums
 
 
 def one_point_exit(seq: StartSequence, ell: int, q: Weight) -> Weight:
     """Probability that the top path exits at abscissa ell or beyond (residue route).
 
-    The contour encircles the weight-poles q**a_k with a_k >= ell; the
-    residues at a_k in [ell - n, ell) vanish identically. Exact for
+    1 for ell <= n: the top path's last north step lies at x >= n. Beyond
+    n, the residue sum of :func:`_residue_sum` at a base above 1. Exact for
     rational q; a float q sums the residues with fsum.
     """
     q = _weight(q)
     ell = integer_value(ell, "exit abscissa", 0, seq.top)
-    return _residue_sum(seq, range(ell, ell + 1), q, False)[0]
+    return _residue_sum(seq, range(ell, ell + 1), q)[0] if ell > seq.n else type(q)(1)
 
 
 def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
-    """Exit probability seen from the complementary path family.
+    """Exit probability seen from the complementary path family, 1 -
+    H(ell + 1) for n <= ell <= a_n + n: 1 from a_n on, where no path exits.
 
-    Defined for n <= ell <= a_n + n; the contour encircles the poles with
-    a_k <= ell - n. Complementary to the direct route: one_point_exit(seq,
-    ell, q) plus one_point_exit_dual(seq, ell - 1, q) equals 1.
+    It is the direct exit probability of the reflected sequence at 1/q:
+    one_point_exit(dual_sequence(seq), a_n + n - ell, 1/q).
     """
     q = _weight(q)
     ell = integer_value(ell, "dual exit abscissa", seq.n, seq.top + seq.n)
-    return _residue_sum(seq, range(ell, ell + 1), q, True)[0]
+    return type(q)(1) - (_residue_sum(seq, range(ell + 1, ell + 2), q)[0] if ell < seq.top else 0)
 
 
-def one_point_table(seq: StartSequence, q: Weight, dual: bool = False) -> list[Weight]:
+def one_point_table(seq: StartSequence, q: Weight) -> list[Weight]:
     """The whole exit law in one pass: one_point_exit(seq, ell, q) for ell =
-    0 .. a_n, or one_point_exit_dual(seq, ell, q) for ell = n .. a_n + n when
-    dual is set, equal to those calls value by value.
+    0 .. a_n, equal to those calls value by value.
 
     The pole factors live on seq for its last q, shared with every per-ell
     call and table at that q. A failure is the one the per-ell calls meet at
     the lowest failing ell.
     """
     q = _weight(q)
-    # A bool is the flag's own type; the residue sums read it as 0 or 1.
-    dual = integer_value(int(dual) if isinstance(dual, bool) else dual, "side flag dual", 0, 1)
-    lo = seq.n if dual else 0
-    return _residue_sum(seq, range(lo, seq.top + lo + 1), q, dual)
+    return [type(q)(1)] * (seq.n + 1) + _residue_sum(seq, range(seq.n + 1, seq.top + 1), q)
 
 
 @float_range

@@ -31,7 +31,6 @@ from qpaths.exact import (
     most_likely_exit,
     one_point_exit,
     one_point_exit_det,
-    one_point_exit_dual,
     partition_det,
     partition_product,
 )
@@ -161,10 +160,14 @@ def test_criterion_05_one_point_complementarity():
         seq = StartSequence((0,))
         while seq.top <= seq.n:  # need at least one admissible abscissa
             seq = StartSequence((0, *sorted(rng.sample(range(1, 13), n))))
+        # The residue route at q against the determinant on the reflected
+        # model at 1/q, where an exit at or beyond ell is one below
+        # a_n + n + 1 - ell.
+        dual = dual_sequence(seq)
         for q in (Fraction(3, 7), Fraction(5, 2)):
             for ell in range(seq.n + 1, seq.top + 1):
                 h = one_point_exit(seq, ell, q)
-                hd = one_point_exit_dual(seq, ell - 1, q)
+                hd = one_point_exit_det(dual, seq.top + seq.n + 1 - ell, 1 / q)
                 assert h + hd == 1
                 checks += 1
     report(

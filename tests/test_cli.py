@@ -119,14 +119,26 @@ def test_exact_rational_q_with_large_values(tmp_path, capsys):
     "sequence, base", [([0, 5], 1e60), ([0, 1, 40], 1e-5), ([0, 5], 1e-60)]
 )
 def test_exact_float_residue_sums_out_of_range(tmp_path, capsys, sequence, base):
-    # At 1e60 the first one-point table fails, at 1e-60 the dual one; a
-    # failing command writes none of its files.
+    # The residue sums run at a base above 1: on (0, 1, 40) at 1e-5 they
+    # leave the doubles at 1e5, and the failing command writes none of its
+    # files; on (0, 5) at 1e+-60 they stay inside, and the tables hold the
+    # exact ones at the float's binary value to a few units of 1e-16.
     doc = {"model": {"finite": {"sequence": sequence, "q": {"base": base, "n": 1}}}}
     rc, out = run_cli(tmp_path, doc, "exact")
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "residue sum" in err and "Traceback" not in err
-    assert not out.exists()
+    if sequence == [0, 1, 40]:
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "residue sum" in err and "Traceback" not in err
+        assert not out.exists()
+        return
+    assert rc == 0
+    seq, q = StartSequence(sequence), Fraction(base)
+    _, rows = load_csv(str(out / "one_point.csv"))
+    assert [r[0] for r in rows] == list(range(seq.top + 1))
+    assert all(abs(h - exact.one_point_exit(seq, ell, q)) <= 1e-15 for ell, h in rows)
+    _, rows = load_csv(str(out / "one_point_dual.csv"))
+    assert [r[0] for r in rows] == list(range(seq.n, seq.top + seq.n + 1))
+    assert all(abs(h - exact.one_point_exit_dual(seq, ell, q)) <= 1e-15 for ell, h in rows)
 
 
 def test_exact_float_partition_in_range(tmp_path):

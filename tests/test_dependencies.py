@@ -43,7 +43,7 @@ package.__path__ = [sys.argv[1]]
 sys.modules["qpaths"] = package
 errors, qpoly, exact = (importlib.import_module(f"qpaths.{name}") for name in ("errors", "qpoly", "exact"))
 seq = exact.StartSequence((0, 2, 5))
-assert exact.one_point_table(seq, Fraction(7, 10), True)[-1] == 1
+assert exact.one_point_exit_dual(seq, 2, Fraction(7, 10)) == 1 - exact.one_point_table(seq, Fraction(7, 10))[3]
 assert exact.one_point_table(seq, 0.7)[0] == 1
 print(json.dumps("numpy" in sys.modules))
 """

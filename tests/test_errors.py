@@ -28,10 +28,11 @@ UNIFORM = StartDensity([(1.0, 2.0)])
 # np.float64 for the numpy variant.
 CASES = {
     # exact
-    "one_point_exit": lambda f: exact.one_point_exit(StartSequence((0, 5)), 0, f(1e60)),
-    "one_point_exit_dual": lambda f: exact.one_point_exit_dual(StartSequence((0, 1, 40)), 42, f(1e-5)),
-    "one_point_table": lambda f: exact.one_point_table(StartSequence((0, 5)), f(1e60)),
-    "one_point_table_dual": lambda f: exact.one_point_table(StartSequence((0, 1, 40)), f(1e-5), dual=True),
+    # At 1e-5 the residue sum runs at 1e5 on the reflected (0, 39, 40), whose
+    # D_2 leaves the doubles: every H(ell) past n = 2 is refused.
+    "one_point_exit": lambda f: exact.one_point_exit(StartSequence((0, 1, 40)), 3, f(1e-5)),
+    "one_point_exit_dual": lambda f: exact.one_point_exit_dual(StartSequence((0, 1, 40)), 2, f(1e-5)),
+    "one_point_table": lambda f: exact.one_point_table(StartSequence((0, 1, 40)), f(1e-5)),
     "free_path_weight": lambda f: exact.free_path_weight(40, 3, f(1e60)),
     "free_path_weight_underflow": lambda f: exact.free_path_weight(5, 40, f(1e-200)),
     "perturbed_partition": lambda f: exact.perturbed_partition(StartSequence((0, 5)), 3, f(1e60)),

@@ -217,8 +217,6 @@ REFUSED_INTEGERS = {
     "free_path_weight_ell": lambda: free_path_weight(2.5, 2, HALF),
     "free_path_weight_r": lambda: free_path_weight(2, 2.5, HALF),
     "most_likely_exit_r": lambda: most_likely_exit(SEQ, 1.5, HALF),
-    "one_point_table_dual_2": lambda: one_point_table(SEQ, HALF, dual=2),
-    "one_point_table_dual_float": lambda: one_point_table(SEQ, HALF, dual=1.0),
 }
 
 
@@ -237,18 +235,19 @@ def test_finite_n_integer_arguments_accept_numpy_integers():
     assert one_point_exit_det(SEQ, three, HALF) == one_point_exit_det(SEQ, 3, HALF)
     assert free_path_weight(three, np.int32(2), HALF) == free_path_weight(3, 2, HALF)
     assert most_likely_exit(SEQ, three, HALF) == most_likely_exit(SEQ, 3, HALF)
-    assert one_point_table(SEQ, HALF, dual=1) == one_point_table(SEQ, HALF, dual=True)
-    assert one_point_table(SEQ, HALF, dual=np.int64(0)) == one_point_table(SEQ, HALF)
 
 
 def test_one_point_complementarity():
+    # The residue route against the determinant on the reflected model at
+    # 1/q, where an exit at or beyond ell is one below a_n + n + 1 - ell.
     rng = random.Random(23)
     for n in range(1, 5):
         seq = random_sequence(rng, n, n + rng.randint(2, 5))
+        dual = dual_sequence(seq)
         for q in (Fraction(1, 3), Fraction(7, 2)):
             for ell in range(seq.n + 1, seq.top + 1):
-                assert one_point_exit(seq, ell, q) + one_point_exit_dual(
-                    seq, ell - 1, q
+                assert one_point_exit(seq, ell, q) + one_point_exit_det(
+                    dual, seq.top + n + 1 - ell, 1 / q
                 ) == 1
 
 
@@ -323,14 +322,13 @@ def _outcome(fn, *args):
 
 
 def test_residue_loop_matches_the_per_route_formulas():
-    # One loop picks the poles for both tables; the sums are exact, so
-    # neither the pole order nor the shared numerator may move a bit.
+    # One residue sum at a base above 1 gives both exit laws; at a rational
+    # q it must equal the two per-route formulas at q itself.
     rng = random.Random(31)
     for _ in range(25):
         n = rng.randint(1, 12)
         seq = random_sequence(rng, n, n + rng.randint(0, 12))
-        qs = [Fraction(7, 10), Fraction(3, 2)] + [10.0 ** rng.uniform(-3, 3) for _ in range(3)]
-        for q in qs:
+        for q in (Fraction(7, 10), Fraction(3, 2)):
             # Each call on a fresh sequence, so no pole factor is shared.
             for ell in range(seq.top + 1):
                 assert _outcome(one_point_exit, StartSequence(seq.values), ell, q) == _outcome(
@@ -349,32 +347,77 @@ def test_table_matches_the_per_exit_route():
     # runs on a fresh sequence, so the table is not checked against the
     # pole factors it reads itself.
     rng = random.Random(37)
-    cases = [(StartSequence((0, 1, 40)), 1e-5)]  # the dual overflows from ell = 32 on
+    # D_2 of the reflected (0, 39, 40) at 1e5 leaves the doubles, and D_4 at 61.49.
+    cases = [(StartSequence((0, 1, 40)), 1e-5), (StartSequence((0, 1, 19, 21, 44)), 61.49)]
     for _ in range(25):
         n = rng.randint(1, 12)
         seq = random_sequence(rng, n, n + rng.randint(0, 12))
         qs = [Fraction(7, 10), Fraction(3, 2)] + [10.0 ** rng.uniform(-3, 3) for _ in range(3)]
         cases += [(seq, q) for q in qs]
-    failures = {False: [], True: []}
+    failures = 0
     for seq, q in cases:
-        for dual, per_ell in ((False, one_point_exit), (True, one_point_exit_dual)):
-            lo = seq.n if dual else 0
-            ells = range(lo, seq.top + lo + 1)
+        ells = range(seq.top + 1)
+        try:
+            table = one_point_table(seq, q)
+        except NumericalFailure as exc:
+            first = next(e for e in ells if _outcome(one_point_exit, StartSequence(seq.values), e, q)
+                         is NumericalFailure)
+            with pytest.raises(NumericalFailure) as per_ell_exc:
+                one_point_exit(StartSequence(seq.values), first, q)
+            assert str(exc) == str(per_ell_exc.value), (seq, q)
+            failures += 1
+            continue
+        assert [_outcome(table.__getitem__, e) for e in ells] == [
+            _outcome(one_point_exit, StartSequence(seq.values), e, q) for e in ells
+        ], (seq, q)
+    assert failures >= 2
+
+
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=10),
+       st.floats(min_value=0.05, max_value=3), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_float_exit_laws_are_exact_or_refused(gaps, log_q, below):
+    # A float H or H_dual either raises NumericalFailure or lies within
+    # 1e-10 of the exact exit law at the float's own binary value, for q in
+    # [1e-3, 1e3] outside 10**+-0.05. A sum at a base below 1 cancels every
+    # digit, and a second, dual, residue sum drifts by up to 3.4e-6 already
+    # at n = 10. Nearer 1 the terms grow for every form, and the double
+    # sum loses more than 1e-10 unseen: 2.9e-10 on the gaps
+    # (1, 1, 1, 1, 1, 6, 6, 6, 6, 6) at q = e**-0.05, 3.2e-7 at e**-0.001.
+    seq = StartSequence(tuple(itertools.accumulate(gaps, initial=0)))
+    n, top = seq.n, seq.top
+    q = 10.0 ** (-log_q if below else log_q)
+    exact_seq, qx = StartSequence(seq.values), Fraction(q)
+    routes = [(one_point_exit, range(top + 1)), (one_point_exit_dual, range(n, top + n + 1))]
+    for route, ells in routes:
+        for ell in ells:
             try:
-                table = one_point_table(seq, q, dual)
-            except NumericalFailure as exc:
-                first = next(e for e in ells if _outcome(per_ell, StartSequence(seq.values), e, q)
-                             is NumericalFailure)
-                with pytest.raises(NumericalFailure) as per_ell_exc:
-                    per_ell(StartSequence(seq.values), first, q)
-                assert str(exc) == str(per_ell_exc.value), (seq, q, dual)
-                failures[dual].append(first - lo)
+                value = route(seq, ell, q)
+            except NumericalFailure:
                 continue
-            assert [_outcome(table.__getitem__, e - lo) for e in ells] == [
-                _outcome(per_ell, StartSequence(seq.values), e, q) for e in ells
-            ], (seq, q, dual)
-    # Both directions meet overflows, and some only past their first ell.
-    assert failures[False] and failures[True] and max(failures[True]) > 0
+            assert type(value) is float
+            assert abs(Fraction(value) - route(exact_seq, ell, qx)) <= 1e-10, (seq, q, route, ell)
+
+
+def test_an_overflowed_pole_denominator_is_refused():
+    # D_4 = prod (q**44 - q**a_s) leaves the doubles at q = 61.49. A finite
+    # numerator over it is a silent 0 term, which reads H(5) as -7.2e-42
+    # where the exact value is 1.
+    seq = StartSequence((0, 1, 19, 21, 44))
+    with pytest.raises(NumericalFailure, match=r"^residue sum at q = 61\.49, ell = 5 is outside"):
+        one_point_exit(seq, 5, 61.49)
+    assert one_point_exit(seq, 5, Fraction(61.49)) == 1 - one_point_exit_dual(seq, 4, Fraction(61.49))
+
+
+def test_exit_law_far_below_one():
+    # The top path's last north step lies at x >= n, so H(ell) = 1 there
+    # without a sum; beyond it the sum at 1/q = 1e5 overflows and refuses.
+    # The sum at q itself reads -12688.5 for H(0), and 1 for the argmax.
+    seq = StartSequence((0, 1, 40))
+    assert one_point_exit(seq, 0, 1e-5) == 1.0 and one_point_exit(seq, 2, 1e-5) == 1.0
+    with pytest.raises(NumericalFailure, match="residue sum"):
+        most_likely_exit(seq, 3, 1e-5)
+    assert most_likely_exit(seq, 3, Fraction(1e-5)) == 0
 
 
 EXTREME_QS = (Fraction(1, 1000), Fraction(999, 1000), Fraction(1001, 1000), Fraction(1000, 3))
@@ -390,7 +433,7 @@ def test_integer_residue_sums_match_the_fraction_formulas(gaps, q):
     seq = StartSequence(tuple(itertools.accumulate(gaps, initial=0)))
     n, top = seq.n, seq.top
     direct = one_point_table(seq, q)
-    dual = one_point_table(seq, q, True)
+    dual = [one_point_exit_dual(seq, ell, q) for ell in range(n, top + n + 1)]
     assert all(type(v) is Fraction for v in direct + dual)
     assert direct == [_per_route_exit(seq, ell, q) for ell in range(top + 1)]
     assert dual == [_per_route_exit_dual(seq, ell, q) for ell in range(n, top + n + 1)]
@@ -421,7 +464,7 @@ def test_warm_pole_factors_keep_every_bit():
     # calls before, in whatever order, each value and each failure must be
     # the one a fresh sequence gives.
     rng = random.Random(41)
-    cases = [((0, 5), 1e60), ((0, 1, 40), 1e-5)]  # the direct, and the dual, overflow
+    cases = [((0, 5), 1e60), ((0, 1, 40), 1e-5)]  # the second's sums at 1e5 overflow
     for _ in range(8):
         n = rng.randint(1, 10)
         seq = random_sequence(rng, n, n + rng.randint(0, 10))
@@ -433,7 +476,7 @@ def test_warm_pole_factors_keep_every_bit():
         per_ell = [(one_point_exit, ell, q) for ell in range(top + 1)]
         per_ell += [(one_point_exit_dual, ell, q) for ell in range(n, top + n + 1)]
         ascending = sorted(per_ell, key=lambda call: call[1])  # direct, then dual, at each ell
-        tables = [(one_point_table, q, False), (one_point_table, q, True)]
+        tables = [(one_point_table, q)]
         steps = tables + ascending + ascending[::-1] + rng.sample(per_ell, len(per_ell)) + tables
         steps += [(fn, r, q) for r in range(1, 2 * n + 1) for fn in (most_likely_exit, perturbed_partition)]
         raised = []
@@ -461,8 +504,7 @@ def test_pole_factors_are_kept_per_type_and_value_of_q():
             assert _result(one_point_exit, seq, ell, q) == _cold(one_point_exit, seq.values, ell, q)
             assert _result(one_point_exit_dual, seq, ell + seq.n, q) == _cold(
                 one_point_exit_dual, seq.values, ell + seq.n, q)
-        for dual in (False, True):
-            assert _result(one_point_table, seq, q, dual) == _cold(one_point_table, seq.values, q, dual)
+        assert _result(one_point_table, seq, q) == _cold(one_point_table, seq.values, q)
     # The memo is no dataclass field: a used sequence keeps its ==, hash and repr.
     fresh = StartSequence((0, 2, 5))
     assert seq == fresh and hash(seq) == hash(fresh) and repr(seq) == repr(fresh)
