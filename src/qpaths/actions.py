@@ -14,25 +14,42 @@ carries the interaction with the start density, while the free parts
                          + int_0^(alpha(1)+1-xi) ln(same integrand) du
 
 weigh the free tail of the exit path in the right and left tangent
-constructions.  The free integrand has a log singularity at u = 0.
-Near it, ln|expm1(y)| = ln|y| + ln(expm1(y)/y): the ln|y| terms integrate
-in closed form and the smooth remainder goes to the quadrature; past
-u = 4/|ln qq| the integrand is a fast series in e**(-u |ln qq|), summed
-term by term.  Saddle residual helpers expose the closed-form first
-derivatives so the stationarity of a tangency point can be checked
-without numerical differentiation.  Every factor t - qq**b goes through
-the pole kernel of :mod:`qpaths.curves`, so the actions and residuals
-stay finite where qq**b leaves the doubles.
+constructions.  Both are closed forms in one dilogarithm kernel, in plain
+math: _li2(sigma, d) = Li2(sigma e**(-d)) for d >= 0, sigma = +-1, and its
+divided difference _mean_log1m, the mean of ln(1 - sigma e**(-d)) over an
+interval of d (the derivative of Li2(sigma e**(-d)) in d).
+
+- Bulk: on a linear segment of the density each factor t - qq**b has an
+  exponent e = b ln qq linear in u, so it integrates as a mean of
+  ln|t - e**e| over an interval of e.  With L = ln|t| and sigma the sign
+  of t, that is L + ln(1 - sigma e**(e - L)) below L and
+  e + ln(1 - sigma e**(L - e)) above it: exact means of the polynomial
+  parts plus _mean_log1m.  At t < 0 an interval that holds L splits
+  there; at t > 0 a factor that crosses L changes sign and the action is
+  refused.  qq**b is never formed, so bases such as 1e-300 need no pole
+  kernel.
+- Free: with l = |ln qq| and C(d) = zeta(2) - Li2(e**(-d)), the integral
+  over [0, span] is z span max(ln qq, 0) + (C(l z) + C(l span)
+  - C(l (z + span))) / l, taken as a difference of two means (see
+  _free_integral).
+
+Accuracy: _li2 is good to a few units of 1e-16 relative.  _mean_log1m
+takes a difference of two _li2 values on an interval at least _LONG long
+(a few units of 1e-16 absolute) and divides the series through term by
+term on a shorter one, so bases next to 1 keep their digits.  The saddle
+residuals are closed-form first derivatives, for checking the
+stationarity of a tangency point without numerical differentiation;
+their factors t - qq**b go through the pole kernel of
+:mod:`qpaths.curves`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .curves import _log_pole, _log_shift, _Scaled
+from .curves import _LN2, _log_pole, _log_shift, _Scaled
 from .errors import InvalidArgument, float_range, float_value, real_value
 from .profile import StartDensity, _check_base
-from .quadrature import integrate
 
 __all__ = [
     "action_bulk",
@@ -43,12 +60,124 @@ __all__ = [
     "saddle_residual_xi_left",
 ]
 
-_ABS_TOL = 1e-10
-_REL_TOL = 1e-12
-# Cut, in units of 1/|ln qq|, past which the free-tail integrand is summed
-# as a series; e**(-_FAR * _FAR_TERMS) is below the double epsilon.
-_FAR = 4.0
-_FAR_TERMS = 10
+_ZETA2 = 1.6449340668482264  # pi**2 / 6 = Li2(1)
+# B_2m / (2m + 1)! for m = 1 .. 9: Li2(x) = y - y**2/4 + sum_m of these
+# times y**(2m + 1), with y = -ln(1 - x).  For |y| <= ln 2 the first term
+# left out is below 1e-18 of the sum.
+_BERNOULLI = (0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
+              -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
+              8.921691020456452e-13, -1.9939295860721074e-14, 4.518980029619918e-16)
+# Interval length in d from which _mean_log1m takes the difference of two
+# _li2 values: its rounding, a few units of 1e-16 over the length, stays
+# below 1e-15 absolute.
+_LONG = 1.0
+
+
+def _series(y: float) -> float:
+    """Li2(x) from its Bernoulli series in y = -ln(1 - x), for |y| <= ln 2."""
+    y2 = y * y
+    acc = 0.0
+    for c in reversed(_BERNOULLI):
+        acc = acc * y2 + c
+    return y + y2 * (-0.25 + y * acc)
+
+
+def _series_slope(a: float, b: float) -> float:
+    """(_series(b) - _series(a)) / (b - a) for a, b of one sign, term by term.
+
+    (b**k - a**k) / (b - a) = h_k = b h_(k-1) + a**(k-1) sums terms of one
+    sign, so nothing cancels, also at a == b.
+    """
+    power, h = a, a + b
+    total = 1.0 - 0.25 * h
+    for c in _BERNOULLI:
+        power *= a
+        h = b * h + power
+        total += c * h
+        power *= a
+        h = b * h + power
+    return total
+
+
+def _li2(sigma: float, d: float) -> float:
+    """Li2(sigma e**(-d)) for d >= 0 and sigma = +-1.
+
+    The Bernoulli series for x = sigma e**(-d) <= 1/2 (down to x = -1,
+    where y = -ln 2); above 1/2 the reflection Li2(x) = zeta(2) - ln x
+    ln(1 - x) - Li2(1 - x), with ln x = -d and 1 - x = -expm1(-d), whose
+    own y is d.
+    """
+    if sigma > 0.0 and d < _LN2:
+        if not d:
+            return _ZETA2
+        return _ZETA2 + d * math.log(-math.expm1(-d)) - _series(d)
+    return _series(-math.log1p(-sigma * math.exp(-d)))
+
+
+def _xlog1p(x: float, y: float) -> float:
+    """x ln(1 + y/x) for x, y > 0, also where y/x overflows."""
+    r = y / x
+    return x * (math.log1p(r) if r < math.inf else math.log(y) - math.log(x))
+
+
+def _mean_near(d0: float, width: float) -> float:
+    """_mean_log1m(1, d0, width) for d0 + width <= ln 2, by the reflection.
+
+    There Li2(e**(-d)) = zeta(2) + d w(d) - _series(d) with
+    w(d) = ln(-expm1(-d)), and d1 w(d1) - d0 w(d0) = width w(d1)
+    + d0 ln(1 + e**(-d0) (1 - e**(-width)) / (1 - e**(-d0))).
+    """
+    d1 = d0 + width
+    value = math.log(-math.expm1(-d1)) - _series_slope(d0, d1)
+    if d0 > 0.0:
+        lo = -math.expm1(-d0)
+        value += d0 / lo * _xlog1p(lo, math.exp(-d0) * -math.expm1(-width)) / width
+    return value
+
+
+def _mean_far(sigma: float, d0: float, width: float) -> float:
+    """_mean_log1m(sigma, d0, width) where sigma e**(-d0) <= 1/2, by the series.
+
+    y1 - y0 = ln((1 - x0) / (1 - x1)) is a log1p of x1 - x0 = x0 expm1(-width).
+    """
+    x0 = sigma * math.exp(-d0)
+    step = x0 * math.expm1(-width)
+    x1 = x0 + step
+    slope = _series_slope(-math.log1p(-x0), -math.log1p(-x1))
+    return math.log1p(step / (1.0 - x1)) / width * slope
+
+
+def _mean_log1m(sigma: float, d0: float, width: float) -> float:
+    """Mean of ln(1 - sigma e**(-d)) over d in [d0, d0 + width], for d0 >= 0,
+    width > 0 and sigma = +-1: (Li2(sigma e**(-d1)) - Li2(sigma e**(-d0))) / width.
+
+    An interval at least _LONG long takes that difference; a shorter one
+    divides it through term by term (_mean_near, _mean_far), split at
+    d = ln 2 where sigma = 1 and it holds ln 2.
+    """
+    if width >= _LONG:
+        return (_li2(sigma, d0 + width) - _li2(sigma, d0)) / width
+    if sigma < 0.0 or d0 >= _LN2:
+        return _mean_far(sigma, d0, width)
+    near = _LN2 - d0
+    if width <= near:
+        return _mean_near(d0, width)
+    far = width - near
+    return (near * _mean_near(d0, near) + far * _mean_far(1.0, _LN2, far)) / width
+
+
+def _mean_log_gap(sigma: float, lo: float, width: float) -> tuple[float, bool | None]:
+    """Mean of ln|t - e**e| - ln|t| over e - ln|t| in [lo, lo + width], with
+    sigma the sign of t; and whether t - e**e < 0 there, None if the
+    interval holds e = ln|t|, where t - e**e changes sign unless t < 0.
+    """
+    hi = lo + width
+    if hi <= 0.0:
+        return _mean_log1m(sigma, -hi, width), False
+    if lo >= 0.0:
+        return lo + 0.5 * width + _mean_log1m(sigma, lo, width), True
+    below = -lo * _mean_log1m(sigma, 0.0, -lo)
+    return (0.5 * hi * hi + below + hi * _mean_log1m(sigma, 0.0, hi)) / width, None
 
 
 @float_range
@@ -56,23 +185,33 @@ def action_bulk(d: StartDensity, qq: float, t: float, xi: float) -> float:
     """Bulk action at tangency parameter t and exit height xi.
 
     Defined for t on the outer branches, where the integrand's log
-    argument keeps one sign across u in [0, 1].  The quadrature runs one
-    linear segment at a time (jumps have no u extent) over
-    ln((t - qq**(xi - u)) / (t - qq**alpha(u))), the (xi - 1/2) ln qq term
-    folded in.
+    argument keeps one sign across u in [0, 1].  One linear segment at a
+    time (jumps have no u extent), the factors t - qq**(xi - u) and
+    t - qq**alpha(u) integrate in closed form (see _mean_log_gap); at
+    t > 0 a segment on which they differ in sign, or one changes sign, is
+    refused.
     """
     qq = _check_base(qq)
     t, xi = real_value(t, "t"), real_value(xi, "xi")
-    log_q = math.log(qq)
     if t == 0.0:
         raise InvalidArgument("bulk action undefined at t = 0")
+    log_q = math.log(qq)
+    ell = abs(log_q)
+    log_t = math.log(abs(t))
+    sigma = math.copysign(1.0, t)
     val = 0.0
     for el in d.segment_elements():
-
-        def integrand(u: float, u_lo=el.u_lo, a_lo=el.a_lo, p=el.p) -> float:
-            return _log_ratio(t, xi - u, a_lo + p * (u - u_lo), qq, log_q, "bulk action")
-
-        val += integrate(integrand, el.u_lo, el.u_hi, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
+        width = el.u_hi - el.u_lo
+        # The lower end of each factor's exponent interval, from ln|t|.
+        if log_q > 0.0:
+            num_lo, den_lo = (xi - el.u_hi) * log_q, el.a_lo * log_q
+        else:
+            num_lo, den_lo = (xi - el.u_lo) * log_q, el.a_hi * log_q
+        num, num_side = _mean_log_gap(sigma, num_lo - log_t, width * ell)
+        den, den_side = _mean_log_gap(sigma, den_lo - log_t, el.p * width * ell)
+        if sigma > 0.0 and (num_side is None or num_side != den_side):
+            raise InvalidArgument(f"bulk action: log argument not positive at t={t!r}")
+        val += width * (num - den)
     return float_value(val, "bulk action")
 
 
@@ -112,48 +251,23 @@ def _dual_span(d: StartDensity, xi, z) -> tuple[float, float, float]:
     return xi, z, span
 
 
-def _xlog1p(x: float, y: float) -> float:
-    """x ln(1 + y/x) for x, y > 0, also where y/x overflows."""
-    r = y / x
-    return x * (math.log1p(r) if r < math.inf else math.log(y) - math.log(x))
-
-
 def _free_integral(log_q: float, z: float, span: float) -> float:
     """int_0^span ln(expm1((u+z) log_q) / expm1(u log_q)) du, for z, span > 0.
 
     With l = |log_q| the integrand is z max(log_q, 0) + D(u), where
-    D(u) = ln((1 - e**(-(u+z) l)) / (1 - e**(-u l))) >= 0 carries the log
-    singularity at u = 0.  Up to the cut u = _FAR / l, write
-    ln|expm1(y)| = ln|y| + ln(expm1(y)/y) for y = (u+z) log_q and
-    y = u log_q.  The ln|y| terms integrate in closed form; the remainder,
-    smooth on a scale of 1/l, goes to the quadrature as D(u) - ln(1 + z/u),
-    a form that keeps its digits when z is far below u.  Past the cut,
-    D(u) = sum_k e**(-k u l) (1 - e**(-k z l)) / k integrates term by term,
-    with terms falling like e**(-k _FAR).  Carrying the split past the cut
-    would cancel the closed term against the remainder (ten thousandfold at
-    qq = 1e-300, span = 300, z = 5), and one long panel would meet the
-    absolute tolerance while missing the decay on the scale 1/l.
+    D(u) = ln((1 - e**(-(u+z) l)) / (1 - e**(-u l))) >= 0, and
+    int_0^span D = (C(l z) + C(l span) - C(l (z + span))) / l with
+    C(d) = -int_0^d ln(1 - e**(-s)) ds.  With a <= b the two of z, span,
+    C(l a) + C(l b) - C(l (a + b)) = l a (M(l b) - M(0)), M(s) the mean
+    of ln(1 - e**(-d)) over [s, s + l a]: a tail of 1e-300 beside a span of
+    300 stays one short mean, not a difference of two C values near
+    zeta(2).
     """
     ell = abs(log_q)
-    tail = -math.expm1(-z * ell)
-    cut = min(span, _FAR / ell)
-
-    def remainder(u: float) -> float:
-        ratio = tail * math.exp(-u * ell) / -math.expm1(-u * ell)
-        return math.log1p(ratio) - math.log1p(z / u)
-
-    # F(cut+z) - F(z) - F(cut) for F(s) = s (ln s + ln l - 1), whose
-    # ln l - 1 parts cancel.
-    val = _xlog1p(z, cut) + _xlog1p(cut, z)
-    val += integrate(remainder, 0.0, cut, rel_tol=_REL_TOL, abs_tol=_ABS_TOL)
-    if span > cut:
-        far = (span - cut) * ell
-        val += math.fsum(
-            -math.expm1(-k * z * ell) * math.exp(-k * _FAR) * -math.expm1(-k * far)
-            / (k * k * ell)
-            for k in range(1, _FAR_TERMS + 1)
-        )
-    return z * span * max(log_q, 0.0) + val
+    short, long = sorted((z, span))
+    width = short * ell
+    means = _mean_log1m(1.0, long * ell, width) - _mean_log1m(1.0, 0.0, width)
+    return z * span * max(log_q, 0.0) + short * means
 
 
 @float_range

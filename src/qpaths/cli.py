@@ -35,7 +35,6 @@ from .exact import (
     dual_sequence,
     one_point_exit,
     one_point_exit_det,
-    one_point_exit_dual,
     one_point_table,
     partition_det,
     partition_poly,
@@ -71,8 +70,13 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
     z = partition_poly(seq)
     z_at_q = _partition_function(z, q)
 
-    one_point = list(enumerate(one_point_table(seq, q)))
-    one_point_dual = [(ell, one_point_exit_dual(seq, ell, q)) for ell in range(seq.n, seq.top + seq.n + 1)]
+    table = one_point_table(seq, q)
+    one_point = list(enumerate(table))
+    # H_dual(ell) = 1 - H(ell + 1), and 1 from a_n on, where no path exits;
+    # table[0] is H(0) = 1 in q's type.
+    one = table[0]
+    one_point_dual = [(ell, one - table[ell + 1] if ell < seq.top else one)
+                      for ell in range(seq.n, seq.top + seq.n + 1)]
     reversal_ok, reversal_resid = _reversal_check(seq, z, _dual_partition(seq, z))
     summary = {
         "sequence": list(seq),

@@ -19,7 +19,8 @@ s = t x'(t) / x(t), the map from ``t`` to the tangency point is
 Each maximal admissible ``t`` interval (branch) yields one arc: the
 right and left outer arcs plus one arc per density window, where the
 paths freeze into gap or filled phases.  Every factor t - qq**a of x(t)
-and of :mod:`qpaths.actions` meets its pole in one kernel, _log_pole:
+and of the saddle residuals of :mod:`qpaths.actions` meets its pole in
+one kernel, _log_pole:
 ln|t - qq**a| = a ln qq + ln|sigma e**y - 1| with y = ln|t| - a ln qq,
 so no pole leaves the doubles and bases such as 1e-300 keep every branch
 that holds a double t.  The point map runs on numpy arrays of t; the exit

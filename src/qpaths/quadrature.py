@@ -4,13 +4,15 @@ Every panel carries the sum of its two Gauss-Legendre halves and, as its
 error estimate, how far that sum moved from the whole-panel rule.  The
 panel with the largest estimate is bisected until the estimates summed
 over all panels meet the tolerance (the global strategy of QUADPACK).
-Kinks and singularities are the caller's to handle.  The bulk action
-and x(t) integrate one linear element of the start density at a time,
-so no panel straddles a kink or a jump.  x(t) in :mod:`qpaths.curves`
-integrates the pole of t/(t - qq**a) in closed form and the free-tail
-action in :mod:`qpaths.actions` its ln u singularity, so only bounded
-remainders reach this rule.  A tolerance that cannot be met raises
-NumericalFailure; no estimate is returned short of it.
+Kinks and singularities are the caller's to handle.  The one caller in
+the package is the quadrature route of x(t) in :mod:`qpaths.curves`,
+the independent check of its closed product form (the actions of
+:mod:`qpaths.actions` have closed forms and call no quadrature).  It
+integrates one linear element of the start density at a time, so no
+panel straddles a kink or a jump, and takes the pole of t/(t - qq**a) in
+closed form, so only bounded remainders reach this rule.  A tolerance
+that cannot be met raises NumericalFailure; no estimate is returned
+short of it.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ _HALF_WEIGHTS = (0.2025782419255613, 0.1984314853271116, 0.1861610000155622, 0.1
 _NODES = tuple(-x for x in _HALF_NODES[:0:-1]) + _HALF_NODES
 _WEIGHTS = _HALF_WEIGHTS[:0:-1] + _HALF_WEIGHTS
 # Bound on the panels of one call.  Converging calls hold at most 54
-# panels in the test suite (the 1/sqrt(x) endpoint test; 6 outside the
-# quadrature tests) and 4 in the benchmark (tangent seeds 1 and 101-105;
-# the other workloads make no call); a call still short of its tolerance
-# at 1000 panels (about 30 000 integrand calls) is chasing rounding noise.
+# panels in the test suite (the 1/sqrt(x) endpoint test; 13 outside the
+# quadrature tests, in x(t)'s quadrature route) and 1 in the benchmark
+# (tangent seeds 1 and 101-105, 44 calls a pass; the other workloads make
+# no call); a call still short of its tolerance at 1000 panels (about
+# 30 000 integrand calls) is chasing rounding noise.
 _MAX_PANELS = 1000
 
 

@@ -209,11 +209,6 @@ def read_csv(source: str) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def load_csv(path: str) -> tuple[list[str], list[list]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return read_csv(fh.read())
-
-
 _PALETTE = ("#1f6f8b", "#c1443c", "#3a7d44", "#8a4f9e", "#b8860b", "#555555")
 _SVG_WIDTH = 720
 

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qpaths import actions, quadrature
+from qpaths import actions, curves, quadrature
 from qpaths.actions import (
     action_bulk,
     action_free,
@@ -175,17 +175,23 @@ def mp_bulk_action(d, qq, t, xi):
         return total
 
 
-def test_bulk_action_against_mpmath_at_extreme_bases():
-    # Bases where qq**(u - xi) or qq**alpha(u) leaves the double range;
-    # the error is measured against the size of the (xi - 1/2) ln qq term.
-    for d in (UNIFORM, THIRDS, GAPPED):
-        for qq in (1e-300, 1e-150, 1e-20, 1e20, 1e200, 1e250):
-            for t in (-1e5, -20.0, -1.0, -1e-3):
-                for xi in (0.3, 1.5, 2.5):
+def assert_bulk_action_matches_mpmath(densities, bases, ts, xis):
+    # The error is measured against the size of the (xi - 1/2) ln qq term.
+    for d in densities:
+        for qq in bases:
+            for t in ts:
+                for xi in xis:
                     expected = mp_bulk_action(d, qq, t, xi)
                     got = action_bulk(d, qq, t, xi)
                     tol = 1e-11 * (1.0 + abs(xi - 0.5) * abs(math.log(qq)))
                     assert abs(got - expected) <= tol, (d, qq, t, xi, got)
+
+
+def test_bulk_action_against_mpmath_at_extreme_bases():
+    # Bases where qq**(u - xi) or qq**alpha(u) leaves the double range.
+    assert_bulk_action_matches_mpmath((UNIFORM, THIRDS, GAPPED),
+                                      (1e-300, 1e-150, 1e-20, 1e20, 1e200, 1e250),
+                                      (-1e5, -20.0, -1.0, -1e-3), (0.3, 1.5, 2.5))
 
 
 def test_bulk_plus_free_action_derivative_at_extreme_bases():
@@ -294,6 +300,10 @@ def test_free_actions_against_mpmath():
     # quadrature's absolute tolerance; a tail below the smallest normal
     # double, where span / z overflows.
     cases += [(3.0, 1e-12, 1e-12), (1e-300, 0.5, 0.5), (3.0, 0.5, 1e-310)]
+    assert_free_actions_match_mpmath(cases)
+
+
+def assert_free_actions_match_mpmath(cases):
     for qq, xi, z in cases:
         free = mp_free_integral(qq, xi, z)
         got = action_free(qq, xi, z)
@@ -349,26 +359,27 @@ def test_xi_residuals_against_mpmath_across_bases():
             assert error <= 1e-13 * (abs(own) + abs(integral)), (fn.__name__, qq, xi, z, got)
 
 
-def test_free_action_quadrature_budget(monkeypatch):
+def quad_bulk_action(d, qq, t, xi):
+    """S_bulk by the adaptive quadrature, one linear segment at a time, at
+    a base where every qq**b is a double."""
+    total = 0.0
+    for el in d.segment_elements():
+        def integrand(u, el=el):
+            return math.log((t - qq ** (xi - u)) / (t - qq ** (el.a_lo + el.p * (u - el.u_lo))))
+
+        total += quadrature.integrate(integrand, el.u_lo, el.u_hi, rel_tol=1e-13, abs_tol=1e-14)
+    return total
+
+
+def test_actions_and_residuals_need_no_quadrature(monkeypatch):
     # Criterion 09's grid: UNIFORM at qq = 3, both constructions, xi +- 1e-5.
-    # A smooth remainder converges on its first panel (45 evaluations); the
-    # singular integrand would take about 1500.
-    counts = []
-
-    def counted(f, a, b, **kwargs):
-        calls = [0]
-
-        def g(u):
-            calls[0] += 1
-            return f(u)
-
-        try:
-            return quadrature.integrate(g, a, b, **kwargs)
-        finally:
-            counts.append(calls[0])
-
-    monkeypatch.setattr(actions, "integrate", counted)
+    # The references come first: the bulk action by the quadrature, the free
+    # actions by mpmath's dilogarithm, the t residual from the product form
+    # of x(t), the xi residuals from mp_xi_residual.  Then every quadrature
+    # route raises, and the closed forms must still meet them.
     qq, eps = 3.0, 1e-5
+    log_q = math.log(qq)
+    cases = []
     for which, fn, ts in (
         ("right", exit_params_right, np.geomspace(9.3, 1e6, 28)),
         ("left", exit_params_left, -np.geomspace(12.5, 1e6, 40)),
@@ -379,12 +390,83 @@ def test_free_action_quadrature_budget(monkeypatch):
             except QpathsError:
                 continue
             for xi in (v.xi + eps, v.xi - eps):
-                if which == "right":
-                    action_free(qq, xi, v.z)
-                else:
-                    action_free_dual(UNIFORM, qq, xi, v.z)
-    assert len(counts) >= 80
-    assert max(counts) <= 45
+                span = xi if which == "right" else UNIFORM.alpha_top + 1.0 - xi
+                free = dilog_free_action(qq, span, v.z)
+                if which == "left":
+                    free += v.z * (xi + v.z / 2.0) * log_q
+                ratio = (t * qq ** (1 - xi) - 1) / (t * qq ** (-xi) - 1)
+                r_t = (math.log(ratio) + math.log(x_of_t(UNIFORM, qq, t))) / (t * log_q)
+                own, integral = mp_xi_residual(qq, t, xi, v.z, None if which == "right" else span)
+                cases.append((which, t, xi, v.z, quad_bulk_action(UNIFORM, qq, t, xi), free,
+                              r_t, float(own - integral), float(abs(own) + abs(integral))))
+    assert len(cases) >= 80
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    # actions itself gets the refusal too, so an import of integrate there
+    # would be caught.
+    for owner in (quadrature, curves, actions):
+        monkeypatch.setattr(owner, "integrate", refuse, raising=False)
+    for which, t, xi, z, bulk, free, r_t, r_xi, size in cases:
+        assert action_bulk(UNIFORM, qq, t, xi) == pytest.approx(bulk, rel=1e-12, abs=1e-12)
+        if which == "right":
+            got_free = action_free(qq, xi, z)
+            got_xi = saddle_residual_xi_right(UNIFORM, qq, t, xi, z)
+        else:
+            got_free = action_free_dual(UNIFORM, qq, xi, z)
+            got_xi = saddle_residual_xi_left(UNIFORM, qq, t, xi, z)
+        assert got_free == pytest.approx(free, rel=1e-12, abs=1e-14)
+        assert abs(saddle_residual_t(UNIFORM, qq, t, xi) - r_t) <= 1e-12 * max(1.0, abs(r_t))
+        assert abs(got_xi - r_xi) <= 1e-13 * size
+
+
+def test_dilogarithm_kernel_against_mpmath():
+    # Li2(sigma e**(-d)) over [-1, 1]: both ends, the series' switch at 1/2,
+    # x = 1 - 2**-k next to 1 and tiny |x|.  The reference takes the kernel's
+    # own d, so only the kernel's rounding is measured.
+    xs = [k / 32 for k in range(-32, 33) if k]
+    xs += [s * (1 - 2.0**-k) for k in range(1, 53) for s in (1, -1)]
+    xs += [s * 10.0**-k for k in range(1, 308, 7) for s in (1, -1)]
+    xs += [0.5 - 1e-12, 0.5 + 1e-12]
+    with mpmath.workdps(40):
+        for x in xs:
+            sigma, d = math.copysign(1.0, x), -math.log(abs(x))
+            expected = mpmath.polylog(2, sigma * mpmath.exp(-mpmath.mpf(d)))
+            got = actions._li2(sigma, d)
+            assert abs(got - expected) <= 1e-15 * abs(expected), (x, got)
+
+
+def test_dilogarithm_mean_against_mpmath():
+    # The divided difference on both sides of its long-interval switch, at
+    # either sign, from d0 = 0 (the log singularity), across ln 2 and far out.
+    ln2 = math.log(2.0)
+    with mpmath.workdps(40):
+        for sigma in (1.0, -1.0):
+            for d0 in (0.0, 1e-300, 1e-8, 0.3, ln2 - 1e-9, ln2, 0.9, 5.0, 400.0):
+                for width in (1e-14, 1e-8, 1e-3, 0.5, 0.999, 1.0, 3.0, 1e3):
+                    lo, hi = mpmath.mpf(d0), mpmath.mpf(d0) + mpmath.mpf(width)
+                    expected = (mpmath.polylog(2, sigma * mpmath.exp(-hi))
+                                - mpmath.polylog(2, sigma * mpmath.exp(-lo))) / mpmath.mpf(width)
+                    got = actions._mean_log1m(sigma, d0, width)
+                    assert abs(got - expected) <= 2e-15 * max(1.0, abs(expected)), (
+                        sigma, d0, width, got)
+
+
+NEAR_ONE = [1.0 + s * 10.0**-k for k in range(1, 9) for s in (1, -1)]
+
+
+def test_bulk_action_against_mpmath_near_base_one():
+    # The exponent intervals shrink like |ln qq|; a difference of two
+    # dilogarithms there would lose 1e-16 / |ln qq|.
+    assert_bulk_action_matches_mpmath((THIRDS, GAPPED), NEAR_ONE, (-20.0, -1e-3, 20.0), (0.3, 2.5))
+
+
+def test_free_actions_against_mpmath_near_base_one():
+    # test_free_actions_against_mpmath holds the mixed case (1e-300, 1e-12,
+    # 0.5), where C(a) - C(a + b) with b << 1 << a would cancel.
+    assert_free_actions_match_mpmath([(qq, xi, z) for qq in NEAR_ONE for xi in (1e-12, 0.5, 300.0)
+                                      for z in (1e-300, 1e-12, 5.0)])
 
 
 def test_free_action_ordering():

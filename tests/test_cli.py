@@ -11,12 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from qpaths import cli, curves, exact
+from qpaths import cli, curves, exact, serialize
 from qpaths.errors import NumericalFailure, QpathsError
 from qpaths.exact import StartSequence, dual_sequence, partition_det, partition_poly
 from qpaths.profile import StartDensity
 from qpaths.qpoly import QPolynomial
-from qpaths.serialize import load_csv, parse_cell
+from qpaths.serialize import parse_cell
 
 FINITE = {
     "model": {"finite": {"sequence": [0, 1, 3], "q": "7/10"}},
@@ -51,6 +51,11 @@ SCALED_HEX_LIKE = {
 }
 
 
+def load_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return serialize.read_csv(fh.read())
+
+
 def write_config(tmp_path, doc, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -83,6 +88,8 @@ def test_exact_writes_tables(tmp_path):
     header, rows = load_csv(str(out / "one_point_dual.csv"))
     assert header == ["ell", "H_dual"]
     assert [r[0] for r in rows] == [2, 3, 4, 5]
+    seq = StartSequence((0, 1, 3))
+    assert all(h == exact.one_point_exit_dual(seq, ell, Fraction(7, 10)) for ell, h in rows)
 
     summary = json.loads((out / "exact_summary.json").read_text())
     assert summary["sequence"] == [0, 1, 3]
@@ -90,6 +97,18 @@ def test_exact_writes_tables(tmp_path):
     assert summary["reversal_residual"] == 0
     # Z(7/10) for starts (0, 1, 3): q^5 + q^6 + q^7, checked by hand.
     assert summary["partition_at_q"] == "3680733/10000000"
+
+
+def test_exact_dual_table_at_a_float_q(tmp_path):
+    # The dual table is read off the one-point table; at a float q it holds
+    # the per-ell values bit for bit.
+    doc = {"model": {"finite": {"sequence": [0, 2, 3, 7], "q": {"base": 3, "n": 4}}}}
+    rc, out = run_cli(tmp_path, doc, "exact")
+    assert rc == 0
+    seq, q = StartSequence((0, 2, 3, 7)), 3.0 ** (1.0 / 4)
+    _, rows = load_csv(str(out / "one_point_dual.csv"))
+    assert [r[0] for r in rows] == list(range(seq.n, seq.top + seq.n + 1))
+    assert [h for _, h in rows] == [exact.one_point_exit_dual(seq, ell, q) for ell, _ in rows]
 
 
 def test_exact_float_partition_out_of_range(tmp_path, capsys):

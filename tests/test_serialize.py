@@ -19,7 +19,6 @@ from qpaths.serialize import (
     ArrayRows,
     emit_csv,
     format_cell,
-    load_csv,
     parse_cell,
     read_csv,
     render_svg,
@@ -183,7 +182,8 @@ def test_csv_file_round_trip(tmp_path):
     write_csv(path, ["a", "b", "c", "d"], rows)
     raw = open(path, "rb").read()
     assert b"\r" not in raw  # LF endings regardless of platform
-    header, got = load_csv(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, got = read_csv(fh.read())
     assert header == ["a", "b", "c", "d"]
     assert got == [list(r) for r in rows]
 
