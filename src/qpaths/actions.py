@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 
-from .curves import _LN2, _log_pole, _log_shift, _Scaled
+from .curves import _LN2, _log_pole, _log_shift, _scaled
 from .errors import InvalidArgument, float_range, float_value, real_value
 from .profile import StartDensity, _check_base
 
@@ -308,7 +308,7 @@ def saddle_residual_t(d: StartDensity, qq: float, t: float, xi: float) -> float:
     int_0^1 du / (t - qq**alpha(u)) = -ln x(t) / (t ln qq).
     """
     t, xi = real_value(t, "t"), real_value(xi, "xi")
-    sc = _Scaled(d, qq)
+    sc = _scaled(d, qq)
     if t == 0.0 or sc.domain(t).window is not None:
         raise InvalidArgument(f"t={t!r} lies on no outer branch")
     boundary = _log_ratio(t, xi - 1.0, xi, sc.qq, sc.log_q, "t residual")

@@ -221,16 +221,20 @@ def _log_poles(t, a: float, qq: float, log_q: float):
 
 
 class _Scaled:
-    """The per-(density, base) quantities every evaluator builds on entry."""
+    """The per-(density, base) quantities every evaluator builds on: the
+    poles' segment data and the branch ladder.  Built by :func:`_scaled`,
+    which keeps the one of the density's last base on the density, so it
+    is read-only once built."""
 
     __slots__ = ("qq", "log_q", "parts", "top", "domains")
 
     def __init__(self, d: StartDensity, qq: float):
-        self.qq = _check_base(qq)
-        self.log_q = math.log(self.qq)
+        """``qq`` is a base already checked by profile._check_base."""
+        self.qq = qq
+        self.log_q = math.log(qq)
         # One (a_lo, a_hi, 1/p) tuple per linear segment; jumps contribute
         # no factor to x(t).
-        self.parts = [(el.a_lo, el.a_hi, 1.0 / el.p) for el in d.segment_elements()]
+        self.parts = tuple((el.a_lo, el.a_hi, 1.0 / el.p) for el in d.segment_elements())
         self.top = d.alpha_top
         # The branch ladder: right arc, left arc, then one per window.  Each
         # branch holds the t > 0 whose tau = ln t / ln qq lies in its taus
@@ -239,15 +243,16 @@ class _Scaled:
         inf = math.inf
         e_right = self.pole(self.top)
         outer = [(e_right, inf), (-inf, 1.0)] if self.qq > 1.0 else [(-inf, e_right), (1.0, inf)]
-        self.domains = [
+        domains = [
             TDomain(*outer[0], "right", 1, taus=(self.top, inf), log_q=self.log_q),
             TDomain(*outer[1], "left", 1, taus=(-inf, 0.0), log_q=self.log_q),
         ]
         for idx, w in enumerate(d.windows):
             lo, hi = sorted((self.pole(w.a_lo), self.pole(w.a_hi)))
             sign = -1 if w.kind == "filled" else 1
-            self.domains.append(TDomain(lo, hi, f"{w.kind}_window_{idx + 1}", sign, window=w,
-                                        taus=(w.a_lo, w.a_hi), log_q=self.log_q))
+            domains.append(TDomain(lo, hi, f"{w.kind}_window_{idx + 1}", sign, window=w,
+                                   taus=(w.a_lo, w.a_hi), log_q=self.log_q))
+        self.domains = tuple(domains)
 
     def pole(self, a: float) -> float:
         """qq**a where |a ln qq| <= _LOG_RANGE keeps it a normal double, else 0 or inf."""
@@ -341,10 +346,27 @@ class _Scaled:
             return lx, sign * x_abs, one_minus_x, s
 
 
+def _scaled(d: StartDensity, qq: float) -> _Scaled:
+    """The _Scaled of d at base qq, which is checked here (profile._check_base).
+
+    The density keeps the one of its last base and rebuilds it only when
+    the base changes, as StartSequence keeps its pole factors for its last
+    q: the evaluators of one tangent construction share one branch ladder.
+    """
+    qq = _check_base(qq)
+    sc = d._scaled
+    if sc is None or sc.qq != qq:
+        sc = d._scaled = _Scaled(d, qq)
+    return sc
+
+
 @float_range
 def t_domains(d: StartDensity, qq: float) -> list[TDomain]:
-    """All admissible t intervals: right arc, left arc, then one per window."""
-    return _Scaled(d, qq).domains
+    """All admissible t intervals: right arc, left arc, then one per window.
+
+    A fresh list each call: the density's stored ladder stays as built.
+    """
+    return list(_scaled(d, qq).domains)
 
 
 def _pole_free(z: float) -> float:
@@ -372,7 +394,7 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
     comes from the branch of t.
     """
     t = real_value(t, "t")
-    sc = _Scaled(d, qq)
+    sc = _scaled(d, qq)
     sign = sc.domain(t).sign_of_x
     if method == "closed":
         return float_value(float(sc.terms(t, sign)[1]), f"x at t={t!r}")
@@ -475,7 +497,7 @@ def arctic_point(d: StartDensity, qq: float, t: float) -> tuple[float, float]:
     InvalidArgument for t outside every branch.
     """
     t = real_value(t, "t")
-    sc = _Scaled(d, qq)
+    sc = _scaled(d, qq)
     if not t or math.log(abs(t)) < sc.tau_zero() * sc.log_q:
         raise SingularPoint(f"point map has no digits at t={t!r}, nearer 0 than the sweep's stop")
     bx, by, regular = _tangency(sc, t, sc.domain(t).sign_of_x)
@@ -570,7 +592,7 @@ def arctic_curve(d: StartDensity, qq: float, dom: TDomain, *, n_samples: int = 4
     branch (see TDomain.__contains__), are skipped and counted.  A branch
     without a regular point raises NumericalFailure.
     """
-    sc = _Scaled(d, qq)
+    sc = _scaled(d, qq)
     if dom not in sc.domains:
         raise InvalidArgument(f"{dom!r} is no branch of this density at base {sc.qq!r}")
     n_samples = integer_value(n_samples, "n_samples", 2)
@@ -607,7 +629,7 @@ def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100)
     the doubles.
     """
     t = real_value(t, "t")
-    sc = _Scaled(d, qq)
+    sc = _scaled(d, qq)
     if t == 0.0:
         raise SingularPoint(f"tangent line undefined at t={t!r}: x = 1, the degenerate point")
     _, x, one_minus_x, _ = sc.terms(t, sc.domain(t).sign_of_x)
@@ -650,7 +672,7 @@ def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVa
     in doubles where it and its factors are normal doubles.
     """
     t = real_value(t, "t")
-    sc = _Scaled(d, qq)
+    sc = _scaled(d, qq)
     dom = sc.domain(t)
     if dom.branch != branch:
         raise InvalidArgument(f"t={t!r} is on branch {dom.branch!r}, not {branch!r}")

@@ -111,8 +111,11 @@ def real_value(value, what: str) -> float:
 
     A Python or numpy real number passes (an integer or a Fraction too); a
     bool or any other value raises InvalidArgument, as does a real number
-    that is not finite or lies beyond the doubles (a huge integer).
+    that is not finite or lies beyond the doubles (a huge integer).  A
+    finite plain float, the common case, returns at once.
     """
+    if type(value) is float and math.isfinite(value):
+        return value
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise InvalidArgument(f"{what} must be a real number, got {shown(value)}")
     try:

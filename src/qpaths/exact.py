@@ -89,7 +89,10 @@ def _weight(q: Weight) -> Union[Fraction, float]:
 
     The one contract on q of the finite-n routes: q is finite, positive and
     not 1. A float q (numpy's too) computes in doubles, every other q exactly.
+    A plain float that keeps the contract returns at once.
     """
+    if type(q) is float and 0.0 < q < math.inf and q != 1.0:
+        return q
     exact = (isinstance(q, numbers.Rational) and not isinstance(q, bool)
              or isinstance(q, Decimal) and q.is_finite())
     q = Fraction(q) if exact else real_value(q, "q")
@@ -269,7 +272,6 @@ def _residue_sum(seq: StartSequence, ells: range, q: Weight) -> list[Weight]:
         seq, q, lambda: ([base**a for a in values], {}, [None] * (n + 1)))
     sums = []
     for ell, e in zip(ells, reflected):
-        what = f"residue sum at q = {q!r}, ell = {ell}"
         terms = []
         for k in range(bisect_left(values, e), n + 1):
             m = values[k] - e
@@ -286,13 +288,21 @@ def _residue_sum(seq: StartSequence, ells: range, q: Weight) -> list[Weight]:
                 for power in powers[:k] + powers[k + 1 :]:
                     den *= pole - power
                 # A finite numerator over an infinite D_k would make a silent 0.
-                den = denominators[k] = float_value(den, what)
+                den = denominators[k] = _checked_residue(den, q, ell)
             terms.append(num / den)
         exponent = n * e - n * (n + 1) // 2
         # fsum raises on inf - inf, so the terms are checked first.
         value = base**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
-        sums.append(float_value(value, what))
+        sums.append(_checked_residue(value, q, ell))
     return [1 - h for h in sums] if flip else sums
+
+
+def _checked_residue(value: float, q: float, ell: int) -> float:
+    """value if finite, else the NumericalFailure of float_value naming the
+    residue sum at q and ell; the message is formed only for a failure."""
+    if math.isfinite(value):
+        return value
+    return float_value(value, f"residue sum at q = {q!r}, ell = {ell}")
 
 
 def _exact_residue_sum(seq: StartSequence, values: tuple[int, ...], ells: Sequence[int], q: Fraction,

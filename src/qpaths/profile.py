@@ -59,9 +59,13 @@ class StartDensity:
     the constructor lists every refusal in one InvalidArgument.  Adjacent
     segments of equal slope with no jump between them form one element, so
     each slope-1 element and each jump is one freezing window.
+
+    The density also holds the scaled state of the last base it met
+    (``_scaled``, kept by :func:`qpaths.curves._scaled`), so repeated calls
+    at one base build the branch ladder once.
     """
 
-    __slots__ = ("_elements", "_windows")
+    __slots__ = ("_elements", "_windows", "_scaled")
 
     def __init__(
         self,
@@ -147,6 +151,7 @@ class StartDensity:
             for i, el in enumerate(elements)
             if el.kind == "jump" or el.p == 1.0
         )
+        self._scaled = None
 
     @property
     def elements(self) -> tuple[ProfileElement, ...]:

@@ -1,7 +1,10 @@
 """CSV and SVG emission.
 
 CSV files carry a header row, LF line endings, floats at 17 significant
-digits (enough for bit-exact round-trips) and exact rationals as num/den.
+digits (enough to read back the same value) and exact rationals as num/den.
+A float with an integral value is written in integer form (1.0 as ``1``,
+-0.0 as ``-0``), so it reads back as an int of that value: the type and
+the sign of a zero are not kept.
 Rows are formatted in blocks with one %-format per block when each
 column holds only ints or only floats; numpy tables come as ArrayRows,
 and other rows, text among them, go through format_cell and the csv
@@ -67,8 +70,14 @@ def format_cell(value) -> str:
 
 
 def parse_cell(text: str):
-    """Inverse of format_cell: the numeric forms it writes become numbers,
-    and any other text is returned as it is."""
+    """Read back what format_cell writes: its numeric forms become numbers,
+    and any other text is returned as it is.
+
+    An int, a Fraction and a non-integral float come back as they were.  An
+    integral float, written in integer form, comes back as an int of the
+    same value: ``format_cell(1.0)`` is ``1`` and reads back as 1, and
+    ``format_cell(-0.0)`` is ``-0`` and reads back as 0.
+    """
     if _INT.fullmatch(text):
         return _parse_int(text)
     ratio = _RATIO.fullmatch(text)

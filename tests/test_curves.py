@@ -10,11 +10,13 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpaths.actions import saddle_residual_t
 from qpaths.curves import (
     _log_shift,
     _log_shift_array,
     _pole_free,
     _Scaled,
+    _scaled,
     arctic_curve,
     arctic_point,
     exit_params_left,
@@ -141,7 +143,7 @@ def test_weights_at_extreme_bases_against_mpmath(d, qq):
             assert not ts and dom.lo == math.inf
             continue
         assert len(ts) >= 4, dom.branch
-        sc = _Scaled(d, qq)
+        sc = _scaled(d, qq)
         for t in ts:
             x, dx = mp_weight(d, qq, t, dom.sign_of_x)
             for got in (x_of_t(d, qq, t), x_of_t(d, qq, t, method="quadrature")):
@@ -733,7 +735,7 @@ def test_exit_params_across_the_near_zero_switch(case, sign):
     # and just outside, on the outer branch that crosses 0, (xi, z) match
     # mpmath or both refuse, and their step across the switch is mpmath's.
     d, qq = case
-    sc = _Scaled(d, qq)
+    sc = _scaled(d, qq)
     half = 0.5 * min(1.0, qq**d.alpha_top)
     inside, outside = (sign * (1.0 + s * 2.0**-20) * half for s in (-1.0, 1.0))
     assert sc.near_zero(inside) and not sc.near_zero(outside)
@@ -845,3 +847,128 @@ def test_left_construction_is_the_right_one_on_the_reflected_model(case, frac, s
             else:
                 assert got.xi == pytest.approx(top + 1.0 - via.xi, rel=1e-9, abs=1e-9)
                 assert got.z == pytest.approx(via.z, rel=1e-9, abs=1e-9)
+
+
+_STATE_PROFILES = {
+    "uniform": ([(1.0, 2.0)], []),
+    "filled_mid": ([(1 / 3, 2.0), (1 / 3, 1.0), (1 / 3, 2.0)], []),
+    "hex_like": ([(1 / 3, 1.0), (2 / 3, 1.0)], [(1 / 3, 1.0)]),
+}
+_STATE_BASES = (3.0, 1 / 3, 1e-2, 1e3, 1e-20)
+
+
+def _bits(value):
+    """value with every float as its hex form and every array as its bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_bits, value))
+    return repr(value)
+
+
+def _outcome_bits(fn, *args, **kwargs):
+    """fn's value bit for bit, or its refusal."""
+    try:
+        return _bits(fn(*args, **kwargs))
+    except (InvalidArgument, NumericalFailure, SingularPoint) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _branch_ts(dom, qq):
+    """t inside dom, of both signs where it reaches past 0."""
+    cap = 600.0 / abs(math.log(qq))
+    lo, hi = max(dom.taus[0], -cap), min(dom.taus[1], cap)
+    ts = [qq ** (lo + f * (hi - lo)) for f in (0.2, 0.5, 0.8)]
+    if dom.lo == -math.inf:
+        ts += [-0.5, -20.0]
+    return ts
+
+
+def _scaled_results(d, qq):
+    """Every evaluator that reads the scaled state of (d, qq), bit for bit."""
+    doms = t_domains(d, qq)
+    got = [_bits([(dom, dom.lo, dom.hi, dom.taus, dom.log_q) for dom in doms])]
+    for dom in doms:
+        got.append(_outcome_bits(lambda: arctic_curve(d, qq, dom, n_samples=24).txy))
+        for t in _branch_ts(dom, qq):
+            got += [_outcome_bits(x_of_t, d, qq, t),
+                    _outcome_bits(x_of_t, d, qq, t, method="quadrature"),
+                    _outcome_bits(arctic_point, d, qq, t),
+                    _outcome_bits(lambda: tangent_curve(d, qq, t, n_samples=9).txy),
+                    _outcome_bits(lambda: list(vars(exit_params_right(d, qq, t)).values())),
+                    _outcome_bits(lambda: list(vars(exit_params_left(d, qq, t)).values())),
+                    _outcome_bits(saddle_residual_t, d, qq, t, 0.75)]
+    return got
+
+
+@pytest.mark.parametrize("qq", _STATE_BASES)
+@pytest.mark.parametrize("profile", _STATE_PROFILES.values(), ids=_STATE_PROFILES.keys())
+def test_stored_scaled_state_leaves_every_result_as_it_was(profile, qq):
+    # A density keeps the scaled state of its last base. The results at
+    # (d, qq) are the same bits whether that store is empty, warm, filled at
+    # another base, or the store filled is another density's.
+    def density():
+        return StartDensity(*profile)
+
+    d = density()
+    assert d._scaled is None
+    empty = _scaled_results(d, qq)
+    assert _scaled_results(d, qq) == empty  # warm
+    for filled in (d, density()):  # filled at another base
+        t_domains(filled, 7.0)
+        assert _scaled_results(filled, qq) == empty
+    for other in (FILLED, HEX_LIKE):
+        t_domains(other, qq)
+    fresh = density()
+    assert fresh._scaled is None and _scaled_results(fresh, qq) == empty  # another density's
+
+
+def test_t_domains_hands_out_a_copy_of_the_stored_ladder():
+    d = StartDensity([(1 / 3, 2.0), (1 / 3, 1.0), (1 / 3, 2.0)])
+    doms = t_domains(d, 3.0)
+    want = list(doms)
+    doms.reverse()
+    doms.append(doms[0])
+    doms[0] = None
+    assert t_domains(d, 3.0) == want
+    assert len(arctic_curve(d, 3.0, want[2], n_samples=24)) > 0
+
+
+def test_a_density_rebuilds_its_scaled_state_at_a_new_base():
+    d = StartDensity([(1.0, 2.0)])
+    at_3 = _scaled(d, 3.0)
+    assert _scaled(d, 3) is at_3 and d._scaled is at_3
+    at_third = _scaled(d, 1 / 3)
+    assert at_third is not at_3 and at_third.qq == 1 / 3 and d._scaled is at_third
+    again = _scaled(d, 3.0)
+    assert again is not at_3 and again.qq == 3.0
+    assert [dom.branch for dom in again.domains] == ["right", "left"]
+    assert again.domains == at_3.domains
+
+
+def test_one_scaled_state_serves_a_tangent_construction(monkeypatch):
+    # Traffic, not time: 100 mixed calls at one (density, base) build the
+    # scaled state once.
+    builds = []
+    build = _Scaled.__init__
+
+    def counted(self, d, qq):
+        builds.append(qq)
+        build(self, d, qq)
+
+    monkeypatch.setattr(_Scaled, "__init__", counted)
+    d = StartDensity([(1.0, 2.0)])
+    calls = [
+        lambda t: x_of_t(d, 3.0, t),
+        lambda t: x_of_t(d, 3, t, method="quadrature"),
+        lambda t: exit_params_right(d, 3.0, t),
+        lambda t: exit_params_left(d, 3.0, -t),
+        lambda t: saddle_residual_t(d, np.float64(3.0), t, 1.5),
+        lambda t: arctic_point(d, 3.0, t),
+        lambda t: t_domains(d, 3.0),
+    ]
+    for i in range(100):
+        calls[i % len(calls)](9.0 * (1.0 + (i + 1) / 7.0))
+    assert builds == [3.0]

@@ -205,6 +205,37 @@ def test_real_value_makes_plain_finite_floats():
             real_value(value, "t")
 
 
+def test_plain_floats_pass_the_real_rule_unchanged():
+    # A finite plain float returns at once; every other value, np.float64
+    # among them, takes the full rule and its messages.
+    for value in (0.0, -0.0, 5e-324, -1e308, 2.5):
+        got = real_value(value, "t")
+        assert type(got) is float and got.hex() == value.hex()
+    for value in (np.float64(2.5), np.float64(-0.0)):
+        got = real_value(value, "t")
+        assert type(got) is float and got.hex() == float(value).hex()
+    for value, shown_value in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        with pytest.raises(InvalidArgument, match=f"^t must be finite, got {shown_value}$"):
+            real_value(value, "t")
+
+
+def test_float_weights_keep_the_weight_contract():
+    # A plain float q that is finite, above 0 and not 1 passes as it is; the
+    # others are refused as before.
+    for q in (0.7, 1.3, 5e-324, 1e308, 1.0 + 2.0**-52):
+        assert exact._weight(q) is q
+    assert type(exact._weight(np.float64(0.7))) is float
+    for q, problem in ((1.0, "q = 1 is excluded (uniform weights degenerate the formulas)"),
+                       (0.0, "q = 0 is excluded"),
+                       (-0.0, "q = 0 is excluded"),
+                       (-0.5, "q must be positive"),
+                       (math.nan, "q must be finite, got nan"),
+                       (math.inf, "q must be finite, got inf"),
+                       (np.float64(1.0), "q = 1 is excluded (uniform weights degenerate the formulas)")):
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(problem)}$"):
+            exact._weight(q)
+
+
 HUGE = 10**5000  # beyond the interpreter's 4300-digit limit on int to str
 HUGE_INTEGERS = {
     "integer_value": lambda: integer_value(HUGE, "seed", 0, 10),

@@ -48,6 +48,17 @@ def test_cell_parses():
     assert parse_cell("a/b") == "a/b"
 
 
+def test_integral_float_cells_read_back_as_ints():
+    # An integral float is written in integer form, so it reads back as an
+    # int of the same value: a float table's H = 1.0 as 1, and -0.0 as 0,
+    # which loses the sign of the zero.
+    assert format_cell(1.0) == "1"
+    assert parse_cell(format_cell(1.0)) == 1 and type(parse_cell(format_cell(1.0))) is int
+    assert format_cell(-0.0) == "-0"
+    again = parse_cell(format_cell(-0.0))
+    assert again == 0 and type(again) is int and math.copysign(1.0, again) == 1.0
+
+
 @pytest.mark.parametrize("text", ["1_000", " 7", "7 ", "\u0663", "Infinity", "-infinity",
                                   "1_0.5", "1E5", ".5", "1/0", "1/ 2", "1_0/3"])
 def test_text_cells_that_int_or_float_would_read_stay_text(text):
