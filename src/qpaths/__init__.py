@@ -14,13 +14,7 @@ from .actions import (
     saddle_residual_xi_right,
 )
 from .config import ModelConfig, parse_config
-from .configs import (
-    PathConfig,
-    dual_config,
-    enumerate_configs,
-    max_area_config,
-    min_area_config,
-)
+from .configs import PathConfig, dual_config, enumerate_configs
 from .curves import (
     Curve,
     ScalingVars,
@@ -59,7 +53,7 @@ from .exact import (
 )
 from .geometry import hausdorff_distance, polyline_self_intersects
 from .profile import StartDensity, WindowSpec, freezing_tent, limit_curve
-from .qpoly import QPolynomial, q_binomial, q_binomial_at, poly_det
+from .qpoly import QPolynomial, q_binomial, poly_det
 from .sampler import ChainResult, DensityField, run_chain
 
 __version__ = "0.1.0"
@@ -98,8 +92,6 @@ __all__ = [
     "geodesic",
     "hausdorff_distance",
     "limit_curve",
-    "max_area_config",
-    "min_area_config",
     "most_likely_exit",
     "one_point_exit",
     "one_point_exit_det",
@@ -113,7 +105,6 @@ __all__ = [
     "poly_det",
     "polyline_self_intersects",
     "q_binomial",
-    "q_binomial_at",
     "run_chain",
     "saddle_residual_t",
     "saddle_residual_xi_left",

@@ -176,12 +176,3 @@ def max_area_abscissas(seq: StartSequence) -> list[int]:
     a = seq.values
     return [a[i] for i in range(1, seq.n + 1) for _ in range(i)]
 
-
-def min_area_config(seq: StartSequence) -> PathConfig:
-    """Ground state for q -> 0, the configuration of least area."""
-    return PathConfig(seq, paths_from_abscissas(seq, min_area_abscissas(seq)))
-
-
-def max_area_config(seq: StartSequence) -> PathConfig:
-    """Ground state for q -> infinity: go straight north, then west."""
-    return PathConfig(seq, paths_from_abscissas(seq, max_area_abscissas(seq)))

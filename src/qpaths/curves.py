@@ -138,9 +138,6 @@ class Curve:
         """The (t, X, Y) rows as float tuples."""
         return list(map(tuple, self.txy.tolist()))
 
-    def xy(self) -> list[tuple[float, float]]:
-        return list(map(tuple, self.txy[:, 1:].tolist()))
-
     def __len__(self) -> int:
         return len(self.txy)
 

@@ -6,8 +6,8 @@ step at abscissa x carrying weight q**x, and distinct paths sharing no
 vertex. This module computes partition functions and exit ("one-point")
 quantities exactly, via two independent routes each: symbolic determinants
 and closed products/residue sums. At a rational q = p/d the residue sums
-and q-binomials run in integer products of p and d, normalised to a
-Fraction once per value; a float q computes in doubles.
+run in integer products of p and d, normalised to a Fraction once per
+value; a float q computes in doubles.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import islice
+from typing import Iterator, Sequence, Union
 
 from .errors import (
     InvalidArgument, NumericalFailure, float_range, float_value, integer_value, real_value, shown,
 )
-from .qpoly import QPolynomial, cyclotomic, poly_det, power_product, q_binomial, q_binomial_at
+from .qpoly import QPolynomial, cyclotomic, poly_det, power_product, q_binomial
 
 Rational = Union[int, Fraction]
 Weight = Union[int, Fraction, float]
@@ -288,21 +289,21 @@ def _residue_sum(seq: StartSequence, ells: range, q: Weight) -> list[Weight]:
                 for power in powers[:k] + powers[k + 1 :]:
                     den *= pole - power
                 # A finite numerator over an infinite D_k would make a silent 0.
-                den = denominators[k] = _checked_residue(den, q, ell)
+                den = denominators[k] = _checked(den, "residue sum", q, ell)
             terms.append(num / den)
         exponent = n * e - n * (n + 1) // 2
         # fsum raises on inf - inf, so the terms are checked first.
         value = base**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
-        sums.append(_checked_residue(value, q, ell))
+        sums.append(_checked(value, "residue sum", q, ell))
     return [1 - h for h in sums] if flip else sums
 
 
-def _checked_residue(value: float, q: float, ell: int) -> float:
-    """value if finite, else the NumericalFailure of float_value naming the
-    residue sum at q and ell; the message is formed only for a failure."""
-    if math.isfinite(value):
+def _checked(value: Weight, what: str, q: Weight, ell: int, positive: bool = False) -> Weight:
+    """value, unless float_value refuses it: then its NumericalFailure,
+    naming what at q and ell. The message is formed only for a failure."""
+    if not isinstance(value, float) or (0.0 if positive else -math.inf) < value < math.inf:
         return value
-    return float_value(value, f"residue sum at q = {q!r}, ell = {ell}")
+    return float_value(value, f"{what} at q = {shown(q)}, ell = {ell}", positive)
 
 
 def _exact_residue_sum(seq: StartSequence, values: tuple[int, ...], ells: Sequence[int], q: Fraction,
@@ -394,19 +395,39 @@ def free_path_weight(ell: int, r: int, q: Weight) -> Weight:
 
     Counts the continuation of a path that exits at abscissa ell and ends r
     rows higher on the axis: one forced north step (weight q**ell) times the
-    generating polynomial of the remaining staircase.
+    generating polynomial of the remaining staircase, W_r(ell) = q**ell
+    [ell + r - 1, ell]_q. Entry ell of :func:`_free_path_weights`.
     """
     ell = integer_value(ell, "exit abscissa", 0)
     r = integer_value(r, "endpoint shift r", 1)
-    q = _weight(q)
-    value = q**ell * q_binomial_at(ell + r - 1, ell, q)
-    return float_value(value, f"free path weight at q = {shown(q)}", positive=True)
+    return next(islice(_free_path_weights(r, _weight(q)), ell, None))
 
 
+def _free_path_weights(r: int, q: Union[Fraction, float]) -> Iterator[Weight]:
+    """W_r(0), W_r(1), ... in one pass: W_r(0) = 1, then the step ratio
+    W_r(ell) / W_r(ell - 1) = q (q**(ell + r - 1) - 1) / (q**ell - 1).
+
+    A Fraction q stays exact, reduced at each step; a float q computes in
+    doubles. The ratio is formed before it multiplies W, so no intermediate
+    exceeds W or q**(ell + r - 1). A W that overflows or underflows to 0
+    raises NumericalFailure; a power beyond the doubles raises
+    OverflowError, for the caller's float_range.
+    """
+    w, ell = type(q)(1), 0
+    while True:
+        yield _checked(w, "free path weight", q, ell, positive=True)
+        ell += 1
+        w *= q * ((q ** (ell + r - 1) - 1) / (q**ell - 1))
+
+
+@float_range
 def _exit_weights(seq: StartSequence, r: int, q: Weight) -> list[Weight]:
-    """H(ell) times the continuation weight, for ell = 0 .. a_n."""
-    weights = [h * free_path_weight(ell, r, q) for ell, h in enumerate(one_point_table(seq, q))]
-    return [float_value(w, f"exit weight at q = {shown(q)}") for w in weights]
+    """H(ell) times the continuation weight W_r(ell), for ell = 0 .. a_n."""
+    q = _weight(q)
+    table = one_point_table(seq, q)
+    r = integer_value(r, "endpoint shift r", 1)
+    return [_checked(h * w, "exit weight", q, ell)
+            for ell, (h, w) in enumerate(zip(table, _free_path_weights(r, q)))]
 
 
 @float_range

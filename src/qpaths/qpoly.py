@@ -210,36 +210,6 @@ def q_binomial(a: int, b: int) -> QPolynomial:
     return power_product(factors, math.comb(a, b))
 
 
-def q_binomial_at(a: int, b: int, q: Scalar) -> Scalar:
-    """Gaussian binomial evaluated at a scalar q via the factor product.
-
-    A float q runs in plain IEEE arithmetic (all factors carry the same
-    sign for q > 0, so the product is well conditioned); any other q is
-    taken as a Fraction p/d and the result is exact. There q**t - 1 is
-    (p**t - d**t)/d**t, so the product is one integer ratio over d**(b(a -
-    b)), normalised once. At q = +-1, where a factor q**s - 1 vanishes, the
-    polynomial itself is evaluated: C(a, b) at 1.
-    """
-    if a < 0:
-        raise InvalidArgument(f"q_binomial_at requires a >= 0, got a={a}")
-    if not isinstance(q, float):
-        q = Fraction(q)
-    if b < 0 or b > a:
-        return 0 * q
-    b = min(b, a - b)
-    if abs(q) == 1:
-        return q_binomial(a, b)(q)
-    if isinstance(q, Fraction):
-        p, d = q.numerator, q.denominator
-        num = math.prod(p ** (s + a - b) - d ** (s + a - b) for s in range(1, b + 1))
-        den = math.prod(p**s - d**s for s in range(1, b + 1))
-        return Fraction(num, den * d ** (b * (a - b)))
-    out = 1.0
-    for s in range(1, b + 1):
-        out *= (q ** (s + a - b) - 1) / (q**s - 1)
-    return out
-
-
 @lru_cache(maxsize=1024)
 def cyclotomic(d: int) -> QPolynomial:
     """The d-th cyclotomic polynomial, for d >= 1.

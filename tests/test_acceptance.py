@@ -58,10 +58,15 @@ def random_rational(rng):
     return q
 
 
+def _xy(curve):
+    """The (X, Y) points of a curve, in sweep order."""
+    return [(x, y) for _, x, y in curve.points]
+
+
 def branch_points(d, qq, which, n_samples=200):
     for dom in t_domains(d, qq):
         if dom.branch == which:
-            return arctic_curve(d, qq, dom, n_samples=n_samples).xy()
+            return _xy(arctic_curve(d, qq, dom, n_samples=n_samples))
     raise AssertionError(f"no branch {which!r}")
 
 
@@ -381,7 +386,7 @@ def _whole_curve(d, qq):
     parts = []
     for dom in t_domains(d, qq):
         try:
-            pts = arctic_curve(d, qq, dom, n_samples=200).xy()
+            pts = _xy(arctic_curve(d, qq, dom, n_samples=200))
         except QpathsError:
             continue
         if pts:
@@ -413,7 +418,7 @@ def test_criterion_13_unit_slope_profile_degenerates_to_three_segments():
 def _window_branch(d, qq):
     for dom in t_domains(d, qq):
         if "window" in dom.branch:
-            return arctic_curve(d, qq, dom, n_samples=200).xy()
+            return _xy(arctic_curve(d, qq, dom, n_samples=200))
     raise AssertionError("no window branch traced")
 
 

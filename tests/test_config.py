@@ -132,6 +132,11 @@ def test_structure_violations():
         ({"model": {"scaled": {"segments": [[1, 2]]}}}, "model.scaled.base: missing"),
         ({**FINITE_DOC, "task": [1]}, "task: expected an object"),
         ({**FINITE_DOC, "task": {"out": ""}}, "task.out: expected a non-empty string, got ''"),
+        ({"model": {"finite": {"sequence": [0, 1], "q": {"base": "x", "n": 2}}}},
+         "model.finite.q.base: expected a number, got 'x'"),
+        ({"model": {"scaled": {"segments": [[1.0]], "base": 3}}},
+         "model.scaled.segments[0]: expected a [number, number] pair"),
+        ({**FINITE_DOC, "task": {"t_values": "abc"}}, "task.t_values: expected a list of finite numbers"),
     ):
         with pytest.raises(ConfigError) as info:
             parse_config(json.dumps(doc))

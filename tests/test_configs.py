@@ -11,8 +11,8 @@ from qpaths.configs import (
     abscissas,
     dual_config,
     enumerate_configs,
-    max_area_config,
-    min_area_config,
+    max_area_abscissas,
+    min_area_abscissas,
     paths_from_abscissas,
 )
 from qpaths.errors import InvalidArgument, SizeLimitExceeded
@@ -100,20 +100,22 @@ def test_dual_config_is_an_area_complementing_bijection_onto_the_dual_ensemble()
 def test_extremal_configs():
     for values in ((0, 1), (0, 2), (0, 1, 3), (0, 2, 4)):
         seq = StartSequence(values)
-        areas = [c.total_area() for c in enumerate_configs(seq)]
-        assert min_area_config(seq).total_area() == min(areas)
-        assert max_area_config(seq).total_area() == max(areas)
+        # Each array is a configuration's, and the area is its sum.
+        areas = {tuple(abscissas(c)): c.total_area() for c in enumerate_configs(seq)}
+        assert areas[tuple(min_area_abscissas(seq))] == sum(min_area_abscissas(seq)) == min(areas.values())
+        assert areas[tuple(max_area_abscissas(seq))] == sum(max_area_abscissas(seq)) == max(areas.values())
 
 
 def test_extremal_configs_are_valid_and_extreme_for_larger_sizes():
     seq = StartSequence((0, 2, 5, 7))
-    lo = min_area_config(seq)
-    hi = max_area_config(seq)
-    assert lo.total_area() < hi.total_area()
-    # No north step of the minimal state can move left, and none of the
-    # maximal state can move right, without the paths touching.
-    for config, step in ((lo, -1), (hi, 1)):
-        b = abscissas(config)
+    lo = min_area_abscissas(seq)
+    hi = max_area_abscissas(seq)
+    assert sum(lo) < sum(hi)
+    # Both are configurations, and no north step of the minimal state can
+    # move left, and none of the maximal state can move right, without the
+    # paths touching.
+    for b, step in ((lo, -1), (hi, 1)):
+        assert abscissas(PathConfig(seq, paths_from_abscissas(seq, b))) == b
         for s in range(len(b)):
             moved = b[:s] + [b[s] + step] + b[s + 1:]
             with pytest.raises(InvalidArgument):

@@ -762,6 +762,34 @@ def test_exit_params_name_the_missing_real_value():
 
 
 HEX_LIKE = StartDensity([(1 / 3, 1.0), (2 / 3, 1.0)], jumps=[(1 / 3, 1.0)])
+# One input for each refusal of the point map and the exit parameters that
+# no other test reaches. At t = 0, x = 1; at base 1e-300 every pole but 1
+# lies beyond the doubles and meets t = 0 in _log_pole's far-pole case.
+# One ulp from base 1, ln(qq x) rounds to 0 far out on the infinite leg, so
+# qq**xi has no sign. In HEX_LIKE's filled window at 1e60, s + 1 - x keeps
+# no digit.
+CURVE_REFUSALS = {
+    "exit_params_right_t_zero": (lambda: exit_params_right(UNIFORM, 1 / 3, 0.0),
+                                 InvalidArgument, "x = 1, the degenerate point"),
+    "exit_params_left_t_zero": (lambda: exit_params_left(UNIFORM, 3.0, 0.0),
+                                InvalidArgument, "x = 1, the degenerate point"),
+    "exit_params_right_t_zero_far_poles": (lambda: exit_params_right(UNIFORM, 1e-300, 0.0),
+                                           InvalidArgument, "x = 1, the degenerate point"),
+    "exit_params_left_no_exit_height": (lambda: exit_params_left(UNIFORM, math.nextafter(1.0, 2.0), -1e308),
+                                        InvalidArgument, r"no real exit height at t=-1e\+308"),
+    "exit_params_right_no_exit_height": (lambda: exit_params_right(UNIFORM, math.nextafter(1.0, 0.0), -1e308),
+                                         InvalidArgument, r"no real exit height at t=-1e\+308"),
+    "arctic_point_singular": (lambda: arctic_point(HEX_LIKE, 1e60, 2.0),
+                              SingularPoint, r"^point map singular or undefined at t=2.0$"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", CURVE_REFUSALS.values(), ids=CURVE_REFUSALS.keys())
+def test_degenerate_points_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # 1 +- 10**-k for k = 1 .. 12, then bases far from 1.
 _SWEEP_BASES = [1.0 + s * 10.0**-k for s in (1.0, -1.0) for k in range(1, 13)]
 _SWEEP_BASES += [1e-2, 1e2, 1e-6, 1e6, 3.0]

@@ -254,7 +254,8 @@ def test_huge_integers_are_refused_with_a_bounded_message(call):
 
 
 def test_exact_weights_take_a_rational_q_too_long_to_print():
-    # The float check's message names q, and is formed for an exact q too.
+    # The float check's message names q, and is formed only for a float
+    # that fails, never for an exact q.
     q = Fraction(HUGE + 1, HUGE)
     assert exact.free_path_weight(2, 1, q) == q**2
     assert exact.most_likely_exit(StartSequence((0, 2)), 1, q) in (0, 1, 2)

@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import math
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpaths import exact
+from qpaths import errors, exact
 from qpaths.errors import InvalidArgument, NumericalFailure, float_range
 from qpaths.exact import (
     StartSequence,
@@ -32,7 +33,7 @@ from qpaths.exact import (
     partition_product,
     perturbed_partition,
 )
-from qpaths.qpoly import QPolynomial, q_binomial_at
+from qpaths.qpoly import QPolynomial, q_binomial
 
 RATIONAL_QS = (Fraction(1, 3), Fraction(2, 5), Fraction(2), Fraction(7, 2))
 
@@ -557,6 +558,71 @@ def test_float_free_path_weight_out_of_range(weight):
         weight()
 
 
+def continuation_oracle(ell, r, q):
+    """q**ell [ell + r - 1, ell]_q from the q-binomial polynomial, evaluated exactly."""
+    return q**ell * q_binomial(ell + r - 1, ell)(q)
+
+
+ORACLE_FRACTIONS = (Fraction(1, 1000), Fraction(2, 7), Fraction(999, 1000), Fraction(1001, 1000),
+                    Fraction(7, 2), Fraction(1000, 3), Fraction(5))
+
+
+def test_continuation_weights_are_the_q_binomial_at_a_fraction():
+    # The one pass keeps every W_r(ell) exact at a rational q on either side
+    # of 1 and next to it; free_path_weight is entry ell of the same pass.
+    for q in ORACLE_FRACTIONS:
+        for r in range(1, 7):
+            weights = list(itertools.islice(exact._free_path_weights(r, q), 25))
+            assert weights == [continuation_oracle(ell, r, q) for ell in range(25)], (q, r)
+            assert all(type(w) is Fraction for w in weights)
+            for ell in (0, 1, 7, 24):
+                assert free_path_weight(ell, r, q) == weights[ell]
+    # perturbed_partition and most_likely_exit weigh the exit law with the
+    # same values, on sequences up to n = 12.
+    rng = random.Random(33)
+    for n in range(1, 13):
+        seq = random_sequence(rng, n, n + rng.randint(0, 12))
+        q, r = rng.choice(ORACLE_FRACTIONS), rng.randint(1, 6)
+        terms = [h * continuation_oracle(ell, r, q) for ell, h in enumerate(one_point_table(seq, q))]
+        assert perturbed_partition(seq, r, q) == sum(terms)
+        assert most_likely_exit(seq, r, q) == terms.index(max(terms))
+
+
+def test_continuation_weights_at_a_float_are_the_q_binomial_at_its_binary_value():
+    # At a float q the pass runs in doubles; the oracle is taken exactly at
+    # the float's binary value.
+    for q in (1e-3, 0.37, 0.999, 1.001, 3 ** (1 / 40), 2.5, 10.0, np.float64(0.7)):
+        for r in range(1, 7):
+            weights = list(itertools.islice(exact._free_path_weights(r, float(q)), 25))
+            for ell, w in enumerate(weights):
+                assert type(w) is float
+                assert w == pytest.approx(float(continuation_oracle(ell, r, Fraction(float(q)))), rel=1e-13)
+            assert free_path_weight(24, r, q) == weights[24]
+
+
+def test_most_likely_exit_reads_the_table_once_and_formats_no_message(monkeypatch):
+    # Traffic, not time: one call reads the exit law once, takes no
+    # per-ell free_path_weight and renders no value while none fails.
+    counts = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for module, name in ((exact, "one_point_table"), (exact, "free_path_weight"),
+                         (exact, "shown"), (errors, "shown")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    n = 40
+    most_likely_exit(StartSequence(range(0, 2 * n + 1, 2)), n // 2, 3 ** (1 / n))
+    assert counts == {"one_point_table": 1}
+    # The counters see a message that is formed: a failing weight renders q once.
+    with pytest.raises(NumericalFailure, match=r"^free path weight at q = 1e\+100, ell = 2 is outside"):
+        most_likely_exit(StartSequence((0, 2)), 2, 1e100)
+    assert counts["shown"] == 1
+
+
 def test_perturbed_partition_matches_shifted_enumeration():
     for values, r in (((0, 1), 1), ((0, 2), 1), ((0, 2), 2), ((0, 1, 3), 1), ((0, 1, 3), 2)):
         seq = StartSequence(values)
@@ -620,7 +686,7 @@ def _retired_dual_weight(seq, ell, r, q):
     """The continuation weight through the complementary family, as the
     package computed it before it was written as free_path_weight at 1/q."""
     ell_dual = seq.top + seq.n - ell
-    return q ** (r * (ell + 1) + r * (r - 1) // 2) * q_binomial_at(ell_dual + r - 1, ell_dual, q)
+    return q ** (r * (ell + 1) + r * (r - 1) // 2) * q_binomial(ell_dual + r - 1, ell_dual)(q)
 
 
 def test_free_path_weight_at_the_inverse_base_is_the_dual_weight():
@@ -680,5 +746,6 @@ def test_most_likely_exit_is_argmax(monkeypatch):
     # No input has been found whose finite exit probability and finite
     # weight multiply past the doubles, so a digit-less H stands in for one.
     monkeypatch.setattr(exact, "one_point_table", lambda seq, q: [1e300] * (seq.top + 1))
-    with pytest.raises(NumericalFailure, match=r"^exit weight at q = 10.0 is outside the float range$"):
+    with pytest.raises(NumericalFailure,
+                       match=r"^exit weight at q = 10.0, ell = 3 is outside the float range$"):
         most_likely_exit(seq, 3, 10.0)

@@ -15,7 +15,6 @@ from qpaths.qpoly import (
     poly_det,
     power_product,
     q_binomial,
-    q_binomial_at,
 )
 
 
@@ -80,39 +79,6 @@ def test_q_binomial_out_of_range_is_zero():
 def test_q_binomial_rejects_negative_upper():
     with pytest.raises(InvalidArgument):
         q_binomial(-1, 0)
-    for q in (2.0, Fraction(1, 2), 3):
-        with pytest.raises(InvalidArgument, match="q_binomial_at requires a >= 0"):
-            q_binomial_at(-1, 0, q)
-
-
-def test_q_binomial_at_agrees_with_polynomial():
-    # At q = +-1 a factor q**s - 1 of the product vanishes.
-    for q in (Fraction(2, 7), Fraction(3), 0.37, 2.5, 1, 1.0, -1, -1.0, Fraction(1), Fraction(-1)):
-        for a in range(9):
-            for b in range(a + 1):
-                direct = q_binomial_at(a, b, q)
-                via_poly = q_binomial(a, b)(q)
-                assert type(direct) is (float if isinstance(q, float) else Fraction)
-                if not isinstance(q, float) or abs(q) == 1:
-                    assert direct == via_poly
-                else:
-                    assert direct == pytest.approx(via_poly, rel=1e-12)
-    # Any q but a float is taken as a Fraction, an int q too.
-    for a, b in ((6, 2), (6, 0), (6, 7), (6, -1)):
-        direct = q_binomial_at(a, b, 3)
-        assert type(direct) is Fraction and direct == q_binomial(a, b)(3)
-
-
-def test_q_binomial_at_a_fraction_is_the_polynomial_value():
-    # The integer products over d**(b(a - b)), normalised once, on either
-    # side of 1 and next to it.
-    qs = (Fraction(1, 1000), Fraction(2, 7), Fraction(999, 1000), Fraction(1001, 1000),
-          Fraction(7, 2), Fraction(1000, 3), Fraction(0), Fraction(-2, 3), 5)
-    for q in qs:
-        for a in range(13):
-            for b in range(-1, a + 2):
-                direct = q_binomial_at(a, b, q)
-                assert type(direct) is Fraction and direct == q_binomial(a, b)(q), (q, a, b)
 
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)

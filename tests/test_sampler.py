@@ -17,9 +17,7 @@ from qpaths.configs import (
     abscissas,
     enumerate_configs,
     max_area_abscissas,
-    max_area_config,
     min_area_abscissas,
-    min_area_config,
     paths_from_abscissas,
 )
 from qpaths.errors import InvalidArgument, NumericalFailure
@@ -63,8 +61,8 @@ def test_extremal_configs_sit_at_interval_ends():
     for values in ((0, 1, 4), (0, 2, 4), (0, 2, 5, 7), (0, 3, 4, 9, 10)):
         seq = StartSequence(values)
         plan, _ = _neighbours(seq)
-        lo_state = state(min_area_config(seq))
-        hi_state = state(max_area_config(seq))
+        lo_state = state(PathConfig(seq, paths_from_abscissas(seq, min_area_abscissas(seq))))
+        hi_state = state(PathConfig(seq, paths_from_abscissas(seq, max_area_abscissas(seq))))
         for site in plan:
             assert lo_state[site[0]] == interval(lo_state, site)[0]
             assert hi_state[site[0]] == interval(hi_state, site)[1]
@@ -215,8 +213,8 @@ def test_forward_chain_next_to_q_one(monkeypatch, q):
     assert list(a.area_series) == list(b.area_series)
     assert np.array_equal(a.density.grid, b.density.grid)
     assert a.acceptance_rate == b.acceptance_rate
-    lo = min_area_config(seq).total_area()
-    hi = max_area_config(seq).total_area()
+    lo = sum(min_area_abscissas(seq))
+    hi = sum(max_area_abscissas(seq))
     assert all(lo <= x <= hi for x in a.area_series)
     assert total_variation(a.config_counts, exact_weights(seq, Fraction(q))) < 0.05
 
@@ -280,12 +278,12 @@ def test_exact_start_matches_exact_weights():
     assert total_variation(counts, exact_weights(seq, Fraction(7, 10))) < 0.02
 
 
-@pytest.mark.parametrize("q, extreme", [(1e-300, min_area_config), (1e300, max_area_config)])
+@pytest.mark.parametrize("q, extreme", [(1e-300, min_area_abscissas), (1e300, max_area_abscissas)])
 def test_extreme_q_gives_extremal_config(q, extreme):
     seq = StartSequence((0, 2, 5, 7))
     result = run_chain(seq, q, 20, seed=1)
-    assert result.final == extreme(seq)
-    assert set(result.area_series) == {extreme(seq).total_area()}
+    assert result.final == PathConfig(seq, paths_from_abscissas(seq, extreme(seq)))
+    assert set(result.area_series) == {sum(extreme(seq))}
 
 
 def test_look_back_cap_raises(monkeypatch):
@@ -341,8 +339,8 @@ def test_run_chain_area_series_and_burn_in():
     assert result.burn_in == 0
     # sweeps counts measured sweeps; sweep 0 is the exact start.
     assert len(result.area_series) == result.sweeps
-    lo = min_area_config(seq).total_area()
-    hi = max_area_config(seq).total_area()
+    lo = sum(min_area_abscissas(seq))
+    hi = sum(max_area_abscissas(seq))
     assert all(lo <= a <= hi for a in result.area_series)
     # Burn-in sweeps run after the exact start and are not recorded.
     warm = run_chain(seq, 0.7, 2000, seed=3, burn_in=50)
@@ -378,8 +376,5 @@ def test_density_grid_totals():
     seq = StartSequence((0, 1, 3))
     result = run_chain(seq, 0.7, 3000, seed=8)
     # Every recorded sweep contributes exactly one north step per path row.
-    north_steps_per_config = sum(
-        1
-        for _ in min_area_config(seq).north_steps()
-    )
+    north_steps_per_config = len(min_area_abscissas(seq))
     assert result.density.grid.sum() == result.density.samples * north_steps_per_config
