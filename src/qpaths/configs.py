@@ -54,19 +54,9 @@ class PathConfig:
                 if y1 == y0 + 1:
                     yield (x0, y0)
 
-    def areas(self) -> tuple[int, ...]:
-        """Per-path weighted area: the sum of the path's north-step abscissas."""
-        out = []
-        for path in self.paths:
-            total = 0
-            for (x0, y0), (x1, y1) in zip(path, path[1:]):
-                if y1 == y0 + 1:
-                    total += x0
-            out.append(total)
-        return tuple(out)
-
     def total_area(self) -> int:
-        return sum(self.areas())
+        """The weighted area: the sum of the north-step abscissas."""
+        return sum(x for x, _ in self.north_steps())
 
 
 def _monotone_paths(start: Vertex, end: Vertex, blocked: set[Vertex]) -> Iterator[tuple[Vertex, ...]]:

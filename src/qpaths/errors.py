@@ -8,6 +8,7 @@ import functools
 import math
 import numbers
 import operator
+import sys
 
 
 class QpathsError(Exception):
@@ -63,10 +64,11 @@ def float_range(fn):
 
 
 def float_value(value, what: str, positive: bool = False):
-    """Return value, unless a float that is not finite, or not above 0 where
-    the quantity is positive (it underflowed): that raises NumericalFailure."""
-    lo = 0.0 if positive else -math.inf
-    if isinstance(value, float) and not lo < value < math.inf:
+    """Return value, unless a float that is not finite, or below the least
+    normal double where the quantity is positive (it underflowed, to 0 or
+    to a subnormal): that raises NumericalFailure."""
+    lo = sys.float_info.min if positive else -sys.float_info.max
+    if isinstance(value, float) and not lo <= value <= sys.float_info.max:
         raise NumericalFailure(f"{what} is outside the float range")
     return value
 

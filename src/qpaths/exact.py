@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
@@ -301,7 +302,8 @@ def _residue_sum(seq: StartSequence, ells: range, q: Weight) -> list[Weight]:
 def _checked(value: Weight, what: str, q: Weight, ell: int, positive: bool = False) -> Weight:
     """value, unless float_value refuses it: then its NumericalFailure,
     naming what at q and ell. The message is formed only for a failure."""
-    if not isinstance(value, float) or (0.0 if positive else -math.inf) < value < math.inf:
+    lo = sys.float_info.min if positive else -sys.float_info.max
+    if not isinstance(value, float) or lo <= value <= sys.float_info.max:
         return value
     return float_value(value, f"{what} at q = {shown(q)}, ell = {ell}", positive)
 
@@ -409,9 +411,9 @@ def _free_path_weights(r: int, q: Union[Fraction, float]) -> Iterator[Weight]:
 
     A Fraction q stays exact, reduced at each step; a float q computes in
     doubles. The ratio is formed before it multiplies W, so no intermediate
-    exceeds W or q**(ell + r - 1). A W that overflows or underflows to 0
-    raises NumericalFailure; a power beyond the doubles raises
-    OverflowError, for the caller's float_range.
+    exceeds W or q**(ell + r - 1). A W that overflows, or underflows below
+    the least normal double, raises NumericalFailure; a power beyond the
+    doubles raises OverflowError, for the caller's float_range.
     """
     w, ell = type(q)(1), 0
     while True:

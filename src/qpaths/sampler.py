@@ -31,14 +31,14 @@ visits the sites in that order and redraws each from q**b truncated to
   within about 1.5e-5 of 1) float G no longer resolves its low digits
   that well, and the forward chain keeps the coupling sweep.
 
-The forward chain runs a chunk of sweeps as one loop over the repeated
-sweep order, collecting each new value, and copies them into a small
-preallocated int64 array of states (sites that cannot move keep their
-column). numpy then takes the areas (row sums), the density (a bincount
-of row + cell offsets) and the moves from each chunk; a Counter of the
-rows as tuples tallies the visited configurations when asked to. Each
-site is updated once per sweep, so it moved exactly when it differs from
-the previous sweep's state.
+_states yields the north-step array after every sweep, in blocks of rows:
+sweep 0 (the exact sample) alone, then one block per chunk of forward
+sweeps. A chunk runs as one loop over the repeated sweep order, copying
+the new values into a small preallocated int64 array of states (sites
+that cannot move keep their column). run_chain reduces the blocks with
+numpy: the areas (row sums) and the density (a bincount of row + cell
+offsets) past burn_in, and the moves. Each site is updated once per
+sweep, so it moved exactly when it differs from the row before.
 """
 
 from __future__ import annotations
@@ -46,18 +46,12 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .configs import (
-    PathConfig,
-    Vertex,
-    max_area_abscissas,
-    min_area_abscissas,
-    paths_from_abscissas,
-)
+from .configs import max_area_abscissas, min_area_abscissas
 from .errors import NumericalFailure, integer_value, real_value
 from .exact import StartSequence, _weight
 
@@ -205,7 +199,6 @@ class DensityField:
 class ChainResult:
     """Summary of one heat-bath run."""
 
-    final: PathConfig
     density: DensityField
     area_series: array
     acceptance_rate: float
@@ -213,18 +206,45 @@ class ChainResult:
     sweeps: int
     burn_in: int
     seed: int
-    config_counts: dict[tuple[tuple[Vertex, ...], ...], int] | None = None
 
 
-def run_chain(
-    seq: StartSequence,
-    q: float,
-    sweeps: int,
-    seed: int,
-    *,
-    burn_in: int = 0,
-    track_configs: bool = False,
-) -> ChainResult:
+def _states(seq: StartSequence, q: float, sweeps: int, seed: int) -> Iterator[np.ndarray]:
+    """The north-step arrays of sweeps 0 .. sweeps - 1 at run_chain's checked
+    q, in blocks of rows (see the module docstring). A block is a view that
+    the next one overwrites, so a row kept past it must be copied."""
+    plan, consts = _neighbours(seq)
+    bottom = min_area_abscissas(seq) + consts
+    top = max_area_abscissas(seq) + consts
+    plan = [p for p in plan if bottom[p[0]] != top[p[0]]]
+    rate, up = abs(math.log(q)), q > 1.0
+    rng = random.Random(seed)
+    v = _exact_start(bottom, top, plan, rate, up, rng)
+
+    # Sites that cannot move keep their column from the exact start.
+    sites = seq.n * (seq.n + 1) // 2
+    movable = [p[0] for p in plan]
+    rows = max(1, _CHUNK_VALUES // max(sites, 1))
+    states = np.tile(np.array(v[:sites], dtype=np.int64), (rows, 1))
+    yield states[:1]
+    mod_draw = rate >= _MOD_RATE_FLOOR
+    done = 1
+    while done < sweeps:
+        count = min(rows, sweeps - done)
+        us = _uniforms(rng, count * len(plan))
+        new: list[int] = []
+        if mod_draw:
+            _mod_sweeps(v, plan * count, _geometric(us, rate), up, new.append)
+        else:
+            draws = iter(us.tolist())
+            for _ in range(count):
+                _sweep(v, plan, draws, rate, up)
+                new += [v[s] for s in movable]
+        states[:count, movable] = np.array(new, dtype=np.int64).reshape(count, len(plan))
+        yield states[:count]
+        done += count
+
+
+def run_chain(seq: StartSequence, q: float, sweeps: int, seed: int, *, burn_in: int = 0) -> ChainResult:
     """Sample q**area exactly, then accumulate the north-step density.
 
     Coupling from the past gives an exact sample; burn_in sweeps after it
@@ -246,70 +266,24 @@ def run_chain(
     sweeps = integer_value(sweeps, "sweeps", 1)
     burn_in = integer_value(burn_in, "burn_in", 0)
     seed = integer_value(seed, "seed", 0)
-    plan, consts = _neighbours(seq)
-    bottom = min_area_abscissas(seq) + consts
-    top = max_area_abscissas(seq) + consts
-    plan = [p for p in plan if bottom[p[0]] != top[p[0]]]
-    rate, up = abs(math.log(q)), q > 1.0
-    rng = random.Random(seed)
-    v = _exact_start(bottom, top, plan, rate, up, rng)
-
     n, width = seq.n, seq.top + 1
-    sites = n * (n + 1) // 2
-    movable = [p[0] for p in plan]
     offsets = np.array([k * width for i in range(1, n + 1) for k in range(i)], dtype=np.int64)
     cells = np.zeros(width * max(n, 1), dtype=np.int64)
     areas = array("q")
-    configs: Counter[tuple[int, ...]] | None = Counter() if track_configs else None
-
-    def record(states: np.ndarray) -> None:
-        areas.extend(states.sum(axis=1).tolist())
-        cells[:] += np.bincount((states + offsets).ravel(), minlength=cells.size)
-        if configs is not None:
-            configs.update(map(tuple, states.tolist()))
-
-    # The recorded states of one chunk of sweeps. Sites that cannot move
-    # keep their column from the exact start.
-    rows = max(1, _CHUNK_VALUES // max(sites, 1))
-    states = np.tile(np.array(v[:sites], dtype=np.int64), (rows, 1))
-    if not burn_in:
-        record(states[:1])
-    last = states[0, movable]
-    mod_draw = rate >= _MOD_RATE_FLOOR
-    moved = 0
-    done, total = 1, burn_in + sweeps
-    while done < total:
-        count = min(rows, total - done)
-        us = _uniforms(rng, count * len(plan))
-        new: list[int] = []
-        if mod_draw:
-            _mod_sweeps(v, plan * count, _geometric(us, rate), up, new.append)
-        else:
-            draws = iter(us.tolist())
-            for _ in range(count):
-                _sweep(v, plan, draws, rate, up)
-                new += [v[s] for s in movable]
-        # Row r: the movable sites after sweep done + r. Each site is
-        # updated once per sweep, so it moved exactly when it differs from
-        # the row before.
-        block = np.array(new, dtype=np.int64).reshape(count, len(plan))
-        moved += int(np.count_nonzero(block[0] != last))
+    moved, skip, last = 0, burn_in, None
+    for block in _states(seq, q, burn_in + sweeps, seed):
+        if last is not None:
+            moved += int(np.count_nonzero(block[0] != last))
         moved += int(np.count_nonzero(block[1:] != block[:-1]))
-        last = block[-1]
-        skip = max(burn_in - done, 0)
-        if skip < count:
-            states[: count - skip, movable] = block[skip:]
-            record(states[: count - skip])
-        done += count
+        last = block[-1].copy()
+        kept = block[skip:]
+        skip = max(skip - len(block), 0)
+        if len(kept):
+            areas.extend(kept.sum(axis=1).tolist())
+            cells += np.bincount((kept + offsets).ravel(), minlength=cells.size)
 
-    grid = cells.reshape(max(n, 1), width).T
-    density = DensityField(grid, len(areas))
-    proposals = (total - 1) * len(plan)
+    density = DensityField(cells.reshape(max(n, 1), width).T, len(areas))
+    movable = sum(x != y for x, y in zip(min_area_abscissas(seq), max_area_abscissas(seq)))
+    proposals = (burn_in + sweeps - 1) * movable
     acceptance = moved / proposals if proposals else 0.0
-    config_counts = None
-    if configs is not None:
-        config_counts = {paths_from_abscissas(seq, key): c for key, c in configs.items()}
-    final = PathConfig(seq, paths_from_abscissas(seq, v[:sites]))
-    return ChainResult(
-        final, density, areas, acceptance, proposals, sweeps, burn_in, seed, config_counts
-    )
+    return ChainResult(density, areas, acceptance, proposals, sweeps, burn_in, seed)

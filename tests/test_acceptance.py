@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from qpaths.actions import action_bulk, action_free, action_free_dual
-from qpaths.configs import enumerate_configs
+from qpaths.configs import enumerate_configs, paths_from_abscissas
 from qpaths.curves import (
     arctic_curve,
     arctic_point,
@@ -36,7 +36,7 @@ from qpaths.exact import (
 )
 from qpaths.geometry import hausdorff_distance
 from qpaths.profile import StartDensity, freezing_tent, limit_curve
-from qpaths.sampler import run_chain
+from qpaths.sampler import _states
 
 UNIFORM = StartDensity([(1.0, 2.0)])  # alpha(u) = 2u
 CORNERED = StartDensity([(1 / 3, 2.0), (1 / 3, 4.0), (1 / 3, 2.0)])
@@ -334,17 +334,21 @@ def test_criterion_11_chain_reaches_exact_distribution():
     t0 = time.time()
     seq = StartSequence((0, 1, 3))
     q = 0.7
-    result = run_chain(seq, q, 1_000_000, 17, track_configs=True)
+    # The configuration of every sweep, counted from the chain's states.
+    tally = Counter()
+    for block in _states(seq, q, 1_000_000, 17):
+        tally.update(map(tuple, block.tolist()))
+    counts = {paths_from_abscissas(seq, b): c for b, c in tally.items()}
     weights = {c.paths: q ** c.total_area() for c in enumerate_configs(seq)}
     z = sum(weights.values())
-    total = sum(result.config_counts.values())
+    total = sum(counts.values())
     tv = 0.5 * sum(
-        abs(w / z - result.config_counts.get(key, 0) / total)
+        abs(w / z - counts.get(key, 0) / total)
         for key, w in weights.items()
     )
     tv += 0.5 * sum(
         count / total
-        for key, count in result.config_counts.items()
+        for key, count in counts.items()
         if key not in weights
     )
     elapsed = time.time() - t0

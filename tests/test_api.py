@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import dataclasses
+import inspect
 
 import qpaths
 import qpaths.configs
@@ -22,3 +23,12 @@ def test_the_second_path_family_is_gone():
     assert not hasattr(qpaths.PathConfig, "family")
     assert not hasattr(qpaths.PathConfig, "crossings")
     assert qpaths.dual_config is qpaths.configs.dual_config
+
+
+def test_the_chain_result_holds_only_what_is_read():
+    # ChainResult holds what cli and the benchmark read, and run_chain has
+    # no tally option: the chain's states come from the private _states.
+    assert [f.name for f in dataclasses.fields(qpaths.ChainResult)] == [
+        "density", "area_series", "acceptance_rate", "proposals", "sweeps", "burn_in", "seed"]
+    assert list(inspect.signature(qpaths.run_chain).parameters) == ["seq", "q", "sweeps", "seed", "burn_in"]
+    assert "_states" not in qpaths.__all__

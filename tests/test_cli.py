@@ -112,12 +112,16 @@ def test_exact_dual_table_at_a_float_q(tmp_path):
 
 
 def test_exact_float_partition_out_of_range(tmp_path, capsys):
-    # Z(10^6) for these starts is about 10^360, beyond the float range.
-    doc = {"model": {"finite": {"sequence": [0, 2, 4, 6, 8], "q": {"base": 1e6, "n": 1}}}}
-    rc, out = run_cli(tmp_path, doc, "exact")
-    assert rc == 2
-    assert "outside the float range" in capsys.readouterr().err
-    assert not out.exists()
+    # Z(10^6) for (0, 2, 4, 6, 8) is about 10^360, beyond the float range;
+    # Z = q^5 for (0, 1, 2) is 1e-310 at q = 1e-62, below the least normal
+    # double.
+    for case, sequence, q in ((tmp_path, [0, 2, 4, 6, 8], {"base": 1e6, "n": 1}),
+                              (tmp_path / "subnormal", [0, 1, 2], {"base": 1e-124, "n": 2})):
+        case.mkdir(exist_ok=True)
+        rc, out = run_cli(case, {"model": {"finite": {"sequence": sequence, "q": q}}}, "exact")
+        assert rc == 2
+        assert "outside the float range" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_exact_rational_q_with_large_values(tmp_path, capsys):
@@ -644,16 +648,21 @@ def test_exit_code_two_on_numerical_failure(tmp_path, monkeypatch, capsys):
     assert cli.main(["exact", "--config", cfg]) == 1
 
 
-def test_console_entry_point(capsys):
-    # The child imports the package this run imports, with or without PYTHONPATH.
+def run_module(*args):
+    """`python -m qpaths.cli` with args in a child process, which imports the
+    package this run imports, with or without PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qpaths.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, "-m", "qpaths.cli", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point(capsys):
+    proc = run_module("--help")
     assert proc.returncode == 0
     # One parser: every command shows the shared help, a line per command.
     for name in ("exact", "sample", "arctic", "limits", "verify"):
@@ -664,6 +673,13 @@ def test_console_entry_point(capsys):
         for out in (proc.stdout, text):
             for command, fn in cli._COMMANDS.items():
                 assert f"\n  {command:<8}{fn.__doc__}\n" in out
+
+
+def test_module_entry_exits_with_the_command_code(tmp_path):
+    out = tmp_path / "out"
+    proc = run_module("verify", "--config", write_config(tmp_path, FINITE), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "verify.json").read_text())["all_pass"] is True
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])

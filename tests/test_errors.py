@@ -9,6 +9,7 @@ or numpy FloatingPointError never escapes.
 import dataclasses
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -151,8 +152,11 @@ def test_value_check_refuses_floats_outside_the_doubles():
     # 0 is a value, unless the quantity is positive: then it has underflowed.
     assert float_value(0.0, "Z") == 0.0
     assert float_value(-1.5, "Z") == -1.5
-    with pytest.raises(NumericalFailure, match="^Z is outside the float range$"):
-        float_value(0.0, "Z", positive=True)
+    # A positive quantity below the least normal double has underflowed too.
+    for value in (0.0, 5e-324, 2.2e-308):
+        with pytest.raises(NumericalFailure, match="^Z is outside the float range$"):
+            float_value(value, "Z", positive=True)
+    assert float_value(sys.float_info.min, "Z", positive=True) == sys.float_info.min
     assert float_value(np.float64(2.5), "Z", positive=True) == 2.5
     # Exact values pass, whatever their size or sign.
     for value in (Fraction(0), Fraction(-10**400, 3), 10**400):

@@ -551,6 +551,7 @@ def test_free_path_weight_by_hand():
         lambda: free_path_weight(5, 40, 1e-200),  # underflows to 0
         lambda: free_path_weight(2, 40, 1e60),  # overflows through r
         lambda: free_path_weight(40, 2, 1e-200),  # underflows through ell
+        lambda: free_path_weight(293, 376, 0.07956915331304411),  # underflows to a subnormal
     ],
 )
 def test_float_free_path_weight_out_of_range(weight):

@@ -76,6 +76,11 @@ def test_q_binomial_out_of_range_is_zero():
     assert q_binomial(3, -1).is_zero()
 
 
+def test_truth_value_is_nonzero():
+    assert not QPolynomial.zero() and not q_binomial(3, 5)
+    assert q_binomial(3, 1) and QPolynomial([0, -1])
+
+
 def test_q_binomial_rejects_negative_upper():
     with pytest.raises(InvalidArgument):
         q_binomial(-1, 0)

@@ -1,8 +1,11 @@
 """Heat-bath sampler: state, site intervals, exact start, determinism."""
 
+import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -40,6 +43,14 @@ def exact_weights(seq, q):
     weights = {c.paths: q ** c.total_area() for c in enumerate_configs(seq)}
     z = sum(weights.values())
     return {paths: w / z for paths, w in weights.items()}
+
+
+def visited(seq, q, sweeps, seed, burn_in=0):
+    """The configurations of a run's recorded sweeps and their counts,
+    tallied from the rows of sampler._states."""
+    rows = (row for block in sampler._states(seq, q, burn_in + sweeps, seed) for row in block.tolist())
+    counts = Counter(map(tuple, islice(rows, burn_in, None)))
+    return {paths_from_abscissas(seq, b): c for b, c in counts.items()}
 
 
 def total_variation(counts, exact):
@@ -208,15 +219,15 @@ def test_forward_chain_next_to_q_one(monkeypatch, q):
 
     monkeypatch.setattr(sampler, "_mod_sweeps", no_mod_sweep)
     seq = StartSequence((0, 1, 3))
-    a = run_chain(seq, q, 20_000, seed=6, track_configs=True)
-    b = run_chain(seq, q, 20_000, seed=6, track_configs=True)
+    a = run_chain(seq, q, 20_000, seed=6)
+    b = run_chain(seq, q, 20_000, seed=6)
     assert list(a.area_series) == list(b.area_series)
     assert np.array_equal(a.density.grid, b.density.grid)
     assert a.acceptance_rate == b.acceptance_rate
     lo = sum(min_area_abscissas(seq))
     hi = sum(max_area_abscissas(seq))
     assert all(lo <= x <= hi for x in a.area_series)
-    assert total_variation(a.config_counts, exact_weights(seq, Fraction(q))) < 0.05
+    assert total_variation(visited(seq, q, 20_000, 6), exact_weights(seq, Fraction(q))) < 0.05
 
 
 @pytest.mark.parametrize("exponent, mod_draw", [(-15, True), (-17, False)])
@@ -254,16 +265,18 @@ def test_acceptance_counts_area_changes():
 
 def test_chunk_size_does_not_change_the_run(monkeypatch):
     seq = StartSequence((0, 2, 5))
-    runs = []
+    runs, states = [], []
     for chunk in (1 << 14, 30, 1):
         monkeypatch.setattr(sampler, "_CHUNK_VALUES", chunk)
-        runs.append(run_chain(seq, 1.4, 400, seed=2, burn_in=45, track_configs=True))
+        runs.append(run_chain(seq, 1.4, 400, seed=2, burn_in=45))
+        *_, last = sampler._states(seq, 1.4, 445, 2)
+        states.append((visited(seq, 1.4, 400, 2, burn_in=45), last[-1].tolist()))
     for other in runs[1:]:
         assert list(other.area_series) == list(runs[0].area_series)
         assert np.array_equal(other.density.grid, runs[0].density.grid)
         assert other.acceptance_rate == runs[0].acceptance_rate
-        assert other.config_counts == runs[0].config_counts
-        assert other.final == runs[0].final
+    for other in states[1:]:
+        assert other == states[0]
 
 
 def test_exact_start_matches_exact_weights():
@@ -271,10 +284,9 @@ def test_exact_start_matches_exact_weights():
     seq = StartSequence((0, 1, 3))
     counts = {}
     for seed in range(20_000):
-        result = run_chain(seq, 0.7, 1, seed, track_configs=True)
-        (paths,) = result.config_counts
+        (paths,) = visited(seq, 0.7, 1, seed)
         counts[paths] = counts.get(paths, 0) + 1
-        assert result.proposals == 0
+    assert run_chain(seq, 0.7, 1, 0).proposals == 0
     assert total_variation(counts, exact_weights(seq, Fraction(7, 10))) < 0.02
 
 
@@ -282,8 +294,34 @@ def test_exact_start_matches_exact_weights():
 def test_extreme_q_gives_extremal_config(q, extreme):
     seq = StartSequence((0, 2, 5, 7))
     result = run_chain(seq, q, 20, seed=1)
-    assert result.final == PathConfig(seq, paths_from_abscissas(seq, extreme(seq)))
+    *_, last = sampler._states(seq, q, 20, 1)
+    assert last[-1].tolist() == extreme(seq)
     assert set(result.area_series) == {sum(extreme(seq))}
+
+
+# sha256 digests (first 16 hex digits) of the area series, density grid,
+# acceptance rate (as hex) and proposals of runs (starts, q, sweeps, seed,
+# burn_in) that cover both forward draws, q next to 1, burn-in past a
+# chunk, one sweep, n = 0 and 1, and q = 1e-300.
+PINNED_RUNS = [
+    ((0, 1, 3), 0.7, 2000, 3, 0, "0e779da75a6cab35"),
+    ((0, 1, 3), 1 + 1e-9, 500, 6, 0, "c55f7587576b5b4c"),
+    ((0, 2, 5), 1.4, 400, 2, 45, "041ccb4d490b5b5e"),
+    ((0, 2, 5), 0.6, 300, 5, 4100, "b810bd59e82b25e0"),
+    ((0, 1, 3), 0.7, 1, 11, 0, "428369fd5a0fa543"),
+    ((0,), 0.7, 50, 1, 3, "c7ee0953e7ac8e38"),
+    ((0, 3), 0.8, 100, 1, 0, "8cd776b12e48bf09"),
+    ((0, 2, 5, 7), 1e-300, 20, 1, 0, "4f3547e1001e7956"),
+    ((0, 2, 4, 6), math.exp(-(2.0**-17)), 1000, 4, 0, "75ace700143c2540"),
+    (tuple(range(0, 21, 2)), 3**0.1, 300, 1, 0, "dd3aa2cb93ca4a8f"),
+]
+
+
+@pytest.mark.parametrize("starts, q, sweeps, seed, burn_in, digest", PINNED_RUNS)
+def test_run_chain_is_pinned(starts, q, sweeps, seed, burn_in, digest):
+    r = run_chain(StartSequence(starts), q, sweeps, seed, burn_in=burn_in)
+    key = repr((list(r.area_series), r.density.grid.tolist(), r.acceptance_rate.hex(), r.proposals))
+    assert hashlib.sha256(key.encode()).hexdigest()[:16] == digest
 
 
 def test_look_back_cap_raises(monkeypatch):
@@ -316,10 +354,7 @@ def test_run_chain_forced_sequence_density():
 def test_run_chain_two_state_ratio():
     # seq=(0,2) alternates between areas 1 and 2 with stationary ratio q.
     q = 0.6
-    result = run_chain(
-        StartSequence((0, 2)), q, 40_000, seed=4, track_configs=True
-    )
-    counts = sorted(result.config_counts.values())
+    counts = sorted(visited(StartSequence((0, 2)), q, 40_000, 4).values())
     assert len(counts) == 2
     ratio = counts[1] / counts[0]
     assert abs(ratio - 1.0 / q) < 0.1
@@ -329,8 +364,7 @@ def test_run_chain_total_variation_small():
     # Smaller copy of the stationarity acceptance run, at q < 1 and q > 1.
     seq = StartSequence((0, 1, 3))
     for q, qf in ((0.7, Fraction(7, 10)), (1.6, Fraction(8, 5))):
-        result = run_chain(seq, q, 60_000, seed=12, track_configs=True)
-        assert total_variation(result.config_counts, exact_weights(seq, qf)) < 0.05
+        assert total_variation(visited(seq, q, 60_000, 12), exact_weights(seq, qf)) < 0.05
 
 
 def test_run_chain_area_series_and_burn_in():
