@@ -71,6 +71,10 @@ _END_ULPS = 4.0
 
 _LN2 = math.log(2.0)
 
+# The exit height is refused where the rounding of the logarithms summed
+# for xi ln qq exceeds this fraction of the sum.
+_XI_REL = 1e-8
+
 # Branch sweeps stop approaching t = 0 once |t| falls below this fraction
 # of the smallest pole magnitude, and arctic_point refuses such a t: beyond
 # it the envelope denominator behaves like t**2 and cancellation destroys
@@ -681,9 +685,23 @@ def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVa
     if log_qx == 0.0 or (t > 0.0) != ((log_qx > 0.0) == (lx > 0.0)):
         raise InvalidArgument(f"no real exit height at t={t!r} (qq^xi <= 0)")
     log_q, log_t, pole = sc.log_q, math.log(abs(t)), 1.0
-    # Next to t = 0 ln|t| and ln|x - 1| cancel, and (x - 1) / t is finite.
-    xi = ((_log_shift(log_qx, True) - math.log(abs(math.expm1(lx) / t))) if sc.near_zero(t)
-          else log_t + _log_shift(log_qx, True) - _log_shift(lx, True)) / log_q
+    # xi ln qq = ln|t| + ln|qq x - 1| - ln|x - 1|. Next to t = 0 ln|t| and
+    # ln|x - 1| cancel, and (x - 1) / t is finite.
+    log_qx1 = _log_shift(log_qx, True)
+    if sc.near_zero(t):
+        log_x1 = math.log(abs(math.expm1(lx) / t))
+        xi_log_q, size = log_qx1 - log_x1, abs(log_qx1) + abs(log_x1)
+    else:
+        log_x1 = _log_shift(lx, True)
+        xi_log_q, size = log_t + log_qx1 - log_x1, abs(log_t) + abs(log_qx1) + abs(log_x1)
+    # Next to base 1 far out on the infinite leg the terms are large and
+    # their sum is small: its rounding, eps times the terms, can swamp it,
+    # as can ln x or ln(qq x) gone subnormal, whose logs then keep no digit
+    # (a half ulp of y moves ln|e**y - 1| by about ulp(y) / |y| for small y).
+    error = sys.float_info.epsilon * size + math.ulp(lx) / abs(lx) + math.ulp(log_qx) / abs(log_qx)
+    if error > _XI_REL * abs(xi_log_q):
+        raise NumericalFailure(f"the exit height at t={t!r} cancels in its logarithms at base {qq!r}")
+    xi = xi_log_q / log_q
     if branch == "left":
         # The right branch of the reflected model, d* at 1/qq and t qq**(-top),
         # where ln x, ln(qq x) and ln qq change sign.

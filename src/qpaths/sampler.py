@@ -19,26 +19,36 @@ visits the sites in that order and redraws each from q**b truncated to
   from the past (Propp & Wilson, 1996) from the minimal and maximal
   configurations gives an exact sample of q**area, and the measured
   sweeps start from it.
-- The forward chain after it needs only the law, not monotonicity
-  (_mod_sweeps). An untruncated geometric G = floor(-log1p(-u)/|ln q|),
-  P(G = k) proportional to exp(-k |ln q|), is memoryless, so
-  j = G mod (hi - lo + 1) has the truncated law on {0 .. hi - lo}
-  (Devroye, Non-Uniform Random Variate Generation, 1986). The G are made
-  by numpy a chunk of sweeps at a time from the run's own generator, and
-  a site costs one modulo. -log1p(-u) <= 37 carries a relative error of
-  about 2**-53, so the law of the mod draw is off by up to about
+- The forward chain after it needs only the law, not monotonicity. An
+  untruncated geometric G = floor(-log1p(-u)/|ln q|), P(G = k)
+  proportional to exp(-k |ln q|), is memoryless, so j = G mod
+  (hi - lo + 1) has the truncated law on {0 .. hi - lo} (Devroye,
+  Non-Uniform Random Variate Generation, 1986). The G are made by numpy
+  a chunk of sweeps at a time from the run's own generator, and a site
+  costs one modulo. -log1p(-u) <= 37 carries a relative error of about
+  2**-53, so the law of the mod draw is off by up to about
   37 * 2**-53 / |ln q|, 3e-10 at |ln q| = 2**-16. Below that floor (q
   within about 1.5e-5 of 1) float G no longer resolves its low digits
   that well, and the forward chain keeps the coupling sweep.
 
+The mod draw runs in a kernel (_kernel) that one run builds once, before
+its first forward sweep: the sweep written out as straight-line Python,
+compiled and executed. Every movable site is a local b<s>; every other
+slot (0, a_n + 1, a_0 .. a_n and the sites whose extremal values agree)
+is an integer literal; the direction (hi - G mod ..., for q > 1, or
+lo + G mod ...) is fixed in the text. A loop takes the G of one sweep at
+a time from zip(*[it] * m) and appends the tuple of all n(n + 1)/2 sites.
+The text is made only of fixed code, the names b<s> and g<k> with integer
+indices, and int() of the start sequence's values and the closed-form
+extremal arrays, so no input string reaches exec. A run of one sweep, or
+a plan with no movable site, builds no kernel.
+
 _states yields the north-step array after every sweep, in blocks of rows:
 sweep 0 (the exact sample) alone, then one block per chunk of forward
-sweeps. A chunk runs as one loop over the repeated sweep order, copying
-the new values into a small preallocated int64 array of states (sites
-that cannot move keep their column). run_chain reduces the blocks with
-numpy: the areas (row sums) and the density (a bincount of row + cell
-offsets) past burn_in, and the moves. Each site is updated once per
-sweep, so it moved exactly when it differs from the row before.
+sweeps, the chunk's state tuples as an int64 array. run_chain reduces
+the blocks with numpy: the areas (row sums) and the density (a bincount
+of row + cell offsets) past burn_in, and the moves. Each site is updated
+once per sweep, so it moved exactly when it differs from the row before.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -118,25 +129,44 @@ def _sweep(v: list[int], plan, uniforms, rate: float, up: bool) -> None:
             v[s] = lo
 
 
-def _mod_sweeps(v: list[int], plan, draws, up: bool, put) -> None:
-    """Heat-bath updates of the planned sites in order, from untruncated geometrics.
+def _kernel(plan, v: list[int], sites: int, up: bool):
+    """The forward chain's sweep, written out once for this plan and state.
 
-    ``draws`` holds one G per update with P(G = k) proportional to
+    Returns ``sweeps(row, draws)``: from the sites ``row`` (a tuple of
+    ``sites`` values), one heat-bath sweep of the planned sites in order
+    per ``len(plan)`` draws, the list of the state tuples after each.
+    Each draw is an untruncated geometric G, P(G = k) proportional to
     exp(-k |ln q|); G mod (hi - lo + 1) steps from the heavy end of
-    [lo, hi] have the truncated law of _sweep, but are not monotone in the
-    state. ``plan`` may repeat the sweep order to run several sweeps in
-    one loop; each new value also goes to ``put``.
+    [lo, hi] (down from hi when ``up``, q > 1) have the truncated law of
+    _sweep, but are not monotone in the state. Every other slot of ``v``
+    (the constants after the sites, and sites outside the plan) keeps
+    its value, written into the code as an integer literal.
     """
-    # As in _sweep; this loop is the forward chain's cost.
-    for (s, lo1, lo2, hi1, hi2), g in zip(plan, draws):
-        lo, bound = v[lo2] + 1, v[lo1]
-        if bound > lo:
-            lo = bound
-        hi, bound = v[hi2] - 1, v[hi1]
-        if bound < hi:
-            hi = bound
-        v[s] = x = hi - g % (hi - lo + 1) if up else lo + g % (hi - lo + 1)
-        put(x)
+    movable = {p[0] for p in plan}
+
+    def slot(j: int) -> str:
+        return f"b{j}" if j in movable else repr(int(v[j]))
+
+    body = []
+    for g, (s, lo1, lo2, hi1, hi2) in enumerate(plan):
+        lo1, lo2, hi1, hi2 = map(slot, (lo1, lo2, hi1, hi2))
+        draw = f"hi - g{g} % (hi - lo + 1)" if up else f"lo + g{g} % (hi - lo + 1)"
+        body += [f"lo = {lo2} + 1", f"if {lo1} > lo: lo = {lo1}",
+                 f"hi = {hi2} - 1", f"if {hi1} < hi: hi = {hi1}", f"b{s} = {draw}"]
+    source = "\n".join([
+        "def sweeps(row, draws):",
+        f"    {', '.join(f'b{j}' if j in movable else '_' for j in range(sites))}, = row",
+        "    rows = []",
+        "    put = rows.append",
+        "    it = iter(draws)",
+        f"    for {', '.join(f'g{g}' for g in range(len(plan)))}, in zip(*[it] * {len(plan)}):",
+        *(f"        {line}" for line in body),
+        f"        put(({', '.join(slot(j) for j in range(sites))},))",
+        "    return rows",
+    ])
+    namespace: dict = {}
+    exec(compile(source, "<sampler sweep kernel>", "exec"), namespace)
+    return namespace["sweeps"]
 
 
 def _uniforms(rng: random.Random, count: int) -> np.ndarray:
@@ -210,8 +240,14 @@ class ChainResult:
 
 def _states(seq: StartSequence, q: float, sweeps: int, seed: int) -> Iterator[np.ndarray]:
     """The north-step arrays of sweeps 0 .. sweeps - 1 at run_chain's checked
-    q, in blocks of rows (see the module docstring). A block is a view that
-    the next one overwrites, so a row kept past it must be copied."""
+    q, in blocks of rows, each a new array (see the module docstring).
+
+    Above the |ln q| floor the forward sweeps run in the kernel that
+    _kernel builds for this run's plan, sites and direction, once and only
+    when a forward sweep runs; each chunk feeds it the previous state and
+    the chunk's G. Below the floor they run _sweep, and with no movable
+    site the state repeats.
+    """
     plan, consts = _neighbours(seq)
     bottom = min_area_abscissas(seq) + consts
     top = max_area_abscissas(seq) + consts
@@ -220,27 +256,26 @@ def _states(seq: StartSequence, q: float, sweeps: int, seed: int) -> Iterator[np
     rng = random.Random(seed)
     v = _exact_start(bottom, top, plan, rate, up, rng)
 
-    # Sites that cannot move keep their column from the exact start.
     sites = seq.n * (seq.n + 1) // 2
-    movable = [p[0] for p in plan]
+    row = tuple(v[:sites])
+    yield np.array([row], dtype=np.int64)
     rows = max(1, _CHUNK_VALUES // max(sites, 1))
-    states = np.tile(np.array(v[:sites], dtype=np.int64), (rows, 1))
-    yield states[:1]
-    mod_draw = rate >= _MOD_RATE_FLOOR
+    kernel = _kernel(plan, v, sites, up) if plan and sweeps > 1 and rate >= _MOD_RATE_FLOOR else None
     done = 1
     while done < sweeps:
         count = min(rows, sweeps - done)
-        us = _uniforms(rng, count * len(plan))
-        new: list[int] = []
-        if mod_draw:
-            _mod_sweeps(v, plan * count, _geometric(us, rate), up, new.append)
+        if not plan:
+            new = [row] * count
+        elif kernel is not None:
+            new = kernel(row, _geometric(_uniforms(rng, count * len(plan)), rate))
         else:
-            draws = iter(us.tolist())
+            draws = iter(_uniforms(rng, count * len(plan)).tolist())
+            new = []
             for _ in range(count):
                 _sweep(v, plan, draws, rate, up)
-                new += [v[s] for s in movable]
-        states[:count, movable] = np.array(new, dtype=np.int64).reshape(count, len(plan))
-        yield states[:count]
+                new.append(tuple(v[:sites]))
+        row = new[-1]
+        yield np.fromiter(chain.from_iterable(new), np.int64, count * sites).reshape(count, sites)
         done += count
 
 
@@ -275,7 +310,7 @@ def run_chain(seq: StartSequence, q: float, sweeps: int, seed: int, *, burn_in: 
         if last is not None:
             moved += int(np.count_nonzero(block[0] != last))
         moved += int(np.count_nonzero(block[1:] != block[:-1]))
-        last = block[-1].copy()
+        last = block[-1]
         kept = block[skip:]
         skip = max(skip - len(block), 0)
         if len(kept):

@@ -1,6 +1,7 @@
 """Arctic-curve machinery: weights x(t), branches, exit parameters."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -759,6 +760,21 @@ def test_exit_params_name_the_missing_real_value():
     got = exit_params_right(UNIFORM, 0.8, 1e-300)
     assert got.xi == pytest.approx(1.527835265517185, rel=1e-12, abs=0.0)
     assert got.z == pytest.approx(0.4799517392530943, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [-1e200, -1e300, -1e308])
+def test_exit_height_refuses_where_its_logs_cancel(t):
+    # xi ln qq = ln|t| + ln|qq x - 1| - ln|x - 1| sums terms near 500 to
+    # about 1.5e-12 at base 1 + 1e-12, and at -1e300 and -1e308 ln(qq x) is
+    # subnormal: the sum gave xi = 1.0089, 3.5098 and -1.0e8 where xi is
+    # near 1.5. At base 1.5 the same t keep their digits.
+    with pytest.raises(NumericalFailure, match=re.escape(f"exit height at t={t!r} cancels")):
+        exit_params_left(UNIFORM, 1.0 + 1e-12, t)
+    assert exit_params_left(UNIFORM, 1.5, t).xi == pytest.approx(1.5503397132131662, rel=1e-12, abs=0.0)
+    # Next to t = 0 the sum is ln|qq x - 1| - ln|(x - 1) / t|, and at
+    # t = -1e-300 ln x is subnormal.
+    with pytest.raises(NumericalFailure, match="cancels"):
+        exit_params_left(UNIFORM, 1.0 + 1e-12, -1e-300)
 
 
 HEX_LIKE = StartDensity([(1 / 3, 1.0), (2 / 3, 1.0)], jumps=[(1 / 3, 1.0)])

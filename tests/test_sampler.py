@@ -9,7 +9,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qpaths.sampler as sampler
@@ -178,6 +178,51 @@ def test_sweep_is_monotone():
                     assert all(x <= y for x, y in zip(lo, hi))
 
 
+def mod_sweeps(v, plan, draws, up):
+    """The forward chain's per-site loop before the sweep kernel, kept as
+    its reference: heat-bath updates of the planned sites in order, each
+    from one untruncated geometric G as G mod (hi - lo + 1) steps from the
+    heavy end of [lo, hi]."""
+    for (s, lo1, lo2, hi1, hi2), g in zip(plan, draws):
+        lo, bound = v[lo2] + 1, v[lo1]
+        if bound > lo:
+            lo = bound
+        hi, bound = v[hi2] - 1, v[hi1]
+        if bound < hi:
+            hi = bound
+        v[s] = hi - g % (hi - lo + 1) if up else lo + g % (hi - lo + 1)
+
+
+@given(start_sequences(8, 24), st.sampled_from([0.2, 0.7, 1.3, 4.0]), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_the_site_loop(seq, q, seed):
+    # The written-out sweep gives the reference loop's states, row for
+    # row, however the sweeps are cut into calls.
+    plan, consts = _neighbours(seq)
+    bottom = min_area_abscissas(seq) + consts
+    top = max_area_abscissas(seq) + consts
+    plan = [p for p in plan if bottom[p[0]] != top[p[0]]]
+    assume(plan)
+    sites, m = len(bottom) - len(consts), len(plan)
+    rate, up = abs(math.log(q)), q > 1.0
+    rng = random.Random(seed)
+    v = sampler._exact_start(bottom, top, plan, rate, up, rng)
+    sweeps = 24
+    draws = sampler._geometric(sampler._uniforms(rng, sweeps * m), rate)
+    reference, expected = list(v), []
+    for k in range(sweeps):
+        mod_sweeps(reference, plan, draws[k * m:(k + 1) * m], up)
+        expected.append(tuple(reference[:sites]))
+    kernel = sampler._kernel(plan, v, sites, up)
+    for cuts in ([1] * sweeps, [3, 7, 1, 5, 8], [sweeps]):
+        row, rows, done = tuple(v[:sites]), [], 0
+        for count in cuts:
+            rows += kernel(row, draws[done * m:(done + count) * m])
+            row, done = rows[-1], done + count
+        assert rows == expected
+        assert list(row) == reference[:sites]
+
+
 @pytest.mark.parametrize("q", [0.05, 0.7, 1.6])
 def test_mod_draw_is_truncated_geometric(q):
     # A fine grid of uniforms mapped to G: each {G = k} is one interval of
@@ -195,15 +240,15 @@ def test_mod_draw_is_truncated_geometric(q):
     qf = Fraction(q)
     for m in range(7):
         # One site with lo = 2, hi = 2 + m: v = [b, lo1, lo2, hi1, hi2].
+        kernel = sampler._kernel([(0, 1, 2, 3, 4)], [0, 2, 0, 2 + m, 100], 1, up)
         weights = {x: qf**x for x in range(2, 3 + m)}
         z = sum(weights.values())
         hits = {x: 0 for x in weights}
         classes = {x: 0 for x in weights}
         for g, c in enumerate(counts):
-            v = [0, 2, 0, 2 + m, 100]
-            sampler._mod_sweeps(v, [(0, 1, 2, 3, 4)], [g], up, lambda x: None)
-            hits[v[0]] += c
-            classes[v[0]] += 1
+            ((x,),) = kernel((0,), [g])
+            hits[x] += c
+            classes[x] += 1
         # Each value takes the G of one residue class mod m + 1, each G off
         # its exact share by at most one grid point, plus the tail.
         for x, w in weights.items():
@@ -214,10 +259,10 @@ def test_mod_draw_is_truncated_geometric(q):
 def test_forward_chain_next_to_q_one(monkeypatch, q):
     # Below the |ln q| floor float G cannot resolve its low digits, so the
     # forward chain keeps the coupling sweep.
-    def no_mod_sweep(*args):
+    def no_kernel(*args):
         raise AssertionError("modular draw below the |ln q| floor")
 
-    monkeypatch.setattr(sampler, "_mod_sweeps", no_mod_sweep)
+    monkeypatch.setattr(sampler, "_kernel", no_kernel)
     seq = StartSequence((0, 1, 3))
     a = run_chain(seq, q, 20_000, seed=6)
     b = run_chain(seq, q, 20_000, seed=6)
@@ -230,20 +275,43 @@ def test_forward_chain_next_to_q_one(monkeypatch, q):
     assert total_variation(visited(seq, q, 20_000, 6), exact_weights(seq, Fraction(q))) < 0.05
 
 
+def spy_kernel(monkeypatch):
+    """The plans sampler._kernel is built for from now on."""
+    plans = []
+    kernel = sampler._kernel
+
+    def spy(plan, *args):
+        plans.append(plan)
+        return kernel(plan, *args)
+
+    monkeypatch.setattr(sampler, "_kernel", spy)
+    return plans
+
+
 @pytest.mark.parametrize("exponent, mod_draw", [(-15, True), (-17, False)])
 def test_forward_draw_switches_at_the_rate_floor(monkeypatch, exponent, mod_draw):
-    calls = []
-    mod_sweeps = sampler._mod_sweeps
-
-    def spy(*args):
-        calls.append(1)
-        mod_sweeps(*args)
-
-    monkeypatch.setattr(sampler, "_mod_sweeps", spy)
+    plans = spy_kernel(monkeypatch)
     for q in (math.exp(2.0**exponent), math.exp(-(2.0**exponent))):
-        calls.clear()
+        plans.clear()
         run_chain(StartSequence((0, 1, 3)), q, 50, seed=1)
-        assert bool(calls) == mod_draw
+        assert len(plans) == mod_draw
+
+
+def test_kernel_is_built_once_per_forward_run(monkeypatch):
+    plans = spy_kernel(monkeypatch)
+    monkeypatch.setattr(sampler, "_CHUNK_VALUES", 7)
+    seq = StartSequence((0, 2, 5))
+    run_chain(seq, 0.7, 60, seed=1)
+    assert len(plans) == 1
+    # One sweep is the exact start alone, and a plan with no movable site
+    # repeats the state: neither builds a kernel.
+    plans.clear()
+    run_chain(seq, 0.7, 1, seed=1)
+    forced = run_chain(StartSequence((0, 1, 2)), 0.7, 60, seed=1, burn_in=5)
+    empty = run_chain(StartSequence((0,)), 0.7, 60, seed=1)
+    assert plans == []
+    assert set(forced.area_series) == {sum(min_area_abscissas(StartSequence((0, 1, 2))))}
+    assert forced.density.samples == empty.density.samples == 60
 
 
 def test_acceptance_counts_area_changes():
