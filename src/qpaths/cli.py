@@ -11,6 +11,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -394,12 +395,18 @@ _COMMANDS = {
 }
 
 
+# The help's command list, one line per command from its docstring.
+_COMMAND_LIST = "".join(f"\n  {name:<8}{fn.__doc__}" for name, fn in _COMMANDS.items())
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    commands = "".join(f"\n  {name:<8}{fn.__doc__}" for name, fn in _COMMANDS.items())
+    """The one parser of the process, built on first use: parse_args leaves
+    it as it was, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="qpaths",
         description="Exact, sampled and asymptotic analysis of area-weighted\n"
-        f"non-intersecting lattice paths.\n\ncommands:{commands}",
+        f"non-intersecting lattice paths.\n\ncommands:{_COMMAND_LIST}",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("command", choices=_COMMANDS, help="one of the commands above")

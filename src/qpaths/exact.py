@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
+from operator import ne
 from typing import Iterator, Sequence, Union
 
 from .errors import (
@@ -174,10 +175,15 @@ def _reversal_check(seq: StartSequence, z: QPolynomial, z_dual: QPolynomial) -> 
     Holds when Z_a[k] = Z_dual[e - k] for every k; exact for any q. Returns
     whether it holds and the number of degrees where the two sides differ.
     """
-    e = _duality_exponent(seq)
-    lhs = {k: c for k, c in enumerate(z.coeffs) if c}
-    rhs = {e - k: c for k, c in enumerate(z_dual.coeffs) if c}
-    mismatched = sum(lhs.get(k) != rhs.get(k) for k in lhs.keys() | rhs.keys())
+    lhs, rhs, e = z.coeffs, z_dual.coeffs, _duality_exponent(seq)
+    # Degree k pairs lhs[k] with rhs[e - k]; both exist for lo <= k < hi.
+    # Elsewhere a nonzero coefficient of either side is a mismatch.
+    lo = max(0, e - len(rhs) + 1)
+    hi = max(lo, min(len(lhs), e + 1))
+    both = rhs[e + 1 - hi : e + 1 - lo]
+    mismatched = sum(map(ne, lhs[lo:hi], reversed(both)))
+    for alone in (lhs[:lo], lhs[hi:], rhs[: e + 1 - hi], rhs[e + 1 - lo :]):
+        mismatched += len(alone) - alone.count(0)
     return mismatched == 0, mismatched
 
 

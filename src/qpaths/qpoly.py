@@ -12,7 +12,7 @@ from __future__ import annotations
 import decimal
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, Sequence, Union
 
 from .errors import InvalidArgument
@@ -158,19 +158,22 @@ class QPolynomial:
         return self.eval(q)
 
     def eval(self, q: Scalar) -> Scalar:
-        """Horner evaluation; exact for int/Fraction arguments."""
+        """Value at q: exact at an int or a Fraction, Horner at any other q.
+
+        At q = p/d (d = 1 for an int) the numerator, the sum of c_k p**k
+        d**(D - k) with D the degree, is formed by halves
+        (:func:`_homogeneous`) and normalised over d**D once. Halves keep the
+        big-integer products balanced, where Horner's D steps would each
+        grow one accumulator. A float q runs Horner, so every float bit is
+        what Horner gives.
+        """
+        if isinstance(q, int):
+            return _homogeneous(self.coeffs, q, 1)
         if isinstance(q, Fraction):
-            # Horner on the integer numerator with the matching power of the
-            # denominator, normalised once: Fraction arithmetic would take a
-            # gcd at every step.
             if not self.coeffs:
                 return Fraction(0)
-            num, den = q.numerator, q.denominator
-            acc, den_pow = 0, 1
-            for c in reversed(self.coeffs):
-                acc = acc * num + c * den_pow
-                den_pow *= den
-            return Fraction(acc, den_pow // den)
+            d = q.denominator
+            return Fraction(_homogeneous(self.coeffs, q.numerator, d), d**self.degree)
         acc: Scalar = 0
         for c in reversed(self.coeffs):
             acc = acc * q + c
@@ -190,6 +193,33 @@ class QPolynomial:
             else:
                 parts.append(f"{c}*q^{e}" if c != 1 else f"q^{e}")
         return "QPolynomial(" + " + ".join(parts) + ")"
+
+
+# _homogeneous runs Horner on spans of at most this many coefficients.
+_HORNER_SPAN = 64
+
+
+def _homogeneous(coeffs: Sequence[int], p: int, d: int) -> int:
+    """The sum of c_k p**k d**(len(coeffs) - 1 - k) over the coefficients c_k.
+
+    Split as low + high, the sum is low's times d**len(high) plus
+    p**len(low) times high's. Halving at the middle leaves at most two part
+    lengths per level, and each power is formed once; spans of at most
+    _HORNER_SPAN coefficients run Horner.
+    """
+    power = cache(pow)
+
+    def halves(cs: Sequence[int]) -> int:
+        if len(cs) <= _HORNER_SPAN:
+            acc, d_pow = 0, 1
+            for c in reversed(cs):
+                acc = acc * p + c * d_pow
+                d_pow *= d
+            return acc
+        m = len(cs) // 2
+        return halves(cs[:m]) * power(d, len(cs) - m) + power(p, m) * halves(cs[m:])
+
+    return halves(coeffs)
 
 
 def q_binomial(a: int, b: int) -> QPolynomial:
@@ -259,10 +289,12 @@ def power_product(factors: Sequence[tuple[QPolynomial, int]], bound: int) -> QPo
                   for i in range(0, len(values), 2)]
     digits = str(values[0]) if values else "1"
     digits = digits.zfill(-(-len(digits) // w) * w)
-    # int() of a long digit string is capped by the interpreter; via Decimal it is not.
-    return QPolynomial(
-        int(decimal.Decimal(digits[i - w : i])) for i in range(len(digits), 0, -w)
-    )
+    starts = range(len(digits), 0, -w)
+    try:
+        coeffs = [int(digits[i - w : i]) for i in starts]
+    except ValueError:  # w past the interpreter's int-from-str digit cap; Decimal has none
+        coeffs = [int(decimal.Decimal(digits[i - w : i])) for i in starts]
+    return QPolynomial(coeffs)
 
 
 def poly_det(matrix: Sequence[Sequence[QPolynomial]]) -> QPolynomial:

@@ -675,6 +675,24 @@ def test_console_entry_point(capsys):
                 assert f"\n  {command:<8}{fn.__doc__}\n" in out
 
 
+def test_main_calls_share_one_parser(tmp_path, capsys):
+    # Two runs in one process write the same bytes, and the parser they
+    # share prints the help a freshly built one does.
+    cfg = write_config(tmp_path, FINITE)
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert cli.main(["exact", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("partition.csv", "one_point.csv", "one_point_dual.csv", "exact_summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    assert cli.build_parser() is cli.build_parser()
+    fresh = cli.build_parser.__wrapped__()
+    capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            cli.main(["exact", "--help"])
+        assert capsys.readouterr().out == fresh.format_help()
+
+
 def test_module_entry_exits_with_the_command_code(tmp_path):
     out = tmp_path / "out"
     proc = run_module("verify", "--config", write_config(tmp_path, FINITE), "--out", str(out))

@@ -724,6 +724,71 @@ def test_reversal_check_counts_mismatched_degrees():
     assert exact._reversal_check(seq, broken, z_dual) == (False, 2)
 
 
+def reversal_by_dicts(seq, z, z_dual):
+    """Test-only reference: the duality check on the nonzero coefficients
+    of both sides, keyed by degree, over the union of their degrees."""
+    e = exact._duality_exponent(seq)
+    lhs = {k: c for k, c in enumerate(z.coeffs) if c}
+    rhs = {e - k: c for k, c in enumerate(z_dual.coeffs) if c}
+    mismatched = sum(lhs.get(k) != rhs.get(k) for k in lhs.keys() | rhs.keys())
+    return mismatched == 0, mismatched
+
+
+# Duality exponents 0, 2, 3, 13, 19 and 46.
+_REVERSAL_SEQS = [StartSequence(v) for v in ((0,), (0, 1), (0, 2), (0, 1, 3), (0, 2, 5), (0, 3, 4, 6))]
+
+
+@given(st.sampled_from(_REVERSAL_SEQS),
+       st.lists(st.integers(0, 2), max_size=30), st.lists(st.integers(0, 2), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_reversal_check_matches_the_dict_definition(seq, lhs, rhs):
+    # Short lists of small coefficients meet e inside, across and outside
+    # both degree ranges, and agree often enough to leave few mismatches.
+    z, z_dual = QPolynomial(lhs), QPolynomial(rhs)
+    assert exact._reversal_check(seq, z, z_dual) == reversal_by_dicts(seq, z, z_dual)
+    # The mirror image of z passes.
+    e = exact._duality_exponent(seq)
+    if z.degree <= e:
+        mirror = QPolynomial([z.coeffs[e - k] if e - k < len(z.coeffs) else 0 for k in range(e + 1)])
+        assert exact._reversal_check(seq, z, mirror) == (True, 0)
+
+
+def test_reversal_check_at_zero_and_disjoint_degrees():
+    zero, seq = QPolynomial.zero(), StartSequence((0, 3, 4, 6))
+    e = exact._duality_exponent(seq)
+    assert exact._reversal_check(seq, zero, zero) == (True, 0)
+    for z, z_dual in (
+        (QPolynomial((1, 0, 2)), zero),  # 2 on the left alone
+        (zero, QPolynomial((0, 3, 0, 4))),  # 2 on the right alone
+        (QPolynomial((1, 2, 0, 3)), QPolynomial((5, 0, 6))),  # e above both degree ranges
+        (QPolynomial.monomial(e + 4, 7), QPolynomial((1, 1))),  # the left above the right
+    ):
+        assert exact._reversal_check(seq, z, z_dual) == reversal_by_dicts(seq, z, z_dual)
+        assert exact._reversal_check(seq, z, z_dual)[1] == sum(map(bool, z.coeffs + z_dual.coeffs))
+    # e = 0 puts the right side at degrees 0, -1, -2, ...
+    seq = StartSequence((0,))
+    assert exact._reversal_check(seq, QPolynomial((4,)), QPolynomial((4, 0, 1))) == (False, 1)
+    assert exact._reversal_check(seq, QPolynomial((4,)), QPolynomial((4,))) == (True, 0)
+
+
+@given(st.lists(st.integers(-60, 60), max_size=25), st.integers(1, 15))
+@settings(max_examples=100, deadline=None)
+def test_same_class_pairs_counts_pairs(values, d):
+    brute = sum((values[j] - values[i]) % d == 0 for j in range(len(values)) for i in range(j))
+    assert exact._same_class_pairs(values, d) == brute
+    assert exact._same_class_pairs(range(len(values)), d) == sum(
+        (j - i) % d == 0 for j in range(len(values)) for i in range(j))
+
+
+def test_partition_poly_at_21_paths_evaluates_to_the_product_form():
+    # deg Z is in the thousands, so eval's halves split it several times.
+    seq = StartSequence(range(0, 41, 2))
+    z = partition_poly(seq)
+    assert z.degree > 2_000
+    for q in (Fraction(7, 10), Fraction(3, 2), 3):
+        assert z(q) == partition_product(seq, q)
+
+
 @given(st.lists(st.integers(min_value=1, max_value=30), max_size=8, unique=True))
 @settings(max_examples=60, deadline=None)
 def test_dual_partition_is_the_dual_sequences_product(rest):

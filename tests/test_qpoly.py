@@ -1,6 +1,8 @@
 """Polynomial layer: q-binomials, exact arithmetic, determinants."""
 
 import math
+import struct
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -148,9 +150,10 @@ def test_monomial_shift_scale():
         QPolynomial.monomial(-1)
     with pytest.raises(InvalidArgument, match="shift exponent must be >= 0"):
         p.shift(-1)
-    for bad in (1.0, Fraction(1, 2)):
-        with pytest.raises(InvalidArgument, match="coefficients must be int"):
-            QPolynomial((1, bad))
+    # The message names the type of the first coefficient that is no int.
+    for bad, name in ((1.0, "float"), (Fraction(1, 2), "Fraction"), (None, "NoneType")):
+        with pytest.raises(InvalidArgument, match=f"coefficients must be int, got {name}$"):
+            QPolynomial((1, bad, 2.5))
     # Equal polynomials hash alike; a non-polynomial is never equal.
     assert len({p, QPolynomial((0, 0, 0, 2)), p.shift(1)}) == 2
     assert p != "2*q^3" and p != 2.0 and p != None  # noqa: E711
@@ -194,7 +197,7 @@ def test_eval_exact_and_float():
     assert QPolynomial((0, 0, 4))(Fraction(3, 2)) == 9
 
 
-@given(st.lists(st.integers(min_value=-(2**80), max_value=2**80), min_size=1, max_size=12),
+@given(st.lists(st.integers(min_value=-(2**80), max_value=2**80), min_size=1, max_size=300),
        st.fractions(max_denominator=50))
 @settings(max_examples=80, deadline=None)
 def test_eval_at_fraction_matches_fraction_horner(coeffs, q):
@@ -202,6 +205,42 @@ def test_eval_at_fraction_matches_fraction_horner(coeffs, q):
     for c in reversed(coeffs):
         acc = acc * q + c
     assert QPolynomial(coeffs)(q) == acc
+
+
+def horner(coeffs, q):
+    """Test-only reference: Horner's rule in q's own arithmetic."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * q + c
+    return acc
+
+
+# Lengths 0 .. 300 reach past eval's Horner span (64) and split a few
+# times; about a third of the coefficients are 0.
+long_coeff_lists = st.integers(0, 300).flatmap(lambda n: st.lists(
+    st.one_of(st.just(0), st.integers(-(2**80), 2**80)), min_size=n, max_size=n))
+exact_points = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-40, max_value=40, max_denominator=40),
+    st.builds(Fraction, st.just(1), st.integers(1, 40)),  # numerator 1
+    st.builds(Fraction, st.integers(-40, 40)),  # denominator 1
+)
+
+
+@given(long_coeff_lists, exact_points)
+@settings(max_examples=80, deadline=None)
+def test_eval_by_halves_matches_horner(coeffs, q):
+    value = QPolynomial(coeffs)(q)
+    assert value == horner(coeffs, q)
+    assert type(value) is type(q)
+
+
+@given(long_coeff_lists, st.floats(min_value=-4.0, max_value=4.0))
+@settings(max_examples=40, deadline=None)
+def test_eval_at_a_float_is_horner_bit_for_bit(coeffs, q):
+    # |c| <= 2**80 and |q| <= 4 over 300 terms stay inside the doubles.
+    p = QPolynomial(coeffs)
+    assert struct.pack("<d", p(q)) == struct.pack("<d", horner(p.coeffs, q))
 
 
 @given(
@@ -237,6 +276,22 @@ def test_power_product_signed_factors_and_digit_boundaries():
     assert power_product([], 1) == 1
     with pytest.raises(InvalidArgument):
         power_product([(ones, 1)], 0)
+
+
+def test_power_product_decodes_chunks_past_the_digit_cap():
+    # A bound past 10**4300 makes each base-10**w chunk longer than int()
+    # reads from a string at the default digit cap, so the chunks decode
+    # through Decimal.
+    old_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        factors = [(cyclotomic(3), 2), (cyclotomic(6), 2), (QPolynomial((1, 1)), 3)]
+        expected = (QPolynomial((1, 0, 1, 0, 1)) * QPolynomial((1, 0, 1, 0, 1))
+                    * QPolynomial((1, 3, 3, 1)))
+        assert power_product(factors, 10**4400) == expected
+        assert power_product(factors, 10**4250) == expected  # below the cap: int() reads
+    finally:
+        sys.set_int_max_str_digits(old_cap)
 
 
 def test_cyclotomic_divisor_products():
