@@ -13,8 +13,6 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
 from . import actions, curves, serialize
 from .config import ModelConfig, load_config
 from .configs import dual_config, enumerate_configs
@@ -105,6 +103,7 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
 
 def cmd_sample(cfg: ModelConfig, args) -> int:
     """Heat-bath sampling of path configurations."""
+    import numpy as np
     _require(cfg, "finite", "sample")
     result = run_chain(cfg.sequence, cfg.q, cfg.sweeps, cfg.seed)
     out = _out_dir(cfg)
@@ -143,6 +142,7 @@ _BOX_SLACK = 1e-9
 
 def cmd_arctic(cfg: ModelConfig, args) -> int:
     """Arctic-curve branches as CSV (optionally SVG)."""
+    import numpy as np
     _require(cfg, "scaled", "arctic")
     d, qq, n_samples = cfg.density, cfg.base, cfg.samples
     ladder = curves.t_domains(d, qq)

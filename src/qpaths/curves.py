@@ -37,8 +37,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .errors import (InvalidArgument, NumericalFailure, SingularPoint, float_range, float_value,
                      integer_value, real_value)
 from .profile import StartDensity, WindowSpec, _check_base
@@ -182,6 +180,7 @@ def _log_shift_array(y, positive):
 
     Gives -inf at y = 0 when positive, where the scalar form raises.
     """
+    import numpy as np
     m = -np.abs(y)
     e = np.exp(m)
     tail = np.where(positive, np.where(m < -_LN2, np.log1p(-e), np.log(-np.expm1(m))),
@@ -213,6 +212,7 @@ def _log_pole(t: float, a: float, qq: float, log_q: float) -> tuple[float, bool]
 
 def _log_poles(t, a: float, qq: float, log_q: float):
     """_log_pole elementwise over a numpy array of t."""
+    import numpy as np
     e = a * log_q
     if abs(e) <= _LOG_RANGE:
         pole = qq**a
@@ -326,6 +326,7 @@ class _Scaled:
         raises and warns of nothing here: a value that left the doubles
         comes back as inf, 0 or nan, for the caller to mask or refuse.
         """
+        import numpy as np
         with np.errstate(all="ignore"):
             lx = -self.log_q
             s = 0.0
@@ -445,6 +446,7 @@ def _tangency(sc: _Scaled, t, sign: int):
     and qq**X, qq**Y are positive.  Where qq**X or qq**Y is no normal
     double, its log comes from the logs of its factors.
     """
+    import numpy as np
     with np.errstate(all="ignore"):
         _, x, one_minus_x, s = sc.terms(t, sign)
         den = s + one_minus_x
@@ -461,6 +463,7 @@ def _log_positive(q, log_abs):
     """ln q elementwise, nan where q <= 0.  Where q is no normal double its
     log is log_abs, from the logs of its factors; an under- or overflowed q
     keeps its sign."""
+    import numpy as np
     normal = (np.abs(q) >= sys.float_info.min) & (np.abs(q) <= sys.float_info.max)
     return np.where(normal, np.log(q), np.where(np.copysign(1.0, q) > 0.0, log_abs, np.nan))
 
@@ -486,6 +489,7 @@ def _envelope_residual(x: float, qq: float, t: float, bx: float, by: float) -> f
 
 
 def _txy(t, bx, by) -> np.ndarray:
+    import numpy as np
     return np.column_stack([np.broadcast_to(t, np.shape(bx)), bx, by])
 
 
@@ -515,6 +519,7 @@ def _leg_taus(lo: float, hi: float, count: int, open_lo: bool, open_hi: bool) ->
     the sampled arc approach it closely without ever evaluating on the
     boundary itself.  The grid runs from lo to hi in either direction.
     """
+    import numpy as np
     if hi < lo:
         return _leg_taus(hi, lo, count, open_hi, open_lo)[::-1]
     count = max(count, 4)
@@ -536,6 +541,7 @@ def _on_branch(dom: TDomain, t: np.ndarray) -> np.ndarray:
     on every t > 0 within twice its band of an end; every other t lies on
     dom.
     """
+    import numpy as np
     with np.errstate(divide="ignore", invalid="ignore"):
         tau = np.log(t) / dom.log_q
     lo, hi = dom.taus
@@ -593,6 +599,7 @@ def arctic_curve(d: StartDensity, qq: float, dom: TDomain, *, n_samples: int = 4
     branch (see TDomain.__contains__), are skipped and counted.  A branch
     without a regular point raises NumericalFailure.
     """
+    import numpy as np
     sc = _scaled(d, qq)
     if dom not in sc.domains:
         raise InvalidArgument(f"{dom!r} is no branch of this density at base {sc.qq!r}")
@@ -629,6 +636,7 @@ def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100)
     line degenerates, and NumericalFailure where x or (1 - x) / t leaves
     the doubles.
     """
+    import numpy as np
     t = real_value(t, "t")
     sc = _scaled(d, qq)
     if t == 0.0:
@@ -653,6 +661,7 @@ def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
     Satisfies (1 - qq**X)/(1 - qq**xi) + (1 - qq**(Y-1))/(1 - qq**z) = 1
     for X in [0, xi].  Degenerates to the straight segment as qq -> 1.
     """
+    import numpy as np
     qq = _check_base(qq)
     xi, z = real_value(xi, "xi"), real_value(z, "z")
     if xi <= 0.0 or z <= 0.0:

@@ -160,7 +160,7 @@ def _dual_partition(seq: StartSequence, z: QPolynomial) -> QPolynomial:
     """partition_poly(dual_sequence(seq)) from z = partition_poly(seq): the dual
     keeps the multiset of differences a_j - a_i, on which alone the product's
     factors and bound depend, so only the lowest degree moves."""
-    return QPolynomial(z.coeffs[_lowest_degree(seq) :]).shift(_lowest_degree(dual_sequence(seq)))
+    return QPolynomial._of(z.coeffs[_lowest_degree(seq) :]).shift(_lowest_degree(dual_sequence(seq)))
 
 
 def _duality_exponent(seq: StartSequence) -> int:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import InvalidArgument
 
 
@@ -13,6 +11,7 @@ def _as_parts(obj) -> list[np.ndarray]:
     Multi-part inputs are kept as separate parts so that no phantom
     segment bridges disjoint pieces.
     """
+    import numpy as np
     if hasattr(obj, "txy"):
         return [np.asarray(obj.txy[:, 1:], dtype=float)]
     arr = None
@@ -30,6 +29,7 @@ def _as_parts(obj) -> list[np.ndarray]:
 
 def _point_segment_dist(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
     """Min distance from each point to the nearest of the given segments."""
+    import numpy as np
     d = seg_b - seg_a                                  # (k, 2)
     len2 = np.einsum("ij,ij->i", d, d)                 # (k,)
     rel = points[:, None, :] - seg_a[None, :, :]       # (m, k, 2)
@@ -43,6 +43,7 @@ def _point_segment_dist(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray
 
 
 def _directed(parts_a: list[np.ndarray], parts_b: list[np.ndarray]) -> float:
+    import numpy as np
     seg_a = []
     seg_b = []
     for p in parts_b:
@@ -67,6 +68,7 @@ def hausdorff_distance(a, b) -> float:
     other, so a sparse polyline can be compared against a densely sampled
     curve without penalty in either direction.
     """
+    import numpy as np
     parts_a = [p for p in _as_parts(a) if len(p)]
     parts_b = [p for p in _as_parts(b) if len(p)]
     if not parts_a or not parts_b:
@@ -84,6 +86,7 @@ def _thin(pts: np.ndarray) -> np.ndarray:
     Near-zero segments carry no geometry but poison the crossing
     parameters with rounding noise.
     """
+    import numpy as np
     diam = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
     tol = 1e-9 * max(diam, 1e-300)
     # A point equal to its predecessor is never kept: it lies as far from
@@ -108,6 +111,7 @@ def _thin(pts: np.ndarray) -> np.ndarray:
 
 def polyline_self_intersects(points) -> bool:
     """True when any two non-adjacent segments of the polyline cross."""
+    import numpy as np
     pts = np.asarray(points, dtype=float)
     if len(pts) > 1:
         pts = _thin(pts)

@@ -40,6 +40,13 @@ class QPolynomial:
         self.coeffs = _trim(cs)
 
     @classmethod
+    def _of(cls, coeffs: tuple[int, ...]) -> "QPolynomial":
+        """The polynomial of a tuple of ints with no high zero, taken unchecked."""
+        p = cls.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def zero(cls) -> "QPolynomial":
         return cls(())
 
@@ -125,7 +132,7 @@ class QPolynomial:
             raise InvalidArgument("shift exponent must be >= 0")
         if self.is_zero():
             return self
-        return QPolynomial([0] * exponent + list(self.coeffs))
+        return QPolynomial._of((0,) * exponent + self.coeffs)
 
     def exact_div(self, other: "QPolynomial") -> "QPolynomial":
         """Exact polynomial division; raises if the division leaves a remainder."""

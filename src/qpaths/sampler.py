@@ -60,8 +60,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
-import numpy as np
-
 from .configs import max_area_abscissas, min_area_abscissas
 from .errors import NumericalFailure, integer_value, real_value
 from .exact import StartSequence, _weight
@@ -175,12 +173,14 @@ def _uniforms(rng: random.Random, count: int) -> np.ndarray:
     The bit stream does not depend on how it is cut into calls, so neither
     does a run depend on its chunk size.
     """
+    import numpy as np
     words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), np.uint64)
     return (words >> np.uint64(11)) * 2.0**-53
 
 
 def _geometric(uniforms: np.ndarray, rate: float) -> list[int]:
     """G = floor(-log1p(-u) / rate) per uniform u: P(G = k) is proportional to exp(-k rate)."""
+    import numpy as np
     return (-np.log1p(-uniforms) / rate).astype(np.int64).tolist()
 
 
@@ -221,6 +221,7 @@ class DensityField:
 
     def rows(self) -> np.ndarray:
         """An (n, 3) int array of (x, y, count) over every nonzero cell, row-major."""
+        import numpy as np
         xs, ys = np.nonzero(self.grid)
         return np.column_stack([xs, ys, self.grid[xs, ys]])
 
@@ -248,6 +249,7 @@ def _states(seq: StartSequence, q: float, sweeps: int, seed: int) -> Iterator[np
     the chunk's G. Below the floor they run _sweep, and with no movable
     site the state repeats.
     """
+    import numpy as np
     plan, consts = _neighbours(seq)
     bottom = min_area_abscissas(seq) + consts
     top = max_area_abscissas(seq) + consts
@@ -297,6 +299,7 @@ def run_chain(seq: StartSequence, q: float, sweeps: int, seed: int, *, burn_in: 
     sweeps >= 1, burn_in >= 0 and seed >= 0 take the rule of
     errors.integer_value.
     """
+    import numpy as np
     q = _weight(real_value(_weight(q), "q"))
     sweeps = integer_value(sweeps, "sweeps", 1)
     burn_in = integer_value(burn_in, "burn_in", 0)

@@ -26,8 +26,6 @@ from fractions import Fraction
 from itertools import chain, groupby, islice
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import InvalidArgument
 
 _FLOAT_FMT = "%.17g"
@@ -144,6 +142,7 @@ def _write_rows(out, writer, rows: list) -> None:
 
 
 def _write_array_rows(out, item: ArrayRows) -> None:
+    import numpy as np
     cells = np.asarray(item.cells)
     if cells.ndim != 2 or not cells.shape[1]:
         raise InvalidArgument(f"array rows need a 2-D array with columns, got shape {cells.shape}")
@@ -235,6 +234,7 @@ def render_svg(
     separately produced documents overlay consistently; the document is
     _SVG_WIDTH pixels wide.
     """
+    import numpy as np
     x0, x1 = float(x_range[0]), float(x_range[1])
     y0, y1 = float(y_range[0]), float(y_range[1])
     if not (x1 > x0 and y1 > y0):

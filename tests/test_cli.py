@@ -1,5 +1,6 @@
 """End-to-end command-line runs against temporary directories."""
 
+import hashlib
 import json
 import math
 import os
@@ -742,3 +743,37 @@ def test_oversized_json_integer_is_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# The sha256 prefix of every file each command writes on one small config.
+PINNED_OUTPUTS = [
+    ("exact", FINITE, (), {
+        "exact_summary.json": "c519605eddb54731",
+        "one_point.csv": "7b2cc244e344d68a",
+        "one_point_dual.csv": "757535008b6b4c72",
+        "partition.csv": "81e1719dc2a9d318",
+    }),
+    ("exact", {"model": {"finite": {"sequence": [0, 2, 3, 7], "q": {"base": 3, "n": 4}}}}, (), {
+        "exact_summary.json": "6cd94a084f115dd6",
+        "one_point.csv": "c69cf1482b19d5e2",
+        "one_point_dual.csv": "9c3186f8a0e6b174",
+        "partition.csv": "b3289f8ef7d3b644",
+    }),
+    ("sample", FINITE, (), {
+        "area_series.csv": "cf305f10a75b3511",
+        "density.csv": "20d95b86ec94e294",
+    }),
+    ("arctic", SCALED_UNIFORM, ("--svg",), {
+        "arctic.csv": "5b83e2ca740b75cb",
+        "arctic.svg": "a6cc1ed3c0288b17",
+    }),
+    ("limits", SCALED_GAPPED, (), {"limits.csv": "abce34912f89886f"}),
+]
+
+
+@pytest.mark.parametrize("command, doc, extra, digests", PINNED_OUTPUTS)
+def test_output_files_are_pinned(tmp_path, command, doc, extra, digests):
+    rc, out = run_cli(tmp_path, doc, command, *extra)
+    assert rc == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in out.iterdir()}
+    assert written == digests

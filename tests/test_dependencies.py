@@ -81,3 +81,50 @@ def test_profile_builds_densities_without_numpy_or_curves():
     # StartDensity holds the slot where curves keeps its scaled state, but
     # profile stays a leaf: it imports neither curves nor numpy.
     assert run_bare(PROFILE_ALONE) == []
+
+
+MODULES_ALONE = """
+for name in ("cli", "curves", "actions", "sampler", "geometry", "serialize", "config"):
+    importlib.import_module(f"qpaths.{name}")
+print(json.dumps("numpy" in sys.modules))
+"""
+
+
+def test_modules_import_no_numpy():
+    # numpy loads inside the functions that build or read arrays, on their
+    # first call; importing a module loads none of it.
+    assert run_bare(MODULES_ALONE) is False
+
+
+FINITE_COMMANDS = """
+import json, os, sys
+import qpaths
+import qpaths.cli
+
+work = sys.argv[1]
+finite = {"model": {"finite": {"sequence": [0, 2, 3, 7], "q": None}}, "task": {"sweeps": 40, "seed": 3}}
+loaded = []
+for name, q in (("rational", "7/10"), ("float", {"base": 3, "n": 4})):
+    finite["model"]["finite"]["q"] = q
+    cfg = os.path.join(work, name + ".json")
+    with open(cfg, "w") as fh:
+        json.dump(finite, fh)
+    code = qpaths.cli.main(["exact", "--config", cfg, "--out", os.path.join(work, name)])
+    loaded.append([code, "numpy" in sys.modules])
+code = qpaths.cli.main(["sample", "--config", cfg, "--out", os.path.join(work, "sample")])
+loaded.append([code, "numpy" in sys.modules, "numpy.random" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_exact_runs_without_numpy_and_sample_loads_it(tmp_path):
+    # `qpaths exact` at a rational and at a float q stays in integer and
+    # rational arithmetic; `qpaths sample` in the same process then loads
+    # numpy, but not numpy.random.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", FINITE_COMMANDS, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last == [[0, False], [0, False], [0, True, False]]

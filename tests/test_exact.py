@@ -815,3 +815,22 @@ def test_most_likely_exit_is_argmax(monkeypatch):
     with pytest.raises(NumericalFailure,
                        match=r"^exit weight at q = 10.0, ell = 3 is outside the float range$"):
         most_likely_exit(seq, 3, 10.0)
+
+
+def test_partition_and_dual_build_what_the_checked_constructor_builds():
+    # Z and the dual are built unchecked from Z's trimmed tuple; both must be
+    # the polynomials QPolynomial builds, with checks and trimming, from the
+    # same lists.  At (0,), E = 0: both shift by 0.
+    rng = random.Random(17)
+    seqs = [StartSequence((0,)), StartSequence((0, 1)), StartSequence(range(5))]
+    seqs += [random_sequence(rng, rng.randint(1, 6), rng.randint(6, 18)) for _ in range(30)]
+    for seq in seqs:
+        z = partition_poly(seq)
+        e, e_dual = exact._lowest_degree(seq), exact._lowest_degree(dual_sequence(seq))
+        assert z.coeffs == QPolynomial(list(z.coeffs)).coeffs == partition_det(seq).coeffs
+        body = list(z.coeffs[e:])
+        assert z.coeffs == QPolynomial([0] * e + body).coeffs
+        dual = exact._dual_partition(seq, z)
+        assert dual.coeffs == QPolynomial([0] * e_dual + body).coeffs
+        for p in (z, dual):
+            assert type(p.coeffs) is tuple and all(type(c) is int for c in p.coeffs)

@@ -163,6 +163,26 @@ def test_monomial_shift_scale():
     assert repr(QPolynomial.zero()) == "QPolynomial(0)"
 
 
+def test_shift_builds_what_the_checked_constructor_builds():
+    # shift takes its trimmed tuple unchecked; the result must be the one
+    # QPolynomial builds, with checks and trimming, from the same list.
+    import random
+
+    rng = random.Random(5)
+    cases = [QPolynomial.zero(), QPolynomial.one(), QPolynomial((0, 0, 3))]
+    for _ in range(200):
+        size = rng.choice((10, 10**40))
+        cases.append(QPolynomial([rng.randint(-size, size) * rng.randint(0, 1)
+                                  for _ in range(rng.randint(0, 12))]))
+    for p in cases:
+        for k in (0, 1, rng.randint(2, 40)):
+            got, want = p.shift(k), QPolynomial(list((0,) * k + p.coeffs))
+            assert got.coeffs == want.coeffs and type(got.coeffs) is tuple
+            assert all(type(c) is int for c in got.coeffs)
+    zero = QPolynomial.zero()
+    assert zero.shift(7).coeffs == () and zero.shift(0) == zero
+
+
 def test_poly_det_matches_cofactor_oracle():
     import random
 
