@@ -134,22 +134,6 @@ def abscissas(config: PathConfig) -> list[int]:
     return [x for x, _ in config.north_steps()]
 
 
-def paths_from_abscissas(seq: StartSequence, b) -> tuple[tuple[Vertex, ...], ...]:
-    """Vertex paths of the configuration with north-step array b."""
-    steps = iter(b)
-    paths = []
-    for i, x in enumerate(seq.values):
-        verts = [(x, 0)]
-        for k in range(i):
-            col = next(steps)
-            verts += [(c, k) for c in range(x - 1, col - 1, -1)]
-            verts.append((col, k + 1))
-            x = col
-        verts += [(c, i) for c in range(x - 1, -1, -1)]
-        paths.append(tuple(verts))
-    return tuple(paths)
-
-
 def min_area_abscissas(seq: StartSequence) -> list[int]:
     """North-step array of the q -> 0 ground state: b[i][k] = a_{i-k-1} + k + 1.
 

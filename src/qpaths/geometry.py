@@ -85,28 +85,44 @@ def _thin(pts: np.ndarray) -> np.ndarray:
 
     Near-zero segments carry no geometry but poison the crossing
     parameters with rounding noise.
+
+    Only the short steps are scanned. Once exact repeats are dropped, a
+    point more than 4 tol (in the max norm) from its predecessor is
+    always kept: the predecessor is kept, or lies within tol of the last
+    kept point, so the point lies past 3 tol from it, and the factor 4
+    leaves room for the rounding of both differences. The scan reads
+    only the points after a step of at most 4 tol, each run of them from
+    its predecessor, which was kept. A non-finite vertex makes the
+    diameter and tol non-finite, so no step is long and every point
+    goes through the scan.
     """
     import numpy as np
-    diam = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    # Column by column: numpy reduces the length-2 rows of an (n, 2)
+    # array one row at a time, about ten times slower.
+    xs, ys = pts.T
+    diam = float(np.maximum(np.ptp(xs), np.ptp(ys)))
     tol = 1e-9 * max(diam, 1e-300)
     # A point equal to its predecessor is never kept: it lies as far from
     # the last kept point as its predecessor does.
-    pts = pts[np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))]
-    # Up to the first step within tol, each point lies past tol from its
-    # predecessor, the last kept point, so the scan keeps them all.
-    short = ~(np.abs(np.diff(pts, axis=0)).max(axis=1) > tol)
-    if not short.any():
+    pts = pts[np.concatenate(([True], (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])))]
+    xs, ys = pts.T
+    step = np.maximum(np.abs(np.diff(xs)), np.abs(np.diff(ys)))
+    short = np.flatnonzero(~(step > 4 * tol)) + 1
+    if not len(short):
         return pts
-    start = int(short.argmax())
-    xy = pts.tolist()
-    kept = list(range(start + 1))
-    last_x, last_y = xy[start]
-    for i in range(start + 1, len(xy)):
-        x, y = xy[i]
+    keep = np.ones(len(pts), dtype=bool)
+    keep[short] = False
+    heads = np.diff(short, prepend=-1) != 1
+    starts = iter(pts[short[heads] - 1].tolist())
+    kept = []
+    for i, (x, y), head in zip(short.tolist(), pts[short].tolist(), heads.tolist()):
+        if head:
+            last_x, last_y = next(starts)
         if max(abs(x - last_x), abs(y - last_y)) > tol:
             kept.append(i)
             last_x, last_y = x, y
-    return pts[kept]
+    keep[kept] = True
+    return pts[keep]
 
 
 def polyline_self_intersects(points) -> bool:

@@ -162,9 +162,6 @@ class QPolynomial:
         return QPolynomial(quot)
 
     def __call__(self, q: Scalar) -> Scalar:
-        return self.eval(q)
-
-    def eval(self, q: Scalar) -> Scalar:
         """Value at q: exact at an int or a Fraction, Horner at any other q.
 
         At q = p/d (d = 1 for an int) the numerator, the sum of c_k p**k

@@ -11,6 +11,11 @@ and other rows, text among them, go through format_cell and the csv
 writer. SVG output is a flat polyline rendering with no plotting
 dependencies, each polyline mapped to pixels with numpy and formatted
 with one %-format.
+
+A float array row whose cells after the first (all of them, for SVG
+pixels) have the bits of the row before's is not formatted again: it
+reuses that row's text (_row_cells), which pays where arctic curves
+repeat a point on many rows.
 """
 
 from __future__ import annotations
@@ -119,9 +124,40 @@ def _column_spec(column) -> str | None:
     return _SPECS.get(kinds.pop()) if len(kinds) == 1 else None
 
 
-def _write_block(out, prefix: str, specs, cells: list, count: int) -> None:
+def _write_block(out, prefix: str, specs, cells: Sequence, count: int) -> None:
     """Write count rows of row-major cells, each led by prefix, with one %-format."""
     out.write(((prefix + ",".join(specs) + "\n") * count) % tuple(cells))
+
+
+def _row_cells(rows: np.ndarray, spec: str, lead: int = 0) -> tuple[list[str], Sequence]:
+    """The %-specs of one row and the row-major cells of a 2-D array, for
+    one %-format of its rows with every cell under spec, comma-joined.
+
+    The columns from ``lead`` on form a row's tail. A tail whose bits
+    equal the tail of the row before it is not formatted again: the tail
+    of each run of equal rows is formatted once, and its text goes in as
+    one ``%s`` cell. Bits, not values, decide, so -0.0 after 0.0 keeps
+    its own text. When no tail repeats, or the rows have no tail, the
+    cells are the array's own, each under spec.
+    """
+    import numpy as np
+    count, width = rows.shape
+    specs = [spec] * width
+    if lead >= width:
+        return specs, rows.ravel().tolist()
+    # Each cell as its raw bytes, compared column by column.
+    bits = rows.view(np.dtype((np.void, rows.itemsize)))
+    repeat = bits[1:, lead] == bits[:-1, lead]
+    for j in range(lead + 1, width):
+        repeat &= bits[1:, j] == bits[:-1, j]
+    if not repeat.any():
+        return specs, rows.ravel().tolist()
+    fresh = np.concatenate(([True], ~repeat))
+    row_fmt = ",".join(specs[lead:]) + "\n"
+    texts = (row_fmt * int(fresh.sum()) % tuple(rows[fresh, lead:].ravel().tolist())).split("\n")
+    tails = map(texts.__getitem__, (np.cumsum(fresh) - 1).tolist())
+    lead_cells = [rows[:, j].tolist() for j in range(lead)]
+    return specs[:lead] + ["%s"], tuple(chain.from_iterable(zip(*lead_cells, tails)))
 
 
 def _write_rows(out, writer, rows: list) -> None:
@@ -153,10 +189,14 @@ def _write_array_rows(out, item: ArrayRows) -> None:
     else:
         raise InvalidArgument(f"cannot render {cells.dtype} arrays in CSV")
     prefix = "".join(_fixed_cell(label) + "," for label in item.labels)
-    specs = [spec] * cells.shape[1]
+    # Float rows reuse the text of a repeated tail after the first column
+    # (t on an arctic curve, which moves on every row); ints keep one
+    # %-format per block.
+    lead = 1 if spec == _FLOAT_FMT else cells.shape[1]
     for lo in range(0, len(cells), _BLOCK_ROWS):
         block = cells[lo : lo + _BLOCK_ROWS]
-        _write_block(out, prefix, specs, block.ravel().tolist(), len(block))
+        specs, flat = _row_cells(block, spec, lead)
+        _write_block(out, prefix, specs, flat, len(block))
 
 
 def _write_csv(out, header: Sequence[str], rows: Iterable) -> None:
@@ -258,7 +298,8 @@ def render_svg(
         stroke_width = item.get("width", 1.5)
         dash = item.get("dash")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        coords = ("%.3f,%.3f " * len(pts))[:-1] % tuple(pixels.ravel().tolist())
+        specs, cells = _row_cells(pixels, "%.3f")
+        coords = ((",".join(specs) + " ") * len(pts))[:-1] % tuple(cells)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
             f' stroke-width="{stroke_width:g}"{dash_attr}/>'

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from qpaths.actions import action_bulk, action_free, action_free_dual
-from qpaths.configs import enumerate_configs, paths_from_abscissas
+from qpaths.configs import enumerate_configs
 from qpaths.curves import (
     arctic_curve,
     arctic_point,
@@ -37,6 +37,8 @@ from qpaths.exact import (
 from qpaths.geometry import hausdorff_distance
 from qpaths.profile import StartDensity, freezing_tent, limit_curve
 from qpaths.sampler import _states
+
+from lattice_paths import paths_from_abscissas
 
 UNIFORM = StartDensity([(1.0, 2.0)])  # alpha(u) = 2u
 CORNERED = StartDensity([(1 / 3, 2.0), (1 / 3, 4.0), (1 / 3, 2.0)])

@@ -745,6 +745,11 @@ def test_oversized_json_integer_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+SCALED_CORNERED = {
+    "model": {"scaled": {"segments": [[1 / 3, 2.0], [1 / 3, 4.0], [1 / 3, 2.0]], "base": 1e-6}},
+    "task": {"samples": 200},
+}
+
 # The sha256 prefix of every file each command writes on one small config.
 PINNED_OUTPUTS = [
     ("exact", FINITE, (), {
@@ -768,6 +773,11 @@ PINNED_OUTPUTS = [
         "arctic.svg": "a6cc1ed3c0288b17",
     }),
     ("limits", SCALED_GAPPED, (), {"limits.csv": "abce34912f89886f"}),
+    # 347 of the 464 rows repeat the (X, Y) of the row before.
+    ("arctic", SCALED_CORNERED, ("--svg",), {
+        "arctic.csv": "94c8191555bbfff7",
+        "arctic.svg": "57a4ebeef016c9cd",
+    }),
 ]
 
 

@@ -13,10 +13,11 @@ from qpaths.configs import (
     enumerate_configs,
     max_area_abscissas,
     min_area_abscissas,
-    paths_from_abscissas,
 )
 from qpaths.errors import InvalidArgument, SizeLimitExceeded
 from qpaths.exact import StartSequence, _duality_exponent, dual_sequence
+
+from lattice_paths import paths_from_abscissas
 
 
 def test_enumeration_hand_counts():

@@ -113,6 +113,15 @@ for name, q in (("rational", "7/10"), ("float", {"base": 3, "n": 4})):
     loaded.append([code, "numpy" in sys.modules])
 code = qpaths.cli.main(["sample", "--config", cfg, "--out", os.path.join(work, "sample")])
 loaded.append([code, "numpy" in sys.modules, "numpy.random" in sys.modules])
+scaled = {"model": {"scaled": {"segments": [[0.5, 2.0], [0.5, 3.0]], "jumps": [[0.5, 1.0]], "base": 3.0}},
+          "task": {"samples": 40, "t_values": [18.0, -20.0]}}
+cfg = os.path.join(work, "scaled.json")
+with open(cfg, "w") as fh:
+    json.dump(scaled, fh)
+for command in (["arctic", "--svg"], ["limits"]):
+    out = os.path.join(work, command[0])
+    code = qpaths.cli.main([command[0], "--config", cfg, "--out", out, *command[1:]])
+    loaded.append([code, sorted(os.listdir(out)), "numpy.random" in sys.modules])
 print(json.dumps(loaded))
 """
 
@@ -120,11 +129,13 @@ print(json.dumps(loaded))
 def test_exact_runs_without_numpy_and_sample_loads_it(tmp_path):
     # `qpaths exact` at a rational and at a float q stays in integer and
     # rational arithmetic; `qpaths sample` in the same process then loads
-    # numpy, but not numpy.random.
+    # numpy, but not numpy.random, and neither do `qpaths arctic --svg`
+    # and `qpaths limits` after it.
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", FINITE_COMMANDS, str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert last == [[0, False], [0, False], [0, True, False]]
+    assert last == [[0, False], [0, False], [0, True, False],
+                    [0, ["arctic.csv", "arctic.svg"], False], [0, ["limits.csv"], False]]

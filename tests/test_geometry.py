@@ -187,7 +187,7 @@ def test_crossing_scan_matches_all_pairs(pts):
 
 def greedy_thin(points) -> np.ndarray:
     """The plain greedy thinning scan over every point, kept as the oracle
-    of the repeat-dropping, all-steps-long and first-short-step shortcuts."""
+    of the repeat-dropping and long-step shortcuts."""
     pts = np.asarray(points, dtype=float)
     diam = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
     tol = 1e-9 * max(diam, 1e-300)
@@ -204,30 +204,50 @@ def greedy_thin(points) -> np.ndarray:
 @st.composite
 def thinning_polylines(draw):
     """Polylines with runs of exact repeats, steps next to the thinning
-    tolerance 1e-9 * diameter on either side, and closed loops."""
+    tolerance 1e-9 * diameter and next to the 4 * tol past which _thin
+    keeps a point unscanned, zigzags of a short step and a long step
+    back, closed loops, coordinates about 1e6 diameters from the origin,
+    and a non-finite vertex after the long steps of the polyline."""
     coord = st.floats(-4.0, 4.0, allow_nan=False)
     if draw(st.booleans()):
         coord = st.integers(-3, 3).map(float)
     pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
     arr = np.asarray(pts)
-    tol = 1e-9 * max(float(np.max(arr.max(axis=0) - arr.min(axis=0))), 1e-300)
+    diam = max(float(np.max(arr.max(axis=0) - arr.min(axis=0))), 1e-300)
+    tol = 1e-9 * diam
+    # Far from the origin a step of tol spans only a few units of rounding.
+    shift = draw(st.sampled_from([0.0, 1e6 * diam, -1e6 * diam]))
+    pts = [(x + shift, y + shift) for x, y in pts]
     for _ in range(draw(st.integers(0, 4))):
         at = draw(st.integers(0, len(pts) - 1))
         x, y = pts[at]
-        if draw(st.booleans()):
-            extra = [(x, y)] * draw(st.integers(1, 5))
+        kind = draw(st.sampled_from(["repeats", "steps", "zigzag"]))
+        axis = draw(st.integers(0, 1))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        if kind == "repeats":
+            offsets = [0.0] * draw(st.integers(1, 5))
+        elif kind == "steps":
+            # Steps of a multiple of tol, give or take a few units of
+            # rounding, along either axis.
+            factor = draw(st.sampled_from([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0, 3.9, 4.0, 4.1]))
+            offsets = [k * factor * tol * sign for k in range(1, draw(st.integers(1, 4)) + 1)]
         else:
-            # Steps of 1e-9 * diameter, give or take a few units of rounding,
-            # along either axis.
-            factor = draw(st.sampled_from([0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0]))
-            axis = draw(st.integers(0, 1))
-            extra = []
-            for k in range(1, draw(st.integers(1, 4)) + 1):
-                step = k * factor * tol * draw(st.sampled_from([1.0, -1.0]))
-                extra.append((x + step, y) if axis == 0 else (x, y + step))
+            # A short step, then a longer step back, and again: back to
+            # within tol of the last kept point, or past 4 tol.
+            short = draw(st.sampled_from([0.5, 0.9, 1.0, 2.0, 3.9])) * tol * sign
+            back = draw(st.sampled_from([1.5, 1.9, 4.0, 4.1, 6.0])) * tol * sign
+            offsets = []
+            for k in range(draw(st.integers(1, 3))):
+                offsets += [k * (short - back) + short, (k + 1) * (short - back)]
+        extra = [(x + o, y) if axis == 0 else (x, y + o) for o in offsets]
         pts[at + 1 : at + 1] = extra
     if draw(st.booleans()):
         pts.append(pts[0])
+    bad = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    if bad is not None:
+        at = draw(st.integers(1, len(pts)))
+        x, y = pts[at - 1]
+        pts.insert(at, (bad, y) if draw(st.booleans()) else (x, bad))
     return pts
 
 
@@ -240,16 +260,18 @@ def test_thinning_shortcuts_match_the_greedy_scan(pts):
 
 @pytest.mark.parametrize("first_short", [0, 1, 5, 18, None])
 def test_thinning_starts_its_scan_at_the_first_short_step(first_short):
-    # The points before the first step within the tolerance are kept
-    # unscanned; a run of short steps there, or none at all, thins as the
-    # greedy scan over every point does.
+    # The scan reads only the points after a step of at most 4 tol, each
+    # run of them from the point before it; a point after a longer step is
+    # kept unscanned. Runs of short steps at the start, inside or at the
+    # end of the arc, or none at all, thin as the greedy scan over every
+    # point does.
     theta = np.linspace(0.0, 3.0, 20)
     pts = np.column_stack((np.cos(theta), np.sin(theta)))
     if first_short is not None:
         tol = 1e-9 * float(np.max(pts.max(axis=0) - pts.min(axis=0)))
-        at = pts[first_short]
-        run = at + np.outer([0.3, 0.6, 1.2, 1.5, 3.0], [tol, -tol])
-        pts = np.concatenate((pts[: first_short + 1], run, pts[first_short + 1 :]))
+        for at in sorted({first_short, 18}, reverse=True):
+            run = pts[at] + np.outer([0.3, 0.6, 1.2, 1.5, 3.0, 3.9, 7.9, 4.0], [tol, -tol])
+            pts = np.concatenate((pts[: at + 1], run, pts[at + 1 :]))
     assert np.array_equal(_thin(pts), greedy_thin(pts))
 
 

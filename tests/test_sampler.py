@@ -21,11 +21,12 @@ from qpaths.configs import (
     enumerate_configs,
     max_area_abscissas,
     min_area_abscissas,
-    paths_from_abscissas,
 )
 from qpaths.errors import InvalidArgument, NumericalFailure
 from qpaths.exact import StartSequence
 from qpaths.sampler import _neighbours, _sweep, run_chain
+
+from lattice_paths import paths_from_abscissas
 
 
 def state(config):

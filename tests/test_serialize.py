@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpaths import cli, curves, serialize
@@ -331,6 +331,46 @@ def test_svg_matches_the_per_point_oracle():
         {"points": []},
     ]
     assert _svg_doc(items) == per_point_render_svg(items, x_range=(0.0, 3.0), y_range=(0.0, 1.0))
+
+
+_RUN_CELLS = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.5]
+
+
+@st.composite
+def repeating_arrays(draw):
+    """Float arrays in runs of equal rows, drawn from a few rows with 0.0
+    and -0.0, nan and inf cells, in float64 or float32; a lead of 2 040
+    copies of the first row puts the runs across the 2 048-row block."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    width = draw(st.integers(1, 4))
+    finite = st.floats(width=32) if dtype is np.float32 else st.floats(-1e300, 1e300)
+    cell = st.one_of(st.sampled_from(_RUN_CELLS), finite)
+    pool = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=4))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 5)),
+                         min_size=1, max_size=12))
+    rows = [pool[i] for i, count in runs for _ in range(count)]
+    rows = [rows[0]] * draw(st.sampled_from([0, 2040])) + rows
+    cells = np.array(rows, dtype=dtype)
+    if draw(st.booleans()):
+        cells[:, 0] = np.arange(len(cells))  # a first column that moves on every row, as t does
+    return cells
+
+
+@given(repeating_arrays())
+@settings(max_examples=150, deadline=None)
+@example(np.array([[1.0, 0.0, 0.0], [2.0, -0.0, 0.0], [3.0, -0.0, 0.0], [4.0, 0.0, -0.0]]))
+@example(np.array([[0.0, math.nan], [0.0, math.nan], [1.0, math.inf], [1.0, math.inf]], dtype=np.float32))
+def test_repeated_rows_match_the_oracles(cells):
+    # A row that repeats the bits of the row before reuses its text; the
+    # documents stay those of the per-cell and per-point emitters.
+    header = ["branch"] + [f"c{j}" for j in range(cells.shape[1])]
+    rows = [("right", *row) for row in cells.tolist()]
+    assert emit_csv(header, [ArrayRows(cells, ("right",))]) == csv_writer_emit_csv(header, rows)
+    xy = cells[:, -2:] if cells.shape[1] > 1 else np.repeat(cells, 2, axis=1)
+    items = [{"points": xy}, {"points": xy[::-1], "stroke": "#000000"}]
+    as_tuples = [{**item, "points": [tuple(p) for p in item["points"].tolist()]} for item in items]
+    kw = {"x_range": (0.0, 3.0), "y_range": (0.0, 1.0)}
+    assert render_svg(items, **kw) == per_point_render_svg(as_tuples, **kw)
 
 
 @pytest.mark.parametrize("segments, jumps, base, t_values", [
