@@ -70,7 +70,6 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
     z_at_q = _partition_function(z, q)
 
     table = one_point_table(seq, q)
-    one_point = list(enumerate(table))
     # H_dual(ell) = 1 - H(ell + 1), and 1 from a_n on, where no path exits;
     # table[0] is H(0) = 1 in q's type.
     one = table[0]
@@ -86,12 +85,9 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
         "reversal_residual": reversal_resid,
     }
     out = _out_dir(cfg)
-    serialize.write_csv(
-        os.path.join(out, "partition.csv"),
-        ("degree", "coefficient"),
-        ((i, c) for i, c in enumerate(z.coeffs)),
-    )
-    serialize.write_csv(os.path.join(out, "one_point.csv"), ("ell", "H"), one_point)
+    serialize.write_csv(os.path.join(out, "partition.csv"), ("degree", "coefficient"),
+                        [serialize.IndexedRows(z.coeffs)])
+    serialize.write_csv(os.path.join(out, "one_point.csv"), ("ell", "H"), [serialize.IndexedRows(table)])
     serialize.write_csv(os.path.join(out, "one_point_dual.csv"), ("ell", "H_dual"), one_point_dual)
     serialize.write_text(os.path.join(out, "exact_summary.json"),
                          json.dumps(summary, indent=2) + "\n")

@@ -118,12 +118,16 @@ def partition_det(seq: StartSequence) -> QPolynomial:
     return poly_det(lgv_matrix(seq))
 
 
-def _same_class_pairs(values: Sequence[int], d: int) -> int:
-    """Number of pairs i < j with values[i] = values[j] mod d."""
-    sizes: dict[int, int] = {}
-    for v in values:
-        sizes[v % d] = sizes.get(v % d, 0) + 1
-    return sum(k * (k - 1) // 2 for k in sizes.values())
+def _cyclotomic_exponents(values: Sequence[int]) -> dict[int, int]:
+    """partition_poly's c_d, d >= 1, for strictly increasing values: one pass over
+    the pairs marks each values[j] - values[i] with +1 and each j - i with -1,
+    and c_d sums the marks at the multiples of d."""
+    marks = [0] * (max(values, default=0) - min(values, default=0) + 1)
+    for j, a in enumerate(values):
+        for i in range(j):
+            marks[a - values[i]] += 1
+            marks[j - i] -= 1
+    return {d: sum(marks[d::d]) for d in range(1, len(marks))}
 
 
 def partition_poly(seq: StartSequence) -> QPolynomial:
@@ -136,8 +140,7 @@ def partition_poly(seq: StartSequence) -> QPolynomial:
     """
     n = seq.n
     factors = []
-    for d in range(2, seq.top + 1):
-        c = _same_class_pairs(seq.values, d) - _same_class_pairs(range(n + 1), d)
+    for d, c in _cyclotomic_exponents(seq.values).items():
         if c < 0:
             # Evenly filled residue classes hold the fewest same-class pairs,
             # so distinct starts never give fewer than the indices 0..n do.

@@ -260,6 +260,15 @@ def cyclotomic(d: int) -> QPolynomial:
     return result
 
 
+def _at_power_of_ten(coeffs: Sequence[int], w: int, ctx: decimal.Context) -> decimal.Decimal:
+    """The sum of c_k 10**(k w), exact, by Horner in decimal: converting an
+    int that large to Decimal would take time quadratic in its digits."""
+    value, scale = decimal.Decimal(0), decimal.Decimal(f"1e{w}")
+    for c in reversed(coeffs):
+        value = ctx.fma(value, scale, c)
+    return value
+
+
 def power_product(factors: Sequence[tuple[QPolynomial, int]], bound: int) -> QPolynomial:
     """prod p**e over (p, e) in factors, for a product whose coefficients lie in [0, bound].
 
@@ -280,13 +289,7 @@ def power_product(factors: Sequence[tuple[QPolynomial, int]], bound: int) -> QPo
         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
     )
     w = bound.bit_length() * 30103 // 100000 + 1  # decimal digits per coefficient
-
-    def at_power_of_ten(coeffs: Sequence[int]) -> decimal.Decimal:
-        pos = "".join(str(max(c, 0)).zfill(w) for c in reversed(coeffs))
-        neg = "".join(str(max(-c, 0)).zfill(w) for c in reversed(coeffs))
-        return ctx.subtract(decimal.Decimal(pos), decimal.Decimal(neg))
-
-    values = [ctx.power(at_power_of_ten(p.coeffs), e) for p, e in factors if e]
+    values = [ctx.power(_at_power_of_ten(p.coeffs, w, ctx), e) for p, e in factors if e]
     values.sort(key=lambda v: v.adjusted())
     while len(values) > 1:
         values = [ctx.multiply(values[i], values[i + 1]) if i + 1 < len(values) else values[i]
@@ -298,7 +301,7 @@ def power_product(factors: Sequence[tuple[QPolynomial, int]], bound: int) -> QPo
         coeffs = [int(digits[i - w : i]) for i in starts]
     except ValueError:  # w past the interpreter's int-from-str digit cap; Decimal has none
         coeffs = [int(decimal.Decimal(digits[i - w : i])) for i in starts]
-    return QPolynomial(coeffs)
+    return QPolynomial._of(_trim(coeffs))
 
 
 def poly_det(matrix: Sequence[Sequence[QPolynomial]]) -> QPolynomial:

@@ -5,12 +5,12 @@ digits (enough to read back the same value) and exact rationals as num/den.
 A float with an integral value is written in integer form (1.0 as ``1``,
 -0.0 as ``-0``), so it reads back as an int of that value: the type and
 the sign of a zero are not kept.
-Rows are formatted in blocks with one %-format per block when each
-column holds only ints or only floats; numpy tables come as ArrayRows,
-and other rows, text among them, go through format_cell and the csv
-writer. SVG output is a flat polyline rendering with no plotting
-dependencies, each polyline mapped to pixels with numpy and formatted
-with one %-format.
+numpy tables (ArrayRows) and index-value tables (IndexedRows, when the
+values are all ints or all floats) are formatted in blocks with one
+%-format per block; other rows, text among them, go one by one through
+format_cell and the csv writer. SVG output is a flat polyline rendering
+with no plotting dependencies, each polyline mapped to pixels with numpy
+and formatted with one %-format.
 
 A float array row whose cells after the first (all of them, for SVG
 pixels) have the bits of the row before's is not formatted again: it
@@ -28,7 +28,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby, islice
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgument
@@ -111,22 +111,20 @@ class ArrayRows:
     labels: tuple = ()
 
 
+@dataclass(frozen=True, eq=False)
+class IndexedRows:
+    """CSV rows (k, values[k]) for k = 0 .. len(values) - 1, written as
+    those rows would be, but a block of values all ints or all floats takes
+    one %-format of the index and the values interleaved, forming no row."""
+
+    values: Sequence
+
+
 def _fixed_cell(value) -> str:
     """One cell as format_cell and csv write it among others, %-escaped for a row format."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([format_cell(value), ""])
     return buf.getvalue()[:-2].replace("%", "%%")
-
-
-def _column_spec(column) -> str | None:
-    """The %-spec of a column whose cells are all ints or all floats, else None."""
-    kinds = set(map(type, column))
-    return _SPECS.get(kinds.pop()) if len(kinds) == 1 else None
-
-
-def _write_block(out, prefix: str, specs, cells: Sequence, count: int) -> None:
-    """Write count rows of row-major cells, each led by prefix, with one %-format."""
-    out.write(((prefix + ",".join(specs) + "\n") * count) % tuple(cells))
 
 
 def _row_cells(rows: np.ndarray, spec: str, lead: int = 0) -> tuple[list[str], Sequence]:
@@ -160,21 +158,21 @@ def _row_cells(rows: np.ndarray, spec: str, lead: int = 0) -> tuple[list[str], S
     return specs[:lead] + ["%s"], tuple(chain.from_iterable(zip(*lead_cells, tails)))
 
 
-def _write_rows(out, writer, rows: list) -> None:
-    """A block of rows: one %-format when the table is rectangular and every
-    column holds only ints or only floats, else row by row through
-    format_cell and the csv writer."""
-    width = len(rows[0])
-    if width and all(len(row) == width for row in rows):
-        cells = list(chain.from_iterable(rows))
-        specs = [_column_spec(cells[j::width]) for j in range(width)]
-        if None not in specs:
+def _write_indexed_rows(out, writer, item: IndexedRows) -> None:
+    for lo in range(0, len(item.values), _BLOCK_ROWS):
+        block = item.values[lo : lo + _BLOCK_ROWS]
+        index = range(lo, lo + len(block))
+        kinds = set(map(type, block))  # one %-spec for values all ints or all floats
+        spec = _SPECS.get(kinds.pop()) if len(kinds) == 1 else None
+        if spec:
+            cells = [lo] * (2 * len(block))
+            cells[::2], cells[1::2] = index, block
             try:
-                return _write_block(out, "", specs, cells, len(rows))
+                out.write(f"%d,{spec}\n" * len(block) % tuple(cells))
+                continue
             except ValueError:  # an int past the int-to-str digit cap
                 pass
-    for row in rows:
-        writer.writerow([format_cell(v) for v in row])
+        writer.writerows([format_cell(k), format_cell(v)] for k, v in zip(index, block))
 
 
 def _write_array_rows(out, item: ArrayRows) -> None:
@@ -196,24 +194,24 @@ def _write_array_rows(out, item: ArrayRows) -> None:
     for lo in range(0, len(cells), _BLOCK_ROWS):
         block = cells[lo : lo + _BLOCK_ROWS]
         specs, flat = _row_cells(block, spec, lead)
-        _write_block(out, prefix, specs, flat, len(block))
+        out.write((prefix + ",".join(specs) + "\n") * len(block) % tuple(flat))
 
 
 def _write_csv(out, header: Sequence[str], rows: Iterable) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(header))
-    for arrays, items in groupby(rows, key=lambda row: isinstance(row, ArrayRows)):
-        if arrays:
-            for item in items:
-                _write_array_rows(out, item)
+    for row in rows:
+        if isinstance(row, ArrayRows):
+            _write_array_rows(out, row)
+        elif isinstance(row, IndexedRows):
+            _write_indexed_rows(out, writer, row)
         else:
-            for block in iter(lambda: list(islice(items, _BLOCK_ROWS)), []):
-                _write_rows(out, writer, block)
+            writer.writerow([format_cell(v) for v in row])
 
 
 def emit_csv(header: Sequence[str], rows: Iterable) -> str:
     """CSV text of a header and rows; each item of ``rows`` is a sequence of
-    cells or an ArrayRows block."""
+    cells, an ArrayRows block or an IndexedRows table."""
     buf = io.StringIO()
     _write_csv(buf, header, rows)
     return buf.getvalue()

@@ -771,13 +771,23 @@ def test_reversal_check_at_zero_and_disjoint_degrees():
     assert exact._reversal_check(seq, QPolynomial((4,)), QPolynomial((4,))) == (True, 0)
 
 
-@given(st.lists(st.integers(-60, 60), max_size=25), st.integers(1, 15))
+@given(st.lists(st.integers(-60, 60), max_size=25))
 @settings(max_examples=100, deadline=None)
-def test_same_class_pairs_counts_pairs(values, d):
-    brute = sum((values[j] - values[i]) % d == 0 for j in range(len(values)) for i in range(j))
-    assert exact._same_class_pairs(values, d) == brute
-    assert exact._same_class_pairs(range(len(values)), d) == sum(
-        (j - i) % d == 0 for j in range(len(values)) for i in range(j))
+def test_cyclotomic_exponents_count_pairs(values):
+    # The helper takes what partition_poly gives it, strictly increasing values.
+    values = sorted(set(values))
+    pairs = [(i, j) for j in range(len(values)) for i in range(j)]
+    span = values[-1] - values[0] if values else 0
+    brute = {d: sum((values[j] - values[i]) % d == 0 for i, j in pairs)
+             - sum((j - i) % d == 0 for i, j in pairs) for d in range(1, span + 1)}
+    assert exact._cyclotomic_exponents(values) == brute
+
+
+@given(st.lists(st.integers(-400, 400), max_size=40, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_cyclotomic_exponents_of_distinct_values_are_never_negative(values):
+    # partition_poly's NumericalFailure on a negative c_d is never reached.
+    assert min(exact._cyclotomic_exponents(sorted(values)).values(), default=0) >= 0
 
 
 def test_partition_poly_at_21_paths_evaluates_to_the_product_form():

@@ -1,5 +1,6 @@
 """Polynomial layer: q-binomials, exact arithmetic, determinants."""
 
+import decimal
 import math
 import struct
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from qpaths.errors import InvalidArgument
 from qpaths.qpoly import (
     QPolynomial,
+    _at_power_of_ten,
     cyclotomic,
     poly_det,
     power_product,
@@ -292,6 +294,7 @@ def test_power_product_signed_factors_and_digit_boundaries():
     for c in (1, 9, 10, 99, 100, 10**20 - 1, 10**20, 2**64 - 1, 2**64):
         assert power_product([(QPolynomial((c, 0, c)), 1)], c) == QPolynomial((c, 0, c))
     assert power_product([], 1) == 1
+    assert power_product([(QPolynomial.zero(), 2), (ones, 1)], 1) == 0
     with pytest.raises(InvalidArgument):
         power_product([(ones, 1)], 0)
 
@@ -308,6 +311,42 @@ def test_power_product_decodes_chunks_past_the_digit_cap():
                     * QPolynomial((1, 3, 3, 1)))
         assert power_product(factors, 10**4400) == expected
         assert power_product(factors, 10**4250) == expected  # below the cap: int() reads
+    finally:
+        sys.set_int_max_str_digits(old_cap)
+
+
+def string_image(coeffs, w, ctx):
+    """The zero-filled-string image that _at_power_of_ten replaced, kept as its
+    oracle; each coefficient's digits come through Decimal, which has no
+    int-to-str digit cap."""
+    pos = "".join(str(decimal.Decimal(max(c, 0))).zfill(w) for c in reversed(coeffs))
+    neg = "".join(str(decimal.Decimal(max(-c, 0))).zfill(w) for c in reversed(coeffs))
+    return ctx.subtract(decimal.Decimal(pos), decimal.Decimal(neg))
+
+
+@st.composite
+def images(draw):
+    """Signed coefficients with zeros, each of fewer than w digits, for widths
+    from 1 digit to past the interpreter's 4 300-digit int-from-str cap."""
+    w = draw(st.one_of(st.integers(1, 40), st.sampled_from([4299, 4300, 4301, 4400])))
+    big = 10**w - 1
+    cells = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-big, big),
+                      st.sampled_from([big, -big]))
+    return draw(st.lists(cells, min_size=1, max_size=12)), w
+
+
+@given(images())
+@settings(max_examples=100, deadline=None)
+def test_image_at_a_power_of_ten_matches_the_string_oracle(image):
+    coeffs, w = image
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+    old_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        got = _at_power_of_ten(coeffs, w, ctx)
+        assert str(got) == str(string_image(coeffs, w, ctx))
+        assert got.as_tuple().exponent == 0
     finally:
         sys.set_int_max_str_digits(old_cap)
 

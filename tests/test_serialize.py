@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -14,9 +15,11 @@ from hypothesis import strategies as st
 
 from qpaths import cli, curves, serialize
 from qpaths.errors import InvalidArgument
+from qpaths.exact import StartSequence, partition_poly
 from qpaths.profile import StartDensity
 from qpaths.serialize import (
     ArrayRows,
+    IndexedRows,
     emit_csv,
     format_cell,
     parse_cell,
@@ -136,8 +139,7 @@ _CELLS = st.one_of(
 @example([["", ""], [""], []])
 @example([["a,b", 1, 0.5], ["a\rb", 1, 0.5], ["a\nb", 1, 0.5], ['a"b', 1, 0.5], ["ab", 1, 0.5]])
 @example([[7**9000, 1.0], [3, 1.0], [Fraction(1, 3), 1.0], [np.float64(0.1), 1.0], [0.1, 1.0]])
-# Columns of only ints and only floats take one %-format per block, which
-# refuses the int past the digit cap; the block then goes row by row.
+# An int past the int-to-str digit cap among ints and floats.
 @example([[7**9000, 1.0], [3, 2.0]])
 def test_emit_csv_matches_the_csv_writer_oracle(rows):
     header = ["a", "b,c", ""]
@@ -167,6 +169,55 @@ def test_rows_past_one_block_match_the_oracle():
     rows = [(i, i / 7.0, "left" if i % 3 else "right") for i in range(5000)]
     rows[4321] = (7**9000, 0.5, "right")
     assert emit_csv(["a", "b", "c"], rows) == csv_writer_emit_csv(["a", "b", "c"], rows)
+
+
+def _z_coeffs(starts) -> tuple:
+    return partition_poly(StartSequence(starts)).coeffs
+
+
+# 21 paths: a zero prefix of E = 4 200 rows, over two blocks, then 1 541 coefficients.
+_LONG_Z = _z_coeffs(range(0, 41, 2))
+_HUGE = 7**6000  # 5 071 digits
+
+
+@pytest.mark.parametrize("values", [
+    (),
+    (7,),
+    (0,),
+    _z_coeffs((0, 2, 3, 7)),
+    _LONG_Z,
+    (0, 1, _HUGE, 3),
+    (0,) * 2047 + (_HUGE,) + (5,) * 3000,
+    (*range(2100), 0.5, *range(3000)),
+    (*(i / 7 for i in range(2048)), Fraction(1, 3), -0.0, math.inf),
+], ids=["empty", "one_row", "one_zero", "z_n3", "z_past_one_block", "huge_int",
+        "huge_int_ending_a_block", "float_in_the_second_block", "fraction_after_a_block"])
+def test_indexed_rows_match_the_oracle_rows(values):
+    # The default digit cap, so the huge ints fall back to format_cell.
+    old_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        header = ["degree", "coefficient"]
+        expected = csv_writer_emit_csv(header, enumerate(values))
+        assert emit_csv(header, [IndexedRows(values)]) == expected
+        assert emit_csv(header, [(-1, "x"), IndexedRows(values), ArrayRows(np.ones((1, 2)))]) == (
+            csv_writer_emit_csv(header, [(-1, "x"), *enumerate(values), (1.0, 1.0)]))
+    finally:
+        sys.set_int_max_str_digits(old_cap)
+    assert _LONG_Z[:4200] == (0,) * 4200 and _LONG_Z[4200] == 1 and len(_LONG_Z) == 5741
+
+
+@given(st.lists(_CELLS, max_size=40))
+@example([7**9000, 1, 2])
+@example([1, 2, np.float64(0.5)])
+def test_indexed_rows_of_any_cells_match_the_oracle_rows(values):
+    assert emit_csv(["k", "v"], [IndexedRows(values)]) == csv_writer_emit_csv(["k", "v"], enumerate(values))
+
+
+@pytest.mark.parametrize("bad", [True, object(), np.int64(3)], ids=["bool", "object", "numpy_int"])
+def test_indexed_rows_refuse_cells_without_a_rendering(bad):
+    with pytest.raises(InvalidArgument):
+        emit_csv(["k", "v"], [IndexedRows((1, 2, bad))])
 
 
 @pytest.mark.parametrize("cells, labels", [
