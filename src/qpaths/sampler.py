@@ -1,17 +1,22 @@
 """Heat-bath sampling of the weighted path ensemble from an exact start.
 
-The chain state is the array of north-step abscissas: b[i][k] is the
+A configuration is the array of north-step abscissas: b[i][k] is the
 column of the north step of path i from row k to row k + 1, for
 1 <= i <= n and 0 <= k < i, stored flat in ``PathConfig.north_steps``
-order. The area is sum(b), and non-intersection is a set of inequalities
-between neighbouring sites, so site (i, k) may take any value in
+order. The area is sum(b). The chain runs in interlacing coordinates
+c[i][k] = b[i][k] - i (shift[s] = i for site s), where non-intersection
+is a set of plain inequalities between neighbouring sites (as in an
+interlacing array), so site (i, k) may take any value in
 
-    lo = max(b[i][k+1] or 0, (b[i-1][k-1] or a_{i-1}) + 1)
-    hi = min(b[i][k-1] or a_i, b[i+1][k+1] - 1)
+    lo = max(c[i][k+1] or -i, c[i-1][k-1] or a_{i-1} + 1 - i)
+    hi = min(c[i][k-1] or a_i - i, c[i+1][k+1] or a_n - n)
 
-where a missing b[i+1][k+1] (on the top path) imposes nothing. A sweep
-visits the sites in that order and redraws each from q**b truncated to
-[lo, hi], its conditional law (heat bath). Two draws give that law:
+and no bound carries a +1 or -1. The shift is the same on every state,
+so it keeps the order coupling from the past needs, and an interval's
+width hi - lo + 1 and every draw are those of b. A sweep visits the
+sites in that order and redraws each from q**c (proportional to q**b)
+truncated to [lo, hi], its conditional law (heat bath). Two draws give
+that law:
 
 - The coupling sweep (_sweep) takes j geometric steps of ratio
   exp(-|ln q|) from the heavy end of [lo, hi] by inverse CDF from one
@@ -34,30 +39,30 @@ visits the sites in that order and redraws each from q**b truncated to
 The mod draw runs in a kernel (_kernel) that one run builds once, before
 its first forward sweep: the sweep written out as straight-line Python,
 compiled and executed. Every movable site is a local b<s>; every other
-slot (0, a_n + 1, a_0 .. a_n and the sites whose extremal values agree)
-is an integer literal; the direction (hi - G mod ..., for q > 1, or
+slot (the constants above and the sites whose extremal values agree) is
+an integer literal; the direction (hi - G mod ..., for q > 1, or
 lo + G mod ...) is fixed in the text. A loop takes the G of one sweep at
-a time from zip(*[it] * m) and appends the tuple of all n(n + 1)/2 sites.
-The text is made only of fixed code, the names b<s> and g<k> with integer
+a time from zip(*[it] * m) and packs all n(n + 1)/2 sites into the next
+int64 row of the chunk's block (one struct pack_into per sweep). The text is made only of fixed code, the names b<s> and g<k> with integer
 indices, and int() of the start sequence's values and the closed-form
 extremal arrays, so no input string reaches exec. A run of one sweep, or
 a plan with no movable site, builds no kernel.
 
 _states yields the north-step array after every sweep, in blocks of rows:
 sweep 0 (the exact sample) alone, then one block per chunk of forward
-sweeps, the chunk's state tuples as an int64 array. run_chain reduces
-the blocks with numpy: the areas (row sums) and the density (a bincount
-of row + cell offsets) past burn_in, and the moves. Each site is updated
-once per sweep, so it moved exactly when it differs from the row before.
+sweeps, with the shift added back by one numpy add per block. run_chain reduces the blocks with
+numpy: the areas (row sums) and the density (a bincount of row + cell
+offsets) past burn_in, and the moves. Each site is updated once per
+sweep, so it moved exactly when it differs from the row before.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import struct
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator
 
 from .configs import max_area_abscissas, min_area_abscissas
@@ -74,13 +79,21 @@ _CHUNK_VALUES = 1 << 12
 _MOD_RATE_FLOOR = 2.0**-16
 
 
-def _neighbours(seq: StartSequence) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Per site (site, lo1, lo2, hi1, hi2): indices into b + consts with
-    lo = max(v[lo1], v[lo2] + 1) and hi = min(v[hi1], v[hi2] - 1)."""
+def _neighbours(seq: StartSequence) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """The chain's plan in interlacing coordinates c = b - shift, where
+    shift[s] is the path index i of site s (see the module docstring).
+
+    Per site (site, lo1, lo2, hi1, hi2): indices into c + consts with
+    lo = max(v[lo1], v[lo2]) and hi = min(v[hi1], v[hi2]). Returns the
+    plan, consts and shift.
+    """
     n, a = seq.n, seq.values
     size = n * (n + 1) // 2
-    # Slots after the sites: 0, a_n + 1 (no bound above the top path), a_0 .. a_n.
-    consts = [0, a[-1] + 1, *a]
+    # Slots after the sites: a_n - n (no bound above the top path), then per
+    # path i its floor -i and its walls a_{i-1} + 1 - i and a_i - i.
+    consts = [a[-1] - n]
+    for i in range(1, n + 1):
+        consts += [-i, a[i - 1] + 1 - i, a[i] - i]
 
     def site(i, k):
         return i * (i - 1) // 2 + k
@@ -88,21 +101,21 @@ def _neighbours(seq: StartSequence) -> tuple[list[tuple[int, ...]], list[int]]:
     plan = [
         (
             site(i, k),
-            site(i, k + 1) if k + 1 < i else size,
-            site(i - 1, k - 1) if k else size + 1 + i,
-            site(i, k - 1) if k else size + 2 + i,
-            site(i + 1, k + 1) if i < n else size + 1,
+            site(i, k + 1) if k + 1 < i else size + 3 * i - 2,
+            site(i - 1, k - 1) if k else size + 3 * i - 1,
+            site(i, k - 1) if k else size + 3 * i,
+            site(i + 1, k + 1) if i < n else size,
         )
         for i in range(1, n + 1)
         for k in range(i)
     ]
-    return plan, consts
+    return plan, consts, [i for i in range(1, n + 1) for _ in range(i)]
 
 
 def _sweep(v: list[int], plan, uniforms, rate: float, up: bool) -> None:
     """Heat-bath update of every planned site in order, monotone in the state.
 
-    Each site is redrawn from q**b on [lo, hi] by inverse CDF from its
+    Each site is redrawn from q**c on [lo, hi] by inverse CDF from its
     uniform: j geometric steps of ratio exp(-rate), rate = |ln q| > 0,
     counted from the heavy end, up from lo or, when ``up`` (q > 1), down
     from hi, so no power of q can overflow. At fixed uniforms the draw is
@@ -111,10 +124,10 @@ def _sweep(v: list[int], plan, uniforms, rate: float, up: bool) -> None:
     # Plain comparisons instead of max()/min(): this loop is the exact start's cost.
     log1p, expm1 = math.log1p, math.expm1
     for (s, lo1, lo2, hi1, hi2), u in zip(plan, uniforms):
-        lo, bound = v[lo2] + 1, v[lo1]
+        lo, bound = v[lo2], v[lo1]
         if bound > lo:
             lo = bound
-        hi, bound = v[hi2] - 1, v[hi1]
+        hi, bound = v[hi2], v[hi1]
         if bound < hi:
             hi = bound
         if lo < hi:
@@ -130,9 +143,12 @@ def _sweep(v: list[int], plan, uniforms, rate: float, up: bool) -> None:
 def _kernel(plan, v: list[int], sites: int, up: bool):
     """The forward chain's sweep, written out once for this plan and state.
 
-    Returns ``sweeps(row, draws)``: from the sites ``row`` (a tuple of
-    ``sites`` values), one heat-bath sweep of the planned sites in order
-    per ``len(plan)`` draws, the list of the state tuples after each.
+    Returns ``sweeps(row, draws, out)``: from the sites ``row`` (a tuple
+    of ``sites`` values in interlacing coordinates), one heat-bath sweep
+    of the planned sites in order per ``len(plan)`` draws, each state
+    after one written into the next row of ``out`` (a C-contiguous int64
+    array); it returns the last state as a tuple. A site's lo is the
+    larger of two slots and its hi the smaller, with no +1 or -1.
     Each draw is an untruncated geometric G, P(G = k) proportional to
     exp(-k |ln q|); G mod (hi - lo + 1) steps from the heavy end of
     [lo, hi] (down from hi when ``up``, q > 1) have the truncated law of
@@ -149,20 +165,21 @@ def _kernel(plan, v: list[int], sites: int, up: bool):
     for g, (s, lo1, lo2, hi1, hi2) in enumerate(plan):
         lo1, lo2, hi1, hi2 = map(slot, (lo1, lo2, hi1, hi2))
         draw = f"hi - g{g} % (hi - lo + 1)" if up else f"lo + g{g} % (hi - lo + 1)"
-        body += [f"lo = {lo2} + 1", f"if {lo1} > lo: lo = {lo1}",
-                 f"hi = {hi2} - 1", f"if {hi1} < hi: hi = {hi1}", f"b{s} = {draw}"]
+        body += [f"lo = {lo2}", f"if {lo1} > lo: lo = {lo1}",
+                 f"hi = {hi2}", f"if {hi1} < hi: hi = {hi1}", f"b{s} = {draw}"]
+    state = ", ".join(slot(j) for j in range(sites))
     source = "\n".join([
-        "def sweeps(row, draws):",
+        "def sweeps(row, draws, out):",
         f"    {', '.join(f'b{j}' if j in movable else '_' for j in range(sites))}, = row",
-        "    rows = []",
-        "    put = rows.append",
+        "    pack, at = PACK, 0",
         "    it = iter(draws)",
         f"    for {', '.join(f'g{g}' for g in range(len(plan)))}, in zip(*[it] * {len(plan)}):",
         *(f"        {line}" for line in body),
-        f"        put(({', '.join(slot(j) for j in range(sites))},))",
-        "    return rows",
+        f"        pack(out, at, {state})",
+        f"        at += {8 * sites}",
+        f"    return ({state},)",
     ])
-    namespace: dict = {}
+    namespace: dict = {"PACK": struct.Struct(f"{sites}q").pack_into}
     exec(compile(source, "<sampler sweep kernel>", "exec"), namespace)
     return namespace["sweeps"]
 
@@ -250,34 +267,35 @@ def _states(seq: StartSequence, q: float, sweeps: int, seed: int) -> Iterator[np
     site the state repeats.
     """
     import numpy as np
-    plan, consts = _neighbours(seq)
-    bottom = min_area_abscissas(seq) + consts
-    top = max_area_abscissas(seq) + consts
+    plan, consts, shift = _neighbours(seq)
+    bottom = [x - i for x, i in zip(min_area_abscissas(seq), shift)] + consts
+    top = [x - i for x, i in zip(max_area_abscissas(seq), shift)] + consts
     plan = [p for p in plan if bottom[p[0]] != top[p[0]]]
     rate, up = abs(math.log(q)), q > 1.0
     rng = random.Random(seed)
     v = _exact_start(bottom, top, plan, rate, up, rng)
 
     sites = seq.n * (seq.n + 1) // 2
+    shift = np.array(shift, dtype=np.int64)
     row = tuple(v[:sites])
-    yield np.array([row], dtype=np.int64)
+    yield np.array([row], dtype=np.int64) + shift
     rows = max(1, _CHUNK_VALUES // max(sites, 1))
     kernel = _kernel(plan, v, sites, up) if plan and sweeps > 1 and rate >= _MOD_RATE_FLOOR else None
     done = 1
     while done < sweeps:
         count = min(rows, sweeps - done)
+        block = np.empty((count, sites), np.int64)
         if not plan:
-            new = [row] * count
+            block[:] = row
         elif kernel is not None:
-            new = kernel(row, _geometric(_uniforms(rng, count * len(plan)), rate))
+            row = kernel(row, _geometric(_uniforms(rng, count * len(plan)), rate), block)
         else:
             draws = iter(_uniforms(rng, count * len(plan)).tolist())
-            new = []
-            for _ in range(count):
+            for r in range(count):
                 _sweep(v, plan, draws, rate, up)
-                new.append(tuple(v[:sites]))
-        row = new[-1]
-        yield np.fromiter(chain.from_iterable(new), np.int64, count * sites).reshape(count, sites)
+                block[r] = v[:sites]
+        block += shift
+        yield block
         done += count
 
 

@@ -297,7 +297,10 @@ def render_svg(
         dash = item.get("dash")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         specs, cells = _row_cells(pixels, "%.3f")
-        coords = ((",".join(specs) + " ") * len(pts))[:-1] % tuple(cells)
+        if specs == ["%s"]:  # the cells are the rows' texts
+            coords = " ".join(cells)
+        else:
+            coords = ((",".join(specs) + " ") * len(pts))[:-1] % tuple(cells)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
             f' stroke-width="{stroke_width:g}"{dash_attr}/>'

@@ -29,15 +29,21 @@ from qpaths.sampler import _neighbours, _sweep, run_chain
 from lattice_paths import paths_from_abscissas
 
 
+def coordinates(seq, b):
+    """The sampler's working list c + consts for the north-step array b,
+    in interlacing coordinates c = b - shift."""
+    _, consts, shift = _neighbours(seq)
+    return [x - i for x, i in zip(b, shift)] + consts
+
+
 def state(config):
-    """The sampler's working list b + consts for a configuration."""
-    _, consts = _neighbours(config.starts)
-    return abscissas(config) + consts
+    """The sampler's working list c + consts for a configuration."""
+    return coordinates(config.starts, abscissas(config))
 
 
 def interval(v, site):
     s, lo1, lo2, hi1, hi2 = site
-    return max(v[lo1], v[lo2] + 1), min(v[hi1], v[hi2] - 1)
+    return max(v[lo1], v[lo2]), min(v[hi1], v[hi2])
 
 
 def exact_weights(seq, q):
@@ -72,7 +78,7 @@ def test_abscissas_round_trip():
 def test_extremal_configs_sit_at_interval_ends():
     for values in ((0, 1, 4), (0, 2, 4), (0, 2, 5, 7), (0, 3, 4, 9, 10)):
         seq = StartSequence(values)
-        plan, _ = _neighbours(seq)
+        plan, *_ = _neighbours(seq)
         lo_state = state(PathConfig(seq, paths_from_abscissas(seq, min_area_abscissas(seq))))
         hi_state = state(PathConfig(seq, paths_from_abscissas(seq, max_area_abscissas(seq))))
         for site in plan:
@@ -92,11 +98,11 @@ def test_closed_form_extremal_arrays(seq):
     # The closed-form arrays are valid configurations, sit at the low and
     # high end of every site interval, and are the area extremes wherever
     # enumeration reaches.
-    plan, consts = _neighbours(seq)
+    plan, *_ = _neighbours(seq)
     bottom, top = min_area_abscissas(seq), max_area_abscissas(seq)
     for b in (bottom, top):
         assert abscissas(PathConfig(seq, paths_from_abscissas(seq, b))) == b
-    lo_state, hi_state = bottom + consts, top + consts
+    lo_state, hi_state = coordinates(seq, bottom), coordinates(seq, top)
     for site in plan:
         assert lo_state[site[0]] == interval(lo_state, site)[0]
         assert hi_state[site[0]] == interval(hi_state, site)[1]
@@ -111,13 +117,13 @@ def test_site_interval_is_the_admissible_range():
     # is the ensemble's conditional law of that site (detailed balance).
     for values in ((0, 1, 4), (0, 2, 3)):
         seq = StartSequence(values)
-        plan, _ = _neighbours(seq)
+        plan, _, shift = _neighbours(seq)
         for c in enumerate_configs(seq):
             v = state(c)
             b = abscissas(c)
             for site in plan:
                 s = site[0]
-                lo, hi = interval(v, site)
+                lo, hi = (x + shift[s] for x in interval(v, site))
                 assert lo <= b[s] <= hi
                 for x in range(seq.top + 2):
                     moved = b[:s] + [x] + b[s + 1:]
@@ -165,7 +171,7 @@ def test_sweep_is_monotone():
     # Coupling from the past needs ordered states to stay ordered under a
     # common sweep.
     seq = StartSequence((0, 1, 4))
-    plan, _ = _neighbours(seq)
+    plan, *_ = _neighbours(seq)
     states = [state(c) for c in enumerate_configs(seq)]
     rng = random.Random(5)
     for lower in states:
@@ -177,6 +183,41 @@ def test_sweep_is_monotone():
                     _sweep(lo, plan, us, abs(math.log(q)), q > 1.0)
                     _sweep(hi, plan, us, abs(math.log(q)), q > 1.0)
                     assert all(x <= y for x, y in zip(lo, hi))
+
+
+def b_neighbours(seq):
+    """The plan in north-step coordinates b that the chain ran on before
+    its interlacing coordinates, kept as the tests' reference. Per site
+    (site, lo1, lo2, hi1, hi2): indices into b + consts with
+    lo = max(v[lo1], v[lo2] + 1) and hi = min(v[hi1], v[hi2] - 1); the
+    slots after the sites are 0, a_n + 1 (no bound above the top path)
+    and a_0 .. a_n."""
+    n, a = seq.n, seq.values
+    size = n * (n + 1) // 2
+
+    def site(i, k):
+        return i * (i - 1) // 2 + k
+
+    plan = [
+        (
+            site(i, k),
+            site(i, k + 1) if k + 1 < i else size,
+            site(i - 1, k - 1) if k else size + 1 + i,
+            site(i, k - 1) if k else size + 2 + i,
+            site(i + 1, k + 1) if i < n else size + 1,
+        )
+        for i in range(1, n + 1)
+        for k in range(i)
+    ]
+    return plan, [0, a[-1] + 1, *a]
+
+
+def b_sweep(v, plan, uniforms, rate, up):
+    """The coupling sweep's inverse-CDF draw on the b-space plan."""
+    for (s, lo1, lo2, hi1, hi2), u in zip(plan, uniforms):
+        lo, hi = max(v[lo1], v[lo2] + 1), min(v[hi1], v[hi2] - 1)
+        j = min(int(math.log1p(u * math.expm1(-(hi - lo + 1) * rate)) / -rate), hi - lo)
+        v[s] = hi - j if up else lo + j
 
 
 def mod_sweeps(v, plan, draws, up):
@@ -194,34 +235,107 @@ def mod_sweeps(v, plan, draws, up):
         v[s] = hi - g % (hi - lo + 1) if up else lo + g % (hi - lo + 1)
 
 
-@given(start_sequences(8, 24), st.sampled_from([0.2, 0.7, 1.3, 4.0]), st.integers(0, 2**32))
-@settings(max_examples=80, deadline=None)
-def test_kernel_matches_the_site_loop(seq, q, seed):
-    # The written-out sweep gives the reference loop's states, row for
-    # row, however the sweeps are cut into calls.
-    plan, consts = _neighbours(seq)
+def b_states(seq, q, sweeps, seed):
+    """The rows sampler._states yields, from the b-space reference loops:
+    coupling from the past as _exact_start runs it, then every forward
+    sweep's draws from one call, by G mod the interval at or above the
+    |ln q| floor and by the inverse CDF below it."""
+    plan, consts = b_neighbours(seq)
     bottom = min_area_abscissas(seq) + consts
     top = max_area_abscissas(seq) + consts
     plan = [p for p in plan if bottom[p[0]] != top[p[0]]]
-    assume(plan)
     sites, m = len(bottom) - len(consts), len(plan)
+    rate, up = abs(math.log(q)), q > 1.0
+    rng = random.Random(seed)
+    seeds = []
+    while True:
+        seeds.append(rng.getrandbits(64))
+        lower, upper = list(bottom), list(top)
+        for j in range(len(seeds) - 1, -1, -1):
+            uniform = random.Random(seeds[j]).random
+            for _ in range(1 << max(j - 1, 0)):
+                us = [uniform() for _ in plan]
+                b_sweep(lower, plan, us, rate, up)
+                b_sweep(upper, plan, us, rate, up)
+        if lower == upper:
+            break
+    v, rows = lower, [lower[:sites]]
+    if not plan:
+        return rows * sweeps
+    us = sampler._uniforms(rng, (sweeps - 1) * m)
+    mod_draw = rate >= sampler._MOD_RATE_FLOOR
+    draws = sampler._geometric(us, rate) if mod_draw else us.tolist()
+    for k in range(sweeps - 1):
+        if mod_draw:
+            mod_sweeps(v, plan, draws[k * m:(k + 1) * m], up)
+        else:
+            b_sweep(v, plan, draws[k * m:(k + 1) * m], rate, up)
+        rows.append(v[:sites])
+    return rows
+
+
+@given(start_sequences(8, 24), st.sampled_from([0.2, 0.7, 1.3, 4.0]), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_the_site_loop(seq, q, seed):
+    # The written-out sweep in interlacing coordinates gives the b-space
+    # reference loop's states, row for row once the shift is added back,
+    # however the sweeps are cut into calls; each call returns its last
+    # state.
+    plan, consts, shift = _neighbours(seq)
+    bottom = coordinates(seq, min_area_abscissas(seq))
+    top = coordinates(seq, max_area_abscissas(seq))
+    plan = [p for p in plan if bottom[p[0]] != top[p[0]]]
+    assume(plan)
+    b_plan, b_consts = b_neighbours(seq)
+    b_plan = [p for p in b_plan if bottom[p[0]] != top[p[0]]]
+    sites, m = len(shift), len(plan)
     rate, up = abs(math.log(q)), q > 1.0
     rng = random.Random(seed)
     v = sampler._exact_start(bottom, top, plan, rate, up, rng)
     sweeps = 24
     draws = sampler._geometric(sampler._uniforms(rng, sweeps * m), rate)
-    reference, expected = list(v), []
+    reference, expected = [x + i for x, i in zip(v, shift)] + b_consts, []
     for k in range(sweeps):
-        mod_sweeps(reference, plan, draws[k * m:(k + 1) * m], up)
+        mod_sweeps(reference, b_plan, draws[k * m:(k + 1) * m], up)
         expected.append(tuple(reference[:sites]))
     kernel = sampler._kernel(plan, v, sites, up)
+
+    def shifted(row):
+        return tuple(x + i for x, i in zip(row, shift))
+
     for cuts in ([1] * sweeps, [3, 7, 1, 5, 8], [sweeps]):
         row, rows, done = tuple(v[:sites]), [], 0
         for count in cuts:
-            rows += kernel(row, draws[done * m:(done + count) * m])
-            row, done = rows[-1], done + count
-        assert rows == expected
-        assert list(row) == reference[:sites]
+            out = np.empty((count, sites), np.int64)
+            row = kernel(row, draws[done * m:(done + count) * m], out)
+            rows += map(tuple, out.tolist())
+            assert row == rows[-1]
+            done += count
+        assert list(map(shifted, rows)) == expected
+        assert list(shifted(row)) == reference[:sites]
+
+
+@given(
+    start_sequences(8, 24),
+    st.sampled_from([0.2, 0.7, 1.3, 4.0, math.exp(2.0**-17)]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_states_match_the_b_space_reference(seq, q, seed):
+    # Both draws in interlacing coordinates, the shift added back once per
+    # block: the blocks hold the b-space reference's rows, row for row,
+    # whether the forward sweeps come one, three or five to a chunk or
+    # all in one.
+    sweeps = 24
+    expected = b_states(seq, q, sweeps, seed)
+    sites = len(expected[0])
+    for per_chunk in (1, 3, 5, sweeps):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampler, "_CHUNK_VALUES", per_chunk * max(sites, 1))
+            blocks = list(sampler._states(seq, q, sweeps, seed))
+        whole, rest = divmod(sweeps - 1, per_chunk)
+        assert [len(b) for b in blocks] == [1] + [per_chunk] * whole + [rest] * (rest > 0)
+        assert np.concatenate(blocks).tolist() == expected
 
 
 @pytest.mark.parametrize("q", [0.05, 0.7, 1.6])
@@ -247,7 +361,7 @@ def test_mod_draw_is_truncated_geometric(q):
         hits = {x: 0 for x in weights}
         classes = {x: 0 for x in weights}
         for g, c in enumerate(counts):
-            ((x,),) = kernel((0,), [g])
+            (x,) = kernel((0,), [g], np.empty((1, 1), np.int64))
             hits[x] += c
             classes[x] += 1
         # Each value takes the G of one residue class mod m + 1, each G off
