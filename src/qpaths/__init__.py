@@ -40,7 +40,6 @@ from .errors import (
 from .exact import (
     StartSequence,
     dual_sequence,
-    free_path_weight,
     most_likely_exit,
     one_point_exit,
     one_point_exit_det,
@@ -87,7 +86,6 @@ __all__ = [
     "enumerate_configs",
     "exit_params_left",
     "exit_params_right",
-    "free_path_weight",
     "freezing_tent",
     "geodesic",
     "hausdorff_distance",

@@ -352,8 +352,8 @@ def _scaled(d: StartDensity, qq: float) -> _Scaled:
     """The _Scaled of d at base qq, which is checked here (profile._check_base).
 
     The density keeps the one of its last base and rebuilds it only when
-    the base changes, as StartSequence keeps its pole factors for its last
-    q: the evaluators of one tangent construction share one branch ladder.
+    the base changes, as StartSequence keeps its exit law for its last q:
+    the evaluators of one tangent construction share one branch ladder.
     """
     qq = _check_base(qq)
     sc = d._scaled

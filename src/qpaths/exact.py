@@ -7,7 +7,9 @@ vertex. This module computes partition functions and exit ("one-point")
 quantities exactly, via two independent routes each: symbolic determinants
 and closed products/residue sums. At a rational q = p/d the residue sums
 run in integer products of p and d, normalised to a Fraction once per
-value; a float q computes in doubles.
+value; a float q computes in doubles. The exit law H(0 .. a_n) is summed
+once per (sequence, q) and kept on the sequence; every exit-law function
+reads it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
 from operator import ne
 from typing import Iterator, Sequence, Union
 
@@ -37,8 +38,8 @@ class StartSequence:
     """Strictly increasing integer starting abscissas with a_0 = 0, held as
     ints: a Python or numpy integer passes, a bool or a float (1.0 too) not.
 
-    :func:`_residue_sum` keeps its pole factors on the instance, outside
-    the dataclass fields, so they leave ==, hash and repr alone.
+    :func:`_exit_law` keeps the exit law at the last q on the instance,
+    outside the dataclass fields, so it leaves ==, hash and repr alone.
     """
 
     values: tuple[int, ...]
@@ -233,22 +234,10 @@ def one_point_exit_det(seq: StartSequence, ell: int, q: Rational) -> Fraction:
     return poly_det(matrix)(q) / partition_det(seq)(q)
 
 
-def _pole_memo(seq: StartSequence, q: Weight, fresh):
-    """The pole factors seq keeps for its last q, replaced by fresh() ones
-    when q is another."""
-    # The key holds q's type: 0.5 == Fraction(1, 2), and the two hash alike.
-    key = (type(q), q)
-    memo = getattr(seq, "_poles", None)
-    if memo is None or memo[0] != key:
-        memo = (key, fresh())
-        object.__setattr__(seq, "_poles", memo)
-    return memo[1]
-
-
 @float_range
-def _residue_sum(seq: StartSequence, ells: range, q: Weight) -> list[Weight]:
-    """The exit law H(ell) for each ell in ells, all in (n, a_n], by one
-    residue sum at a base above 1.
+def _residue_sum(seq: StartSequence, q: Weight) -> list:
+    """The exit law H(ell) for ell = n + 1 .. a_n, by one residue sum at a
+    base above 1.
 
     At q > 1, H(ell) is q**(n ell - n(n + 1)/2) times the sum over the
     poles k with a_k >= ell of N(m)/D_k, m = a_k - ell. The numerator N(m)
@@ -262,27 +251,28 @@ def _residue_sum(seq: StartSequence, ells: range, q: Weight) -> list[Weight]:
     ell): the reflection (configs.dual_config) sends an exit below ell to
     one at or beyond a_n + n + 1 - ell.
 
-    A Fraction q goes to :func:`_exact_residue_sum`. For a float q the
-    powers, each N(m) and each D_k live on the sequence for the last q it
-    met, the last two formed on first use, so every call at that q, per
-    ell or a whole table, reuses them. The same products in the same
-    order form each factor whatever the calls before, so a float keeps
-    every bit; a D_k or a sum outside the doubles raises NumericalFailure,
-    a product that raises stores nothing, and a failure is the one at the
-    lowest failing ell.
+    A Fraction q goes to :func:`_exact_residue_sum`. A float q computes in
+    doubles, each N(m) and D_k formed once in the pass, on first use. An
+    entry whose D_k, power or sum leaves the doubles holds its
+    NumericalFailure in place of a value, and the pass goes on: N(m)
+    depends on ell, so a failing ell can lie next to a finite one.
     """
     n, top = seq.n, seq.top
+    ells = range(n + 1, top + 1)
     flip = q < 1
     values = tuple(top - a for a in reversed(seq.values)) if flip else seq.values
     base = 1 / q if flip else q
     reflected = [top + n + 1 - ell for ell in ells] if flip else ells
     if isinstance(q, Fraction):
-        sums = _exact_residue_sum(seq, values, reflected, q, base)
+        sums = _exact_residue_sum(values, reflected, base)
         return [1 - h for h in sums] if flip else sums
-    powers, numerators, denominators = _pole_memo(
-        seq, q, lambda: ([base**a for a in values], {}, [None] * (n + 1)))
-    sums = []
-    for ell, e in zip(ells, reflected):
+    powers = [base**a for a in values]
+    numerators, denominators = {}, [None] * (n + 1)
+
+    # Its name makes float_range report a power outside the doubles as the
+    # whole pass's does, "residue sum is outside the float range".
+    @float_range
+    def residue_sum(ell: int, e: int) -> float:
         terms = []
         for k in range(bisect_left(values, e), n + 1):
             m = values[k] - e
@@ -304,8 +294,15 @@ def _residue_sum(seq: StartSequence, ells: range, q: Weight) -> list[Weight]:
         exponent = n * e - n * (n + 1) // 2
         # fsum raises on inf - inf, so the terms are checked first.
         value = base**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
-        sums.append(_checked(value, "residue sum", q, ell))
-    return [1 - h for h in sums] if flip else sums
+        return _checked(value, "residue sum", q, ell)
+
+    sums = []
+    for ell, e in zip(ells, reflected):
+        try:
+            sums.append(1 - residue_sum(ell, e) if flip else residue_sum(ell, e))
+        except NumericalFailure as failure:
+            sums.append(failure.with_traceback(None))
+    return sums
 
 
 def _checked(value: Weight, what: str, q: Weight, ell: int, positive: bool = False) -> Weight:
@@ -317,8 +314,7 @@ def _checked(value: Weight, what: str, q: Weight, ell: int, positive: bool = Fal
     return float_value(value, f"{what} at q = {shown(q)}, ell = {ell}", positive)
 
 
-def _exact_residue_sum(seq: StartSequence, values: tuple[int, ...], ells: Sequence[int], q: Fraction,
-                       base: Fraction) -> list[Fraction]:
+def _exact_residue_sum(values: tuple[int, ...], ells: Sequence[int], base: Fraction) -> list[Fraction]:
     """The residue sums of :func:`_residue_sum` at base = p/d > 1 on values,
     in integers, one Fraction per ell.
 
@@ -330,26 +326,21 @@ def _exact_residue_sum(seq: StartSequence, values: tuple[int, ...], ells: Sequen
     k) p**y_k times the product of g(|a_k - a_s|) over s != k, with y_k the
     sum of min(a_k, a_s). Over L = lcm(B_k) the poles share one
     denominator: H(ell) is one integer sum of G(m) w_k, with w_k = d**x_k
-    L // B_k, and one Fraction per ell, normalised once.
-
-    g, L, the weights and each G(m) live on seq for its last q, the G(m)
-    formed on first use.
+    L // B_k, and one Fraction per ell, normalised once. Each G(m) is
+    formed once in the pass, on first use.
     """
-    n, top = seq.n, seq.top
+    n = len(values) - 1
     p, d = base.numerator, base.denominator
-
-    def fresh():
-        g = {s: p**s - d**s for s in range(1, top + 1)}
-        bases, shifts = [], []
-        for k, a in enumerate(values):
-            others = values[:k] + values[k + 1 :]
-            low = sum(min(a, v) for v in others)
-            bases.append((-1) ** (n - k) * p**low * math.prod(g[abs(a - v)] for v in others))
-            shifts.append(sum(values[k + 1 :]) - (n - k) * a)
-        common = math.lcm(*bases)
-        return g, {}, common, [d**x * (common // b) for x, b in zip(shifts, bases)]
-
-    g, numerators, common, weights = _pole_memo(seq, q, fresh)
+    g = {s: p**s - d**s for s in range(1, values[-1] + 1)}
+    bases, shifts = [], []
+    for k, a in enumerate(values):
+        others = values[:k] + values[k + 1 :]
+        low = sum(min(a, v) for v in others)
+        bases.append((-1) ** (n - k) * p**low * math.prod(g[abs(a - v)] for v in others))
+        shifts.append(sum(values[k + 1 :]) - (n - k) * a)
+    common = math.lcm(*bases)
+    weights = [d**x * (common // b) for x, b in zip(shifts, bases)]
+    numerators = {}
     sums = []
     for ell in ells:
         total = 0
@@ -364,16 +355,43 @@ def _exact_residue_sum(seq: StartSequence, values: tuple[int, ...], ells: Sequen
     return sums
 
 
+def _exit_law(seq: StartSequence, q: Weight) -> list:
+    """H(0 .. a_n) at a weight q, the one exit law every exit-law function
+    reads: summed once and kept on seq for the last q it met. A float entry
+    outside the doubles holds its NumericalFailure."""
+    # The key holds q's type: 0.5 == Fraction(1, 2), and the two hash alike.
+    key = (type(q), q)
+    law = getattr(seq, "_law", None)
+    if law is None or law[0] != key:
+        law = (key, [type(q)(1)] * (seq.n + 1) + _residue_sum(seq, q))
+        object.__setattr__(seq, "_law", law)
+    return law[1]
+
+
+def _read(h: Weight) -> Weight:
+    """An entry of the stored law, or a copy of the failure it holds,
+    raised: the stored one keeps no traceback, so no caller's frames."""
+    if isinstance(h, NumericalFailure):
+        raise NumericalFailure(*h.args) from h.__cause__
+    return h
+
+
+def _exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
+    """H_dual(ell) = 1 - H(ell + 1) at a checked ell and weight q, read
+    from the stored law: 1 from a_n on, where no path exits."""
+    return type(q)(1) - (_read(_exit_law(seq, q)[ell + 1]) if ell < seq.top else 0)
+
+
 def one_point_exit(seq: StartSequence, ell: int, q: Weight) -> Weight:
     """Probability that the top path exits at abscissa ell or beyond (residue route).
 
     1 for ell <= n: the top path's last north step lies at x >= n. Beyond
-    n, the residue sum of :func:`_residue_sum` at a base above 1. Exact for
-    rational q; a float q sums the residues with fsum.
+    n, entry ell of the stored exit law, which :func:`_residue_sum` sums.
+    Exact for rational q; a float q sums the residues with fsum.
     """
     q = _weight(q)
     ell = integer_value(ell, "exit abscissa", 0, seq.top)
-    return _residue_sum(seq, range(ell, ell + 1), q)[0] if ell > seq.n else type(q)(1)
+    return _read(_exit_law(seq, q)[ell]) if ell > seq.n else type(q)(1)
 
 
 def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
@@ -384,38 +402,21 @@ def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
     one_point_exit(dual_sequence(seq), a_n + n - ell, 1/q).
     """
     q = _weight(q)
-    ell = integer_value(ell, "dual exit abscissa", seq.n, seq.top + seq.n)
-    return type(q)(1) - (_residue_sum(seq, range(ell + 1, ell + 2), q)[0] if ell < seq.top else 0)
+    return _exit_dual(seq, integer_value(ell, "dual exit abscissa", seq.n, seq.top + seq.n), q)
 
 
 def one_point_table(seq: StartSequence, q: Weight) -> list[Weight]:
-    """The whole exit law in one pass: one_point_exit(seq, ell, q) for ell =
-    0 .. a_n, equal to those calls value by value.
-
-    The pole factors live on seq for its last q, shared with every per-ell
-    call and table at that q. A failure is the one the per-ell calls meet at
-    the lowest failing ell.
-    """
-    q = _weight(q)
-    return [type(q)(1)] * (seq.n + 1) + _residue_sum(seq, range(seq.n + 1, seq.top + 1), q)
-
-
-@float_range
-def free_path_weight(ell: int, r: int, q: Weight) -> Weight:
-    """Weight of the unconstrained continuation above the strip.
-
-    Counts the continuation of a path that exits at abscissa ell and ends r
-    rows higher on the axis: one forced north step (weight q**ell) times the
-    generating polynomial of the remaining staircase, W_r(ell) = q**ell
-    [ell + r - 1, ell]_q. Entry ell of :func:`_free_path_weights`.
-    """
-    ell = integer_value(ell, "exit abscissa", 0)
-    r = integer_value(r, "endpoint shift r", 1)
-    return next(islice(_free_path_weights(r, _weight(q)), ell, None))
+    """The whole exit law: one_point_exit(seq, ell, q) for ell = 0 .. a_n,
+    equal to those calls value by value, as a fresh list. A failure is the
+    one the per-ell calls meet at the lowest failing ell."""
+    return list(map(_read, _exit_law(seq, _weight(q))))
 
 
 def _free_path_weights(r: int, q: Union[Fraction, float]) -> Iterator[Weight]:
-    """W_r(0), W_r(1), ... in one pass: W_r(0) = 1, then the step ratio
+    """W_r(ell) = q**ell [ell + r - 1, ell]_q for ell = 0, 1, ... in one
+    pass: the continuation above the strip of a path that exits at abscissa
+    ell and ends r rows higher on the axis, one forced north step (weight
+    q**ell) and then a staircase. W_r(0) = 1, then the step ratio
     W_r(ell) / W_r(ell - 1) = q (q**(ell + r - 1) - 1) / (q**ell - 1).
 
     A Fraction q stays exact, reduced at each step; a float q computes in
@@ -435,10 +436,9 @@ def _free_path_weights(r: int, q: Union[Fraction, float]) -> Iterator[Weight]:
 def _exit_weights(seq: StartSequence, r: int, q: Weight) -> list[Weight]:
     """H(ell) times the continuation weight W_r(ell), for ell = 0 .. a_n."""
     q = _weight(q)
-    table = one_point_table(seq, q)
     r = integer_value(r, "endpoint shift r", 1)
     return [_checked(h * w, "exit weight", q, ell)
-            for ell, (h, w) in enumerate(zip(table, _free_path_weights(r, q)))]
+            for ell, (h, w) in enumerate(zip(one_point_table(seq, q), _free_path_weights(r, q)))]
 
 
 @float_range

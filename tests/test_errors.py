@@ -34,8 +34,10 @@ CASES = {
     "one_point_exit": lambda f: exact.one_point_exit(StartSequence((0, 1, 40)), 3, f(1e-5)),
     "one_point_exit_dual": lambda f: exact.one_point_exit_dual(StartSequence((0, 1, 40)), 2, f(1e-5)),
     "one_point_table": lambda f: exact.one_point_table(StartSequence((0, 1, 40)), f(1e-5)),
-    "free_path_weight": lambda f: exact.free_path_weight(40, 3, f(1e60)),
-    "free_path_weight_underflow": lambda f: exact.free_path_weight(5, 40, f(1e-200)),
+    # The continuation weight W_r(ell): its power q**(ell + r - 1) overflows
+    # at 1e60 and r = 40, and W_1(2) = q**2 at 1e-154 underflows to a subnormal.
+    "free_path_weight": lambda f: exact.most_likely_exit(StartSequence((0, 5)), 40, f(1e60)),
+    "free_path_weight_underflow": lambda f: exact.perturbed_partition(StartSequence((0, 2)), 1, f(1e-154)),
     "perturbed_partition": lambda f: exact.perturbed_partition(StartSequence((0, 5)), 3, f(1e60)),
     "most_likely_exit": lambda f: exact.most_likely_exit(StartSequence((0, 1, 40)), 3, f(1e-5)),
     # curves
@@ -261,8 +263,11 @@ def test_exact_weights_take_a_rational_q_too_long_to_print():
     # The float check's message names q, and is formed only for a float
     # that fails, never for an exact q.
     q = Fraction(HUGE + 1, HUGE)
-    assert exact.free_path_weight(2, 1, q) == q**2
-    assert exact.most_likely_exit(StartSequence((0, 2)), 1, q) in (0, 1, 2)
+    seq = StartSequence((0, 2))
+    # W_1(ell) = q**ell.
+    table = exact.one_point_table(seq, q)
+    assert exact.perturbed_partition(seq, 1, q) == sum(h * q**ell for ell, h in enumerate(table))
+    assert exact.most_likely_exit(seq, 1, q) in (0, 1, 2)
 
 
 def test_shown_bounds_every_rendering():

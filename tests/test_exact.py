@@ -22,7 +22,6 @@ from qpaths.errors import InvalidArgument, NumericalFailure, float_range
 from qpaths.exact import (
     StartSequence,
     dual_sequence,
-    free_path_weight,
     most_likely_exit,
     one_point_exit,
     one_point_exit_det,
@@ -215,8 +214,8 @@ REFUSED_INTEGERS = {
     "sequence_float": lambda: StartSequence((0, 1.0, 3)),
     **{f"{route.__name__}_{ell}": lambda route=route, ell=ell: route(SEQ, ell, HALF)
        for route in (one_point_exit, one_point_exit_dual, one_point_exit_det) for ell in (2.5, True)},
-    "free_path_weight_ell": lambda: free_path_weight(2.5, 2, HALF),
-    "free_path_weight_r": lambda: free_path_weight(2, 2.5, HALF),
+    # The shift r of the continuation weight W_r, through the law it weighs.
+    "free_path_weight_r": lambda: perturbed_partition(SEQ, 2.5, HALF),
     "most_likely_exit_r": lambda: most_likely_exit(SEQ, 1.5, HALF),
 }
 
@@ -234,7 +233,7 @@ def test_finite_n_integer_arguments_accept_numpy_integers():
     assert one_point_exit(SEQ, three, HALF) == one_point_exit(SEQ, 3, HALF)
     assert one_point_exit_dual(SEQ, three, HALF) == one_point_exit_dual(SEQ, 3, HALF)
     assert one_point_exit_det(SEQ, three, HALF) == one_point_exit_det(SEQ, 3, HALF)
-    assert free_path_weight(three, np.int32(2), HALF) == free_path_weight(3, 2, HALF)
+    assert perturbed_partition(SEQ, np.int32(2), HALF) == perturbed_partition(SEQ, 2, HALF)
     assert most_likely_exit(SEQ, three, HALF) == most_likely_exit(SEQ, 3, HALF)
 
 
@@ -330,7 +329,7 @@ def test_residue_loop_matches_the_per_route_formulas():
         n = rng.randint(1, 12)
         seq = random_sequence(rng, n, n + rng.randint(0, 12))
         for q in (Fraction(7, 10), Fraction(3, 2)):
-            # Each call on a fresh sequence, so no pole factor is shared.
+            # Each call on a fresh sequence, so no exit law is shared.
             for ell in range(seq.top + 1):
                 assert _outcome(one_point_exit, StartSequence(seq.values), ell, q) == _outcome(
                     _per_route_exit, seq, ell, q
@@ -342,11 +341,10 @@ def test_residue_loop_matches_the_per_route_formulas():
 
 
 def test_table_matches_the_per_exit_route():
-    # One pass shares each pole's numerator and denominator across ell; the
-    # factors are formed by the same products, so no bit may move, and a
-    # failure is the one the per-ell calls meet first. Each per-ell call
-    # runs on a fresh sequence, so the table is not checked against the
-    # pole factors it reads itself.
+    # The table and the per-ell calls read one stored exit law, so no bit
+    # may move, and a failure is the one the per-ell calls meet first. Each
+    # per-ell call runs on a fresh sequence, so the table is not checked
+    # against the law it reads itself.
     rng = random.Random(37)
     # D_2 of the reflected (0, 39, 40) at 1e5 leaves the doubles, and D_4 at 61.49.
     cases = [(StartSequence((0, 1, 40)), 1e-5), (StartSequence((0, 1, 19, 21, 44)), 61.49)]
@@ -456,12 +454,12 @@ def _result(fn, *args):
 
 
 def _cold(fn, values, *args):
-    """fn's result on a fresh sequence, whose pole factors start empty."""
+    """fn's result on a fresh sequence, which holds no exit law yet."""
     return _result(fn, StartSequence(values), *args)
 
 
-def test_warm_pole_factors_keep_every_bit():
-    # The pole factors live on the sequence for its last q: whatever the
+def test_a_warm_exit_law_keeps_every_bit():
+    # The exit law lives on the sequence for its last q: whatever the
     # calls before, in whatever order, each value and each failure must be
     # the one a fresh sequence gives.
     rng = random.Random(41)
@@ -490,9 +488,9 @@ def test_warm_pole_factors_keep_every_bit():
     assert recovered
 
 
-def test_pole_factors_are_kept_per_type_and_value_of_q():
+def test_the_exit_law_is_kept_per_type_and_value_of_q():
     # 0.5 == Fraction(1, 2) and the two hash alike: a key on q alone would
-    # hand the float factors to the exact call.
+    # hand the float law to the exact call.
     seq = StartSequence((0, 2, 5))
     assert type(one_point_exit(seq, 1, 0.5)) is float
     exact_value = one_point_exit(seq, 1, Fraction(1, 2))
@@ -510,6 +508,80 @@ def test_pole_factors_are_kept_per_type_and_value_of_q():
     fresh = StartSequence((0, 2, 5))
     assert seq == fresh and hash(seq) == hash(fresh) and repr(seq) == repr(fresh)
     assert [field.name for field in dataclasses.fields(seq)] == ["values"]
+
+
+def test_the_exit_law_is_summed_once_per_sequence_and_q(monkeypatch):
+    # Traffic, not time: the table, every per-ell call, direct and dual,
+    # and the weighted law for r = 1 .. 20 read one law, summed once.
+    counts = Counter()
+    residue_sum = exact._residue_sum
+
+    def counted(seq, q):
+        counts[type(q)] += 1
+        return residue_sum(seq, q)
+
+    monkeypatch.setattr(exact, "_residue_sum", counted)
+    n = 40
+    seq, q = StartSequence(range(0, 2 * n + 1, 2)), 3 ** (1 / n)
+    one_point_table(seq, q)
+    for ell in range(seq.top + 1):
+        one_point_exit(seq, ell, q)
+    for ell in range(n, seq.top + n + 1):
+        one_point_exit_dual(seq, ell, q)
+    for r in range(1, 21):
+        most_likely_exit(seq, r, q)
+        perturbed_partition(seq, r, q)
+    assert counts == {float: 1}
+    # Each switch between equal values of two types sums the law afresh,
+    # in q's own type. (At 0.5 the float law of n = 40 leaves the doubles.)
+    seq = StartSequence(range(0, 21, 2))
+    for switch, q in enumerate((0.5, Fraction(1, 2), 0.5), start=2):
+        assert type(one_point_exit(seq, seq.top, q)) is type(q)
+        assert type(one_point_table(seq, q)[-1]) is type(q)
+        assert sum(counts.values()) == switch
+    assert counts == {float: 3, Fraction: 1}
+
+
+def test_a_float_law_keeps_the_outcome_of_each_entry():
+    # The numerator N(m), m = a_k - ell, depends on ell: on (0, 744 .. 753)
+    # at 1.1 every D_k is finite, N(742) leaves the doubles, so H(11 .. 13)
+    # fail while H(14) is finite; from ell = 751 on the power q**(n ell -
+    # 55) leaves the doubles, and they fail again. Each per-ell call meets
+    # its own entry's outcome, the one a fresh sequence gives; the table
+    # and the weighted law meet the lowest failure.
+    values, q = (0, *range(744, 754)), 1.1
+    seq = StartSequence(values)
+    assert one_point_exit(seq, 10, q) == 1.0
+    for ell in (11, 12, 13):
+        with pytest.raises(NumericalFailure, match=rf"^residue sum at q = 1\.1, ell = {ell} is outside"):
+            one_point_exit(seq, ell, q)
+    for ell in (14, 15, 400, 750):
+        value = one_point_exit(seq, ell, q)
+        assert 0 < value < 1 + 1e-9
+        assert _result(one_point_exit, seq, ell, q) == _cold(one_point_exit, values, ell, q)
+    with pytest.raises(NumericalFailure, match=r"^residue sum is outside the float range \(") as info:
+        one_point_exit(seq, 751, q)
+    assert isinstance(info.value.__cause__, OverflowError)
+    assert math.isfinite(one_point_exit_dual(seq, 13, q))
+    with pytest.raises(NumericalFailure, match=r"^residue sum at q = 1\.1, ell = 12 is outside"):
+        one_point_exit_dual(seq, 11, q)
+    for route in (one_point_table, lambda seq, q: most_likely_exit(seq, 2, q)):
+        with pytest.raises(NumericalFailure, match=r"^residue sum at q = 1\.1, ell = 11 is outside"):
+            route(seq, q)
+    # Past the failures the stored law still serves each entry, and the
+    # failures it holds keep no traceback, so no caller's frames.
+    assert _result(one_point_exit, seq, 14, q) == _cold(one_point_exit, values, 14, q)
+    failures = [h for h in exact._exit_law(seq, q) if isinstance(h, NumericalFailure)]
+    assert len(failures) == 6 and all(h.__traceback__ is None for h in failures)
+
+
+@pytest.mark.parametrize("route", (most_likely_exit, perturbed_partition))
+@pytest.mark.parametrize("r", (0, 2.5, True))
+def test_a_refused_r_is_refused_before_the_law_is_summed(route, r):
+    # The law of (0, 1, 40) at 1e-5 leaves the doubles; a bad r must be
+    # named, not that failure.
+    with pytest.raises(InvalidArgument, match="^endpoint shift r must"):
+        route(StartSequence((0, 1, 40)), r, 1e-5)
 
 
 def test_a_float_subclass_q_is_a_plain_float():
@@ -531,6 +603,13 @@ def test_float_routes_match_exact():
             )
 
 
+@float_range
+def free_path_weight(ell, r, q):
+    """W_r(ell), entry ell of the package's one pass over the continuation
+    weights, at a q already through exact._weight."""
+    return next(itertools.islice(exact._free_path_weights(r, q), ell, None))
+
+
 def test_free_path_weight_by_hand():
     # One forced north step at abscissa ell, then a staircase with at most
     # r-1 extra rows: weight q^ell [ell+r-1 choose ell]_q.
@@ -538,10 +617,6 @@ def test_free_path_weight_by_hand():
     assert free_path_weight(0, 1, q) == 1
     assert free_path_weight(1, 1, q) == 2
     assert free_path_weight(1, 2, q) == q * (1 + q)
-    with pytest.raises(InvalidArgument):
-        free_path_weight(1, 0, q)
-    with pytest.raises(InvalidArgument):
-        free_path_weight(-1, 1, q)
 
 
 @pytest.mark.parametrize(
@@ -570,14 +645,12 @@ ORACLE_FRACTIONS = (Fraction(1, 1000), Fraction(2, 7), Fraction(999, 1000), Frac
 
 def test_continuation_weights_are_the_q_binomial_at_a_fraction():
     # The one pass keeps every W_r(ell) exact at a rational q on either side
-    # of 1 and next to it; free_path_weight is entry ell of the same pass.
+    # of 1 and next to it.
     for q in ORACLE_FRACTIONS:
         for r in range(1, 7):
             weights = list(itertools.islice(exact._free_path_weights(r, q), 25))
             assert weights == [continuation_oracle(ell, r, q) for ell in range(25)], (q, r)
             assert all(type(w) is Fraction for w in weights)
-            for ell in (0, 1, 7, 24):
-                assert free_path_weight(ell, r, q) == weights[ell]
     # perturbed_partition and most_likely_exit weigh the exit law with the
     # same values, on sequences up to n = 12.
     rng = random.Random(33)
@@ -598,12 +671,11 @@ def test_continuation_weights_at_a_float_are_the_q_binomial_at_its_binary_value(
             for ell, w in enumerate(weights):
                 assert type(w) is float
                 assert w == pytest.approx(float(continuation_oracle(ell, r, Fraction(float(q)))), rel=1e-13)
-            assert free_path_weight(24, r, q) == weights[24]
 
 
 def test_most_likely_exit_reads_the_table_once_and_formats_no_message(monkeypatch):
-    # Traffic, not time: one call reads the exit law once, takes no
-    # per-ell free_path_weight and renders no value while none fails.
+    # Traffic, not time: one call reads the exit law once and renders no
+    # value while none fails.
     counts = Counter()
 
     def counted(name, fn):
@@ -612,8 +684,7 @@ def test_most_likely_exit_reads_the_table_once_and_formats_no_message(monkeypatc
             return fn(*args, **kwargs)
         return call
 
-    for module, name in ((exact, "one_point_table"), (exact, "free_path_weight"),
-                         (exact, "shown"), (errors, "shown")):
+    for module, name in ((exact, "one_point_table"), (exact, "shown"), (errors, "shown")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     n = 40
     most_likely_exit(StartSequence(range(0, 2 * n + 1, 2)), n // 2, 3 ** (1 / n))
@@ -648,7 +719,6 @@ _SEQ = StartSequence((0, 1, 3))
 _Q_ROUTES = {
     "one_point_exit": lambda q: one_point_exit(_SEQ, 1, q),
     "one_point_exit_dual": lambda q: one_point_exit_dual(_SEQ, 3, q),
-    "free_path_weight": lambda q: free_path_weight(1, 2, q),
     "partition_product": lambda q: partition_product(_SEQ, q),
     "one_point_exit_det": lambda q: one_point_exit_det(_SEQ, 1, q),
     "most_likely_exit": lambda q: most_likely_exit(_SEQ, 2, q),
@@ -685,7 +755,7 @@ def test_weight_refuses_non_numbers_and_keeps_exact_numbers_exact():
 
 def _retired_dual_weight(seq, ell, r, q):
     """The continuation weight through the complementary family, as the
-    package computed it before it was written as free_path_weight at 1/q."""
+    package computed it before it was written as the direct weight at 1/q."""
     ell_dual = seq.top + seq.n - ell
     return q ** (r * (ell + 1) + r * (r - 1) // 2) * q_binomial(ell_dual + r - 1, ell_dual)(q)
 
