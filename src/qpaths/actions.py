@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 
-from .curves import _LN2, _log_pole, _log_shift, _scaled
+from .curves import _LN2, _log_pole, _log_shift, _pole, _scaled
 from .errors import InvalidArgument, float_range, float_value, real_value
 from .profile import StartDensity, _check_base
 
@@ -221,8 +221,8 @@ def _log_ratio(t: float, b: float, c: float, qq: float, log_q: float, what: str)
     Raises InvalidArgument where the two differences differ in sign or one
     of them vanishes.
     """
-    num, num_above = _log_pole(t, b, qq, log_q)
-    den, den_above = _log_pole(t, c, qq, log_q)
+    num, num_above = _log_pole(t, *_pole(b, qq, log_q))
+    den, den_above = _log_pole(t, *_pole(c, qq, log_q))
     value = num - den
     if num_above != den_above or not math.isfinite(value):
         raise InvalidArgument(f"{what}: log argument not positive at t={t!r}")

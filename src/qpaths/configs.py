@@ -125,15 +125,6 @@ def dual_config(config: PathConfig) -> PathConfig:
     return PathConfig(dual, tuple(paths))
 
 
-def abscissas(config: PathConfig) -> list[int]:
-    """The north-step array b of a configuration.
-
-    b[i][k] is the column of the north step of path i from row k to row
-    k + 1, for 1 <= i <= n and 0 <= k < i, stored flat in that order.
-    """
-    return [x for x, _ in config.north_steps()]
-
-
 def min_area_abscissas(seq: StartSequence) -> list[int]:
     """North-step array of the q -> 0 ground state: b[i][k] = a_{i-k-1} + k + 1.
 

@@ -18,16 +18,16 @@ s = t x'(t) / x(t), the map from ``t`` to the tangency point is
 
 Each maximal admissible ``t`` interval (branch) yields one arc: the
 right and left outer arcs plus one arc per density window, where the
-paths freeze into gap or filled phases.  Every factor t - qq**a of x(t)
-and of the saddle residuals of :mod:`qpaths.actions` meets its pole in
-one kernel, _log_pole:
-ln|t - qq**a| = a ln qq + ln|sigma e**y - 1| with y = ln|t| - a ln qq,
-so no pole leaves the doubles and bases such as 1e-300 keep every branch
-that holds a double t.  The point map runs on numpy arrays of t; the exit
-parameters and actions.saddle_residual_t read ln x and ln(qq x) at one
-float t from _Scaled.log_x, in three forms: the quotients t / qq**a next
-to t = 0, where x(0) = 1 exactly; log1p of the pole ratios as |t| grows
-and qq x -> 1; and the pole logs next to a pole.
+paths freeze into gap or filled phases.  _pole forms a pole as (e, E) =
+(a ln qq, qq**a), E = 0 or inf once |e| > _LOG_RANGE, and every factor
+t - E of x(t) and of the saddle residuals of :mod:`qpaths.actions` meets
+it in one kernel, _log_pole: ln|t - E| = e + ln|sigma e**y - 1| with
+y = ln|t| - e where E left the doubles, so bases such as 1e-300 keep
+every branch that holds a double t.  The point map runs on numpy arrays
+of t; the exit parameters and actions.saddle_residual_t read ln x and
+ln(qq x) at one float t from _Scaled.log_x, in three forms: the
+quotients t / qq**a next to t = 0, where x(0) = 1 exactly; log1p of the
+pole ratios as |t| grows and qq x -> 1; and the pole logs next to a pole.
 """
 
 from __future__ import annotations
@@ -192,17 +192,22 @@ def _log_abs(value: float) -> float:
     return math.log(abs(value)) if value else -math.inf
 
 
-def _log_pole(t: float, a: float, qq: float, log_q: float) -> tuple[float, bool]:
-    """(ln|t - qq**a|, t > qq**a) for a float t.
-
-    The one place a pole meets t: from t - qq**a where qq**a is a normal
-    double (|a ln qq| <= _LOG_RANGE), which keeps the digits of t next to
-    the pole, with ln 0 = -inf; else a ln qq + ln|sigma e**y - 1| with
-    y = ln|t| - a ln qq.
-    """
+def _pole(a: float, qq: float, log_q: float) -> tuple[float, float]:
+    """The pole (e, E) = (a ln qq, qq**a), the one place a pole is formed:
+    E is 0 or inf where |e| > _LOG_RANGE would leave the normal doubles."""
     e = a * log_q
-    if abs(e) <= _LOG_RANGE:
-        gap = t - qq**a
+    return e, (qq**a if abs(e) <= _LOG_RANGE else (0.0 if e < 0.0 else math.inf))
+
+
+def _log_pole(t: float, e: float, pole: float) -> tuple[float, bool]:
+    """(ln|t - E|, t > E) for a float t and a pole (e, E) of _pole.
+
+    The one place a pole meets t: from t - E where E is a double (0 < E <
+    inf), which keeps the digits of t next to the pole, with ln 0 = -inf;
+    else e + ln|sigma e**y - 1| with y = ln|t| - e.
+    """
+    if 0.0 < pole < math.inf:
+        gap = t - pole
         return _log_abs(gap), gap > 0.0
     if t == 0.0:
         return e, False
@@ -210,12 +215,10 @@ def _log_pole(t: float, a: float, qq: float, log_q: float) -> tuple[float, bool]
     return e + _log_shift(y, t > 0.0), t > 0.0 and y > 0.0
 
 
-def _log_poles(t, a: float, qq: float, log_q: float):
+def _log_poles(t, e: float, pole: float):
     """_log_pole elementwise over a numpy array of t."""
     import numpy as np
-    e = a * log_q
-    if abs(e) <= _LOG_RANGE:
-        pole = qq**a
+    if 0.0 < pole < math.inf:
         return np.log(np.abs(t - pole)), t > pole
     y = np.log(np.abs(t)) - e
     return e + _log_shift_array(y, t > 0.0), (t > 0.0) & (y > 0.0)
@@ -223,42 +226,43 @@ def _log_poles(t, a: float, qq: float, log_q: float):
 
 class _Scaled:
     """The per-(density, base) quantities every evaluator builds on: the
-    poles' segment data and the branch ladder.  Built by :func:`_scaled`,
-    which keeps the one of the density's last base on the density, so it
-    is read-only once built."""
+    poles, each formed once by _pole, and the branch ladder.  Built by
+    :func:`_scaled`, which keeps the one of the density's last base on the
+    density, so it is read-only once built."""
 
-    __slots__ = ("qq", "log_q", "parts", "top", "domains")
+    __slots__ = ("qq", "log_q", "parts", "top", "top_pole", "domains")
 
     def __init__(self, d: StartDensity, qq: float):
         """``qq`` is a base already checked by profile._check_base."""
         self.qq = qq
-        self.log_q = math.log(qq)
-        # One (a_lo, a_hi, 1/p) tuple per linear segment; jumps contribute
-        # no factor to x(t).
-        self.parts = tuple((el.a_lo, el.a_hi, 1.0 / el.p) for el in d.segment_elements())
+        self.log_q = log_q = math.log(qq)
+        # Per linear segment (jumps add no factor to x(t)): a_lo, a_hi, 1/p, its
+        # end poles and ln|E_hi - E_lo|, None where both poles are doubles.
+        parts = []
+        for el in d.segment_elements():
+            lo, hi = _pole(el.a_lo, qq, log_q), _pole(el.a_hi, qq, log_q)
+            doubles = 0.0 < lo[1] < math.inf and 0.0 < hi[1] < math.inf
+            span = None if doubles else lo[0] + _log_shift((el.a_hi - el.a_lo) * log_q, True)
+            parts.append((el.a_lo, el.a_hi, 1.0 / el.p, lo, hi, span))
+        self.parts = tuple(parts)
         self.top = d.alpha_top
+        _, e_right = self.top_pole = _pole(self.top, qq, log_q)
         # The branch ladder: right arc, left arc, then one per window.  Each
         # branch holds the t > 0 whose tau = ln t / ln qq lies in its taus
         # interval; its t bounds are the poles, 0 or inf where those leave
         # the doubles.
         inf = math.inf
-        e_right = self.pole(self.top)
         outer = [(e_right, inf), (-inf, 1.0)] if self.qq > 1.0 else [(-inf, e_right), (1.0, inf)]
         domains = [
-            TDomain(*outer[0], "right", 1, taus=(self.top, inf), log_q=self.log_q),
-            TDomain(*outer[1], "left", 1, taus=(-inf, 0.0), log_q=self.log_q),
+            TDomain(*outer[0], "right", 1, taus=(self.top, inf), log_q=log_q),
+            TDomain(*outer[1], "left", 1, taus=(-inf, 0.0), log_q=log_q),
         ]
         for idx, w in enumerate(d.windows):
-            lo, hi = sorted((self.pole(w.a_lo), self.pole(w.a_hi)))
+            lo, hi = sorted((_pole(w.a_lo, qq, log_q)[1], _pole(w.a_hi, qq, log_q)[1]))
             sign = -1 if w.kind == "filled" else 1
             domains.append(TDomain(lo, hi, f"{w.kind}_window_{idx + 1}", sign, window=w,
-                                   taus=(w.a_lo, w.a_hi), log_q=self.log_q))
+                                   taus=(w.a_lo, w.a_hi), log_q=log_q))
         self.domains = tuple(domains)
-
-    def pole(self, a: float) -> float:
-        """qq**a where |a ln qq| <= _LOG_RANGE keeps it a normal double, else 0 or inf."""
-        e = a * self.log_q
-        return self.qq**a if abs(e) <= _LOG_RANGE else (0.0 if e < 0.0 else math.inf)
 
     def domain(self, t: float) -> TDomain:
         """The branch that holds t (see TDomain.__contains__).
@@ -272,15 +276,11 @@ class _Scaled:
                 return dom
         raise InvalidArgument(f"t={t!r} lies on no branch of the arctic curve")
 
-    def log_span(self, a_lo: float, a_hi: float) -> float:
-        """ln|qq**a_hi - qq**a_lo| for a_lo < a_hi."""
-        return a_lo * self.log_q + _log_shift((a_hi - a_lo) * self.log_q, True)
-
     # -- x(t) and s = t x'(t) / x(t) -------------------------------------
 
     def near_zero(self, t: float) -> bool:
         """Whether |t| < half the smallest pole (in logs), where that pole is a normal double."""
-        log_min = min(0.0, self.top * self.log_q)
+        log_min = min(0.0, self.top_pole[0])
         return log_min >= -_LOG_RANGE and (not t or math.log(abs(t)) < log_min - _LN2)
 
     def tau_zero(self) -> float:
@@ -299,19 +299,18 @@ class _Scaled:
         as when |t| grows and qq x -> 1, and the pole logs otherwise.
         """
         if self.near_zero(t):
-            lx = sum(inv_p * (math.log1p(-t / self.pole(a_hi)) - math.log1p(-t / self.pole(a_lo)))
-                     for a_lo, a_hi, inv_p in self.parts)
+            lx = sum(inv_p * (math.log1p(-t / hi[1]) - math.log1p(-t / lo[1]))
+                     for _, _, inv_p, lo, hi, _ in self.parts)
             return lx, lx + self.log_q
         log_qx = 0.0
-        for a_lo, a_hi, inv_p in self.parts:
-            l_hi, _ = _log_pole(t, a_hi, self.qq, self.log_q)
-            l_lo, above_lo = _log_pole(t, a_lo, self.qq, self.log_q)
-            e_lo, e_hi = self.pole(a_lo), self.pole(a_hi)
-            if 0.0 < e_lo < math.inf and 0.0 < e_hi < math.inf:
-                ratio = (e_lo - e_hi) / (t - e_lo)
+        for _, _, inv_p, lo, hi, span in self.parts:
+            l_hi, _ = _log_pole(t, *hi)
+            l_lo, above_lo = _log_pole(t, *lo)
+            if span is None:
+                ratio = (lo[1] - hi[1]) / (t - lo[1])
             else:
                 # E_hi - E_lo has the sign of ln qq; |ratio| >= 1 takes the logs below.
-                size = math.exp(min(self.log_span(a_lo, a_hi) - l_lo, 0.0))
+                size = math.exp(min(span - l_lo, 0.0))
                 ratio = size if (self.log_q > 0.0) != above_lo else -size
             # 1 + ratio = (t - E_hi) / (t - E_lo): log1p keeps the digits of a
             # small ratio, the logs those of a t next to E_hi.
@@ -330,17 +329,16 @@ class _Scaled:
         with np.errstate(all="ignore"):
             lx = -self.log_q
             s = 0.0
-            for a_lo, a_hi, inv_p in self.parts:
-                l_hi, above_hi = _log_poles(t, a_hi, self.qq, self.log_q)
-                l_lo, above_lo = _log_poles(t, a_lo, self.qq, self.log_q)
+            for _, _, inv_p, lo, hi, span in self.parts:
+                l_hi, above_hi = _log_poles(t, *hi)
+                l_lo, above_lo = _log_poles(t, *lo)
                 lx = lx + inv_p * (l_hi - l_lo)
-                e_lo, e_hi = self.pole(a_lo), self.pole(a_hi)
-                if 0.0 < e_lo < math.inf and 0.0 < e_hi < math.inf:
-                    s = s + inv_p * (e_hi - e_lo) / (t - e_hi) * (t / (t - e_lo))
+                if span is None:
+                    s = s + inv_p * (hi[1] - lo[1]) / (t - hi[1]) * (t / (t - lo[1]))
                     continue
                 # The same term t (E_hi - E_lo) / ((t - E_hi)(t - E_lo)) from the
                 # logs of its factors; E_hi - E_lo has the sign of ln qq.
-                size = np.exp(np.log(np.abs(t)) + self.log_span(a_lo, a_hi) - l_hi - l_lo)
+                size = np.exp(np.log(np.abs(t)) + span - l_hi - l_lo)
                 sign_t = np.sign(t) * np.where(above_hi == above_lo, 1.0, -1.0)
                 s = s + math.copysign(inv_p, self.log_q) * sign_t * size
             x_abs = np.exp(lx)
@@ -416,23 +414,23 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
         def integrand(a: float) -> float:
             return 0.5 - 0.5 * math.tanh(0.5 * (a * log_q - log_t))
 
-    def log_depth(a: float) -> float:
-        # ln|ln(t / qq**a)|; next to the pole, ln(t / qq**a) is
-        # log1p((t - qq**a) / qq**a), whose argument the kernel gives.
-        gap, above = _log_pole(t, a, sc.qq, log_q)
-        w = gap - a * log_q
+    def log_depth(e: float, pole: float) -> float:
+        # ln|ln(t / E)| at a pole (e, E); next to the pole, ln(t / E) is
+        # log1p((t - E) / E), whose argument the kernel gives.
+        gap, above = _log_pole(t, e, pole)
+        w = gap - e
         if w < -1.0:
             return math.log(abs(math.log1p(math.exp(w) if above else -math.exp(w))))
-        return math.log(abs(math.log(t) - a * log_q))
+        return math.log(abs(math.log(t) - e))
 
     # x = qq**(-exponent): its relative error is |ln qq| times the exponent's.
     rel_tol = 1e-12 / max(1.0, abs(log_q))
     exponent = 0.0
-    for a_lo, a_hi, inv_p in sc.parts:
+    for a_lo, a_hi, inv_p, lo, hi, _ in sc.parts:
         part = integrate(integrand, a_lo, a_hi, rel_tol=rel_tol, abs_tol=1e-15)
         if t > 0.0:
             # -int da / ((a - tau) ln qq), where (a - tau) ln qq = -ln(t / qq**a).
-            part -= (log_depth(a_hi) - log_depth(a_lo)) / log_q
+            part -= (log_depth(*hi) - log_depth(*lo)) / log_q
         exponent += inv_p * part
     return sign * math.exp(-exponent * log_q)
 
@@ -557,8 +555,9 @@ def _branch_legs(sc: _Scaled, dom: TDomain) -> list[tuple[int, float, float, boo
     """Sweep legs (sign, tau_lo, tau_hi, open_lo, open_hi) covering dom.
 
     t = sign * qq**tau.  A window's leg runs over its element's values;
-    an outer branch runs from its far end to its finite end, flagged open
-    for geometric refinement; legs running into t = 0 stop at
+    an outer branch runs from its far end, 40 tau-units past the pole at
+    tau = 0 and at least 20 past the one at alpha(1), to its finite end,
+    flagged open for geometric refinement; legs running into t = 0 stop at
     |t| = _ZERO_RHO * min pole.  Every leg is cut where |ln|t|| passes
     _LOG_RANGE, and a cut end is no longer open.  A branch left with no
     leg raises NumericalFailure.
@@ -570,7 +569,8 @@ def _branch_legs(sc: _Scaled, dom: TDomain) -> list[tuple[int, float, float, boo
         # Outer branches: the finite end is t = qq**top (right) or t = 1
         # (left).
         end = sc.top if dom.branch == "right" else 0.0
-        far = math.copysign(min(40.0, bound), sc.log_q)
+        reach = max(40.0, sc.top + 20.0) if sc.log_q > 0.0 else 40.0
+        far = math.copysign(min(reach, bound), sc.log_q)
         if dom.hi == math.inf:
             legs = [(1, end, far, True, False)] if abs(far) > abs(end) else []
         else:
@@ -714,8 +714,8 @@ def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVa
     if branch == "left":
         # The right branch of the reflected model, d* at 1/qq and t qq**(-top),
         # where ln x, ln(qq x) and ln qq change sign.
-        lx, log_qx, log_q, log_t = -lx, -log_qx, -log_q, log_t - sc.top * log_q
-        pole = sc.pole(sc.top)
+        lx, log_qx, log_q, log_t = -lx, -log_qx, -log_q, log_t - sc.top_pole[0]
+        pole = sc.top_pole[1]
     # qq**z = (t - (1 - x)) / (t qq x) = (1 - w) / (qq x), w = (1 - x) / t.
     logs, w_positive = (_log_shift(lx, True), -log_t), (t > 0.0) == (lx < 0.0)
     direct = max(map(abs, (*logs, sum(logs)))) <= _LOG_RANGE and 0.0 < pole < math.inf

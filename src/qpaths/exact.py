@@ -21,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from operator import ne
 from typing import Iterator, Sequence, Union
 
@@ -31,6 +32,7 @@ from .qpoly import QPolynomial, cyclotomic, poly_det, power_product, q_binomial
 
 Rational = Union[int, Fraction]
 Weight = Union[int, Fraction, float]
+_FLOAT_MIN, _FLOAT_MAX = sys.float_info.min, sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -252,22 +254,27 @@ def _residue_sum(seq: StartSequence, q: Weight) -> list:
     one at or beyond a_n + n + 1 - ell.
 
     A Fraction q goes to :func:`_exact_residue_sum`. A float q computes in
-    doubles, each N(m) and D_k formed once in the pass, on first use. An
-    entry whose D_k, power or sum leaves the doubles holds its
-    NumericalFailure in place of a value, and the pass goes on: N(m)
-    depends on ell, so a failing ell can lie next to a finite one.
+    doubles in the same shape: one table g(s) = base**s - 1, s < a_n, each
+    D_k formed once and each N(m) once, on first use. An entry whose D_k or
+    sum leaves the doubles holds its NumericalFailure in place of a value,
+    and the pass goes on: N(m) depends on ell, so a failing ell can lie
+    next to a finite one.
     """
     n, top = seq.n, seq.top
     ells = range(n + 1, top + 1)
     flip = q < 1
-    values = tuple(top - a for a in reversed(seq.values)) if flip else seq.values
+    values = dual_sequence(seq).values if flip else seq.values
     base = 1 / q if flip else q
     reflected = [top + n + 1 - ell for ell in ells] if flip else ells
     if isinstance(q, Fraction):
         sums = _exact_residue_sum(values, reflected, base)
         return [1 - h for h in sums] if flip else sums
     powers = [base**a for a in values]
-    numerators, denominators = {}, [None] * (n + 1)
+    g = [base**s - 1 for s in range(top)]
+    # D_k for the poles a_k > n, the ones an entry reads.
+    dens = [math.prod([pole - power for power in powers[:k] + powers[k + 1 :]]) if a > n else None
+            for k, (a, pole) in enumerate(zip(values, powers))]
+    numerator = cache(lambda m: math.prod(g[m + 1 : m + n + 1]))
 
     # Its name makes float_range report a power outside the doubles as the
     # whole pass's does, "residue sum is outside the float range".
@@ -275,22 +282,8 @@ def _residue_sum(seq: StartSequence, q: Weight) -> list:
     def residue_sum(ell: int, e: int) -> float:
         terms = []
         for k in range(bisect_left(values, e), n + 1):
-            m = values[k] - e
-            num = numerators.get(m)
-            if num is None:
-                num = 1.0
-                for s in range(m + 1, m + n + 1):
-                    num *= base**s - 1
-                numerators[m] = num
-            den = denominators[k]
-            if den is None:
-                den = 1.0
-                pole = powers[k]
-                for power in powers[:k] + powers[k + 1 :]:
-                    den *= pole - power
-                # A finite numerator over an infinite D_k would make a silent 0.
-                den = denominators[k] = _checked(den, "residue sum", q, ell)
-            terms.append(num / den)
+            # A finite numerator over an infinite D_k would make a silent 0.
+            terms.append(numerator(values[k] - e) / _checked(dens[k], "residue sum", q, ell))
         exponent = n * e - n * (n + 1) // 2
         # fsum raises on inf - inf, so the terms are checked first.
         value = base**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan
@@ -308,8 +301,7 @@ def _residue_sum(seq: StartSequence, q: Weight) -> list:
 def _checked(value: Weight, what: str, q: Weight, ell: int, positive: bool = False) -> Weight:
     """value, unless float_value refuses it: then its NumericalFailure,
     naming what at q and ell. The message is formed only for a failure."""
-    lo = sys.float_info.min if positive else -sys.float_info.max
-    if not isinstance(value, float) or lo <= value <= sys.float_info.max:
+    if not isinstance(value, float) or (_FLOAT_MIN if positive else -_FLOAT_MAX) <= value <= _FLOAT_MAX:
         return value
     return float_value(value, f"{what} at q = {shown(q)}, ell = {ell}", positive)
 
@@ -326,12 +318,13 @@ def _exact_residue_sum(values: tuple[int, ...], ells: Sequence[int], base: Fract
     k) p**y_k times the product of g(|a_k - a_s|) over s != k, with y_k the
     sum of min(a_k, a_s). Over L = lcm(B_k) the poles share one
     denominator: H(ell) is one integer sum of G(m) w_k, with w_k = d**x_k
-    L // B_k, and one Fraction per ell, normalised once. Each G(m) is
-    formed once in the pass, on first use.
+    L // B_k, and one Fraction per ell, normalised once. Each G(m), a
+    product over a slice of the table g, is formed once in the pass, on
+    first use.
     """
     n = len(values) - 1
     p, d = base.numerator, base.denominator
-    g = {s: p**s - d**s for s in range(1, values[-1] + 1)}
+    g = [p**s - d**s for s in range(values[-1] + 1)]
     bases, shifts = [], []
     for k, a in enumerate(values):
         others = values[:k] + values[k + 1 :]
@@ -340,16 +333,12 @@ def _exact_residue_sum(values: tuple[int, ...], ells: Sequence[int], base: Fract
         shifts.append(sum(values[k + 1 :]) - (n - k) * a)
     common = math.lcm(*bases)
     weights = [d**x * (common // b) for x, b in zip(shifts, bases)]
-    numerators = {}
+    numerator = cache(lambda m: math.prod(g[m + 1 : m + n + 1]))
     sums = []
     for ell in ells:
         total = 0
         for k in range(bisect_left(values, ell), n + 1):
-            m = values[k] - ell
-            num = numerators.get(m)
-            if num is None:
-                num = numerators[m] = math.prod(g[s] for s in range(m + 1, m + n + 1))
-            total += num * weights[k]
+            total += numerator(values[k] - ell) * weights[k]
         # ell > n, so the power of p is positive.
         sums.append(Fraction(total * p ** (n * ell - n * (n + 1) // 2), common))
     return sums

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .configs import max_area_abscissas, min_area_abscissas
-from .errors import NumericalFailure, integer_value, real_value
+from .errors import InvalidArgument, NumericalFailure, integer_value, real_value
 from .exact import StartSequence, _weight
 
 # Coupling from the past looks back at most this many sweeps.
@@ -313,12 +313,14 @@ def run_chain(seq: StartSequence, q: float, sweeps: int, seed: int, *, burn_in: 
     Identical seeds give identical runs. The forward sweeps draw by
     geometric mod interval above |ln q| = 2**-16 and by the coupling
     sweep below it; see the module docstring. q takes the contract of
-    exact._weight, and keeps it as the double the chain computes in;
-    sweeps >= 1, burn_in >= 0 and seed >= 0 take the rule of
-    errors.integer_value.
+    exact._weight, and keeps it as the double the chain computes in, which
+    must not round to 0 or 1; sweeps >= 1, burn_in >= 0 and seed >= 0
+    take the rule of errors.integer_value.
     """
     import numpy as np
-    q = _weight(real_value(_weight(q), "q"))
+    q = real_value(_weight(q), "q")
+    if q == 0.0 or q == 1.0:
+        raise InvalidArgument(f"q rounds to {q:g} as a double, which the chain computes in")
     sweeps = integer_value(sweeps, "sweeps", 1)
     burn_in = integer_value(burn_in, "burn_in", 0)
     seed = integer_value(seed, "seed", 0)

@@ -8,7 +8,6 @@ from qpaths.configs import (
     ENUM_MAX_N,
     ENUM_MAX_TOP,
     PathConfig,
-    abscissas,
     dual_config,
     enumerate_configs,
     max_area_abscissas,
@@ -17,7 +16,7 @@ from qpaths.configs import (
 from qpaths.errors import InvalidArgument, SizeLimitExceeded
 from qpaths.exact import StartSequence, _duality_exponent, dual_sequence
 
-from lattice_paths import paths_from_abscissas
+from lattice_paths import abscissas, paths_from_abscissas
 
 
 def test_enumeration_hand_counts():

@@ -1016,3 +1016,60 @@ def test_one_scaled_state_serves_a_tangent_construction(monkeypatch):
     for i in range(100):
         calls[i % len(calls)](9.0 * (1.0 + (i + 1) / 7.0))
     assert builds == [3.0]
+
+
+@pytest.mark.parametrize("qq", [3.0, 1.5])
+def test_outer_arcs_reach_the_top_far_past_alpha_top(qq):
+    # Slope 50: alpha(1) = 50 lies past tau = 40. Each outer leg ends at
+    # least 20 tau-units past the pole at alpha(1), so both arcs rise to
+    # the top of the strip.
+    d = StartDensity([(1.0, 50.0)])
+    right, left = t_domains(d, qq)[:2]
+    for dom in (right, left):
+        curve = arctic_curve(d, qq, dom)
+        assert 1.0 - curve.txy[:, 2].max() <= 1e-6
+
+
+def test_top_contacts_of_reflected_bases_sum_to_alpha_top_plus_one():
+    # The reflection sends X to alpha(1) + 1 - X and qq to 1/qq, so the
+    # right arcs' highest points at 3 and 1/3 sum to 51.
+    d = StartDensity([(1.0, 50.0)])
+
+    def top_contact(qq):
+        txy = arctic_curve(d, qq, t_domains(d, qq)[0]).txy
+        return txy[txy[:, 2].argmax(), 1]
+
+    assert top_contact(3.0) + top_contact(1 / 3) == pytest.approx(d.alpha_top + 1.0, abs=1e-4)
+
+
+def test_a_built_scaled_state_forms_no_pole(monkeypatch):
+    # Each pole of (d, qq) is formed once, when its _Scaled is built; the
+    # evaluators read the stored poles.
+    from qpaths import curves
+
+    formed = []
+    pole = curves._pole
+
+    def counted(*args):
+        formed.append(args)
+        return pole(*args)
+
+    monkeypatch.setattr(curves, "_pole", counted)
+    # t0 lies on the right branch and -t0 on the left. At 1e-300 the
+    # density's poles leave the doubles, and the right exit is refused.
+    for d, qq, t0 in ((FILLED, 3.0, 10.0), (CORNERED, 1 / 3, -10.0), (CORNERED, 1e-300, -10.0)):
+        sc = _scaled(d, qq)
+        assert formed and _scaled(d, qq) is sc
+        formed.clear()
+        for i in range(200):
+            t = t0 * (1.0 + i / 7.0)
+            x_of_t(d, qq, t)
+            x_of_t(d, qq, t, method="quadrature")
+            arctic_point(d, qq, t)
+            tangent_curve(d, qq, t, n_samples=9)
+            exit_params_left(d, qq, -t)
+            try:
+                exit_params_right(d, qq, t)
+            except InvalidArgument:
+                assert qq == 1e-300
+        assert formed == []

@@ -17,7 +17,6 @@ from qpaths.configs import (
     ENUM_MAX_N,
     ENUM_MAX_TOP,
     PathConfig,
-    abscissas,
     enumerate_configs,
     max_area_abscissas,
     min_area_abscissas,
@@ -26,7 +25,7 @@ from qpaths.errors import InvalidArgument, NumericalFailure
 from qpaths.exact import StartSequence
 from qpaths.sampler import _neighbours, _sweep, run_chain
 
-from lattice_paths import paths_from_abscissas
+from lattice_paths import abscissas, paths_from_abscissas
 
 
 def coordinates(seq, b):
@@ -584,6 +583,14 @@ def test_run_chain_validation():
         args = {"q": 0.7, "sweeps": 10, "seed": 0, **kwargs}
         with pytest.raises(InvalidArgument):
             run_chain(seq, **args)
+    # A rational q that rounds to 0 or 1 as a double is refused in those
+    # words; a q that is 0 or 1 keeps exact._weight's.
+    for q, words in ((Fraction(1, 10**400), "rounds to 0 as a double"),
+                     (1 + Fraction(1, 10**20), "rounds to 1 as a double"),
+                     (Fraction(0), "q = 0 is excluded"), (Fraction(1), "q = 1 is excluded"),
+                     (0.0, "q = 0 is excluded"), (1.0, "q = 1 is excluded")):
+        with pytest.raises(InvalidArgument, match=words):
+            run_chain(seq, q, 10, seed=0)
     # A rational q samples as its float.
     a, b = run_chain(seq, Fraction(7, 10), 50, seed=3), run_chain(seq, 0.7, 50, seed=3)
     assert a.area_series == b.area_series
