@@ -4,7 +4,8 @@ One JSON document describes either a finite model (start sequence plus a
 weight q) or a scaled model (start-point density plus a base weight), along
 with task parameters such as branch selection, sample counts and seeds.
 Validation collects every violation before failing so a bad file is fixed
-in one pass.
+in one pass.  The schema is two tables: ``_MODELS``, one parser per model
+kind, and ``_TASK_RULES``, one rule per task key.
 """
 
 from __future__ import annotations
@@ -16,20 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
 
-from .errors import ConfigError, InvalidArgument, integer_value, real_value
+from .errors import ConfigError, InvalidArgument, integer_value, real_value, shown
 from .exact import StartSequence, _weight
 from .profile import StartDensity, _check_base
 
 Weight = Union[Fraction, float]
-
-_TASK_KEYS = {
-    "branch",
-    "samples",
-    "sweeps",
-    "seed",
-    "t_values",
-    "out",
-}
 
 
 @dataclass(frozen=True)
@@ -86,7 +78,12 @@ def _parse_weight(value: Any, problems: list[str]) -> Optional[Weight]:
         if base is None or n is None:
             return None
         # A base <= 0 has no positive root: _weight refuses it as it stands.
-        q = base ** (1.0 / n) if base > 0.0 else base
+        # 1 / n is exact in ints, 0.0 for an n beyond the doubles.
+        q = base ** (1 / n) if base > 0.0 else base
+        if q == 1.0 and base != 1.0:
+            problems.append(f"model.finite.q: q rounds to 1 as a double at base "
+                            f"{shown(value['base'])} and n = {shown(n)}")
+            return None
     elif isinstance(value, str):
         try:
             q = Fraction(value)
@@ -104,10 +101,10 @@ def _parse_weight(value: Any, problems: list[str]) -> Optional[Weight]:
     return Fraction(repr(value)) if q is not None and isinstance(value, float) else q
 
 
-def _parse_finite(node: Any, problems: list[str]):
+def _parse_finite(node: Any, problems: list[str]) -> dict[str, Any]:
     if not isinstance(node, dict):
         problems.append("model.finite: expected an object")
-        return None, None
+        return {}
     _unknown_keys(node, {"sequence", "q"}, "model.finite", problems)
     seq = None
     raw = node.get("sequence")
@@ -120,7 +117,7 @@ def _parse_finite(node: Any, problems: list[str]):
         problems.append("model.finite.q: missing")
     else:
         q = _parse_weight(node["q"], problems)
-    return seq, q
+    return {"sequence": seq, "q": q}
 
 
 def _pair_list(node: Any, label: str, problems: list[str]) -> Optional[list[list[Any]]]:
@@ -136,10 +133,10 @@ def _pair_list(node: Any, label: str, problems: list[str]) -> Optional[list[list
     return node
 
 
-def _parse_scaled(node: Any, problems: list[str]):
+def _parse_scaled(node: Any, problems: list[str]) -> dict[str, Any]:
     if not isinstance(node, dict):
         problems.append("model.scaled: expected an object")
-        return None, None
+        return {}
     _unknown_keys(node, {"segments", "jumps", "base"}, "model.scaled", problems)
     segments = _pair_list(node.get("segments"), "model.scaled.segments", problems)
     jumps: Optional[list[list[Any]]] = []
@@ -157,7 +154,34 @@ def _parse_scaled(node: Any, problems: list[str]):
         problems.append("model.scaled.base: missing")
     else:
         base = _checked(_check_base, node["base"], "model.scaled.base", problems)
-    return density, base
+    return {"density": density, "base": base}
+
+
+# The model kinds: each parser lists its problems and returns the
+# ModelConfig fields it fills.
+_MODELS = {"finite": _parse_finite, "scaled": _parse_scaled}
+
+
+def _expect(value: Any, ok: Any, text: str) -> Any:
+    """value where ok holds, else InvalidArgument(text.format(value))."""
+    if not ok:
+        raise InvalidArgument(text.format(value))
+    return value
+
+
+# The task keys, in the order their problems are listed: rule(value, key)
+# returns the value or raises InvalidArgument with the text after "task.<key>: ".
+_TASK_RULES = {
+    "branch": lambda v, _: _expect(
+        v, isinstance(v, str) and re.fullmatch(r"all|right|left|window:[0-9]+", v),
+        "expected all|right|left|window:<index>, got {!r}"),
+    "samples": lambda v, key: integer_value(v, key, 2),
+    "sweeps": lambda v, key: integer_value(v, key, 1),
+    "seed": lambda v, key: integer_value(v, key, 0),
+    "t_values": lambda v, _: tuple(real_value(x, "t") for x in _expect(
+        v, isinstance(v, list), "expected a list of finite numbers")),
+    "out": lambda v, _: _expect(v, isinstance(v, str) and v, "expected a non-empty string, got {!r}"),
+}
 
 
 def _parse_task(node: Any, problems: list[str]) -> dict[str, Any]:
@@ -167,35 +191,12 @@ def _parse_task(node: Any, problems: list[str]) -> dict[str, Any]:
     if not isinstance(node, dict):
         problems.append("task: expected an object")
         return out
-    _unknown_keys(node, _TASK_KEYS, "task", problems)
-
-    if "branch" in node:
-        branch = node["branch"]
-        if isinstance(branch, str) and re.fullmatch(r"all|right|left|window:[0-9]+", branch):
-            out["branch"] = branch
-        else:
-            problems.append(
-                f"task.branch: expected all|right|left|window:<index>, got {branch!r}"
-            )
-    for key, minimum in (("samples", 2), ("sweeps", 1), ("seed", 0)):
+    _unknown_keys(node, _TASK_RULES, "task", problems)
+    for key, rule in _TASK_RULES.items():
         if key in node:
-            v = _checked(lambda v: integer_value(v, key, minimum), node[key], f"task.{key}", problems)
-            if v is not None:
-                out[key] = v
-    if "t_values" in node:
-        v = node["t_values"]
-        if not isinstance(v, list):
-            problems.append("task.t_values: expected a list of finite numbers")
-        else:
-            v = _checked(lambda v: tuple(real_value(x, "t") for x in v), v, "task.t_values", problems)
-            if v is not None:
-                out["t_values"] = v
-    if "out" in node:
-        v = node["out"]
-        if not isinstance(v, str) or not v:
-            problems.append(f"task.out: expected a non-empty string, got {v!r}")
-        else:
-            out["out"] = v
+            value = _checked(lambda v: rule(v, key), node[key], f"task.{key}", problems)
+            if value is not None:
+                out[key] = value
     return out
 
 
@@ -222,22 +223,17 @@ def parse_config(text: str, overrides: Optional[dict[str, Any]] = None) -> Model
     _unknown_keys(doc, {"model", "task"}, "top level", problems)
 
     model = doc.get("model")
-    kind = None
-    seq = q = density = base = None
+    kind, fields = None, {}
     if not isinstance(model, dict):
         problems.append("model: missing or not an object")
     else:
-        _unknown_keys(model, {"finite", "scaled"}, "model", problems)
-        has_finite = "finite" in model
-        has_scaled = "scaled" in model
-        if has_finite == has_scaled:
-            problems.append("model: exactly one of finite/scaled must be present")
-        elif has_finite:
-            kind = "finite"
-            seq, q = _parse_finite(model["finite"], problems)
+        _unknown_keys(model, _MODELS, "model", problems)
+        kinds = [name for name in _MODELS if name in model]
+        if len(kinds) != 1:
+            problems.append(f"model: exactly one of {'/'.join(_MODELS)} must be present")
         else:
-            kind = "scaled"
-            density, base = _parse_scaled(model["scaled"], problems)
+            (kind,) = kinds
+            fields = _MODELS[kind](model[kind], problems)
 
     task = doc.get("task")
     if overrides and (task is None or isinstance(task, dict)):
@@ -245,10 +241,7 @@ def parse_config(text: str, overrides: Optional[dict[str, Any]] = None) -> Model
     task = _parse_task(task, problems)
     if problems:
         raise ConfigError(problems)
-    assert kind is not None
-    return ModelConfig(
-        kind=kind, sequence=seq, q=q, density=density, base=base, **task
-    )
+    return ModelConfig(kind=kind, **fields, **task)
 
 
 def load_config(path: str, overrides: Optional[dict[str, Any]] = None) -> ModelConfig:

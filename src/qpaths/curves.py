@@ -230,7 +230,7 @@ class _Scaled:
     :func:`_scaled`, which keeps the one of the density's last base on the
     density, so it is read-only once built."""
 
-    __slots__ = ("qq", "log_q", "parts", "top", "top_pole", "domains")
+    __slots__ = ("qq", "log_q", "parts", "lost", "top", "top_pole", "domains")
 
     def __init__(self, d: StartDensity, qq: float):
         """``qq`` is a base already checked by profile._check_base."""
@@ -245,6 +245,9 @@ class _Scaled:
             span = None if doubles else lo[0] + _log_shift((el.a_hi - el.a_lo) * log_q, True)
             parts.append((el.a_lo, el.a_hi, 1.0 / el.p, lo, hi, span))
         self.parts = tuple(parts)
+        # The share of itself that ln x or ln(qq x) loses to the rounded poles
+        # next to base 1: about eps / (rise |ln qq|), rise the least a_hi - a_lo.
+        self.lost = sys.float_info.epsilon / (min(el[1] - el[0] for el in parts) * abs(log_q))
         self.top = d.alpha_top
         _, e_right = self.top_pole = _pole(self.top, qq, log_q)
         # The branch ladder: right arc, left arc, then one per window.  Each
@@ -707,7 +710,9 @@ def _exit_params(d: StartDensity, qq: float, t: float, branch: str) -> ScalingVa
     # their sum is small: its rounding, eps times the terms, can swamp it,
     # as can ln x or ln(qq x) gone subnormal, whose logs then keep no digit
     # (a half ulp of y moves ln|e**y - 1| by about ulp(y) / |y| for small y).
-    error = sys.float_info.epsilon * size + math.ulp(lx) / abs(lx) + math.ulp(log_qx) / abs(log_qx)
+    # And ln x and ln(qq x) have each lost sc.lost of themselves to the poles.
+    error = (sys.float_info.epsilon * size + math.ulp(lx) / abs(lx) + math.ulp(log_qx) / abs(log_qx)
+             + 2.0 * sc.lost)
     if error > _XI_REL * abs(xi_log_q):
         raise NumericalFailure(f"the exit height at t={t!r} cancels in its logarithms at base {qq!r}")
     xi = xi_log_q / log_q

@@ -271,19 +271,19 @@ def _residue_sum(seq: StartSequence, q: Weight) -> list:
         return [1 - h for h in sums] if flip else sums
     powers = [base**a for a in values]
     g = [base**s - 1 for s in range(top)]
-    # D_k for the poles a_k > n, the ones an entry reads.
-    dens = [math.prod([pole - power for power in powers[:k] + powers[k + 1 :]]) if a > n else None
+    # D_k for the poles a_k > n, the ones an entry reads. A finite numerator
+    # over an infinite D_k would make a silent 0, so a D_k outside the doubles
+    # is kept as nan: every term over it is nan, which the entry's check refuses.
+    dens = [math.prod([pole - power for power in powers[:k] + powers[k + 1 :]]) if a > n else math.nan
             for k, (a, pole) in enumerate(zip(values, powers))]
+    dens = [den if math.isfinite(den) else math.nan for den in dens]
     numerator = cache(lambda m: math.prod(g[m + 1 : m + n + 1]))
 
     # Its name makes float_range report a power outside the doubles as the
     # whole pass's does, "residue sum is outside the float range".
     @float_range
     def residue_sum(ell: int, e: int) -> float:
-        terms = []
-        for k in range(bisect_left(values, e), n + 1):
-            # A finite numerator over an infinite D_k would make a silent 0.
-            terms.append(numerator(values[k] - e) / _checked(dens[k], "residue sum", q, ell))
+        terms = [numerator(values[k] - e) / dens[k] for k in range(bisect_left(values, e), n + 1)]
         exponent = n * e - n * (n + 1) // 2
         # fsum raises on inf - inf, so the terms are checked first.
         value = base**exponent * math.fsum(terms) if all(map(math.isfinite, terms)) else math.nan

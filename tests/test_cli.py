@@ -427,6 +427,18 @@ def test_weights_are_refused_at_validation_in_the_library_words(tmp_path, capsys
             assert lines[1:] == [f"config error: {p}" for p in others]
 
 
+def test_a_root_past_the_doubles_is_a_config_error(tmp_path, capsys):
+    # 1 / n of a {base, n} weight with n beyond the doubles raised a raw
+    # OverflowError through every finite command.
+    doc = {"model": {"finite": {"sequence": [0, 1, 3], "q": {"base": 2, "n": 10**400}}}}
+    for command in FINITE_COMMANDS:
+        rc, out = run_cli(tmp_path, doc, command)
+        assert rc == 1 and not out.exists(), command
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.finite.q: q rounds to 1 as a double"), command
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("base, problem", [
     (1, "base 1 is the unweighted point; the scaled model needs base != 1"),
     (0, "base must be a finite positive number, got 0.0"),

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qpaths.config import ModelConfig, load_config, parse_config
 from qpaths.errors import ConfigError
@@ -137,6 +139,12 @@ def test_structure_violations():
         ({"model": {"scaled": {"segments": [[1.0]], "base": 3}}},
          "model.scaled.segments[0]: expected a [number, number] pair"),
         ({**FINITE_DOC, "task": {"t_values": "abc"}}, "task.t_values: expected a list of finite numbers"),
+        # A root that rounds to 1 is not refused as a base of 1; 1 / n past
+        # the doubles raised a raw OverflowError.
+        ({"model": {"finite": {"sequence": [0, 1], "q": {"base": 3, "n": 10**17}}}},
+         "model.finite.q: q rounds to 1 as a double at base 3 and n = 100000000000000000"),
+        ({"model": {"finite": {"sequence": [0, 1], "q": {"base": 2, "n": 10**400}}}},
+         "model.finite.q: q rounds to 1 as a double at base 2 and n = an integer of 401 digits"),
     ):
         with pytest.raises(ConfigError) as info:
             parse_config(json.dumps(doc))
@@ -197,3 +205,35 @@ def test_config_is_frozen():
     with pytest.raises(Exception):
         cfg.seed = 3
     assert isinstance(cfg, ModelConfig)
+
+
+_NUMBERS = st.integers(-(10**500), 10**500) | st.floats()
+_VALUES = st.recursive(
+    _NUMBERS | st.none() | st.booleans() | st.text(max_size=8) | st.sampled_from(["3/5", "2/0", "window:2"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _object(keys):
+    """A JSON object holding any of keys, each with a value of its strategy, or any other JSON value."""
+    return st.fixed_dictionaries({}, optional=keys) | _VALUES
+
+
+_WEIGHTS = _object({"base": _NUMBERS, "n": _NUMBERS})
+_MODELS = _object({"finite": _object({"sequence": _VALUES, "q": _WEIGHTS}),
+                   "scaled": _object({"segments": _VALUES, "jumps": _VALUES, "base": _VALUES})})
+_TASKS = _object(dict.fromkeys(["branch", "samples", "sweeps", "seed", "t_values", "out", "bogus"], _VALUES))
+
+
+@given(_object({"model": _MODELS, "task": _TASKS}))
+@example({"model": {"finite": {"sequence": [0, 1], "q": {"base": 2, "n": 10**400}}}})
+def test_parse_config_raises_only_config_errors(doc):
+    # Any JSON document, with any value at any key, is a ModelConfig or a
+    # ConfigError. Parsed only: no command runs on what it describes. The
+    # example is the one other outcome a 20 000-document fuzz found, an
+    # OverflowError from 1 / n past the doubles.
+    try:
+        assert isinstance(parse_config(json.dumps(doc)), ModelConfig)
+    except ConfigError as exc:
+        assert exc.problems

@@ -777,6 +777,36 @@ def test_exit_height_refuses_where_its_logs_cancel(t):
         exit_params_left(UNIFORM, 1.0 + 1e-12, -1e-300)
 
 
+def _outer_ts(d, qq):
+    """(branch, t) on the outer branches of d: |t| = 1e-6 .. 1e8 and next to the finite ends."""
+    end = qq**d.alpha_top
+    ts = [s * 10.0**k for k in range(-6, 9) for s in (1.0, -1.0)]
+    ts += [end * 1.5, end * 1.01, end * 0.5, end * 0.99, 0.5, 0.99, 1.01, 2.0]
+    for t in ts:
+        branches = [dom.branch for dom in t_domains(d, qq) if t in dom and dom.window is None]
+        if branches:
+            yield branches[0], t
+
+
+@pytest.mark.parametrize("d", [UNIFORM, EXACT_BINARY], ids=["uniform", "exact_binary"])
+def test_exit_params_next_to_base_one_hold_their_digits_or_refuse(d):
+    # Within about 1e-5 of base 1 the rounded poles qq**a cost ln x and
+    # ln(qq x) about eps / (rise |ln qq|) of themselves before xi's own
+    # cancellation, and values off by far more than 1e-8 came back without
+    # a signal. Each call holds mpmath to 1e-8 or refuses.
+    for k in range(3, 16):
+        for qq in (1.0 + 10.0**-k, 1.0 - 10.0**-k):
+            reference = _exit_reference(d, qq)
+            for which, t in _outer_ts(d, qq):
+                try:
+                    _assert_exit_params(d, qq, which, t, reference(which, t), 1e-8)
+                except NumericalFailure as failure:
+                    assert k > 3 and "cancels in its logarithms" in str(failure), (qq, which, t)
+    # It returned xi = 4.16e7 here, where xi is about 1.5.
+    with pytest.raises(NumericalFailure, match=r"exit height at t=0\.25 cancels"):
+        exit_params_left(UNIFORM, 1.0 + 1e-12, 0.25)
+
+
 HEX_LIKE = StartDensity([(1 / 3, 1.0), (2 / 3, 1.0)], jumps=[(1 / 3, 1.0)])
 # One input for each refusal of the point map and the exit parameters that
 # no other test reaches. At t = 0, x = 1; at base 1e-300 every pole but 1
