@@ -245,9 +245,9 @@ class _Scaled:
             span = None if doubles else lo[0] + _log_shift((el.a_hi - el.a_lo) * log_q, True)
             parts.append((el.a_lo, el.a_hi, 1.0 / el.p, lo, hi, span))
         self.parts = tuple(parts)
-        # The share of itself that ln x or ln(qq x) loses to the rounded poles
-        # next to base 1: about eps / (rise |ln qq|), rise the least a_hi - a_lo.
-        self.lost = sys.float_info.epsilon / (min(el[1] - el[0] for el in parts) * abs(log_q))
+        # The share of ln x or ln(qq x) lost to the rounded poles next to base 1:
+        # each factor's eps E / |t - E| / p, of a sum of about |ln qq| E / |t - E|.
+        self.lost = sys.float_info.epsilon * sum(el[2] for el in parts) / abs(log_q)
         self.top = d.alpha_top
         _, e_right = self.top_pole = _pole(self.top, qq, log_q)
         # The branch ladder: right arc, left arc, then one per window.  Each

@@ -274,9 +274,9 @@ def _residue_sum(seq: StartSequence, q: Weight) -> list:
     # D_k for the poles a_k > n, the ones an entry reads. A finite numerator
     # over an infinite D_k would make a silent 0, so a D_k outside the doubles
     # is kept as nan: every term over it is nan, which the entry's check refuses.
-    dens = [math.prod([pole - power for power in powers[:k] + powers[k + 1 :]]) if a > n else math.nan
-            for k, (a, pole) in enumerate(zip(values, powers))]
-    dens = [den if math.isfinite(den) else math.nan for den in dens]
+    products = (math.prod([pole - power for power in powers[:k] + powers[k + 1 :]]) if a > n else math.nan
+                for k, (a, pole) in enumerate(zip(values, powers)))
+    dens = [den if math.isfinite(den) else math.nan for den in products]
     numerator = cache(lambda m: math.prod(g[m + 1 : m + n + 1]))
 
     # Its name makes float_range report a power outside the doubles as the

@@ -788,12 +788,22 @@ def _outer_ts(d, qq):
             yield branches[0], t
 
 
-@pytest.mark.parametrize("d", [UNIFORM, EXACT_BINARY], ids=["uniform", "exact_binary"])
+# A segment of width 2**-30 next to one of width 1 - 2**-30: its rise is
+# tiny, but its factor of x(t) costs no more digits than a wide one's.
+NARROW_BINARY = StartDensity([(2.0**-30, 3.0), (1 - 2.0**-30, 2.0)])
+
+
+@pytest.mark.parametrize("d", [UNIFORM, EXACT_BINARY, NARROW_BINARY],
+                         ids=["uniform", "exact_binary", "narrow_binary"])
 def test_exit_params_next_to_base_one_hold_their_digits_or_refuse(d):
     # Within about 1e-5 of base 1 the rounded poles qq**a cost ln x and
-    # ln(qq x) about eps / (rise |ln qq|) of themselves before xi's own
+    # ln(qq x) about eps sum(1/p) / |ln qq| of themselves before xi's own
     # cancellation, and values off by far more than 1e-8 came back without
-    # a signal. Each call holds mpmath to 1e-8 or refuses.
+    # a signal. Each call holds mpmath to 1e-8 or refuses; away from base 1
+    # every call returns.
+    reference = _exit_reference(d, 3.0)
+    for which, t in _outer_ts(d, 3.0):
+        _assert_exit_params(d, 3.0, which, t, reference(which, t), 1e-8)
     for k in range(3, 16):
         for qq in (1.0 + 10.0**-k, 1.0 - 10.0**-k):
             reference = _exit_reference(d, qq)
@@ -805,6 +815,27 @@ def test_exit_params_next_to_base_one_hold_their_digits_or_refuse(d):
     # It returned xi = 4.16e7 here, where xi is about 1.5.
     with pytest.raises(NumericalFailure, match=r"exit height at t=0\.25 cancels"):
         exit_params_left(UNIFORM, 1.0 + 1e-12, 0.25)
+
+
+@pytest.mark.parametrize("qq", [3.0, 0.5])
+def test_a_segment_whose_rise_rounds_to_zero_adds_no_factor(qq):
+    # The middle segment's a_hi = 1 + 3e-17 rounds to its a_lo = 1, so its
+    # factor of x(t) is 1 and the arcs and exit parameters are UNIFORM's.
+    d = StartDensity([(0.5, 2.0), (1e-17, 3.0), (0.5, 2.0)])
+    domains = t_domains(d, qq)
+    assert [(dom.lo, dom.hi) for dom in domains] == [(dom.lo, dom.hi) for dom in t_domains(UNIFORM, qq)]
+    for dom, uniform in zip(domains, t_domains(UNIFORM, qq)):
+        arc = arctic_curve(d, qq, dom, n_samples=50)
+        expected = arctic_curve(UNIFORM, qq, uniform, n_samples=50)
+        np.testing.assert_allclose(arc.txy, expected.txy, rtol=1e-9, atol=1e-9)
+    for which, t in _outer_ts(d, qq):
+        fn = exit_params_right if which == "right" else exit_params_left
+        try:
+            expected = fn(UNIFORM, qq, t)
+        except InvalidArgument:
+            continue
+        got = fn(d, qq, t)
+        assert (got.xi, got.z) == pytest.approx((expected.xi, expected.z), rel=1e-9), (which, t)
 
 
 HEX_LIKE = StartDensity([(1 / 3, 1.0), (2 / 3, 1.0)], jumps=[(1 / 3, 1.0)])
