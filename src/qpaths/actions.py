@@ -39,15 +39,16 @@ takes a difference of two _li2 values on an interval at least _LONG long
 term on a shorter one, so bases next to 1 keep their digits.  The saddle
 residuals are closed-form first derivatives, for checking the
 stationarity of a tangency point without numerical differentiation;
-their factors t - qq**b go through the pole kernel of
-:mod:`qpaths.curves`.
+their boundary term ln((t - qq**(xi - 1)) / (t - qq**xi)) is the
+pole-pair quotient of :mod:`qpaths.curves`, whose log1p keeps its
+digits at large |t|.
 """
 
 from __future__ import annotations
 
 import math
 
-from .curves import _LN2, _log_pole, _log_shift, _pole, _scaled
+from .curves import _LN2, _log_quotient, _log_shift, _pole_pair, _scaled
 from .errors import InvalidArgument, float_range, float_value, real_value
 from .profile import StartDensity, _check_base
 
@@ -215,16 +216,11 @@ def action_bulk(d: StartDensity, qq: float, t: float, xi: float) -> float:
     return float_value(val, "bulk action")
 
 
-def _log_ratio(t: float, b: float, c: float, qq: float, log_q: float, what: str) -> float:
-    """ln((t - qq**b) / (t - qq**c)) from the pole kernel of curves.
-
-    Raises InvalidArgument where the two differences differ in sign or one
-    of them vanishes.
-    """
-    num, num_above = _log_pole(t, *_pole(b, qq, log_q))
-    den, den_above = _log_pole(t, *_pole(c, qq, log_q))
-    value = num - den
-    if num_above != den_above or not math.isfinite(value):
+def _log_ratio(t: float, xi: float, qq: float, log_q: float, what: str) -> float:
+    """ln((t - qq**(xi - 1)) / (t - qq**xi)) from the pole-pair quotient of
+    curves.  Raises InvalidArgument where it is not positive and finite."""
+    value, positive = _log_quotient(t, *_pole_pair(xi, xi - 1.0, qq, log_q))
+    if not positive or not math.isfinite(value):
         raise InvalidArgument(f"{what}: log argument not positive at t={t!r}")
     return value
 
@@ -311,7 +307,7 @@ def saddle_residual_t(d: StartDensity, qq: float, t: float, xi: float) -> float:
     sc = _scaled(d, qq)
     if t == 0.0 or sc.domain(t).window is not None:
         raise InvalidArgument(f"t={t!r} lies on no outer branch")
-    boundary = _log_ratio(t, xi - 1.0, xi, sc.qq, sc.log_q, "t residual")
+    boundary = _log_ratio(t, xi, sc.qq, sc.log_q, "t residual")
     return (boundary + sc.log_x(t)[1]) / (t * sc.log_q)
 
 
@@ -327,7 +323,7 @@ def saddle_residual_xi_right(
     # ln(expm1((xi+z) ln qq) / expm1(xi ln qq)) - ln((t - qq**(xi-1)) / (t - qq**xi));
     # both expm1 share a sign, and ln qq cancels between the two terms.
     own = _log_shift((xi + z) * log_q, True) - _log_shift(xi * log_q, True)
-    return own - _log_ratio(t, xi - 1.0, xi, qq, log_q, "xi residual")
+    return own - _log_ratio(t, xi, qq, log_q, "xi residual")
 
 
 @float_range
@@ -341,4 +337,4 @@ def saddle_residual_xi_left(
     log_q = math.log(qq)
     # ln(qq**z expm1(span ln qq) / expm1((span+z) ln qq)) - ln((t - qq**(xi-1)) / (t - qq**xi)).
     own = z * log_q + _log_shift(span * log_q, True) - _log_shift((span + z) * log_q, True)
-    return own - _log_ratio(t, xi - 1.0, xi, qq, log_q, "xi residual")
+    return own - _log_ratio(t, xi, qq, log_q, "xi residual")

@@ -30,7 +30,6 @@ from .exact import (
     StartSequence,
     _dual_partition,
     _duality_exponent,
-    _exit_dual,
     _reversal_check,
     dual_sequence,
     one_point_exit,
@@ -71,8 +70,9 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
     z_at_q = _partition_function(z, q)
 
     table = one_point_table(seq, q)
-    # load_config checked q, so each H_dual reads the law the table stored.
-    one_point_dual = [(ell, _exit_dual(seq, ell, q)) for ell in range(seq.n, seq.top + seq.n + 1)]
+    # H_dual(ell) = 1 - H(ell + 1), and 1 from a_n on, where no path exits.
+    one_point_dual = [(ell, 1 - table[ell + 1] if ell < seq.top else type(q)(1))
+                      for ell in range(seq.n, seq.top + seq.n + 1)]
     reversal_ok, reversal_resid = _reversal_check(seq, z, _dual_partition(seq, z))
     summary = {
         "sequence": list(seq),

@@ -20,14 +20,14 @@ Each maximal admissible ``t`` interval (branch) yields one arc: the
 right and left outer arcs plus one arc per density window, where the
 paths freeze into gap or filled phases.  _pole forms a pole as (e, E) =
 (a ln qq, qq**a), E = 0 or inf once |e| > _LOG_RANGE, and every factor
-t - E of x(t) and of the saddle residuals of :mod:`qpaths.actions` meets
-it in one kernel, _log_pole: ln|t - E| = e + ln|sigma e**y - 1| with
-y = ln|t| - e where E left the doubles, so bases such as 1e-300 keep
+t - E meets it in one kernel, _log_pole: ln|t - E| = e + ln|sigma e**y - 1|
+with y = ln|t| - e where E left the doubles, so bases such as 1e-300 keep
 every branch that holds a double t.  The point map runs on numpy arrays
-of t; the exit parameters and actions.saddle_residual_t read ln x and
-ln(qq x) at one float t from _Scaled.log_x, in three forms: the
-quotients t / qq**a next to t = 0, where x(0) = 1 exactly; log1p of the
-pole ratios as |t| grows and qq x -> 1; and the pole logs next to a pole.
+of t.  At one float t, _log_quotient gives ln((t - E_hi) / (t - E_lo)) of
+a pole pair (_pole_pair): log1p of the pole ratio as |t| grows, the pole
+logs next to a pole.  It gives each segment's term of ln(qq x) in
+_Scaled.log_x, which the exit parameters read, and the boundary term of
+the saddle residuals of :mod:`qpaths.actions`.
 """
 
 from __future__ import annotations
@@ -215,6 +215,31 @@ def _log_pole(t: float, e: float, pole: float) -> tuple[float, bool]:
     return e + _log_shift(y, t > 0.0), t > 0.0 and y > 0.0
 
 
+def _pole_pair(a_lo: float, a_hi: float, qq: float, log_q: float):
+    """The poles lo, hi of a_lo, a_hi (_pole) and span = ln|E_hi - E_lo|, None where
+    both are doubles, -inf where a_hi - a_lo rounds to 0: the one place a pair is formed."""
+    lo, hi, rise = _pole(a_lo, qq, log_q), _pole(a_hi, qq, log_q), (a_hi - a_lo) * log_q
+    doubles = 0.0 < lo[1] < math.inf and 0.0 < hi[1] < math.inf
+    return lo, hi, None if doubles else (lo[0] + _log_shift(rise, True) if rise else -math.inf)
+
+
+def _log_quotient(t: float, lo, hi, span) -> tuple[float, bool]:
+    """(ln|(t - E_hi) / (t - E_lo)|, whether the quotient is positive) at a float t: log1p
+    of (E_lo - E_hi) / (t - E_lo) in (-1/2, 1), else the pole logs.  Not finite at t = E_lo."""
+    l_hi, above_hi = _log_pole(t, *hi)
+    l_lo, above_lo = _log_pole(t, *lo)
+    if span is None:
+        gap = t - lo[1]
+        ratio = (lo[1] - hi[1]) / gap if gap else math.inf
+    else:
+        # E_hi - E_lo has the sign of e_hi - e_lo; |ratio| >= 1 takes the logs below.
+        size = math.exp(min(span - l_lo, 0.0))
+        ratio = size if (hi[0] > lo[0]) != above_lo else -size
+    if -0.5 < ratio < 1.0:
+        return math.log1p(ratio), True
+    return l_hi - l_lo, above_hi == above_lo
+
+
 def _log_poles(t, e: float, pole: float):
     """_log_pole elementwise over a numpy array of t."""
     import numpy as np
@@ -236,18 +261,12 @@ class _Scaled:
         """``qq`` is a base already checked by profile._check_base."""
         self.qq = qq
         self.log_q = log_q = math.log(qq)
-        # Per linear segment (jumps add no factor to x(t)): a_lo, a_hi, 1/p, its
-        # end poles and ln|E_hi - E_lo|, None where both poles are doubles.
-        parts = []
-        for el in d.segment_elements():
-            lo, hi = _pole(el.a_lo, qq, log_q), _pole(el.a_hi, qq, log_q)
-            doubles = 0.0 < lo[1] < math.inf and 0.0 < hi[1] < math.inf
-            span = None if doubles else lo[0] + _log_shift((el.a_hi - el.a_lo) * log_q, True)
-            parts.append((el.a_lo, el.a_hi, 1.0 / el.p, lo, hi, span))
-        self.parts = tuple(parts)
+        # Per linear segment (jumps add no factor to x(t)): a_lo, a_hi, 1/p, pole pair.
+        self.parts = tuple((el.a_lo, el.a_hi, 1.0 / el.p, *_pole_pair(el.a_lo, el.a_hi, qq, log_q))
+                           for el in d.segment_elements())
         # The share of ln x or ln(qq x) lost to the rounded poles next to base 1:
         # each factor's eps E / |t - E| / p, of a sum of about |ln qq| E / |t - E|.
-        self.lost = sys.float_info.epsilon * sum(el[2] for el in parts) / abs(log_q)
+        self.lost = sys.float_info.epsilon * sum(el[2] for el in self.parts) / abs(log_q)
         self.top = d.alpha_top
         _, e_right = self.top_pole = _pole(self.top, qq, log_q)
         # The branch ladder: right arc, left arc, then one per window.  Each
@@ -297,9 +316,8 @@ class _Scaled:
         Near zero ln x sums (log1p(-t/E_hi) - log1p(-t/E_lo)) / p, t/E = 0
         where E is beyond the doubles: the a ln qq parts of ln|t - E| cancel
         -ln qq exactly, as the widths (a_hi - a_lo) / p sum to 1.  Else
-        ln(qq x) sums ln((t - E_hi) / (t - E_lo)) / p, each term
-        log1p((E_lo - E_hi) / (t - E_lo)) while that ratio lies in (-1/2, 1),
-        as when |t| grows and qq x -> 1, and the pole logs otherwise.
+        ln(qq x) sums the segments' _log_quotient / p, which keeps its digits
+        as |t| grows and qq x -> 1.
         """
         if self.near_zero(t):
             lx = sum(inv_p * (math.log1p(-t / hi[1]) - math.log1p(-t / lo[1]))
@@ -307,17 +325,7 @@ class _Scaled:
             return lx, lx + self.log_q
         log_qx = 0.0
         for _, _, inv_p, lo, hi, span in self.parts:
-            l_hi, _ = _log_pole(t, *hi)
-            l_lo, above_lo = _log_pole(t, *lo)
-            if span is None:
-                ratio = (lo[1] - hi[1]) / (t - lo[1])
-            else:
-                # E_hi - E_lo has the sign of ln qq; |ratio| >= 1 takes the logs below.
-                size = math.exp(min(span - l_lo, 0.0))
-                ratio = size if (self.log_q > 0.0) != above_lo else -size
-            # 1 + ratio = (t - E_hi) / (t - E_lo): log1p keeps the digits of a
-            # small ratio, the logs those of a t next to E_hi.
-            log_qx += inv_p * (math.log1p(ratio) if -0.5 < ratio < 1.0 else l_hi - l_lo)
+            log_qx += inv_p * _log_quotient(t, lo, hi, span)[0]
         return log_qx - self.log_q, log_qx
 
     def terms(self, t, sign: int):

@@ -365,12 +365,6 @@ def _read(h: Weight) -> Weight:
     return h
 
 
-def _exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
-    """H_dual(ell) = 1 - H(ell + 1) at a checked ell and weight q, read
-    from the stored law: 1 from a_n on, where no path exits."""
-    return type(q)(1) - (_read(_exit_law(seq, q)[ell + 1]) if ell < seq.top else 0)
-
-
 def one_point_exit(seq: StartSequence, ell: int, q: Weight) -> Weight:
     """Probability that the top path exits at abscissa ell or beyond (residue route).
 
@@ -391,7 +385,8 @@ def one_point_exit_dual(seq: StartSequence, ell: int, q: Weight) -> Weight:
     one_point_exit(dual_sequence(seq), a_n + n - ell, 1/q).
     """
     q = _weight(q)
-    return _exit_dual(seq, integer_value(ell, "dual exit abscissa", seq.n, seq.top + seq.n), q)
+    ell = integer_value(ell, "dual exit abscissa", seq.n, seq.top + seq.n)
+    return type(q)(1) - (_read(_exit_law(seq, q)[ell + 1]) if ell < seq.top else 0)
 
 
 def one_point_table(seq: StartSequence, q: Weight) -> list[Weight]:

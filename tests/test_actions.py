@@ -1,6 +1,7 @@
 """Free-energy actions and their closed-form saddle derivatives."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -318,10 +319,10 @@ def assert_free_actions_match_mpmath(cases):
         assert abs(got - expected) <= 1e-12 * abs(expected), (qq, xi_dual, z, got)
 
 
-def mp_xi_residual(qq, t, xi, z, span=None):
-    """The xi residual's own and integral terms at 50 digits: right, or left
+def mp_xi_residual(qq, t, xi, z, span=None, dps=50):
+    """The xi residual's own and integral terms at dps digits: right, or left
     with its span. The residual is their difference."""
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         q, xi, z = mpmath.mpf(qq), mpmath.mpf(xi), mpmath.mpf(z)
         log_q = mpmath.log(q)
         integral = mpmath.log((t * q ** (1 - xi) - 1) / (t * q ** (-xi) - 1))
@@ -357,6 +358,121 @@ def test_xi_residuals_against_mpmath_across_bases():
             got = fn(UNIFORM, qq, t, xi, z)
             error = abs(got - (own - integral))
             assert error <= 1e-13 * (abs(own) + abs(integral)), (fn.__name__, qq, xi, z, got)
+
+
+# |t| on both outer branches: at 3, t > 0 is on the right branch and t < 0
+# on the left; at 1/3 and 1e-300 the other way round.
+LARGE_T = [s * 10.0**k for k in (3, 8, 16, 30, 100) for s in (1.0, -1.0)]
+
+
+def mp_log_quotient(t, b, c, qq):
+    """ln((t - qq**b) / (t - qq**c)) at the working precision, None where the
+    quotient is not positive."""
+    quotient = (t - mpmath.power(qq, b)) / (t - mpmath.power(qq, c))
+    return mpmath.log(quotient) if quotient > 0 else None
+
+
+def mp_large_t(d, qq, t, xi):
+    """(t residual, bulk action) in mpmath, None where the library refuses.
+
+    The t residual from its closed form (ln((t - qq**(xi-1)) / (t - qq**xi))
+    + ln(qq x(t))) / (t ln qq) at 400 digits, ln(qq x) summing
+    ln((t - E_hi) / (t - E_lo)) / p over the segments: each log is of a
+    quotient within about 1/|t| of 1, so 400 digits keep every digit out to
+    |t| = 1e100.  The bulk action at 150 digits where both factors keep one
+    sign over u (t < 0, or t beyond every pole): ln|t - e**(A + B u)|
+    integrates over [u0, u1] to (u1 - u0) ln|t| + (Li2(e**(A + B u0) / t)
+    - Li2(e**(A + B u1) / t)) / B, and the ln|t| terms cancel.  On this grid
+    it meets 150-digit quadrature to 1e-55.
+    """
+    with mpmath.workdps(400):
+        q, t, xi = mpmath.mpf(qq), mpmath.mpf(t), mpmath.mpf(xi)
+        boundary = mp_log_quotient(t, xi - 1, xi, q)
+        log_qx = mpmath.fsum(mp_log_quotient(t, el.a_hi, el.a_lo, q) / el.p
+                             for el in d.segment_elements())
+        r_t = None if boundary is None else (boundary + log_qx) / (t * mpmath.log(q))
+        if t > 0 and t < max(mpmath.power(q, a) for a in (xi - 1, xi, 0, d.alpha_top)):
+            return r_t, None
+    with mpmath.workdps(150):
+        log_q = mpmath.log(q)
+
+        def integral_log1m(a, b, u0, u1):
+            return (mpmath.polylog(2, mpmath.exp(a + b * u0) / t)
+                    - mpmath.polylog(2, mpmath.exp(a + b * u1) / t)) / b
+
+        bulk = mpmath.mpf(0)
+        for el in d.segment_elements():
+            u0, u1, a_lo, p = (mpmath.mpf(v) for v in (el.u_lo, el.u_hi, el.a_lo, el.p))
+            bulk += (integral_log1m(xi * log_q, -log_q, u0, u1)
+                     - integral_log1m((a_lo - p * u0) * log_q, p * log_q, u0, u1))
+    return r_t, bulk
+
+
+def test_residuals_and_bulk_action_at_large_t_against_mpmath():
+    # The boundary term ln((t - qq**(xi-1)) / (t - qq**xi)) and ln(qq x) are
+    # each O(1/t) and their sum is not smaller, so the t residual must keep
+    # its relative digits as |t| grows: formed as a difference of two logs of
+    # size ln|t|, it changed sign from |t| = 1e16 on.  The xi residuals and
+    # the bulk action are held to the same relative tolerance.  A value below
+    # the normal doubles (an xi residual of 1e-340 at qq = 1e-300, t = 1e100)
+    # is held to that tolerance of the least normal double.
+    z = 0.5
+
+    def close(got, expected):
+        return abs(got - expected) <= 1e-12 * max(abs(expected), sys.float_info.min)
+
+    for d in (UNIFORM, THIRDS):
+        for qq in (3.0, 1 / 3, 1e-300):
+            for t in LARGE_T:
+                for xi in (0.5, 1.2, 1.8):
+                    r_t, bulk = mp_large_t(d, qq, t, xi)
+                    case = (d, qq, t, xi)
+                    if r_t is None:
+                        with pytest.raises(InvalidArgument, match="t residual"):
+                            saddle_residual_t(d, qq, t, xi)
+                    else:
+                        assert close(saddle_residual_t(d, qq, t, xi), r_t), case
+                    if bulk is None:
+                        with pytest.raises(InvalidArgument, match="bulk action"):
+                            action_bulk(d, qq, t, xi)
+                    else:
+                        assert close(action_bulk(d, qq, t, xi), bulk), case
+                    for fn, span in ((saddle_residual_xi_right, None),
+                                     (saddle_residual_xi_left, d.alpha_top + 1.0 - xi)):
+                        if r_t is None:
+                            with pytest.raises(InvalidArgument, match="xi residual"):
+                                fn(d, qq, t, xi, z)
+                            continue
+                        own, integral = mp_xi_residual(qq, t, xi, z, span, dps=400)
+                        assert close(fn(d, qq, t, xi, z), own - integral), (fn, case)
+
+
+def test_t_residual_brackets_its_root_on_the_right_branch():
+    # For xi between X_top (the exit height at t = 1e12) and alpha(1), the t
+    # residual changes sign between the right branch's end qq**alpha(1) and
+    # e**60, and its root is the tangency whose exit height is xi: the
+    # bracket a root finder for the exit rate needs.  THIRDS is CORNERED.
+    qq = 3.0
+    for d in (UNIFORM, THIRDS):
+        x_top = exit_params_right(d, qq, 1e12).xi
+        for k in range(1, 8):
+            xi = x_top + (d.alpha_top - x_top) * k / 8
+
+            def residual(log_t):
+                return saddle_residual_t(d, qq, math.exp(log_t), xi)
+
+            lo, hi = math.log(qq**d.alpha_top * (1.0 + 1e-9)), 60.0
+            below = residual(lo) > 0.0
+            assert below != (residual(hi) > 0.0), (d, xi)
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                if (residual(mid) > 0.0) == below:
+                    lo = mid
+                else:
+                    hi = mid
+            assert abs(exit_params_right(d, qq, math.exp(lo)).xi - xi) <= 1e-12, (d, xi)
 
 
 def quad_bulk_action(d, qq, t, xi):

@@ -817,10 +817,12 @@ def test_exit_params_next_to_base_one_hold_their_digits_or_refuse(d):
         exit_params_left(UNIFORM, 1.0 + 1e-12, 0.25)
 
 
-@pytest.mark.parametrize("qq", [3.0, 0.5])
+@pytest.mark.parametrize("qq", [3.0, 0.5, 1e-305])
 def test_a_segment_whose_rise_rounds_to_zero_adds_no_factor(qq):
     # The middle segment's a_hi = 1 + 3e-17 rounds to its a_lo = 1, so its
     # factor of x(t) is 1 and the arcs and exit parameters are UNIFORM's.
+    # At 1e-305 its pole qq**1 lies beyond the doubles, where forming
+    # ln|E_hi - E_lo| = ln 0 raised for every evaluator.
     d = StartDensity([(0.5, 2.0), (1e-17, 3.0), (0.5, 2.0)])
     domains = t_domains(d, qq)
     assert [(dom.lo, dom.hi) for dom in domains] == [(dom.lo, dom.hi) for dom in t_domains(UNIFORM, qq)]

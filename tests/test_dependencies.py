@@ -96,6 +96,28 @@ def test_modules_import_no_numpy():
     assert run_bare(MODULES_ALONE) is False
 
 
+SCALAR_TANGENT_ALONE = """
+profile, curves, actions = (importlib.import_module(f"qpaths.{name}") for name in ("profile", "curves", "actions"))
+d = profile.StartDensity([(1 / 3, 2.0), (1 / 3, 4.0), (1 / 3, 2.0)])
+assert len(curves.t_domains(d, 3.0)) == 2
+right, left = curves.exit_params_right(d, 3.0, 100.0), curves.exit_params_left(d, 3.0, -100.0)
+residuals = (actions.saddle_residual_t(d, 3.0, 100.0, right.xi),
+             actions.saddle_residual_xi_right(d, 3.0, 100.0, right.xi, right.z),
+             actions.saddle_residual_xi_left(d, 3.0, -100.0, left.xi, left.z))
+assert max(map(abs, residuals)) < 1e-12, residuals
+actions.action_bulk(d, 3.0, 100.0, right.xi)
+actions.action_free(3.0, right.xi, right.z)
+actions.action_free_dual(d, 3.0, left.xi, left.z)
+print(json.dumps("numpy" in sys.modules))
+"""
+
+
+def test_scalar_tangent_construction_loads_no_numpy():
+    # The branch ladder, the exit parameters, the saddle residuals and the
+    # actions at one t compute in plain math; numpy is for arrays of t.
+    assert run_bare(SCALAR_TANGENT_ALONE) is False
+
+
 FINITE_COMMANDS = """
 import json, os, sys
 import qpaths

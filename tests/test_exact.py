@@ -705,6 +705,36 @@ def test_perturbed_partition_matches_shifted_enumeration():
             assert perturbed_partition(seq, r, q) == shifted / oracle_partition(values, q)
 
 
+@given(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=8, unique=True),
+       st.sampled_from((Fraction(7, 10), Fraction(3, 2), Fraction(1, 3), Fraction(5, 2))), st.data())
+@settings(max_examples=40, deadline=None)
+def test_perturbed_partition_as_a_divided_difference_and_its_mean(rest, q, data):
+    # The tangent method in n + 1 terms, exactly.  Identity 1: moving the top
+    # sink up r rows replaces column n of the LGV matrix by
+    # P_{n+r}(u_i) = [a_i + n + r, n + r]_q, u_i = q**a_i, with
+    # P_j(u) = prod_{m <= j} (1 - u q**m) / (1 - q**m); so Z_r / Z is the n-th
+    # divided difference of P_{n+r} on the nodes u_i over P_n's leading
+    # coefficient c_n.  Identity 2: W_{r+1} / W_r = (q**(l+r) - 1) / (q**r - 1),
+    # so under P_r(l) ~ H(l) W_r(l), H the tail law of one_point_table, the
+    # mean of q**(l + r) is 1 + (q**r - 1) Z_{r+1} / Z_r.
+    seq = StartSequence((0, *sorted(rest)))
+    n = seq.n
+    r = data.draw(st.integers(min_value=1, max_value=2 * n + 1), label="r")
+    nodes = [q**a for a in seq]
+
+    def newton(j, u):
+        return math.prod(((1 - u * q**m) / (1 - q**m) for m in range(1, j + 1)), start=Fraction(1))
+
+    c_n = math.prod(((-(q**m)) / (1 - q**m) for m in range(1, n + 1)), start=Fraction(1))
+    divided = sum(newton(n + r, u) / math.prod((u - v for v in nodes if v != u), start=Fraction(1))
+                  for u in nodes)
+    z_r = perturbed_partition(seq, r, q)
+    assert divided / c_n == z_r
+    weights = [h * continuation_oracle(ell, r, q) for ell, h in enumerate(one_point_table(seq, q))]
+    mean = sum(w * q ** (ell + r) for ell, w in enumerate(weights)) / sum(weights)
+    assert mean == 1 + (q**r - 1) * perturbed_partition(seq, r + 1, q) / z_r
+
+
 def test_perturbed_partition_hand_value():
     # seq=(0,1), r=1, q=2: H0*Y0 + H1*Y1 = 1*1 + 1*2 = 3.
     assert perturbed_partition(StartSequence((0, 1)), 1, Fraction(2)) == 3
