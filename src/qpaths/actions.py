@@ -52,15 +52,6 @@ from .curves import _LN2, _log_quotient, _log_shift, _pole_pair, _scaled
 from .errors import InvalidArgument, float_range, float_value, real_value
 from .profile import StartDensity, _check_base
 
-__all__ = [
-    "action_bulk",
-    "action_free",
-    "action_free_dual",
-    "saddle_residual_t",
-    "saddle_residual_xi_right",
-    "saddle_residual_xi_left",
-]
-
 _ZETA2 = 1.6449340668482264  # pi**2 / 6 = Li2(1)
 # B_2m / (2m + 1)! for m = 1 .. 9: Li2(x) = y - y**2/4 + sum_m of these
 # times y**(2m + 1), with y = -ln(1 - x).  For |y| <= ln 2 the first term

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
 
+from .curves import MAX_SAMPLES
 from .errors import ConfigError, InvalidArgument, integer_value, real_value, shown
 from .exact import StartSequence, _weight
 from .profile import StartDensity, _check_base
+from .sampler import MAX_SWEEPS
 
 Weight = Union[Fraction, float]
 
@@ -175,8 +177,8 @@ _TASK_RULES = {
     "branch": lambda v, _: _expect(
         v, isinstance(v, str) and re.fullmatch(r"all|right|left|window:[0-9]+", v),
         "expected all|right|left|window:<index>, got {!r}"),
-    "samples": lambda v, key: integer_value(v, key, 2),
-    "sweeps": lambda v, key: integer_value(v, key, 1),
+    "samples": lambda v, key: integer_value(v, key, 2, MAX_SAMPLES),
+    "sweeps": lambda v, key: integer_value(v, key, 1, MAX_SWEEPS),
     "seed": lambda v, key: integer_value(v, key, 0),
     "t_values": lambda v, _: tuple(real_value(x, "t") for x in _expect(
         v, isinstance(v, list), "expected a list of finite numbers")),

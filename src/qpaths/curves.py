@@ -26,8 +26,9 @@ every branch that holds a double t.  The point map runs on numpy arrays
 of t.  At one float t, _log_quotient gives ln((t - E_hi) / (t - E_lo)) of
 a pole pair (_pole_pair): log1p of the pole ratio as |t| grows, the pole
 logs next to a pole.  It gives each segment's term of ln(qq x) in
-_Scaled.log_x, which the exit parameters read, and the boundary term of
-the saddle residuals of :mod:`qpaths.actions`.
+_Scaled.log_x, which the exit parameters read, and of ln|x| in
+_Scaled.log_abs_x, which x_of_t reads, and the boundary term of the
+saddle residuals of :mod:`qpaths.actions`.
 """
 
 from __future__ import annotations
@@ -42,19 +43,10 @@ from .errors import (InvalidArgument, NumericalFailure, SingularPoint, float_ran
 from .profile import StartDensity, WindowSpec, _check_base
 from .quadrature import integrate
 
-__all__ = [
-    "TDomain",
-    "Curve",
-    "ScalingVars",
-    "t_domains",
-    "x_of_t",
-    "arctic_point",
-    "arctic_curve",
-    "tangent_curve",
-    "geodesic",
-    "exit_params_right",
-    "exit_params_left",
-]
+# The most samples one arc, tangent line or geodesic takes: `qpaths arctic`
+# holds about 275 bytes a sample on HEX_LIKE (five branches), 530 with --svg,
+# so at the cap it stays under 1 GiB.
+MAX_SAMPLES = 1_000_000
 
 # Relative floor under which the envelope denominator D counts as zero.
 _SINGULAR_REL = 1e-14
@@ -68,6 +60,8 @@ _LOG_RANGE = 700.0
 _END_ULPS = 4.0
 
 _LN2 = math.log(2.0)
+# ln of the largest double: exp of more overflows.
+_LOG_MAX = math.log(sys.float_info.max)
 
 # The exit height is refused where the rounding of the logarithms summed
 # for xi ln qq exceeds this fraction of the sum.
@@ -328,6 +322,18 @@ class _Scaled:
             log_qx += inv_p * _log_quotient(t, lo, hi, span)[0]
         return log_qx - self.log_q, log_qx
 
+    def log_abs_x(self, t: float) -> float:
+        """ln|x| at a float t of any branch: log_x's next to t = 0, else -ln qq
+        plus the segments' _log_quotient / p, summed in the order of terms,
+        the kernel of the swept points: log_x's ln(qq x) - ln qq rounds
+        otherwise and moves envelope residuals next to branch ends."""
+        if self.near_zero(t):
+            return self.log_x(t)[0]
+        lx = -self.log_q
+        for _, _, inv_p, lo, hi, span in self.parts:
+            lx += inv_p * _log_quotient(t, lo, hi, span)[0]
+        return lx
+
     def terms(self, t, sign: int):
         """Return (log|x|, x, 1 - x, s) at t, elementwise over numpy arrays.
 
@@ -395,20 +401,21 @@ def x_of_t(d: StartDensity, qq: float, t: float, *, method: str = "closed") -> f
     """The tangent-family weight x(t) at an admissible parameter value.
 
     ``method="closed"`` uses the exact product form for piecewise-linear
-    densities.  ``method="quadrature"`` integrates the defining exponent
-    numerically, one linear element at a time.  For t > 0 the integrand
-    t/(t - qq**a) = -1/expm1(z), z = (a - tau) ln qq with qq**tau = t, has
-    a pole at a = tau when t lies on or next to the density support: its
-    pole part -1/z integrates in closed form (a principal value inside a
-    filled window) and the bounded remainder 1/z - 1/expm1(z) goes to the
-    quadrature.  For t <= 0 the integrand is 1 / (1 + e**z).  The sign of x
+    densities, in plain math (_Scaled.log_abs_x).  ``method="quadrature"``
+    integrates the defining exponent numerically, one linear element at a
+    time.  For t > 0 the integrand t/(t - qq**a) = -1/expm1(z), z = (a -
+    tau) ln qq with qq**tau = t, has a pole at a = tau when t lies on or
+    next to the density support: its pole part -1/z integrates in closed
+    form (a principal value inside a filled window) and the bounded
+    remainder 1/z - 1/expm1(z) goes to the quadrature.  For t <= 0 the integrand is 1 / (1 + e**z).  The sign of x
     comes from the branch of t.
     """
     t = real_value(t, "t")
     sc = _scaled(d, qq)
     sign = sc.domain(t).sign_of_x
     if method == "closed":
-        return float_value(float(sc.terms(t, sign)[1]), f"x at t={t!r}")
+        lx = sc.log_abs_x(t)
+        return float_value(sign * (math.exp(lx) if lx <= _LOG_MAX else math.inf), f"x at t={t!r}")
     if method != "quadrature":
         raise InvalidArgument(f"unknown method {method!r}")
     log_q = sc.log_q
@@ -614,7 +621,7 @@ def arctic_curve(d: StartDensity, qq: float, dom: TDomain, *, n_samples: int = 4
     sc = _scaled(d, qq)
     if dom not in sc.domains:
         raise InvalidArgument(f"{dom!r} is no branch of this density at base {sc.qq!r}")
-    n_samples = integer_value(n_samples, "n_samples", 2)
+    n_samples = integer_value(n_samples, "n_samples", 2, MAX_SAMPLES)
     legs = _branch_legs(sc, dom)
     total_span = sum(abs(hi - lo) for _, lo, hi, _, _ in legs)
     # Every leg gets a fair floor: tau spans are a poor proxy for arc
@@ -657,7 +664,7 @@ def tangent_curve(d: StartDensity, qq: float, t: float, *, n_samples: int = 100)
     if x == 0.0:
         raise SingularPoint(f"tangent line undefined at t={t!r}: x = 0")
     coeff = float_value(float(one_minus_x) / t, f"(1 - x) / t at t={t!r}")
-    n_samples = integer_value(n_samples, "n_samples", 2)
+    n_samples = integer_value(n_samples, "n_samples", 2, MAX_SAMPLES)
     bx = (sc.top + 1.0) * np.arange(n_samples) / (n_samples - 1)
     with np.errstate(all="ignore"):
         qy = (1.0 - coeff * sc.qq**bx) / x
@@ -677,7 +684,7 @@ def geodesic(qq: float, xi: float, z: float, *, n_samples: int = 100) -> Curve:
     xi, z = real_value(xi, "xi"), real_value(z, "z")
     if xi <= 0.0 or z <= 0.0:
         raise InvalidArgument(f"geodesic needs xi > 0 and z > 0, got xi={xi}, z={z}")
-    n_samples = integer_value(n_samples, "n_samples", 2)
+    n_samples = integer_value(n_samples, "n_samples", 2, MAX_SAMPLES)
     log_q = math.log(qq)
     bx = xi * np.arange(n_samples) / (n_samples - 1)
     with np.errstate(all="ignore"):

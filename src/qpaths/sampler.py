@@ -71,6 +71,10 @@ from .exact import StartSequence, _weight
 
 # Coupling from the past looks back at most this many sweeps.
 CFTP_MAX_SWEEPS = 1 << 16
+# The most sweeps one run records: `qpaths sample` at n = 10 holds about 31
+# bytes a sweep (the area series and its CSV table), so at the cap it stays
+# under 1 GiB.
+MAX_SWEEPS = 10_000_000
 # The forward chain runs and records its sweeps in chunks of at most this
 # many site values.
 _CHUNK_VALUES = 1 << 12
@@ -314,14 +318,14 @@ def run_chain(seq: StartSequence, q: float, sweeps: int, seed: int, *, burn_in: 
     geometric mod interval above |ln q| = 2**-16 and by the coupling
     sweep below it; see the module docstring. q takes the contract of
     exact._weight, and keeps it as the double the chain computes in, which
-    must not round to 0 or 1; sweeps >= 1, burn_in >= 0 and seed >= 0
-    take the rule of errors.integer_value.
+    must not round to 0 or 1; sweeps in [1, MAX_SWEEPS], burn_in >= 0 and
+    seed >= 0 take the rule of errors.integer_value.
     """
     import numpy as np
     q = real_value(_weight(q), "q")
     if q == 0.0 or q == 1.0:
         raise InvalidArgument(f"q rounds to {q:g} as a double, which the chain computes in")
-    sweeps = integer_value(sweeps, "sweeps", 1)
+    sweeps = integer_value(sweeps, "sweeps", 1, MAX_SWEEPS)
     burn_in = integer_value(burn_in, "burn_in", 0)
     seed = integer_value(seed, "seed", 0)
     n, width = seq.n, seq.top + 1

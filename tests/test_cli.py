@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from qpaths import cli, curves, exact, serialize
+from qpaths import cli, curves, exact, sampler, serialize
 from qpaths.errors import NumericalFailure, QpathsError
 from qpaths.exact import StartSequence, dual_sequence, partition_det, partition_poly
 from qpaths.profile import StartDensity
@@ -227,8 +227,8 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, where):
 @pytest.mark.parametrize(
     "command, samples, message",
     [
-        ("arctic", "1", "task.samples: samples must be at least 2, got 1"),
-        ("sample", "0", "task.sweeps: sweeps must be at least 1, got 0"),
+        ("arctic", "1", "task.samples: samples must lie in [2, 1000000], got 1"),
+        ("sample", "0", "task.sweeps: sweeps must lie in [1, 10000000], got 0"),
     ],
 )
 def test_samples_flag_is_a_task_override(tmp_path, capsys, command, samples, message):
@@ -238,6 +238,20 @@ def test_samples_flag_is_a_task_override(tmp_path, capsys, command, samples, mes
     rc, out = run_cli(tmp_path, doc, command, "--samples", samples)
     assert rc == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, lo, cap", [
+    ("arctic", "samples", 2, curves.MAX_SAMPLES),
+    ("sample", "sweeps", 1, sampler.MAX_SWEEPS),
+])
+def test_a_count_past_its_cap_exits_1_without_a_traceback(tmp_path, command, key, lo, cap):
+    doc = FINITE if command == "sample" else SCALED_UNIFORM
+    out = tmp_path / "out"
+    proc = run_module(command, "--config", write_config(tmp_path, doc), "--out", str(out),
+                      "--samples", str(cap + 1))
+    assert proc.returncode == 1
+    assert proc.stderr == f"config error: task.{key}: {key} must lie in [{lo}, {cap}], got {cap + 1}\n"
     assert not out.exists()
 
 
@@ -445,7 +459,7 @@ def test_a_root_past_the_doubles_is_a_config_error(tmp_path, capsys):
     (-1, "base must be a finite positive number, got -1.0"),
 ])
 def test_bases_are_refused_at_validation_in_the_library_words(tmp_path, capsys, base, problem):
-    for task, others in (({}, []), ({"samples": 1}, ["task.samples: samples must be at least 2, got 1"])):
+    for task, others in (({}, []), ({"samples": 1}, ["task.samples: samples must lie in [2, 1000000], got 1"])):
         doc = {"model": {"scaled": {"segments": [[1.0, 2.0]], "base": base}}, "task": task}
         for command in SCALED_COMMANDS:
             rc, out = run_cli(tmp_path, doc, command)

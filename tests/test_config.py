@@ -1,14 +1,20 @@
 """JSON run-configuration parsing and validation."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qpaths.config import ModelConfig, load_config, parse_config
-from qpaths.errors import ConfigError
+from qpaths.curves import MAX_SAMPLES, arctic_curve, geodesic, t_domains, tangent_curve
+from qpaths.errors import ConfigError, InvalidArgument
+from qpaths.exact import StartSequence
+from qpaths.profile import StartDensity
+from qpaths.sampler import MAX_SWEEPS, run_chain
 
 FINITE_DOC = {
     "model": {"finite": {"sequence": [0, 2, 5], "q": "3/5"}},
@@ -109,6 +115,43 @@ def test_integers_beyond_the_float_range_are_rejected():
         parse_config(json.dumps(doc))
     labels = [p.partition(":")[0] for p in info.value.problems]
     assert labels == ["model.scaled.base", "task.t_values"]
+
+
+def test_counts_past_their_caps_are_refused_in_the_library_words():
+    # Refused before anything is allocated, by the config and by every
+    # library function that takes the count.
+    doc = {"model": SCALED_DOC["model"], "task": {"samples": MAX_SAMPLES + 1, "sweeps": MAX_SWEEPS + 1}}
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    rule = "{} must lie in [{}, {}], got {}"
+    assert info.value.problems == [
+        "task.samples: " + rule.format("samples", 2, MAX_SAMPLES, MAX_SAMPLES + 1),
+        "task.sweeps: " + rule.format("sweeps", 1, MAX_SWEEPS, MAX_SWEEPS + 1),
+    ]
+    doc["task"] = {"samples": MAX_SAMPLES, "sweeps": MAX_SWEEPS}
+    cfg = parse_config(json.dumps(doc))
+    assert (cfg.samples, cfg.sweeps) == (MAX_SAMPLES, MAX_SWEEPS)
+    d = StartDensity([(1.0, 2.0)])
+    samples = rule.format("n_samples", 2, MAX_SAMPLES, MAX_SAMPLES + 1)
+    for call in (lambda n: arctic_curve(d, 3.0, t_domains(d, 3.0)[0], n_samples=n),
+                 lambda n: tangent_curve(d, 3.0, 18.0, n_samples=n),
+                 lambda n: geodesic(3.0, 1.5, 0.5, n_samples=n)):
+        with pytest.raises(InvalidArgument, match=rf"^{re.escape(samples)}$"):
+            call(MAX_SAMPLES + 1)
+    sweeps = rule.format("sweeps", 1, MAX_SWEEPS, MAX_SWEEPS + 1)
+    with pytest.raises(InvalidArgument, match=rf"^{re.escape(sweeps)}$"):
+        run_chain(StartSequence((0, 2, 5)), 0.7, MAX_SWEEPS + 1, 1)
+
+
+def test_the_benchmark_and_default_counts_lie_below_the_caps():
+    # The benchmark's arctic samples and sample sweeps, read from its source,
+    # and the config defaults. Every count in the suite meets the same
+    # checks where it is used.
+    workloads = (Path(__file__).resolve().parent.parent / "bench" / "workloads.py").read_text()
+    bench = {key: int(re.search(rf"^_{key} = ([0-9_]+)$", workloads, re.M)[1])
+             for key in ("ARCTIC_SAMPLES", "SAMPLE_SWEEPS")}
+    assert bench["ARCTIC_SAMPLES"] < MAX_SAMPLES and ModelConfig.samples < MAX_SAMPLES
+    assert bench["SAMPLE_SWEEPS"] < MAX_SWEEPS and ModelConfig.sweeps == 100_000 < MAX_SWEEPS
 
 
 def test_json_error_carries_position():

@@ -24,32 +24,40 @@ print(json.dumps(sorted(name for name in ("scipy", "mpmath", "hypothesis", "nump
 """
 
 
-def test_library_runs_without_test_oracles():
+def run(program: str, *args: str):
+    """The JSON last line of program, run in a fresh interpreter on the package in src."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", PROGRAM], capture_output=True, text=True, env=env
-    )
+    proc = subprocess.run([sys.executable, "-c", "import importlib, json, sys\n" + program, *args],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-# A bare package: its submodules load without qpaths/__init__.
-BARE_PACKAGE = """
-import importlib, json, sys, types
-package = types.ModuleType("qpaths")
-package.__path__ = [sys.argv[1]]
-sys.modules["qpaths"] = package
+def test_library_runs_without_test_oracles():
+    assert run(PROGRAM) == []
+
+
+LAZY_PACKAGE = """
+import qpaths
+loaded = lambda: sorted(name for name in sys.modules if name.startswith("qpaths.") or name == "numpy")
+bare = loaded()
+from qpaths import partition_poly
+first = loaded()
+assert qpaths.quadrature is sys.modules["qpaths.quadrature"]
+assert set(qpaths.__all__) <= set(dir(qpaths))
+for name in qpaths.__all__:
+    value = getattr(qpaths, name)
+    assert value.__module__.startswith("qpaths.") and getattr(sys.modules[value.__module__], name) is value
+print(json.dumps([bare, first]))
 """
 
 
-def run_bare(program: str):
-    """The JSON last line of program, run after BARE_PACKAGE."""
-    path = str(Path(SRC) / "qpaths")
-    proc = subprocess.run([sys.executable, "-c", BARE_PACKAGE + program, path],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+def test_import_loads_a_submodule_only_when_a_name_is_first_used():
+    # `import qpaths` loads no submodule and no numpy; a public name loads
+    # its own module and what that imports, and a submodule resolves as an
+    # attribute.
+    assert run(LAZY_PACKAGE) == [[], ["qpaths.errors", "qpaths.exact", "qpaths.qpoly"]]
 
 
 FINITE_N_ALONE = """
@@ -66,7 +74,7 @@ def test_finite_n_modules_import_no_numpy():
     # The float guard is a plain try/except, and the finite-n layer (errors,
     # qpoly, exact) is pure Python: numpy's error mode lives in the array
     # kernels of curves.
-    assert run_bare(FINITE_N_ALONE) is False
+    assert run(FINITE_N_ALONE) is False
 
 
 PROFILE_ALONE = """
@@ -80,7 +88,7 @@ print(json.dumps(sorted(name for name in ("numpy", "qpaths.curves") if name in s
 def test_profile_builds_densities_without_numpy_or_curves():
     # StartDensity holds the slot where curves keeps its scaled state, but
     # profile stays a leaf: it imports neither curves nor numpy.
-    assert run_bare(PROFILE_ALONE) == []
+    assert run(PROFILE_ALONE) == []
 
 
 MODULES_ALONE = """
@@ -93,7 +101,7 @@ print(json.dumps("numpy" in sys.modules))
 def test_modules_import_no_numpy():
     # numpy loads inside the functions that build or read arrays, on their
     # first call; importing a module loads none of it.
-    assert run_bare(MODULES_ALONE) is False
+    assert run(MODULES_ALONE) is False
 
 
 SCALAR_TANGENT_ALONE = """
@@ -105,6 +113,7 @@ residuals = (actions.saddle_residual_t(d, 3.0, 100.0, right.xi),
              actions.saddle_residual_xi_right(d, 3.0, 100.0, right.xi, right.z),
              actions.saddle_residual_xi_left(d, 3.0, -100.0, left.xi, left.z))
 assert max(map(abs, residuals)) < 1e-12, residuals
+assert curves.x_of_t(d, 3.0, 100.0) > 0.0 and curves.x_of_t(d, 3.0, -100.0) > 0.0
 actions.action_bulk(d, 3.0, 100.0, right.xi)
 actions.action_free(3.0, right.xi, right.z)
 actions.action_free_dual(d, 3.0, left.xi, left.z)
@@ -115,7 +124,7 @@ print(json.dumps("numpy" in sys.modules))
 def test_scalar_tangent_construction_loads_no_numpy():
     # The branch ladder, the exit parameters, the saddle residuals and the
     # actions at one t compute in plain math; numpy is for arrays of t.
-    assert run_bare(SCALAR_TANGENT_ALONE) is False
+    assert run(SCALAR_TANGENT_ALONE) is False
 
 
 FINITE_COMMANDS = """
@@ -153,11 +162,6 @@ def test_exact_runs_without_numpy_and_sample_loads_it(tmp_path):
     # rational arithmetic; `qpaths sample` in the same process then loads
     # numpy, but not numpy.random, and neither do `qpaths arctic --svg`
     # and `qpaths limits` after it.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", FINITE_COMMANDS, str(tmp_path)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    last = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert last == [[0, False], [0, False], [0, True, False],
-                    [0, ["arctic.csv", "arctic.svg"], False], [0, ["limits.csv"], False]]
+    assert run(FINITE_COMMANDS, str(tmp_path)) == [
+        [0, False], [0, False], [0, True, False],
+        [0, ["arctic.csv", "arctic.svg"], False], [0, ["limits.csv"], False]]
