@@ -97,7 +97,6 @@ def cmd_exact(cfg: ModelConfig, args) -> int:
 
 def cmd_sample(cfg: ModelConfig, args) -> int:
     """Heat-bath sampling of path configurations."""
-    import numpy as np
     _require(cfg, "finite", "sample")
     result = run_chain(cfg.sequence, cfg.q, cfg.sweeps, cfg.seed)
     out = _out_dir(cfg)
@@ -105,12 +104,8 @@ def cmd_sample(cfg: ModelConfig, args) -> int:
         os.path.join(out, "density.csv"), ("x", "y", "count"),
         [serialize.ArrayRows(result.density.rows())],
     )
-    areas = np.asarray(result.area_series, dtype=np.int64)
-    serialize.write_csv(
-        os.path.join(out, "area_series.csv"),
-        ("sweep", "area"),
-        [serialize.ArrayRows(np.column_stack([np.arange(len(areas)), areas]))],
-    )
+    serialize.write_csv(os.path.join(out, "area_series.csv"), ("sweep", "area"),
+                        [serialize.IndexedRows(result.area_series)])
     print(f"{result.sweeps} sweeps, acceptance rate {result.acceptance_rate:.3f}, seed {result.seed}")
     print(f"wrote density.csv, area_series.csv in {out}")
     return 0

@@ -44,8 +44,8 @@ from .profile import StartDensity, WindowSpec, _check_base
 from .quadrature import integrate
 
 # The most samples one arc, tangent line or geodesic takes: `qpaths arctic`
-# holds about 275 bytes a sample on HEX_LIKE (five branches), 530 with --svg,
-# so at the cap it stays under 1 GiB.
+# holds about 275 bytes a sample on HEX_LIKE (five branches), with or
+# without --svg, so at the cap it stays under 1 GiB.
 MAX_SAMPLES = 1_000_000
 
 # Relative floor under which the envelope denominator D counts as zero.

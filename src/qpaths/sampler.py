@@ -71,9 +71,9 @@ from .exact import StartSequence, _weight
 
 # Coupling from the past looks back at most this many sweeps.
 CFTP_MAX_SWEEPS = 1 << 16
-# The most sweeps one run records: `qpaths sample` at n = 10 holds about 31
-# bytes a sweep (the area series and its CSV table), so at the cap it stays
-# under 1 GiB.
+# The most sweeps one run records: `qpaths sample` at n = 10 holds about 8
+# bytes a sweep (the area series, written to CSV from the array itself), so
+# at the cap it stays under 1 GiB.
 MAX_SWEEPS = 10_000_000
 # The forward chain runs and records its sweeps in chunks of at most this
 # many site values.

@@ -9,13 +9,12 @@ numpy tables (ArrayRows) and index-value tables (IndexedRows, when the
 values are all ints or all floats) are formatted in blocks with one
 %-format per block; other rows, text among them, go one by one through
 format_cell and the csv writer. SVG output is a flat polyline rendering
-with no plotting dependencies, each polyline mapped to pixels with numpy
-and formatted with one %-format.
+with no plotting dependencies, each polyline mapped to pixels with numpy,
+kept at one vertex per 0.01-px cell and formatted with one %-format.
 
-A float array row whose cells after the first (all of them, for SVG
-pixels) have the bits of the row before's is not formatted again: it
-reuses that row's text (_row_cells), which pays where arctic curves
-repeat a point on many rows.
+A float array row whose cells after the first have the bits of the row
+before's is not formatted again: it reuses that row's text (_row_cells),
+which pays where arctic curves repeat a point on many rows.
 """
 
 from __future__ import annotations
@@ -127,35 +126,30 @@ def _fixed_cell(value) -> str:
     return buf.getvalue()[:-2].replace("%", "%%")
 
 
-def _row_cells(rows: np.ndarray, spec: str, lead: int = 0) -> tuple[list[str], Sequence]:
-    """The %-specs of one row and the row-major cells of a 2-D array, for
-    one %-format of its rows with every cell under spec, comma-joined.
+def _row_cells(rows: np.ndarray) -> tuple[list[str], Sequence]:
+    """The %-specs of one row and the row-major cells of a 2-D float array,
+    for one %-format of its rows with every cell at 17 digits, comma-joined.
 
-    The columns from ``lead`` on form a row's tail. A tail whose bits
-    equal the tail of the row before it is not formatted again: the tail
-    of each run of equal rows is formatted once, and its text goes in as
-    one ``%s`` cell. Bits, not values, decide, so -0.0 after 0.0 keeps
-    its own text. When no tail repeats, or the rows have no tail, the
-    cells are the array's own, each under spec.
+    The columns after the first form a row's tail. A tail whose bits equal
+    the tail of the row before it is not formatted again: the tail of each
+    run of equal rows is formatted once, and its text goes in as one
+    ``%s`` cell. Bits, not values, decide, so -0.0 after 0.0 keeps its own
+    text. When no tail repeats, or the rows have no tail, the cells are
+    the array's own.
     """
     import numpy as np
-    count, width = rows.shape
-    specs = [spec] * width
-    if lead >= width:
-        return specs, rows.ravel().tolist()
-    # Each cell as its raw bytes, compared column by column.
-    bits = rows.view(np.dtype((np.void, rows.itemsize)))
-    repeat = bits[1:, lead] == bits[:-1, lead]
-    for j in range(lead + 1, width):
-        repeat &= bits[1:, j] == bits[:-1, j]
-    if not repeat.any():
+    width = rows.shape[1]
+    specs = [_FLOAT_FMT] * width
+    # Each tail cell as its raw bytes.
+    bits = rows[:, 1:].view(np.dtype((np.void, rows.itemsize)))
+    repeat = (bits[1:] == bits[:-1]).all(axis=1)
+    if width < 2 or not repeat.any():
         return specs, rows.ravel().tolist()
     fresh = np.concatenate(([True], ~repeat))
-    row_fmt = ",".join(specs[lead:]) + "\n"
-    texts = (row_fmt * int(fresh.sum()) % tuple(rows[fresh, lead:].ravel().tolist())).split("\n")
+    tail_fmt = ",".join(specs[1:]) + "\n"
+    texts = (tail_fmt * int(fresh.sum()) % tuple(rows[fresh, 1:].ravel().tolist())).split("\n")
     tails = map(texts.__getitem__, (np.cumsum(fresh) - 1).tolist())
-    lead_cells = [rows[:, j].tolist() for j in range(lead)]
-    return specs[:lead] + ["%s"], tuple(chain.from_iterable(zip(*lead_cells, tails)))
+    return [_FLOAT_FMT, "%s"], tuple(chain.from_iterable(zip(rows[:, 0].tolist(), tails)))
 
 
 def _write_indexed_rows(out, writer, item: IndexedRows) -> None:
@@ -187,13 +181,15 @@ def _write_array_rows(out, item: ArrayRows) -> None:
     else:
         raise InvalidArgument(f"cannot render {cells.dtype} arrays in CSV")
     prefix = "".join(_fixed_cell(label) + "," for label in item.labels)
-    # Float rows reuse the text of a repeated tail after the first column
-    # (t on an arctic curve, which moves on every row); ints keep one
-    # %-format per block.
-    lead = 1 if spec == _FLOAT_FMT else cells.shape[1]
     for lo in range(0, len(cells), _BLOCK_ROWS):
         block = cells[lo : lo + _BLOCK_ROWS]
-        specs, flat = _row_cells(block, spec, lead)
+        # Float rows reuse the text of a repeated tail after the first column
+        # (t on an arctic curve, which moves on every row); ints keep one
+        # %-format per block.
+        if spec == _FLOAT_FMT:
+            specs, flat = _row_cells(block)
+        else:
+            specs, flat = [spec] * block.shape[1], block.ravel().tolist()
         out.write((prefix + ",".join(specs) + "\n") * len(block) % tuple(flat))
 
 
@@ -257,6 +253,9 @@ def read_csv(source: str) -> tuple[list[str], list[list]]:
 
 _PALETTE = ("#1f6f8b", "#c1443c", "#3a7d44", "#8a4f9e", "#b8860b", "#555555")
 _SVG_WIDTH = 720
+# A polyline keeps one vertex per 10**-_SVG_DECIMALS-px cell of the
+# canvas, and writes its pixel coordinates with that many decimals.
+_SVG_DECIMALS = 2
 
 
 def render_svg(
@@ -270,7 +269,9 @@ def render_svg(
     Each item is a dict with "points" (sequence of (x, y)) and optional
     "stroke", "width", "dash". The viewBox is fixed by x_range/y_range so
     separately produced documents overlay consistently; the document is
-    _SVG_WIDTH pixels wide.
+    _SVG_WIDTH pixels wide. A vertex in the pixel cell (_SVG_DECIMALS) of
+    the vertex before it, in both coordinates, is dropped, and an item
+    left with fewer than two vertices draws nothing.
     """
     import numpy as np
     x0, x1 = float(x_range[0]), float(x_range[1])
@@ -285,22 +286,23 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_WIDTH:g} {height:.6g}">',
         f'<rect width="{_SVG_WIDTH:g}" height="{height:.6g}" fill="white"/>',
     ]
+    vertex_fmt = f"%.{_SVG_DECIMALS}f,%.{_SVG_DECIMALS}f"
     for i, item in enumerate(items):
-        pts = np.asarray(item["points"], dtype=float)
-        if len(pts) < 2:
-            continue
+        pts = np.asarray(item["points"], dtype=float).reshape(-1, 2)
         pixels = np.empty_like(pts)
         pixels[:, 0] = margin + (pts[:, 0] - x0) * scale
         pixels[:, 1] = height - margin - (pts[:, 1] - y0) * scale
+        cells = np.rint(pixels * 10**_SVG_DECIMALS)
+        fresh = np.ones(len(cells), dtype=bool)
+        fresh[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+        pixels = pixels[fresh]
+        if len(pixels) < 2:
+            continue
         stroke = item.get("stroke") or _PALETTE[i % len(_PALETTE)]
         stroke_width = item.get("width", 1.5)
         dash = item.get("dash")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        specs, cells = _row_cells(pixels, "%.3f")
-        if specs == ["%s"]:  # the cells are the rows' texts
-            coords = " ".join(cells)
-        else:
-            coords = ((",".join(specs) + " ") * len(pts))[:-1] % tuple(cells)
+        coords = " ".join([vertex_fmt] * len(pixels)) % tuple(pixels.ravel().tolist())
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
             f' stroke-width="{stroke_width:g}"{dash_attr}/>'

@@ -796,13 +796,13 @@ PINNED_OUTPUTS = [
     }),
     ("arctic", SCALED_UNIFORM, ("--svg",), {
         "arctic.csv": "5b83e2ca740b75cb",
-        "arctic.svg": "a6cc1ed3c0288b17",
+        "arctic.svg": "9cae0327f77ed969",
     }),
     ("limits", SCALED_GAPPED, (), {"limits.csv": "abce34912f89886f"}),
     # 347 of the 464 rows repeat the (X, Y) of the row before.
     ("arctic", SCALED_CORNERED, ("--svg",), {
         "arctic.csv": "94c8191555bbfff7",
-        "arctic.svg": "57a4ebeef016c9cd",
+        "arctic.svg": "bf5c4b60cc345cc3",
     }),
 ]
 

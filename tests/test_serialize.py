@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import xml.etree.ElementTree as ET
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -190,8 +191,10 @@ _HUGE = 7**6000  # 5 071 digits
     (0,) * 2047 + (_HUGE,) + (5,) * 3000,
     (*range(2100), 0.5, *range(3000)),
     (*(i / 7 for i in range(2048)), Fraction(1, 3), -0.0, math.inf),
+    array("q", [3, -1, 2**62, 0] * 1000),  # an area series, as `qpaths sample` writes it
 ], ids=["empty", "one_row", "one_zero", "z_n3", "z_past_one_block", "huge_int",
-        "huge_int_ending_a_block", "float_in_the_second_block", "fraction_after_a_block"])
+        "huge_int_ending_a_block", "float_in_the_second_block", "fraction_after_a_block",
+        "int64_array"])
 def test_indexed_rows_match_the_oracle_rows(values):
     # The default digit cap, so the huge ints fall back to format_cell.
     old_cap = sys.get_int_max_str_digits()
@@ -340,8 +343,16 @@ def test_svg_range_validation(tmp_path):
     ET.fromstring(open(path).read())
 
 
+def _svg_cell(v):
+    """The 0.01-px cell of a pixel coordinate; a non-finite one keys by
+    itself, so nan never equals a cell and inf equals inf, as in numpy."""
+    key = 100 * v
+    return round(key) if math.isfinite(key) else key
+
+
 def per_point_render_svg(items, *, x_range, y_range) -> str:
-    """The per-point render_svg that the array one replaced, kept as its oracle."""
+    """The per-point render_svg that the array one replaced, kept as its
+    oracle: a vertex in the 0.01-px cell of the vertex before it is dropped."""
     x0, x1 = float(x_range[0]), float(x_range[1])
     y0, y1 = float(y_range[0]), float(y_range[1])
     margin = 20.0
@@ -353,15 +364,19 @@ def per_point_render_svg(items, *, x_range, y_range) -> str:
     ]
     palette = ("#1f6f8b", "#c1443c", "#3a7d44", "#8a4f9e", "#b8860b", "#555555")
     for i, item in enumerate(items):
-        pts = [(margin + (p[0] - x0) * scale, height - margin - (p[1] - y0) * scale)
-               for p in item["points"]]
+        pts, cell = [], None
+        for p in item["points"]:
+            x, y = margin + (p[0] - x0) * scale, height - margin - (p[1] - y0) * scale
+            prev, cell = cell, (_svg_cell(x), _svg_cell(y))
+            if prev is None or prev[0] != cell[0] or prev[1] != cell[1]:
+                pts.append((x, y))
         if len(pts) < 2:
             continue
         stroke = item.get("stroke") or palette[i % len(palette)]
         dash = item.get("dash")
         stroke_width = item.get("width", 1.5)
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in pts)
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
             f' stroke-width="{stroke_width:g}"{dash_attr}/>'
@@ -371,7 +386,7 @@ def per_point_render_svg(items, *, x_range, y_range) -> str:
 
 
 def test_svg_matches_the_per_point_oracle():
-    # -0.0 inputs, pixels just below 0 that print as -0.000, int points,
+    # -0.0 inputs, pixels just below 0 that print as -0.00, int points,
     # an array, and one-point and empty items that draw nothing.
     edge = 20.0 / (680.0 / 3.0) + 1e-7  # 20 pixels of margin and a little
     items = [
@@ -382,6 +397,33 @@ def test_svg_matches_the_per_point_oracle():
         {"points": []},
     ]
     assert _svg_doc(items) == per_point_render_svg(items, x_range=(0.0, 3.0), y_range=(0.0, 1.0))
+
+
+def _polyline_points(doc):
+    return [el.get("points").split() for el in ET.fromstring(doc).iter() if el.tag.endswith("polyline")]
+
+
+def test_a_one_pixel_segment_keeps_at_most_one_vertex_per_cell():
+    # 10 000 points along a 1-px segment, across and down, span 101 cells.
+    kw = {"x_range": (0.0, 3.0), "y_range": (0.0, 1.0)}
+    px = 3.0 / 680.0  # one pixel in model units
+    along = np.linspace(0.0, px, 10_000)
+    items = [{"points": np.column_stack([1.0 + along, np.full_like(along, 0.5)])},
+             {"points": np.column_stack([np.full_like(along, 1.5), 0.25 + along])}]
+    doc = render_svg(items, **kw)
+    assert doc == per_point_render_svg(items, **kw)
+    for points in _polyline_points(doc):
+        assert 2 <= len(points) <= 101
+
+
+def test_an_item_within_one_cell_draws_nothing():
+    # At one pixel a unit, model x = 80 is pixel x = 100: all of these
+    # points fall in its cell, and so does y.
+    kw = {"x_range": (0.0, 680.0), "y_range": (0.0, 100.0)}
+    dot = [(80.0 + d, 50.0 - d) for d in (0.0, 0.004, -0.004, 0.001, 0.0)]
+    doc = render_svg([{"points": dot}, {"points": [(0.0, 0.0), (1.0, 1.0)]}], **kw)
+    assert _polyline_points(doc) == [["20.00,120.00", "21.00,119.00"]]
+    assert render_svg([{"points": dot}], **kw) == per_point_render_svg([{"points": dot}], **kw)
 
 
 _RUN_CELLS = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.5]
@@ -412,8 +454,9 @@ def repeating_arrays(draw):
 @example(np.array([[1.0, 0.0, 0.0], [2.0, -0.0, 0.0], [3.0, -0.0, 0.0], [4.0, 0.0, -0.0]]))
 @example(np.array([[0.0, math.nan], [0.0, math.nan], [1.0, math.inf], [1.0, math.inf]], dtype=np.float32))
 def test_repeated_rows_match_the_oracles(cells):
-    # A row that repeats the bits of the row before reuses its text; the
-    # documents stay those of the per-cell and per-point emitters.
+    # A row that repeats the bits of the row before reuses its text, and a
+    # vertex in the cell of the one before is dropped; the documents stay
+    # those of the per-cell and per-point emitters.
     header = ["branch"] + [f"c{j}" for j in range(cells.shape[1])]
     rows = [("right", *row) for row in cells.tolist()]
     assert emit_csv(header, [ArrayRows(cells, ("right",))]) == csv_writer_emit_csv(header, rows)
