@@ -10,7 +10,8 @@ values are all ints or all floats) are formatted in blocks with one
 %-format per block; other rows, text among them, go one by one through
 format_cell and the csv writer. SVG output is a flat polyline rendering
 with no plotting dependencies, each polyline mapped to pixels with numpy,
-kept at one vertex per 0.01-px cell and formatted with one %-format.
+kept at one vertex per 0.01-px cell and written as the integer cells, in
+one %d format, on a canvas whose user unit is that cell.
 
 A float array row whose cells after the first have the bits of the row
 before's is not formatted again: it reuses that row's text (_row_cells),
@@ -24,6 +25,7 @@ import decimal
 import io
 import os
 import re
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,10 +155,12 @@ def _row_cells(rows: np.ndarray) -> tuple[list[str], Sequence]:
 
 
 def _write_indexed_rows(out, writer, item: IndexedRows) -> None:
+    # An integer array holds only ints; other values are scanned by block.
+    ints = isinstance(item.values, array) and item.values.typecode in "bBhHiIlLqQ"
     for lo in range(0, len(item.values), _BLOCK_ROWS):
         block = item.values[lo : lo + _BLOCK_ROWS]
         index = range(lo, lo + len(block))
-        kinds = set(map(type, block))  # one %-spec for values all ints or all floats
+        kinds = {int} if ints else set(map(type, block))  # one %-spec for all ints or all floats
         spec = _SPECS.get(kinds.pop()) if len(kinds) == 1 else None
         if spec:
             cells = [lo] * (2 * len(block))
@@ -254,7 +258,7 @@ def read_csv(source: str) -> tuple[list[str], list[list]]:
 _PALETTE = ("#1f6f8b", "#c1443c", "#3a7d44", "#8a4f9e", "#b8860b", "#555555")
 _SVG_WIDTH = 720
 # A polyline keeps one vertex per 10**-_SVG_DECIMALS-px cell of the
-# canvas, and writes its pixel coordinates with that many decimals.
+# canvas and writes it as its integer cell: that cell is the user unit.
 _SVG_DECIMALS = 2
 
 
@@ -267,42 +271,48 @@ def render_svg(
     """Render polylines into a standalone SVG document.
 
     Each item is a dict with "points" (sequence of (x, y)) and optional
-    "stroke", "width", "dash". The viewBox is fixed by x_range/y_range so
-    separately produced documents overlay consistently; the document is
-    _SVG_WIDTH pixels wide. A vertex in the pixel cell (_SVG_DECIMALS) of
-    the vertex before it, in both coordinates, is dropped, and an item
-    left with fewer than two vertices draws nothing.
+    "stroke", "width", "dash" (in pixels). The viewBox is fixed by
+    x_range/y_range so separately produced documents overlay consistently;
+    it is _SVG_WIDTH pixels wide in 10**_SVG_DECIMALS units a pixel, and a
+    vertex is written as the integer unit cell it falls in. A vertex in the
+    cell of the vertex before it, in both coordinates, is dropped, and an
+    item left with fewer than two vertices draws nothing. A cell not finite,
+    or past 2**53 where doubles stop resolving cells, raises InvalidArgument.
     """
     import numpy as np
     x0, x1 = float(x_range[0]), float(x_range[1])
     y0, y1 = float(y_range[0]), float(y_range[1])
     if not (x1 > x0 and y1 > y0):
         raise InvalidArgument("svg ranges must be nonempty")
+    unit = 10**_SVG_DECIMALS
     margin = 20.0
     scale = (_SVG_WIDTH - 2 * margin) / (x1 - x0)
     height = 2 * margin + scale * (y1 - y0)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_WIDTH:g} {height:.6g}">',
-        f'<rect width="{_SVG_WIDTH:g}" height="{height:.6g}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_WIDTH * unit} {height * unit:.6g}">',
+        f'<rect width="{_SVG_WIDTH * unit}" height="{height * unit:.6g}" fill="white"/>',
     ]
-    vertex_fmt = f"%.{_SVG_DECIMALS}f,%.{_SVG_DECIMALS}f"
     for i, item in enumerate(items):
         pts = np.asarray(item["points"], dtype=float).reshape(-1, 2)
         pixels = np.empty_like(pts)
         pixels[:, 0] = margin + (pts[:, 0] - x0) * scale
         pixels[:, 1] = height - margin - (pts[:, 1] - y0) * scale
-        cells = np.rint(pixels * 10**_SVG_DECIMALS)
+        cells = np.rint(pixels * unit)
+        if not (np.abs(cells) <= 2.0**53).all():
+            raise InvalidArgument(f"svg item {i} has a vertex past 2**53 cells or not finite")
         fresh = np.ones(len(cells), dtype=bool)
         fresh[1:] = (cells[1:] != cells[:-1]).any(axis=1)
-        pixels = pixels[fresh]
-        if len(pixels) < 2:
+        cells = cells[fresh]
+        if len(cells) < 2:
             continue
         stroke = item.get("stroke") or _PALETTE[i % len(_PALETTE)]
-        stroke_width = item.get("width", 1.5)
+        stroke_width = item.get("width", 1.5) * unit
         dash = item.get("dash")
+        if dash:  # space-separated pixel lengths, in the document's units
+            dash = " ".join(f"{float(v) * unit:g}" for v in dash.split())
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        coords = " ".join([vertex_fmt] * len(pixels)) % tuple(pixels.ravel().tolist())
+        coords = " ".join(["%d,%d"] * len(cells)) % tuple(cells.astype(np.int64).ravel().tolist())
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
             f' stroke-width="{stroke_width:g}"{dash_attr}/>'

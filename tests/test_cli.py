@@ -796,13 +796,13 @@ PINNED_OUTPUTS = [
     }),
     ("arctic", SCALED_UNIFORM, ("--svg",), {
         "arctic.csv": "5b83e2ca740b75cb",
-        "arctic.svg": "9cae0327f77ed969",
+        "arctic.svg": "ce8b5f3543b2b18c",
     }),
     ("limits", SCALED_GAPPED, (), {"limits.csv": "abce34912f89886f"}),
     # 347 of the 464 rows repeat the (X, Y) of the row before.
     ("arctic", SCALED_CORNERED, ("--svg",), {
         "arctic.csv": "94c8191555bbfff7",
-        "arctic.svg": "bf5c4b60cc345cc3",
+        "arctic.svg": "bd5c5a6f2464021e",
     }),
 ]
 

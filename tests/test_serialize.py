@@ -305,7 +305,7 @@ def test_svg_is_valid_xml_with_expected_polylines():
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) == 2
     assert polylines[1].get("stroke") == "#000000"
-    assert polylines[1].get("stroke-dasharray") == "4 2"
+    assert polylines[1].get("stroke-dasharray") == "400 200"  # pixels in 0.01-px units
     for el in polylines:
         assert el.get("fill") == "none"
         for pair in el.get("points").split():
@@ -320,7 +320,7 @@ def test_svg_viewbox_fixed_by_ranges():
     b = _svg_doc([{"points": [(2, 0.2), (3, 0.8)]}])
     box = ET.fromstring(a).get("viewBox")
     assert box == ET.fromstring(b).get("viewBox")
-    assert box.startswith("0 0 720 ")
+    assert box.startswith("0 0 72000 ")
 
 
 def test_svg_y_axis_points_up():
@@ -344,39 +344,42 @@ def test_svg_range_validation(tmp_path):
 
 
 def _svg_cell(v):
-    """The 0.01-px cell of a pixel coordinate; a non-finite one keys by
-    itself, so nan never equals a cell and inf equals inf, as in numpy."""
+    """The 0.01-px cell of a pixel coordinate, refused where a double no
+    longer resolves one cell: not finite, or past 2**53 cells."""
     key = 100 * v
-    return round(key) if math.isfinite(key) else key
+    if not (math.isfinite(key) and abs(round(key)) <= 2**53):
+        raise InvalidArgument(f"pixel {v!r} has no cell")
+    return round(key)
 
 
 def per_point_render_svg(items, *, x_range, y_range) -> str:
     """The per-point render_svg that the array one replaced, kept as its
-    oracle: a vertex in the 0.01-px cell of the vertex before it is dropped."""
+    oracle: every length in 0.01-px units, each vertex written as its
+    integer cell, and a vertex in the cell of the vertex before it dropped."""
     x0, x1 = float(x_range[0]), float(x_range[1])
     y0, y1 = float(y_range[0]), float(y_range[1])
     margin = 20.0
     scale = (720 - 2 * margin) / (x1 - x0)
     height = 2 * margin + scale * (y1 - y0)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 720 {height:.6g}">',
-        f'<rect width="720" height="{height:.6g}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 72000 {100 * height:.6g}">',
+        f'<rect width="72000" height="{100 * height:.6g}" fill="white"/>',
     ]
     palette = ("#1f6f8b", "#c1443c", "#3a7d44", "#8a4f9e", "#b8860b", "#555555")
     for i, item in enumerate(items):
-        pts, cell = [], None
+        cells = []
         for p in item["points"]:
             x, y = margin + (p[0] - x0) * scale, height - margin - (p[1] - y0) * scale
-            prev, cell = cell, (_svg_cell(x), _svg_cell(y))
-            if prev is None or prev[0] != cell[0] or prev[1] != cell[1]:
-                pts.append((x, y))
-        if len(pts) < 2:
+            cell = (_svg_cell(x), _svg_cell(y))
+            if not cells or cells[-1] != cell:
+                cells.append(cell)
+        if len(cells) < 2:
             continue
         stroke = item.get("stroke") or palette[i % len(palette)]
         dash = item.get("dash")
-        stroke_width = item.get("width", 1.5)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
+        stroke_width = 100 * item.get("width", 1.5)
+        dash_attr = f' stroke-dasharray="{" ".join(str(100 * int(v)) for v in dash.split())}"' if dash else ""
+        coords = " ".join(f"{cx},{cy}" for cx, cy in cells)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{stroke}"'
             f' stroke-width="{stroke_width:g}"{dash_attr}/>'
@@ -386,8 +389,8 @@ def per_point_render_svg(items, *, x_range, y_range) -> str:
 
 
 def test_svg_matches_the_per_point_oracle():
-    # -0.0 inputs, pixels just below 0 that print as -0.00, int points,
-    # an array, and one-point and empty items that draw nothing.
+    # -0.0 inputs, pixels just below 0 whose cell is -0.0 and prints as 0,
+    # int points, an array, and one-point and empty items that draw nothing.
     edge = 20.0 / (680.0 / 3.0) + 1e-7  # 20 pixels of margin and a little
     items = [
         {"points": [(-0.0, -0.0), (-edge, 1.0 + edge), (3, 0)]},
@@ -422,8 +425,28 @@ def test_an_item_within_one_cell_draws_nothing():
     kw = {"x_range": (0.0, 680.0), "y_range": (0.0, 100.0)}
     dot = [(80.0 + d, 50.0 - d) for d in (0.0, 0.004, -0.004, 0.001, 0.0)]
     doc = render_svg([{"points": dot}, {"points": [(0.0, 0.0), (1.0, 1.0)]}], **kw)
-    assert _polyline_points(doc) == [["20.00,120.00", "21.00,119.00"]]
+    assert _polyline_points(doc) == [["2000,12000", "2100,11900"]]
     assert render_svg([{"points": dot}], **kw) == per_point_render_svg([{"points": dot}], **kw)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300, 2.0**54 / 100],
+                         ids=["nan", "inf", "-inf", "1e300", "past_2**53_cells"])
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+def test_a_vertex_without_a_cell_is_refused(bad, axis):
+    # At one pixel a unit, model x = X is pixel x = 20 + X. nan, inf and
+    # X past 2**53 cells are refused (nan and inf were written as text that
+    # is no SVG number); X = 2**52 / 100 lies inside the bound and is written.
+    kw = {"x_range": (0.0, 680.0), "y_range": (0.0, 100.0)}
+    point = [50.0, 50.0]
+    point[axis] = bad
+    with pytest.raises(InvalidArgument):
+        render_svg([{"points": [(0.0, 0.0), (1.0, 1.0)]}, {"points": [(1.0, 1.0), tuple(point)]}], **kw)
+    with pytest.raises(InvalidArgument):
+        per_point_render_svg([{"points": [(1.0, 1.0), tuple(point)]}], **kw)
+    point[axis] = 2.0**52 / 100
+    ok = render_svg([{"points": [(1.0, 1.0), tuple(point)]}], **kw)
+    assert ok == per_point_render_svg([{"points": [(1.0, 1.0), tuple(point)]}], **kw)
+    assert len(_polyline_points(ok)[0]) == 2
 
 
 _RUN_CELLS = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.5]
@@ -456,7 +479,8 @@ def repeating_arrays(draw):
 def test_repeated_rows_match_the_oracles(cells):
     # A row that repeats the bits of the row before reuses its text, and a
     # vertex in the cell of the one before is dropped; the documents stay
-    # those of the per-cell and per-point emitters.
+    # those of the per-cell and per-point emitters, and a vertex without a
+    # cell is refused by both.
     header = ["branch"] + [f"c{j}" for j in range(cells.shape[1])]
     rows = [("right", *row) for row in cells.tolist()]
     assert emit_csv(header, [ArrayRows(cells, ("right",))]) == csv_writer_emit_csv(header, rows)
@@ -464,7 +488,13 @@ def test_repeated_rows_match_the_oracles(cells):
     items = [{"points": xy}, {"points": xy[::-1], "stroke": "#000000"}]
     as_tuples = [{**item, "points": [tuple(p) for p in item["points"].tolist()]} for item in items]
     kw = {"x_range": (0.0, 3.0), "y_range": (0.0, 1.0)}
-    assert render_svg(items, **kw) == per_point_render_svg(as_tuples, **kw)
+    try:
+        expected = per_point_render_svg(as_tuples, **kw)
+    except InvalidArgument:  # a vertex not finite or past 2**53 cells
+        with pytest.raises(InvalidArgument):
+            render_svg(items, **kw)
+    else:
+        assert render_svg(items, **kw) == expected
 
 
 @pytest.mark.parametrize("segments, jumps, base, t_values", [
